@@ -6,7 +6,12 @@
 //! is optimized unconstrained, then re-optimized under budgets sweeping
 //! 10%→100% of the unconstrained footprint
 //! (`WorkloadAdvisor::optimize_with_budget`: Lagrangian bisection over
-//! λ-priced sweeps + frontier repair). The resulting cost-vs-budget curve
+//! λ-priced sweeps, the greedy eviction descent, frontier repair). The
+//! eviction descent does work proportional to what an eviction changes
+//! and is recorded on the advisor, so the sweep below walks it once — the
+//! 10% row, which dead-ends — and every later row lands on the recorded
+//! trail (`evictions` is the landing step, `eviction_trials` the trials
+//! the row actually ran; DESIGN.md §5.12). The resulting cost-vs-budget curve
 //! is the workload-scale analogue of a single path's `(cost, size)` Pareto
 //! frontier. (Pure query-heavy mixes have intrinsically steeper curves:
 //! the fat NIX indexes that a budget evicts are exactly the ones all the
@@ -19,7 +24,10 @@
 //! unconstrained cost — storage halves for a modest time premium.
 //!
 //! Writes a machine-readable snapshot to `BENCH_budget_frontier.json` at
-//! the repository root via the shared `oic_bench::Json` writer.
+//! the repository root via the shared `oic_bench::Json` writer, with
+//! `host_cpus`, the whole sweep's price in unconstrained solves
+//! (`frontier_over_optimize` = Σ budgeted ns ÷ unconstrained ns) and the
+//! parent commit's timings as the `baseline` row.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_core::WorkloadAdvisor;
@@ -27,7 +35,23 @@ use oic_cost::CostParams;
 use oic_sim::{synth_workload, WorkloadSpec};
 use std::time::Instant;
 
+/// The same sweep at the parent commit (0a07b5f: full-clone eviction
+/// trials, no recorded trail), measured on the 2-CPU host that recorded
+/// the committed snapshot: the unconstrained solve, then each budget row.
+const BASELINE_UNCONSTRAINED_NS: u64 = 18_079_891;
+const BASELINE_BUDGETED_NS: [u64; 8] = [
+    549_921_463,
+    521_705_039,
+    542_256_301,
+    505_719_470,
+    378_360_203,
+    212_725_425,
+    137_719_678,
+    1_179_585,
+];
+
 fn main() {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let w = synth_workload(&WorkloadSpec {
         paths: 250,
         depth: 5,
@@ -59,16 +83,28 @@ fn main() {
         t.elapsed()
     );
     println!(
-        "{:>6} {:>12} {:>10} {:>12} {:>8} {:>9} {:>7} {:>8} {:>10}",
-        "budget", "pages", "feasible", "cost", "ratio", "λ", "sweeps", "repairs", "time"
+        "{:>6} {:>12} {:>10} {:>12} {:>8} {:>9} {:>7} {:>8} {:>9} {:>7} {:>10}",
+        "budget",
+        "pages",
+        "feasible",
+        "cost",
+        "ratio",
+        "λ",
+        "sweeps",
+        "repairs",
+        "evictions",
+        "trials",
+        "time"
     );
 
     let mut budgets = Vec::new();
+    let mut budgeted_ns = 0u128;
     for frac in [0.10f64, 0.25, 0.40, 0.50, 0.60, 0.75, 0.90, 1.00] {
         let budget = s0 * frac;
         let t = Instant::now();
         let b = adv.optimize_with_budget(budget);
         let elapsed = t.elapsed();
+        budgeted_ns += elapsed.as_nanos();
         if b.feasible {
             assert!(
                 b.plan.size_pages <= budget * (1.0 + 1e-12) + 1e-9,
@@ -103,7 +139,7 @@ fn main() {
             );
         }
         println!(
-            "{:>5.0}% {:>12.0} {:>10} {:>12.1} {:>8.3} {:>9.4} {:>7} {:>8} {:>10}",
+            "{:>5.0}% {:>12.0} {:>10} {:>12.1} {:>8.3} {:>9.4} {:>7} {:>8} {:>9} {:>7} {:>10}",
             frac * 100.0,
             budget,
             b.feasible,
@@ -112,6 +148,8 @@ fn main() {
             b.lambda,
             b.lambda_sweeps,
             b.repairs,
+            b.evictions,
+            b.eviction_trials,
             format!("{elapsed:.2?}")
         );
         budgets.push(Json::obj([
@@ -125,13 +163,49 @@ fn main() {
             ("lambda", Json::fixed(b.lambda, 6)),
             ("lambda_sweeps", Json::from(b.lambda_sweeps)),
             ("repairs", Json::from(b.repairs)),
+            ("evictions", Json::from(b.evictions)),
+            ("eviction_trials", Json::from(b.eviction_trials)),
             ("optimize_ns", Json::from(elapsed.as_nanos())),
         ]));
     }
+    let frontier_over_optimize = budgeted_ns as f64 / unconstrained_ns as f64;
+    let baseline_ratio =
+        BASELINE_BUDGETED_NS.iter().sum::<u64>() as f64 / BASELINE_UNCONSTRAINED_NS as f64;
+    println!(
+        "\nwhole sweep: {:.1}× the unconstrained solve on {host_cpus} CPU(s) \
+         (parent commit: {baseline_ratio:.1}×)",
+        frontier_over_optimize
+    );
 
     let snapshot = Json::obj([
         ("bench", Json::from("budget_frontier")),
         ("paths", Json::from(unconstrained.paths.len())),
+        ("host_cpus", Json::from(host_cpus)),
+        (
+            "frontier_over_optimize",
+            Json::fixed(frontier_over_optimize, 2),
+        ),
+        (
+            "baseline",
+            Json::obj([
+                ("commit", Json::from("0a07b5f")),
+                ("host_cpus", Json::from(2usize)),
+                (
+                    "unconstrained_optimize_ns",
+                    Json::from(BASELINE_UNCONSTRAINED_NS),
+                ),
+                (
+                    "budgeted_optimize_ns",
+                    Json::Arr(
+                        BASELINE_BUDGETED_NS
+                            .iter()
+                            .map(|&ns| Json::from(ns))
+                            .collect(),
+                    ),
+                ),
+                ("frontier_over_optimize", Json::fixed(baseline_ratio, 2)),
+            ]),
+        ),
         (
             "unconstrained",
             Json::obj([
@@ -153,7 +227,9 @@ fn main() {
     println!(
         "\nNote: each budget point runs the Lagrangian bisection over λ-priced \
          coordinate-descent sweeps (shared candidates stay maintenance- and \
-         footprint-free for every owner but the first), then a frontier-based \
-         greedy repair; the unconstrained solve is cached across points."
+         footprint-free for every owner but the first), lands on the eviction \
+         descent the advisor recorded (walking it further only when the budget \
+         is tighter than any before), then runs a frontier-based greedy repair; \
+         the unconstrained solve is cached across points."
     );
 }

@@ -14,12 +14,15 @@
 //!   ≤ 1.01 (also within the miner's own `mining_cost_bound`), and the
 //!   mined run must actually skip cells (`candidates_mined_out > 0`,
 //!   `cells_skipped > 0`).
-//! * **Budgeted grid.** At 1k paths (a budgeted solve costs ~40 λ-priced
-//!   sweeps, so the full grid at 10k would run for an hour — scale adds
-//!   nothing to a bitwise claim) the {unmined, mined} × {λ-pruned
+//! * **Budgeted grid.** At 1k paths (a budgeted solve costs ~30 λ-priced
+//!   sweeps plus an eviction descent of several hundred rounds — scale
+//!   adds nothing to a bitwise claim) the {unmined, mined} × {λ-pruned
 //!   sharded, mask-free legacy} grid runs under a tight budget: the
 //!   sharded arms must report a non-empty mask (`lambda_pruned > 0`)
-//!   while staying **the same plan bitwise** as the legacy engine.
+//!   while staying **the same plan bitwise** as the legacy engine. Each
+//!   row records the descent's length (`evictions`) and the trials it
+//!   ran (`eviction_trials`); the parent commit's `budgeted_ns` per arm
+//!   ride along as the `baseline` row.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_cost::CostParams;
@@ -46,6 +49,16 @@ const MAX_COST_RATIO: f64 = 1.01;
 /// Budget fraction of the unconstrained footprint — tight enough that
 /// the Lagrangian search engages on every arm.
 const BUDGET_FRACTION: f64 = 0.5;
+
+/// `budgeted_ns` of the four grid arms, in grid order, at the parent
+/// commit (0a07b5f: full-clone eviction trials), measured on the 2-CPU
+/// host that recorded the committed snapshot.
+const BASELINE_BUDGETED_NS: [u64; 4] = [
+    56_796_100_065,
+    58_234_759_734,
+    31_189_289_848,
+    32_310_174_602,
+];
 
 fn forest(paths: usize) -> ForestSpec {
     ForestSpec {
@@ -124,8 +137,8 @@ fn main() {
     let w = synth_forest(&forest(PATHS_BUDGETED));
     println!(
         "\n{PATHS_BUDGETED} paths, budget {BUDGET_FRACTION}× unconstrained:\n\
-         {:>18} {:>12} {:>12} {:>8} {:>10} {:>12}",
-        "arm", "optimize", "budgeted", "sweeps", "λ-pruned", "total"
+         {:>18} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12}",
+        "arm", "optimize", "budgeted", "sweeps", "λ-pruned", "evictions", "trials", "total"
     );
     let mut rows = Vec::new();
     let mut grid = Vec::new();
@@ -162,7 +175,7 @@ fn main() {
             if sharded { "pruned" } else { "unpruned" }
         );
         println!(
-            "{arm:>18} {:>12} {:>12} {:>8} {:>10} {:>12.0}",
+            "{arm:>18} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12.0}",
             format!(
                 "{:.2?}",
                 std::time::Duration::from_nanos(optimize_ns as u64)
@@ -170,6 +183,8 @@ fn main() {
             format!("{:.2?}", std::time::Duration::from_nanos(budget_ns as u64)),
             budgeted.lambda_sweeps,
             budgeted.plan.lambda_pruned,
+            budgeted.evictions,
+            budgeted.eviction_trials,
             budgeted.plan.total_cost,
         );
         rows.push(Json::obj([
@@ -188,6 +203,8 @@ fn main() {
             ("cells_skipped", Json::from(unconstrained.cells_skipped)),
             ("lambda_pruned", Json::from(budgeted.plan.lambda_pruned)),
             ("lambda_sweeps", Json::from(budgeted.lambda_sweeps)),
+            ("evictions", Json::from(budgeted.evictions)),
+            ("eviction_trials", Json::from(budgeted.eviction_trials)),
             ("feasible", Json::from(budgeted.feasible)),
             ("budgeted_cost", Json::fixed(budgeted.plan.total_cost, 3)),
         ]));
@@ -228,6 +245,22 @@ fn main() {
         ("mining_cost_bound", Json::fixed(bound, 3)),
         ("budgeted_plan_identical_across_engines", Json::from(true)),
         ("budgeted_grid", Json::Arr(rows)),
+        (
+            "baseline",
+            Json::obj([
+                ("commit", Json::from("0a07b5f")),
+                ("host_cpus", Json::from(2usize)),
+                (
+                    "budgeted_ns",
+                    Json::Arr(
+                        BASELINE_BUDGETED_NS
+                            .iter()
+                            .map(|&ns| Json::from(ns))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
     ]);
     match write_repo_snapshot("BENCH_candidate_mining.json", &snapshot) {
         Ok(_) => println!("\nsnapshot written to BENCH_candidate_mining.json"),

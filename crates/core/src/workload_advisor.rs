@@ -53,9 +53,12 @@
 //! like its maintenance), and
 //! [`WorkloadAdvisor::optimize_with_budget`] selects the cheapest plan
 //! whose footprint fits a shared page budget — Lagrangian bisection on
-//! `cost + λ·size` over the same sweep machinery, then a frontier-based
-//! greedy repair pass (DESIGN.md §5.12). At infinite budget it returns the
-//! unconstrained plan bit-identically.
+//! `cost + λ·size` over the same sweep machinery, a greedy eviction
+//! descent from the unconstrained optimum (recorded per advisor state, so
+//! re-solving under a moved budget resumes or truncates the walk instead
+//! of repeating it), then a frontier-based greedy repair pass (DESIGN.md
+//! §5.12). At infinite budget it returns the unconstrained plan
+//! bit-identically.
 //! The warm start is deliberately *computational*, not trajectorial — the
 //! sweep replays the cold algorithm's exact iteration over cached values —
 //! so an incremental `reoptimize()` returns a plan whose cost equals a
@@ -90,7 +93,7 @@ use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{mining, LoadDistribution, MiningPolicy, Triplet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum coordinate-descent rounds; the objective is monotone, so this is
 /// a safety net, not a tuning knob (workloads converge in 2–3 sweeps).
@@ -99,15 +102,25 @@ const MAX_SWEEPS: usize = 8;
 /// One path's selection: the chosen `(subpath, organization)` pieces.
 type Selection = Vec<(SubpathId, Org)>;
 
-/// One eviction trial during the budgeted descent:
-/// `(regret per page, evicted physical index, trial selections, cost, size)`.
-type EvictionTrial = (f64, (CandidateId, Org), Vec<Selection>, f64, f64);
+/// A physical index: one interned candidate under one organization.
+type Pair = (CandidateId, Org);
+
+/// One eviction trial's outcome: the re-selected owners of the banned
+/// index, ascending by path index (a path never repeats a class, so its
+/// ranks are distinct candidates and it owns an index at most once) —
+/// everything a trial changes. `None` when the ban left some owner
+/// uncoverable.
+type Reselection = Option<Vec<(usize, Selection)>>;
+
+/// A path's last best response: the sharing context (3-bit covered mask
+/// per rank) and the selection the DP produced for it.
+type SweepMemo = Option<(Vec<u8>, Selection)>;
 
 /// One round of parallel speculation, per path: `None` when the sweep memo
 /// already answers the predicted sharing context (the commit loop will
 /// take the memo hit), else the predicted context with the best response
 /// the DP produced for it.
-type SpeculationRound = Vec<Option<(Vec<u8>, Selection)>>;
+type SpeculationRound = Vec<SweepMemo>;
 
 /// Stable handle of one path in the advisor, valid across epochs until the
 /// path is removed. Handles are never reused within one advisor.
@@ -154,7 +167,7 @@ struct PathState {
     /// rank) and the selection the DP produced for it. Valid across epochs
     /// while the path is clean — a sweep whose context matches is a memo
     /// hit, not a DP run.
-    sweep_memo: Option<(Vec<u8>, Selection)>,
+    sweep_memo: SweepMemo,
     /// Per-rank dominance prune mask (bit per organization; `0b111` = the
     /// whole rank is eliminated): cells provably absent from any best
     /// response, under any sharing context **and any λ ≥ 0** — the mask is
@@ -327,8 +340,9 @@ pub struct WorkloadPlan {
 }
 
 /// A [`WorkloadPlan`] selected under a shared page budget, with the
-/// Lagrangian search telemetry. Produced by
-/// [`WorkloadAdvisor::optimize_with_budget`].
+/// telemetry of the search that found it: λ-priced sweeps (bracketing +
+/// bisection), the greedy eviction descent, and the frontier repair pass.
+/// Produced by [`WorkloadAdvisor::optimize_with_budget`].
 #[derive(Debug)]
 pub struct BudgetedWorkloadPlan {
     /// The selected plan; [`WorkloadPlan::size_pages`] is its footprint
@@ -344,10 +358,26 @@ pub struct BudgetedWorkloadPlan {
     /// when the plan did not come from a λ sweep — the unconstrained
     /// optimum already fit, or the greedy eviction descent won.
     pub lambda: f64,
-    /// λ-priced coordinate-descent sweeps run (bracketing + bisection).
+    /// λ-priced coordinate-descent sweeps run (bracketing + bisection) —
+    /// one of the search's two directions; the other is the eviction
+    /// descent counted by [`Self::evictions`].
     pub lambda_sweeps: usize,
     /// Per-path selections replaced by the frontier repair pass.
     pub repairs: usize,
+    /// Evictions between the unconstrained optimum and the point where the
+    /// eviction descent met the budget (or dead-ended) — whether or not
+    /// that point beat the λ sweeps. A logical count: the same for a call
+    /// served from the advisor's recorded descent trail and for a cold
+    /// one, for every lane count and both engines. 0 when the budget was
+    /// slack.
+    pub evictions: usize,
+    /// Eviction trials this call actually ran (each bans one physical
+    /// index and re-selects all of its owners with a frontier DP). A work
+    /// counter like the inner epoch's `dp_runs`: trials answered from the
+    /// other components' previous round, and whole rounds answered from
+    /// the recorded trail, are not counted — so it is 0 for a call the
+    /// trail serves outright and is excluded from the identity asserts.
+    pub eviction_trials: u64,
     /// Cost of the unconstrained optimum (the budget-∞ baseline).
     pub unconstrained_cost: f64,
     /// Footprint of the unconstrained optimum.
@@ -363,13 +393,16 @@ impl BudgetedWorkloadPlan {
 
     /// [`WorkloadPlan::assert_bit_identical_to`] extended over the budget
     /// search's own outcome: feasibility, the winning λ, and the
-    /// sweep/repair telemetry must match too.
+    /// sweep/repair/eviction telemetry must match too (all but the
+    /// `eviction_trials` work counter, which depends on what the advisor's
+    /// descent trail already held).
     pub fn assert_bit_identical_to(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
         self.plan.assert_bit_identical_to(&other.plan, ctx);
         assert_eq!(self.feasible, other.feasible, "{ctx}: feasibility");
         assert_eq!(self.lambda.to_bits(), other.lambda.to_bits(), "{ctx}: λ");
         assert_eq!(self.lambda_sweeps, other.lambda_sweeps, "{ctx}: λ sweeps");
         assert_eq!(self.repairs, other.repairs, "{ctx}: repairs");
+        assert_eq!(self.evictions, other.evictions, "{ctx}: evictions");
         assert_eq!(
             self.unconstrained_cost.to_bits(),
             other.unconstrained_cost.to_bits(),
@@ -388,14 +421,15 @@ impl BudgetedWorkloadPlan {
     /// engine's dominance mask is λ-uniform (a struck cell is beaten in
     /// both cost and size, so no `cost + λ·size` pricing can ever select
     /// it), which makes masked and unmasked sweeps agree bitwise — so
-    /// everything except the inner epoch's work counters must agree
-    /// across engines.
+    /// everything except the work counters (the inner epoch's, and
+    /// `eviction_trials`) must agree across engines.
     pub fn assert_same_plan(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
         self.plan.assert_same_plan(&other.plan, ctx);
         assert_eq!(self.feasible, other.feasible, "{ctx}: feasibility");
         assert_eq!(self.lambda.to_bits(), other.lambda.to_bits(), "{ctx}: λ");
         assert_eq!(self.lambda_sweeps, other.lambda_sweeps, "{ctx}: λ sweeps");
         assert_eq!(self.repairs, other.repairs, "{ctx}: repairs");
+        assert_eq!(self.evictions, other.evictions, "{ctx}: evictions");
         assert_eq!(
             self.unconstrained_cost.to_bits(),
             other.unconstrained_cost.to_bits(),
@@ -460,6 +494,148 @@ pub struct WorkloadAdvisor<'a> {
     /// admit-all regardless of the policy — the escape hatch CI runs the
     /// whole suite under.
     mine_enabled: bool,
+    /// The eviction descent of the budgeted search, recorded for the
+    /// current advisor state so a re-solve under a moved budget resumes or
+    /// truncates it instead of re-walking it (DESIGN.md §5.12). Dropped by
+    /// the next [`Self::reoptimize`] that sees a mutation or re-prices a
+    /// path.
+    trail: Option<EvictionTrail>,
+}
+
+/// The budgeted search's eviction descent from the unconstrained optimum,
+/// as far as some call has walked it. The walk reads the budget only in
+/// its stop test — which index to evict next depends on the selections and
+/// the bans alone — so one trail serves every budget: a looser budget
+/// lands on an earlier step, a tighter one extends the walk from the end.
+struct EvictionTrail {
+    /// Candidate-sharing component of each live path (index into the
+    /// advisor's path list → component number).
+    comp_of: Vec<usize>,
+    /// One step per adopted eviction. Footprints strictly decrease.
+    steps: Vec<TrailStep>,
+    /// Every index evicted so far; they stay banned so a later owner's
+    /// re-selection cannot smuggle one back.
+    banned: HashSet<Pair>,
+    /// The walk found no eviction that frees a page at the last step: no
+    /// budget below that step's footprint is reachable.
+    dead_end: bool,
+    /// Per component, the re-selections of the trials run against that
+    /// component's current selections and bans. An eviction changes both
+    /// inside one component only, so it clears that component's entry and
+    /// every other trial keeps its re-selection for the next round.
+    trials: Vec<HashMap<Pair, Reselection>>,
+}
+
+/// One adopted eviction: the owners it re-selected and the workload's
+/// true `(cost, size)` afterwards, bit-identical to
+/// [`WorkloadAdvisor::selection_totals`] of the resulting selections.
+struct TrailStep {
+    changed: Vec<(usize, Selection)>,
+    cost: f64,
+    size: f64,
+}
+
+impl EvictionTrail {
+    /// An unwalked trail over `paths` live paths grouped into `components`.
+    fn new(components: &[Vec<usize>], paths: usize) -> Self {
+        let mut comp_of = vec![0; paths];
+        for (c, comp) in components.iter().enumerate() {
+            for &i in comp {
+                comp_of[i] = c;
+            }
+        }
+        EvictionTrail {
+            comp_of,
+            steps: Vec::new(),
+            banned: HashSet::new(),
+            dead_end: false,
+            trials: vec![HashMap::new(); components.len()],
+        }
+    }
+
+    /// The selections after the first `steps` evictions, from the
+    /// unconstrained `base`.
+    fn selections_at(&self, base: &[Selection], steps: usize) -> Vec<Selection> {
+        let mut selections = base.to_vec();
+        for step in &self.steps[..steps] {
+            for (i, sel) in &step.changed {
+                selections[*i].clone_from(sel);
+            }
+        }
+        selections
+    }
+}
+
+/// The bans one eviction trial prices under: every index the descent
+/// evicted so far plus the one on trial.
+struct Bans<'a> {
+    evicted: &'a HashSet<Pair>,
+    trial: Pair,
+}
+
+impl Bans<'_> {
+    fn contains(&self, pair: Pair) -> bool {
+        pair == self.trial || self.evicted.contains(&pair)
+    }
+}
+
+/// What every trial of one descent round shares, built once per round
+/// from the round's selections: who owns which physical index, and the
+/// three operand sequences of [`WorkloadAdvisor::selection_totals`] — so a
+/// trial derives its totals from what it changed (see
+/// [`WorkloadAdvisor::trial_totals`]).
+struct RoundBase {
+    /// Owning paths per selected physical index, ascending.
+    owners: HashMap<Pair, Vec<usize>>,
+    /// Maintenance price of each distinct selected index, `total_cmp`-sorted.
+    maint: Vec<f64>,
+    /// Footprint of each distinct selected index, `total_cmp`-sorted.
+    sizes: Vec<f64>,
+    /// Query share of every selected pair, in path then selection order.
+    terms: Vec<f64>,
+    /// `terms[starts[i]..starts[i + 1]]` are path `i`'s.
+    starts: Vec<usize>,
+    /// `prefix[i]` is the running query sum before path `i`'s first term;
+    /// `prefix[paths]` the whole query total.
+    prefix: Vec<f64>,
+}
+
+/// Adds `by` to `pair`'s entry of a small ownership delta.
+fn bump(delta: &mut Vec<(Pair, isize)>, pair: Pair, by: isize) {
+    match delta.iter_mut().find(|(p, _)| *p == pair) {
+        Some((_, d)) => *d += by,
+        None => delta.push((pair, by)),
+    }
+}
+
+/// Inserts `value` into a `total_cmp`-sorted vector, keeping it sorted.
+fn insert_sorted(sorted: &mut Vec<f64>, value: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+    sorted.insert(at, value);
+}
+
+/// Removes one occurrence of `value` from a `total_cmp`-sorted vector.
+fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+    debug_assert_eq!(sorted[at].to_bits(), value.to_bits());
+    sorted.remove(at);
+}
+
+impl RoundBase {
+    /// How many paths own `pair`: the round's count plus a trial's delta.
+    fn count(&self, pair: Pair, delta: &[(Pair, isize)]) -> isize {
+        let base = self.owners.get(&pair).map_or(0, Vec::len) as isize;
+        base + delta.iter().find(|(p, _)| *p == pair).map_or(0, |d| d.1)
+    }
+
+    /// The round's own `(cost, size)`, in `selection_totals`' order.
+    fn totals(&self) -> (f64, f64) {
+        let query = *self.prefix.last().expect("prefix holds the total");
+        (
+            query + self.maint.iter().sum::<f64>(),
+            self.sizes.iter().sum::<f64>(),
+        )
+    }
 }
 
 /// One dirty path's buffered re-pricing output, computed read-only on a
@@ -481,7 +657,7 @@ struct CompOut {
     /// Converged selection per member, in component order.
     sels: Vec<Selection>,
     /// Final sweep memo per member, in component order.
-    memos: Vec<Option<(Vec<u8>, Selection)>>,
+    memos: Vec<SweepMemo>,
     /// Sweeps this component ran until convergence.
     sweeps: usize,
     /// Context-keyed DP invocations inside this component.
@@ -632,6 +808,7 @@ impl<'a> WorkloadAdvisor<'a> {
             sharding: std::env::var("OIC_SHARDS").map_or(true, |v| v != "1"),
             mining: MiningPolicy::default(),
             mine_enabled: std::env::var("OIC_MINE").map_or(true, |v| v != "0"),
+            trail: None,
         }
     }
 
@@ -668,6 +845,7 @@ impl<'a> WorkloadAdvisor<'a> {
         for st in &mut self.paths {
             st.pruned = None;
         }
+        self.trail = None;
         self
     }
 
@@ -1041,6 +1219,11 @@ impl<'a> WorkloadAdvisor<'a> {
             .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
             .collect();
         let repriced = dirty.len();
+        // The recorded eviction descent was walked over this state's
+        // selections and prices: any mutation or re-pricing retires it.
+        if mutations > 0 || repriced > 0 {
+            self.trail = None;
+        }
 
         // Basis prepass (sharded engine): among the query-dirty paths,
         // find the distinct signatures the per-signature basis cache does
@@ -1216,14 +1399,7 @@ impl<'a> WorkloadAdvisor<'a> {
         // Component decomposition — computed in both engines (the shape
         // telemetry is plan content either way); only the sharded engine
         // descends per component.
-        let comps = {
-            let live: Vec<(u32, &[CandidateId])> = self
-                .paths
-                .iter()
-                .map(|st| (st.id.0, st.live_cands.as_slice()))
-                .collect();
-            self.shards.components(&live)
-        };
+        let comps = self.components();
         let components = comps.len();
         let largest_component = comps.iter().map(Vec::len).max().unwrap_or(0);
 
@@ -1321,6 +1497,17 @@ impl<'a> WorkloadAdvisor<'a> {
         plan
     }
 
+    /// The candidate-sharing components of the live paths (indices into
+    /// the path list, grouped in first-member order).
+    fn components(&mut self) -> Vec<Vec<usize>> {
+        let live: Vec<(u32, &[CandidateId])> = self
+            .paths
+            .iter()
+            .map(|st| (st.id.0, st.live_cands.as_slice()))
+            .collect();
+        self.shards.components(&live)
+    }
+
     /// The legacy global coordinate-descent loop — every path revisited
     /// each sweep over one workload-wide ownership map. This is the
     /// unsharded engine's phase 3, kept verbatim as the baseline the
@@ -1347,7 +1534,7 @@ impl<'a> WorkloadAdvisor<'a> {
             // and the plan — is bit-identical to the sequential engine.
             let specs: Option<SpeculationRound> = if self.exec.is_parallel() && self.paths.len() > 1
             {
-                Some(self.speculate_round(&owned, selections, None))
+                Some(self.speculate_round(&owned, selections, 0.0, |i| &self.paths[i].sweep_memo))
             } else {
                 None
             };
@@ -1419,8 +1606,7 @@ impl<'a> WorkloadAdvisor<'a> {
         seeds: Vec<Selection>,
     ) -> CompOut {
         let mut sels = seeds;
-        let mut memos: Vec<Option<(Vec<u8>, Selection)>> =
-            comp.iter().map(|&i| paths[i].sweep_memo.clone()).collect();
+        let mut memos: Vec<SweepMemo> = comp.iter().map(|&i| paths[i].sweep_memo.clone()).collect();
         let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
         for (k, &i) in comp.iter().enumerate() {
             let st = &paths[i];
@@ -1721,6 +1907,12 @@ impl<'a> WorkloadAdvisor<'a> {
     /// some *other* path currently covers — the sharing context a best
     /// response depends on.
     fn context_key(st: &PathState, owned: &HashMap<(CandidateId, Org), usize>) -> Vec<u8> {
+        Self::context_key_by(st, |pair| owned.get(&pair).is_some_and(|&c| c > 0))
+    }
+
+    /// [`Self::context_key`] over any ownership view: `covered(pair)` says
+    /// whether some other path currently owns `pair`.
+    fn context_key_by(st: &PathState, covered: impl Fn(Pair) -> bool) -> Vec<u8> {
         st.cands
             .iter()
             .map(|&cand| {
@@ -1728,7 +1920,7 @@ impl<'a> WorkloadAdvisor<'a> {
                 let Some(cand) = cand else { return 0 };
                 let mut mask = 0u8;
                 for org in Org::ALL {
-                    if owned.get(&(cand, org)).is_some_and(|&c| c > 0) {
+                    if covered((cand, org)) {
                         mask |= 1 << org.index();
                     }
                 }
@@ -1772,16 +1964,18 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     /// One parallel speculation round: every path's best response against
-    /// its [`Self::predicted_context`], fanned out over the executor.
-    /// `lambda = None` is the memo-aware unconstrained sweep (paths whose
-    /// sweep memo already answers the predicted context return `None` —
-    /// the commit loop will take the memo hit); `lambda = Some(λ)` is the
-    /// memo-less λ-priced sweep of the budgeted search.
-    fn speculate_round(
+    /// its [`Self::predicted_context`] under `cost + λ·size` pricing,
+    /// fanned out over the executor. `memo(i)` is path `i`'s last best
+    /// response at this λ — the persistent sweep memo for the
+    /// unconstrained sweep (λ = 0), the sweep-local one for a budgeted λ
+    /// sweep; a path whose memo already answers the predicted context
+    /// returns `None` (the commit loop will take the memo hit).
+    fn speculate_round<'m>(
         &self,
         owned: &HashMap<(CandidateId, Org), usize>,
         selections: &[Selection],
-        lambda: Option<f64>,
+        lambda: f64,
+        memo: impl Fn(usize) -> &'m SweepMemo + Sync,
     ) -> SpeculationRound {
         let paths = &self.paths;
         let space = &self.space;
@@ -1789,17 +1983,11 @@ impl<'a> WorkloadAdvisor<'a> {
         self.exec.par_map(&idxs, |_, &i| {
             let st = &paths[i];
             let pred = Self::predicted_context(st, owned, &selections[i]);
-            match lambda {
-                None => match &st.sweep_memo {
-                    Some((key, _)) if *key == pred => None,
-                    _ => {
-                        let (pairs, _) =
-                            Self::best_response(st, space, Some(&pred), st.pruned.as_deref());
-                        Some((pred, pairs))
-                    }
-                },
-                Some(l) => {
-                    let m = Self::priced_matrix(st, space, Some(&pred), l, st.pruned.as_deref());
+            match memo(i) {
+                Some((key, _)) if *key == pred => None,
+                _ => {
+                    let m =
+                        Self::priced_matrix(st, space, Some(&pred), lambda, st.pruned.as_deref());
                     Some((pred, Self::matrix_selection(&m)))
                 }
             }
@@ -1857,7 +2045,7 @@ impl<'a> WorkloadAdvisor<'a> {
         st: &PathState,
         space: &CandidateSpace,
         context: Option<&[u8]>,
-        banned: &std::collections::HashSet<(CandidateId, Org)>,
+        banned: &Bans<'_>,
         pruned: Option<&[u8]>,
     ) -> CostMatrix {
         Self::priced_matrix_inner(st, space, context, 0.0, Some(banned), pruned)
@@ -1868,7 +2056,7 @@ impl<'a> WorkloadAdvisor<'a> {
         space: &CandidateSpace,
         context: Option<&[u8]>,
         lambda: f64,
-        banned: Option<&std::collections::HashSet<(CandidateId, Org)>>,
+        banned: Option<&Bans<'_>>,
         pruned: Option<&[u8]>,
     ) -> CostMatrix {
         let n = st.path.len();
@@ -1882,7 +2070,7 @@ impl<'a> WorkloadAdvisor<'a> {
         // when the entire path is.
         let ban_in_rank = |r: usize| {
             banned.is_some_and(|b| {
-                st.cands[r].is_some_and(|cand| Org::ALL.iter().any(|&o| b.contains(&(cand, o))))
+                st.cands[r].is_some_and(|cand| Org::ALL.iter().any(|&o| b.contains((cand, o))))
             })
         };
         let ban_in_path = banned.is_some() && (0..SubpathId::count(n)).any(ban_in_rank);
@@ -1903,7 +2091,7 @@ impl<'a> WorkloadAdvisor<'a> {
                 let mut cell = [0.0; 3];
                 let mut sizes = [0.0; 3];
                 for org in Org::ALL {
-                    if banned.is_some_and(|b| b.contains(&(cand, org))) {
+                    if banned.is_some_and(|b| b.contains((cand, org))) {
                         cell[org.index()] = f64::INFINITY;
                         sizes[org.index()] = 0.0;
                         continue;
@@ -1938,15 +2126,20 @@ impl<'a> WorkloadAdvisor<'a> {
     /// One full coordinate-descent pass pricing `cost + λ·size` — the
     /// unconstrained sweep in a Lagrangian-relaxed objective. Read-only:
     /// neither the sweep memos nor the standalone caches are touched (they
-    /// hold λ = 0 artifacts). Parallel executors fan the context-free
-    /// seeding and each round's speculation out exactly like the
-    /// unconstrained sweeps; the sequential commit keeps the trajectory
-    /// bit-identical.
+    /// hold λ = 0 artifacts); the sweep keeps its own per-path `(context →
+    /// selection)` memo instead, seeded by the context-free pass (no
+    /// context prices like the all-zero one), so a path whose sharing
+    /// context did not move — every path, in the confirming no-change
+    /// round — is a memo hit, not a matrix build and a DP. Parallel
+    /// executors fan the seeding and each round's speculation out exactly
+    /// like the unconstrained sweeps; the sequential commit keeps the
+    /// trajectory bit-identical.
     fn lambda_sweep(&self, lambda: f64) -> Vec<Selection> {
-        let seed = |_: usize, st: &PathState| {
-            let m = Self::priced_matrix(st, &self.space, None, lambda, st.pruned.as_deref());
+        let respond = |st: &PathState, context: Option<&[u8]>| {
+            let m = Self::priced_matrix(st, &self.space, context, lambda, st.pruned.as_deref());
             Self::matrix_selection(&m)
         };
+        let seed = |_: usize, st: &PathState| respond(st, None);
         let mut selections: Vec<Selection> = if self.exec.is_parallel() && self.paths.len() > 1 {
             self.exec.par_map(&self.paths, seed)
         } else {
@@ -1956,6 +2149,12 @@ impl<'a> WorkloadAdvisor<'a> {
                 .map(|(i, st)| seed(i, st))
                 .collect()
         };
+        let mut memos: Vec<SweepMemo> = self
+            .paths
+            .iter()
+            .zip(&selections)
+            .map(|(st, sel)| Some((vec![0; st.cands.len()], sel.clone())))
+            .collect();
         let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
         for (st, sel) in self.paths.iter().zip(&selections) {
             for &(sub, org) in sel {
@@ -1965,7 +2164,7 @@ impl<'a> WorkloadAdvisor<'a> {
         for _ in 0..MAX_SWEEPS {
             let specs: Option<SpeculationRound> = if self.exec.is_parallel() && self.paths.len() > 1
             {
-                Some(self.speculate_round(&owned, &selections, Some(lambda)))
+                Some(self.speculate_round(&owned, &selections, lambda, |i| &memos[i]))
             } else {
                 None
             };
@@ -1981,17 +2180,15 @@ impl<'a> WorkloadAdvisor<'a> {
                     }
                 }
                 let context = Self::context_key(st, &owned);
-                let pairs = match specs.as_ref().and_then(|s| s[i].as_ref()) {
-                    Some((pred, pairs)) if *pred == context => pairs.clone(),
+                let pairs = match &memos[i] {
+                    Some((key, pairs)) if *key == context => pairs.clone(),
                     _ => {
-                        let m = Self::priced_matrix(
-                            st,
-                            &self.space,
-                            Some(&context),
-                            lambda,
-                            st.pruned.as_deref(),
-                        );
-                        Self::matrix_selection(&m)
+                        let pairs = match specs.as_ref().and_then(|s| s[i].as_ref()) {
+                            Some((pred, pairs)) if *pred == context => pairs.clone(),
+                            _ => respond(st, Some(&context)),
+                        };
+                        memos[i] = Some((context, pairs.clone()));
+                        pairs
                     }
                 };
                 changed |= pairs != *sel;
@@ -2030,8 +2227,7 @@ impl<'a> WorkloadAdvisor<'a> {
     /// footprint once. Sums run over value-sorted vectors so the totals are
     /// independent of hash-map iteration order.
     fn selection_totals(&self, selections: &[Selection]) -> (f64, f64) {
-        let mut distinct: std::collections::HashSet<(CandidateId, Org)> =
-            std::collections::HashSet::new();
+        let mut distinct: HashSet<Pair> = HashSet::new();
         let mut query = 0.0;
         for (st, sel) in self.paths.iter().zip(selections) {
             let n = st.path.len();
@@ -2040,15 +2236,9 @@ impl<'a> WorkloadAdvisor<'a> {
                 distinct.insert((st.cand(sub), org));
             }
         }
-        let mut maint: Vec<f64> = distinct
-            .iter()
-            .map(|&(c, o)| self.space.priced_maintenance(c, o).expect("priced"))
-            .collect();
+        let mut maint: Vec<f64> = distinct.iter().map(|&p| self.maintenance_of(p)).collect();
         maint.sort_by(f64::total_cmp);
-        let mut sizes: Vec<f64> = distinct
-            .iter()
-            .map(|&(c, o)| self.space.priced_size(c, o).expect("sized"))
-            .collect();
+        let mut sizes: Vec<f64> = distinct.iter().map(|&p| self.size_of(p)).collect();
         sizes.sort_by(f64::total_cmp);
         (query + maint.iter().sum::<f64>(), sizes.iter().sum::<f64>())
     }
@@ -2158,12 +2348,15 @@ impl<'a> WorkloadAdvisor<'a> {
         repairs
     }
 
-    /// Greedy eviction descent: starting from (a copy of) the
-    /// unconstrained selections, repeatedly **ban the physical index**
-    /// whose eviction costs the least per page it frees — all of its owner
-    /// paths re-select without it, under the live sharing context — until
-    /// the budget fits or no eviction reduces the footprint. Returns
-    /// whether the budget was reached.
+    /// Greedy eviction descent: starting from the unconstrained
+    /// selections `base`, repeatedly **ban the physical index** whose
+    /// eviction costs the least per page it frees — all of its owner paths
+    /// re-select without it, under the live sharing context — until the
+    /// budget fits or no eviction reduces the footprint. The walk is
+    /// recorded on (and resumed from) `trail`: returns the number of trail
+    /// steps to the landing point — the first step that fits the budget,
+    /// or the trail's dead end when none can — and how many eviction
+    /// trials this call ran.
     ///
     /// This is the complement of the λ sweep, and it works at the
     /// *candidate* level deliberately: shared candidates couple the paths
@@ -2173,104 +2366,195 @@ impl<'a> WorkloadAdvisor<'a> {
     /// clique stampedes to lean plans far past the budget). Banning the
     /// physical index and re-selecting all its owners at once prices the
     /// coordinated move exactly.
-    fn evict_to_budget(&self, selections: &mut Vec<Selection>, budget_pages: f64) -> bool {
-        use std::collections::HashSet;
-        let mut banned: HashSet<(CandidateId, Org)> = HashSet::new();
-        loop {
-            let (cost0, size0) = self.selection_totals(selections);
-            if size0 <= budget_pages {
-                return true;
-            }
-            let mut owners_map: HashMap<(CandidateId, Org), Vec<usize>> = HashMap::new();
-            for (i, (st, sel)) in self.paths.iter().zip(selections.iter()).enumerate() {
-                for &(sub, org) in sel {
-                    owners_map.entry((st.cand(sub), org)).or_default().push(i);
-                }
-            }
+    ///
+    /// Work is proportional to what an eviction changes (DESIGN.md
+    /// §5.12): a round rebuilds the shared [`RoundBase`] once, runs trials
+    /// only for the component the previous eviction touched, and
+    /// re-derives every other trial's totals from its kept re-selection.
+    fn evict_to_budget(
+        &self,
+        trail: &mut EvictionTrail,
+        base: &[Selection],
+        budget_pages: f64,
+    ) -> (usize, u64) {
+        if let Some(k) = trail.steps.iter().position(|s| s.size <= budget_pages) {
+            return (k + 1, 0);
+        }
+        let mut selections = trail.selections_at(base, trail.steps.len());
+        let mut trials_run = 0u64;
+        while !trail.dead_end {
+            let round = self.round_base(&selections);
+            let (cost0, size0) = round.totals();
+            debug_assert!(size0 > budget_pages, "the walk stops at the first fit");
             // Deterministic candidate order (hash maps iterate randomly).
-            let mut pairs: Vec<(CandidateId, Org)> = owners_map.keys().copied().collect();
+            let mut pairs: Vec<Pair> = round.owners.keys().copied().collect();
             pairs.sort_unstable();
-            // Each trial is read-only given the current selections, so the
+            // Each trial is read-only given the round's selections, so the
             // fan-out is free of coordination; the fold below walks the
             // sorted pair order, which keeps the chosen eviction — and the
             // whole descent — bit-identical to the sequential engine.
-            let trial_of = |_: usize, pair: &(CandidateId, Org)| {
-                self.eviction_trial(selections, &owners_map, &banned, *pair)
+            let comp = |pair: &Pair| trail.comp_of[round.owners[pair][0]];
+            let fresh: Vec<Pair> = pairs
+                .iter()
+                .copied()
+                .filter(|pair| !trail.trials[comp(pair)].contains_key(pair))
+                .collect();
+            trials_run += fresh.len() as u64;
+            let trial_of = |_: usize, pair: &Pair| {
+                self.eviction_trial(&round, &selections, &trail.banned, *pair)
             };
-            let trials: Vec<Option<(Vec<Selection>, f64, f64)>> =
-                if self.exec.is_parallel() && pairs.len() > 1 {
-                    self.exec.par_map(&pairs, trial_of)
-                } else {
-                    pairs
-                        .iter()
-                        .enumerate()
-                        .map(|(k, pair)| trial_of(k, pair))
-                        .collect()
-                };
+            let outcomes: Vec<Reselection> = if self.exec.is_parallel() && fresh.len() > 1 {
+                self.exec.par_map(&fresh, trial_of)
+            } else {
+                fresh
+                    .iter()
+                    .enumerate()
+                    .map(|(k, pair)| trial_of(k, pair))
+                    .collect()
+            };
+            for (pair, outcome) in fresh.iter().zip(outcomes) {
+                let c = comp(pair);
+                trail.trials[c].insert(*pair, outcome);
+            }
             let stol = 1e-9 * size0.abs().max(1.0);
-            let mut best: Option<EvictionTrial> = None;
-            for (&pair, outcome) in pairs.iter().zip(trials) {
-                let Some((trial, cost, size)) = outcome else {
+            // (regret per page, evicted index, cost, size)
+            let mut best: Option<(f64, Pair, f64, f64)> = None;
+            for &pair in &pairs {
+                let Some(changed) = &trail.trials[comp(&pair)][&pair] else {
                     continue; // the ban left some owner uncoverable
                 };
+                let (cost, size) = self.trial_totals(&round, &selections, changed);
+                // The incremental totals ARE selection_totals of the
+                // applied trial, bit for bit: debug builds re-derive every
+                // trial of every round the slow way.
+                debug_assert_eq!(
+                    (cost.to_bits(), size.to_bits()),
+                    {
+                        let mut applied = selections.clone();
+                        for (i, sel) in changed {
+                            applied[*i].clone_from(sel);
+                        }
+                        let (c, s) = self.selection_totals(&applied);
+                        (c.to_bits(), s.to_bits())
+                    },
+                    "incremental trial totals diverged from selection_totals"
+                );
                 if size >= size0 - stol {
                     continue; // evicting this index frees nothing
                 }
                 let regret = (cost - cost0) / (size0 - size);
                 let better = best
                     .as_ref()
-                    .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.4));
+                    .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.3));
                 if better {
-                    best = Some((regret, pair, trial, cost, size));
+                    best = Some((regret, pair, cost, size));
                 }
             }
-            let Some((_, pair, trial, _, _)) = best else {
-                return false; // nothing left to evict: budget unreachable
+            let Some((_, pair, cost, size)) = best else {
+                trail.dead_end = true; // nothing left to evict
+                break;
             };
-            // The evicted index stays banned for the rest of the descent so
-            // a later owner's re-selection cannot smuggle it back.
-            banned.insert(pair);
-            *selections = trial;
+            // The eviction re-selects and bans inside one component only:
+            // that component's trials are stale, all others carry over.
+            let c = comp(&pair);
+            let changed = trail.trials[c]
+                .remove(&pair)
+                .flatten()
+                .expect("the adopted trial re-selected its owners");
+            trail.trials[c].clear();
+            for (i, sel) in &changed {
+                selections[*i].clone_from(sel);
+            }
+            trail.banned.insert(pair);
+            trail.steps.push(TrailStep {
+                changed,
+                cost,
+                size,
+            });
+            if size <= budget_pages {
+                break;
+            }
+        }
+        (trail.steps.len(), trials_run)
+    }
+
+    /// The [`RoundBase`] of one descent round: ownership and the operand
+    /// sequences of [`Self::selection_totals`] for `selections`.
+    fn round_base(&self, selections: &[Selection]) -> RoundBase {
+        let mut owners: HashMap<Pair, Vec<usize>> = HashMap::new();
+        let mut terms = Vec::new();
+        let mut starts = Vec::with_capacity(selections.len() + 1);
+        let mut prefix = Vec::with_capacity(selections.len() + 1);
+        let mut query = 0.0;
+        for (i, (st, sel)) in self.paths.iter().zip(selections).enumerate() {
+            starts.push(terms.len());
+            prefix.push(query);
+            let n = st.path.len();
+            for &(sub, org) in sel {
+                let q = st.query_costs[sub.rank(n)][org.index()];
+                query += q;
+                terms.push(q);
+                owners.entry((st.cand(sub), org)).or_default().push(i);
+            }
+        }
+        starts.push(terms.len());
+        prefix.push(query);
+        let mut maint: Vec<f64> = owners.keys().map(|&p| self.maintenance_of(p)).collect();
+        maint.sort_by(f64::total_cmp);
+        let mut sizes: Vec<f64> = owners.keys().map(|&p| self.size_of(p)).collect();
+        sizes.sort_by(f64::total_cmp);
+        RoundBase {
+            owners,
+            maint,
+            sizes,
+            terms,
+            starts,
+            prefix,
         }
     }
 
-    /// One eviction trial: ban `pair` on top of `banned_base` and let all
-    /// of its owner paths re-select without it under the live sharing
-    /// context. Returns the re-selected workload with its true `(cost,
-    /// size)`, or `None` when the ban leaves some owner uncoverable.
-    /// Read-only (runs on pool workers during the parallel descent).
+    /// The installed maintenance price of a selected physical index.
+    fn maintenance_of(&self, (cand, org): Pair) -> f64 {
+        self.space.priced_maintenance(cand, org).expect("priced")
+    }
+
+    /// The installed footprint of a selected physical index.
+    fn size_of(&self, (cand, org): Pair) -> f64 {
+        self.space.priced_size(cand, org).expect("sized")
+    }
+
+    /// One eviction trial: ban `pair` on top of `banned` and let all of
+    /// its owner paths re-select without it, one after the other, each
+    /// under the sharing context the earlier ones left. Returns the
+    /// re-selected owners, or `None` when the ban leaves some owner
+    /// uncoverable. Read-only (runs on pool workers during the parallel
+    /// descent), and it touches nothing but the owners: ownership is the
+    /// round's counts plus a delta over the few pairs the owners drop and
+    /// pick up.
     fn eviction_trial(
         &self,
+        round: &RoundBase,
         selections: &[Selection],
-        owners_map: &HashMap<(CandidateId, Org), Vec<usize>>,
-        banned_base: &std::collections::HashSet<(CandidateId, Org)>,
-        pair: (CandidateId, Org),
-    ) -> Option<(Vec<Selection>, f64, f64)> {
-        let mut banned = banned_base.clone();
-        banned.insert(pair);
-        let mut trial = selections.to_vec();
-        let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
-        for (st, sel) in self.paths.iter().zip(trial.iter()) {
-            for &(sub, org) in sel {
-                *owned.entry((st.cand(sub), org)).or_default() += 1;
-            }
-        }
-        for &i in &owners_map[&pair] {
+        banned: &HashSet<Pair>,
+        pair: Pair,
+    ) -> Reselection {
+        let bans = Bans {
+            evicted: banned,
+            trial: pair,
+        };
+        let mut delta: Vec<(Pair, isize)> = Vec::new();
+        let mut changed: Vec<(usize, Selection)> = Vec::new();
+        for &i in &round.owners[&pair] {
             let st = &self.paths[i];
-            for &(sub, org) in &trial[i] {
-                let key = (st.cand(sub), org);
-                let count = owned.get_mut(&key).expect("selection was registered");
-                *count -= 1;
-                if *count == 0 {
-                    owned.remove(&key);
-                }
+            for &(sub, org) in &selections[i] {
+                bump(&mut delta, (st.cand(sub), org), -1);
             }
-            let context = Self::context_key(st, &owned);
+            let context = Self::context_key_by(st, |p| round.count(p, &delta) > 0);
             let matrix = Self::priced_matrix_banned(
                 st,
                 &self.space,
                 Some(&context),
-                &banned,
+                &bans,
                 st.pruned.as_deref(),
             );
             // frontier_dp rather than the scalar DP, deliberately:
@@ -2279,14 +2563,73 @@ impl<'a> WorkloadAdvisor<'a> {
             // first point breaks exact cost ties toward the leaner
             // configuration — the right bias while evicting pages.
             let frontier = crate::select::frontier_dp(&matrix);
-            let point = frontier.points.first()?;
-            trial[i] = Self::to_selection(&point.config);
-            for &(sub, org) in &trial[i] {
-                *owned.entry((st.cand(sub), org)).or_default() += 1;
+            let sel = Self::to_selection(&frontier.points.first()?.config);
+            for &(sub, org) in &sel {
+                bump(&mut delta, (st.cand(sub), org), 1);
+            }
+            changed.push((i, sel));
+        }
+        Some(changed)
+    }
+
+    /// The true `(cost, size)` of the round's selections with `changed`
+    /// substituted — bit-identical to [`Self::selection_totals`] of the
+    /// applied trial, because it feeds the same operands to the same
+    /// additions in the same order: the query accumulator resumes from the
+    /// round's running sum at the first changed path and adds the later
+    /// terms one by one with the changed rows swapped in; the maintenance
+    /// and size sums run over the round's sorted vectors minus the pairs
+    /// whose last owner left plus the newly owned ones, re-inserted in
+    /// `total_cmp` order (the sorted sequence of a multiset of floats is
+    /// unique, bit patterns included).
+    fn trial_totals(
+        &self,
+        round: &RoundBase,
+        selections: &[Selection],
+        changed: &[(usize, Selection)],
+    ) -> (f64, f64) {
+        let mut delta: Vec<(Pair, isize)> = Vec::new();
+        for (i, sel) in changed {
+            let st = &self.paths[*i];
+            for &(sub, org) in &selections[*i] {
+                bump(&mut delta, (st.cand(sub), org), -1);
+            }
+            for &(sub, org) in sel {
+                bump(&mut delta, (st.cand(sub), org), 1);
             }
         }
-        let (cost, size) = self.selection_totals(&trial);
-        Some((trial, cost, size))
+        let (mut maint, mut sizes) = (round.maint.clone(), round.sizes.clone());
+        for &(pair, d) in &delta {
+            let before = round.count(pair, &[]);
+            let after = before + d;
+            if before > 0 && after == 0 {
+                remove_sorted(&mut maint, self.maintenance_of(pair));
+                remove_sorted(&mut sizes, self.size_of(pair));
+            } else if before == 0 && after > 0 {
+                insert_sorted(&mut maint, self.maintenance_of(pair));
+                insert_sorted(&mut sizes, self.size_of(pair));
+            }
+        }
+        let first = changed[0].0;
+        let mut query = round.prefix[first];
+        let mut swapped = changed.iter().peekable();
+        for i in first..selections.len() {
+            match swapped.next_if(|(j, _)| *j == i) {
+                Some((_, sel)) => {
+                    let st = &self.paths[i];
+                    let n = st.path.len();
+                    for &(sub, org) in sel {
+                        query += st.query_costs[sub.rank(n)][org.index()];
+                    }
+                }
+                None => {
+                    for &q in &round.terms[round.starts[i]..round.starts[i + 1]] {
+                        query += q;
+                    }
+                }
+            }
+        }
+        (query + maint.iter().sum::<f64>(), sizes.iter().sum::<f64>())
     }
 
     /// Workload-scale selection under a **shared page budget**: the
@@ -2304,11 +2647,15 @@ impl<'a> WorkloadAdvisor<'a> {
     ///    Lagrange multiplier λ of `cost + λ·size`, each probe being a full
     ///    λ-priced coordinate-descent sweep over the shared candidate space
     ///    (the λ-priced sweep is just another pricing context; covered
-    ///    cells stay free in both cost and pages). In parallel, run a
-    ///    greedy *eviction descent* from the
+    ///    cells stay free in both cost and pages). As a second search
+    ///    direction, run a greedy *eviction descent* from the
     ///    unconstrained selections — cheapest regret per page saved first —
     ///    which covers the budgets the sweep's discontinuous footprint
-    ///    curve jumps over.
+    ///    curve jumps over. The descent reads the budget only to stop, so
+    ///    it is recorded on the advisor: while no mutation or re-pricing
+    ///    intervenes, a later call under another budget lands on the
+    ///    recorded trail or extends it from its end — same plan, bit for
+    ///    bit, as a cold call.
     /// 3. Close the duality gap with a frontier-based greedy
     ///    *repair* pass from the cheapest feasible plan
     ///    found.
@@ -2336,6 +2683,8 @@ impl<'a> WorkloadAdvisor<'a> {
                 lambda: 0.0,
                 lambda_sweeps: 0,
                 repairs: 0,
+                evictions: 0,
+                eviction_trials: 0,
                 unconstrained_cost,
                 unconstrained_size,
             };
@@ -2410,24 +2759,34 @@ impl<'a> WorkloadAdvisor<'a> {
         // candidates couple the paths, so its footprint jumps
         // discontinuously in λ); the descent walks down one cheapest-regret
         // move at a time and lands just under the budget.
-        let mut evicted: Vec<Selection> = unconstrained
+        // The walk never reads the budget except to stop, so it is
+        // recorded on the advisor and a later call on the same state lands
+        // on, or extends, the same trail.
+        let base: Vec<Selection> = unconstrained
             .paths
             .iter()
             .map(|p| Self::to_selection(&p.selection))
             .collect();
-        if self.evict_to_budget(&mut evicted, budget_pages) {
-            let (cost, size) = self.selection_totals(&evicted);
+        let mut trail = match self.trail.take() {
+            Some(trail) => trail,
+            None => EvictionTrail::new(&self.components(), self.paths.len()),
+        };
+        let (evictions, eviction_trials) = self.evict_to_budget(&mut trail, &base, budget_pages);
+        let evicted = trail.selections_at(&base, evictions);
+        let (cost, size) = match evictions.checked_sub(1) {
+            Some(last) => (trail.steps[last].cost, trail.steps[last].size),
+            None => self.selection_totals(&evicted),
+        };
+        self.trail = Some(trail);
+        if size <= budget_pages {
             if best.as_ref().map_or(true, |b| cost < b.1) {
                 best = Some((evicted, cost, size, 0.0));
             }
-        } else {
-            let (cost, size) = self.selection_totals(&evicted);
-            if leanest
-                .as_ref()
-                .map_or(true, |b| size < b.2 || (size == b.2 && cost < b.1))
-            {
-                leanest = Some((evicted, cost, size, 0.0));
-            }
+        } else if leanest
+            .as_ref()
+            .map_or(true, |b| size < b.2 || (size == b.2 && cost < b.1))
+        {
+            leanest = Some((evicted, cost, size, 0.0));
         }
         let (mut selections, feasible, lambda) = match best {
             Some((sel, _, _, l)) => (sel, true, l),
@@ -2453,7 +2812,8 @@ impl<'a> WorkloadAdvisor<'a> {
         // The real epoch work happened inside the inner reoptimize(): carry
         // its telemetry over instead of reporting the budgeted epoch as
         // free (the λ sweeps and evictions are read-only w.r.t. the memos
-        // and are reported separately via lambda_sweeps / repairs).
+        // and are reported separately via lambda_sweeps / evictions /
+        // repairs).
         plan.epoch_pricings = unconstrained.epoch_pricings;
         plan.sweeps = unconstrained.sweeps;
         plan.mutations = unconstrained.mutations;
@@ -2492,6 +2852,8 @@ impl<'a> WorkloadAdvisor<'a> {
             lambda,
             lambda_sweeps,
             repairs,
+            evictions,
+            eviction_trials,
             unconstrained_cost,
             unconstrained_size,
         }

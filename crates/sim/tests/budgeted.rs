@@ -15,10 +15,10 @@
 //!   proportionally worst;
 //! * an infinite budget reproduces `optimize()` bit-identically.
 
-use oic_core::{pc, Choice};
-use oic_cost::{CostModel, CostParams, Org, PathCharacteristics};
+use oic_core::{pc, Choice, WorkloadAdvisor};
+use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::SubpathId;
-use oic_sim::{synth_workload, SynthWorkload, WorkloadSpec};
+use oic_sim::{synth_forest, synth_workload, ForestSpec, SynthWorkload, WorkloadSpec};
 use oic_workload::{LoadDistribution, Triplet};
 use std::collections::HashMap;
 
@@ -299,5 +299,161 @@ fn infinite_budget_reproduces_optimize_bit_identically() {
         for (a, b) in budgeted.plan.paths.iter().zip(&plan.paths) {
             assert_eq!(a.selection.pairs(), b.selection.pairs(), "seed {seed}");
         }
+    }
+}
+
+// ---- the recorded eviction descent (DESIGN.md §5.12) ----------------------
+
+/// A mid-size single-tree workload: three large candidate-sharing
+/// components, descents of a few dozen evictions.
+fn tree_workload(paths: usize, seed: u64) -> SynthWorkload {
+    synth_workload(&WorkloadSpec {
+        paths,
+        depth: 4,
+        fanout: 2,
+        seed,
+    })
+}
+
+/// One public mutator applied to an advisor over workload `w`.
+type Mutator<'w> = fn(&mut WorkloadAdvisor<'w>, &'w SynthWorkload);
+
+/// The five public mutators, by name.
+fn mutators<'w>() -> Vec<(&'static str, Mutator<'w>)> {
+    vec![
+        ("add_path", |adv, w| {
+            adv.add_path(w.paths[0].clone(), |c| w.queries[0][c.index()] * 2.0);
+        }),
+        ("remove_path", |adv, _| {
+            let last = adv.path_ids().last().expect("non-empty workload");
+            adv.remove_path(last).expect("live handle");
+        }),
+        ("update_stats", |adv, w| {
+            let s = w.stats[w.root.index()];
+            assert!(adv.update_stats(w.root, ClassStats::new(s.n * 3.0, s.d, s.nin)));
+        }),
+        ("update_rates", |adv, w| {
+            let (beta, gamma) = w.maint[w.root.index()];
+            assert!(adv.update_rates(w.root, (beta + 0.25, gamma + 0.125)));
+        }),
+        ("update_query_rates", |adv, w| {
+            let first = adv.path_ids().next().expect("non-empty workload");
+            assert!(adv.update_query_rates(first, |c| w.queries[0][c.index()] * 4.0 + 0.01));
+        }),
+    ]
+}
+
+/// Every public mutator between two budgeted calls retires the recorded
+/// descent. The witness is a twin advisor with the same history that never
+/// recorded one (it ran a plain `optimize()` first): after the mutation
+/// the two budgeted results are bit-identical *and* ran the same number of
+/// eviction trials — the first advisor re-walked, it did not reuse. The
+/// result also matches a cold rebuild of the mutated workload (up to the
+/// warm-vs-cold float noise `evolving.rs` documents).
+#[test]
+fn every_mutator_drops_the_recorded_descent() {
+    let params = CostParams::default();
+    for seed in [5u64, 1994] {
+        let w = tree_workload(24, seed);
+        let size = w.advisor(params).optimize().size_pages;
+        for (name, mutate) in mutators() {
+            let ctx = format!("seed {seed}, {name}");
+            let mut adv = w.advisor(params);
+            let first = adv.optimize_with_budget(0.3 * size);
+            assert!(
+                first.evictions > 0,
+                "{ctx}: the first call must record a descent"
+            );
+            let mut twin = w.advisor(params);
+            twin.optimize();
+            mutate(&mut adv, &w);
+            mutate(&mut twin, &w);
+            let warm = adv.optimize_with_budget(0.5 * size);
+            let fresh = twin.optimize_with_budget(0.5 * size);
+            assert!(warm.evictions > 0, "{ctx}: the budget must still bind");
+            warm.assert_bit_identical_to(&fresh, &ctx);
+            assert_eq!(warm.eviction_trials, fresh.eviction_trials, "{ctx}: trials");
+
+            let cold = adv.rebuild().optimize_with_budget(0.5 * size);
+            assert_eq!(warm.feasible, cold.feasible, "{ctx}");
+            assert_eq!(warm.evictions, cold.evictions, "{ctx}: evictions");
+            let tol = 1e-9 * cold.plan.total_cost.abs().max(1.0);
+            assert!(
+                (warm.plan.total_cost - cold.plan.total_cost).abs() < tol,
+                "{ctx}: warm {} vs cold {}",
+                warm.plan.total_cost,
+                cold.plan.total_cost
+            );
+            for (a, b) in warm.plan.paths.iter().zip(&cold.plan.paths) {
+                assert_eq!(a.selection.pairs(), b.selection.pairs(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Seeded 8–64-path workloads under binding budgets. In debug builds every
+/// eviction trial of every round — run fresh or kept from the previous
+/// round — has its incrementally derived `(cost, size)` compared
+/// `to_bits()` against `selection_totals` of the applied trial (a
+/// `debug_assert` inside the descent, the adopted trial included), so
+/// this test fails on the first trial whose totals drift by one ulp.
+#[test]
+fn incremental_trial_totals_equal_full_repricing() {
+    let params = CostParams::default();
+    let mut trials = 0;
+    for (paths, seed) in [(8usize, 3u64), (16, 11), (32, 42), (64, 77)] {
+        for (roots, frac) in [(1usize, 0.25f64), (1, 0.6), (3, 0.4)] {
+            let w = synth_forest(&ForestSpec {
+                roots,
+                paths,
+                depth: 4,
+                fanout: 2,
+                seed,
+            });
+            let mut adv = w.advisor(params);
+            let size = adv.optimize().size_pages;
+            let b = adv.optimize_with_budget(frac * size);
+            assert!(
+                b.evictions > 0,
+                "{paths} paths, seed {seed}: no descent ran"
+            );
+            assert!(b.eviction_trials >= b.evictions as u64);
+            trials += b.eviction_trials;
+        }
+    }
+    assert!(trials > 1_000, "only {trials} trials exercised");
+}
+
+/// A budget below the workload's minimum footprint walks the descent to
+/// its dead end; asking again — directly, or after a feasible budget in
+/// between — is answered from the dead-ended trail without a single new
+/// trial, and returns the same infeasible leanest plan as a cold call.
+#[test]
+fn dead_ended_trail_serves_infeasible_budgets() {
+    let params = CostParams::default();
+    for seed in [9u64, 1994] {
+        let w = tree_workload(24, seed);
+        let mut adv = w.advisor(params);
+        let size = adv.optimize().size_pages;
+        let tiny = 0.01 * size;
+        let cold = adv.rebuild().optimize_with_budget(tiny);
+        assert!(
+            !cold.feasible,
+            "seed {seed}: 1 % of the footprint must not fit"
+        );
+        let walked = adv.optimize_with_budget(tiny);
+        walked.assert_same_plan(&cold, &format!("seed {seed}: first walk"));
+        assert_eq!(walked.eviction_trials, cold.eviction_trials);
+        let again = adv.optimize_with_budget(tiny);
+        again.assert_same_plan(&cold, &format!("seed {seed}: served from the dead end"));
+        assert_eq!(again.eviction_trials, 0);
+        let loose = adv.optimize_with_budget(0.6 * size);
+        assert!(loose.feasible && loose.evictions < again.evictions);
+        assert_eq!(
+            loose.eviction_trials, 0,
+            "a prefix of the trail needs no trial"
+        );
+        adv.optimize_with_budget(tiny)
+            .assert_same_plan(&cold, &format!("seed {seed}: after a feasible budget"));
     }
 }

@@ -107,6 +107,58 @@ proptest! {
         }
     }
 
+    /// Warm ≡ cold for the recorded eviction descent (DESIGN.md §5.12):
+    /// budgets served in shuffled order by one advisor — extending the
+    /// trail (0.9 → 0.25 → 0.1), landing inside it (0.5, 0.75) — equal,
+    /// bit for bit, each budget solved on a fresh `rebuild()`, under
+    /// every lane count and both engines; and the warm runs agree with
+    /// each other across lanes (work counters included) and engines.
+    #[test]
+    fn warm_budget_sweeps_match_cold_rebuilds(
+        seed in 0u64..1_000,
+        roots in 1usize..=3,
+        paths in 8usize..=16,
+    ) {
+        const FRACTIONS: [f64; 5] = [0.9, 0.25, 0.5, 0.1, 0.75];
+        let w = synth_forest(&ForestSpec { roots, paths, depth: 4, fanout: 2, seed });
+        let mut runs: Vec<Vec<BudgetedWorkloadPlan>> = Vec::new();
+        for &lanes in &LANES {
+            for sharding in [true, false] {
+                let mut adv = w
+                    .advisor(CostParams::default())
+                    .with_threads(lanes)
+                    .with_sharding(sharding);
+                let size = adv.optimize().size_pages;
+                let warm: Vec<BudgetedWorkloadPlan> = FRACTIONS
+                    .iter()
+                    .map(|f| {
+                        let warm = adv.optimize_with_budget(f * size);
+                        let cold = adv.rebuild().optimize_with_budget(f * size);
+                        warm.assert_same_plan(
+                            &cold,
+                            &format!("{lanes} lanes, sharding {sharding}, budget {f}·size"),
+                        );
+                        warm
+                    })
+                    .collect();
+                runs.push(warm);
+            }
+        }
+        for (k, &lanes) in LANES.iter().enumerate() {
+            for (i, f) in FRACTIONS.iter().enumerate() {
+                let ctx = format!("{lanes} lanes, budget {f}·size");
+                let (sharded, unsharded) = (&runs[2 * k][i], &runs[2 * k + 1][i]);
+                sharded.assert_same_plan(unsharded, &ctx);
+                runs[0][i].assert_bit_identical_to(sharded, &ctx);
+                runs[1][i].assert_bit_identical_to(unsharded, &ctx);
+                // Which trials a call runs depends on the trail it found,
+                // never on the lanes or the engine.
+                prop_assert_eq!(runs[0][i].eviction_trials, sharded.eviction_trials);
+                prop_assert_eq!(runs[0][i].eviction_trials, unsharded.eviction_trials);
+            }
+        }
+    }
+
     /// Cross-**engine** determinism (DESIGN.md §5.15): the sharded engine
     /// (component descent, dominance pruning, per-signature query bases)
     /// selects the same plan — cost bits, selections, shared outcomes —

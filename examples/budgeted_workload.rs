@@ -1,9 +1,11 @@
 //! Space-budgeted selection, end to end: the single-path `(cost, size)`
 //! Pareto frontier of the paper's Example 5.1, then a small workload
 //! optimized under shrinking page budgets with
-//! `WorkloadAdvisor::optimize_with_budget` (Lagrangian bisection +
-//! frontier repair; a shared physical index's footprint — like its
-//! maintenance — is counted once).
+//! `WorkloadAdvisor::optimize_with_budget` (Lagrangian bisection, the
+//! greedy eviction descent, frontier repair; a shared physical index's
+//! footprint — like its maintenance — is counted once). The budgets run
+//! on one advisor, so the eviction descent is walked once and every
+//! later budget lands on, or extends, the recorded trail.
 //!
 //! ```sh
 //! cargo run --release --example budgeted_workload
@@ -79,13 +81,15 @@ fn main() {
         };
         println!(
             "budget {:>3.0}% = {:>7.0} pages: cost {:>9.2} ({:.2}x), \
-             footprint {:>7.0} pages, λ {:.4} — {}",
+             footprint {:>7.0} pages, λ {:.4}, {} evictions ({} trials run) — {}",
             frac * 100.0,
             budget,
             b.plan.total_cost,
             b.cost_ratio(),
             b.plan.size_pages,
             b.lambda,
+            b.evictions,
+            b.eviction_trials,
             verdict
         );
         for p in &b.plan.paths {
