@@ -9,20 +9,18 @@
 //!   `workload_scale_100k` shape: the lattice middle that mining prunes
 //!   grows quadratically with depth, and 12-position paths are where
 //!   candidate admission starts to pay) is solved unmined and
-//!   mined@support on the same sharded engine: mined
-//!   `optimize()` must win ≥ 1.5× wall-clock with a total-cost ratio
-//!   ≤ 1.01 (also within the miner's own `mining_cost_bound`), and the
-//!   mined run must actually skip cells (`candidates_mined_out > 0`,
-//!   `cells_skipped > 0`).
+//!   mined@support: mined `optimize()` must win ≥ 1.5× wall-clock with a
+//!   total-cost ratio ≤ 1.01 (also within the miner's own
+//!   `mining_cost_bound`), and the mined run must actually skip cells
+//!   (`candidates_mined_out > 0`, `cells_skipped > 0`).
 //! * **Budgeted grid.** At 1k paths (a budgeted solve costs ~30 λ-priced
-//!   sweeps plus an eviction descent of several hundred rounds — scale
-//!   adds nothing to a bitwise claim) the {unmined, mined} × {λ-pruned
-//!   sharded, mask-free legacy} grid runs under a tight budget: the
-//!   sharded arms must report a non-empty mask (`lambda_pruned > 0`)
-//!   while staying **the same plan bitwise** as the legacy engine. Each
-//!   row records the descent's length (`evictions`) and the trials it
-//!   ran (`eviction_trials`); the parent commit's `budgeted_ns` per arm
-//!   ride along as the `baseline` row.
+//!   sweeps plus an eviction descent of several hundred rounds) the
+//!   unmined and the mined advisor run under a tight budget: both must
+//!   report a non-empty mask (`lambda_pruned > 0`) — the λ sweeps priced
+//!   under pruning. Each row records the descent's length (`evictions`)
+//!   and the trials it ran (`eviction_trials`); the same arms'
+//!   `budgeted_ns` before the incremental descent (commit 0a07b5f) ride
+//!   along as the `baseline` row.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_cost::CostParams;
@@ -50,15 +48,10 @@ const MAX_COST_RATIO: f64 = 1.01;
 /// the Lagrangian search engages on every arm.
 const BUDGET_FRACTION: f64 = 0.5;
 
-/// `budgeted_ns` of the four grid arms, in grid order, at the parent
-/// commit (0a07b5f: full-clone eviction trials), measured on the 2-CPU
-/// host that recorded the committed snapshot.
-const BASELINE_BUDGETED_NS: [u64; 4] = [
-    56_796_100_065,
-    58_234_759_734,
-    31_189_289_848,
-    32_310_174_602,
-];
+/// `budgeted_ns` of the two grid arms, in grid order, at commit 0a07b5f
+/// (full-clone eviction trials), measured on the 2-CPU host that recorded
+/// the committed snapshot.
+const BASELINE_BUDGETED_NS: [u64; 2] = [56_796_100_065, 31_189_289_848];
 
 fn forest(paths: usize) -> ForestSpec {
     ForestSpec {
@@ -133,17 +126,16 @@ fn main() {
         "the mined arm never skipped a cell"
     );
 
-    // ── Stage 2: the budgeted cross-engine grid ──────────────────────
+    // ── Stage 2: the budgeted grid ───────────────────────────────────
     let w = synth_forest(&forest(PATHS_BUDGETED));
     println!(
         "\n{PATHS_BUDGETED} paths, budget {BUDGET_FRACTION}× unconstrained:\n\
-         {:>18} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12}",
+         {:>8} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12}",
         "arm", "optimize", "budgeted", "sweeps", "λ-pruned", "evictions", "trials", "total"
     );
     let mut rows = Vec::new();
-    let mut grid = Vec::new();
-    for (is_mined, sharded) in [(false, true), (false, false), (true, true), (true, false)] {
-        let mut adv = w.advisor(CostParams::default()).with_sharding(sharded);
+    for is_mined in [false, true] {
+        let mut adv = w.advisor(CostParams::default());
         if is_mined {
             adv = adv.with_mining(policy());
         }
@@ -158,24 +150,13 @@ fn main() {
             budgeted.lambda_sweeps > 0,
             "budget {budget} never engaged the λ search"
         );
-        if sharded {
-            assert!(
-                budgeted.plan.lambda_pruned > 0,
-                "sharded budgeted sweeps ran with an empty prune mask (mined={is_mined})"
-            );
-        } else {
-            assert_eq!(
-                budgeted.plan.lambda_pruned, 0,
-                "the legacy engine must not mask"
-            );
-        }
-        let arm = format!(
-            "{}/{}",
-            if is_mined { "mined" } else { "unmined" },
-            if sharded { "pruned" } else { "unpruned" }
+        assert!(
+            budgeted.plan.lambda_pruned > 0,
+            "budgeted sweeps ran with an empty prune mask (mined={is_mined})"
         );
+        let arm = if is_mined { "mined" } else { "unmined" };
         println!(
-            "{arm:>18} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12.0}",
+            "{arm:>8} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>12.0}",
             format!(
                 "{:.2?}",
                 std::time::Duration::from_nanos(optimize_ns as u64)
@@ -189,10 +170,6 @@ fn main() {
         );
         rows.push(Json::obj([
             ("mined", Json::from(is_mined)),
-            (
-                "engine",
-                Json::from(if sharded { "pruned" } else { "unpruned" }),
-            ),
             ("optimize_ns", Json::from(optimize_ns)),
             ("budgeted_ns", Json::from(budget_ns)),
             ("candidates", Json::from(unconstrained.candidates)),
@@ -208,18 +185,7 @@ fn main() {
             ("feasible", Json::from(budgeted.feasible)),
             ("budgeted_cost", Json::fixed(budgeted.plan.total_cost, 3)),
         ]));
-        grid.push((is_mined, sharded, budgeted));
     }
-    let find = |m: bool, s: bool| {
-        &grid
-            .iter()
-            .find(|(gm, gs, _)| *gm == m && *gs == s)
-            .expect("all four arms ran")
-            .2
-    };
-    find(false, true).assert_same_plan(find(false, false), "unmined budgeted, pruned vs unpruned");
-    find(true, true).assert_same_plan(find(true, false), "mined budgeted, pruned vs unpruned");
-    println!("budgeted plans identical across engines (λ-pruned == unpruned, both admissions)");
 
     let snapshot = Json::obj([
         ("bench", Json::from("candidate_mining")),
@@ -243,7 +209,6 @@ fn main() {
         ),
         ("cells_skipped", Json::from(plan.cells_skipped)),
         ("mining_cost_bound", Json::fixed(bound, 3)),
-        ("budgeted_plan_identical_across_engines", Json::from(true)),
         ("budgeted_grid", Json::Arr(rows)),
         (
             "baseline",

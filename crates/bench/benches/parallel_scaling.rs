@@ -9,7 +9,7 @@
 //! * `optimize_ns` — the cold path: every model built, every cell priced,
 //!   every standalone DP run, full coordinate descent;
 //! * `reoptimize_ns` — one drift epoch later: dirty-path re-pricing plus
-//!   speculative sweeps over a warm memo.
+//!   the per-component descents over a warm memo.
 //!
 //! The speedup assertion is conditional on the host actually having
 //! cores: on a multi-core box (≥ 4 CPUs) the 8-lane cold optimize must

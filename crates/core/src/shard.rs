@@ -6,7 +6,7 @@
 //! of shared physical candidates. Paths in different components share no
 //! physical index, so the advisor's coordinate descent decomposes exactly
 //! across components (DESIGN.md §5.15): each component optimizes
-//! independently — and in parallel — with no speculation at all.
+//! independently — and in parallel.
 
 use crate::CandidateId;
 use std::collections::HashMap;

@@ -79,10 +79,10 @@
 //! parallel plan is **bit-identical** to the sequential one for every
 //! thread count, telemetry included, by construction rather than by luck:
 //! memo writes are buffered per path and merged in path-id order, the
-//! descent's Gauss–Seidel trajectory is *speculated* in parallel and
-//! committed sequentially (a speculation whose sharing context mismatches
-//! is recomputed inline), and every float reduction keeps its value-sorted
-//! summation order. DESIGN.md §5.13 states the contract;
+//! descent fans out per candidate-sharing component (components share no
+//! index, so each one's Gauss–Seidel trajectory is independent of the
+//! others') and merges in component order, and every float reduction keeps
+//! its value-sorted summation order. DESIGN.md §5.13 states the contract;
 //! `oic-sim/tests/parallel.rs` pins it across thread counts {1, 2, 8}.
 
 use crate::select::{opt_ind_con_dp, prune_dominated};
@@ -115,12 +115,6 @@ type Reselection = Option<Vec<(usize, Selection)>>;
 /// A path's last best response: the sharing context (3-bit covered mask
 /// per rank) and the selection the DP produced for it.
 type SweepMemo = Option<(Vec<u8>, Selection)>;
-
-/// One round of parallel speculation, per path: `None` when the sweep memo
-/// already answers the predicted sharing context (the commit loop will
-/// take the memo hit), else the predicted context with the best response
-/// the DP produced for it.
-type SpeculationRound = Vec<SweepMemo>;
 
 /// Stable handle of one path in the advisor, valid across epochs until the
 /// path is removed. Handles are never reused within one advisor.
@@ -172,8 +166,7 @@ struct PathState {
     /// whole rank is eliminated): cells provably absent from any best
     /// response, under any sharing context **and any λ ≥ 0** — the mask is
     /// size-aware, so it holds for every `cost + λ·size` pricing the
-    /// budgeted search runs (DESIGN.md §5.15/§5.17). `None` when stale —
-    /// or always, in the unsharded engine.
+    /// budgeted search runs (DESIGN.md §5.15/§5.17). `None` when stale.
     pruned: Option<Vec<u8>>,
     /// Query shares stale (class statistics in scope, or own rates, moved).
     dirty_query: bool,
@@ -316,11 +309,12 @@ pub struct WorkloadPlan {
     /// Paths in the largest component.
     pub largest_component: usize,
     /// `(rank, organization)` matrix cells the dominance pruner removed
-    /// from the best-response DPs this epoch (0 in the unsharded engine).
+    /// from the best-response DPs this epoch.
     pub candidates_pruned: u64,
-    /// Singleton components whose descent was skipped outright — their
-    /// standalone optimum *is* the fixed point (0 in the unsharded
-    /// engine).
+    /// Singleton components — paths sharing no candidate with any other —
+    /// whose descent was skipped outright: nothing can ever cover one of
+    /// their cells, so their standalone seed *is* the fixed point. (The
+    /// name predates the component descent.)
     pub speculation_skips: u64,
     /// Candidate ranks the mining admission policy dropped across the
     /// live workload (Σ per-path mined-out ranks): subpaths never
@@ -334,8 +328,7 @@ pub struct WorkloadPlan {
     pub cells_skipped: u64,
     /// Cells struck by the λ-uniform dominance mask while budgeted λ
     /// sweeps actually ran — evidence the budgeted search priced under
-    /// pruning. 0 in an unconstrained plan, when the budget was slack, or
-    /// in the unsharded engine (which keeps no masks).
+    /// pruning. 0 in an unconstrained plan or when the budget was slack.
     pub lambda_pruned: u64,
 }
 
@@ -368,8 +361,7 @@ pub struct BudgetedWorkloadPlan {
     /// eviction descent met the budget (or dead-ended) — whether or not
     /// that point beat the λ sweeps. A logical count: the same for a call
     /// served from the advisor's recorded descent trail and for a cold
-    /// one, for every lane count and both engines. 0 when the budget was
-    /// slack.
+    /// one, for every lane count. 0 when the budget was slack.
     pub evictions: usize,
     /// Eviction trials this call actually ran (each bans one physical
     /// index and re-selects all of its owners with a frontier DP). A work
@@ -398,33 +390,20 @@ impl BudgetedWorkloadPlan {
     /// descent trail already held).
     pub fn assert_bit_identical_to(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
         self.plan.assert_bit_identical_to(&other.plan, ctx);
-        assert_eq!(self.feasible, other.feasible, "{ctx}: feasibility");
-        assert_eq!(self.lambda.to_bits(), other.lambda.to_bits(), "{ctx}: λ");
-        assert_eq!(self.lambda_sweeps, other.lambda_sweeps, "{ctx}: λ sweeps");
-        assert_eq!(self.repairs, other.repairs, "{ctx}: repairs");
-        assert_eq!(self.evictions, other.evictions, "{ctx}: evictions");
-        assert_eq!(
-            self.unconstrained_cost.to_bits(),
-            other.unconstrained_cost.to_bits(),
-            "{ctx}: unconstrained cost"
-        );
-        assert_eq!(
-            self.unconstrained_size.to_bits(),
-            other.unconstrained_size.to_bits(),
-            "{ctx}: unconstrained size"
-        );
+        self.assert_same_search(other, ctx);
     }
 
     /// [`WorkloadPlan::assert_same_plan`] extended over the budget
-    /// search's outcome. The λ sweeps, the eviction descent and the repair
-    /// pass see bitwise-identical prices in both engines: the sharded
-    /// engine's dominance mask is λ-uniform (a struck cell is beaten in
-    /// both cost and size, so no `cost + λ·size` pricing can ever select
-    /// it), which makes masked and unmasked sweeps agree bitwise — so
-    /// everything except the work counters (the inner epoch's, and
-    /// `eviction_trials`) must agree across engines.
+    /// search's outcome: everything except the work counters (the inner
+    /// epoch's, and `eviction_trials`) must agree — what a call served
+    /// from the recorded descent trail shares with a cold one.
     pub fn assert_same_plan(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
         self.plan.assert_same_plan(&other.plan, ctx);
+        self.assert_same_search(other, ctx);
+    }
+
+    /// The budget search's own outcome, common to both asserts above.
+    fn assert_same_search(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
         assert_eq!(self.feasible, other.feasible, "{ctx}: feasibility");
         assert_eq!(self.lambda.to_bits(), other.lambda.to_bits(), "{ctx}: λ");
         assert_eq!(self.lambda_sweeps, other.lambda_sweeps, "{ctx}: λ sweeps");
@@ -474,26 +453,17 @@ pub struct WorkloadAdvisor<'a> {
     /// Either way the plan is bit-identical (DESIGN.md §5.13).
     exec: Executor,
     /// Incremental union-find over the live paths, keyed by shared
-    /// candidates — the component decomposition of the sharded descent.
+    /// candidates — the component decomposition of the descent.
     shards: ShardIndex,
     /// Per-signature query-pricing basis: retrieval coefficients priced
     /// once per distinct path signature, evaluated per path against its
-    /// own query rates (sharded engine only). `update_stats` evicts the
-    /// bases whose scope contains the mutated class.
+    /// own query rates. `update_stats` evicts the bases whose scope
+    /// contains the mutated class.
     basis: HashMap<PathSignature, QueryBasis>,
-    /// Engine gate: component-sharded descent + dominance pruning +
-    /// per-signature query bases. Off = the legacy global engine,
-    /// verbatim. Plans are identical in content either way (DESIGN.md
-    /// §5.15).
-    sharding: bool,
     /// The mined-admission policy: which candidate subpaths clear the
     /// support threshold and get interned at all (DESIGN.md §5.17). The
-    /// default admits everything — today's space, bitwise.
+    /// default admits everything — the unmined space, bitwise.
     mining: MiningPolicy,
-    /// Mining master switch: `OIC_MINE=0` in the environment forces
-    /// admit-all regardless of the policy — the escape hatch CI runs the
-    /// whole suite under.
-    mine_enabled: bool,
     /// The eviction descent of the budgeted search, recorded for the
     /// current advisor state so a re-solve under a moved budget resumes or
     /// truncates it instead of re-walking it (DESIGN.md §5.12). Dropped by
@@ -675,10 +645,10 @@ struct CompOut {
 /// insert/delete, or maintenance rates — so every path sharing a signature
 /// (same classes step for step, hence the same characteristics and cost
 /// model) shares these coefficients exactly. [`QueryBasis::eval`] replays
-/// the legacy per-path pricing arithmetic — same slot order, same guards,
-/// same fold — term for term, so the shares it produces are **bitwise**
-/// the ones `Path::query_cost_shares` computes from scratch (property
-/// tested; DESIGN.md §5.15).
+/// the from-scratch per-path pricing arithmetic (the fallback arm of
+/// `reprice_compute`) — same slot order, same guards, same fold — term for
+/// term, so the shares it produces are **bitwise** the ones that arm
+/// computes (DESIGN.md §5.15).
 struct QueryBasis {
     /// The representative path's scope (sorted class ids) — the
     /// invalidation key: `update_stats(c, ..)` evicts every basis whose
@@ -688,7 +658,7 @@ struct QueryBasis {
     /// is position `l`'s native-slot class list, in hierarchy order.
     classes: Vec<Vec<ClassId>>,
     /// Per rank, per organization: the retrieval coefficient of each
-    /// native slot `(l, x)` in the legacy accumulation order (`l`
+    /// native slot `(l, x)` in the from-scratch accumulation order (`l`
     /// ascending through the subpath, `x` ascending within the position).
     coeffs: Vec<[Vec<f64>; 3]>,
     /// Per rank, per organization: the traversal-retrieval coefficient
@@ -805,9 +775,7 @@ impl<'a> WorkloadAdvisor<'a> {
             exec: Executor::from_env(),
             shards: ShardIndex::new(),
             basis: HashMap::new(),
-            sharding: std::env::var("OIC_SHARDS").map_or(true, |v| v != "1"),
             mining: MiningPolicy::default(),
-            mine_enabled: std::env::var("OIC_MINE").map_or(true, |v| v != "0"),
             trail: None,
         }
     }
@@ -831,31 +799,11 @@ impl<'a> WorkloadAdvisor<'a> {
         &self.exec
     }
 
-    /// Toggles the sharded engine (component decomposition, dominance
-    /// pruning, per-signature query bases — DESIGN.md §5.15). On by
-    /// default; setting `OIC_SHARDS=1` in the environment forces it off.
-    /// The plan content is identical either way (property-tested in
-    /// `oic-sim`), so like the executor this is a wall-clock knob, not a
-    /// semantic one.
-    pub fn with_sharding(mut self, on: bool) -> Self {
-        self.sharding = on;
-        // Prune masks are refreshed by the sharded engine's own pricing
-        // pass; a mask computed under the other setting may never be
-        // refreshed again, so drop them all on a toggle.
-        for st in &mut self.paths {
-            st.pruned = None;
-        }
-        self.trail = None;
-        self
-    }
-
     /// Sets the mined-admission policy (chainable) and re-mines every
     /// live path under it: ranks below the support threshold are released
     /// from the space, newly admitted ranks are interned, in rank order.
     /// [`MiningPolicy::default`] (support 0) admits everything — the
     /// unmined candidate space, and therefore the unmined plan, bitwise.
-    /// `OIC_MINE=0` in the environment forces admit-all regardless of the
-    /// policy.
     pub fn with_mining(mut self, policy: MiningPolicy) -> Self {
         self.mining = policy;
         for i in 0..self.paths.len() {
@@ -864,14 +812,9 @@ impl<'a> WorkloadAdvisor<'a> {
         self
     }
 
-    /// The effective mined-admission policy: the adopted one, or
-    /// admit-all when `OIC_MINE=0` disabled mining wholesale.
+    /// The adopted mined-admission policy.
     pub fn mining_policy(&self) -> MiningPolicy {
-        if self.mine_enabled {
-            self.mining
-        } else {
-            MiningPolicy::default()
-        }
+        self.mining
     }
 
     /// Sets the shared per-class statistics (chainable; equivalent to
@@ -907,7 +850,7 @@ impl<'a> WorkloadAdvisor<'a> {
         assert_eq!(alphas.len(), self.schema.class_count());
         let id = PathId(self.next_id);
         self.next_id += 1;
-        let admitted = Self::admitted_ranks(self.schema, self.mining_policy(), &path, &alphas);
+        let admitted = Self::admitted_ranks(self.schema, self.mining, &path, &alphas);
         let cands = self
             .space
             .intern_path_admitted(self.schema, &path, &admitted);
@@ -1044,7 +987,7 @@ impl<'a> WorkloadAdvisor<'a> {
         mining::mine(&policy, &masses).admitted
     }
 
-    /// Recomputes path `i`'s admission under the effective policy and
+    /// Recomputes path `i`'s admission under the adopted policy and
     /// re-interns its candidates when the verdict moved: dropped ranks
     /// are released from the space (freed when this path was their last
     /// owner), newly admitted ranks are interned in rank order, the shard
@@ -1054,7 +997,7 @@ impl<'a> WorkloadAdvisor<'a> {
     fn remine_path(&mut self, i: usize) {
         let admitted = {
             let st = &self.paths[i];
-            Self::admitted_ranks(self.schema, self.mining_policy(), &st.path, &st.alphas)
+            Self::admitted_ranks(self.schema, self.mining, &st.path, &st.alphas)
         };
         if admitted
             .iter()
@@ -1161,7 +1104,6 @@ impl<'a> WorkloadAdvisor<'a> {
     pub fn rebuild(&self) -> WorkloadAdvisor<'a> {
         let mut adv = WorkloadAdvisor::new(self.schema, self.params)
             .with_executor(self.exec.clone())
-            .with_sharding(self.sharding)
             .with_mining(self.mining);
         adv.stats.clone_from(&self.stats);
         adv.maint.clone_from(&self.maint);
@@ -1225,50 +1167,37 @@ impl<'a> WorkloadAdvisor<'a> {
             self.trail = None;
         }
 
-        // Basis prepass (sharded engine): among the query-dirty paths,
-        // find the distinct signatures the per-signature basis cache does
-        // not hold yet and price each **once** — instead of rebuilding a
-        // full cost model per path. Only signatures shared by ≥ 2 dirty
-        // paths are worth a basis (building one costs a full model pass;
-        // a lone path prices cheaper from scratch, and does so in the
-        // fallback arm of `reprice_compute`). Representatives are the
-        // first dirty path of each qualifying signature, in path order,
-        // and the merge installs in that same order, so the cache
-        // contents are executor-independent.
-        if self.sharding {
-            let reps: Vec<usize> = {
-                let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
-                for &i in &dirty {
-                    let st = &self.paths[i];
-                    if st.dirty_query && !self.basis.contains_key(&st.signature) {
-                        members.entry(&st.signature).or_insert((i, 0)).1 += 1;
-                    }
+        // Basis prepass: among the query-dirty paths, find the distinct
+        // signatures the per-signature basis cache does not hold yet and
+        // price each **once** — instead of rebuilding a full cost model
+        // per path. Only signatures shared by ≥ 2 dirty paths are worth a
+        // basis (building one costs a full model pass; a lone path prices
+        // cheaper from scratch, and does so in the fallback arm of
+        // `reprice_compute`). Representatives are the first dirty path of
+        // each qualifying signature, in path order, and the merge installs
+        // in that same order, so the cache contents are
+        // executor-independent.
+        let reps: Vec<usize> = {
+            let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
+            for &i in &dirty {
+                let st = &self.paths[i];
+                if st.dirty_query && !self.basis.contains_key(&st.signature) {
+                    members.entry(&st.signature).or_insert((i, 0)).1 += 1;
                 }
-                let mut firsts: Vec<usize> = members
-                    .into_values()
-                    .filter(|&(_, count)| count >= 2)
-                    .map(|(first, _)| first)
-                    .collect();
-                firsts.sort_unstable();
-                firsts
-            };
-            let built: Vec<QueryBasis> = if self.exec.is_parallel() && reps.len() > 1 {
-                let paths = &self.paths;
-                let stats = &self.stats;
-                let (schema, params) = (self.schema, self.params);
-                self.exec.par_map(&reps, |_, &i| {
-                    QueryBasis::build(schema, params, stats, &paths[i])
-                })
-            } else {
-                reps.iter()
-                    .map(|&i| {
-                        QueryBasis::build(self.schema, self.params, &self.stats, &self.paths[i])
-                    })
-                    .collect()
-            };
-            for (b, &i) in built.into_iter().zip(&reps) {
-                self.basis.insert(self.paths[i].signature.clone(), b);
             }
+            let mut firsts: Vec<usize> = members
+                .into_values()
+                .filter(|&(_, count)| count >= 2)
+                .map(|(first, _)| first)
+                .collect();
+            firsts.sort_unstable();
+            firsts
+        };
+        let built: Vec<QueryBasis> = self.exec.par_map(&reps, |_, &i| {
+            QueryBasis::build(self.schema, self.params, &self.stats, &self.paths[i])
+        });
+        for (b, &i) in built.into_iter().zip(&reps) {
+            self.basis.insert(self.paths[i].signature.clone(), b);
         }
 
         if self.exec.is_parallel() && dirty.len() > 1 {
@@ -1277,7 +1206,7 @@ impl<'a> WorkloadAdvisor<'a> {
                 let space = &self.space;
                 let stats = &self.stats;
                 let maint = &self.maint;
-                let basis = self.sharding.then_some(&self.basis);
+                let basis = &self.basis;
                 let (schema, params) = (self.schema, self.params);
                 self.exec.par_map(&dirty, |_, &i| {
                     Self::reprice_compute(schema, params, stats, maint, space, basis, &paths[i])
@@ -1302,66 +1231,62 @@ impl<'a> WorkloadAdvisor<'a> {
             }
         }
 
-        // Dominance pruning (sharded engine): refresh the per-rank prune
-        // masks of paths whose prices moved this epoch, or that never had
-        // one. Masks read the **installed** maintenance and size prices —
-        // exactly the values the best responses and the λ sweeps are
-        // priced from — so the strict dominance argument (DESIGN.md
-        // §5.15) holds bitwise, at λ = 0 and under every λ-priced sweep.
-        let mut candidates_pruned = 0u64;
-        if self.sharding {
-            for i in 0..self.paths.len() {
-                if self.paths[i].pruned.is_none() || dirty.binary_search(&i).is_ok() {
-                    let mask = {
-                        let st = &self.paths[i];
-                        let mut maint = Vec::with_capacity(st.cands.len());
-                        let mut sizes = Vec::with_capacity(st.cands.len());
-                        for &cand in &st.cands {
-                            // A mined-out rank prices at ∞ in both planes:
-                            // it can neither be struck nor serve as a
-                            // dominator or replacement (singleton ranks —
-                            // the replacement pool — are always admitted).
-                            let (mut m, mut s) = ([f64::INFINITY; 3], [f64::INFINITY; 3]);
-                            if let Some(cand) = cand {
-                                for org in Org::ALL {
-                                    m[org.index()] = self
-                                        .space
-                                        .priced_maintenance(cand, org)
-                                        .expect("maintenance priced during reprice");
-                                    s[org.index()] = self
-                                        .space
-                                        .priced_size(cand, org)
-                                        .expect("size priced during reprice");
-                                }
-                            }
-                            maint.push(m);
-                            sizes.push(s);
-                        }
-                        let mut mask =
-                            prune_dominated(&st.query_costs, &maint, &sizes, st.path.len());
-                        // Mined-out ranks are absent, not pruned: zero
-                        // their bits so the pruning telemetry counts only
-                        // real strikes.
-                        for (m, c) in mask.iter_mut().zip(&st.cands) {
-                            if c.is_none() {
-                                *m = 0;
+        // Dominance pruning: refresh the per-rank prune masks of paths
+        // whose prices moved this epoch, or that never had one. Masks read
+        // the **installed** maintenance and size prices — exactly the
+        // values the best responses and the λ sweeps are priced from — so
+        // the strict dominance argument (DESIGN.md §5.15) holds bitwise,
+        // at λ = 0 and under every λ-priced sweep.
+        for i in 0..self.paths.len() {
+            if self.paths[i].pruned.is_none() || dirty.binary_search(&i).is_ok() {
+                let mask = {
+                    let st = &self.paths[i];
+                    let mut maint = Vec::with_capacity(st.cands.len());
+                    let mut sizes = Vec::with_capacity(st.cands.len());
+                    for &cand in &st.cands {
+                        // A mined-out rank prices at ∞ in both planes:
+                        // it can neither be struck nor serve as a
+                        // dominator or replacement (singleton ranks —
+                        // the replacement pool — are always admitted).
+                        let (mut m, mut s) = ([f64::INFINITY; 3], [f64::INFINITY; 3]);
+                        if let Some(cand) = cand {
+                            for org in Org::ALL {
+                                m[org.index()] = self
+                                    .space
+                                    .priced_maintenance(cand, org)
+                                    .expect("maintenance priced during reprice");
+                                s[org.index()] = self
+                                    .space
+                                    .priced_size(cand, org)
+                                    .expect("size priced during reprice");
                             }
                         }
-                        mask
-                    };
-                    self.paths[i].pruned = Some(mask);
-                }
+                        maint.push(m);
+                        sizes.push(s);
+                    }
+                    let mut mask = prune_dominated(&st.query_costs, &maint, &sizes, st.path.len());
+                    // Mined-out ranks are absent, not pruned: zero
+                    // their bits so the pruning telemetry counts only
+                    // real strikes.
+                    for (m, c) in mask.iter_mut().zip(&st.cands) {
+                        if c.is_none() {
+                            *m = 0;
+                        }
+                    }
+                    mask
+                };
+                self.paths[i].pruned = Some(mask);
             }
-            candidates_pruned = self
-                .paths
-                .iter()
-                .map(|st| {
-                    st.pruned
-                        .as_deref()
-                        .map_or(0, |m| m.iter().map(|b| u64::from(b.count_ones())).sum())
-                })
-                .sum();
         }
+        let candidates_pruned: u64 = self
+            .paths
+            .iter()
+            .map(|st| {
+                st.pruned
+                    .as_deref()
+                    .map_or(0, |m| m.iter().map(|b| u64::from(b.count_ones())).sum())
+            })
+            .sum();
 
         // Phase 2 — standalone optima (maintenance unshared). Per-path
         // independent DPs over the now-frozen memo: embarrassingly
@@ -1371,24 +1296,12 @@ impl<'a> WorkloadAdvisor<'a> {
             .filter(|&i| self.paths[i].standalone.is_none())
             .collect();
         dp_runs += stale.len() as u64;
-        if self.exec.is_parallel() && stale.len() > 1 {
-            let results = {
-                let paths = &self.paths;
-                let space = &self.space;
-                self.exec.par_map(&stale, |_, &i| {
-                    let st = &paths[i];
-                    Self::best_response(st, space, None, st.pruned.as_deref())
-                })
-            };
-            for (result, &i) in results.into_iter().zip(&stale) {
-                self.paths[i].standalone = Some(result);
-            }
-        } else {
-            for &i in &stale {
-                let st = &self.paths[i];
-                let result = Self::best_response(st, &self.space, None, st.pruned.as_deref());
-                self.paths[i].standalone = Some(result);
-            }
+        let results = self.exec.par_map(&stale, |_, &i| {
+            let st = &self.paths[i];
+            Self::best_response(st, &self.space, None, st.pruned.as_deref())
+        });
+        for (result, &i) in results.into_iter().zip(&stale) {
+            self.paths[i].standalone = Some(result);
         }
         let independent_cost: f64 = self
             .paths
@@ -1396,75 +1309,36 @@ impl<'a> WorkloadAdvisor<'a> {
             .map(|st| st.standalone.as_ref().expect("phase 2 filled it").1)
             .sum();
 
-        // Component decomposition — computed in both engines (the shape
-        // telemetry is plan content either way); only the sharded engine
-        // descends per component.
         let comps = self.components();
         let components = comps.len();
         let largest_component = comps.iter().map(Vec::len).max().unwrap_or(0);
 
-        // Phase 3 — coordinate-descent sweeps from the standalone seed.
-        let mut selections: Vec<Vec<(SubpathId, Org)>> = self
+        // Phase 3 — coordinate descent from the standalone seed, per
+        // component (DESIGN.md §5.15): components share no candidate, so
+        // the descent decomposes exactly. A singleton's context is
+        // permanently all-zero — its standalone seed *is* the fixed point —
+        // so only multi-path components run.
+        let mut selections: Vec<Selection> = self
             .paths
             .iter()
             .map(|st| st.standalone.as_ref().expect("phase 2 filled it").0.clone())
             .collect();
-        let mut sweeps = 0;
+        let outs = self.descend_components(&comps, 0.0, &selections, |i| {
+            self.paths[i].sweep_memo.clone()
+        });
+        let speculation_skips = (components - outs.len()) as u64;
+        // An all-singleton (or empty) workload converges in one no-change
+        // round.
+        let mut sweeps = 1;
         let mut dp_memo_hits = 0u64;
-        let mut speculation_skips = 0u64;
-        if self.sharding {
-            // Sharded descent (DESIGN.md §5.15): components share no
-            // candidate, so the descent decomposes exactly. A singleton's
-            // context is permanently all-zero — its standalone seed *is*
-            // the fixed point — so only multi-path components run; they
-            // fan out over the executor, weighted by member count, and
-            // merge in component order. Per component the member visit
-            // order is ascending, the same relative order the global loop
-            // uses, so selections and sweep memos land bitwise where the
-            // unsharded engine would put them.
-            let jobs: Vec<(Vec<usize>, Vec<Selection>)> = comps
-                .iter()
-                .filter(|c| c.len() > 1)
-                .map(|comp| {
-                    let seeds = comp.iter().map(|&i| selections[i].clone()).collect();
-                    (comp.clone(), seeds)
-                })
-                .collect();
-            speculation_skips = (components - jobs.len()) as u64;
-            let outs: Vec<CompOut> = if self.exec.is_parallel() && jobs.len() > 1 {
-                let paths = &self.paths;
-                let space = &self.space;
-                self.exec.par_map_chunked(
-                    &jobs,
-                    |(comp, _)| comp.len(),
-                    |_, (comp, seeds)| Self::descend_component(paths, space, comp, seeds.clone()),
-                )
-            } else {
-                jobs.iter()
-                    .map(|(comp, seeds)| {
-                        Self::descend_component(&self.paths, &self.space, comp, seeds.clone())
-                    })
-                    .collect()
-            };
-            for (out, (comp, _)) in outs.into_iter().zip(&jobs) {
-                for ((&i, sel), memo) in comp.iter().zip(out.sels).zip(out.memos) {
-                    selections[i] = sel;
-                    self.paths[i].sweep_memo = memo;
-                }
-                sweeps = sweeps.max(out.sweeps);
-                dp_runs += out.dp_runs;
-                dp_memo_hits += out.dp_memo_hits;
+        for (comp, out) in outs {
+            for ((&i, sel), memo) in comp.iter().zip(out.sels).zip(out.memos) {
+                selections[i] = sel;
+                self.paths[i].sweep_memo = memo;
             }
-            // An all-singleton (or empty) workload converges in the one
-            // no-change round the global loop would have run.
-            sweeps = sweeps.max(1);
-        } else {
-            self.global_descent(
-                &mut selections,
-                &mut sweeps,
-                &mut dp_runs,
-                &mut dp_memo_hits,
-            );
+            sweeps = sweeps.max(out.sweeps);
+            dp_runs += out.dp_runs;
+            dp_memo_hits += out.dp_memo_hits;
         }
         let mut plan = self.assemble_plan(&selections, independent_cost);
         debug_assert!(
@@ -1508,105 +1382,55 @@ impl<'a> WorkloadAdvisor<'a> {
         self.shards.components(&live)
     }
 
-    /// The legacy global coordinate-descent loop — every path revisited
-    /// each sweep over one workload-wide ownership map. This is the
-    /// unsharded engine's phase 3, kept verbatim as the baseline the
-    /// sharded descent is measured (and property-tested) against.
-    fn global_descent(
-        &mut self,
-        selections: &mut [Selection],
-        sweeps: &mut usize,
-        dp_runs: &mut u64,
-        dp_memo_hits: &mut u64,
-    ) {
-        let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
-        for (st, sel) in self.paths.iter().zip(selections.iter()) {
-            for &(sub, org) in sel {
-                *owned.entry((st.cand(sub), org)).or_default() += 1;
-            }
-        }
-        for _ in 0..MAX_SWEEPS {
-            *sweeps += 1;
-            // Speculate the round's best responses in parallel against the
-            // round-start ownership snapshot; the sequential commit below
-            // adopts a speculation only when its predicted sharing context
-            // matches the actual (Gauss–Seidel) one, so the trajectory —
-            // and the plan — is bit-identical to the sequential engine.
-            let specs: Option<SpeculationRound> = if self.exec.is_parallel() && self.paths.len() > 1
-            {
-                Some(self.speculate_round(&owned, selections, 0.0, |i| &self.paths[i].sweep_memo))
-            } else {
-                None
-            };
-            let mut changed = false;
-            for (i, sel) in selections.iter_mut().enumerate() {
-                let st = &self.paths[i];
-                for &(sub, org) in sel.iter() {
-                    let key = (st.cand(sub), org);
-                    let count = owned.get_mut(&key).expect("selection was registered");
-                    *count -= 1;
-                    if *count == 0 {
-                        owned.remove(&key);
-                    }
-                }
-                let context = Self::context_key(st, &owned);
-                let pairs = match &st.sweep_memo {
-                    Some((key, pairs)) if *key == context => {
-                        *dp_memo_hits += 1;
-                        pairs.clone()
-                    }
-                    _ => {
-                        *dp_runs += 1;
-                        let pairs = match specs.as_ref().and_then(|s| s[i].as_ref()) {
-                            // The DP is a pure function of (path, memo,
-                            // context): a context-matching speculation IS
-                            // the sequential result.
-                            Some((pred, pairs)) if *pred == context => pairs.clone(),
-                            _ => {
-                                Self::best_response(
-                                    st,
-                                    &self.space,
-                                    Some(&context),
-                                    st.pruned.as_deref(),
-                                )
-                                .0
-                            }
-                        };
-                        self.paths[i].sweep_memo = Some((context, pairs.clone()));
-                        pairs
-                    }
-                };
-                let st = &self.paths[i];
-                changed |= pairs != *sel;
-                for &(sub, org) in &pairs {
-                    *owned.entry((st.cand(sub), org)).or_default() += 1;
-                }
-                *sel = pairs;
-            }
-            if !changed {
-                break;
-            }
-        }
+    /// Descends every multi-path component of `comps` under `cost +
+    /// λ·size` pricing, from the per-path `selections`; `memo_of(i)` is
+    /// path `i`'s last best response at this λ. Components fan out over
+    /// the executor weighted by member count; each job comes back with its
+    /// members, in component order, for the caller to install.
+    fn descend_components<'c>(
+        &self,
+        comps: &'c [Vec<usize>],
+        lambda: f64,
+        selections: &[Selection],
+        memo_of: impl Fn(usize) -> SweepMemo + Sync,
+    ) -> Vec<(&'c [usize], CompOut)> {
+        let jobs: Vec<&'c [usize]> = comps
+            .iter()
+            .filter(|c| c.len() > 1)
+            .map(Vec::as_slice)
+            .collect();
+        let (paths, space) = (&self.paths, &self.space);
+        let outs = self.exec.par_map_chunked(
+            &jobs,
+            |comp| comp.len(),
+            |_, comp| {
+                let seeds = comp.iter().map(|&i| selections[i].clone()).collect();
+                let memos = comp.iter().map(|&i| memo_of(i)).collect();
+                Self::descend_component(paths, space, comp, lambda, seeds, memos)
+            },
+        );
+        jobs.into_iter().zip(outs).collect()
     }
 
-    /// One candidate-disjoint component's coordinate descent,
-    /// self-contained: members share no candidate with any other path, so
-    /// a local ownership map over the members alone is the **exact**
-    /// sharing context. Sequential Gauss–Seidel in ascending member order
-    /// — the same relative order the global loop visits those paths in —
-    /// with no speculation: the component is one worker's job, so there is
-    /// nothing to overlap. Read-only against the advisor (runs on pool
-    /// workers); selections, sweep-memo updates and work counters are
-    /// buffered in the output and installed by the caller in component
-    /// order.
+    /// One candidate-disjoint component's coordinate descent under `cost +
+    /// λ·size` pricing — the engine's only descent loop: λ = 0 is the
+    /// unconstrained selection (`m + 0.0·s` is bit-identical to `m`), λ > 0
+    /// a budgeted sweep. Self-contained: members share no candidate with
+    /// any other path, so a local ownership map over the members alone is
+    /// the **exact** sharing context, for every λ. Sequential Gauss–Seidel
+    /// in ascending member order; a member whose context matches its memo
+    /// is a hit, not a matrix build and a DP. Read-only against the
+    /// advisor (runs on pool workers); selections, memo updates and work
+    /// counters are buffered in the output and installed by the caller in
+    /// component order.
     fn descend_component(
         paths: &[PathState],
         space: &CandidateSpace,
         comp: &[usize],
-        seeds: Vec<Selection>,
+        lambda: f64,
+        mut sels: Vec<Selection>,
+        mut memos: Vec<SweepMemo>,
     ) -> CompOut {
-        let mut sels = seeds;
-        let mut memos: Vec<SweepMemo> = comp.iter().map(|&i| paths[i].sweep_memo.clone()).collect();
         let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
         for (k, &i) in comp.iter().enumerate() {
             let st = &paths[i];
@@ -1638,8 +1462,13 @@ impl<'a> WorkloadAdvisor<'a> {
                     }
                     _ => {
                         dp_runs += 1;
-                        let pairs =
-                            Self::best_response(st, space, Some(&context), st.pruned.as_deref()).0;
+                        let pairs = Self::matrix_selection(&Self::priced_matrix(
+                            st,
+                            space,
+                            Some(&context),
+                            lambda,
+                            st.pruned.as_deref(),
+                        ));
                         memos[k] = Some((context, pairs.clone()));
                         pairs
                     }
@@ -1769,7 +1598,7 @@ impl<'a> WorkloadAdvisor<'a> {
             &self.stats,
             &self.maint,
             &self.space,
-            self.sharding.then_some(&self.basis),
+            &self.basis,
             &self.paths[i],
         );
         for (cand, org, m, s) in out.cells {
@@ -1792,20 +1621,19 @@ impl<'a> WorkloadAdvisor<'a> {
     /// concurrent owners keeps the lowest-id owner's value — exactly the
     /// value the sequential first-owner walk installs.
     ///
-    /// `basis` (sharded engine) short-circuits both planes: stale query
-    /// shares replay from the path's per-signature [`QueryBasis`] —
-    /// bitwise the from-scratch values — and the cost model is built
-    /// lazily, only when some maintenance/size cell is actually unpriced.
-    /// A signature the prepass left uncached (fewer than two dirty
-    /// members) prices from scratch, as does the legacy engine (`None`),
-    /// which rebuilds the model unconditionally.
+    /// `basis` short-circuits both planes: stale query shares replay from
+    /// the path's per-signature [`QueryBasis`] — bitwise the from-scratch
+    /// values — and the cost model is built lazily, only when some
+    /// maintenance/size cell is actually unpriced. A signature the
+    /// prepass left uncached (fewer than two dirty members) prices from
+    /// scratch.
     fn reprice_compute(
         schema: &Schema,
         params: CostParams,
         stats: &[ClassStats],
         maint: &[(f64, f64)],
         space: &CandidateSpace,
-        basis: Option<&HashMap<PathSignature, QueryBasis>>,
+        basis: &HashMap<PathSignature, QueryBasis>,
         st: &PathState,
     ) -> RepriceOut {
         let n = st.path.len();
@@ -1814,10 +1642,9 @@ impl<'a> WorkloadAdvisor<'a> {
         // way the cost model is only built for unpriced maintenance
         // cells. A query-dirty path with no basis (a signature the
         // prepass judged not worth caching — fewer than two dirty
-        // members) prices from scratch below, exactly as the legacy
-        // engine does.
-        let hit = basis.and_then(|map| map.get(&st.signature));
-        if basis.is_some() && (hit.is_some() || !st.dirty_query) {
+        // members) prices from scratch below.
+        let hit = basis.get(&st.signature);
+        if hit.is_some() || !st.dirty_query {
             let query_costs = st.dirty_query.then(|| {
                 hit.expect("query-dirty branch requires a basis hit")
                     .eval(&st.alphas, n, &st.cands)
@@ -1927,71 +1754,6 @@ impl<'a> WorkloadAdvisor<'a> {
                 mask
             })
             .collect()
-    }
-
-    /// The sharing context path `st` would see if every *other* path kept
-    /// the selection recorded in the round-start snapshot: `counts` with
-    /// the path's own round-start selection subtracted. This is what a
-    /// parallel worker speculates against; the sequential commit loop
-    /// adopts the speculation only when the live Gauss–Seidel context
-    /// turns out equal.
-    fn predicted_context(
-        st: &PathState,
-        counts: &HashMap<(CandidateId, Org), usize>,
-        own: &Selection,
-    ) -> Vec<u8> {
-        let n = st.path.len();
-        let mut own_contrib = vec![0u8; st.cands.len()];
-        for &(sub, org) in own {
-            own_contrib[sub.rank(n)] |= 1 << org.index();
-        }
-        st.cands
-            .iter()
-            .enumerate()
-            .map(|(r, &cand)| {
-                let Some(cand) = cand else { return 0 };
-                let mut mask = 0u8;
-                for org in Org::ALL {
-                    let total = counts.get(&(cand, org)).copied().unwrap_or(0);
-                    let own = usize::from(own_contrib[r] & (1 << org.index()) != 0);
-                    if total.saturating_sub(own) > 0 {
-                        mask |= 1 << org.index();
-                    }
-                }
-                mask
-            })
-            .collect()
-    }
-
-    /// One parallel speculation round: every path's best response against
-    /// its [`Self::predicted_context`] under `cost + λ·size` pricing,
-    /// fanned out over the executor. `memo(i)` is path `i`'s last best
-    /// response at this λ — the persistent sweep memo for the
-    /// unconstrained sweep (λ = 0), the sweep-local one for a budgeted λ
-    /// sweep; a path whose memo already answers the predicted context
-    /// returns `None` (the commit loop will take the memo hit).
-    fn speculate_round<'m>(
-        &self,
-        owned: &HashMap<(CandidateId, Org), usize>,
-        selections: &[Selection],
-        lambda: f64,
-        memo: impl Fn(usize) -> &'m SweepMemo + Sync,
-    ) -> SpeculationRound {
-        let paths = &self.paths;
-        let space = &self.space;
-        let idxs: Vec<usize> = (0..paths.len()).collect();
-        self.exec.par_map(&idxs, |_, &i| {
-            let st = &paths[i];
-            let pred = Self::predicted_context(st, owned, &selections[i]);
-            match memo(i) {
-                Some((key, _)) if *key == pred => None,
-                _ => {
-                    let m =
-                        Self::priced_matrix(st, space, Some(&pred), lambda, st.pruned.as_deref());
-                    Some((pred, Self::matrix_selection(&m)))
-                }
-            }
-        })
     }
 
     /// One path's optimal configuration under a sharing context: a covered
@@ -2124,81 +1886,27 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     /// One full coordinate-descent pass pricing `cost + λ·size` — the
-    /// unconstrained sweep in a Lagrangian-relaxed objective. Read-only:
-    /// neither the sweep memos nor the standalone caches are touched (they
-    /// hold λ = 0 artifacts); the sweep keeps its own per-path `(context →
-    /// selection)` memo instead, seeded by the context-free pass (no
+    /// unconstrained sweep in a Lagrangian-relaxed objective, over the
+    /// same component kernel. Read-only: neither the sweep memos nor the
+    /// standalone caches are touched (they hold λ = 0 artifacts); each
+    /// path's starting memo is its context-free response instead (no
     /// context prices like the all-zero one), so a path whose sharing
     /// context did not move — every path, in the confirming no-change
-    /// round — is a memo hit, not a matrix build and a DP. Parallel
-    /// executors fan the seeding and each round's speculation out exactly
-    /// like the unconstrained sweeps; the sequential commit keeps the
-    /// trajectory bit-identical.
-    fn lambda_sweep(&self, lambda: f64) -> Vec<Selection> {
-        let respond = |st: &PathState, context: Option<&[u8]>| {
-            let m = Self::priced_matrix(st, &self.space, context, lambda, st.pruned.as_deref());
+    /// round — is a memo hit. `comps` are the advisor's current
+    /// [`Self::components`]; singletons keep their context-free response,
+    /// which no other path can ever perturb.
+    fn lambda_sweep(&self, lambda: f64, comps: &[Vec<usize>]) -> Vec<Selection> {
+        let seed = |_: usize, st: &PathState| {
+            let m = Self::priced_matrix(st, &self.space, None, lambda, st.pruned.as_deref());
             Self::matrix_selection(&m)
         };
-        let seed = |_: usize, st: &PathState| respond(st, None);
-        let mut selections: Vec<Selection> = if self.exec.is_parallel() && self.paths.len() > 1 {
-            self.exec.par_map(&self.paths, seed)
-        } else {
-            self.paths
-                .iter()
-                .enumerate()
-                .map(|(i, st)| seed(i, st))
-                .collect()
-        };
-        let mut memos: Vec<SweepMemo> = self
-            .paths
-            .iter()
-            .zip(&selections)
-            .map(|(st, sel)| Some((vec![0; st.cands.len()], sel.clone())))
-            .collect();
-        let mut owned: HashMap<(CandidateId, Org), usize> = HashMap::new();
-        for (st, sel) in self.paths.iter().zip(&selections) {
-            for &(sub, org) in sel {
-                *owned.entry((st.cand(sub), org)).or_default() += 1;
-            }
-        }
-        for _ in 0..MAX_SWEEPS {
-            let specs: Option<SpeculationRound> = if self.exec.is_parallel() && self.paths.len() > 1
-            {
-                Some(self.speculate_round(&owned, &selections, lambda, |i| &memos[i]))
-            } else {
-                None
-            };
-            let mut changed = false;
-            for (i, sel) in selections.iter_mut().enumerate() {
-                let st = &self.paths[i];
-                for &(sub, org) in sel.iter() {
-                    let key = (st.cand(sub), org);
-                    let count = owned.get_mut(&key).expect("selection was registered");
-                    *count -= 1;
-                    if *count == 0 {
-                        owned.remove(&key);
-                    }
-                }
-                let context = Self::context_key(st, &owned);
-                let pairs = match &memos[i] {
-                    Some((key, pairs)) if *key == context => pairs.clone(),
-                    _ => {
-                        let pairs = match specs.as_ref().and_then(|s| s[i].as_ref()) {
-                            Some((pred, pairs)) if *pred == context => pairs.clone(),
-                            _ => respond(st, Some(&context)),
-                        };
-                        memos[i] = Some((context, pairs.clone()));
-                        pairs
-                    }
-                };
-                changed |= pairs != *sel;
-                for &(sub, org) in &pairs {
-                    *owned.entry((st.cand(sub), org)).or_default() += 1;
-                }
-                *sel = pairs;
-            }
-            if !changed {
-                break;
+        let mut selections: Vec<Selection> = self.exec.par_map(&self.paths, seed);
+        let outs = self.descend_components(comps, lambda, &selections, |i| {
+            Some((vec![0; self.paths[i].cands.len()], selections[i].clone()))
+        });
+        for (comp, out) in outs {
+            for (&i, sel) in comp.iter().zip(out.sels) {
+                selections[i] = sel;
             }
         }
         selections
@@ -2690,6 +2398,8 @@ impl<'a> WorkloadAdvisor<'a> {
             };
         }
 
+        // Both search directions work per candidate-sharing component.
+        let comps = self.components();
         // Bracket λ: grow until the sweep fits the budget.
         let mut lambda_sweeps = 0usize;
         let mut lo = 0.0f64;
@@ -2703,7 +2413,7 @@ impl<'a> WorkloadAdvisor<'a> {
                      best: &mut Option<(Vec<Selection>, f64, f64, f64)>,
                      leanest: &mut Option<(Vec<Selection>, f64, f64, f64)>|
          -> (f64, f64) {
-            let sel = advisor.lambda_sweep(l);
+            let sel = advisor.lambda_sweep(l, &comps);
             let (cost, size) = advisor.selection_totals(&sel);
             if size <= budget_pages && best.as_ref().map_or(true, |b| cost < b.1) {
                 *best = Some((sel.clone(), cost, size, l));
@@ -2769,7 +2479,7 @@ impl<'a> WorkloadAdvisor<'a> {
             .collect();
         let mut trail = match self.trail.take() {
             Some(trail) => trail,
-            None => EvictionTrail::new(&self.components(), self.paths.len()),
+            None => EvictionTrail::new(&comps, self.paths.len()),
         };
         let (evictions, eviction_trials) = self.evict_to_budget(&mut trail, &base, budget_pages);
         let evicted = trail.selections_at(&base, evictions);
@@ -2829,14 +2539,7 @@ impl<'a> WorkloadAdvisor<'a> {
         // λ sweeps ran against the live masks: report the cells the
         // budgeted search priced without (the λ-uniform dominance bound).
         plan.lambda_pruned = if lambda_sweeps > 0 {
-            self.paths
-                .iter()
-                .map(|st| {
-                    st.pruned
-                        .as_deref()
-                        .map_or(0, |m| m.iter().map(|b| u64::from(b.count_ones())).sum())
-                })
-                .sum()
+            unconstrained.candidates_pruned
         } else {
             0
         };
@@ -3043,25 +2746,7 @@ impl WorkloadPlan {
     /// exempt: they describe the advisor's history, not the plan, so
     /// e.g. a warm plan may be compared against its cold rebuild.
     pub fn assert_bit_identical_to(&self, other: &WorkloadPlan, ctx: &str) {
-        assert_eq!(
-            self.total_cost.to_bits(),
-            other.total_cost.to_bits(),
-            "{ctx}: total_cost {} vs {}",
-            self.total_cost,
-            other.total_cost
-        );
-        assert_eq!(
-            self.independent_cost.to_bits(),
-            other.independent_cost.to_bits(),
-            "{ctx}: independent_cost"
-        );
-        assert_eq!(
-            self.size_pages.to_bits(),
-            other.size_pages.to_bits(),
-            "{ctx}: size_pages"
-        );
-        assert_eq!(self.physical_indexes, other.physical_indexes, "{ctx}");
-        assert_eq!(self.candidates, other.candidates, "{ctx}");
+        self.assert_same_plan(other, ctx);
         assert_eq!(self.sweeps, other.sweeps, "{ctx}: sweeps");
         assert_eq!(
             self.repriced_paths, other.repriced_paths,
@@ -3077,11 +2762,6 @@ impl WorkloadPlan {
         );
         assert_eq!(self.dp_runs, other.dp_runs, "{ctx}: dp runs");
         assert_eq!(self.dp_memo_hits, other.dp_memo_hits, "{ctx}: dp memo hits");
-        assert_eq!(self.components, other.components, "{ctx}: components");
-        assert_eq!(
-            self.largest_component, other.largest_component,
-            "{ctx}: largest component"
-        );
         assert_eq!(
             self.candidates_pruned, other.candidates_pruned,
             "{ctx}: candidates pruned"
@@ -3102,39 +2782,15 @@ impl WorkloadPlan {
             self.lambda_pruned, other.lambda_pruned,
             "{ctx}: λ-pruned cells"
         );
-        assert_eq!(self.paths.len(), other.paths.len(), "{ctx}: path count");
-        for (a, b) in self.paths.iter().zip(&other.paths) {
-            assert_eq!(a.id, b.id, "{ctx}");
-            assert_eq!(
-                a.selection.pairs(),
-                b.selection.pairs(),
-                "{ctx}: selections diverged for path {:?}",
-                a.id
-            );
-            assert_eq!(a.query_cost.to_bits(), b.query_cost.to_bits(), "{ctx}");
-            assert_eq!(
-                a.standalone_cost.to_bits(),
-                b.standalone_cost.to_bits(),
-                "{ctx}"
-            );
-        }
-        assert_eq!(self.shared.len(), other.shared.len(), "{ctx}: shared count");
-        for (a, b) in self.shared.iter().zip(&other.shared) {
-            assert_eq!(a.candidate, b.candidate, "{ctx}");
-            assert_eq!(a.org, b.org, "{ctx}");
-            assert_eq!(a.owners, b.owners, "{ctx}");
-            assert_eq!(a.maintenance.to_bits(), b.maintenance.to_bits(), "{ctx}");
-            assert_eq!(a.saving.to_bits(), b.saving.to_bits(), "{ctx}");
-        }
     }
 
     /// Asserts this plan selects the **same physical design** as `other`,
-    /// ignoring the work-audit counters — the cross-*engine* contract of
-    /// DESIGN.md §5.15: the sharded engine (component descent + dominance
-    /// pruning + query bases) and the legacy global engine produce the
-    /// same selections, costs (bitwise), footprint, shared-index outcomes
-    /// and shape telemetry, but legitimately differ in how much work they
-    /// did to get there (sweeps, DP runs, memo hits, pricings, pruning
+    /// ignoring the work-audit counters: two advisors that reached one
+    /// workload state by different histories (a warm advisor and its cold
+    /// rebuild, a tuned advisor and its oracle) produce the same
+    /// selections, costs (bitwise), footprint, shared-index outcomes and
+    /// shape telemetry, but legitimately differ in how much work they did
+    /// to get there (sweeps, DP runs, memo hits, pricings, pruning
     /// counters). Panics with `ctx` on the first divergence.
     pub fn assert_same_plan(&self, other: &WorkloadPlan, ctx: &str) {
         assert_eq!(
@@ -3235,7 +2891,7 @@ impl WorkloadPlan {
         );
         let _ = writeln!(
             out,
-            "{} components (largest {}), {} cells pruned, {} speculation skips, \
+            "{} components (largest {}), {} cells pruned, {} singletons skipped, \
              {} ranks mined out ({} cells skipped)",
             self.components,
             self.largest_component,

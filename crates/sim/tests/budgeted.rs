@@ -14,8 +14,17 @@
 //!   these tiny adversarial instances, where relaxation gaps are at their
 //!   proportionally worst;
 //! * an infinite budget reproduces `optimize()` bit-identically.
+//!
+//! The same tables are the independent oracle of the *unconstrained*
+//! engine (DESIGN.md §5.15): on forests small enough to enumerate,
+//! `optimize()` and post-churn `reoptimize()` must return a plan whose
+//! totals re-derive from first principles, that no single path can
+//! improve by switching configuration (the contract of a converged
+//! descent), and that sits between the exhaustive optimum and the
+//! independent cost — with the component split, the dominance pruner and
+//! the per-signature query bases known to have engaged.
 
-use oic_core::{pc, Choice, WorkloadAdvisor};
+use oic_core::{pc, Choice, WorkloadAdvisor, WorkloadPlan};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::SubpathId;
 use oic_sim::{synth_forest, synth_workload, ForestSpec, SynthWorkload, WorkloadSpec};
@@ -24,9 +33,13 @@ use std::collections::HashMap;
 
 /// One path's enumeration table: every legal configuration with its query
 /// share and the global `(candidate, org)` pairs it allocates.
+#[derive(Clone)]
 struct PathTable {
     /// `(query_cost, allocated pair indices)` per configuration.
     configs: Vec<(f64, Vec<usize>)>,
+    /// The `(subpath, organization)` pieces of each configuration, in path
+    /// order — how a plan's selection finds its row.
+    pieces: Vec<Vec<(SubpathId, Org)>>,
 }
 
 /// Ground-truth pricing tables shared across paths: maintenance and size
@@ -77,6 +90,7 @@ fn ground_truth(w: &SynthWorkload, params: CostParams) -> Ground {
         }
         // Enumerate all cut masks × per-piece organizations.
         let mut configs = Vec::new();
+        let mut config_pieces = Vec::new();
         for mask in 0u64..(1 << (n - 1)) {
             let mut pieces = Vec::new();
             let mut start = 1usize;
@@ -96,6 +110,13 @@ fn ground_truth(w: &SynthWorkload, params: CostParams) -> Ground {
                     pairs.push(pair[r][a]);
                 }
                 configs.push((q, pairs));
+                config_pieces.push(
+                    pieces
+                        .iter()
+                        .zip(&assign)
+                        .map(|(&p, &a)| (p, Org::ALL[a]))
+                        .collect(),
+                );
                 // Odometer over organizations.
                 let mut i = 0;
                 loop {
@@ -114,7 +135,10 @@ fn ground_truth(w: &SynthWorkload, params: CostParams) -> Ground {
                 }
             }
         }
-        tables.push(PathTable { configs });
+        tables.push(PathTable {
+            configs,
+            pieces: config_pieces,
+        });
     }
     Ground {
         tables,
@@ -127,21 +151,24 @@ impl Ground {
     /// Prices one combination (config index per path) with count-once
     /// accounting. Returns `(cost, size)`.
     fn price(&self, combo: &[usize]) -> (f64, f64) {
-        let mut mask = vec![false; self.maint.len()];
+        // Enumerable workloads hold well under 128 distinct pairs; a word
+        // mask keeps the 10⁶-combination scans allocation-free.
+        assert!(self.maint.len() <= 128);
+        let mut mask = 0u128;
         let mut cost = 0.0;
         for (t, &c) in self.tables.iter().zip(combo) {
             let (q, pairs) = &t.configs[c];
             cost += q;
             for &p in pairs {
-                mask[p] = true;
+                mask |= 1 << p;
             }
         }
         let mut size = 0.0;
-        for (i, &on) in mask.iter().enumerate() {
-            if on {
-                cost += self.maint[i];
-                size += self.size[i];
-            }
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            cost += self.maint[i];
+            size += self.size[i];
         }
         (cost, size)
     }
@@ -211,6 +238,9 @@ fn small_workload(seed: u64) -> SynthWorkload {
 
 #[test]
 fn budgeted_plans_match_the_exhaustive_feasible_optimum() {
+    // Budgeted solves whose λ sweeps priced under a non-empty prune mask:
+    // the enumeration is what shows the mask never changes the winner.
+    let mut masked = 0;
     for seed in [3u64, 11, 42, 77, 1994] {
         let w = small_workload(seed);
         let params = CostParams::default();
@@ -237,6 +267,7 @@ fn budgeted_plans_match_the_exhaustive_feasible_optimum() {
         for frac in [0.35f64, 0.5, 0.75, 0.9] {
             let budget = unconstrained.size_pages * frac;
             let b = w.advisor(params).optimize_with_budget(budget);
+            masked += usize::from(b.plan.lambda_pruned > 0);
             let feasible_opt = ground.feasible_optimum(budget);
             match (b.feasible, feasible_opt) {
                 (true, Some((opt_cost, _))) => {
@@ -277,6 +308,7 @@ fn budgeted_plans_match_the_exhaustive_feasible_optimum() {
             }
         }
     }
+    assert!(masked > 0, "no budgeted solve ran masked");
 }
 
 #[test]
@@ -299,6 +331,243 @@ fn infinite_budget_reproduces_optimize_bit_identically() {
         for (a, b) in budgeted.plan.paths.iter().zip(&plan.paths) {
             assert_eq!(a.selection.pairs(), b.selection.pairs(), "seed {seed}");
         }
+    }
+}
+
+// ---- the unconstrained engine against the same tables (DESIGN.md §5.15) ---
+
+impl Ground {
+    /// The combination a plan selected: per path, the row of its selection.
+    fn combo_of(&self, plan: &WorkloadPlan) -> Vec<usize> {
+        assert_eq!(plan.paths.len(), self.tables.len());
+        plan.paths
+            .iter()
+            .zip(&self.tables)
+            .map(|(p, t)| {
+                let sel: Vec<(SubpathId, Org)> = p
+                    .selection
+                    .pairs()
+                    .iter()
+                    .map(|&(sub, choice)| match choice {
+                        Choice::Index(org) => (sub, org),
+                        Choice::NoIndex => panic!("workload plans index every piece"),
+                    })
+                    .collect();
+                t.pieces
+                    .iter()
+                    .position(|pieces| *pieces == sel)
+                    .expect("the selection is a legal configuration")
+            })
+            .collect()
+    }
+
+    /// What path `i` pays optimizing alone: its cheapest row with every
+    /// allocated index's maintenance its own.
+    fn standalone(&self, i: usize) -> f64 {
+        self.tables[i]
+            .configs
+            .iter()
+            .map(|(q, pairs)| q + pairs.iter().map(|&p| self.maint[p]).sum::<f64>())
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The tables grouped by chains of shared pairs — the candidate-sharing
+    /// components, derived from physical identities alone — each group a
+    /// `Ground` of its own (groups share no pair, so they price
+    /// independently and their optima add up).
+    fn components(&self) -> Vec<Ground> {
+        let masks: Vec<u128> = self
+            .tables
+            .iter()
+            .map(|t| {
+                let pairs = t.configs.iter().flat_map(|(_, pairs)| pairs);
+                pairs.fold(0, |mask, &p| mask | 1 << p)
+            })
+            .collect();
+        let mut label: Vec<usize> = (0..masks.len()).collect();
+        for i in 0..masks.len() {
+            for j in 0..i {
+                if masks[i] & masks[j] != 0 {
+                    let (from, to) = (label[i], label[j]);
+                    for l in label.iter_mut().filter(|l| **l == from) {
+                        *l = to;
+                    }
+                }
+            }
+        }
+        let mut groups = label.clone();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
+            .iter()
+            .map(|g| Ground {
+                tables: (0..masks.len())
+                    .filter(|&i| label[i] == *g)
+                    .map(|i| self.tables[i].clone())
+                    .collect(),
+                maint: self.maint.clone(),
+                size: self.size.clone(),
+            })
+            .collect()
+    }
+
+    /// The oracle of the unconstrained engine, on one plan:
+    ///
+    /// (a) every reported total re-derives from the tables — the workload
+    ///     objective and footprint, the independent cost (each path's
+    ///     exhaustive standalone minimum, so a wrong dominance strike
+    ///     shows here first), and each path's query share **bitwise**
+    ///     (the tables price every path from scratch, so this is also
+    ///     the per-signature basis replay against its definition);
+    /// (b) the plan is a unilateral fixed point: with the other paths
+    ///     held, no row of any path's table lowers the total — what a
+    ///     converged descent guarantees, and what a lost component, a
+    ///     wrongly merged or split one, or a cell struck in error breaks;
+    /// (c) exhaustive optimum ≤ total ≤ independent cost, the optimum
+    ///     enumerated per table-derived component — whose count and
+    ///     largest size must be the plan's.
+    fn assert_explains(&self, plan: &WorkloadPlan, ctx: &str) {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+        let combo = self.combo_of(plan);
+        let (cost, size) = self.price(&combo);
+        assert!(
+            close(plan.total_cost, cost),
+            "{ctx}: total {} vs {cost}",
+            plan.total_cost
+        );
+        assert!(
+            close(plan.size_pages, size),
+            "{ctx}: pages {} vs {size}",
+            plan.size_pages
+        );
+        for (i, (p, &c)) in plan.paths.iter().zip(&combo).enumerate() {
+            let q = self.tables[i].configs[c].0;
+            assert_eq!(
+                p.query_cost.to_bits(),
+                q.to_bits(),
+                "{ctx}: path {i} query share"
+            );
+            let alone = self.standalone(i);
+            assert!(
+                close(p.standalone_cost, alone),
+                "{ctx}: path {i} standalone {} vs exhaustive {alone}",
+                p.standalone_cost
+            );
+        }
+        let tol = 1e-9 * cost.abs().max(1.0);
+        let mut trial = combo.clone();
+        for i in 0..combo.len() {
+            for c in 0..self.tables[i].configs.len() {
+                trial[i] = c;
+                let (alt, _) = self.price(&trial);
+                assert!(
+                    alt >= cost - tol,
+                    "{ctx}: path {i} improves the plan alone ({cost} -> {alt}, row {c})"
+                );
+            }
+            trial[i] = combo[i];
+        }
+        let parts = self.components();
+        assert_eq!(plan.components, parts.len(), "{ctx}: components");
+        assert_eq!(
+            plan.largest_component,
+            parts.iter().map(|g| g.tables.len()).max().unwrap_or(0),
+            "{ctx}: largest component"
+        );
+        let optimum: f64 = parts
+            .iter()
+            .map(|g| g.feasible_optimum(f64::INFINITY).expect("non-empty").0)
+            .sum();
+        assert!(optimum <= plan.total_cost + tol, "{ctx}: beat the optimum");
+        assert!(
+            plan.total_cost <= plan.independent_cost + tol,
+            "{ctx}: sharing raised the cost"
+        );
+    }
+}
+
+/// One epoch of churn through the public mutators, mirrored into `m` so
+/// the tables can be rebuilt for the mutated workload. Epoch 0 shrinks
+/// (departure, statistics drift, query churn); epoch 1 regrows with a twin
+/// of path 0 — a new sharing partner, and after the statistics drift a
+/// signature with two dirty members — under redrawn maintenance rates.
+fn churn(adv: &mut WorkloadAdvisor<'_>, m: &mut SynthWorkload, epoch: usize) {
+    let root = m.root;
+    let s = m.stats[root.index()];
+    m.stats[root.index()] = ClassStats::new(s.n * (2.0 + epoch as f64), s.d, s.nin);
+    assert!(adv.update_stats(root, m.stats[root.index()]));
+    if epoch == 0 {
+        let last = adv.path_ids().last().expect("non-empty workload");
+        adv.remove_path(last).expect("live handle");
+        m.paths.pop();
+        m.queries.pop();
+        for q in &mut m.queries[0] {
+            *q = *q * 4.0 + 0.01;
+        }
+        let first = adv.path_ids().next().expect("non-empty workload");
+        assert!(adv.update_query_rates(first, |c| m.queries[0][c.index()]));
+    } else {
+        let (beta, gamma) = m.maint[root.index()];
+        m.maint[root.index()] = (beta + 0.25, gamma + 0.125);
+        assert!(adv.update_rates(root, m.maint[root.index()]));
+        let twin: Vec<f64> = m.queries[0].iter().map(|q| q * 0.5).collect();
+        adv.add_path_dense(m.paths[0].clone(), twin.clone());
+        m.paths.push(m.paths[0].clone());
+        m.queries.push(twin);
+    }
+}
+
+/// The engine's independent oracle (it replaces the bit-identity check
+/// against a second, global engine): forests of 2–3 trees and 4 paths of
+/// depth ≤ 3 — small enough to enumerate every combination — cold and
+/// after two epochs of churn. Most such workloads already share at their
+/// standalone seeds; 48 seeds hold a dozen whose descent has to move, with
+/// and without a non-empty prune mask, in both tree counts.
+#[test]
+fn unconstrained_plans_are_priced_fixed_points_of_the_exhaustive_tables() {
+    let params = CostParams::default();
+    // Cases on which each piece of machinery provably engaged.
+    let (mut skipped, mut pruned, mut twins) = (0, 0, 0);
+    // … and on which the descent moved a path off its standalone seed (the
+    // cases a dropped component fails on), cold and after churn.
+    let mut moved = [0, 0];
+    for seed in 0u64..48 {
+        for roots in [2usize, 3] {
+            let spec = ForestSpec {
+                roots,
+                paths: 4,
+                depth: 3,
+                fanout: 2,
+                seed,
+            };
+            // The advisor borrows `w`; churn is mirrored into a twin.
+            let (w, mut m) = (synth_forest(&spec), synth_forest(&spec));
+            let mut adv = w.advisor(params);
+            for epoch in 0..3 {
+                if epoch > 0 {
+                    churn(&mut adv, &mut m, epoch - 1);
+                }
+                let plan = adv.reoptimize();
+                let ctx = format!("seed {seed}, {roots} trees, epoch {epoch}");
+                ground_truth(&m, params).assert_explains(&plan, &ctx);
+                moved[epoch.min(1)] += usize::from(plan.sweeps > 1);
+                skipped += usize::from(plan.speculation_skips > 0);
+                pruned += usize::from(plan.candidates_pruned > 0);
+                let signatures: Vec<_> = m.paths.iter().map(|p| p.signature()).collect();
+                twins += usize::from(
+                    (1..signatures.len()).any(|i| signatures[..i].contains(&signatures[i])),
+                );
+            }
+        }
+    }
+    for (what, cases) in [
+        ("a cold descent moved off its seed", moved[0]),
+        ("a warm descent moved off its seed", moved[1]),
+        ("a singleton component was skipped", skipped),
+        ("the dominance pruner struck a cell", pruned),
+        ("two paths shared a signature", twins),
+    ] {
+        assert!(cases > 0, "no generated case where {what}");
     }
 }
 

@@ -5,33 +5,31 @@
 //! * **Support 0 is the identity.** A `MiningPolicy` with `min_support`
 //!   0 admits every candidate, so the mined advisor's plan is *bitwise*
 //!   the unmined advisor's plan — same cost bits, same selections, same
-//!   work counters — across the sharded/unsharded and 1/8-lane engines
-//!   (the `OIC_SHARDS` ∈ {1, default} × `OIC_THREADS` ∈ {1, 8} matrix,
-//!   pinned here explicitly via the builder knobs).
-//! * **The λ-aware mask is invisible in the plan.** Budgeted solves on
-//!   the sharded engine price every λ sweep under the size-aware
-//!   dominance mask; the unsharded engine never prunes. For random
-//!   workloads and random budgets — including infeasible ones — the two
-//!   engines' budgeted plans agree bitwise in costs and selections.
+//!   work counters — under 1 and 8 lanes (the `OIC_THREADS` ∈ {1, 8}
+//!   matrix, pinned here explicitly via the builder knob).
+//! * **Budgeted solves price under the λ-aware mask.** Every λ sweep
+//!   runs under the size-aware dominance mask, in the full space and in
+//!   a mined one, for random budgets — including infeasible ones — and a
+//!   plan reported feasible fits its budget. (That the mask never changes
+//!   *which* plan wins is the exhaustive oracle's job, `budgeted.rs`.)
 //! * **Mining is boundedly suboptimal.** Coverability keeps every mined
 //!   space feasible, and [`WorkloadAdvisor::mining_cost_bound`] converts
 //!   the dropped candidates into a provable price cap: the mined plan
 //!   never exceeds the unmined plan by more than the bound.
 
-use oic_core::WorkloadAdvisor;
 use oic_cost::CostParams;
 use oic_sim::{synth_workload, WorkloadSpec};
 use oic_workload::MiningPolicy;
 use proptest::prelude::*;
 
-/// The engine matrix the support-0 identity must hold on.
-const ENGINES: [(bool, usize); 4] = [(true, 1), (true, 8), (false, 1), (false, 8)];
+/// The lane counts the support-0 identity must hold on.
+const LANES: [usize; 2] = [1, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Support-0 mining reproduces today's candidate space — and
-    /// therefore today's plan — bitwise, on every engine configuration.
+    /// Support-0 mining reproduces the unmined candidate space — and
+    /// therefore the unmined plan — bitwise, sequential and parallel.
     #[test]
     fn support_zero_is_the_unmined_advisor_bitwise(
         seed in 0u64..1_000,
@@ -44,14 +42,10 @@ proptest! {
             fanout: 2,
             seed,
         });
-        for (sharding, threads) in ENGINES {
-            let mut unmined = w
-                .advisor(CostParams::default())
-                .with_sharding(sharding)
-                .with_threads(threads);
+        for threads in LANES {
+            let mut unmined = w.advisor(CostParams::default()).with_threads(threads);
             let mut mined = w
                 .advisor(CostParams::default())
-                .with_sharding(sharding)
                 .with_threads(threads)
                 .with_mining(MiningPolicy {
                     min_support: 0.0,
@@ -59,20 +53,19 @@ proptest! {
                 });
             let base = unmined.optimize();
             let plan = mined.optimize();
-            plan.assert_bit_identical_to(
-                &base,
-                &format!("support 0, sharding={sharding} threads={threads}"),
-            );
+            plan.assert_bit_identical_to(&base, &format!("support 0, threads={threads}"));
             prop_assert_eq!(plan.candidates_mined_out, 0);
         }
     }
 
-    /// Budgeted solves price λ sweeps under the size-aware mask on the
-    /// sharded engine and mask-free on the legacy engine, yet land on
-    /// the same plan bitwise — for random budgets, infeasible included,
-    /// in the full space *and* in a mined space (where struck-but-
-    /// covered cells that lose their sharer mid-search once tripped the
-    /// repair pass's improvement guard).
+    /// Budgeted solves price λ sweeps under the size-aware mask — for
+    /// random budgets, infeasible included, in the full space *and* in a
+    /// mined space (where struck-but-covered cells that lose their sharer
+    /// mid-search once tripped the repair pass's improvement guard) — and
+    /// a feasible verdict means the plan fits. Debug builds re-derive
+    /// every eviction trial of these solves through `selection_totals`.
+    /// (The name dates from the mask-free engine this was compared
+    /// against; the plan-level check is now `budgeted.rs`'s oracle.)
     #[test]
     fn masked_budgeted_plans_match_the_unpruned_engine(
         seed in 0u64..1_000,
@@ -91,29 +84,20 @@ proptest! {
                 min_support: if mined { min_support } else { 0.0 },
                 always_admit_owned: true,
             };
-            let mut pruned = w
-                .advisor(CostParams::default())
-                .with_sharding(true)
-                .with_mining(policy);
-            let mut unpruned = w
-                .advisor(CostParams::default())
-                .with_sharding(false)
-                .with_mining(policy);
-            let unconstrained = pruned.optimize();
-            unpruned.optimize();
+            let mut adv = w.advisor(CostParams::default()).with_mining(policy);
+            let unconstrained = adv.optimize();
             let budget = unconstrained.size_pages * fraction;
-            let b_p = pruned.optimize_with_budget(budget);
-            let b_u = unpruned.optimize_with_budget(budget);
-            prop_assert_eq!(b_p.feasible, b_u.feasible);
-            b_p.assert_same_plan(
-                &b_u,
-                &format!("budget {budget} ({fraction:.2}×, mined={mined})"),
+            let b = adv.optimize_with_budget(budget);
+            prop_assert!(
+                !b.feasible || b.plan.size_pages <= budget * (1.0 + 1e-12) + 1e-9,
+                "budget {} ({:.2}×, mined={}): feasible plan takes {} pages",
+                budget, fraction, mined, b.plan.size_pages
             );
             // When the Lagrangian search engaged, it must have run masked
             // (the mask can only be empty when dominance found nothing —
             // tracked via the unconstrained pruning counter).
-            if b_p.lambda_sweeps > 0 && unconstrained.candidates_pruned > 0 {
-                prop_assert!(b_p.plan.lambda_pruned > 0, "λ sweeps ran unmasked");
+            if b.lambda_sweeps > 0 && unconstrained.candidates_pruned > 0 {
+                prop_assert!(b.plan.lambda_pruned > 0, "λ sweeps ran unmasked");
             }
         }
     }
@@ -217,33 +201,8 @@ fn remining_after_rate_updates_matches_a_cold_advisor() {
         warm_plan.candidates_mined_out, cold_plan.candidates_mined_out,
         "admission is a pure function of (policy, path, rates)"
     );
-    // Under OIC_MINE=0 the policy resolves to admit-all and nothing can
-    // be mined out; the warm-vs-cold equivalence above still must hold.
-    if std::env::var("OIC_MINE").map_or(true, |v| v != "0") {
-        assert!(
-            warm_plan.candidates_mined_out > 0,
-            "support 0.4 against rates in [0.05, 0.5) must mine something out"
-        );
-    }
-}
-
-/// `OIC_MINE=0` (checked through the policy accessor) forces admit-all:
-/// the gate the CI lane relies on resolves to a non-gating policy.
-#[test]
-fn mine_kill_switch_reports_a_non_gating_policy() {
-    let w = synth_workload(&WorkloadSpec {
-        paths: 3,
-        depth: 4,
-        fanout: 2,
-        seed: 9,
-    });
-    let adv: WorkloadAdvisor<'_> = w.advisor(CostParams::default()).with_mining(MiningPolicy {
-        min_support: 0.7,
-        always_admit_owned: true,
-    });
-    let enabled = std::env::var("OIC_MINE").map_or(true, |v| v != "0");
-    assert_eq!(adv.mining_policy().is_gating(), enabled);
-    if !enabled {
-        assert_eq!(adv.mining_policy().min_support, 0.0);
-    }
+    assert!(
+        warm_plan.candidates_mined_out > 0,
+        "support 0.4 against rates in [0.05, 0.5) must mine something out"
+    );
 }

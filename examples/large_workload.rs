@@ -1,11 +1,12 @@
-//! Large-workload quickstart: run the advisor's **sharded engine**
-//! (component descent + dominance pruning + per-signature query bases —
-//! DESIGN.md §5.15) against the legacy global engine on a 5000-path chain
-//! forest, time both, and verify the headline invariant: the sharded plan
-//! is the **same plan** — same cost bits, same selections, same shared
-//! outcomes — it just arrives much sooner. Sharding is on by default;
-//! `OIC_SHARDS=1` ("one shard") is the legacy off-switch, and
-//! `with_sharding(..)` chooses explicitly, as here.
+//! Large-workload quickstart: what lets the advisor take a 5000-path chain
+//! forest in one go (DESIGN.md §5.15). A union-find over shared candidates
+//! splits the workload into **components** that cannot interact, so the
+//! coordinate descent runs per component; a strict **dominance bound**
+//! strikes matrix cells no best response can use; and query pricing
+//! replays per path *signature*. The tour prints that machinery's
+//! footprint, times a cold `optimize()`, then drifts one class's update
+//! rates and times the warm `reoptimize()` against a cold rebuild of the
+//! same state — same selections, same cost.
 //!
 //! Run with `cargo run --release --example large_workload`.
 
@@ -27,38 +28,45 @@ fn main() {
         w.roots.len()
     );
 
-    let mut sharded = w.advisor(CostParams::default()).with_sharding(true);
+    let mut advisor = w.advisor(CostParams::default());
     let t = Instant::now();
-    let plan = sharded.optimize();
-    let sharded_elapsed = t.elapsed();
+    let plan = advisor.optimize();
+    let cold_elapsed = t.elapsed();
     println!(
-        "sharded engine: cost {:.0}, {} components (largest {}), {} cells pruned, {sharded_elapsed:.2?}",
-        plan.total_cost, plan.components, plan.largest_component, plan.candidates_pruned
+        "cold optimize: cost {:.0}, {} physical indexes, {cold_elapsed:.2?}",
+        plan.total_cost, plan.physical_indexes
+    );
+    println!(
+        "{} components (largest {} paths, {} singletons skipped), {} cells pruned",
+        plan.components, plan.largest_component, plan.speculation_skips, plan.candidates_pruned
+    );
+    assert!(plan.components >= w.roots.len(), "trees never merge");
+    assert!(plan.candidates_pruned > 0, "the dominance bound engages");
+
+    // One tree's root class starts churning: only the paths that scope it
+    // are repriced.
+    let (beta, gamma) = w.maint[w.root.index()];
+    advisor.update_rates(w.root, (beta + 0.25, gamma + 0.125));
+    let t = Instant::now();
+    let warm = advisor.reoptimize();
+    let warm_elapsed = t.elapsed();
+    println!(
+        "warm reoptimize: cost {:.0}, {} of {} paths repriced, {warm_elapsed:.2?}",
+        warm.total_cost,
+        warm.repriced_paths,
+        warm.paths.len()
     );
 
-    let mut legacy = w.advisor(CostParams::default()).with_sharding(false);
-    let t = Instant::now();
-    let legacy_plan = legacy.optimize();
-    let legacy_elapsed = t.elapsed();
+    let cold = advisor.rebuild().optimize();
+    let drift = (warm.total_cost - cold.total_cost).abs();
+    assert!(drift < 1e-9 * cold.total_cost.max(1.0));
+    for (a, b) in warm.paths.iter().zip(&cold.paths) {
+        assert_eq!(a.selection.pairs(), b.selection.pairs());
+    }
     println!(
-        "legacy engine:  cost {:.0}, prices and descends globally, {legacy_elapsed:.2?}",
-        legacy_plan.total_cost
-    );
-
-    // The same plan, not merely one of equal cost: selections, cost bits
-    // and shared-index outcomes all match (the engines may do different
-    // amounts of work, so the bit-level *work-audit* comparison does not
-    // apply across engines — `assert_same_plan` is the cross-engine
-    // contract).
-    plan.assert_same_plan(&legacy_plan, "large_workload example");
-    println!(
-        "sharded plan == unsharded plan ({} paths, {} physical indexes)",
-        plan.paths.len(),
-        plan.physical_indexes
-    );
-    println!(
-        "speedup {:.2}x on {} CPU(s) — the gain is algorithmic, not parallel",
-        legacy_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64(),
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        "warm plan == cold rebuild ({} paths, {} physical indexes), {:.1}x sooner than the cold run",
+        warm.paths.len(),
+        warm.physical_indexes,
+        cold_elapsed.as_secs_f64() / warm_elapsed.as_secs_f64()
     );
 }

@@ -64,14 +64,8 @@ fn main() {
         "support {}: cost {:.0}, {} ranks mined out, {} cells skipped, {mined_elapsed:.2?}",
         policy.min_support, plan.total_cost, plan.candidates_mined_out, plan.cells_skipped
     );
-    // `OIC_MINE=0` (the kill switch CI exercises) turns the gate off, in
-    // which case the mined arm is the identity too.
-    if mined.mining_policy().is_gating() {
-        assert!(plan.candidates_mined_out > 0, "the gate must engage");
-        assert!(plan.cells_skipped > 0, "pricing must skip mined-out cells");
-    } else {
-        plan.assert_bit_identical_to(&base, "OIC_MINE=0 forces admit-all");
-    }
+    assert!(plan.candidates_mined_out > 0, "the gate must engage");
+    assert!(plan.cells_skipped > 0, "pricing must skip mined-out cells");
     assert!(
         plan.total_cost <= base.total_cost + bound,
         "mined cost {} exceeds full cost {} + bound {bound}",

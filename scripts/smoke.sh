@@ -51,9 +51,9 @@ run budgeted_workload "within budget"
 # and must verify the plans bit-identical.
 run parallel_workload "parallel plan == sequential plan"
 
-# large_workload races the sharded engine against the legacy global engine
-# on a 5000-path chain forest and must verify the plans are the same plan.
-run large_workload "sharded plan == unsharded plan"
+# large_workload tours the component descent on a 5000-path chain forest,
+# cold then warm, and must verify the warm plan against a cold rebuild.
+run large_workload "warm plan == cold rebuild"
 
 # online_tuning re-learns hidden rate drift from a captured event stream
 # and must land on exactly the oracle's plan after the final retune.

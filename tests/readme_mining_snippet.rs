@@ -2,8 +2,7 @@
 //! stay true: support 0 reproduces the unmined advisor bitwise, a
 //! positive threshold actually mines candidates out while the plan
 //! stays within `mining_cost_bound`, and the telemetry the README
-//! documents (`candidates_mined_out`, `cells_skipped`, the `OIC_MINE`
-//! kill switch) behaves as written.
+//! documents (`candidates_mined_out`, `cells_skipped`) behaves as written.
 
 use oo_index_config::prelude::*;
 use oo_index_config::sim::{synth_workload, WorkloadSpec};
@@ -36,16 +35,9 @@ fn readme_mining_snippet() {
     });
     let plan = mined.optimize();
     let bound = mined.mining_cost_bound();
-    // The README leans on mining being on; CI also runs this suite under
-    // OIC_MINE=0, where the gate resolves to admit-all.
-    let mine_enabled = std::env::var("OIC_MINE").map_or(true, |v| v != "0");
-    assert_eq!(mined.mining_policy().is_gating(), mine_enabled);
-    if mine_enabled {
-        assert!(plan.candidates_mined_out > 0); // the admission gate engaged
-        assert!(plan.cells_skipped > 0); // and pricing skipped its cells
-        assert!(bound > 0.0);
-    } else {
-        plan.assert_bit_identical_to(&base, "OIC_MINE=0 forces admit-all");
-    }
+    assert!(mined.mining_policy().is_gating());
+    assert!(plan.candidates_mined_out > 0); // the admission gate engaged
+    assert!(plan.cells_skipped > 0); // and pricing skipped its cells
+    assert!(bound > 0.0);
     assert!(plan.total_cost <= base.total_cost + bound);
 }
