@@ -18,7 +18,9 @@
 //! `host_cpus` is recorded in `BENCH_workload_scale.json`, next to the
 //! `baseline` row: the last 10k head-to-head against the global
 //! every-path-every-sweep engine, measured at the last commit that had
-//! one.
+//! one, and the 100k cold/warm times of the last commit that priced a
+//! shared cell once per dirty owner (34fe127, before the claim pass and
+//! the cost model's leaf-term memo).
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_cost::CostParams;
@@ -32,6 +34,12 @@ const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// commit 02a9ca0 — the last one that had both — on a 2-CPU host.
 const BASELINE_LEGACY_OPTIMIZE_NS: u64 = 6_012_777_568;
 const BASELINE_SPEEDUP_10K: f64 = 2.319;
+
+/// The 100k-path cold `optimize()` and warm `reoptimize()` of commit
+/// 34fe127, measured by running its bench alone on the same 2-CPU host
+/// (identical plans and counters).
+const PARENT_100K_OPTIMIZE_NS: u64 = 26_486_548_374;
+const PARENT_100K_REOPTIMIZE_NS: u64 = 4_493_652_865;
 
 /// Hard single-core wall-clock bound on the 100k cold optimize + one warm
 /// reoptimize. Generous against the measured numbers so slow CI hosts
@@ -150,6 +158,15 @@ fn main() {
                 (
                     "speedup_10k_vs_legacy",
                     Json::fixed(BASELINE_SPEEDUP_10K, 3),
+                ),
+                ("parent_commit", Json::from("34fe127")),
+                (
+                    "parent_100k_optimize_ns",
+                    Json::from(PARENT_100K_OPTIMIZE_NS),
+                ),
+                (
+                    "parent_100k_reoptimize_ns",
+                    Json::from(PARENT_100K_REOPTIMIZE_NS),
                 ),
             ]),
         ),

@@ -303,8 +303,12 @@ impl MigrationPlanner {
 
     /// Prices one arm of one path through the memo machinery: query shares
     /// from the adopted query-cost memos, maintenance and footprint from
-    /// the [`WorkloadAdvisor::what_if`] memo arm. `mark_built` records the
-    /// arm's indexes as physically present (the deployed current arms).
+    /// the adopted candidate memos — the numbers
+    /// [`WorkloadAdvisor::what_if`] reports, read without its subscriber
+    /// scan (one per piece made capture quadratic in the path count);
+    /// a candidate that is absent or not fully priced takes `what_if`'s
+    /// standalone arm. `mark_built` records the arm's indexes as
+    /// physically present (the deployed current arms).
     fn capture_arm(
         advisor: &WorkloadAdvisor<'_>,
         id: PathId,
@@ -322,11 +326,20 @@ impl MigrationPlanner {
             let query = advisor
                 .query_share(id, sub, org)
                 .ok_or(MigrationError::PathSetMismatch)?;
-            let report = advisor.what_if(path, sub);
-            let entry = indexes.entry(key.clone()).or_insert(IndexInfo {
-                maintenance: report.maintenance[org.index()],
-                pages: report.size_pages[org.index()],
-                built: false,
+            let entry = indexes.entry(key.clone()).or_insert_with(|| {
+                let (maintenance, pages) = advisor
+                    .candidate_space()
+                    .find(&key.0, embedded)
+                    .and_then(|cand| advisor.adopted_prices(cand))
+                    .unwrap_or_else(|| {
+                        let report = advisor.what_if(path, sub);
+                        (report.maintenance, report.size_pages)
+                    });
+                IndexInfo {
+                    maintenance: maintenance[org.index()],
+                    pages: pages[org.index()],
+                    built: false,
+                }
             });
             if mark_built {
                 entry.built = true;

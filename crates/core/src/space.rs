@@ -271,6 +271,12 @@ impl CandidateSpace {
         self.slots.len() - self.free.len()
     }
 
+    /// Arena size, freed slots included: every [`CandidateId::index`] is
+    /// below it (the bound for dense per-candidate side tables).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Whether no candidate is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

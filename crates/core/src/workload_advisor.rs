@@ -78,8 +78,9 @@
 //! per CPU, `OIC_THREADS` overrides, `1` = the sequential engine). The
 //! parallel plan is **bit-identical** to the sequential one for every
 //! thread count, telemetry included, by construction rather than by luck:
-//! memo writes are buffered per path and merged in path-id order, the
-//! descent fans out per candidate-sharing component (components share no
+//! each unpriced cell is claimed by its first dirty owner, priced once
+//! and installed in path-id order, the descent fans out per
+//! candidate-sharing component (components share no
 //! index, so each one's Gauss–Seidel trajectory is independent of the
 //! others') and merges in component order, and every float reduction keeps
 //! its value-sorted summation order. DESIGN.md §5.13 states the contract;
@@ -614,9 +615,8 @@ impl RoundBase {
 struct RepriceOut {
     /// Fresh query shares, when the path's were stale.
     query_costs: Option<Vec<[f64; 3]>>,
-    /// `(candidate, org, maintenance, size)` for every cell that was
-    /// unpriced when the pricing phase began.
-    cells: Vec<(CandidateId, Org, f64, f64)>,
+    /// `(maintenance, size)` of each cell the path claimed, in claim order.
+    cells: Vec<(f64, f64)>,
 }
 
 /// One component's buffered descent output, computed read-only on a worker
@@ -1096,6 +1096,20 @@ impl<'a> WorkloadAdvisor<'a> {
         Some(st.query_costs[sub.rank(st.path.len())][org.index()])
     }
 
+    /// The adopted `(maintenance, footprint)` memos of a live candidate,
+    /// per organization — `None` unless all three are priced. What
+    /// [`Self::what_if`]'s adopted arm reports, without its subscriber
+    /// scan; the migration planner captures index prices through this.
+    pub(crate) fn adopted_prices(&self, id: CandidateId) -> Option<([f64; 3], [f64; 3])> {
+        let mut m = [0.0; 3];
+        let mut s = [0.0; 3];
+        for org in Org::ALL {
+            m[org.index()] = self.space.priced_maintenance(id, org)?;
+            s[org.index()] = self.space.priced_size(id, org)?;
+        }
+        Some((m, s))
+    }
+
     /// A cold copy: a fresh advisor over the same schema, parameters,
     /// statistics, rates, live paths (same order) and executor, with every
     /// cache empty. `rebuild().optimize()` is the from-scratch baseline
@@ -1115,7 +1129,8 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     fn find(&self, id: PathId) -> Option<usize> {
-        self.paths.iter().position(|st| st.id == id)
+        // Handles are issued ascending and removal keeps the order.
+        self.paths.binary_search_by_key(&id, |st| st.id).ok()
     }
 
     // ---- (re-)optimization ------------------------------------------------
@@ -1150,12 +1165,11 @@ impl<'a> WorkloadAdvisor<'a> {
         self.epoch += 1;
         let mutations = std::mem::take(&mut self.mutations);
 
-        // Phase 1 — re-price dirty paths. Parallel mode computes each
-        // dirty path's model + prices read-only into a buffer, then merges
-        // the buffers in path-id order: a cell shared by several dirty
-        // paths keeps the lowest-id owner's value, exactly like the
-        // sequential first-owner-prices-it walk, so memo contents *and*
-        // the pricing counter are bit-identical for any thread count.
+        // Phase 1 — re-price dirty paths: a sequential claim pass hands
+        // every unpriced cell to its first dirty owner, the owners price
+        // their claims read-only on the executor, and the merge installs
+        // each cell once, in path order — same memo contents and pricing
+        // counter for any thread count.
         let pricings_before = self.space.maintenance_pricings();
         let dirty: Vec<usize> = (0..self.paths.len())
             .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
@@ -1200,36 +1214,68 @@ impl<'a> WorkloadAdvisor<'a> {
             self.basis.insert(self.paths[i].signature.clone(), b);
         }
 
-        if self.exec.is_parallel() && dirty.len() > 1 {
-            let outs: Vec<RepriceOut> = {
-                let paths = &self.paths;
-                let space = &self.space;
-                let stats = &self.stats;
-                let maint = &self.maint;
-                let basis = &self.basis;
-                let (schema, params) = (self.schema, self.params);
-                self.exec.par_map(&dirty, |_, &i| {
-                    Self::reprice_compute(schema, params, stats, maint, space, basis, &paths[i])
-                })
-            };
-            for (out, &i) in outs.into_iter().zip(&dirty) {
-                for (cand, org, m, s) in out.cells {
-                    // First-in-path-order install; later buffers hit.
-                    self.space.maintenance_cost(cand, org, || m);
-                    self.space.size_cost(cand, org, || s);
+        // Claim pass, in path order: an unpriced `(candidate, org)` goes to
+        // the first dirty path that exposes it — the cells a sequential
+        // first-owner walk would price, each exactly once. (A cell's
+        // maintenance and footprint are invalidated together and priced
+        // together.)
+        let mut claimed = vec![[false; 3]; self.space.slot_count()];
+        let claims: Vec<Vec<(usize, CandidateId, Org)>> = dirty
+            .iter()
+            .map(|&i| {
+                let mut mine = Vec::new();
+                for (r, cand) in self.paths[i].cands.iter().enumerate() {
+                    let Some(cand) = *cand else {
+                        continue; // mined out: no cells exist for this rank
+                    };
+                    for org in Org::ALL {
+                        let taken = &mut claimed[cand.index()][org.index()];
+                        if !*taken
+                            && (self.space.priced_maintenance(cand, org).is_none()
+                                || self.space.priced_size(cand, org).is_none())
+                        {
+                            *taken = true;
+                            mine.push((r, cand, org));
+                        }
+                    }
                 }
-                let st = &mut self.paths[i];
-                if let Some(q) = out.query_costs {
-                    st.query_costs = q;
-                }
-                st.dirty_query = false;
-                st.dirty_maint = false;
+                mine
+            })
+            .collect();
+        let outs: Vec<RepriceOut> = self.exec.par_map(&dirty, |k, &i| {
+            let st = &self.paths[i];
+            Self::reprice_compute(
+                self.schema,
+                self.params,
+                &self.stats,
+                &self.maint,
+                self.basis.get(&st.signature),
+                st,
+                &claims[k],
+            )
+        });
+        for ((out, &i), mine) in outs.into_iter().zip(&dirty).zip(&claims) {
+            for (&(_, cand, org), (m, s)) in mine.iter().zip(out.cells) {
+                debug_assert!(
+                    self.space.priced_maintenance(cand, org).is_none(),
+                    "cell ({cand:?}, {org}) priced twice"
+                );
+                self.space.maintenance_cost(cand, org, || m);
+                self.space.size_cost(cand, org, || s);
             }
-        } else {
-            for &i in &dirty {
-                self.reprice(i);
+            let st = &mut self.paths[i];
+            if let Some(q) = out.query_costs {
+                st.query_costs = q;
             }
+            st.dirty_query = false;
+            st.dirty_maint = false;
         }
+        let epoch_pricings = self.space.maintenance_pricings() - pricings_before;
+        debug_assert_eq!(
+            epoch_pricings,
+            claims.iter().map(|mine| mine.len() as u64).sum::<u64>(),
+            "every claimed cell is priced exactly once"
+        );
 
         // Dominance pruning: refresh the per-rank prune masks of paths
         // whose prices moved this epoch, or that never had one. Masks read
@@ -1346,7 +1392,7 @@ impl<'a> WorkloadAdvisor<'a> {
             "sharing can only reduce the objective: {} vs {independent_cost}",
             plan.total_cost
         );
-        plan.epoch_pricings = self.space.maintenance_pricings() - pricings_before;
+        plan.epoch_pricings = epoch_pricings;
         plan.sweeps = sweeps;
         plan.mutations = mutations;
         plan.repriced_paths = repriced;
@@ -1585,146 +1631,62 @@ impl<'a> WorkloadAdvisor<'a> {
         }
     }
 
-    /// Rebuilds the cost model of path `i` and refreshes its cached query
-    /// shares (when stale) and its candidates' maintenance memo cells
-    /// (memoized: only invalidated or never-priced cells compute). This is
-    /// [`Self::reprice_compute`] + an immediate merge — the sequential
-    /// spelling of the buffered parallel phase, same values, same
-    /// counters.
-    fn reprice(&mut self, i: usize) {
-        let out = Self::reprice_compute(
-            self.schema,
-            self.params,
-            &self.stats,
-            &self.maint,
-            &self.space,
-            &self.basis,
-            &self.paths[i],
-        );
-        for (cand, org, m, s) in out.cells {
-            self.space.maintenance_cost(cand, org, || m);
-            self.space.size_cost(cand, org, || s);
-        }
-        let st = &mut self.paths[i];
-        if let Some(q) = out.query_costs {
-            st.query_costs = q;
-        }
-        st.dirty_query = false;
-        st.dirty_maint = false;
-    }
-
-    /// The read-only half of re-pricing one dirty path: rebuild its cost
-    /// model, recompute stale query shares, and price every candidate
-    /// cell that is **unpriced in `space` right now** into a buffer. Runs
-    /// on pool workers against a frozen `&CandidateSpace`; the caller
-    /// merges buffers in path-id order, so a cell computed by several
-    /// concurrent owners keeps the lowest-id owner's value — exactly the
-    /// value the sequential first-owner walk installs.
+    /// The read-only half of re-pricing one dirty path: recompute stale
+    /// query shares and price the cells the claim pass assigned to it
+    /// (`claims`: rank, candidate, organization). Runs on pool workers; the
+    /// caller installs the buffers in path order.
     ///
-    /// `basis` short-circuits both planes: stale query shares replay from
-    /// the path's per-signature [`QueryBasis`] — bitwise the from-scratch
-    /// values — and the cost model is built lazily, only when some
-    /// maintenance/size cell is actually unpriced. A signature the
-    /// prepass left uncached (fewer than two dirty members) prices from
-    /// scratch.
+    /// Stale query shares replay from the path's per-signature
+    /// [`QueryBasis`] when the prepass cached one — bitwise the
+    /// from-scratch values — and price from scratch otherwise (a signature
+    /// with fewer than two dirty members). The cost model is built only
+    /// for that fallback or for a claimed cell.
     fn reprice_compute(
         schema: &Schema,
         params: CostParams,
         stats: &[ClassStats],
         maint: &[(f64, f64)],
-        space: &CandidateSpace,
-        basis: &HashMap<PathSignature, QueryBasis>,
+        basis: Option<&QueryBasis>,
         st: &PathState,
+        claims: &[(usize, CandidateId, Org)],
     ) -> RepriceOut {
         let n = st.path.len();
-        // A path whose signature has a basis replays its query costs from
-        // it; a query-clean path needs no query pricing at all. Either
-        // way the cost model is only built for unpriced maintenance
-        // cells. A query-dirty path with no basis (a signature the
-        // prepass judged not worth caching — fewer than two dirty
-        // members) prices from scratch below.
-        let hit = basis.get(&st.signature);
-        if hit.is_some() || !st.dirty_query {
-            let query_costs = st.dirty_query.then(|| {
-                hit.expect("query-dirty branch requires a basis hit")
-                    .eval(&st.alphas, n, &st.cands)
-            });
-            let todo: Vec<(usize, CandidateId, Org)> = (0..SubpathId::count(n))
-                .filter_map(|r| st.cands[r].map(|cand| (r, cand)))
-                .flat_map(|(r, cand)| Org::ALL.map(move |org| (r, cand, org)))
-                .filter(|&(_, cand, org)| {
-                    space.priced_maintenance(cand, org).is_none()
-                        || space.priced_size(cand, org).is_none()
-                })
-                .collect();
-            let mut cells = Vec::with_capacity(todo.len());
-            if !todo.is_empty() {
-                let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
-                let model = CostModel::new(schema, &st.path, &chars, params);
-                let mld = LoadDistribution::build(schema, &st.path, |c| {
-                    let (beta, gamma) = maint[c.index()];
-                    Triplet::new(0.0, beta, gamma)
+        let mut query_costs = match basis {
+            Some(basis) if st.dirty_query => Some(basis.eval(&st.alphas, n, &st.cands)),
+            _ => None,
+        };
+        let from_scratch = st.dirty_query && query_costs.is_none();
+        let mut cells = Vec::with_capacity(claims.len());
+        if from_scratch || !claims.is_empty() {
+            let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
+            let model = CostModel::new(schema, &st.path, &chars, params);
+            if from_scratch {
+                let alphas = &st.alphas;
+                let qld = LoadDistribution::build(schema, &st.path, |c| {
+                    Triplet::new(alphas[c.index()], 0.0, 0.0)
                 });
-                for (r, cand, org) in todo {
-                    let sub = SubpathId::from_rank(n, r);
-                    cells.push((
-                        cand,
-                        org,
-                        pc::processing_cost(&model, &mld, sub, Choice::Index(org)),
-                        model.size_pages(org, sub),
-                    ));
-                }
-            }
-            return RepriceOut { query_costs, cells };
-        }
-        let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
-        let model = CostModel::new(schema, &st.path, &chars, params);
-        let query_costs = st.dirty_query.then(|| {
-            let alphas = &st.alphas;
-            let qld = LoadDistribution::build(schema, &st.path, |c| {
-                Triplet::new(alphas[c.index()], 0.0, 0.0)
-            });
-            (0..SubpathId::count(n))
-                .map(|r| {
+                let shares = (0..SubpathId::count(n)).map(|r| {
                     // Mined out: no cell to price.
                     if st.cands[r].is_none() {
                         return [0.0; 3];
                     }
                     let sub = SubpathId::from_rank(n, r);
-                    let mut cell = [0.0; 3];
-                    for org in Org::ALL {
-                        cell[org.index()] =
-                            pc::processing_cost(&model, &qld, sub, Choice::Index(org));
-                    }
-                    cell
-                })
-                .collect()
-        });
-        let mld = LoadDistribution::build(schema, &st.path, |c| {
-            let (beta, gamma) = maint[c.index()];
-            Triplet::new(0.0, beta, gamma)
-        });
-        let mut cells = Vec::new();
-        for r in 0..SubpathId::count(n) {
-            let Some(cand) = st.cands[r] else {
-                continue; // mined out: no cells exist for this rank
-            };
-            let sub = SubpathId::from_rank(n, r);
-            for org in Org::ALL {
-                // The footprint rides the maintenance memo discipline
-                // (priced once per (candidate, org), invalidated
-                // together), so one staleness check covers both planes.
-                if space.priced_maintenance(cand, org).is_some()
-                    && space.priced_size(cand, org).is_some()
-                {
-                    continue;
+                    Org::ALL.map(|org| pc::processing_cost(&model, &qld, sub, Choice::Index(org)))
+                });
+                query_costs = Some(shares.collect());
+            }
+            if !claims.is_empty() {
+                let mld = LoadDistribution::build(schema, &st.path, |c| {
+                    let (beta, gamma) = maint[c.index()];
+                    Triplet::new(0.0, beta, gamma)
+                });
+                for &(r, _, org) in claims {
+                    let sub = SubpathId::from_rank(n, r);
+                    cells.push((
+                        pc::processing_cost(&model, &mld, sub, Choice::Index(org)),
+                        model.size_pages(org, sub),
+                    ));
                 }
-                cells.push((
-                    cand,
-                    org,
-                    pc::processing_cost(&model, &mld, sub, Choice::Index(org)),
-                    model.size_pages(org, sub),
-                ));
             }
         }
         RepriceOut { query_costs, cells }
@@ -2591,16 +2553,7 @@ impl<'a> WorkloadAdvisor<'a> {
         let embedded = sub.end < n;
         let candidate = self.space.find(&steps, embedded);
         if let Some(id) = candidate {
-            let memo = (|| {
-                let mut m = [0.0; 3];
-                let mut s = [0.0; 3];
-                for org in Org::ALL {
-                    m[org.index()] = self.space.priced_maintenance(id, org)?;
-                    s[org.index()] = self.space.priced_size(id, org)?;
-                }
-                Some((m, s))
-            })();
-            if let Some((maintenance, size_pages)) = memo {
+            if let Some((maintenance, size_pages)) = self.adopted_prices(id) {
                 let mut subscribers = Vec::new();
                 for st in &self.paths {
                     if st.dirty_query {

@@ -14,6 +14,7 @@ use crate::primitives::{cml, cmt, crl, crr, crt};
 use crate::yao::npa;
 use crate::{CostParams, Org, PathCharacteristics};
 use oic_schema::{Path, Schema, SubpathId};
+use std::sync::OnceLock;
 
 /// Analytic cost model bound to one full path.
 ///
@@ -22,7 +23,9 @@ use oic_schema::{Path, Schema, SubpathId};
 /// physical statistics per subpath are computed once and cached, keyed by
 /// position or dense subpath rank. The per-subpath cost entry points then
 /// read the caches instead of re-deriving the same `O(n·nc)` aggregates for
-/// every one of the `n(n+1)/2 × |Org|` matrix cells.
+/// every one of the `n(n+1)/2 × |Org|` matrix cells. The MX/MIX Yao terms
+/// that do not depend on the subpath (DESIGN.md §5.2) are priced on first
+/// use and reused by every subpath that folds them.
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     schema: &'a Schema,
@@ -41,6 +44,36 @@ pub struct CostModel<'a> {
     mix_ests: Vec<IndexEst>,
     /// Cached NIX statistics per subpath, indexed by [`SubpathId::rank`].
     nix_cache: Vec<NixStats>,
+    /// Memoized MX/MIX leaf terms per position.
+    terms: Vec<LeafTerms>,
+}
+
+/// The `CRT`/`CMT` terms of position `l` that no subpath bound enters: an
+/// MX or MIX index at `l` is the same B-tree, probed with the same
+/// `noid⁺_{l+1}` keys and maintained with the same `nin_{l,x}` records,
+/// whichever subpath `S ∋ l` it belongs to (DESIGN.md §5.2). Each is one
+/// Yao walk (`O(t)` logarithms), priced on first use; a `(sub, l, x)` cost
+/// re-folds the cached values in its original order, so its bits do not
+/// change. `OnceLock` keeps the model `Sync`: workers share it by
+/// reference.
+#[derive(Debug, Clone)]
+struct LeafTerms {
+    /// `CRT(est_mix(l), probe(l), mix_pr(l, None))`.
+    mix_crt_full: OnceLock<f64>,
+    /// Per hierarchy class `x`.
+    classes: Vec<ClassTerms>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct ClassTerms {
+    /// `CRT(est_mx(l, x), probe(l), pr_full)`.
+    mx_crt: OnceLock<f64>,
+    /// `CRT(est_mix(l), probe(l), mix_pr(l, Some(x)))`.
+    mix_crt: OnceLock<f64>,
+    /// `CMT(est_mx(l, x), nin_{l,x}, pm_entry)`.
+    mx_cmt: OnceLock<f64>,
+    /// `CMT(est_mix(l), nin_{l,x}, pm_entry)`.
+    mix_cmt: OnceLock<f64>,
 }
 
 /// NIX physical statistics for one subpath (primary + auxiliary index);
@@ -82,6 +115,7 @@ impl<'a> CostModel<'a> {
             mx_ests: Vec::new(),
             mix_ests: Vec::new(),
             nix_cache: Vec::new(),
+            terms: Self::blank_terms(chars),
         };
         let n = path.len();
         model.mx_ests = (1..=n)
@@ -105,7 +139,18 @@ impl<'a> CostModel<'a> {
     pub fn with_matched_values(mut self, m: f64) -> Self {
         assert!(m >= 1.0, "a predicate matches at least one value");
         self.matched_values = m;
+        // Every memoized retrieval term was priced at the old probe counts.
+        self.terms = Self::blank_terms(self.chars);
         self
+    }
+
+    fn blank_terms(chars: &PathCharacteristics) -> Vec<LeafTerms> {
+        (1..=chars.len())
+            .map(|l| LeafTerms {
+                mix_crt_full: OnceLock::new(),
+                classes: vec![ClassTerms::default(); chars.nc(l)],
+            })
+            .collect()
     }
 
     /// Probe count at position `l`, scaled for range predicates.
@@ -173,44 +218,49 @@ impl<'a> CostModel<'a> {
         &self.mx_ests[l - 1][x]
     }
 
+    /// Retrieval through the MX index of class `(l, x)`, memoized.
+    fn mx_crt(&self, l: usize, x: usize) -> f64 {
+        *self.terms[l - 1].classes[x].mx_crt.get_or_init(|| {
+            let est = self.est_mx(l, x);
+            let pr = est.pr_full(&self.params);
+            crt(est, &self.params, self.probe(l), pr)
+        })
+    }
+
+    /// Entry maintenance in the MX index of class `(l, x)`, memoized.
+    fn mx_cmt(&self, l: usize, x: usize) -> f64 {
+        *self.terms[l - 1].classes[x].mx_cmt.get_or_init(|| {
+            let nin = self.chars.stats(l, x).nin;
+            cmt(self.est_mx(l, x), &self.params, nin, self.params.pm_entry)
+        })
+    }
+
     fn mx_retrieval_tail(&self, sub: SubpathId, from: usize) -> f64 {
         let mut total = 0.0;
         for i in from..=sub.end {
             for j in 0..self.chars.nc(i) {
-                let est = self.est_mx(i, j);
-                let pr = est.pr_full(&self.params);
-                total += crt(est, &self.params, self.probe(i), pr);
+                total += self.mx_crt(i, j);
             }
         }
         total
     }
 
     fn mx_retrieval(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
-        let est = self.est_mx(l, x);
-        let pr = est.pr_full(&self.params);
-        crt(est, &self.params, self.probe(l), pr) + self.mx_retrieval_tail(sub, l + 1)
+        self.mx_crt(l, x) + self.mx_retrieval_tail(sub, l + 1)
     }
 
     fn mx_retrieval_traversal(&self, sub: SubpathId) -> f64 {
         let s = sub.start;
-        let head: f64 = (0..self.chars.nc(s))
-            .map(|x| {
-                let est = self.est_mx(s, x);
-                let pr = est.pr_full(&self.params);
-                crt(est, &self.params, self.probe(s), pr)
-            })
-            .sum();
+        let head: f64 = (0..self.chars.nc(s)).map(|x| self.mx_crt(s, x)).sum();
         head + self.mx_retrieval_tail(sub, s + 1)
     }
 
     fn mx_insert(&self, _sub: SubpathId, l: usize, x: usize) -> f64 {
-        let nin = self.chars.stats(l, x).nin;
-        cmt(self.est_mx(l, x), &self.params, nin, self.params.pm_entry)
+        self.mx_cmt(l, x)
     }
 
     fn mx_delete(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
-        let nin = self.chars.stats(l, x).nin;
-        let mut total = cmt(self.est_mx(l, x), &self.params, nin, self.params.pm_entry);
+        let mut total = self.mx_cmt(l, x);
         if l > sub.start {
             for j in 0..self.chars.nc(l - 1) {
                 total += cml(self.est_mx(l - 1, j), &self.params, self.params.pm_entry);
@@ -278,19 +328,45 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// Whole-record retrieval through the MIX index at `l`, memoized.
+    fn mix_crt_full(&self, l: usize) -> f64 {
+        *self.terms[l - 1].mix_crt_full.get_or_init(|| {
+            let est = self.est_mix(l);
+            crt(est, &self.params, self.probe(l), self.mix_pr(l, None))
+        })
+    }
+
+    /// Retrieval of class `x`'s section through the MIX index at `l`,
+    /// memoized.
+    fn mix_crt(&self, l: usize, x: usize) -> f64 {
+        *self.terms[l - 1].classes[x].mix_crt.get_or_init(|| {
+            let est = self.est_mix(l);
+            let pr = self.mix_pr(l, Some(x));
+            // `CRT` never reads `pr` for an in-page record, and a section
+            // as long as the record is the whole-record term itself.
+            if est.in_page(&self.params) || pr == self.mix_pr(l, None) {
+                self.mix_crt_full(l)
+            } else {
+                crt(est, &self.params, self.probe(l), pr)
+            }
+        })
+    }
+
+    /// Entry maintenance of class `(l, x)` in the MIX index at `l`,
+    /// memoized.
+    fn mix_cmt(&self, l: usize, x: usize) -> f64 {
+        *self.terms[l - 1].classes[x].mix_cmt.get_or_init(|| {
+            let nin = self.chars.stats(l, x).nin;
+            cmt(self.est_mix(l), &self.params, nin, self.params.pm_entry)
+        })
+    }
+
     fn mix_retrieval_tail(&self, sub: SubpathId, from: usize) -> f64 {
-        (from..=sub.end)
-            .map(|i| {
-                let est = self.est_mix(i);
-                crt(est, &self.params, self.probe(i), self.mix_pr(i, None))
-            })
-            .sum()
+        (from..=sub.end).map(|i| self.mix_crt_full(i)).sum()
     }
 
     fn mix_retrieval(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
-        let est = self.est_mix(l);
-        crt(est, &self.params, self.probe(l), self.mix_pr(l, Some(x)))
-            + self.mix_retrieval_tail(sub, l + 1)
+        self.mix_crt(l, x) + self.mix_retrieval_tail(sub, l + 1)
     }
 
     fn mix_retrieval_traversal(&self, sub: SubpathId) -> f64 {
@@ -298,13 +374,11 @@ impl<'a> CostModel<'a> {
     }
 
     fn mix_insert(&self, _sub: SubpathId, l: usize, x: usize) -> f64 {
-        let nin = self.chars.stats(l, x).nin;
-        cmt(self.est_mix(l), &self.params, nin, self.params.pm_entry)
+        self.mix_cmt(l, x)
     }
 
     fn mix_delete(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
-        let nin = self.chars.stats(l, x).nin;
-        let mut total = cmt(self.est_mix(l), &self.params, nin, self.params.pm_entry);
+        let mut total = self.mix_cmt(l, x);
         if l > sub.start {
             total += cml(self.est_mix(l - 1), &self.params, self.params.pm_entry);
         }
@@ -909,6 +983,238 @@ mod tests {
         );
         let nix_q = m.retrieval(Org::Nix, sub(1, 4), 4, 0);
         assert!(nix_q < stats.primary.pr_full(m.params()) + stats.primary.height as f64);
+    }
+
+    /// The leaf-term memo's oracle: MX/MIX costs as they were priced
+    /// before the memo existed — every `CRT`/`CMT` term walked again for
+    /// every `(sub, l, x)`, straight through `crt`/`cmt`, in the same fold
+    /// order. NIX has no subpath-independent term and no memo; its arms
+    /// call the model's own pricing.
+    mod from_scratch {
+        use super::super::*;
+
+        fn mx_crt(m: &CostModel<'_>, l: usize, x: usize) -> f64 {
+            let est = m.est_mx(l, x);
+            crt(est, &m.params, m.probe(l), est.pr_full(&m.params))
+        }
+
+        fn mix_crt(m: &CostModel<'_>, l: usize, class: Option<usize>) -> f64 {
+            crt(m.est_mix(l), &m.params, m.probe(l), m.mix_pr(l, class))
+        }
+
+        fn mx_tail(m: &CostModel<'_>, sub: SubpathId, from: usize) -> f64 {
+            let mut total = 0.0;
+            for i in from..=sub.end {
+                for j in 0..m.chars.nc(i) {
+                    total += mx_crt(m, i, j);
+                }
+            }
+            total
+        }
+
+        fn mix_tail(m: &CostModel<'_>, sub: SubpathId, from: usize) -> f64 {
+            (from..=sub.end).map(|i| mix_crt(m, i, None)).sum()
+        }
+
+        pub fn retrieval(m: &CostModel<'_>, org: Org, sub: SubpathId, l: usize, x: usize) -> f64 {
+            match org {
+                Org::Mx => mx_crt(m, l, x) + mx_tail(m, sub, l + 1),
+                Org::Mix => mix_crt(m, l, Some(x)) + mix_tail(m, sub, l + 1),
+                Org::Nix => m.nix_retrieval(sub, l, x),
+            }
+        }
+
+        pub fn retrieval_traversal(m: &CostModel<'_>, org: Org, sub: SubpathId) -> f64 {
+            let s = sub.start;
+            match org {
+                Org::Mx => {
+                    let head: f64 = (0..m.chars.nc(s)).map(|x| mx_crt(m, s, x)).sum();
+                    head + mx_tail(m, sub, s + 1)
+                }
+                Org::Mix => mix_tail(m, sub, s),
+                Org::Nix => m.nix_retrieval_traversal(sub),
+            }
+        }
+
+        pub fn maint_insert(
+            m: &CostModel<'_>,
+            org: Org,
+            sub: SubpathId,
+            l: usize,
+            x: usize,
+        ) -> f64 {
+            let nin = m.chars.stats(l, x).nin;
+            match org {
+                Org::Mx => cmt(m.est_mx(l, x), &m.params, nin, m.params.pm_entry),
+                Org::Mix => cmt(m.est_mix(l), &m.params, nin, m.params.pm_entry),
+                Org::Nix => m.nix_insert(sub, l, x),
+            }
+        }
+
+        pub fn maint_delete(
+            m: &CostModel<'_>,
+            org: Org,
+            sub: SubpathId,
+            l: usize,
+            x: usize,
+        ) -> f64 {
+            let pm = m.params.pm_entry;
+            let mut total = maint_insert(m, org, sub, l, x);
+            match org {
+                Org::Mx if l > sub.start => {
+                    for j in 0..m.chars.nc(l - 1) {
+                        total += cml(m.est_mx(l - 1, j), &m.params, pm);
+                    }
+                }
+                Org::Mix if l > sub.start => total += cml(m.est_mix(l - 1), &m.params, pm),
+                Org::Nix => return m.nix_delete(sub, l, x),
+                _ => {}
+            }
+            total
+        }
+    }
+
+    /// A chain `P1.a.a…` of `shape.len()` positions; position `l` roots a
+    /// hierarchy of `shape[l-1].0` classes and `shape[l-1].1` says whether
+    /// its step is multi-valued. The path ends on an atomic attribute or,
+    /// with `atomic_end` off, on a reference.
+    fn chain(shape: &[(usize, bool)], atomic_end: bool) -> (Schema, Path) {
+        use oic_schema::{AtomicType, Cardinality, SchemaBuilder};
+        let mut b = SchemaBuilder::new();
+        let n = shape.len();
+        let roots: Vec<_> = (0..=n)
+            .map(|i| b.declare(format!("P{}", i + 1)).unwrap())
+            .collect();
+        for (i, &(nc, multi)) in shape.iter().enumerate() {
+            if i + 1 == n && atomic_end {
+                b.atomic(roots[i], "a", AtomicType::Int).unwrap();
+            } else {
+                let card = if multi {
+                    Cardinality::Multi
+                } else {
+                    Cardinality::Single
+                };
+                b.reference(roots[i], "a", roots[i + 1], card).unwrap();
+            }
+            for j in 1..nc {
+                b.subclass(format!("P{}S{j}", i + 1), roots[i], vec![])
+                    .unwrap();
+            }
+        }
+        let schema = b.build().unwrap();
+        let path = Path::new(&schema, roots[0], &vec!["a"; n]).unwrap();
+        (schema, path)
+    }
+
+    fn assert_matches_from_scratch(m: &CostModel<'_>) {
+        for sub in m.path.subpath_ids() {
+            for org in Org::ALL {
+                let ctx = format!("{org} S{sub}");
+                assert_eq!(
+                    m.retrieval_traversal(org, sub).to_bits(),
+                    from_scratch::retrieval_traversal(m, org, sub).to_bits(),
+                    "{ctx} traversal"
+                );
+                for l in sub.start..=sub.end {
+                    for x in 0..m.chars.nc(l) {
+                        let got = [
+                            m.retrieval(org, sub, l, x),
+                            m.maint_insert(org, sub, l, x),
+                            m.maint_delete(org, sub, l, x),
+                        ];
+                        let want = [
+                            from_scratch::retrieval(m, org, sub, l, x),
+                            from_scratch::maint_insert(m, org, sub, l, x),
+                            from_scratch::maint_delete(m, org, sub, l, x),
+                        ];
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "{ctx} ({l},{x})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// Memoized leaf terms change no bit of any MX/MIX cost: random
+        /// chains of up to 8 positions with hierarchies of 1–3 classes,
+        /// statistics spread wide enough for in-page and spanning records
+        /// on small and large pages, section and whole-record reads.
+        #[test]
+        fn memoized_costs_equal_the_from_scratch_reference(
+            shape in proptest::collection::vec((1usize..=3, proptest::prelude::any::<bool>()), 1..=8),
+            stats in proptest::collection::vec((10.0f64..20_000.0, 0.0005f64..1.0, 1.0f64..6.0), 8),
+            page in proptest::sample::select(vec![256.0, 1024.0, 4096.0]),
+            whole_record_reads in proptest::prelude::any::<bool>(),
+            atomic_end in proptest::prelude::any::<bool>(),
+            matched in proptest::sample::select(vec![1.0, 12.5]),
+        ) {
+            let (schema, path) = chain(&shape, atomic_end);
+            let chars = PathCharacteristics::build(&schema, &path, |c| {
+                let (n, d, nin) = stats[c.index() % stats.len()];
+                crate::ClassStats::new(n.round(), (n * d).round().max(1.0), nin)
+            });
+            let params = CostParams { whole_record_reads, ..CostParams::with_page_size(page) };
+            let m = CostModel::new(&schema, &path, &chars, params).with_matched_values(matched);
+            assert_matches_from_scratch(&m);
+            // Second read: every term now comes out of the memo.
+            assert_matches_from_scratch(&m);
+        }
+    }
+
+    #[test]
+    fn reference_covers_in_page_and_spanning_records() {
+        // The property above is only as good as its inputs: its domain
+        // must reach both CRT branches for MX and MIX.
+        let (schema, path) = chain(&[(3, true), (2, false)], true);
+        for (d, spanning) in [(50_000.0, false), (20.0, true)] {
+            let chars = PathCharacteristics::build(&schema, &path, |_| {
+                crate::ClassStats::new(50_000.0, d, 2.0)
+            });
+            let m = CostModel::new(&schema, &path, &chars, CostParams::with_page_size(1024.0));
+            assert_eq!(!m.est_mx(1, 0).in_page(&m.params), spanning);
+            assert_eq!(!m.est_mix(1).in_page(&m.params), spanning);
+            assert_matches_from_scratch(&m);
+        }
+    }
+
+    #[test]
+    fn with_matched_values_invalidates_the_leaf_term_memo() {
+        let f = fixture();
+        let params = CostParams::paper();
+        let eq = CostModel::new(&f.schema, &f.path, &f.chars, params);
+        let full = sub(1, 4);
+        // Fill the memo at m = 1, then widen the predicate.
+        let at_one = Org::ALL.map(|org| eq.retrieval(org, full, 1, 0));
+        let widened = eq.with_matched_values(20.0);
+        let fresh = CostModel::new(&f.schema, &f.path, &f.chars, params).with_matched_values(20.0);
+        for org in Org::ALL {
+            assert!(
+                widened.retrieval(org, full, 1, 0) > at_one[org.index()],
+                "{org}"
+            );
+            for ids in f.path.subpath_ids() {
+                assert_eq!(
+                    widened.retrieval_traversal(org, ids).to_bits(),
+                    fresh.retrieval_traversal(org, ids).to_bits()
+                );
+                for l in ids.start..=ids.end {
+                    for x in 0..f.chars.nc(l) {
+                        assert_eq!(
+                            widened.retrieval(org, ids, l, x).to_bits(),
+                            fresh.retrieval(org, ids, l, x).to_bits(),
+                            "{org} S{ids} ({l},{x})"
+                        );
+                    }
+                }
+            }
+        }
+        assert_matches_from_scratch(&widened);
     }
 
     #[test]

@@ -11,13 +11,45 @@
 //! component order, value-sorted float reductions — so nothing may move by
 //! even one ulp (DESIGN.md §5.13).
 
-use oic_core::{BudgetedWorkloadPlan, WorkloadPlan};
-use oic_cost::CostParams;
+use oic_core::{BudgetedWorkloadPlan, CandidateId, WorkloadAdvisor, WorkloadPlan};
+use oic_cost::{CostParams, Org};
+use oic_schema::SubpathId;
 use oic_sim::{synth_forest, DriftSim, DriftSpec, ForestSpec};
 use proptest::prelude::*;
 
 /// Thread counts under test: the sequential engine and two pool shapes.
 const LANES: [usize; 3] = [1, 2, 8];
+
+/// One memo cell: candidate, organization column, maintenance bits and
+/// footprint bits (`None` = unpriced).
+type MemoCell = (CandidateId, usize, Option<u64>, Option<u64>);
+
+/// Every `(candidate, organization)` memo cell the advisor's live paths
+/// expose, each once, in candidate order.
+fn memo_cells(adv: &WorkloadAdvisor<'_>) -> Vec<MemoCell> {
+    let space = adv.candidate_space();
+    let mut cells = Vec::new();
+    for id in adv.path_ids() {
+        let path = adv.path(id).expect("live path");
+        for r in 0..SubpathId::count(path.len()) {
+            let sub = SubpathId::from_rank(path.len(), r);
+            let cand = space
+                .find(&path.step_keys(sub), sub.end < path.len())
+                .expect("default mining admits every subpath");
+            for org in Org::ALL {
+                cells.push((
+                    cand,
+                    org.index(),
+                    space.priced_maintenance(cand, org).map(f64::to_bits),
+                    space.priced_size(cand, org).map(f64::to_bits),
+                ));
+            }
+        }
+    }
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -69,6 +101,57 @@ proptest! {
                     plan,
                     &format!("epoch {epoch} reoptimize, {lanes} lanes"),
                 );
+            }
+        }
+    }
+
+    /// Pricing is exactly-once where paths share candidates (DESIGN.md
+    /// §5.13): cold and after churn, an epoch prices precisely the cells
+    /// that were unpriced when it began — never one per dirty owner — and
+    /// the counters and every memo bit agree across thread counts. (Debug
+    /// builds also assert, inside the merge, that no installed cell was
+    /// already priced.)
+    #[test]
+    fn shared_cells_are_priced_exactly_once_on_any_lane_count(
+        seed in 0u64..1_000,
+        drift_seed in 0u64..1_000,
+        roots in 2usize..=4,
+        paths in 24usize..=64,
+    ) {
+        let w = synth_forest(&ForestSpec { roots, paths, depth: 4, fanout: 2, seed });
+        let mut epochs: Vec<Vec<(WorkloadPlan, Vec<MemoCell>)>> = Vec::new();
+        for &lanes in &LANES {
+            let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+            let mut sim = DriftSim::new(&w, DriftSpec { seed: drift_seed, ..DriftSpec::default() });
+            prop_assert!(
+                w.subpath_instances() > adv.candidate_space().len(),
+                "the workload shares candidates"
+            );
+            let mut run = Vec::new();
+            for epoch in 0..3 {
+                if epoch > 0 {
+                    sim.step(&mut adv);
+                }
+                let unpriced = memo_cells(&adv).iter().filter(|c| c.2.is_none()).count() as u64;
+                let before = adv.candidate_space().maintenance_pricings();
+                let plan = adv.reoptimize();
+                prop_assert_eq!(plan.epoch_pricings, unpriced, "epoch {}, {} lanes", epoch, lanes);
+                prop_assert_eq!(plan.maintenance_pricings, before + unpriced);
+                prop_assert_eq!(adv.candidate_space().size_pricings(), plan.maintenance_pricings);
+                let cells = memo_cells(&adv);
+                prop_assert!(cells.iter().all(|c| c.2.is_some() && c.3.is_some()));
+                run.push((plan, cells));
+            }
+            // Cold, every live cell is priced; churn re-prices some.
+            prop_assert_eq!(run[0].0.epoch_pricings, run[0].1.len() as u64);
+            prop_assert!(run[1].0.epoch_pricings + run[2].0.epoch_pricings > 0);
+            epochs.push(run);
+        }
+        for (run, &lanes) in epochs.iter().zip(&LANES).skip(1) {
+            for (epoch, ((plan, cells), (plan1, cells1))) in run.iter().zip(&epochs[0]).enumerate() {
+                prop_assert_eq!(plan.epoch_pricings, plan1.epoch_pricings);
+                prop_assert_eq!(plan.maintenance_pricings, plan1.maintenance_pricings);
+                prop_assert!(cells == cells1, "memo bits, epoch {}, {} lanes", epoch, lanes);
             }
         }
     }
