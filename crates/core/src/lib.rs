@@ -21,8 +21,8 @@
 //!    [`select::exhaustive`] is the brute-force baseline used for
 //!    verification and for the complexity experiment.
 //! 4. Section 6 extensions: a *no-index* choice per subpath
-//!    ([`extensions::noindex`]) and a *multi-path* advisor
-//!    ([`extensions::multipath`]).
+//!    ([`extensions::noindex`]); the paper's other open question, index
+//!    configurations for n paths at once, is item 5.
 //! 5. Workload scale: [`space::CandidateSpace`] interns physical subpath
 //!    candidates across paths (refcounted, with class-keyed invalidation);
 //!    [`workload_advisor::WorkloadAdvisor`] is an online engine selecting

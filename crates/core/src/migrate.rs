@@ -30,12 +30,12 @@
 //! same memo machinery as [`WorkloadAdvisor::price_plan`]: per-piece query
 //! shares are read from the adopted query-cost memos and per-index
 //! maintenance from the [`WhatIfReport`](crate::WhatIfReport) memo arm,
-//! and the interim fold replicates `selection_totals` exactly (one running
-//! query accumulator in live-path order, distinct maintenance collected
-//! and summed in `total_cmp` order). The schedule's `initial_cost` equals
-//! `price_plan(current)` and `final_cost` equals `price_plan(target)`
-//! **bitwise** — the planner never invents a number `optimize()` would not
-//! quote.
+//! and the interim fold is the advisor's own ledger fold (per-path query
+//! subtotals in live-path order, distinct maintenance summed in value
+//! order). The schedule's `initial_cost` equals `price_plan(current)` and
+//! `final_cost` equals `price_plan(target)` — which is the target's own
+//! `total_cost` — **bitwise**: the planner never invents a number
+//! `optimize()` would not quote.
 //!
 //! **Mid-migration churn.** The planner survives the workload evolving
 //! under it: [`MigrationPlanner::retarget`] re-syncs the path set and
@@ -46,7 +46,7 @@
 //! a departing path no longer justifies.
 
 use crate::space::CandidateStep;
-use crate::workload_advisor::{PathId, WorkloadAdvisor, WorkloadPlan};
+use crate::workload_advisor::{ledger, PathId, WorkloadAdvisor, WorkloadPlan};
 use crate::Choice;
 use oic_cost::Org;
 use oic_schema::SubpathId;
@@ -378,26 +378,15 @@ impl MigrationPlanner {
 
     /// The unit workload cost of the planner's present interim state:
     /// every path's active arm's query shares plus the maintenance of
-    /// every *built* index, once. The fold replicates the advisor's
-    /// `selection_totals` (single query accumulator in live-path order;
-    /// distinct maintenance summed in `total_cmp` order), so a state where
-    /// every path runs one plan consistently prices bit-equal to
-    /// [`WorkloadAdvisor::price_plan`] on that plan.
+    /// every *built* index, once — through the advisor's ledger fold, so a
+    /// state where every path runs one plan consistently prices bit-equal
+    /// to [`WorkloadAdvisor::price_plan`] on that plan, and to the plan's
+    /// own `total_cost` when this advisor quoted it.
     pub fn current_cost(&self) -> f64 {
-        let mut query = 0.0;
-        for p in &self.paths {
-            for piece in p.active() {
-                query += piece.query;
-            }
-        }
-        let mut maint: Vec<f64> = self
-            .indexes
-            .values()
-            .filter(|i| i.built)
-            .map(|i| i.maintenance)
-            .collect();
-        maint.sort_by(f64::total_cmp);
-        query + maint.iter().sum::<f64>()
+        let built = self.indexes.values().filter(|i| i.built);
+        let maintenance = ledger::sorted(built.map(|i| i.maintenance).collect());
+        let query = |p: &PathArm| ledger::subtotal(p.active().iter().map(|piece| piece.query));
+        ledger::objective(self.paths.iter().map(query), &maintenance)
     }
 
     /// The planner's schedule: benefit-per-page ordering with the

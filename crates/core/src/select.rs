@@ -5,6 +5,7 @@
 //! size)` Pareto label sets through the same recurrence and answers *"the
 //! cheapest configuration within a page budget"* for any budget at once.
 
+use crate::trace::TraceEvent;
 use crate::{Choice, CostMatrix, IndexConfiguration};
 use oic_schema::SubpathId;
 
@@ -48,6 +49,16 @@ pub struct SelectionResult {
 /// configuration containing it; a piece that completes the path is always
 /// evaluated against `PC_min` (computing its total *is* the evaluation).
 pub fn opt_ind_con(matrix: &CostMatrix) -> SelectionResult {
+    search(matrix, |_| ())
+}
+
+/// [`opt_ind_con`] reporting every evaluation and cut-off, in search
+/// order, to `sink`. The event is handed over unbuilt, so a sink that
+/// ignores it (the plain search) pays nothing for the narration.
+pub(crate) fn search(
+    matrix: &CostMatrix,
+    sink: impl FnMut(&dyn Fn() -> TraceEvent),
+) -> SelectionResult {
     let n = matrix.path_len();
     let mut state = Search {
         matrix,
@@ -56,9 +67,10 @@ pub fn opt_ind_con(matrix: &CostMatrix) -> SelectionResult {
         best_cost: f64::INFINITY,
         evaluated: 0,
         pruned: 0,
+        sink,
     };
     state.descend(1, 0.0, &mut Vec::new());
-    let best = IndexConfiguration::new(state.best.clone(), n)
+    let best = IndexConfiguration::new(state.best, n)
         .expect("search always finds a covering configuration");
     SelectionResult {
         best,
@@ -432,43 +444,51 @@ pub fn exhaustive_frontier(matrix: &CostMatrix) -> Vec<(f64, f64)> {
     prune_pairs(all)
 }
 
-struct Search<'a> {
+struct Search<'a, S> {
     matrix: &'a CostMatrix,
     n: usize,
     best: Vec<(SubpathId, Choice)>,
     best_cost: f64,
     evaluated: u64,
     pruned: u64,
+    sink: S,
 }
 
-impl Search<'_> {
-    fn descend(&mut self, start: usize, acc: f64, prefix: &mut Vec<(SubpathId, Choice)>) {
+impl<S: FnMut(&dyn Fn() -> TraceEvent)> Search<'_, S> {
+    fn descend(&mut self, start: usize, acc: f64, pieces: &mut Vec<(SubpathId, Choice)>) {
         // Longest-first, per the paper's walkthrough.
         for end in (start..=self.n).rev() {
             let sub = SubpathId { start, end };
             let (choice, cost) = self.matrix.min_cost(sub);
             let total = acc + cost;
+            pieces.push((sub, choice));
             if end == self.n {
                 // Completing piece: computing the sum is the evaluation.
                 self.evaluated += 1;
-                if total < self.best_cost {
+                let new_best = total < self.best_cost;
+                if new_best {
                     self.best_cost = total;
-                    self.best = prefix
-                        .iter()
-                        .copied()
-                        .chain(std::iter::once((sub, choice)))
-                        .collect();
+                    self.best.clone_from(pieces);
                 }
+                (self.sink)(&|| TraceEvent::Evaluated {
+                    pieces: pieces.clone(),
+                    cost: total,
+                    new_best,
+                });
             } else if total >= self.best_cost {
                 // “… the index configuration including S will not be
                 // considered any longer since its processing cost will be
                 // higher than the processing cost of the best one.”
                 self.pruned += 1;
+                (self.sink)(&|| TraceEvent::Pruned {
+                    pieces: pieces.clone(),
+                    accumulated: total,
+                    bound: self.best_cost,
+                });
             } else {
-                prefix.push((sub, choice));
-                self.descend(end + 1, total, prefix);
-                prefix.pop();
+                self.descend(end + 1, total, pieces);
             }
+            pieces.pop();
         }
     }
 }
@@ -555,7 +575,7 @@ pub fn exhaustive(matrix: &CostMatrix) -> SelectionResult {
 ///
 /// Bans are the one context the mask does not see: the advisor's eviction
 /// trials re-validate per rank that no banned candidate participates in a
-/// bound before applying it (`priced_matrix_inner`'s carve-outs).
+/// bound before applying it (`workload_advisor`'s `priced_matrix` carve-outs).
 pub fn prune_dominated(
     query: &[[f64; 3]],
     maint: &[[f64; 3]],
@@ -1111,7 +1131,7 @@ mod tests {
     /// leaves the DP's cost *bits* and its tie-broken selection unchanged
     /// — on the uncovered pricing, under random coverage (covered cells
     /// pay query only and bypass the mask, exactly as
-    /// `priced_matrix_inner` prices them), and under every λ-priced
+    /// the advisor's `priced_matrix` prices them), and under every λ-priced
     /// objective `q + m + λ·s` the budgeted sweeps construct.
     #[test]
     fn masked_dp_is_bit_identical_on_random_grids() {

@@ -3,8 +3,8 @@
 //! Section 5 (“We start with the index configuration {P, NIX} … Then the
 //! path will be split into S1,n−1 and Sn,n …”).
 
-use crate::select::SelectionResult;
-use crate::{Choice, CostMatrix, IndexConfiguration};
+use crate::select::{search, SelectionResult};
+use crate::{Choice, CostMatrix};
 use oic_schema::SubpathId;
 use std::fmt;
 
@@ -66,84 +66,9 @@ impl fmt::Display for TraceEvent {
 /// Runs `Opt_Ind_Con` while recording every evaluation and pruning decision
 /// in search order. Returns the selection result together with the trace.
 pub fn opt_ind_con_traced(matrix: &CostMatrix) -> (SelectionResult, Vec<TraceEvent>) {
-    let n = matrix.path_len();
-    let mut state = Traced {
-        matrix,
-        n,
-        best: Vec::new(),
-        best_cost: f64::INFINITY,
-        events: Vec::new(),
-    };
-    state.descend(1, 0.0, &mut Vec::new());
-    let evaluated = state
-        .events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Evaluated { .. }))
-        .count() as u64;
-    let pruned = state
-        .events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Pruned { .. }))
-        .count() as u64;
-    let result = SelectionResult {
-        best: IndexConfiguration::new(state.best.clone(), n)
-            .expect("search finds a covering configuration"),
-        cost: state.best_cost,
-        evaluated,
-        pruned,
-        candidate_space: 1u64 << (n - 1),
-    };
-    (result, state.events)
-}
-
-struct Traced<'a> {
-    matrix: &'a CostMatrix,
-    n: usize,
-    best: Vec<(SubpathId, Choice)>,
-    best_cost: f64,
-    events: Vec<TraceEvent>,
-}
-
-impl Traced<'_> {
-    fn descend(&mut self, start: usize, acc: f64, prefix: &mut Vec<(SubpathId, Choice)>) {
-        for end in (start..=self.n).rev() {
-            let sub = SubpathId { start, end };
-            let (choice, cost) = self.matrix.min_cost(sub);
-            let total = acc + cost;
-            if end == self.n {
-                let pieces: Vec<(SubpathId, Choice)> = prefix
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once((sub, choice)))
-                    .collect();
-                let new_best = total < self.best_cost;
-                if new_best {
-                    self.best_cost = total;
-                    self.best = pieces.clone();
-                }
-                self.events.push(TraceEvent::Evaluated {
-                    pieces,
-                    cost: total,
-                    new_best,
-                });
-            } else if total >= self.best_cost {
-                let pieces: Vec<(SubpathId, Choice)> = prefix
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once((sub, choice)))
-                    .collect();
-                self.events.push(TraceEvent::Pruned {
-                    pieces,
-                    accumulated: total,
-                    bound: self.best_cost,
-                });
-            } else {
-                prefix.push((sub, choice));
-                self.descend(end + 1, total, prefix);
-                prefix.pop();
-            }
-        }
-    }
+    let mut events = Vec::new();
+    let result = search(matrix, |event| events.push(event()));
+    (result, events)
 }
 
 #[cfg(test)]
@@ -197,14 +122,22 @@ mod tests {
 
     #[test]
     fn traced_and_plain_agree() {
-        let m = fig6_matrix();
-        let plain = opt_ind_con(&m);
-        let (traced, events) = opt_ind_con_traced(&m);
-        assert_eq!(plain.cost, traced.cost);
-        assert_eq!(plain.best.pairs(), traced.best.pairs());
-        assert_eq!(plain.evaluated, traced.evaluated);
-        assert_eq!(plain.pruned, traced.pruned);
-        assert!(!events.is_empty());
+        // Fig. 6, and a 70-position path (past the 64 where `2^(n-1)`
+        // saturates) whose whole-path index wins at once.
+        let ranks = SubpathId::count(70);
+        let long: Vec<_> = (0..ranks)
+            .map(|r| (SubpathId::from_rank(70, r), [(ranks - r) as f64; 3]))
+            .collect();
+        for m in [fig6_matrix(), CostMatrix::from_values(70, &long)] {
+            let plain = opt_ind_con(&m);
+            let (traced, events) = opt_ind_con_traced(&m);
+            assert_eq!(plain.cost, traced.cost);
+            assert_eq!(plain.best.pairs(), traced.best.pairs());
+            assert_eq!(plain.evaluated, traced.evaluated);
+            assert_eq!(plain.pruned, traced.pruned);
+            assert_eq!(plain.candidate_space, traced.candidate_space);
+            assert_eq!((plain.evaluated + plain.pruned) as usize, events.len());
+        }
     }
 
     #[test]

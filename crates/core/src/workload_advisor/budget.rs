@@ -1,0 +1,658 @@
+//! Selection under a shared page budget (DESIGN.md §5.12): λ-priced
+//! sweeps, the recorded eviction descent and the frontier repair pass.
+
+use super::descent::MAX_SWEEPS;
+use super::ledger::{self, Ledger, Pair};
+use super::pricing::{matrix_selection, priced_matrix, to_selection, true_marginal, Bans, Pricing};
+use super::state::PathState;
+use super::{Selection, WorkloadAdvisor, WorkloadPlan};
+use crate::select::frontier_dp;
+use std::collections::{HashMap, HashSet};
+
+/// One eviction trial's outcome: the re-selected owners of the banned
+/// index, ascending by path index (a path never repeats a class, so its
+/// ranks are distinct candidates and it owns an index at most once) —
+/// everything a trial changes. `None` when the ban left some owner
+/// uncoverable.
+type Reselection = Option<Vec<(usize, Selection)>>;
+
+/// A [`WorkloadPlan`] selected under a shared page budget, with the
+/// telemetry of the search that found it: λ-priced sweeps (bracketing +
+/// bisection), the greedy eviction descent, and the frontier repair pass.
+/// Produced by [`WorkloadAdvisor::optimize_with_budget`].
+#[derive(Debug)]
+pub struct BudgetedWorkloadPlan {
+    /// The selected plan; [`WorkloadPlan::size_pages`] is its footprint
+    /// (each distinct physical index's pages counted once).
+    pub plan: WorkloadPlan,
+    /// The budget the selection ran under.
+    pub budget_pages: f64,
+    /// Whether the plan fits the budget. `false` only when even the most
+    /// size-averse sweep exceeds it (budget below the workload's minimum
+    /// footprint); the returned plan is then that leanest plan.
+    pub feasible: bool,
+    /// The Lagrange multiplier of the λ sweep that produced the plan; 0
+    /// when the plan did not come from a λ sweep — the unconstrained
+    /// optimum already fit, or the greedy eviction descent won.
+    pub lambda: f64,
+    /// λ-priced coordinate-descent sweeps run (bracketing + bisection) —
+    /// one of the search's two directions; the other is the eviction
+    /// descent counted by [`Self::evictions`].
+    pub lambda_sweeps: usize,
+    /// Per-path selections replaced by the frontier repair pass.
+    pub repairs: usize,
+    /// Evictions between the unconstrained optimum and the point where the
+    /// eviction descent met the budget (or dead-ended) — whether or not
+    /// that point beat the λ sweeps. A logical count: the same for a call
+    /// served from the advisor's recorded descent trail and for a cold
+    /// one, for every lane count. 0 when the budget was slack.
+    pub evictions: usize,
+    /// Eviction trials this call actually ran (each bans one physical
+    /// index and re-selects all of its owners with a frontier DP). A work
+    /// counter like the inner epoch's `dp_runs`: trials answered from the
+    /// other components' previous round, and whole rounds answered from
+    /// the recorded trail, are not counted — so it is 0 for a call the
+    /// trail serves outright and is excluded from the identity asserts.
+    pub eviction_trials: u64,
+    /// Cost of the unconstrained optimum (the budget-∞ baseline).
+    pub unconstrained_cost: f64,
+    /// Footprint of the unconstrained optimum.
+    pub unconstrained_size: f64,
+}
+
+impl BudgetedWorkloadPlan {
+    /// `total_cost / unconstrained_cost` — the price of the budget, ≥ 1 up
+    /// to float noise (1 when the budget is slack).
+    pub fn cost_ratio(&self) -> f64 {
+        self.plan.total_cost / self.unconstrained_cost
+    }
+
+    /// [`WorkloadPlan::assert_bit_identical_to`] extended over the budget
+    /// search's own outcome: feasibility, the winning λ, and the
+    /// sweep/repair/eviction telemetry must match too (all but the
+    /// `eviction_trials` work counter, which depends on what the advisor's
+    /// descent trail already held).
+    pub fn assert_bit_identical_to(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
+        self.plan.assert_bit_identical_to(&other.plan, ctx);
+        self.assert_same_search(other, ctx);
+    }
+
+    /// [`WorkloadPlan::assert_same_plan`] extended over the budget
+    /// search's outcome: everything except the work counters (the inner
+    /// epoch's, and `eviction_trials`) must agree — what a call served
+    /// from the recorded descent trail shares with a cold one.
+    pub fn assert_same_plan(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
+        self.plan.assert_same_plan(&other.plan, ctx);
+        self.assert_same_search(other, ctx);
+    }
+
+    /// The budget search's own outcome, common to both asserts above.
+    fn assert_same_search(&self, other: &BudgetedWorkloadPlan, ctx: &str) {
+        assert_eq!(self.feasible, other.feasible, "{ctx}: feasibility");
+        assert_eq!(self.lambda_sweeps, other.lambda_sweeps, "{ctx}: λ sweeps");
+        assert_eq!(self.repairs, other.repairs, "{ctx}: repairs");
+        assert_eq!(self.evictions, other.evictions, "{ctx}: evictions");
+        for (what, a, b) in [
+            ("λ", self.lambda, other.lambda),
+            (
+                "unconstrained cost",
+                self.unconstrained_cost,
+                other.unconstrained_cost,
+            ),
+            (
+                "unconstrained size",
+                self.unconstrained_size,
+                other.unconstrained_size,
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {what}");
+        }
+    }
+}
+
+/// The budgeted search's eviction descent from the unconstrained optimum,
+/// as far as some call has walked it. The walk reads the budget only in
+/// its stop test — which index to evict next depends on the selections and
+/// the bans alone — so one trail serves every budget: a looser budget
+/// lands on an earlier step, a tighter one extends the walk from the end.
+pub(super) struct EvictionTrail {
+    /// Candidate-sharing component of each live path (index into the
+    /// advisor's path list → component number).
+    comp_of: Vec<usize>,
+    /// One step per adopted eviction. Footprints strictly decrease.
+    steps: Vec<TrailStep>,
+    /// Every index evicted so far; they stay banned so a later owner's
+    /// re-selection cannot smuggle one back.
+    banned: HashSet<Pair>,
+    /// The walk found no eviction that frees a page at the last step: no
+    /// budget below that step's footprint is reachable.
+    dead_end: bool,
+    /// Per component, the re-selections of the trials run against that
+    /// component's current selections and bans. An eviction changes both
+    /// inside one component only, so it clears that component's entry and
+    /// every other trial keeps its re-selection for the next round.
+    trials: Vec<HashMap<Pair, Reselection>>,
+}
+
+/// One adopted eviction: the owners it re-selected and the workload's
+/// true `(cost, size)` afterwards, bit-identical to the [`Ledger`] totals
+/// of the resulting selections.
+struct TrailStep {
+    changed: Vec<(usize, Selection)>,
+    cost: f64,
+    size: f64,
+}
+
+impl EvictionTrail {
+    /// An unwalked trail over `paths` live paths grouped into `components`.
+    fn new(components: &[Vec<usize>], paths: usize) -> Self {
+        let mut comp_of = vec![0; paths];
+        for (c, comp) in components.iter().enumerate() {
+            for &i in comp {
+                comp_of[i] = c;
+            }
+        }
+        EvictionTrail {
+            comp_of,
+            steps: Vec::new(),
+            banned: HashSet::new(),
+            dead_end: false,
+            trials: vec![HashMap::new(); components.len()],
+        }
+    }
+
+    /// The selections after the first `steps` evictions, from the
+    /// unconstrained `base`.
+    fn selections_at(&self, base: &[Selection], steps: usize) -> Vec<Selection> {
+        let mut selections = base.to_vec();
+        for step in &self.steps[..steps] {
+            for (i, sel) in &step.changed {
+                selections[*i].clone_from(sel);
+            }
+        }
+        selections
+    }
+}
+
+/// A search result: the selections, their true `(cost, size)`, and the λ
+/// that produced them (0 = not from a λ sweep).
+type Found = (Vec<Selection>, f64, f64, f64);
+
+/// The budget search's incumbents: the cheapest result that fits, and —
+/// until one does — the leanest seen (reported, flagged infeasible, when
+/// nothing fits).
+#[derive(Default)]
+struct Incumbents {
+    best: Option<Found>,
+    leanest: Option<Found>,
+}
+
+impl Incumbents {
+    fn offer(&mut self, budget_pages: f64, found: Found) {
+        let (cost, size) = (found.1, found.2);
+        let leaner = |b: &Found| size < b.2 || (size == b.2 && cost < b.1);
+        if size <= budget_pages {
+            if self.best.as_ref().map_or(true, |b| cost < b.1) {
+                self.best = Some(found);
+            }
+        } else if self.best.is_none() && self.leanest.as_ref().map_or(true, leaner) {
+            self.leanest = Some(found);
+        }
+    }
+}
+
+impl WorkloadAdvisor<'_> {
+    /// One full coordinate-descent pass pricing `cost + λ·size` — the
+    /// unconstrained sweep in a Lagrangian-relaxed objective, over the
+    /// same component kernel. Read-only: neither the sweep memos nor the
+    /// standalone caches are touched (they hold λ = 0 artifacts); each
+    /// path's starting memo is its context-free response instead (no
+    /// context prices like the all-zero one), so a path whose sharing
+    /// context did not move — every path, in the confirming no-change
+    /// round — is a memo hit. `comps` are the advisor's current
+    /// [`Self::components`]; singletons keep their context-free response,
+    /// which no other path can ever perturb.
+    fn lambda_sweep(&self, lambda: f64, comps: &[Vec<usize>]) -> Vec<Selection> {
+        let pricing = Pricing {
+            lambda,
+            ..Pricing::default()
+        };
+        let seed =
+            |_: usize, st: &PathState| matrix_selection(&priced_matrix(st, &self.space, pricing)).0;
+        let mut selections: Vec<Selection> = self.exec.par_map(&self.paths, seed);
+        let outs = self.descend_components(comps, lambda, &selections, |i| {
+            Some((vec![0; self.paths[i].cands.len()], selections[i].clone()))
+        });
+        for (comp, out) in outs {
+            for (&i, sel) in comp.iter().zip(out.sels) {
+                selections[i] = sel;
+            }
+        }
+        selections
+    }
+
+    /// Frontier-based greedy repair: round-robin over the paths, replacing
+    /// each path's selection by the cheapest point of its *marginal*
+    /// `(cost, size)` frontier that fits the budget slack the other paths
+    /// leave. Marginal means count-once-aware: cells other paths cover cost
+    /// no maintenance and no pages. Each adoption strictly lowers the total
+    /// cost while preserving feasibility, so the pass closes (part of) the
+    /// duality gap the λ discretization leaves open. Returns the number of
+    /// adoptions.
+    fn repair(&self, selections: &mut [Selection], budget_pages: f64) -> usize {
+        let mut ledger = self.ledger(selections);
+        let mut repairs = 0;
+        for _ in 0..MAX_SWEEPS {
+            let mut changed = false;
+            for (i, (st, sel)) in self.paths.iter().zip(selections.iter_mut()).enumerate() {
+                ledger.remove(i, st.pieces(sel));
+                let slack = budget_pages - ledger.totals().1;
+                let context = ledger.context_key(&st.cands);
+                let pricing = Pricing {
+                    context: Some(&context),
+                    ..Pricing::default()
+                };
+                let matrix = priced_matrix(st, &self.space, pricing);
+                // Marginal (cost, size) of the current selection, for the
+                // strict-improvement guard — priced mask-blind: the mask
+                // certifies a struck cell belongs to no *optimum*, not
+                // that the current selection avoids one (a cell adopted
+                // while covered can be struck once its sharer moved away),
+                // and an ∞ old price would turn the guard into an
+                // unconditional adoption.
+                let (old_cost, old_size) = true_marginal(st, &self.space, &context, sel);
+                let frontier = frontier_dp(&matrix);
+                if let Some(point) = frontier.within_budget(slack) {
+                    let tol = 1e-9 * old_cost.abs().max(1.0);
+                    let stol = 1e-9 * old_size.abs().max(1.0);
+                    // Lexicographic improvement: strictly cheaper, or
+                    // equally cheap and strictly leaner (frees slack for
+                    // later paths without giving anything up). Strictness
+                    // guarantees termination.
+                    if point.cost < old_cost - tol
+                        || (point.cost <= old_cost + tol && point.size < old_size - stol)
+                    {
+                        *sel = to_selection(&point.config);
+                        repairs += 1;
+                        changed = true;
+                    }
+                }
+                ledger.insert(i, st.pieces(sel));
+            }
+            if !changed {
+                break;
+            }
+        }
+        repairs
+    }
+
+    /// Greedy eviction descent: starting from the unconstrained
+    /// selections `base`, repeatedly **ban the physical index** whose
+    /// eviction costs the least per page it frees — all of its owner paths
+    /// re-select without it, under the live sharing context — until the
+    /// budget fits or no eviction reduces the footprint. The walk is
+    /// recorded on (and resumed from) `trail`: returns the number of trail
+    /// steps to the landing point — the first step that fits the budget,
+    /// or the trail's dead end when none can — and how many eviction
+    /// trials this call ran.
+    ///
+    /// This is the complement of the λ sweep, and it works at the
+    /// *candidate* level deliberately: shared candidates couple the paths
+    /// (a fat shared index has marginal size zero for every owner but the
+    /// last, so no single-path move can free its pages, while in a λ sweep
+    /// the first owner leaving strips the others' free ride and the whole
+    /// clique stampedes to lean plans far past the budget). Banning the
+    /// physical index and re-selecting all its owners at once prices the
+    /// coordinated move exactly.
+    ///
+    /// Work is proportional to what an eviction changes (DESIGN.md
+    /// §5.12): a round builds once what its trials share — the ledger of
+    /// its selections, which every trial forks, and who owns which index —
+    /// runs trials only for the component the previous eviction touched,
+    /// and re-derives every other trial's totals from its kept
+    /// re-selection.
+    fn evict_to_budget(
+        &self,
+        trail: &mut EvictionTrail,
+        base: &[Selection],
+        budget_pages: f64,
+    ) -> (usize, u64) {
+        if let Some(k) = trail.steps.iter().position(|s| s.size <= budget_pages) {
+            return (k + 1, 0);
+        }
+        let mut selections = trail.selections_at(base, trail.steps.len());
+        let mut trials_run = 0u64;
+        while !trail.dead_end {
+            let round = self.ledger(&selections);
+            let paths = self.paths.iter().zip(&selections);
+            let owners = ledger::owners(paths.map(|(st, sel)| st.pieces(sel)));
+            let (cost0, size0) = round.totals();
+            debug_assert!(size0 > budget_pages, "the walk stops at the first fit");
+            // Deterministic candidate order (hash maps iterate randomly).
+            let mut pairs: Vec<Pair> = owners.keys().copied().collect();
+            pairs.sort_unstable();
+            // Each trial is read-only given the round's selections, so the
+            // fan-out is free of coordination; the fold below walks the
+            // sorted pair order, which keeps the chosen eviction — and the
+            // whole descent — bit-identical to the sequential engine.
+            let comp = |pair: &Pair| trail.comp_of[owners[pair][0]];
+            let fresh: Vec<Pair> = pairs
+                .iter()
+                .copied()
+                .filter(|pair| !trail.trials[comp(pair)].contains_key(pair))
+                .collect();
+            trials_run += fresh.len() as u64;
+            let trial_of = |_: usize, pair: &Pair| {
+                self.eviction_trial(&round, &owners[pair], &selections, &trail.banned, *pair)
+            };
+            let outcomes: Vec<Reselection> = self.exec.par_map(&fresh, trial_of);
+            for (pair, outcome) in fresh.iter().zip(outcomes) {
+                let c = comp(pair);
+                trail.trials[c].insert(*pair, outcome);
+            }
+            let stol = 1e-9 * size0.abs().max(1.0);
+            // (regret per page, evicted index, cost, size)
+            let mut best: Option<(f64, Pair, f64, f64)> = None;
+            for &pair in &pairs {
+                let Some(changed) = &trail.trials[comp(&pair)][&pair] else {
+                    continue; // the ban left some owner uncoverable
+                };
+                let (cost, size) = self.trial_totals(&round, &selections, changed);
+                // The incremental totals ARE the ledger totals of the
+                // applied trial, bit for bit: debug builds re-derive every
+                // trial of every round the slow way.
+                debug_assert_eq!(
+                    (cost.to_bits(), size.to_bits()),
+                    {
+                        let mut applied = selections.clone();
+                        for (i, sel) in changed {
+                            applied[*i].clone_from(sel);
+                        }
+                        let (c, s) = self.ledger(&applied).totals();
+                        (c.to_bits(), s.to_bits())
+                    },
+                    "incremental trial totals diverged from a from-scratch ledger"
+                );
+                if size >= size0 - stol {
+                    continue; // evicting this index frees nothing
+                }
+                let regret = (cost - cost0) / (size0 - size);
+                let better = best
+                    .as_ref()
+                    .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.3));
+                if better {
+                    best = Some((regret, pair, cost, size));
+                }
+            }
+            let Some((_, pair, cost, size)) = best else {
+                trail.dead_end = true; // nothing left to evict
+                break;
+            };
+            // The eviction re-selects and bans inside one component only:
+            // that component's trials are stale, all others carry over.
+            let c = comp(&pair);
+            let changed = trail.trials[c]
+                .remove(&pair)
+                .flatten()
+                .expect("the adopted trial re-selected its owners");
+            trail.trials[c].clear();
+            for (i, sel) in &changed {
+                selections[*i].clone_from(sel);
+            }
+            trail.banned.insert(pair);
+            trail.steps.push(TrailStep {
+                changed,
+                cost,
+                size,
+            });
+            if size <= budget_pages {
+                break;
+            }
+        }
+        (trail.steps.len(), trials_run)
+    }
+
+    /// One eviction trial: ban `pair` on top of `banned` and let all of
+    /// its `owners` re-select without it, one after the other, each
+    /// under the sharing context the earlier ones left. Returns the
+    /// re-selected owners, or `None` when the ban leaves some owner
+    /// uncoverable. Read-only (runs on pool workers during the parallel
+    /// descent), and it touches nothing but the owners, on an overlay of
+    /// the `round`'s ledger.
+    fn eviction_trial(
+        &self,
+        round: &Ledger<'_>,
+        owners: &[usize],
+        selections: &[Selection],
+        banned: &HashSet<Pair>,
+        pair: Pair,
+    ) -> Reselection {
+        let bans = Bans {
+            evicted: banned,
+            trial: pair,
+        };
+        let mut overlay = round.overlay();
+        let mut changed: Vec<(usize, Selection)> = Vec::new();
+        for &i in owners {
+            let st = &self.paths[i];
+            overlay.remove(st.pieces(&selections[i]));
+            let context = overlay.context_key(&st.cands);
+            let pricing = Pricing {
+                context: Some(&context),
+                lambda: 0.0,
+                bans: Some(&bans),
+            };
+            // frontier_dp rather than the scalar DP, deliberately:
+            // its empty point set detects a ban that left the path
+            // uncoverable (the scalar DP panics there), and its
+            // first point breaks exact cost ties toward the leaner
+            // configuration — the right bias while evicting pages.
+            let frontier = frontier_dp(&priced_matrix(st, &self.space, pricing));
+            let sel = to_selection(&frontier.points.first()?.config);
+            overlay.insert(i, st.pieces(&sel));
+            changed.push((i, sel));
+        }
+        Some(changed)
+    }
+
+    /// The true `(cost, size)` of the round's selections with `changed`
+    /// substituted — bit-identical to the totals of a ledger built on the
+    /// applied trial ([`ledger::Overlay::totals`]).
+    fn trial_totals(
+        &self,
+        round: &Ledger<'_>,
+        selections: &[Selection],
+        changed: &[(usize, Selection)],
+    ) -> (f64, f64) {
+        let mut overlay = round.overlay();
+        for (i, sel) in changed {
+            let st = &self.paths[*i];
+            overlay.remove(st.pieces(&selections[*i]));
+            overlay.insert(*i, st.pieces(sel));
+        }
+        overlay.totals()
+    }
+
+    /// Workload-scale selection under a **shared page budget**: the
+    /// cheapest plan whose total physical footprint — each distinct
+    /// `(candidate, organization)` counted once, like its maintenance —
+    /// fits `budget_pages`.
+    ///
+    /// Strategy (DESIGN.md §5.12):
+    ///
+    /// 1. Run the unconstrained [`Self::reoptimize`]. If its footprint
+    ///    already fits (always true at `budget_pages = ∞`), return it
+    ///    unchanged — the budgeted API is behavior-preserving at infinite
+    ///    budget by construction.
+    /// 2. Otherwise relax the budget into the objective: bisect the
+    ///    Lagrange multiplier λ of `cost + λ·size`, each probe being a full
+    ///    λ-priced coordinate-descent sweep over the shared candidate space
+    ///    (the λ-priced sweep is just another pricing context; covered
+    ///    cells stay free in both cost and pages). As a second search
+    ///    direction, run a greedy *eviction descent* from the
+    ///    unconstrained selections — cheapest regret per page saved first —
+    ///    which covers the budgets the sweep's discontinuous footprint
+    ///    curve jumps over. The descent reads the budget only to stop, so
+    ///    it is recorded on the advisor: while no mutation or re-pricing
+    ///    intervenes, a later call under another budget lands on the
+    ///    recorded trail or extends it from its end — same plan, bit for
+    ///    bit, as a cold call.
+    /// 3. Close the duality gap with a frontier-based greedy
+    ///    *repair* pass from the cheapest feasible plan
+    ///    found.
+    ///
+    /// When even the most size-averse sweep cannot fit (a budget below the
+    /// workload's minimum footprint), the returned plan is that leanest
+    /// plan and `feasible` is `false`.
+    ///
+    /// The unconstrained `optimize()` is itself a coordinate-descent
+    /// heuristic, and the budget search explores strictly harder
+    /// (candidate-level evictions plus per-path frontier repairs), so a
+    /// *nearly*-slack budget can occasionally return a plan slightly
+    /// **cheaper** than the unconstrained one — a bonus, reported as a
+    /// [`BudgetedWorkloadPlan::cost_ratio`] just under 1.
+    pub fn optimize_with_budget(&mut self, budget_pages: f64) -> BudgetedWorkloadPlan {
+        assert!(!budget_pages.is_nan(), "budget must be a page count or ∞");
+        let unconstrained = self.reoptimize();
+        let unconstrained_cost = unconstrained.total_cost;
+        let unconstrained_size = unconstrained.size_pages;
+        if unconstrained.size_pages <= budget_pages || self.paths.is_empty() {
+            return BudgetedWorkloadPlan {
+                plan: unconstrained,
+                budget_pages,
+                feasible: true,
+                lambda: 0.0,
+                lambda_sweeps: 0,
+                repairs: 0,
+                evictions: 0,
+                eviction_trials: 0,
+                unconstrained_cost,
+                unconstrained_size,
+            };
+        }
+
+        // Both search directions work per candidate-sharing component.
+        let comps = self.components();
+        // Bracket λ: grow until the sweep fits the budget.
+        let mut lambda_sweeps = 0usize;
+        let mut lo = 0.0f64;
+        let mut hi = (unconstrained_cost / unconstrained_size.max(1e-12)).max(1e-9);
+        let mut found = Incumbents::default();
+        let probe = |advisor: &Self, l: f64, found: &mut Incumbents| -> f64 {
+            let sel = advisor.lambda_sweep(l, &comps);
+            let (cost, size) = advisor.ledger(&sel).totals();
+            found.offer(budget_pages, (sel, cost, size, l));
+            size
+        };
+        let mut plateau = 0u32;
+        let mut prev_size = f64::NAN;
+        for _ in 0..48 {
+            lambda_sweeps += 1;
+            let size = probe(self, hi, &mut found);
+            if size <= budget_pages {
+                break;
+            }
+            // A footprint that stopped shrinking across several
+            // quadruplings of λ has saturated at the workload's minimum:
+            // the budget is infeasible, stop escalating.
+            if size == prev_size {
+                plateau += 1;
+                if plateau >= 3 {
+                    break;
+                }
+            } else {
+                plateau = 0;
+                prev_size = size;
+            }
+            lo = hi;
+            hi *= 4.0;
+        }
+        if found.best.is_some() {
+            // Bisect toward the smallest λ whose sweep still fits — smaller
+            // λ weighs cost more, so it can only find cheaper feasible
+            // plans.
+            for _ in 0..24 {
+                let mid = 0.5 * (lo + hi);
+                lambda_sweeps += 1;
+                let size = probe(self, mid, &mut found);
+                if size <= budget_pages {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+        }
+        // Second search direction: greedy eviction descent from the
+        // unconstrained selections. The λ sweep can overshoot (shared
+        // candidates couple the paths, so its footprint jumps
+        // discontinuously in λ); the descent walks down one cheapest-regret
+        // move at a time and lands just under the budget.
+        // The walk never reads the budget except to stop, so it is
+        // recorded on the advisor and a later call on the same state lands
+        // on, or extends, the same trail.
+        let base: Vec<Selection> = unconstrained
+            .paths
+            .iter()
+            .map(|p| to_selection(&p.selection))
+            .collect();
+        let mut trail = match self.trail.take() {
+            Some(trail) => trail,
+            None => EvictionTrail::new(&comps, self.paths.len()),
+        };
+        let (evictions, eviction_trials) = self.evict_to_budget(&mut trail, &base, budget_pages);
+        let evicted = trail.selections_at(&base, evictions);
+        let (cost, size) = match evictions.checked_sub(1) {
+            Some(last) => (trail.steps[last].cost, trail.steps[last].size),
+            None => self.ledger(&evicted).totals(),
+        };
+        self.trail = Some(trail);
+        found.offer(budget_pages, (evicted, cost, size, 0.0));
+        // When even the leanest search result exceeds the budget, report
+        // that plan, flagged infeasible, under the λ that found it.
+        let feasible = found.best.is_some();
+        let (mut selections, _, _, lambda) = found
+            .best
+            .or(found.leanest)
+            .expect("at least one probe ran");
+        let repairs = if feasible {
+            self.repair(&mut selections, budget_pages)
+        } else {
+            0
+        };
+        let assembled = self.assemble_plan(&selections, unconstrained.independent_cost);
+        // The real epoch work happened inside the inner reoptimize(): its
+        // telemetry carries over instead of reporting the budgeted epoch as
+        // free (the λ sweeps and evictions are read-only w.r.t. the memos
+        // and are reported separately via lambda_sweeps / evictions /
+        // repairs).
+        let plan = WorkloadPlan {
+            paths: assembled.paths,
+            shared: assembled.shared,
+            total_cost: assembled.total_cost,
+            size_pages: assembled.size_pages,
+            physical_indexes: assembled.physical_indexes,
+            // λ sweeps ran against the live masks: report the cells the
+            // budgeted search priced without (the λ-uniform dominance
+            // bound).
+            lambda_pruned: unconstrained.candidates_pruned,
+            ..unconstrained
+        };
+        debug_assert!(
+            !feasible || plan.size_pages <= budget_pages * (1.0 + 1e-12) + 1e-9,
+            "feasible plan exceeds budget: {} > {budget_pages}",
+            plan.size_pages
+        );
+        BudgetedWorkloadPlan {
+            plan,
+            budget_pages,
+            feasible,
+            lambda,
+            lambda_sweeps,
+            repairs,
+            evictions,
+            eviction_trials,
+            unconstrained_cost,
+            unconstrained_size,
+        }
+    }
+}

@@ -1,0 +1,373 @@
+//! The workload objective's one ledger: who owns which physical index,
+//! and what a set of selections costs — `Σ_i Q_i + Σ_{distinct (c, X)}
+//! M(c, X)`, each shared index's maintenance and pages paid once.
+//!
+//! Everything that registers a selection in an ownership map, derives a
+//! sharing-context key from one, or folds selections into `(cost, size)`
+//! does it here, so a plan's quote, `price_plan`'s re-derivation and a
+//! migration's landing cost are one number (DESIGN.md §5.12). **The
+//! fold:** a path's query shares add up in selection order, the per-path
+//! subtotals in path order, the once-paid maintenance (and size) values in
+//! `total_cmp` order — the sorted sequence of a multiset of floats is
+//! unique, bit patterns included, so a ledger updated incrementally and
+//! one built from scratch agree bitwise.
+
+use super::pricing::installed;
+use crate::space::{CandidateId, CandidateSpace};
+use oic_cost::Org;
+use std::collections::HashMap;
+
+/// A physical index: one interned candidate under one organization.
+pub(crate) type Pair = (CandidateId, Org);
+
+/// Sorts once-paid values into the fold's summation order.
+pub(crate) fn sorted(mut once: Vec<f64>) -> Vec<f64> {
+    once.sort_by(f64::total_cmp);
+    once
+}
+
+/// One path's query subtotal: its pieces' shares in selection order.
+pub(crate) fn subtotal(shares: impl Iterator<Item = f64>) -> f64 {
+    shares.fold(0.0, |query, share| query + share)
+}
+
+/// The objective: per-path query subtotals in path order plus the
+/// [`sorted`] once-paid maintenance prices.
+pub(crate) fn objective(subtotals: impl Iterator<Item = f64>, maintenance: &[f64]) -> f64 {
+    subtotals.sum::<f64>() + maintenance.iter().sum::<f64>()
+}
+
+fn insert_sorted(sorted: &mut Vec<f64>, value: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+    sorted.insert(at, value);
+}
+
+fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+    debug_assert_eq!(sorted[at].to_bits(), value.to_bits());
+    sorted.remove(at);
+}
+
+/// The 3-bit-per-rank mask of a path's `(candidate, org)` cells that some
+/// *other* path covers — the sharing context a best response depends on —
+/// once the path's own selection is withdrawn. A mined-out rank has no
+/// candidate anyone could cover.
+fn context_key_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool) -> Vec<u8> {
+    let mask = |cand| {
+        let covered = Org::ALL.iter().filter(|&&org| covered((cand, org)));
+        covered.fold(0u8, |mask, org| mask | 1 << org.index())
+    };
+    cands.iter().map(|&cand| cand.map_or(0, mask)).collect()
+}
+
+/// How many registered selections cite each physical index.
+#[derive(Default)]
+pub(crate) struct Ownership {
+    count: HashMap<Pair, usize>,
+}
+
+impl Ownership {
+    fn count(&self, pair: Pair) -> usize {
+        self.count.get(&pair).copied().unwrap_or(0)
+    }
+
+    /// Adds one owner of `pair`; `true` when it had none.
+    fn add(&mut self, pair: Pair) -> bool {
+        let count = self.count.entry(pair).or_default();
+        *count += 1;
+        *count == 1
+    }
+
+    /// Drops one owner of `pair`; `true` when it was the last.
+    fn drop_one(&mut self, pair: Pair) -> bool {
+        let count = self.count.get_mut(&pair).expect("selection was registered");
+        *count -= 1;
+        let last = *count == 0;
+        if last {
+            self.count.remove(&pair);
+        }
+        last
+    }
+
+    /// Registers one selection's indexes.
+    pub(crate) fn register(&mut self, pieces: impl Iterator<Item = (Pair, f64)>) {
+        for (pair, _) in pieces {
+            self.add(pair);
+        }
+    }
+
+    /// Withdraws one registered selection's indexes.
+    pub(crate) fn unregister(&mut self, pieces: impl Iterator<Item = (Pair, f64)>) {
+        for (pair, _) in pieces {
+            self.drop_one(pair);
+        }
+    }
+
+    /// The sharing context of a path whose own selection is withdrawn.
+    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
+        context_key_by(cands, |pair| self.count.contains_key(&pair))
+    }
+}
+
+/// The owning paths of every index `selections` cite, ascending.
+pub(crate) fn owners<I>(selections: impl Iterator<Item = I>) -> HashMap<Pair, Vec<usize>>
+where
+    I: Iterator<Item = (Pair, f64)>,
+{
+    let mut owners: HashMap<Pair, Vec<usize>> = HashMap::new();
+    for (i, pieces) in selections.enumerate() {
+        for (pair, _) in pieces {
+            owners.entry(pair).or_default().push(i);
+        }
+    }
+    owners
+}
+
+/// Ownership plus the objective's operands, priced from the installed
+/// memos of `space`: per-path query subtotals and the distinct selected
+/// indexes' maintenance and footprint, each kept in summation order.
+pub(crate) struct Ledger<'a> {
+    space: &'a CandidateSpace,
+    owned: Ownership,
+    /// Query subtotal per path, in path order.
+    query: Vec<f64>,
+    maint: Vec<f64>,
+    sizes: Vec<f64>,
+}
+
+impl<'a> Ledger<'a> {
+    /// Registers every path's selection — its `(index, query share)`
+    /// pieces, paths in path order — from scratch.
+    pub(crate) fn new<I>(space: &'a CandidateSpace, selections: impl Iterator<Item = I>) -> Self
+    where
+        I: Iterator<Item = (Pair, f64)>,
+    {
+        let mut owned = Ownership::default();
+        let mut share = |(pair, share)| {
+            owned.add(pair);
+            share
+        };
+        let query = selections.map(|pieces| subtotal(pieces.map(&mut share)));
+        let query = query.collect();
+        let distinct = owned.count.keys();
+        let (maint, sizes) = distinct.map(|&pair| installed(space, pair)).unzip();
+        Ledger {
+            space,
+            query,
+            maint: sorted(maint),
+            sizes: sorted(sizes),
+            owned,
+        }
+    }
+
+    /// Withdraws path `i`'s registered selection.
+    pub(crate) fn remove(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+        for (pair, _) in pieces {
+            if self.owned.drop_one(pair) {
+                let (maintenance, size) = installed(self.space, pair);
+                remove_sorted(&mut self.maint, maintenance);
+                remove_sorted(&mut self.sizes, size);
+            }
+        }
+        self.query[i] = 0.0;
+    }
+
+    /// Registers path `i`'s selection (after [`Self::remove`]).
+    pub(crate) fn insert(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+        self.query[i] = subtotal(pieces.map(|(pair, share)| {
+            if self.owned.add(pair) {
+                let (maintenance, size) = installed(self.space, pair);
+                insert_sorted(&mut self.maint, maintenance);
+                insert_sorted(&mut self.sizes, size);
+            }
+            share
+        }));
+    }
+
+    /// The `(cost, size)` of the registered selections.
+    pub(crate) fn totals(&self) -> (f64, f64) {
+        let cost = objective(self.query.iter().copied(), &self.maint);
+        (cost, self.sizes.iter().sum::<f64>())
+    }
+
+    /// Path `i`'s query subtotal.
+    pub(crate) fn query(&self, i: usize) -> f64 {
+        self.query[i]
+    }
+
+    /// Distinct physical indexes registered.
+    pub(crate) fn distinct(&self) -> usize {
+        self.maint.len()
+    }
+
+    /// [`Ownership::context_key`] over the registered selections.
+    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
+        self.owned.context_key(cands)
+    }
+
+    /// An empty overlay on this ledger.
+    pub(crate) fn overlay(&self) -> Overlay<'_> {
+        Overlay {
+            base: self,
+            delta: Vec::new(),
+            swapped: Vec::new(),
+        }
+    }
+}
+
+/// A few paths re-selected on top of a [`Ledger`] that stays untouched:
+/// what one eviction trial changes, at a cost proportional to the change.
+pub(crate) struct Overlay<'l> {
+    base: &'l Ledger<'l>,
+    /// Ownership-count changes of the few indexes the swaps touch.
+    delta: Vec<(Pair, isize)>,
+    /// `(path, query subtotal)` of each re-registered path, ascending.
+    swapped: Vec<(usize, f64)>,
+}
+
+impl Overlay<'_> {
+    fn bump(&mut self, pair: Pair, by: isize) {
+        match self.delta.iter_mut().find(|(p, _)| *p == pair) {
+            Some((_, d)) => *d += by,
+            None => self.delta.push((pair, by)),
+        }
+    }
+
+    /// Withdraws a path's base selection.
+    pub(crate) fn remove(&mut self, pieces: impl Iterator<Item = (Pair, f64)>) {
+        pieces.for_each(|(pair, _)| self.bump(pair, -1));
+    }
+
+    /// Registers path `i`'s replacement selection; paths ascending.
+    pub(crate) fn insert(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+        let query = subtotal(pieces.map(|(pair, share)| {
+            self.bump(pair, 1);
+            share
+        }));
+        self.swapped.push((i, query));
+    }
+
+    /// [`Ownership::context_key`] under the swaps so far.
+    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
+        context_key_by(cands, |pair| {
+            let delta = self.delta.iter().find(|(p, _)| *p == pair);
+            self.base.owned.count(pair) as isize + delta.map_or(0, |d| d.1) > 0
+        })
+    }
+
+    /// The `(cost, size)` of the base selections with the swaps applied —
+    /// bit-identical to [`Ledger::totals`] of a ledger built on them: the
+    /// swapped paths' subtotals replace the base's in the query fold, and
+    /// the sorted operands drop the indexes whose last owner left and gain
+    /// the newly owned ones.
+    pub(crate) fn totals(&self) -> (f64, f64) {
+        let base = self.base;
+        let (mut maint, mut sizes) = (base.maint.clone(), base.sizes.clone());
+        for &(pair, change) in &self.delta {
+            let before = base.owned.count(pair) as isize;
+            if (before > 0) == (before + change > 0) {
+                continue;
+            }
+            let (maintenance, size) = installed(base.space, pair);
+            if before > 0 {
+                remove_sorted(&mut maint, maintenance);
+                remove_sorted(&mut sizes, size);
+            } else {
+                insert_sorted(&mut maint, maintenance);
+                insert_sorted(&mut sizes, size);
+            }
+        }
+        let mut swapped = self.swapped.iter().peekable();
+        let query = base.query.iter().enumerate().map(|(i, &held)| {
+            let swap = swapped.next_if(|swap| swap.0 == i);
+            swap.map_or(held, |swap| swap.1)
+        });
+        (objective(query, &maint), sizes.iter().sum::<f64>())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oic_schema::fixtures;
+
+    /// A random add/remove/swap sequence of selections ends bit-equal —
+    /// cost, size, every context key — to a ledger built from scratch on
+    /// the final selections; so does an overlay that reaches them on top
+    /// of the untouched start.
+    #[test]
+    fn incremental_ledger_equals_one_built_from_scratch() {
+        let (schema, _) = fixtures::paper_schema();
+        let mut space = CandidateSpace::new();
+        let mut cands = space.intern_path(&schema, &fixtures::paper_path_pexa(&schema));
+        cands.extend(space.intern_path(&schema, &fixtures::paper_path_pe(&schema)));
+        let mut seed = 0x1ED6E4_u64;
+        let mut next = move |below: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % below
+        };
+        // Few distinct prices, so equal values sit side by side in the
+        // sorted operands.
+        for &cand in &cands {
+            for org in Org::ALL {
+                space.maintenance_cost(cand, org, || next(4) as f64 * 0.3 + 0.1);
+                space.size_cost(cand, org, || next(3) as f64 * 7.0);
+            }
+        }
+        // A selection of up to four distinct indexes; empty = a path that
+        // left (or has not arrived).
+        let draw = |next: &mut dyn FnMut(u64) -> u64| {
+            let mut sel: Vec<(Pair, f64)> = Vec::new();
+            for _ in 0..next(5) {
+                let pair = (
+                    cands[next(cands.len() as u64) as usize],
+                    Org::ALL[next(3) as usize],
+                );
+                if sel.iter().all(|(p, _)| *p != pair) {
+                    sel.push((pair, next(1000) as f64 / 7.0));
+                }
+            }
+            sel
+        };
+        let slots: Vec<Option<CandidateId>> = cands.iter().copied().map(Some).collect();
+        let scratch =
+            |sels: &[Vec<(Pair, f64)>]| Ledger::new(&space, sels.iter().map(|s| s.iter().copied()));
+        let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+        for _ in 0..40 {
+            let start: Vec<_> = (0..6).map(|_| draw(&mut next)).collect();
+            let (base, mut ledger, mut sels) = (scratch(&start), scratch(&start), start.clone());
+            let mut overlay = base.overlay();
+            for _ in 0..30 {
+                let (i, new) = (next(6) as usize, draw(&mut next));
+                ledger.remove(i, sels[i].iter().copied());
+                ledger.insert(i, new.iter().copied());
+                sels[i] = new;
+            }
+            let fresh = scratch(&sels).totals();
+            assert_eq!(bits(ledger.totals()), bits(fresh));
+            assert_eq!(ledger.distinct(), scratch(&sels).distinct());
+            // The same end state as an overlay on the untouched start.
+            for i in 0..6 {
+                overlay.remove(start[i].iter().copied());
+                overlay.insert(i, sels[i].iter().copied());
+            }
+            assert_eq!(bits(overlay.totals()), bits(fresh));
+            assert_eq!(bits(base.totals()), bits(scratch(&start).totals()));
+            // Each path's sharing context: every index but its own.
+            for i in 0..6 {
+                ledger.remove(i, sels[i].iter().copied());
+                overlay.remove(sels[i].iter().copied());
+                let held = |pair| (0..6).any(|j| j != i && sels[j].iter().any(|p| p.0 == pair));
+                let mask = |&cand| (0..3).filter(move |&x| held((cand, Org::ALL[x])));
+                let key = cands.iter().map(|c| mask(c).fold(0u8, |m, x| m | 1 << x));
+                let key: Vec<u8> = key.collect();
+                assert_eq!(ledger.context_key(&slots), key);
+                assert_eq!(overlay.context_key(&slots), key);
+                ledger.insert(i, sels[i].iter().copied());
+                overlay.insert(i, sels[i].iter().copied());
+            }
+        }
+    }
+}

@@ -1,0 +1,517 @@
+//! Pricing: the re-pricing phase of `reoptimize()` (per-signature query
+//! bases, the first-owner claim pass, dominance masks) and
+//! [`priced_matrix`], the one place a path's cost matrix is built.
+
+use super::ledger::Pair;
+use super::state::PathState;
+use super::{Selection, WorkloadAdvisor};
+use crate::select::{opt_ind_con_dp, prune_dominated};
+use crate::space::{CandidateId, CandidateSpace};
+use crate::{pc, Choice, CostMatrix, IndexConfiguration};
+use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
+use oic_schema::{ClassId, PathSignature, Schema, SubpathId};
+use oic_workload::{LoadDistribution, Triplet};
+use std::collections::{HashMap, HashSet};
+
+/// The installed `(maintenance, footprint)` prices of a live cell — what
+/// phase 1 priced for every admitted rank of every path.
+pub(super) fn installed(space: &CandidateSpace, (cand, org): Pair) -> (f64, f64) {
+    let priced = |plane: Option<f64>| plane.expect("cell priced during reprice");
+    let maintenance = priced(space.priced_maintenance(cand, org));
+    (maintenance, priced(space.priced_size(cand, org)))
+}
+
+/// One dirty path's buffered re-pricing output, computed read-only on a
+/// worker and merged into the advisor (memo installs in path-id order) on
+/// the caller — see [`reprice_compute`].
+struct RepriceOut {
+    /// Fresh query shares, when the path's were stale.
+    query_costs: Option<Vec<[f64; 3]>>,
+    /// `(maintenance, size)` of each cell the path claimed, in claim order.
+    cells: Vec<(f64, f64)>,
+}
+
+/// Per-signature query-retrieval basis: the per-slot retrieval
+/// coefficients of one path *shape*, priced once and re-evaluated against
+/// any path of the same signature under any query rates.
+///
+/// Query retrieval costs (`model.retrieval*`) depend only on the path's
+/// class statistics and the physical parameters — never on query,
+/// insert/delete, or maintenance rates — so every path sharing a signature
+/// (same classes step for step, hence the same characteristics and cost
+/// model) shares these coefficients exactly. [`QueryBasis::eval`] replays
+/// the from-scratch per-path pricing arithmetic (the fallback arm of
+/// [`reprice_compute`]) — same slot order, same guards, same fold — term
+/// for term, so the shares it produces are **bitwise** the ones that arm
+/// computes (DESIGN.md §5.15).
+pub(super) struct QueryBasis {
+    /// The representative path's scope (sorted class ids) — the
+    /// invalidation key: `update_stats(c, ..)` evicts every basis whose
+    /// scope contains `c`.
+    pub(super) scope: Vec<ClassId>,
+    /// Classes per position (`Path::scope_by_position`): `classes[l - 1]`
+    /// is position `l`'s native-slot class list, in hierarchy order.
+    classes: Vec<Vec<ClassId>>,
+    /// Per rank, per organization: the retrieval coefficient of each
+    /// native slot `(l, x)` in the from-scratch accumulation order (`l`
+    /// ascending through the subpath, `x` ascending within the position).
+    coeffs: Vec<[Vec<f64>; 3]>,
+    /// Per rank, per organization: the traversal-retrieval coefficient
+    /// (multiplies the upstream query mass when the subpath starts past
+    /// position 1).
+    traversal: Vec<[f64; 3]>,
+}
+
+impl QueryBasis {
+    /// Prices the retrieval coefficients of `st`'s path shape: one cost
+    /// model build, then every `(rank, org, slot)` retrieval unit cost in
+    /// the exact order `pc::processing_cost` visits them.
+    fn build(schema: &Schema, params: CostParams, stats: &[ClassStats], st: &PathState) -> Self {
+        let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
+        let model = CostModel::new(schema, &st.path, &chars, params);
+        let n = st.path.len();
+        let classes = st.path.scope_by_position(schema);
+        let mut coeffs = Vec::with_capacity(SubpathId::count(n));
+        let mut traversal = Vec::with_capacity(SubpathId::count(n));
+        for r in 0..SubpathId::count(n) {
+            let sub = SubpathId::from_rank(n, r);
+            let mut per_org: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+            let mut trav = [0.0; 3];
+            for org in Org::ALL {
+                let slots = &mut per_org[org.index()];
+                for l in sub.start..=sub.end {
+                    for x in 0..classes[l - 1].len() {
+                        slots.push(model.retrieval(org, sub, l, x));
+                    }
+                }
+                trav[org.index()] = model.retrieval_traversal(org, sub);
+            }
+            coeffs.push(per_org);
+            traversal.push(trav);
+        }
+        QueryBasis {
+            scope: st.scope.clone(),
+            classes,
+            coeffs,
+            traversal,
+        }
+    }
+
+    /// Query shares of a path of this signature under per-class query
+    /// rates `alphas` — a bitwise replay of the from-scratch pricing:
+    /// native slots accumulate in `(l ascending, x ascending)` order with
+    /// the same `mass > 0.0` guards, and the upstream masses are snapshots
+    /// of the one left-to-right fold `upstream_query_mass` runs, added
+    /// last with the same guard (query-only loads never fire the
+    /// insert/delete or boundary-deletion terms, so those contribute
+    /// exactly nothing here as there).
+    ///
+    /// The basis is shared per signature but admission is per path, so
+    /// `cands` gates the replay: a mined-out rank has no cell to price
+    /// and its arithmetic is skipped wholesale.
+    fn eval(&self, alphas: &[f64], n: usize, cands: &[Option<CandidateId>]) -> Vec<[f64; 3]> {
+        let mut upstream = vec![0.0; n + 1];
+        let mut acc = 0.0;
+        for (p, classes) in self.classes.iter().enumerate() {
+            for &c in classes {
+                acc += alphas[c.index()];
+            }
+            upstream[p + 1] = acc;
+        }
+        (0..SubpathId::count(n))
+            .map(|r| {
+                if cands[r].is_none() {
+                    return [0.0; 3];
+                }
+                let sub = SubpathId::from_rank(n, r);
+                let mut cell = [0.0; 3];
+                for org in Org::ALL {
+                    let coeffs = &self.coeffs[r][org.index()];
+                    let mut total = 0.0;
+                    let mut k = 0;
+                    for l in sub.start..=sub.end {
+                        for &c in &self.classes[l - 1] {
+                            let a = alphas[c.index()];
+                            if a > 0.0 {
+                                total += a * coeffs[k];
+                            }
+                            k += 1;
+                        }
+                    }
+                    let t = upstream[sub.start - 1];
+                    if t > 0.0 {
+                        total += t * self.traversal[r][org.index()];
+                    }
+                    cell[org.index()] = total;
+                }
+                cell
+            })
+            .collect()
+    }
+}
+
+impl WorkloadAdvisor<'_> {
+    /// Phase 1 of [`Self::reoptimize`] — re-prices the dirty paths: a
+    /// sequential claim pass hands every unpriced cell to its first dirty
+    /// owner, the owners price their claims read-only on the executor,
+    /// and the merge installs each cell once, in path order — same memo
+    /// contents and pricing counter for any thread count. Returns the
+    /// dirty paths (ascending) and the cells priced.
+    pub(super) fn reprice(&mut self) -> (Vec<usize>, u64) {
+        let pricings_before = self.space.maintenance_pricings();
+        let dirty: Vec<usize> = (0..self.paths.len())
+            .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
+            .collect();
+
+        // Basis prepass: among the query-dirty paths, find the distinct
+        // signatures the per-signature basis cache does not hold yet and
+        // price each **once** — instead of rebuilding a full cost model
+        // per path. Only signatures shared by ≥ 2 dirty paths are worth a
+        // basis (building one costs a full model pass; a lone path prices
+        // cheaper from scratch, and does so in the fallback arm of
+        // `reprice_compute`). Representatives are the first dirty path of
+        // each qualifying signature, in path order, and the merge installs
+        // in that same order, so the cache contents are
+        // executor-independent.
+        let reps: Vec<usize> = {
+            let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
+            for &i in &dirty {
+                let st = &self.paths[i];
+                if st.dirty_query && !self.basis.contains_key(&st.signature) {
+                    members.entry(&st.signature).or_insert((i, 0)).1 += 1;
+                }
+            }
+            let mut firsts: Vec<usize> = members
+                .into_values()
+                .filter(|&(_, count)| count >= 2)
+                .map(|(first, _)| first)
+                .collect();
+            firsts.sort_unstable();
+            firsts
+        };
+        let built: Vec<QueryBasis> = self.exec.par_map(&reps, |_, &i| {
+            QueryBasis::build(self.schema, self.params, &self.stats, &self.paths[i])
+        });
+        for (b, &i) in built.into_iter().zip(&reps) {
+            self.basis.insert(self.paths[i].signature.clone(), b);
+        }
+
+        // Claim pass, in path order: an unpriced `(candidate, org)` goes to
+        // the first dirty path that exposes it — the cells a sequential
+        // first-owner walk would price, each exactly once. (A cell's
+        // maintenance and footprint are invalidated together and priced
+        // together.)
+        let mut claimed = vec![[false; 3]; self.space.slot_count()];
+        let claims: Vec<Vec<(usize, CandidateId, Org)>> = dirty
+            .iter()
+            .map(|&i| {
+                let mut mine = Vec::new();
+                for (r, cand) in self.paths[i].cands.iter().enumerate() {
+                    let Some(cand) = *cand else {
+                        continue; // mined out: no cells exist for this rank
+                    };
+                    for org in Org::ALL {
+                        let taken = &mut claimed[cand.index()][org.index()];
+                        if !*taken
+                            && (self.space.priced_maintenance(cand, org).is_none()
+                                || self.space.priced_size(cand, org).is_none())
+                        {
+                            *taken = true;
+                            mine.push((r, cand, org));
+                        }
+                    }
+                }
+                mine
+            })
+            .collect();
+        let outs: Vec<RepriceOut> = self.exec.par_map(&dirty, |k, &i| {
+            let st = &self.paths[i];
+            reprice_compute(
+                self.schema,
+                self.params,
+                &self.stats,
+                &self.maint,
+                self.basis.get(&st.signature),
+                st,
+                &claims[k],
+            )
+        });
+        for ((out, &i), mine) in outs.into_iter().zip(&dirty).zip(&claims) {
+            for (&(_, cand, org), (m, s)) in mine.iter().zip(out.cells) {
+                debug_assert!(
+                    self.space.priced_maintenance(cand, org).is_none(),
+                    "cell ({cand:?}, {org}) priced twice"
+                );
+                self.space.maintenance_cost(cand, org, || m);
+                self.space.size_cost(cand, org, || s);
+            }
+            let st = &mut self.paths[i];
+            if let Some(q) = out.query_costs {
+                st.query_costs = q;
+            }
+            st.dirty_query = false;
+            st.dirty_maint = false;
+        }
+        let epoch_pricings = self.space.maintenance_pricings() - pricings_before;
+        debug_assert_eq!(
+            epoch_pricings,
+            claims.iter().map(|mine| mine.len() as u64).sum::<u64>(),
+            "every claimed cell is priced exactly once"
+        );
+        (dirty, epoch_pricings)
+    }
+
+    /// Dominance pruning: refreshes the per-rank prune masks of the paths
+    /// re-priced this epoch (`dirty`, ascending), or that never had one,
+    /// and returns the cells struck across the workload. Masks read the
+    /// **installed** maintenance and size prices — exactly the values the
+    /// best responses and the λ sweeps are priced from — so the strict
+    /// dominance argument (DESIGN.md §5.15) holds bitwise, at λ = 0 and
+    /// under every λ-priced sweep.
+    pub(super) fn refresh_masks(&mut self, dirty: &[usize]) -> u64 {
+        for i in 0..self.paths.len() {
+            if self.paths[i].pruned.is_some() && dirty.binary_search(&i).is_err() {
+                continue;
+            }
+            let st = &self.paths[i];
+            // A mined-out rank prices at ∞ in both planes: it can neither
+            // be struck nor serve as a dominator or replacement (singleton
+            // ranks — the replacement pool — are always admitted).
+            let (maint, sizes): (Vec<[f64; 3]>, Vec<[f64; 3]>) = st
+                .cands
+                .iter()
+                .map(|&cand| match cand {
+                    Some(cand) => self.adopted_prices(cand).expect("priced during reprice"),
+                    None => ([f64::INFINITY; 3], [f64::INFINITY; 3]),
+                })
+                .unzip();
+            let mut mask = prune_dominated(&st.query_costs, &maint, &sizes, st.path.len());
+            // Mined-out ranks are absent, not pruned: zero their bits so
+            // the pruning telemetry counts only real strikes.
+            for (m, c) in mask.iter_mut().zip(&st.cands) {
+                if c.is_none() {
+                    *m = 0;
+                }
+            }
+            self.paths[i].pruned = Some(mask);
+        }
+        let struck = |st: &PathState| {
+            let mask = st.pruned.as_deref().expect("refreshed above");
+            mask.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
+        };
+        self.paths.iter().map(struck).sum()
+    }
+}
+
+/// The read-only half of re-pricing one dirty path: recompute stale
+/// query shares and price the cells the claim pass assigned to it
+/// (`claims`: rank, candidate, organization). Runs on pool workers; the
+/// caller installs the buffers in path order.
+///
+/// Stale query shares replay from the path's per-signature
+/// [`QueryBasis`] when the prepass cached one — bitwise the
+/// from-scratch values — and price from scratch otherwise (a signature
+/// with fewer than two dirty members). The cost model is built only
+/// for that fallback or for a claimed cell.
+fn reprice_compute(
+    schema: &Schema,
+    params: CostParams,
+    stats: &[ClassStats],
+    maint: &[(f64, f64)],
+    basis: Option<&QueryBasis>,
+    st: &PathState,
+    claims: &[(usize, CandidateId, Org)],
+) -> RepriceOut {
+    let n = st.path.len();
+    let mut query_costs = match basis {
+        Some(basis) if st.dirty_query => Some(basis.eval(&st.alphas, n, &st.cands)),
+        _ => None,
+    };
+    let from_scratch = st.dirty_query && query_costs.is_none();
+    let mut cells = Vec::with_capacity(claims.len());
+    if from_scratch || !claims.is_empty() {
+        let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
+        let model = CostModel::new(schema, &st.path, &chars, params);
+        if from_scratch {
+            let alphas = &st.alphas;
+            let qld = LoadDistribution::build(schema, &st.path, |c| {
+                Triplet::new(alphas[c.index()], 0.0, 0.0)
+            });
+            let shares = (0..SubpathId::count(n)).map(|r| {
+                // Mined out: no cell to price.
+                if st.cands[r].is_none() {
+                    return [0.0; 3];
+                }
+                let sub = SubpathId::from_rank(n, r);
+                Org::ALL.map(|org| pc::processing_cost(&model, &qld, sub, Choice::Index(org)))
+            });
+            query_costs = Some(shares.collect());
+        }
+        if !claims.is_empty() {
+            let mld = LoadDistribution::build(schema, &st.path, |c| {
+                let (beta, gamma) = maint[c.index()];
+                Triplet::new(0.0, beta, gamma)
+            });
+            for &(r, _, org) in claims {
+                let sub = SubpathId::from_rank(n, r);
+                cells.push((
+                    pc::processing_cost(&model, &mld, sub, Choice::Index(org)),
+                    model.size_pages(org, sub),
+                ));
+            }
+        }
+    }
+    RepriceOut { query_costs, cells }
+}
+
+/// The bans one eviction trial prices under: every index the descent
+/// evicted so far plus the one on trial.
+pub(super) struct Bans<'a> {
+    pub(super) evicted: &'a HashSet<Pair>,
+    pub(super) trial: Pair,
+}
+
+impl Bans<'_> {
+    fn contains(&self, pair: Pair) -> bool {
+        pair == self.trial || self.evicted.contains(&pair)
+    }
+}
+
+/// What a path's matrix is priced under. The default — no context, λ = 0,
+/// no bans — is the standalone pricing (maintenance unshared).
+#[derive(Default, Clone, Copy)]
+pub(super) struct Pricing<'p> {
+    /// The sharing context (3-bit covered mask per rank): a covered cell
+    /// pays its query share only — another path already maintains *and
+    /// stores* that physical index, so both its maintenance and its
+    /// footprint are counted once, by the first owner.
+    pub(super) context: Option<&'p [u8]>,
+    /// The Lagrange multiplier: an uncovered cell pays `query +
+    /// maintenance + λ·size`. λ = 0 is the unconstrained pricing — `m +
+    /// 0.0·s` is bit-identical to `m`, and the scalar DP never reads the
+    /// size plane — so one implementation of the coverage rule serves the
+    /// unconstrained and the budgeted machinery.
+    pub(super) lambda: f64,
+    /// Banned physical indexes, whose cells become unselectable
+    /// (`INFINITY` cost) — the eviction descent's instrument.
+    pub(super) bans: Option<&'p Bans<'p>>,
+}
+
+/// One path's priced cost matrix, with its size plane. All of the path's
+/// cells must already be priced (phase 1).
+///
+/// Cells struck by the path's dominance mask
+/// ([`crate::select::prune_dominated`]) become unselectable. The mask is
+/// **λ-uniform** — a struck cell is beaten in both cost and size, so it is
+/// absent from the optimum of `cost + λ·size` for every λ ≥ 0 (DESIGN.md
+/// §5.15/§5.17) — which lets the λ-priced sweeps, the eviction descent and
+/// the frontier machinery price under it too. It is *not* ban-aware: a
+/// bound whose dominating cells are banned proves nothing. Org-dominance
+/// bits lean on cells of their own rank, so they apply only when the rank
+/// is ban-free; the whole-rank (0b111) bound leans on singleton
+/// replacements anywhere in the span, so it applies only when the entire
+/// path is.
+pub(super) fn priced_matrix(
+    st: &PathState,
+    space: &CandidateSpace,
+    pricing: Pricing<'_>,
+) -> CostMatrix {
+    let Pricing {
+        context,
+        lambda,
+        bans,
+    } = pricing;
+    let n = st.path.len();
+    let ban_in_rank = |r: usize| {
+        bans.is_some_and(|b| {
+            st.cands[r].is_some_and(|cand| Org::ALL.iter().any(|&o| b.contains((cand, o))))
+        })
+    };
+    let ban_in_path = bans.is_some() && (0..SubpathId::count(n)).any(ban_in_rank);
+    let values: Vec<(SubpathId, [f64; 3], [f64; 3])> = (0..SubpathId::count(n))
+        .map(|r| {
+            let sub = SubpathId::from_rank(n, r);
+            // A mined-out rank is absent from the candidate space:
+            // never priced, never selectable, no pages.
+            let Some(cand) = st.cands[r] else {
+                return (sub, [f64::INFINITY; 3], [0.0; 3]);
+            };
+            let covered = context.map_or(0, |ctx| ctx[r]);
+            let cut = match st.pruned.as_deref().map_or(0, |p| p[r]) {
+                0b111 if ban_in_path => 0,
+                cut if cut != 0b111 && ban_in_rank(r) => 0,
+                cut => cut,
+            };
+            let mut cell = [0.0; 3];
+            let mut sizes = [0.0; 3];
+            for org in Org::ALL {
+                if bans.is_some_and(|b| b.contains((cand, org))) {
+                    cell[org.index()] = f64::INFINITY;
+                    sizes[org.index()] = 0.0;
+                    continue;
+                }
+                // Coverage outranks the prune mask: a covered cell
+                // costs its query share only — which can beat the
+                // mask's uncovered-price dominance argument — so it
+                // stays selectable.
+                let (m, s) = if covered & (1 << org.index()) != 0 {
+                    (0.0, 0.0)
+                } else if cut & (1 << org.index()) != 0 {
+                    (f64::INFINITY, 0.0)
+                } else {
+                    installed(space, (cand, org))
+                };
+                cell[org.index()] = st.query_costs[r][org.index()] + m + lambda * s;
+                sizes[org.index()] = s;
+            }
+            (sub, cell, sizes)
+        })
+        .collect();
+    CostMatrix::from_values_with_sizes(n, &values)
+}
+
+/// The marginal `(cost, size)` of one path's *existing* selection
+/// under a sharing context, read from the installed prices and never
+/// through the dominance mask — bit-identical to summing the matching
+/// unmasked cells of [`priced_matrix`] at λ = 0, in selection order.
+pub(super) fn true_marginal(
+    st: &PathState,
+    space: &CandidateSpace,
+    context: &[u8],
+    sel: &Selection,
+) -> (f64, f64) {
+    let n = st.path.len();
+    let mut cost = 0.0;
+    let mut size = 0.0;
+    for &(sub, org) in sel.iter() {
+        let r = sub.rank(n);
+        let (m, s) = if context[r] & (1 << org.index()) != 0 {
+            (0.0, 0.0)
+        } else {
+            installed(space, (st.cand(sub), org))
+        };
+        cost += st.query_costs[r][org.index()] + m + 0.0 * s;
+        size += s;
+    }
+    (cost, size)
+}
+
+/// The scalar optimum of a priced matrix as a `(subpath, org)` list, with
+/// its cost.
+pub(super) fn matrix_selection(matrix: &CostMatrix) -> (Selection, f64) {
+    let result = opt_ind_con_dp(matrix);
+    (to_selection(&result.best), result.cost)
+}
+
+/// Converts a configuration into a workload [`Selection`] (workload
+/// matrices never build the no-index column).
+pub(super) fn to_selection(config: &IndexConfiguration) -> Selection {
+    config
+        .pairs()
+        .iter()
+        .map(|&(sub, choice)| match choice {
+            Choice::Index(org) => (sub, org),
+            Choice::NoIndex => unreachable!("no no-index column at workload scale"),
+        })
+        .collect()
+}

@@ -1,0 +1,174 @@
+//! Per-path engine state and the one door through which a mutation
+//! invalidates it — [`PathState::mark`], the path columns of the DESIGN.md
+//! §5.11 invalidation matrix.
+
+use super::ledger::Pair;
+use super::{PathId, Selection, SweepMemo};
+use crate::space::CandidateId;
+use oic_cost::Org;
+use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
+
+/// What a mutation moved under a path (DESIGN.md §5.11).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Dirty {
+    /// Statistics of a class in the path's scope (`update_stats`).
+    Stats,
+    /// Insert/delete rates of a class in the path's scope (`update_rates`).
+    Rates,
+    /// The path's own query rates (`update_query_rates`).
+    Queries,
+    /// The path's admitted candidate set (re-mining).
+    Admission,
+}
+
+/// Per-path engine state: the path, its load, and every cached artifact
+/// with the dirty bits that gate recomputation.
+#[derive(Debug)]
+pub(super) struct PathState {
+    pub(super) id: PathId,
+    pub(super) path: Path,
+    /// Epoch-stable physical identity (used by re-arrival diagnostics).
+    pub(super) signature: PathSignature,
+    /// Per-class query rates, dense by `ClassId`.
+    pub(super) alphas: Vec<f64>,
+    /// Sorted class set whose statistics this path's query shares read
+    /// (`oic_cost::invalidation::query_dependencies`).
+    pub(super) scope: Vec<ClassId>,
+    /// Interned candidate per subpath rank — `None` when the mining
+    /// admission policy dropped the rank (DESIGN.md §5.17): a mined-out
+    /// subpath is never interned, never priced, and never offered to any
+    /// DP. The path holds one reference to each live entry (released on
+    /// removal).
+    pub(super) cands: Vec<Option<CandidateId>>,
+    /// The admitted entries of `cands`, flattened in rank order — the
+    /// slice the shard index, the release path and the component builder
+    /// consume without re-flattening per call. Kept in sync at intern and
+    /// re-mine time.
+    pub(super) live_cands: Vec<CandidateId>,
+    /// Query share per rank and organization; valid unless `dirty_query`.
+    pub(super) query_costs: Vec<[f64; 3]>,
+    /// Standalone optimum (selection + cost, maintenance unshared); `None`
+    /// when stale.
+    pub(super) standalone: Option<(Selection, f64)>,
+    /// Last best response: the sharing context (3-bit covered mask per
+    /// rank) and the selection the DP produced for it. Valid across epochs
+    /// while the path is clean — a sweep whose context matches is a memo
+    /// hit, not a DP run.
+    pub(super) sweep_memo: SweepMemo,
+    /// Per-rank dominance prune mask (bit per organization; `0b111` = the
+    /// whole rank is eliminated): cells provably absent from any best
+    /// response, under any sharing context **and any λ ≥ 0** — the mask is
+    /// size-aware, so it holds for every `cost + λ·size` pricing the
+    /// budgeted search runs (DESIGN.md §5.15/§5.17). `None` when stale.
+    pub(super) pruned: Option<Vec<u8>>,
+    /// Query shares stale (class statistics in scope, or own rates, moved).
+    pub(super) dirty_query: bool,
+    /// Maintenance prices of this path's candidates possibly unpriced.
+    pub(super) dirty_maint: bool,
+}
+
+impl PathState {
+    /// A freshly arrived path over its interned `cands`: nothing priced.
+    pub(super) fn new(
+        schema: &Schema,
+        id: PathId,
+        path: Path,
+        alphas: Vec<f64>,
+        cands: Vec<Option<CandidateId>>,
+    ) -> Self {
+        PathState {
+            id,
+            signature: path.signature(),
+            scope: oic_cost::invalidation::query_dependencies(schema, &path),
+            alphas,
+            live_cands: cands.iter().flatten().copied().collect(),
+            cands,
+            query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
+            standalone: None,
+            sweep_memo: None,
+            pruned: None,
+            dirty_query: true,
+            dirty_maint: true,
+            path,
+        }
+    }
+
+    /// Adopts a re-interned candidate set.
+    pub(super) fn admit(&mut self, cands: Vec<Option<CandidateId>>) {
+        self.live_cands = cands.iter().flatten().copied().collect();
+        self.cands = cands;
+        self.mark(Dirty::Admission);
+    }
+
+    /// Invalidates exactly the cached artifacts `what` can move: query
+    /// shares unless only maintenance rates moved, maintenance cells
+    /// unless only the path's own query rates moved, the standalone
+    /// optimum and best-response memo always, and the dominance mask when
+    /// the admitted candidate set itself changed (otherwise the next
+    /// re-pricing of this dirty path refreshes it).
+    pub(super) fn mark(&mut self, what: Dirty) {
+        self.dirty_query |= what != Dirty::Rates;
+        self.dirty_maint |= what != Dirty::Queries;
+        self.standalone = None;
+        self.sweep_memo = None;
+        if what == Dirty::Admission {
+            self.pruned = None;
+        }
+    }
+
+    /// The interned candidate at a *selected* rank. Selections only ever
+    /// cite admitted ranks — mined-out cells price at ∞, and singletons
+    /// are always admitted, so every DP has a finite tiling to pick.
+    pub(super) fn cand(&self, sub: SubpathId) -> CandidateId {
+        self.cands[sub.rank(self.path.len())].expect("selected rank admitted")
+    }
+
+    /// The ledger's view of a selection: each piece's physical index and
+    /// adopted query share, in selection order.
+    pub(super) fn pieces<'s>(
+        &'s self,
+        sel: &'s [(SubpathId, Org)],
+    ) -> impl Iterator<Item = (Pair, f64)> + 's {
+        let n = self.path.len();
+        sel.iter().map(move |&(sub, org)| {
+            let share = self.query_costs[sub.rank(n)][org.index()];
+            ((self.cand(sub), org), share)
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oic_schema::fixtures;
+
+    /// DESIGN.md §5.11, path columns: each mutation kind clears exactly
+    /// these layers of a clean path — (query shares, maintenance cells,
+    /// dominance mask); the standalone optimum and the best-response memo
+    /// always go.
+    #[test]
+    fn each_dirty_kind_clears_exactly_its_memo_layers() {
+        let (schema, _) = fixtures::paper_schema();
+        let path = fixtures::paper_path_pe(&schema);
+        let n = SubpathId::count(path.len());
+        let cands: Vec<_> = (0..n as u32).map(|c| Some(CandidateId(c))).collect();
+        for (what, query, maint, mask) in [
+            (Dirty::Stats, true, true, false),
+            (Dirty::Rates, false, true, false),
+            (Dirty::Queries, true, false, false),
+            (Dirty::Admission, true, true, true),
+        ] {
+            let mut st = PathState::new(&schema, PathId(0), path.clone(), vec![], cands.clone());
+            assert!(st.dirty_query && st.dirty_maint, "arrivals start unpriced");
+            // What a completed reoptimize() leaves behind.
+            (st.dirty_query, st.dirty_maint) = (false, false);
+            st.standalone = Some((Vec::new(), 0.0));
+            st.sweep_memo = Some((vec![0; n], Vec::new()));
+            st.pruned = Some(vec![0; n]);
+            st.mark(what);
+            let stale = [st.dirty_query, st.dirty_maint, st.pruned.is_none()];
+            assert_eq!(stale, [query, maint, mask], "{what:?}");
+            assert!(st.standalone.is_none() && st.sweep_memo.is_none());
+        }
+    }
+}

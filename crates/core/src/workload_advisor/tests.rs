@@ -1,0 +1,457 @@
+//! The advisor's unit tests: sharing, budgets, the evolving-workload engine.
+
+use super::*;
+use crate::{pc, Choice, CostMatrix};
+use oic_cost::{CostModel, PathCharacteristics};
+use oic_schema::fixtures;
+use oic_workload::{LoadDistribution, Triplet};
+
+fn fig7_stats(schema: &Schema) -> impl FnMut(ClassId) -> ClassStats + '_ {
+    |c| match schema.class_name(c) {
+        "Person" => ClassStats::new(200_000.0, 20_000.0, 1.0),
+        "Vehicle" => ClassStats::new(10_000.0, 5_000.0, 3.0),
+        "Bus" | "Truck" => ClassStats::new(5_000.0, 2_500.0, 2.0),
+        "Company" => ClassStats::new(1_000.0, 250.0, 4.0),
+        "Division" => ClassStats::new(1_000.0, 1_000.0, 1.0),
+        _ => ClassStats::new(1.0, 1.0, 1.0),
+    }
+}
+
+fn two_path_advisor(schema: &Schema) -> WorkloadAdvisor<'_> {
+    let pexa = fixtures::paper_path_pexa(schema);
+    let pe = fixtures::paper_path_pe(schema);
+    let mut adv = WorkloadAdvisor::new(schema, CostParams::default())
+        .with_stats(fig7_stats(schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    adv.add_path(pexa, |_| 0.2);
+    adv.add_path(pe, |_| 0.3);
+    adv
+}
+
+fn assert_costs_match(a: &WorkloadPlan, b: &WorkloadPlan) {
+    assert!(
+        (a.total_cost - b.total_cost).abs() < 1e-9 * a.total_cost.abs().max(1.0),
+        "warm {} vs cold {}",
+        a.total_cost,
+        b.total_cost
+    );
+    assert!(
+        (a.independent_cost - b.independent_cost).abs() < 1e-9 * a.independent_cost.abs().max(1.0),
+        "warm independent {} vs cold {}",
+        a.independent_cost,
+        b.independent_cost
+    );
+}
+
+#[test]
+fn single_path_matches_the_standalone_advisor() {
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    adv.add_path(pexa.clone(), |_| 0.25);
+    let plan = adv.optimize();
+    // Cross-check against the single-path pipeline on the same inputs.
+    let chars = PathCharacteristics::build(&schema, &pexa, |c| fig7_stats(&schema)(c));
+    let ld = LoadDistribution::build(&schema, &pexa, |c| {
+        let _ = c;
+        Triplet::new(0.25, 0.1, 0.1)
+    });
+    let model = CostModel::new(&schema, &pexa, &chars, CostParams::default());
+    let single = crate::select::opt_ind_con(&CostMatrix::build(&model, &ld));
+    assert!((plan.total_cost - single.cost).abs() < 1e-6);
+    assert_eq!(plan.paths[0].selection.pairs(), single.best.pairs());
+    assert!(plan.shared.is_empty());
+}
+
+#[test]
+fn shared_prefix_is_priced_once() {
+    let (schema, _) = fixtures::paper_schema();
+    let plan = two_path_advisor(&schema).optimize();
+    assert_eq!(plan.paths.len(), 2);
+    // 10 Pexa subpaths + 3 Pe-only ones; priced at most once per org.
+    assert_eq!(plan.candidates, 13);
+    assert!(plan.maintenance_pricings <= 3 * plan.candidates as u64);
+    assert_eq!(plan.maintenance_pricings, plan.epoch_pricings);
+    assert!(plan.total_cost <= plan.independent_cost + 1e-9);
+}
+
+#[test]
+fn identical_paths_collapse_to_one_physical_design() {
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    for _ in 0..5 {
+        adv.add_path(pexa.clone(), |_| 0.2);
+    }
+    let plan = adv.optimize();
+    // Five copies of the path expose exactly one path's candidates, and
+    // pricing them never repeats per (candidate, org).
+    assert_eq!(plan.candidates, SubpathId::count(4));
+    assert_eq!(plan.maintenance_pricings, 3 * SubpathId::count(4) as u64);
+    // All five paths select the same configuration; its indexes are
+    // shared by all of them and maintenance is paid once.
+    let first = plan.paths[0].selection.pairs().to_vec();
+    for p in &plan.paths {
+        assert_eq!(p.selection.pairs(), &first[..]);
+    }
+    for s in &plan.shared {
+        assert_eq!(s.owners.len(), 5);
+    }
+    let expected: f64 = plan.paths.iter().map(|p| p.query_cost).sum::<f64>()
+        + plan.shared.iter().map(|s| s.maintenance).sum::<f64>();
+    assert!((plan.total_cost - expected).abs() < 1e-9);
+    // Sharing 4 extra copies of the maintenance is a strict win.
+    assert!(plan.total_cost < plan.independent_cost - 1e-9);
+}
+
+#[test]
+fn terminal_and_embedded_spellings_do_not_cross_contaminate() {
+    // Person.owns as a complete path spells the same steps as the
+    // first subpath of Pexa, but the embedded role pays the Vehicle
+    // boundary-CMD and must be priced separately — whichever the
+    // advisor prices first must not leak into the other. Verify the
+    // workload totals re-derive from independently computed shares.
+    let (schema, _) = fixtures::paper_schema();
+    let owns = Path::parse(&schema, "Person", &["owns"]).unwrap();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    adv.add_path(owns.clone(), |_| 0.4);
+    adv.add_path(pexa.clone(), |_| 0.2);
+    let plan = adv.optimize();
+    // The len-1 path optimizing alone must cost exactly its standalone
+    // single-path optimum — no contamination from Pexa's embedded
+    // Person.owns pricing (and vice versa).
+    for (path, alpha, outcome) in [(&owns, 0.4, &plan.paths[0]), (&pexa, 0.2, &plan.paths[1])] {
+        let chars = PathCharacteristics::build(&schema, path, |c| fig7_stats(&schema)(c));
+        let ld = LoadDistribution::build(&schema, path, |_| Triplet::new(alpha, 0.1, 0.1));
+        let model = CostModel::new(&schema, path, &chars, CostParams::default());
+        let single = crate::select::opt_ind_con(&CostMatrix::build(&model, &ld));
+        assert!(
+            (outcome.standalone_cost - single.cost).abs() < 1e-9 * single.cost.max(1.0),
+            "standalone {} vs single-path optimum {}",
+            outcome.standalone_cost,
+            single.cost
+        );
+    }
+    // The two spellings are distinct candidates; nothing is shared, so
+    // the workload total equals the independent total.
+    assert!(plan.shared.is_empty());
+    assert!((plan.total_cost - plan.independent_cost).abs() < 1e-9);
+}
+
+#[test]
+fn maintenance_price_is_owner_independent() {
+    // The decomposition hinges on M(candidate, org) being the same
+    // through any owner's model; verify it directly for the shared
+    // Per.owns.man prefix of Pexa and Pe.
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let pe = fixtures::paper_path_pe(&schema);
+    let mut stats = fig7_stats(&schema);
+    let chars_a = PathCharacteristics::build(&schema, &pexa, &mut stats);
+    let chars_b = PathCharacteristics::build(&schema, &pe, &mut stats);
+    let maint = |_: ClassId| Triplet::new(0.0, 0.1, 0.1);
+    let ld_a = LoadDistribution::build(&schema, &pexa, maint);
+    let ld_b = LoadDistribution::build(&schema, &pe, maint);
+    let model_a = CostModel::new(&schema, &pexa, &chars_a, CostParams::default());
+    let model_b = CostModel::new(&schema, &pe, &chars_b, CostParams::default());
+    let sub = SubpathId { start: 1, end: 2 };
+    for org in Org::ALL {
+        let via_a = pc::processing_cost(&model_a, &ld_a, sub, Choice::Index(org));
+        let via_b = pc::processing_cost(&model_b, &ld_b, sub, Choice::Index(org));
+        assert!(
+            (via_a - via_b).abs() < 1e-9 * via_a.abs().max(1.0),
+            "{org}: {via_a} vs {via_b}"
+        );
+    }
+}
+
+// ---- budgeted selection tests -----------------------------------------
+
+#[test]
+fn infinite_budget_is_bit_identical_to_optimize() {
+    let (schema, _) = fixtures::paper_schema();
+    let plan = two_path_advisor(&schema).optimize();
+    let budgeted = two_path_advisor(&schema).optimize_with_budget(f64::INFINITY);
+    assert!(budgeted.feasible);
+    assert_eq!(budgeted.lambda, 0.0);
+    assert_eq!(budgeted.lambda_sweeps, 0);
+    assert_eq!(
+        budgeted.plan.total_cost.to_bits(),
+        plan.total_cost.to_bits()
+    );
+    assert_eq!(
+        budgeted.plan.size_pages.to_bits(),
+        plan.size_pages.to_bits()
+    );
+    for (a, b) in budgeted.plan.paths.iter().zip(&plan.paths) {
+        assert_eq!(a.selection.pairs(), b.selection.pairs());
+    }
+    // Any budget at or above the unconstrained footprint behaves the
+    // same way (the constraint is slack).
+    let relaxed = two_path_advisor(&schema).optimize_with_budget(plan.size_pages);
+    assert_eq!(relaxed.plan.total_cost.to_bits(), plan.total_cost.to_bits());
+}
+
+#[test]
+fn plans_report_the_count_once_footprint() {
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    for _ in 0..5 {
+        adv.add_path(pexa.clone(), |_| 0.2);
+    }
+    let plan = adv.optimize();
+    // Five copies select identically; the plan stores each physical
+    // index once, so the footprint equals one path's configuration
+    // size under the same model.
+    let chars = PathCharacteristics::build(&schema, &pexa, |c| fig7_stats(&schema)(c));
+    let model = CostModel::new(&schema, &pexa, &chars, CostParams::default());
+    let expected: f64 = plan.paths[0]
+        .selection
+        .pairs()
+        .iter()
+        .map(|&(sub, choice)| match choice {
+            Choice::Index(org) => model.size_pages(org, sub),
+            Choice::NoIndex => 0.0,
+        })
+        .sum();
+    assert!(
+        (plan.size_pages - expected).abs() < 1e-9 * expected.max(1.0),
+        "plan footprint {} vs one copy's {}",
+        plan.size_pages,
+        expected
+    );
+}
+
+#[test]
+fn tight_budget_trades_cost_for_pages() {
+    let (schema, _) = fixtures::paper_schema();
+    let unconstrained = two_path_advisor(&schema).optimize();
+    assert!(unconstrained.size_pages > 0.0);
+    let budget = unconstrained.size_pages * 0.5;
+    let budgeted = two_path_advisor(&schema).optimize_with_budget(budget);
+    assert!(budgeted.feasible, "half the footprint should be reachable");
+    assert!(
+        budgeted.plan.size_pages <= budget + 1e-9,
+        "{} > {budget}",
+        budgeted.plan.size_pages
+    );
+    assert!(
+        budgeted.plan.total_cost >= unconstrained.total_cost - 1e-9,
+        "a constrained plan cannot beat the unconstrained optimum"
+    );
+    assert!(budgeted.cost_ratio() >= 1.0 - 1e-12);
+    // λ is the multiplier of the winning sweep — 0 when the eviction
+    // descent produced the plan instead.
+    assert!(budgeted.lambda >= 0.0);
+    assert!(budgeted.lambda_sweeps > 0);
+}
+
+#[test]
+fn budget_below_minimum_footprint_is_flagged_infeasible() {
+    let (schema, _) = fixtures::paper_schema();
+    let budgeted = two_path_advisor(&schema).optimize_with_budget(1.0);
+    assert!(!budgeted.feasible, "one page cannot hold any plan");
+    assert!(budgeted.plan.size_pages > 1.0);
+    // The returned plan is the leanest sweep: no feasible-side λ was
+    // found, and its footprint undercuts the unconstrained one.
+    assert!(budgeted.plan.size_pages <= budgeted.unconstrained_size + 1e-9);
+}
+
+#[test]
+fn budgeted_plans_are_monotone_in_the_budget() {
+    // A wider budget can only help: sweep a few budgets and check the
+    // realized costs never increase with the budget.
+    let (schema, _) = fixtures::paper_schema();
+    let unconstrained = two_path_advisor(&schema).optimize();
+    let mut last_cost = f64::INFINITY;
+    for frac in [0.4, 0.6, 0.8, 1.0] {
+        let b = two_path_advisor(&schema).optimize_with_budget(unconstrained.size_pages * frac);
+        if !b.feasible {
+            continue;
+        }
+        assert!(
+            b.plan.total_cost <= last_cost + 1e-6 * last_cost.abs().max(1.0),
+            "budget {frac}: cost {} after cheaper {last_cost}",
+            b.plan.total_cost
+        );
+        last_cost = b.plan.total_cost;
+    }
+    assert!(
+        (last_cost - unconstrained.total_cost).abs() < 1e-9 * unconstrained.total_cost.max(1.0),
+        "the full budget recovers the unconstrained optimum"
+    );
+}
+
+// ---- evolving-workload engine tests -----------------------------------
+
+#[test]
+fn clean_reoptimize_is_all_cache_hits() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    let first = adv.optimize();
+    assert_eq!(first.epoch, 1);
+    assert_eq!(first.repriced_paths, 2);
+    // No mutations: the second plan re-derives from caches alone.
+    let second = adv.reoptimize();
+    assert_eq!(second.epoch, 2);
+    assert_eq!(second.mutations, 0);
+    assert_eq!(second.repriced_paths, 0, "no model rebuilds");
+    assert_eq!(second.epoch_pricings, 0, "no maintenance pricings");
+    assert!(
+        second.dp_runs < first.dp_runs,
+        "standalone optima cached, sweep responses partly memoized: {} vs {}",
+        second.dp_runs,
+        first.dp_runs
+    );
+    // Every sweep selection is either a DP run or a memo hit.
+    assert_eq!(
+        second.dp_runs + second.dp_memo_hits,
+        2 * second.sweeps as u64
+    );
+    assert_eq!(second.total_cost.to_bits(), first.total_cost.to_bits());
+}
+
+#[test]
+fn stat_mutation_reprices_only_scoped_paths() {
+    let (schema, _) = fixtures::paper_schema();
+    let owns = Path::parse(&schema, "Person", &["owns"]).unwrap();
+    let divs = Path::parse(&schema, "Company", &["divs", "name"]).unwrap();
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1));
+    adv.add_path(owns, |_| 0.4);
+    adv.add_path(divs, |_| 0.2);
+    adv.optimize();
+    // Division stats touch only the Company.divs.name path.
+    let division = schema.class_by_name("Division").unwrap();
+    assert!(adv.update_stats(division, ClassStats::new(2_000.0, 1_500.0, 1.0)));
+    let plan = adv.reoptimize();
+    assert_eq!(plan.mutations, 1);
+    assert_eq!(plan.repriced_paths, 1, "Person.owns is out of scope");
+    assert_costs_match(&plan, &adv.rebuild().optimize());
+    // Re-applying the same value is a recognized no-op.
+    assert!(!adv.update_stats(division, ClassStats::new(2_000.0, 1_500.0, 1.0)));
+    let plan = adv.reoptimize();
+    assert_eq!((plan.mutations, plan.repriced_paths), (0, 0));
+}
+
+#[test]
+fn warm_reoptimize_matches_cold_rebuild_across_mutation_kinds() {
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let pe = fixtures::paper_path_pe(&schema);
+    let owns = Path::parse(&schema, "Person", &["owns"]).unwrap();
+    let mut adv = two_path_advisor(&schema);
+    adv.optimize();
+
+    // Arrival.
+    let owns_id = adv.add_path(owns.clone(), |_| 0.4);
+    assert_costs_match(&adv.reoptimize(), &adv.rebuild().optimize());
+    // Stat drift.
+    let vehicle = schema.class_by_name("Vehicle").unwrap();
+    adv.update_stats(vehicle, ClassStats::new(40_000.0, 9_000.0, 2.0));
+    assert_costs_match(&adv.reoptimize(), &adv.rebuild().optimize());
+    // Rate churn.
+    let person = schema.class_by_name("Person").unwrap();
+    adv.update_rates(person, (0.4, 0.02));
+    assert_costs_match(&adv.reoptimize(), &adv.rebuild().optimize());
+    // Per-path query churn.
+    let first = adv.path_ids().next().unwrap();
+    adv.update_query_rates(first, |_| 0.05);
+    assert_costs_match(&adv.reoptimize(), &adv.rebuild().optimize());
+    // Departure + re-arrival under a fresh handle, same signature.
+    let removed = adv.remove_path(owns_id).expect("live handle");
+    assert_eq!(removed.signature(), owns.signature());
+    assert!(adv.remove_path(owns_id).is_none(), "handles are single-use");
+    let owns_id2 = adv.add_path(owns.clone(), |_| 0.1);
+    assert_ne!(owns_id, owns_id2);
+    assert_eq!(
+        adv.path_signature(owns_id2),
+        Some(&owns.signature()),
+        "re-arrival carries the same physical identity"
+    );
+    assert_costs_match(&adv.reoptimize(), &adv.rebuild().optimize());
+    // Several batched mutations at once.
+    adv.update_stats(person, ClassStats::new(150_000.0, 30_000.0, 1.0));
+    adv.update_rates(vehicle, (0.0, 0.3));
+    adv.remove_path(owns_id2);
+    adv.add_path(pe.clone(), |_| 0.15);
+    adv.add_path(pexa.clone(), |_| 0.05);
+    let warm = adv.reoptimize();
+    let cold = adv.rebuild().optimize();
+    assert_costs_match(&warm, &cold);
+    assert_eq!(warm.physical_indexes, cold.physical_indexes);
+    assert_eq!(warm.paths.len(), cold.paths.len());
+    for (w, c) in warm.paths.iter().zip(&cold.paths) {
+        assert_eq!(w.selection.pairs(), c.selection.pairs());
+    }
+}
+
+#[test]
+fn removing_the_last_owner_frees_candidates_and_plans_cite_live_ids() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    let plan = adv.optimize();
+    assert_eq!(plan.candidates, 13);
+    let pexa_id = adv.path_ids().next().unwrap();
+    // Dropping Pexa frees its 7 exclusive candidates (3 are shared
+    // with Pe).
+    adv.remove_path(pexa_id);
+    let plan = adv.reoptimize();
+    assert_eq!(plan.paths.len(), 1);
+    assert_eq!(plan.candidates, 6, "Pe's own subpaths only");
+    assert_eq!(adv.candidate_space().len(), 6);
+    // Every candidate the surviving plan cites is live, with a live
+    // maintenance price.
+    let pe_state_cands: Vec<CandidateId> = {
+        let st = &adv.paths[0];
+        plan.paths[0]
+            .selection
+            .pairs()
+            .iter()
+            .map(|&(sub, _)| st.cand(sub))
+            .collect()
+    };
+    for (id, &(_, choice)) in pe_state_cands.iter().zip(plan.paths[0].selection.pairs()) {
+        assert!(adv.candidate_space().is_live(*id));
+        let Choice::Index(org) = choice else {
+            unreachable!()
+        };
+        assert!(adv.candidate_space().priced_maintenance(*id, org).is_some());
+    }
+    // Removing the last path yields an empty plan, an empty space.
+    let pe_id = adv.path_ids().next().unwrap();
+    adv.remove_path(pe_id);
+    let plan = adv.reoptimize();
+    assert!(plan.paths.is_empty());
+    assert_eq!(plan.total_cost, 0.0);
+    assert_eq!(plan.physical_indexes, 0);
+    assert!(adv.candidate_space().is_empty());
+}
+
+#[test]
+fn rate_churn_skips_query_share_recomputation() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    adv.optimize();
+    let before: Vec<Vec<[f64; 3]>> = adv.paths.iter().map(|st| st.query_costs.clone()).collect();
+    let person = schema.class_by_name("Person").unwrap();
+    adv.update_rates(person, (0.9, 0.9));
+    let plan = adv.reoptimize();
+    assert_eq!(plan.repriced_paths, 2, "both paths scope Person");
+    assert!(plan.epoch_pricings > 0, "invalidated cells repriced");
+    for (st, old) in adv.paths.iter().zip(&before) {
+        assert_eq!(&st.query_costs, old, "query shares are rate-blind");
+    }
+    assert_costs_match(&plan, &adv.rebuild().optimize());
+}

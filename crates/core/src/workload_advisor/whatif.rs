@@ -1,0 +1,238 @@
+//! What-if and cross-plan pricing: one hypothetical candidate priced
+//! without adopting it, another advisor's plan priced under this one's
+//! adopted state, and the mined-admission cost bound.
+
+use super::pricing::{installed, to_selection};
+use super::{PathId, PathOutcome, Selection, WorkloadAdvisor, WorkloadPlan};
+use crate::space::{CandidateId, CandidateStep};
+use crate::{pc, Choice};
+use oic_cost::{CostModel, Org, PathCharacteristics};
+use oic_schema::{Path, SubpathId};
+use oic_workload::{LoadDistribution, Triplet};
+use std::collections::HashMap;
+
+/// The answer of [`WorkloadAdvisor::what_if`]: one candidate physical
+/// index priced *hypothetically* — query benefit per subscribing path plus
+/// maintenance and footprint per organization — without adopting anything.
+///
+/// When the candidate is live and fully priced (it belongs to the adopted
+/// workload and the last `(re)optimize` priced it), every number is read
+/// from the live memos, so the report reproduces the adopted pricing
+/// **bitwise** (`adopted = true`). Otherwise the candidate is priced
+/// standalone from the current statistics and rates — the same arithmetic
+/// the re-pricing phase would run if the candidate were interned — with no
+/// subscriber attribution (`adopted = false`, it is not part of any plan).
+#[derive(Debug, Clone)]
+pub struct WhatIfReport {
+    /// The candidate's step sequence.
+    pub steps: Vec<CandidateStep>,
+    /// Its role: embedded (more steps follow in the probing path) or
+    /// terminal. The two price differently (boundary `CMD`, key domain).
+    pub embedded: bool,
+    /// The live candidate id, when some path currently exposes this exact
+    /// `(steps, role)` spelling.
+    pub candidate: Option<CandidateId>,
+    /// `true` when every price below came from the adopted memos.
+    pub adopted: bool,
+    /// Maintenance price per organization (`Org::ALL` order), paid once
+    /// regardless of subscriber count.
+    pub maintenance: [f64; 3],
+    /// Footprint in pages per organization, counted once likewise.
+    pub size_pages: [f64; 3],
+    /// Live paths that expose this candidate, with their query shares —
+    /// the per-subscriber benefit side of the what-if ledger. Empty for a
+    /// hypothetical candidate.
+    pub subscribers: Vec<WhatIfSubscriber>,
+}
+
+/// One subscribing path in a [`WhatIfReport`].
+#[derive(Debug, Clone)]
+pub struct WhatIfSubscriber {
+    /// The subscribing path.
+    pub path: PathId,
+    /// Where the candidate sits in that path.
+    pub sub: SubpathId,
+    /// The path's query share per organization were this candidate
+    /// selected there (`Org::ALL` order).
+    pub query_costs: [f64; 3],
+}
+
+impl WorkloadAdvisor<'_> {
+    /// The adopted query share of one `(subpath, organization)` cell of a
+    /// live path — the exact memo value the plan's ledger folds,
+    /// read without any recomputation. `None` for an unknown handle or
+    /// while the path's shares are stale (pending mutations not yet
+    /// repriced). The migration planner captures interim prices through
+    /// this so its endpoint costs equal [`Self::price_plan`] bitwise.
+    pub(crate) fn query_share(&self, id: PathId, sub: SubpathId, org: Org) -> Option<f64> {
+        let st = &self.paths[self.find(id)?];
+        if st.dirty_query {
+            return None;
+        }
+        Some(st.query_costs[sub.rank(st.path.len())][org.index()])
+    }
+
+    /// The adopted `(maintenance, footprint)` memos of a live candidate,
+    /// per organization — `None` unless all three are priced. What
+    /// [`Self::what_if`]'s adopted arm reports, without its subscriber
+    /// scan; the migration planner captures index prices through this.
+    pub(crate) fn adopted_prices(&self, id: CandidateId) -> Option<([f64; 3], [f64; 3])> {
+        let mut m = [0.0; 3];
+        let mut s = [0.0; 3];
+        for org in Org::ALL {
+            m[org.index()] = self.space.priced_maintenance(id, org)?;
+            s[org.index()] = self.space.priced_size(id, org)?;
+        }
+        Some((m, s))
+    }
+
+    /// Prices the hypothetical physical index over `sub` of `path` without
+    /// adopting it — AIM's core what-if primitive, nearly free here
+    /// because the advisor already prices candidates standalone.
+    ///
+    /// Resolution: the candidate identity is `path`'s step sequence over
+    /// `sub` in its role (embedded iff `sub` ends before the path does).
+    /// If that identity is live in the shared space **and** fully priced,
+    /// the report reads the adopted memos — maintenance, footprint and
+    /// every clean subscriber's query share reproduce the adopted pricing
+    /// bitwise. Otherwise the candidate is priced standalone under the
+    /// current statistics and rates, exactly the arithmetic the re-pricing
+    /// phase runs when a path exposes a new candidate (so probing first
+    /// and adopting later yields the same numbers).
+    ///
+    /// Values reflect the last completed `(re)optimize`; pending mutations
+    /// are visible only through the standalone arm. `path` need not be
+    /// registered with the advisor.
+    pub fn what_if(&self, path: &Path, sub: SubpathId) -> WhatIfReport {
+        let n = path.len();
+        assert!(
+            sub.start >= 1 && sub.start <= sub.end && sub.end <= n,
+            "subpath {sub:?} out of range for a path of {n} positions"
+        );
+        let steps = path.step_keys(sub);
+        let embedded = sub.end < n;
+        let candidate = self.space.find(&steps, embedded);
+        if let Some(id) = candidate {
+            if let Some((maintenance, size_pages)) = self.adopted_prices(id) {
+                let mut subscribers = Vec::new();
+                for st in &self.paths {
+                    if st.dirty_query {
+                        continue; // stale shares never enter a report
+                    }
+                    for (r, &cand) in st.cands.iter().enumerate() {
+                        if cand == Some(id) {
+                            subscribers.push(WhatIfSubscriber {
+                                path: st.id,
+                                sub: SubpathId::from_rank(st.path.len(), r),
+                                query_costs: st.query_costs[r],
+                            });
+                        }
+                    }
+                }
+                return WhatIfReport {
+                    steps,
+                    embedded,
+                    candidate,
+                    adopted: true,
+                    maintenance,
+                    size_pages,
+                    subscribers,
+                };
+            }
+        }
+        // Hypothetical (or invalidated) candidate: one standalone pricing
+        // pass, installing nothing.
+        let chars = PathCharacteristics::build(self.schema, path, |c| self.stats[c.index()]);
+        let model = CostModel::new(self.schema, path, &chars, self.params);
+        let mld = LoadDistribution::build(self.schema, path, |c| {
+            let (beta, gamma) = self.maint[c.index()];
+            Triplet::new(0.0, beta, gamma)
+        });
+        WhatIfReport {
+            steps,
+            embedded,
+            candidate,
+            adopted: false,
+            maintenance: Org::ALL
+                .map(|org| pc::processing_cost(&model, &mld, sub, Choice::Index(org))),
+            size_pages: Org::ALL.map(|org| model.size_pages(org, sub)),
+            subscribers: Vec::new(),
+        }
+    }
+
+    /// The workload objective of **another advisor's plan** priced under
+    /// *this* advisor's adopted statistics and rates: per-path query
+    /// shares of the plan's selections plus each distinct physical index's
+    /// maintenance, once. This is the yardstick of the online-tuning
+    /// bench: the true cost of the estimator-driven plan is what the
+    /// oracle (exact-rate) advisor says it costs.
+    ///
+    /// Requires a completed `(re)optimize` on `self` (so every cell is
+    /// priced) and the same live path set (matched by [`PathId`], which
+    /// congruent mutation histories keep aligned).
+    pub fn price_plan(&self, plan: &WorkloadPlan) -> f64 {
+        assert_eq!(
+            plan.paths.len(),
+            self.paths.len(),
+            "price_plan: plan and advisor hold different path sets"
+        );
+        let by_id: HashMap<PathId, &PathOutcome> = plan.paths.iter().map(|p| (p.id, p)).collect();
+        let selections: Vec<Selection> = self
+            .paths
+            .iter()
+            .map(|st| {
+                let p = by_id
+                    .get(&st.id)
+                    .unwrap_or_else(|| panic!("price_plan: plan misses live path {:?}", st.id));
+                assert_eq!(
+                    p.path.signature(),
+                    st.signature,
+                    "price_plan: path {:?} changed identity",
+                    st.id
+                );
+                to_selection(&p.selection)
+            })
+            .collect();
+        self.ledger(&selections).totals().0
+    }
+
+    /// An upper bound on the workload-cost increase the mined admission
+    /// can cause, from the coverability guarantee (DESIGN.md §5.17): any
+    /// position a mined-out rank spans is still coverable by its admitted
+    /// singleton rank, so an unmined solution turns mined-feasible by
+    /// replacing each dropped piece with those singletons — at an extra
+    /// cost of at most the summed full price (query share plus unshared
+    /// maintenance, cheapest organization) of the replacement singletons.
+    /// The bound sums that replacement price over the union of every
+    /// mined-out rank's span, per path — generous, since real selections
+    /// drop far fewer pieces. 0 when nothing was mined out. Requires a
+    /// completed `(re)optimize` (every live cell priced).
+    pub fn mining_cost_bound(&self) -> f64 {
+        let mut bound = 0.0;
+        for st in &self.paths {
+            let n = st.path.len();
+            let mut dropped_span = vec![false; n + 1];
+            for (r, c) in st.cands.iter().enumerate() {
+                if c.is_none() {
+                    let sub = SubpathId::from_rank(n, r);
+                    dropped_span[sub.start..=sub.end].fill(true);
+                }
+            }
+            for (l, &dropped) in dropped_span.iter().enumerate().skip(1) {
+                if !dropped {
+                    continue;
+                }
+                let r = SubpathId { start: l, end: l }.rank(n);
+                let cand = st.cands[r].expect("singleton ranks are always admitted");
+                let cheapest = Org::ALL
+                    .iter()
+                    .map(|&org| {
+                        st.query_costs[r][org.index()] + installed(&self.space, (cand, org)).0
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                bound += cheapest;
+            }
+        }
+        bound
+    }
+}

@@ -73,6 +73,11 @@ fn mid_migration_retune_lands_bit_equal_to_cold_optimize() {
         adv.price_plan(&target).to_bits(),
         "the schedule lands on exactly the advisor's own quote"
     );
+    assert_eq!(
+        opening.final_cost.to_bits(),
+        target.total_cost.to_bits(),
+        "which is the target plan's own total_cost (quote ≡ price_plan ≡ final_cost)"
+    );
 
     // One wave lands, then the workload drifts again mid-migration: the
     // retune re-targets the remaining steps.
@@ -90,6 +95,10 @@ fn mid_migration_retune_lands_bit_equal_to_cold_optimize() {
         remaining.final_cost.to_bits(),
         adv.price_plan(&retargeted).to_bits(),
         "remaining steps now land on the new target"
+    );
+    assert_eq!(
+        remaining.final_cost.to_bits(),
+        retargeted.total_cost.to_bits()
     );
 
     // The workload freezes; the migration runs to completion.

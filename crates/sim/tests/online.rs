@@ -6,8 +6,8 @@
 //! selections and cost, across random workloads and random within-tick
 //! event interleavings. Plus: replaying the same log twice yields
 //! bit-identical estimator state; drift-mode trigger decisions and plans
-//! agree across the sharded/unsharded and parallel/sequential engines;
-//! and `what_if` on an adopted candidate reproduces the adopted pricing
+//! agree across lane counts (there is one engine; the parallel and the
+//! sequential executor must not differ); and `what_if` on an adopted candidate reproduces the adopted pricing
 //! bitwise.
 
 use oic_core::{Choice, OnlineTuner, TuningPolicy, WorkloadAdvisor};

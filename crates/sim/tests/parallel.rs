@@ -51,6 +51,13 @@ fn memo_cells(adv: &WorkloadAdvisor<'_>) -> Vec<MemoCell> {
     cells
 }
 
+/// Quote ≡ re-price (DESIGN.md §5.12): the advisor that quoted `plan`
+/// re-derives its `total_cost` bitwise — one ledger folds both.
+fn assert_reprices(adv: &WorkloadAdvisor<'_>, plan: &WorkloadPlan, ctx: &str) {
+    let quote = plan.total_cost.to_bits();
+    assert_eq!(quote, adv.price_plan(plan).to_bits(), "{ctx}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -79,8 +86,9 @@ proptest! {
             .collect();
 
         let plans: Vec<WorkloadPlan> = advisors.iter_mut().map(|a| a.optimize()).collect();
-        for (plan, &lanes) in plans.iter().zip(&LANES).skip(1) {
+        for ((plan, adv), &lanes) in plans.iter().zip(&advisors).zip(&LANES) {
             plans[0].assert_bit_identical_to(plan, &format!("cold optimize, {lanes} lanes"));
+            assert_reprices(adv, plan, &format!("cold quote, {lanes} lanes"));
         }
         // Disjoint trees never merge: cold, every populated tree is at
         // least one component. (Churn may empty a tree, so this bound is
@@ -96,11 +104,12 @@ proptest! {
                     adv.reoptimize()
                 })
                 .collect();
-            for (plan, &lanes) in plans.iter().zip(&LANES).skip(1) {
+            for ((plan, adv), &lanes) in plans.iter().zip(&advisors).zip(&LANES) {
                 plans[0].assert_bit_identical_to(
                     plan,
                     &format!("epoch {epoch} reoptimize, {lanes} lanes"),
                 );
+                assert_reprices(adv, plan, &format!("epoch {epoch} quote, {lanes} lanes"));
             }
         }
     }
@@ -177,9 +186,10 @@ proptest! {
             let budgeted: Vec<BudgetedWorkloadPlan> = LANES
                 .iter()
                 .map(|&lanes| {
-                    w.advisor(CostParams::default())
-                        .with_threads(lanes)
-                        .optimize_with_budget(budget)
+                    let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+                    let budgeted = adv.optimize_with_budget(budget);
+                    assert_reprices(&adv, &budgeted.plan, &format!("budgeted quote, {lanes} lanes"));
+                    budgeted
                 })
                 .collect();
             for (plan, &lanes) in budgeted.iter().zip(&LANES).skip(1) {

@@ -1,91 +1,22 @@
 //! Section 6 future work, implemented: index configurations for **several
-//! paths at once**, consolidating physically identical subpath indexes.
-//! `Pe = Per.owns.man.name` and `Pexa = Per.owns.man.divs.name` overlap on
-//! the `Per.owns.man` prefix — if both optima index it identically, one
-//! physical index serves both and its maintenance is paid once.
+//! paths at once**. `Pe = Per.owns.man.name` and `Pexa =
+//! Per.owns.man.divs.name` overlap on the `Per.owns.man` prefix — both go
+//! through one shared candidate space, so a physical index that serves
+//! both is priced once *during* selection: its maintenance is paid once.
 //!
 //! ```sh
 //! cargo run --example multi_path
 //! ```
 
-use oo_index_config::core::extensions::multipath::{optimize, PathCase};
 use oo_index_config::prelude::*;
 use oo_index_config::schema::fixtures;
 
 fn main() {
     let (schema, _) = fixtures::paper_schema();
-
-    // Path A: the paper's Pexa with its Figure 7 statistics and workload.
-    let (pexa, chars_a) = oo_index_config::cost::characteristics::example51(&schema);
-    let ld_a = oo_index_config::workload::example51_load(&schema, &pexa);
-
-    // Path B: Pe, sharing Per.owns.man; Company indexed on `name` here.
+    let pexa = fixtures::paper_path_pexa(&schema);
     let pe = fixtures::paper_path_pe(&schema);
-    let chars_b = PathCharacteristics::build(&schema, &pe, |c| match schema.class_name(c) {
-        "Person" => ClassStats::new(200_000.0, 20_000.0, 1.0),
-        "Vehicle" => ClassStats::new(10_000.0, 5_000.0, 3.0),
-        "Bus" | "Truck" => ClassStats::new(5_000.0, 2_500.0, 2.0),
-        _ => ClassStats::new(1_000.0, 1_000.0, 1.0), // Company.name
-    });
-    let ld_b = LoadDistribution::build(&schema, &pe, |c| match schema.class_name(c) {
-        "Person" => Triplet::new(0.4, 0.1, 0.1),
-        "Vehicle" => Triplet::new(0.2, 0.0, 0.05),
-        "Bus" => Triplet::new(0.05, 0.05, 0.1),
-        "Truck" => Triplet::new(0.0, 0.1, 0.0),
-        _ => Triplet::new(0.15, 0.05, 0.05),
-    });
 
-    let params = CostParams::paper();
-    let cases = vec![
-        PathCase {
-            path: &pexa,
-            model: CostModel::new(&schema, &pexa, &chars_a, params),
-            ld: &ld_a,
-        },
-        PathCase {
-            path: &pe,
-            model: CostModel::new(&schema, &pe, &chars_b, params),
-            ld: &ld_b,
-        },
-    ];
-    let plan = optimize(&schema, &cases);
-
-    println!("multi-path physical design for {pexa} and {pe}\n");
-    for (i, (case, result)) in cases.iter().zip(&plan.per_path).enumerate() {
-        println!(
-            "path {}: {}  (cost {:.2}, {} of {} configurations evaluated)",
-            i + 1,
-            result.best.render(&schema, case.path),
-            result.cost,
-            result.evaluated,
-            result.candidate_space,
-        );
-    }
-    println!("\nindependent total: {:.2}", plan.independent_cost);
-    if plan.shared.is_empty() {
-        println!("no physically identical subpath indexes across the optima");
-    } else {
-        for s in &plan.shared {
-            let steps: Vec<String> = s
-                .signature
-                .steps
-                .iter()
-                .map(|&(c, a)| format!("{}.{}", schema.class_name(c), schema.attr_name(a)))
-                .collect();
-            println!(
-                "shared {} index on [{}] across paths {:?}: maintenance saving {:.2}",
-                s.signature.choice,
-                steps.join(" → "),
-                s.owners.iter().map(|i| i + 1).collect::<Vec<_>>(),
-                s.saving
-            );
-        }
-    }
-    println!("consolidated total: {:.2}", plan.consolidated_cost);
-
-    // The workload-scale engine: both paths through one shared candidate
-    // space, duplicate physical subpaths priced once *during* selection.
-    let mut wadv = WorkloadAdvisor::new(&schema, params)
+    let mut advisor = WorkloadAdvisor::new(&schema, CostParams::paper())
         .with_stats(|c| match schema.class_name(c) {
             "Person" => ClassStats::new(200_000.0, 20_000.0, 1.0),
             "Vehicle" => ClassStats::new(10_000.0, 5_000.0, 3.0),
@@ -95,9 +26,14 @@ fn main() {
             _ => ClassStats::new(1.0, 1.0, 1.0),
         })
         .with_maintenance(|_| (0.1, 0.08));
-    wadv.add_path(pexa.clone(), |_| 0.2);
-    wadv.add_path(pe.clone(), |_| 0.25);
-    let wplan = wadv.optimize();
-    println!("\n--- workload advisor (shared candidate space) ---\n");
-    print!("{}", wplan.render(&schema));
+    advisor.add_path(pexa.clone(), |_| 0.2);
+    advisor.add_path(pe.clone(), |_| 0.25);
+    let plan = advisor.optimize();
+
+    // The report lists each path's configuration and every shared index
+    // with the maintenance it saves.
+    println!("multi-path physical design for {pexa} and {pe}\n");
+    print!("{}", plan.render(&schema));
+    println!("\nindependent total: {:.2}", plan.independent_cost);
+    println!("consolidated total: {:.2}", plan.total_cost);
 }

@@ -35,8 +35,9 @@ run model_validation "motivation (Section 1)"
 # asserts the incremental plan matches a cold rebuild exactly.
 run evolving_workload "warm reoptimize == cold rebuild"
 
-# multi_path consolidates physically identical subpath indexes across two
-# overlapping paths and must still report the consolidated objective.
+# multi_path runs two overlapping paths through one workload advisor,
+# which prices their shared subpath index once, and must still report
+# the consolidated objective.
 run multi_path "consolidated total:"
 
 # vehicle_registry runs the motivating query on real index structures; all

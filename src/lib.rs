@@ -29,7 +29,9 @@
 //!   advisor's parallel stages (`OIC_THREADS`, bit-identical plans);
 //! * [`core`] — index configurations, the cost matrix, branch-and-bound and
 //!   polynomial-DP selection, the shared candidate space, the workload-scale
-//!   advisor, and the Section 6 extensions;
+//!   advisor (Section 6's "configurations for n paths": one ledger prices
+//!   each shared subpath index once, and quotes, re-prices and migrates to
+//!   the same number), and the Section 6 no-index extension;
 //! * [`sim`] — synthetic databases, synthetic multi-path workloads, and the
 //!   analytic-vs-measured validation.
 //!
