@@ -35,7 +35,9 @@ fn bench_btree(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7919) % 100_000;
-            tree.lookup(&store, &i.to_be_bytes())
+            let mut bytes = 0usize;
+            tree.visit(&store, &i.to_be_bytes(), |e| bytes += e.len());
+            bytes
         })
     });
     g.finish();

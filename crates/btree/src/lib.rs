@@ -8,7 +8,9 @@
 //! crate provides exactly that structure:
 //!
 //! * keys are opaque ordered byte strings (see `oic_storage::encode_key`);
-//! * an index *record* is a key plus a posting list of opaque entries;
+//! * an index *record* is a key plus a posting list of opaque entries,
+//!   held as the one byte run [`Layout::record_len`] prices and read in
+//!   place through visitors (DESIGN.md §5.9);
 //! * records longer than a page live in a dedicated overflow chain of
 //!   `⌈ln/p⌉` pages, and partial reads count only the pages actually
 //!   containing the requested entries (the paper's `pr_X < ⌈ln/p⌉` case);

@@ -1,6 +1,6 @@
 //! The B+-tree proper.
 
-use crate::node::{Node, NodeId, Record};
+use crate::node::{Leaf, Node, NodeId, Record};
 use crate::{Layout, LevelProfile};
 use oic_storage::SimStore;
 
@@ -19,6 +19,11 @@ pub struct BTreeIndex {
     entry_count: u64,
 }
 
+/// Position of `key` among a leaf's records, or where it would be inserted.
+fn find(records: &[Record], key: &[u8]) -> Result<usize, usize> {
+    records.binary_search_by(|r| r.key.as_slice().cmp(key))
+}
+
 impl BTreeIndex {
     /// Creates an empty tree (a single empty leaf).
     pub fn new(store: &mut SimStore, layout: Layout) -> Self {
@@ -31,12 +36,13 @@ impl BTreeIndex {
         let root = 0;
         BTreeIndex {
             layout,
-            nodes: vec![Some(Node::Leaf {
+            nodes: vec![Some(Node::Leaf(Leaf {
                 records: Vec::new(),
+                bytes: 0,
                 next: None,
                 prev: None,
                 pages: vec![page],
-            })],
+            }))],
             root,
             height: 1,
             record_count: 0,
@@ -74,6 +80,20 @@ impl BTreeIndex {
         self.nodes[id].as_mut().expect("live node")
     }
 
+    fn leaf(&self, id: NodeId) -> &Leaf {
+        match self.node(id) {
+            Node::Leaf(leaf) => leaf,
+            Node::Internal { .. } => unreachable!("node {id} is not a leaf"),
+        }
+    }
+
+    fn leaf_mut(&mut self, id: NodeId) -> &mut Leaf {
+        match self.node_mut(id) {
+            Node::Leaf(leaf) => leaf,
+            Node::Internal { .. } => unreachable!("node {id} is not a leaf"),
+        }
+    }
+
     fn add_node(&mut self, n: Node) -> NodeId {
         self.nodes.push(Some(n));
         self.nodes.len() - 1
@@ -83,8 +103,8 @@ impl BTreeIndex {
         if let Some(n) = self.nodes[id].take() {
             match n {
                 Node::Internal { page, .. } => store.free(page),
-                Node::Leaf { pages, .. } => {
-                    for p in pages {
+                Node::Leaf(leaf) => {
+                    for p in leaf.pages {
                         store.free(p);
                     }
                 }
@@ -94,12 +114,16 @@ impl BTreeIndex {
 
     // ---- descent ---------------------------------------------------------
 
-    /// Walks from the root to the leaf responsible for `key`, counting one
-    /// page read per level (the leaf's *first* page only; chain pages are
-    /// charged by the record accessors). Returns the internal path with the
-    /// child index taken at each internal node, plus the leaf id.
-    fn descend(&self, store: &SimStore, key: &[u8]) -> (Vec<(NodeId, usize)>, NodeId) {
-        let mut path = Vec::with_capacity(self.height.saturating_sub(1));
+    /// Walks from the root to the leaf responsible for `key`, reporting the
+    /// child index taken at each internal node to `took`. With a store it
+    /// counts one page read per level (the leaf's *first* page only; chain
+    /// pages are charged by the record accessors); without, nothing.
+    fn descend(
+        &self,
+        store: Option<&SimStore>,
+        key: &[u8],
+        mut took: impl FnMut(NodeId, usize),
+    ) -> NodeId {
         let mut cur = self.root;
         loop {
             match self.node(cur) {
@@ -108,144 +132,133 @@ impl BTreeIndex {
                     children,
                     page,
                 } => {
-                    store.touch_read(*page);
+                    if let Some(store) = store {
+                        store.touch_read(*page);
+                    }
                     let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    path.push((cur, idx));
+                    took(cur, idx);
                     cur = children[idx];
                 }
-                Node::Leaf { pages, .. } => {
-                    store.touch_read(pages[0]);
-                    return (path, cur);
+                Node::Leaf(leaf) => {
+                    if let Some(store) = store {
+                        store.touch_read(leaf.pages[0]);
+                    }
+                    return cur;
                 }
             }
         }
+    }
+
+    /// [`BTreeIndex::descend`] for writers: also returns the internal path,
+    /// which rebalancing walks back up.
+    fn descend_path(&self, store: &SimStore, key: &[u8]) -> (Vec<(NodeId, usize)>, NodeId) {
+        let mut path = Vec::with_capacity(self.height - 1);
+        let leaf = self.descend(Some(store), key, |node, idx| path.push((node, idx)));
+        (path, leaf)
     }
 
     // ---- read operations ---------------------------------------------------
 
-    /// Full retrieval of the record for `key`: clones the posting list.
-    /// Counts the whole overflow chain for oversized records.
-    pub fn lookup(&self, store: &SimStore, key: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let (_, leaf) = self.descend(store, key);
-        let Node::Leaf { records, pages, .. } = self.node(leaf) else {
-            unreachable!()
+    /// Full retrieval of the record for `key`: `visit` sees every entry in
+    /// order, borrowed from the record. Counts the whole overflow chain for
+    /// oversized records. Returns whether the record exists.
+    pub fn visit(&self, store: &SimStore, key: &[u8], mut visit: impl FnMut(&[u8])) -> bool {
+        let Leaf { records, pages, .. } = self.leaf(self.descend(Some(store), key, |_, _| {}));
+        let Ok(pos) = find(records, key) else {
+            return false;
         };
-        let rec = records.iter().find(|r| r.key == key)?;
         // Chain pages beyond the first.
         for p in pages.iter().skip(1) {
             store.touch_read(*p);
         }
-        Some(rec.entries.clone())
+        for (_, e) in records[pos].entries(&self.layout) {
+            visit(e);
+        }
+        true
     }
 
-    /// Partial retrieval: returns entries matching `pred`, counting only the
-    /// chain pages that contain matching entries (plus the descent). This is
-    /// the paper's `pr_X` fraction for NIX/IIX records spanning pages.
-    pub fn lookup_filtered(
+    /// Partial retrieval: `matches` sees every entry in order and says
+    /// which ones the caller wants; only the chain pages holding those are
+    /// counted (plus the descent). This is the paper's `pr_X` fraction for
+    /// NIX/IIX records spanning pages. Returns the number of matches.
+    pub fn visit_matching(
         &self,
         store: &SimStore,
         key: &[u8],
-        mut pred: impl FnMut(&[u8]) -> bool,
-    ) -> Vec<Vec<u8>> {
-        let (_, leaf) = self.descend(store, key);
-        let Node::Leaf { records, pages, .. } = self.node(leaf) else {
-            unreachable!()
+        mut matches: impl FnMut(&[u8]) -> bool,
+    ) -> usize {
+        let Leaf { records, pages, .. } = self.leaf(self.descend(Some(store), key, |_, _| {}));
+        let Ok(pos) = find(records, key) else {
+            return 0;
         };
-        let Some(rec) = records.iter().find(|r| r.key == key) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut touched = vec![false; pages.len()];
-        touched[0] = true; // descent already read the first page
-        for (i, e) in rec.entries.iter().enumerate() {
-            if pred(e) {
-                let off = rec.entry_offset(&self.layout, i);
+        // Offsets ascend, so the last page read (the descent read the
+        // first) is the only one a match can land on again.
+        let (mut hits, mut last) = (0, 0);
+        for (off, e) in records[pos].entries(&self.layout) {
+            if matches(e) {
+                hits += 1;
                 let pg = (off / self.layout.page_size).min(pages.len() - 1);
-                if !touched[pg] {
-                    touched[pg] = true;
+                if pg > last {
+                    last = pg;
                     store.touch_read(pages[pg]);
                 }
-                out.push(e.clone());
             }
         }
-        out
+        hits
+    }
+
+    /// The record for `key`, if any (no accounting).
+    fn peek(&self, key: &[u8]) -> Option<&Record> {
+        let records = &self.leaf(self.descend(None, key, |_, _| {})).records;
+        find(records, key).ok().map(|pos| &records[pos])
     }
 
     /// Whether a record for `key` exists (no accounting; catalog use).
     pub fn contains_key(&self, key: &[u8]) -> bool {
-        let mut cur = self.root;
-        loop {
-            match self.node(cur) {
-                Node::Internal { keys, children, .. } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    cur = children[idx];
-                }
-                Node::Leaf { records, .. } => {
-                    return records.iter().any(|r| r.key == key);
-                }
-            }
-        }
+        self.peek(key).is_some()
     }
 
     /// Posting-list length for `key` (no accounting; assertions/tests).
     pub fn peek_entry_count(&self, key: &[u8]) -> usize {
-        let mut cur = self.root;
-        loop {
-            match self.node(cur) {
-                Node::Internal { keys, children, .. } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    cur = children[idx];
-                }
-                Node::Leaf { records, .. } => {
-                    return records
-                        .iter()
-                        .find(|r| r.key == key)
-                        .map_or(0, |r| r.entries.len());
-                }
-            }
-        }
+        self.peek(key).map_or(0, Record::count)
     }
 
     // ---- write operations -------------------------------------------------
 
     /// Inserts one posting entry under `key`, creating the record if absent.
     pub fn insert_entry(&mut self, store: &mut SimStore, key: &[u8], entry: Vec<u8>) {
-        let (path, leaf) = self.descend(store, key);
+        let (path, leaf) = self.descend_path(store, key);
         let layout = self.layout;
-        let Node::Leaf { records, pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
-        let pos = records.partition_point(|r| r.key.as_slice() < key);
-        let is_new = pos >= records.len() || records[pos].key != key;
-        if is_new {
-            records.insert(
-                pos,
-                Record {
-                    key: key.to_vec(),
-                    entries: vec![entry],
-                },
-            );
-            store.touch_write(pages[0]);
-        } else {
-            let old_len = records[pos].len_bytes(&layout);
-            records[pos].entries.push(entry);
-            let new_len = records[pos].len_bytes(&layout);
-            if pages.len() > 1 {
-                // Oversized record: the append lands on the tail page(s).
-                let first_dirty =
-                    ((old_len.saturating_sub(1)) / layout.page_size).min(pages.len() - 1);
-                store.touch_write(pages[first_dirty]);
-                let need = layout.chain_pages(new_len).max(1);
-                while pages.len() < need {
-                    let p = store.alloc();
-                    store.touch_write(p);
-                    pages.push(p);
-                }
-            } else {
-                store.touch_write(pages[0]);
+        let Leaf {
+            records,
+            bytes,
+            pages,
+            ..
+        } = self.leaf_mut(leaf);
+        let found = find(records, key);
+        // A new record adds its header and key to the leaf as well.
+        let old_len = found.map_or(0, |pos| records[pos].len_bytes(&layout));
+        let pos = found.unwrap_or_else(|pos| {
+            records.insert(pos, Record::new(key));
+            pos
+        });
+        records[pos].push(&layout, &entry);
+        let new_len = records[pos].len_bytes(&layout);
+        *bytes += new_len - old_len;
+        if found.is_ok() && pages.len() > 1 {
+            // Oversized record: the append lands on the tail page(s).
+            let first_dirty = ((old_len.saturating_sub(1)) / layout.page_size).min(pages.len() - 1);
+            store.touch_write(pages[first_dirty]);
+            let need = layout.chain_pages(new_len).max(1);
+            while pages.len() < need {
+                let p = store.alloc();
+                store.touch_write(p);
+                pages.push(p);
             }
+        } else {
+            store.touch_write(pages[0]);
         }
-        if is_new {
+        if found.is_err() {
             self.record_count += 1;
         }
         self.entry_count += 1;
@@ -262,50 +275,42 @@ impl BTreeIndex {
         key: &[u8],
         mut pred: impl FnMut(&[u8]) -> bool,
     ) -> usize {
-        let (path, leaf) = self.descend(store, key);
+        let (path, leaf) = self.descend_path(store, key);
         let layout = self.layout;
-        let Node::Leaf { records, pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
-        let Some(pos) = records.iter().position(|r| r.key == key) else {
+        let Leaf {
+            records,
+            bytes,
+            pages,
+            ..
+        } = self.leaf_mut(leaf);
+        let Ok(pos) = find(records, key) else {
             return 0;
         };
-        let rec = &mut records[pos];
-        let mut matched: Vec<usize> = Vec::new();
-        for (i, e) in rec.entries.iter().enumerate() {
-            if pred(e) {
-                matched.push(i);
-            }
-        }
-        if matched.is_empty() {
-            return 0;
-        }
-        // Account the pages holding the matched entries (page 0 is covered
-        // by the descent read).
-        let mut dirty = vec![false; pages.len()];
-        for &i in &matched {
-            let off = rec.entry_offset(&layout, i);
+        let old_len = records[pos].len_bytes(&layout);
+        // Account each page holding a matched entry once, in chain order
+        // (offsets ascend; page 0 is covered by the descent read).
+        let mut dirty = None;
+        let removed = records[pos].remove_where(&layout, &mut pred, |off| {
             let pg = (off / layout.page_size).min(pages.len() - 1);
-            dirty[pg] = true;
-        }
-        for (pg, d) in dirty.iter().enumerate() {
-            if *d {
+            if dirty != Some(pg) {
+                dirty = Some(pg);
                 if pg > 0 {
                     store.touch_read(pages[pg]);
                 }
                 store.touch_write(pages[pg]);
             }
+        });
+        if removed == 0 {
+            return 0;
         }
-        for &i in matched.iter().rev() {
-            rec.entries.remove(i);
-        }
-        let removed = matched.len();
-        let now_empty = rec.entries.is_empty();
+        let now_empty = records[pos].count() == 0;
         if now_empty {
+            *bytes -= old_len;
             records.remove(pos);
         } else {
             // Shrink the chain if the record no longer needs all pages.
             let new_len = records[pos].len_bytes(&layout);
+            *bytes -= old_len - new_len;
             let need = layout.chain_pages(new_len).max(1);
             while pages.len() > need {
                 let p = pages.pop().expect("checked above");
@@ -324,26 +329,28 @@ impl BTreeIndex {
     /// (the paper's `CML` with `⌈ln/p⌉` pages: “all these pages should be
     /// deleted”). Returns the number of entries the record held.
     pub fn remove_record(&mut self, store: &mut SimStore, key: &[u8]) -> Option<usize> {
-        let (path, leaf) = self.descend(store, key);
-        let Node::Leaf { records, pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
-        let pos = records.iter().position(|r| r.key == key)?;
-        for p in pages.clone() {
-            store.touch_write(p);
+        let (path, leaf) = self.descend_path(store, key);
+        let layout = self.layout;
+        let Leaf {
+            records,
+            bytes,
+            pages,
+            ..
+        } = self.leaf_mut(leaf);
+        let pos = find(records, key).ok()?;
+        for p in pages.iter() {
+            store.touch_write(*p);
         }
         let rec = records.remove(pos);
-        let n = rec.entries.len();
-        self.record_count -= 1;
-        self.entry_count -= n as u64;
+        *bytes -= rec.len_bytes(&layout);
         // Oversized chains shrink back to a single page.
-        let Node::Leaf { pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
         while pages.len() > 1 {
             let p = pages.pop().expect("len checked");
             store.free(p);
         }
+        let n = rec.count();
+        self.record_count -= 1;
+        self.entry_count -= n as u64;
         self.rebalance_after_shrink(store, path, leaf);
         Some(n)
     }
@@ -359,35 +366,33 @@ impl BTreeIndex {
         mut pred: impl FnMut(&[u8]) -> bool,
         new_entry: Vec<u8>,
     ) -> bool {
-        let (_, leaf) = self.descend(store, key);
+        let leaf = self.descend(Some(store), key, |_, _| {});
         let layout = self.layout;
-        let Node::Leaf { records, pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
-        let Some(rec) = records.iter_mut().find(|r| r.key == key) else {
+        let Leaf {
+            records,
+            bytes,
+            pages,
+            ..
+        } = self.leaf_mut(leaf);
+        let Ok(pos) = find(records, key) else {
             return false;
         };
-        let Some(i) = rec.entries.iter().position(|e| pred(e)) else {
+        let rec = &mut records[pos];
+        let Some((off, _)) = rec.entries(&layout).find(|(_, e)| pred(e)) else {
             return false;
         };
-        let off = rec.entry_offset(&layout, i);
         let pg = (off / layout.page_size).min(pages.len() - 1);
         if pg > 0 {
             store.touch_read(pages[pg]);
         }
         store.touch_write(pages[pg]);
-        rec.entries[i] = new_entry;
+        *bytes -= rec.len_bytes(&layout);
+        rec.replace_at(&layout, off, &new_entry);
+        *bytes += rec.len_bytes(&layout);
         true
     }
 
     // ---- structure maintenance -------------------------------------------
-
-    fn leaf_small_total(&self, leaf: NodeId) -> usize {
-        let Node::Leaf { records, .. } = self.node(leaf) else {
-            unreachable!()
-        };
-        records.iter().map(|r| r.len_bytes(&self.layout)).sum()
-    }
 
     fn rebalance_after_growth(
         &mut self,
@@ -396,75 +401,46 @@ impl BTreeIndex {
         leaf: NodeId,
     ) {
         let layout = self.layout;
-        let nrec = match self.node(leaf) {
-            Node::Leaf { records, .. } => records.len(),
-            _ => unreachable!(),
-        };
-        if nrec == 1 {
+        let Leaf { records, bytes, .. } = self.leaf_mut(leaf);
+        if records.len() == 1 {
             // A single record may legitimately exceed the page: it owns an
             // overflow chain instead of splitting.
-            let ln = match self.node(leaf) {
-                Node::Leaf { records, .. } => records[0].len_bytes(&layout),
-                _ => unreachable!(),
-            };
-            let need = layout.chain_pages(ln).max(1);
-            let Node::Leaf { pages, .. } = self.node_mut(leaf) else {
-                unreachable!()
-            };
-            while pages.len() < need {
-                let p = store.alloc();
-                store.touch_write(p);
-                pages.push(p);
-            }
-            return;
+            return self.ensure_chain(store, leaf);
         }
-        if self.leaf_small_total(leaf) <= layout.node_capacity() {
+        if *bytes <= layout.node_capacity() {
             return;
         }
         // Split the leaf: move the upper half (by cumulative size) out.
-        let (right_records, sep) = {
-            let Node::Leaf { records, .. } = self.node_mut(leaf) else {
-                unreachable!()
-            };
-            let total: usize = records
-                .iter()
-                .map(|r| layout.record_len(r.key.len(), r.entries.iter().map(Vec::len)))
-                .sum();
-            let mut acc = 0usize;
-            let mut cut = records.len() - 1;
-            for (i, r) in records.iter().enumerate() {
-                acc += layout.record_len(r.key.len(), r.entries.iter().map(Vec::len));
-                if acc * 2 >= total && i + 1 < records.len() {
-                    cut = i + 1;
-                    break;
-                }
+        let total = *bytes;
+        let mut acc = 0usize;
+        let mut cut = records.len() - 1;
+        for (i, r) in records.iter().enumerate() {
+            acc += r.len_bytes(&layout);
+            if acc * 2 >= total && i + 1 < records.len() {
+                cut = i + 1;
+                break;
             }
-            let right: Vec<Record> = records.split_off(cut);
-            let sep = right[0].key.clone();
-            (right, sep)
-        };
+        }
+        let right_records = records.split_off(cut);
+        let right_bytes = right_records.iter().map(|r| r.len_bytes(&layout)).sum();
+        *bytes -= right_bytes;
+        let sep = right_records[0].key.clone();
         let page = store.alloc();
         store.touch_write(page);
-        let (old_next, _) = match self.node(leaf) {
-            Node::Leaf { next, prev, .. } => (*next, *prev),
-            _ => unreachable!(),
-        };
-        let right_id = self.add_node(Node::Leaf {
+        let old_next = self.leaf(leaf).next;
+        let right_id = self.add_node(Node::Leaf(Leaf {
             records: right_records,
+            bytes: right_bytes,
             next: old_next,
             prev: Some(leaf),
             pages: vec![page],
-        });
+        }));
         if let Some(n) = old_next {
-            if let Node::Leaf { prev, .. } = self.node_mut(n) {
-                *prev = Some(right_id);
-            }
+            self.leaf_mut(n).prev = Some(right_id);
         }
-        let Node::Leaf { next, pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
-        };
-        *next = Some(right_id);
-        store.touch_write(pages[0]);
+        let left = self.leaf_mut(leaf);
+        left.next = Some(right_id);
+        store.touch_write(left.pages[0]);
         // The new right node might itself hold a now-oversized single record.
         self.ensure_chain(store, right_id);
         self.ensure_chain(store, leaf);
@@ -473,20 +449,10 @@ impl BTreeIndex {
 
     fn ensure_chain(&mut self, store: &mut SimStore, leaf: NodeId) {
         let layout = self.layout;
-        let (nrec, ln) = match self.node(leaf) {
-            Node::Leaf { records, .. } => (
-                records.len(),
-                records.first().map_or(0, |r| r.len_bytes(&layout)),
-            ),
-            _ => unreachable!(),
-        };
-        let need = if nrec == 1 {
-            layout.chain_pages(ln).max(1)
-        } else {
-            1
-        };
-        let Node::Leaf { pages, .. } = self.node_mut(leaf) else {
-            unreachable!()
+        let Leaf { records, pages, .. } = self.leaf_mut(leaf);
+        let need = match records.as_slice() {
+            [only] => layout.chain_pages(only.len_bytes(&layout)).max(1),
+            _ => 1,
         };
         while pages.len() < need {
             let p = store.alloc();
@@ -539,9 +505,9 @@ impl BTreeIndex {
                 if size > layout.node_capacity() {
                     let mid = keys.len() / 2;
                     let promoted = keys[mid].clone();
-                    let right_keys: Vec<Vec<u8>> = keys.split_off(mid + 1);
+                    let right_keys = keys.split_off(mid + 1);
                     keys.pop(); // `promoted` moves up
-                    let right_children: Vec<NodeId> = children.split_off(mid + 1);
+                    let right_children = children.split_off(mid + 1);
                     let new_page = store.alloc();
                     store.touch_write(new_page);
                     let right_id = self.add_node(Node::Internal {
@@ -561,32 +527,20 @@ impl BTreeIndex {
         mut path: Vec<(NodeId, usize)>,
         leaf: NodeId,
     ) {
-        let empty = match self.node(leaf) {
-            Node::Leaf { records, .. } => records.is_empty(),
-            _ => unreachable!(),
-        };
-        if !empty {
-            self.ensure_chain(store, leaf);
-            return;
+        if !self.leaf(leaf).records.is_empty() {
+            return self.ensure_chain(store, leaf);
         }
         if path.is_empty() {
             // The tree is a single empty leaf: keep it.
             return;
         }
         // Unlink from the leaf chain.
-        let (prev, next) = match self.node(leaf) {
-            Node::Leaf { prev, next, .. } => (*prev, *next),
-            _ => unreachable!(),
-        };
+        let Leaf { prev, next, .. } = *self.leaf(leaf);
         if let Some(p) = prev {
-            if let Node::Leaf { next: pn, .. } = self.node_mut(p) {
-                *pn = next;
-            }
+            self.leaf_mut(p).next = next;
         }
         if let Some(n) = next {
-            if let Node::Leaf { prev: np, .. } = self.node_mut(n) {
-                *np = prev;
-            }
+            self.leaf_mut(n).prev = prev;
         }
         self.drop_node(store, leaf);
         // Remove from the parent, cascading if internals empty out.
@@ -650,14 +604,10 @@ impl BTreeIndex {
                         pages += 1;
                         next.extend_from_slice(children);
                     }
-                    Node::Leaf {
-                        records: recs,
-                        pages: pgs,
-                        ..
-                    } => {
+                    Node::Leaf(leaf) => {
                         is_leaf = true;
-                        records += recs.len() as u64;
-                        pages += pgs.len() as u64;
+                        records += leaf.records.len() as u64;
+                        pages += leaf.pages.len() as u64;
                     }
                 }
             }
@@ -676,45 +626,34 @@ impl BTreeIndex {
     }
 
     /// Iterates `(key, entries)` in key order without accounting (used by
-    /// validation and rebuild paths).
-    pub fn iter_records(&self) -> impl Iterator<Item = (&[u8], &[Vec<u8>])> {
-        // Find the leftmost leaf, then follow the chain.
+    /// validation and rebuild paths); entries are slices of the record.
+    pub fn iter_records(&self) -> impl Iterator<Item = (&[u8], impl Iterator<Item = &[u8]>)> {
+        self.leaves()
+            .flat_map(|leaf| &leaf.records)
+            .map(|r| (r.key.as_slice(), r.entries(&self.layout).map(|(_, e)| e)))
+    }
+
+    /// The leaves in chain order, leftmost first.
+    fn leaves(&self) -> impl Iterator<Item = &Leaf> {
         let mut cur = self.root;
         while let Node::Internal { children, .. } = self.node(cur) {
             cur = children[0];
         }
-        LeafIter {
-            tree: self,
-            leaf: Some(cur),
-            idx: 0,
-        }
+        std::iter::successors(Some(self.leaf(cur)), |leaf| {
+            leaf.next.map(|id| self.leaf(id))
+        })
     }
 
     /// Scans every leaf page in chain order, counting a read per page.
     /// Returns the number of records visited. Models the paper's `SA1`
     /// (“the leaf nodes of the auxiliary index can be scanned”).
     pub fn scan_leaves(&self, store: &SimStore) -> u64 {
-        let mut cur = self.root;
-        while let Node::Internal { children, .. } = self.node(cur) {
-            cur = children[0];
-        }
         let mut visited = 0u64;
-        let mut leaf = Some(cur);
-        while let Some(id) = leaf {
-            let Node::Leaf {
-                records,
-                pages,
-                next,
-                ..
-            } = self.node(id)
-            else {
-                unreachable!()
-            };
-            for p in pages {
+        for leaf in self.leaves() {
+            for p in &leaf.pages {
                 store.touch_read(*p);
             }
-            visited += records.len() as u64;
-            leaf = *next;
+            visited += leaf.records.len() as u64;
         }
         visited
     }
@@ -734,7 +673,7 @@ impl BTreeIndex {
             }
             last_key = Some(k.to_vec());
             rec_total += 1;
-            entry_total += entries.len() as u64;
+            entry_total += entries.count() as u64;
         }
         if rec_total != self.record_count {
             return Err(format!(
@@ -783,8 +722,18 @@ impl BTreeIndex {
                 }
                 Ok(())
             }
-            Node::Leaf { records, pages, .. } => {
+            Node::Leaf(Leaf {
+                records,
+                bytes,
+                pages,
+                ..
+            }) => {
+                let mut total = 0;
                 for r in records {
+                    total += r.len_bytes(&self.layout);
+                    if r.entries(&self.layout).count() != r.count() {
+                        return Err("record entry count disagrees with its bytes".into());
+                    }
                     if let Some(lo) = low {
                         if r.key.as_slice() < lo {
                             return Err("leaf key below separator".into());
@@ -795,6 +744,9 @@ impl BTreeIndex {
                             return Err("leaf key not below upper separator".into());
                         }
                     }
+                }
+                if total != *bytes {
+                    return Err(format!("leaf byte total {bytes} != recomputed {total}"));
                 }
                 if records.len() == 1 {
                     let need = self
@@ -813,38 +765,18 @@ impl BTreeIndex {
     }
 }
 
-struct LeafIter<'a> {
-    tree: &'a BTreeIndex,
-    leaf: Option<NodeId>,
-    idx: usize,
-}
-
-impl<'a> Iterator for LeafIter<'a> {
-    type Item = (&'a [u8], &'a [Vec<u8>]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let id = self.leaf?;
-            let Node::Leaf { records, next, .. } = self.tree.node(id) else {
-                unreachable!()
-            };
-            if self.idx < records.len() {
-                let r = &records[self.idx];
-                self.idx += 1;
-                return Some((r.key.as_slice(), r.entries.as_slice()));
-            }
-            self.leaf = *next;
-            self.idx = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn key(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    /// The record's entries through the full-retrieval visitor.
+    fn read(t: &BTreeIndex, store: &SimStore, key: &[u8]) -> Option<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        t.visit(store, key, |e| out.push(e.to_vec())).then_some(out)
     }
 
     fn small_tree(page: usize) -> (SimStore, BTreeIndex) {
@@ -861,10 +793,10 @@ mod tests {
         }
         assert_eq!(t.record_count(), 100);
         for i in 0..100u64 {
-            let e = t.lookup(&store, &key(i)).unwrap();
+            let e = read(&t, &store, &key(i)).unwrap();
             assert_eq!(e, vec![vec![i as u8]]);
         }
-        assert!(t.lookup(&store, &key(1000)).is_none());
+        assert!(read(&t, &store, &key(1000)).is_none());
         t.check_invariants().unwrap();
     }
 
@@ -878,7 +810,7 @@ mod tests {
         t.check_invariants().unwrap();
         // Every key still reachable.
         for i in (0..500u64).step_by(37) {
-            assert!(t.lookup(&store, &key(i)).is_some());
+            assert!(t.visit(&store, &key(i), |_| {}));
         }
     }
 
@@ -890,7 +822,7 @@ mod tests {
         }
         let h = t.height() as u64;
         store.begin_op();
-        t.lookup(&store, &key(123)).unwrap();
+        assert!(t.visit(&store, &key(123), |_| {}));
         let op = store.end_op();
         assert_eq!(op.reads, h, "CRL = h for ln <= p");
     }
@@ -908,7 +840,7 @@ mod tests {
         // Full lookup reads the whole chain: h-1 internals + chain pages.
         let h = t.height() as u64;
         store.begin_op();
-        let entries = t.lookup(&store, &key(7)).unwrap();
+        let entries = read(&t, &store, &key(7)).unwrap();
         let op = store.end_op();
         assert_eq!(entries.len(), 200);
         assert_eq!(op.reads, h - 1 + chain, "CRL = h - 1 + pr");
@@ -925,9 +857,9 @@ mod tests {
         assert!(chain > 3);
         // Match a single early entry: only one chain page (the first) needed.
         store.begin_op();
-        let hits = t.lookup_filtered(&store, &key(7), |e| e == 0u64.to_be_bytes());
+        let hits = t.visit_matching(&store, &key(7), |e| e == 0u64.to_be_bytes());
         let full_op = store.end_op();
-        assert_eq!(hits.len(), 1);
+        assert_eq!(hits, 1);
         assert!(
             full_op.reads < h - 1 + chain,
             "partial read {} should undercut full {}",
@@ -951,7 +883,7 @@ mod tests {
         assert_eq!(t.peek_entry_count(&key(3)), 3);
         let n = t.remove_record(&mut store, &key(3)).unwrap();
         assert_eq!(n, 3);
-        assert!(t.lookup(&store, &key(3)).is_none());
+        assert!(!t.visit(&store, &key(3), |_| {}));
         t.check_invariants().unwrap();
     }
 
@@ -978,7 +910,7 @@ mod tests {
         t.insert_entry(&mut store, &key(1), vec![1, 0]);
         t.insert_entry(&mut store, &key(1), vec![2, 0]);
         assert!(t.replace_entry(&mut store, &key(1), |e| e[0] == 2, vec![2, 9]));
-        let entries = t.lookup(&store, &key(1)).unwrap();
+        let entries = read(&t, &store, &key(1)).unwrap();
         assert!(entries.contains(&vec![2, 9]));
         assert!(!t.replace_entry(&mut store, &key(9), |_| true, vec![]));
     }

@@ -1,6 +1,7 @@
 //! IIX — the inherited index (Section 2.2): one attribute over a whole
 //! inheritance hierarchy (a.k.a. class-hierarchy index, Kim et al. 1989).
 
+use crate::traits::{entry_to_oid, selecting};
 use oic_btree::{BTreeIndex, Layout};
 use oic_schema::ClassId;
 use oic_storage::{encode_key, Object, Oid, SimStore, Value};
@@ -50,26 +51,24 @@ impl InheritedIndex {
         self.hierarchy.contains(&class)
     }
 
-    /// All oids (any class of the hierarchy) holding `key`.
-    pub fn lookup_all(&self, store: &SimStore, key: &Value) -> Vec<Oid> {
+    /// Appends all oids (any class of the hierarchy) holding `key` to `out`.
+    pub fn lookup_all(&self, store: &SimStore, key: &Value, out: &mut Vec<Oid>) {
         self.tree
-            .lookup(store, &encode_key(key))
-            .unwrap_or_default()
-            .iter()
-            .map(|e| crate::traits::entry_to_oid(e))
-            .collect()
+            .visit(store, &encode_key(key), |e| out.push(entry_to_oid(e)));
     }
 
-    /// Oids of exactly `class` holding `key`; reads only the pages holding
-    /// that class's entries when the record spans pages.
-    pub fn lookup_class(&self, store: &SimStore, key: &Value, class: ClassId) -> Vec<Oid> {
-        self.tree
-            .lookup_filtered(store, &encode_key(key), |e| {
-                crate::traits::entry_to_oid(e).class == class
-            })
-            .iter()
-            .map(|e| crate::traits::entry_to_oid(e))
-            .collect()
+    /// Appends the oids of exactly `class` holding `key` to `out`; reads
+    /// only the pages holding that class's entries when the record spans
+    /// pages.
+    pub fn lookup_class(&self, store: &SimStore, key: &Value, class: ClassId, out: &mut Vec<Oid>) {
+        self.tree.visit_matching(
+            store,
+            &encode_key(key),
+            selecting(
+                |e| entry_to_oid(e).class == class,
+                |e| out.push(entry_to_oid(e)),
+            ),
+        );
     }
 
     /// Indexes an object (must belong to the hierarchy).
@@ -157,15 +156,21 @@ mod tests {
         for o in [&vi, &bi, &ti] {
             iix.insert_object(&mut store, o);
         }
-        let white = iix.lookup_all(&store, &Value::from("White"));
+        let lookup_all = |iix: &InheritedIndex, store: &SimStore, key: &str| {
+            let mut out = Vec::new();
+            iix.lookup_all(store, &Value::from(key), &mut out);
+            out
+        };
+        let white = lookup_all(&iix, &store, "White");
         assert_eq!(white.len(), 2);
         assert!(white.contains(&vi.oid) && white.contains(&bi.oid));
         // Per-class retrieval filters to the requested class.
-        let white_bus = iix.lookup_class(&store, &Value::from("White"), c.bus);
+        let mut white_bus = Vec::new();
+        iix.lookup_class(&store, &Value::from("White"), c.bus, &mut white_bus);
         assert_eq!(white_bus, vec![bi.oid]);
         assert!(iix.covers(c.truck));
         assert!(!iix.covers(c.person));
         iix.delete_object(&mut store, &bi);
-        assert_eq!(iix.lookup_all(&store, &Value::from("White")), vec![vi.oid]);
+        assert_eq!(lookup_all(&iix, &store, "White"), vec![vi.oid]);
     }
 }

@@ -50,8 +50,7 @@ impl MultiInheritedIndex {
         for i in 0..idx.segment.len() {
             for &class in idx.segment.hierarchy(i).to_vec().iter() {
                 for oid in heap.oids_of(class) {
-                    let obj = heap.peek(oid).expect("listed oid").clone();
-                    idx.on_insert(store, &obj);
+                    idx.on_insert(store, heap.peek(oid).expect("listed oid"));
                 }
             }
         }
@@ -79,7 +78,7 @@ impl PathIndex for MultiInheritedIndex {
         while local > target_local {
             let mut oids = Vec::new();
             for key in &keys {
-                oids.extend(self.indexes[local].lookup_all(store, key));
+                self.indexes[local].lookup_all(store, key, &mut oids);
             }
             keys = normalize(oids).into_iter().map(Value::Ref).collect();
             if keys.is_empty() {
@@ -96,11 +95,11 @@ impl PathIndex for MultiInheritedIndex {
         for key in &keys {
             if whole {
                 // Whole-hierarchy retrieval reads the full record.
-                out.extend(idx.lookup_all(store, key));
+                idx.lookup_all(store, key, &mut out);
             } else {
                 // Class-tagged oids let record sections be read partially.
                 for &c in &targets {
-                    out.extend(idx.lookup_class(store, key, c));
+                    idx.lookup_class(store, key, c, &mut out);
                 }
             }
         }

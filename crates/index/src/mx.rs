@@ -57,8 +57,7 @@ impl MultiIndex {
         for i in 0..idx.segment.len() {
             for &class in idx.segment.hierarchy(i).to_vec().iter() {
                 for oid in heap.oids_of(class) {
-                    let obj = heap.peek(oid).expect("listed oid").clone();
-                    idx.on_insert(store, &obj);
+                    idx.on_insert(store, heap.peek(oid).expect("listed oid"));
                 }
             }
         }
@@ -69,7 +68,7 @@ impl MultiIndex {
         let mut out = Vec::new();
         for six in &self.indexes[local] {
             for key in keys {
-                out.extend(six.lookup(store, key));
+                six.lookup(store, key, &mut out);
             }
         }
         normalize(out)
@@ -113,7 +112,7 @@ impl PathIndex for MultiIndex {
                 continue;
             }
             for key in &keys {
-                out.extend(six.lookup(store, key));
+                six.lookup(store, key, &mut out);
             }
         }
         normalize(out)

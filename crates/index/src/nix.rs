@@ -15,7 +15,7 @@
 //! records, and propagates `numchild` decrements up the parent chains
 //! (steps 3a–3c); insertion mirrors it without the cascade.
 
-use crate::traits::{entry_to_oid, normalize};
+use crate::traits::{entry_to_oid, normalize, selecting};
 use crate::{PathIndex, Segment};
 use oic_btree::{BTreeIndex, Layout};
 use oic_schema::{ClassId, Path, Schema, SubpathId};
@@ -106,8 +106,7 @@ impl NestedInheritedIndex {
         for i in (0..idx.segment.len()).rev() {
             for &class in idx.segment.hierarchy(i).to_vec().iter() {
                 for oid in heap.oids_of(class) {
-                    let obj = heap.peek(oid).expect("listed oid").clone();
-                    idx.on_insert(store, &obj);
+                    idx.on_insert(store, heap.peek(oid).expect("listed oid"));
                 }
             }
         }
@@ -128,21 +127,19 @@ impl NestedInheritedIndex {
     /// for the last position these are the attribute values themselves; for
     /// earlier positions, the union of the children's pointer arrays.
     fn contribution(&self, store: &SimStore, obj: &Object, local: usize) -> Vec<(Vec<u8>, u32)> {
-        let attr = self.segment.attr_name(local);
-        let mut counts: Vec<(Vec<u8>, u32)> = Vec::new();
-        let bump = |counts: &mut Vec<(Vec<u8>, u32)>, key: Vec<u8>| {
-            if let Some(slot) = counts.iter_mut().find(|(k, _)| *k == key) {
+        fn bump(counts: &mut Vec<(Vec<u8>, u32)>, key: impl AsRef<[u8]> + Into<Vec<u8>>) {
+            if let Some(slot) = counts.iter_mut().find(|(k, _)| k == key.as_ref()) {
                 slot.1 += 1;
             } else {
-                counts.push((key, 1));
+                counts.push((key.into(), 1));
             }
-        };
+        }
+        let attr = self.segment.attr_name(local);
+        let mut counts = Vec::new();
         if local + 1 < self.segment.len() {
             for child in obj.refs_of(attr) {
-                let ptrs = self.aux.lookup_filtered(store, &aux_key(child), is_ptr);
-                for p in ptrs {
-                    bump(&mut counts, p[1..].to_vec());
-                }
+                let pointers = selecting(is_ptr, |p| bump(&mut counts, &p[1..]));
+                self.aux.visit_matching(store, &aux_key(child), pointers);
             }
         } else {
             for v in obj.values_of(attr) {
@@ -158,13 +155,18 @@ impl NestedInheritedIndex {
     /// its parents.
     fn cascade_decrement(&mut self, store: &mut SimStore, key: &[u8], parent: Oid) {
         let bytes = parent.to_bytes();
-        let found = self
-            .primary
-            .lookup_filtered(store, key, |e| e[..8] == bytes);
-        let Some(entry) = found.first() else {
+        let mut numchild = None;
+        self.primary.visit_matching(
+            store,
+            key,
+            selecting(
+                |e| e[..8] == bytes,
+                |e| numchild = numchild.or(Some(prim_numchild(e))),
+            ),
+        );
+        let Some(nc) = numchild else {
             return; // parent reaches `key` through no child anymore
         };
-        let nc = prim_numchild(entry);
         if nc > 1 {
             self.primary
                 .replace_entry(store, key, |e| e[..8] == bytes, prim_entry(parent, nc - 1));
@@ -180,12 +182,12 @@ impl NestedInheritedIndex {
         }
         self.aux
             .remove_entries(store, &aux_key(parent), |e| is_ptr(e) && &e[1..] == key);
-        let grandparents: Vec<Oid> = self
-            .aux
-            .lookup_filtered(store, &aux_key(parent), is_parent)
-            .iter()
-            .map(|e| parent_oid(e))
-            .collect();
+        let mut grandparents = Vec::new();
+        self.aux.visit_matching(
+            store,
+            &aux_key(parent),
+            selecting(is_parent, |e| grandparents.push(parent_oid(e))),
+        );
         for g in grandparents {
             self.cascade_decrement(store, key, g);
         }
@@ -212,10 +214,14 @@ impl PathIndex for NestedInheritedIndex {
         for key in keys {
             // One primary lookup answers the query; only the pages holding
             // the target classes' sections are read.
-            let hits = self.primary.lookup_filtered(store, &encode_key(key), |e| {
-                targets.contains(&entry_to_oid(e).class)
-            });
-            out.extend(hits.iter().map(|e| entry_to_oid(e)));
+            self.primary.visit_matching(
+                store,
+                &encode_key(key),
+                selecting(
+                    |e| targets.contains(&entry_to_oid(e).class),
+                    |e| out.push(entry_to_oid(e)),
+                ),
+            );
         }
         normalize(out)
     }
@@ -227,8 +233,7 @@ impl PathIndex for NestedInheritedIndex {
         // Step 2: the new object becomes a parent in its children's
         // 3-tuples.
         if local + 1 < self.segment.len() {
-            let attr = self.segment.attr_name(local).to_string();
-            for child in obj.refs_of(&attr) {
+            for child in obj.refs_of(self.segment.attr_name(local)) {
                 self.aux
                     .insert_entry(store, &aux_key(child), parent_entry(obj.oid));
             }
@@ -252,40 +257,28 @@ impl PathIndex for NestedInheritedIndex {
         if let Some(local) = self.segment.local_of(obj.class()) {
             // Step 2: remove the object from its children's parent lists.
             if local + 1 < self.segment.len() {
-                let attr = self.segment.attr_name(local).to_string();
                 let pe = parent_entry(obj.oid);
-                for child in obj.refs_of(&attr) {
+                for child in obj.refs_of(self.segment.attr_name(local)) {
                     self.aux.remove_entries(store, &aux_key(child), |e| e == pe);
                 }
             }
             // Own 3-tuple: pointer array + parents, then removal.
-            let (pointers, parents): (Vec<Vec<u8>>, Vec<Oid>) = if local > 0 {
-                let entries = self
-                    .aux
-                    .lookup(store, &aux_key(obj.oid))
-                    .unwrap_or_default();
-                let ptrs = entries
-                    .iter()
-                    .filter(|e| is_ptr(e))
-                    .map(|e| e[1..].to_vec())
-                    .collect();
-                let pars = entries
-                    .iter()
-                    .filter(|e| is_parent(e))
-                    .map(|e| parent_oid(e))
-                    .collect();
+            let (mut pointers, mut parents) = (Vec::new(), Vec::new());
+            if local > 0 {
+                self.aux.visit(store, &aux_key(obj.oid), |e| {
+                    if is_ptr(e) {
+                        pointers.push(e[1..].to_vec());
+                    } else if is_parent(e) {
+                        parents.push(parent_oid(e));
+                    }
+                });
                 self.aux.remove_record(store, &aux_key(obj.oid));
-                (ptrs, pars)
             } else {
                 // Root-position objects have no 3-tuple: derive the keys
                 // they occur under from their contribution.
-                let keys = self
-                    .contribution(store, obj, local)
-                    .into_iter()
-                    .map(|(k, _)| k)
-                    .collect();
-                (keys, Vec::new())
-            };
+                let counts = self.contribution(store, obj, local);
+                pointers.extend(counts.into_iter().map(|(k, _)| k));
+            }
             // Step 3: edit each primary record and cascade to parents.
             let bytes = obj.oid.to_bytes();
             for key in &pointers {
@@ -300,10 +293,11 @@ impl PathIndex for NestedInheritedIndex {
             // into it is dropped from the auxiliary index (delpoint).
             if boundary.contains(&obj.class()) {
                 let key = encode_key(&Value::Ref(obj.oid));
-                let entries = self.primary.lookup(store, &key).unwrap_or_default();
+                let mut members = Vec::new();
+                self.primary
+                    .visit(store, &key, |e| members.push(entry_to_oid(e)));
                 self.primary.remove_record(store, &key);
-                for e in entries {
-                    let o = entry_to_oid(&e);
+                for o in members {
                     if self.segment.local_of(o.class).unwrap_or(0) > 0 {
                         self.aux.remove_entries(store, &aux_key(o), |en| {
                             is_ptr(en) && en[1..] == key[..]
@@ -369,11 +363,13 @@ mod tests {
         let sub = SubpathId { start: 1, end: 3 };
         let nix =
             NestedInheritedIndex::build(&db.schema, &db.path_pe, sub, &mut db.store, &db.heap);
-        let rec = nix
-            .primary_tree()
-            .lookup(&db.store, &encode_key(&Value::from("Renault")))
-            .expect("record exists");
-        let classes: Vec<ClassId> = rec.iter().map(|e| entry_to_oid(e).class).collect();
+        let mut classes = Vec::new();
+        let found =
+            nix.primary_tree()
+                .visit(&db.store, &encode_key(&Value::from("Renault")), |e| {
+                    classes.push(entry_to_oid(e).class)
+                });
+        assert!(found, "record exists");
         assert!(classes.contains(&db.classes.person));
         assert!(classes.contains(&db.classes.vehicle));
         assert!(classes.contains(&db.classes.company));
@@ -487,9 +483,8 @@ mod tests {
         assert!(nix
             .lookup(&db.store, &[Value::Ref(fiat)], db.classes.person, false)
             .is_empty());
-        assert!(nix
+        assert!(!nix
             .primary_tree()
-            .lookup(&db.store, &encode_key(&Value::Ref(fiat)))
-            .is_none());
+            .contains_key(&encode_key(&Value::Ref(fiat))));
     }
 }

@@ -1,5 +1,6 @@
 //! SIX — the simple index (Section 2.2): one class, one attribute.
 
+use crate::traits::entry_to_oid;
 use oic_btree::{BTreeIndex, Layout};
 use oic_schema::ClassId;
 use oic_storage::{encode_key, Object, Oid, SimStore, Value};
@@ -34,14 +35,10 @@ impl SimpleIndex {
         &self.attr
     }
 
-    /// Oids holding `key` for the indexed attribute.
-    pub fn lookup(&self, store: &SimStore, key: &Value) -> Vec<Oid> {
+    /// Appends the oids holding `key` for the indexed attribute to `out`.
+    pub fn lookup(&self, store: &SimStore, key: &Value, out: &mut Vec<Oid>) {
         self.tree
-            .lookup(store, &encode_key(key))
-            .unwrap_or_default()
-            .iter()
-            .map(|e| crate::traits::entry_to_oid(e))
-            .collect()
+            .visit(store, &encode_key(key), |e| out.push(entry_to_oid(e)));
     }
 
     /// Indexes a (possibly multi-valued) object.
@@ -82,6 +79,12 @@ mod tests {
     use oic_schema::fixtures;
     use oic_storage::FieldValue;
 
+    fn lookup(six: &SimpleIndex, store: &SimStore, key: &Value) -> Vec<Oid> {
+        let mut out = Vec::new();
+        six.lookup(store, key, &mut out);
+        out
+    }
+
     fn veh(schema: &oic_schema::Schema, seq: u32, color: &str, comp: Oid) -> Object {
         let (_, c) = fixtures::paper_schema();
         Object::new(
@@ -112,12 +115,12 @@ mod tests {
         for v in [&vi, &vj, &vk] {
             six.insert_object(&mut store, v);
         }
-        assert_eq!(six.lookup(&store, &Value::from("White")), vec![vi.oid]);
-        let red = six.lookup(&store, &Value::from("Red"));
+        assert_eq!(lookup(&six, &store, &Value::from("White")), vec![vi.oid]);
+        let red = lookup(&six, &store, &Value::from("Red"));
         assert_eq!(red.len(), 2);
         assert!(red.contains(&vj.oid) && red.contains(&vk.oid));
         six.delete_object(&mut store, &vj);
-        assert_eq!(six.lookup(&store, &Value::from("Red")), vec![vk.oid]);
+        assert_eq!(lookup(&six, &store, &Value::from("Red")), vec![vk.oid]);
     }
 
     #[test]
@@ -143,9 +146,9 @@ mod tests {
         )
         .unwrap();
         six.insert_object(&mut store, &obj);
-        assert_eq!(six.lookup(&store, &Value::Ref(c1)), vec![obj.oid]);
-        assert_eq!(six.lookup(&store, &Value::Ref(c2)), vec![obj.oid]);
+        assert_eq!(lookup(&six, &store, &Value::Ref(c1)), vec![obj.oid]);
+        assert_eq!(lookup(&six, &store, &Value::Ref(c2)), vec![obj.oid]);
         assert_eq!(six.remove_key(&mut store, &Value::Ref(c1)), 1);
-        assert!(six.lookup(&store, &Value::Ref(c1)).is_empty());
+        assert!(lookup(&six, &store, &Value::Ref(c1)).is_empty());
     }
 }

@@ -40,11 +40,29 @@ pub trait PathIndex {
     fn total_pages(&self) -> u64;
 }
 
-/// Helper: deduplicate and sort an oid result set.
+/// Helper: deduplicate and sort an oid result set. Posting lists are in
+/// insertion order — ascending oids per class — so the input is a few
+/// ascending runs, which the run-merging stable sort finishes in about
+/// one pass.
 pub(crate) fn normalize(mut oids: Vec<Oid>) -> Vec<Oid> {
-    oids.sort_unstable();
+    oids.sort();
     oids.dedup();
     oids
+}
+
+/// Helper: the tree's filtered visitor from a selector and a consumer of
+/// the selected entries.
+pub(crate) fn selecting<'a>(
+    mut pred: impl FnMut(&[u8]) -> bool + 'a,
+    mut take: impl FnMut(&[u8]) + 'a,
+) -> impl FnMut(&[u8]) -> bool + 'a {
+    move |e| {
+        let hit = pred(e);
+        if hit {
+            take(e);
+        }
+        hit
+    }
 }
 
 /// Helper: decode an 8-byte posting entry into an oid.

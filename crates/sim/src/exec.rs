@@ -50,6 +50,9 @@ pub struct ConfiguredDb<'a> {
     /// The database (public for stats and direct inspection).
     pub db: GeneratedDb,
     segments: Vec<SegmentExec>,
+    /// 0-based path position per class (`ClassId::index`), `None` outside
+    /// the path's scope.
+    position_of: Vec<Option<usize>>,
     capture: RefCell<Option<CaptureState>>,
 }
 
@@ -81,11 +84,18 @@ impl<'a> ConfiguredDb<'a> {
             };
             segments.push(exec);
         }
+        let mut position_of = vec![None; schema.class_ids().count()];
+        for (pos, hierarchy) in path.scope_by_position(schema).iter().enumerate() {
+            for class in hierarchy {
+                position_of[class.index()] = Some(pos);
+            }
+        }
         ConfiguredDb {
             schema,
             path,
             db,
             segments,
+            position_of,
             capture: RefCell::new(None),
         }
     }
@@ -155,13 +165,7 @@ impl<'a> ConfiguredDb<'a> {
     }
 
     fn query_inner(&self, value: &Value, target: ClassId, with_subclasses: bool) -> Vec<Oid> {
-        let target_pos = self
-            .path
-            .scope_by_position(self.schema)
-            .iter()
-            .position(|h| h.contains(&target))
-            .map(|i| i + 1)
-            .expect("target class in path scope");
+        let target_pos = self.position_of[target.index()].expect("target class in path scope") + 1;
         let mut keys = vec![value.clone()];
         for seg in self.segments.iter().rev() {
             let (start, end) = seg.span();
@@ -214,17 +218,13 @@ impl<'a> ConfiguredDb<'a> {
                 idx.on_insert(&mut self.db.store, &obj);
             }
         }
-        let pos = self
-            .path
-            .scope_by_position(self.schema)
-            .iter()
-            .position(|h| h.contains(&obj.class()));
+        let oid = obj.oid;
         self.db
             .heap
-            .insert(&mut self.db.store, obj.clone())
+            .insert(&mut self.db.store, obj)
             .expect("fresh oid");
-        if let Some(p) = pos {
-            self.db.pools[p].push(obj.oid);
+        if let Some(p) = self.position_of[oid.class.index()] {
+            self.db.pools[p].push(oid);
         }
         self.db.store.end_op()
     }
@@ -240,8 +240,12 @@ impl<'a> ConfiguredDb<'a> {
                     idx.on_delete(&mut self.db.store, &obj);
                 }
             }
-            for pool in &mut self.db.pools {
-                pool.retain(|&o| o != oid);
+            // The oid sits in its position's pool only, usually near the end.
+            if let Some(p) = self.position_of[oid.class.index()] {
+                let pool = &mut self.db.pools[p];
+                if let Some(i) = pool.iter().rposition(|&o| o == oid) {
+                    pool.remove(i);
+                }
             }
         }
         self.db.store.end_op()

@@ -57,19 +57,17 @@ fn encode_oids(oids: &[Oid]) -> Vec<u8> {
     v
 }
 
-fn decode_oids(bytes: &[u8]) -> Result<Vec<Oid>, StoreError> {
+fn decode_oids(bytes: &[u8], out: &mut Vec<Oid>) -> Result<(), StoreError> {
     if bytes.len() % 8 != 0 {
         return Err(StoreError::Corrupt("posting chunk not 8-aligned".into()));
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            Oid::new(
-                ClassId(u32::from_le_bytes(c[..4].try_into().expect("4 bytes"))),
-                u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
-            )
-        })
-        .collect())
+    out.extend(bytes.chunks_exact(8).map(|c| {
+        Oid::new(
+            ClassId(u32::from_le_bytes(c[..4].try_into().expect("4 bytes"))),
+            u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
+        )
+    }));
+    Ok(())
 }
 
 impl<S: PageStore> PagedMirror<S> {
@@ -105,7 +103,7 @@ impl<S: PageStore> PagedMirror<S> {
         let hi = posting_key(pos, value, u16::MAX);
         let mut out = Vec::new();
         for (_, bytes) in self.tree.range(&lo, &hi)? {
-            out.extend(decode_oids(&bytes)?);
+            decode_oids(&bytes, &mut out)?;
         }
         Ok(out)
     }

@@ -107,8 +107,12 @@ impl ObjectStore {
         let (obj, page) = self.by_oid.remove(&oid).ok_or(HeapError::NotFound(oid))?;
         store.touch_read(page);
         store.touch_write(page);
+        // Deletes mostly hit recent inserts: search from the back, and keep
+        // the survivors in insertion order.
         if let Some(heap) = self.classes.get_mut(&oid.class) {
-            heap.objects.retain(|&o| o != oid);
+            if let Some(i) = heap.objects.iter().rposition(|&o| o == oid) {
+                heap.objects.remove(i);
+            }
         }
         Ok(obj)
     }

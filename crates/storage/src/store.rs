@@ -17,7 +17,10 @@ impl std::fmt::Display for PageId {
 #[derive(Debug, Default)]
 struct Counters {
     stats: AccessStats,
-    op: Option<OpScope>,
+    /// Whether an operation scope is open.
+    in_op: bool,
+    /// The open scope, or the closed one's sets kept for their capacity.
+    op: OpScope,
 }
 
 #[derive(Debug, Default)]
@@ -91,10 +94,10 @@ impl SimStore {
     pub fn touch_read(&self, id: PageId) {
         let mut c = self.counters.borrow_mut();
         c.stats.reads += 1;
-        if let Some(op) = c.op.as_mut() {
-            op.stats.reads += 1;
-            if op.read_set.insert(id) {
-                op.stats.distinct_reads += 1;
+        if c.in_op {
+            c.op.stats.reads += 1;
+            if c.op.read_set.insert(id) {
+                c.op.stats.distinct_reads += 1;
             }
         }
     }
@@ -103,10 +106,10 @@ impl SimStore {
     pub fn touch_write(&self, id: PageId) {
         let mut c = self.counters.borrow_mut();
         c.stats.writes += 1;
-        if let Some(op) = c.op.as_mut() {
-            op.stats.writes += 1;
-            if op.write_set.insert(id) {
-                op.stats.distinct_writes += 1;
+        if c.in_op {
+            c.op.stats.writes += 1;
+            if c.op.write_set.insert(id) {
+                c.op.stats.distinct_writes += 1;
             }
         }
     }
@@ -133,7 +136,11 @@ impl SimStore {
     /// distinct-page resolution until [`SimStore::end_op`]. Scopes do not
     /// nest — beginning a new scope discards the previous one.
     pub fn begin_op(&self) {
-        self.counters.borrow_mut().op = Some(OpScope::default());
+        let mut c = self.counters.borrow_mut();
+        c.in_op = true;
+        c.op.stats = OpStats::default();
+        c.op.read_set.clear();
+        c.op.write_set.clear();
     }
 
     /// Closes the operation scope and returns its statistics.
@@ -141,7 +148,11 @@ impl SimStore {
     /// Returns default (zero) stats if no scope was open.
     pub fn end_op(&self) -> OpStats {
         let mut c = self.counters.borrow_mut();
-        c.op.take().map(|o| o.stats).unwrap_or_default()
+        if std::mem::take(&mut c.in_op) {
+            c.op.stats
+        } else {
+            OpStats::default()
+        }
     }
 
     /// Runs `f` inside an operation scope and returns `(result, stats)`.
