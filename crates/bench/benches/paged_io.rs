@@ -7,9 +7,13 @@
 //! into a paged B-tree (chunked posting lists, so big answers span
 //! pages), then every ending value is queried at every position twice:
 //! once cold (2-frame cache — every descent goes to the file) and once
-//! warm (resident cache). Rows land in `BENCH_paged_io.json` next to the
-//! model's `CR_X` predictions and the counting executor's distinct
-//! logical touches.
+//! warm (resident cache). Every lookup is `PagedMirror::lookup`, i.e. one
+//! `PagedBTree::visit_range` over borrowed page images. Rows land in
+//! `BENCH_paged_io.json` next to the model's `CR_X` predictions and the
+//! counting executor's distinct logical touches, with `host_cpus` and the
+//! parent commit's page counts as the `baseline` object; a row whose cold
+//! physical reads exceed 1.05× its baseline fails the bench (and CI's
+//! snapshot check): a faster node format must not read more pages.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_core::IndexConfiguration;
@@ -23,6 +27,16 @@ use oic_storage::paged::PageStore;
 const PAGE_SIZE: usize = 1024;
 const COLD_CACHE: usize = 2;
 const WARM_CACHE: usize = 1 << 20;
+
+/// The parent commit's snapshot (decoded-node `OICBT1` tree), identical
+/// for MX, MIX and NIX because the mirror stores answers, not the
+/// organization: mirror pages, tree height, cold physical reads per
+/// query at positions 1–4.
+const BASELINE_COMMIT: &str = "0ffa186";
+const BASELINE_MIRROR_PAGES: u64 = 452;
+const BASELINE_TREE_HEIGHT: u32 = 3;
+const BASELINE_COLD_READS: [f64; 4] = [23.25, 4.25, 3.10, 3.00];
+const MAX_COLD_OVER_BASELINE: f64 = 1.05;
 
 struct PositionResult {
     pos: usize,
@@ -140,6 +154,13 @@ fn main() {
                 r.cold_physical >= 1.0,
                 "a cold query reads at least one page"
             );
+            let baseline = BASELINE_COLD_READS[r.pos - 1];
+            assert!(
+                r.cold_physical <= MAX_COLD_OVER_BASELINE * baseline,
+                "{org} position {}: {:.2} cold reads against {baseline:.2} at {BASELINE_COMMIT}",
+                r.pos,
+                r.cold_physical
+            );
             row_objs.push(Json::obj([
                 ("position", Json::from(r.pos)),
                 ("predicted_pages", Json::fixed(r.predicted, 2)),
@@ -171,6 +192,32 @@ fn main() {
         ("page_size", Json::from(PAGE_SIZE)),
         ("cold_cache_pages", Json::from(COLD_CACHE)),
         ("warm_cache_pages", Json::from(WARM_CACHE)),
+        (
+            "host_cpus",
+            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ),
+        (
+            "baseline",
+            Json::obj([
+                ("commit", Json::from(BASELINE_COMMIT)),
+                ("host_cpus", Json::from(2usize)),
+                ("mirror_pages", Json::from(BASELINE_MIRROR_PAGES)),
+                ("tree_height", Json::from(BASELINE_TREE_HEIGHT)),
+                (
+                    "cold_physical_reads",
+                    Json::Arr(
+                        BASELINE_COLD_READS
+                            .iter()
+                            .map(|&r| Json::fixed(r, 2))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "max_cold_over_baseline",
+                    Json::fixed(MAX_COLD_OVER_BASELINE, 2),
+                ),
+            ]),
+        ),
         ("organizations", Json::Arr(org_objs)),
     ]);
     let path = write_repo_snapshot("BENCH_paged_io.json", &snapshot).expect("write snapshot");

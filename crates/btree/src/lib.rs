@@ -30,6 +30,7 @@
 mod layout;
 mod node;
 pub mod paged;
+mod slotted;
 mod tree;
 
 pub use layout::Layout;

@@ -1,24 +1,28 @@
-//! A B+-tree serialized to fixed-size pages of a [`PageStore`].
+//! A B+-tree whose nodes are the fixed-size pages of a [`PageStore`].
 //!
 //! Where [`BTreeIndex`](crate::BTreeIndex) materializes node payloads in
 //! memory and *accounts* page touches (the paper's cost-model substrate),
 //! [`PagedBTree`] is the durable twin: every node is a page image, every
-//! descent is a sequence of `read_page` calls against the store, and the
-//! tree survives drop/reopen when the store does (its root, height, and
-//! record count ride the store's meta blob, committed atomically with the
-//! pages). The same type runs over the heap-backed
-//! [`MemStore`](oic_storage::MemStore) for tests and over the file-backed
-//! `oic-pager` for durability — that polymorphism is what the
-//! model-differential harness exploits.
+//! descent step borrows one page from the store, and the tree survives
+//! drop/reopen when the store does (its root, height, and record count
+//! ride the store's meta blob, committed atomically with the pages). The
+//! same type runs over the heap-backed [`MemStore`](oic_storage::MemStore)
+//! for tests and over the file-backed `oic-pager` for durability — that
+//! polymorphism is what the model-differential harness exploits.
 //!
-//! ## Page layout
+//! ## Nodes are read and edited in the page image
 //!
-//! ```text
-//! leaf:     [tag=1][nrec:u16][next:u64][prev:u64]
-//!           ([klen:u16][vlen:u16][key][val])*          (19-byte header)
-//! internal: [tag=2][nsep:u16][child0:u64]
-//!           ([klen:u16][key][child:u64])*              (11-byte header)
-//! ```
+//! The page image is the only node representation (the slotted layout of
+//! the `slotted` module). A read borrows it through [`PageStore::page`] —
+//! on the pager, the cache frame itself — binary-searches the slot
+//! directory in place and hands key and value *slices* to the one read
+//! primitive, [`PagedBTree::visit_range`]; `get`, `range` and `scan` are
+//! collectors over it that copy only what they return. A write borrows it
+//! through [`PageStore::page_mut`] and edits it: slot insert + cell
+//! append, an in-place overwrite when the value keeps its length
+//! (otherwise remove + insert in the compacted page), a one-pass cell
+//! removal. A lookup therefore costs the pages it reads and nothing
+//! else: no page copy, no decoded node, no allocation.
 //!
 //! Leaves are chained both ways through `next`/`prev` (page id 0 is the
 //! nil sentinel — the pager's header page can never be a node). An
@@ -27,44 +31,31 @@
 //! bound for its subtree, and may be *stale-loose* after deletions (less
 //! than the subtree's current minimum), which routing tolerates.
 //!
-//! Splits are by byte size, not record count: a node that no longer
-//! encodes within a page splits at the cumulative-size midpoint, so
-//! variable-length records keep both halves near half-full. Records are
-//! capped at a quarter of a node's payload, which guarantees any split
-//! point in `[1, n-1]` leaves both halves within a page. Deletion frees
-//! emptied nodes (pages return to the store's freelist) and collapses
-//! single-child roots, but does not rebalance non-empty siblings — the
-//! classic lazy scheme: heights only shrink at the root.
+//! Splits are by byte size, not record count: a node with no room for a
+//! new cell is copied to a scratch image and dealt out again, around the
+//! cumulative-size midpoint of its cells *and* the new one, into its own
+//! page and a fresh right page. Records are capped at a quarter of a
+//! node's payload ([`PagedBTree::max_item`]), so both halves always fit.
+//! Deletion frees emptied nodes (pages return to the store's freelist)
+//! and collapses single-child roots, but does not rebalance non-empty
+//! siblings — the classic lazy scheme: heights only shrink at the root.
+//!
+//! The format is `OICBT2`; a store holding the decoded-node `OICBT1`
+//! layout is refused at [`PagedBTree::open`].
 
-use oic_storage::paged::StoreError::Corrupt;
+use crate::slotted::{self, child, corrupt, View, INT_CELL, INT_HDR, LEAF_CELL, LEAF_HDR};
 use oic_storage::paged::{PageStore, StoreError};
 use oic_storage::PageId;
 
-const LEAF_TAG: u8 = 1;
-const INT_TAG: u8 = 2;
-const LEAF_HDR: usize = 1 + 2 + 8 + 8;
-const INT_HDR: usize = 1 + 2 + 8;
-const LEAF_REC_HDR: usize = 4;
-const SEP_HDR: usize = 10;
-const META_MAGIC: [u8; 8] = *b"OICBT1\0\0";
+const META_MAGIC: [u8; 8] = *b"OICBT2\0\0";
 const META_LEN: usize = 28;
-
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        next: u64,
-        prev: u64,
-        recs: Vec<(Vec<u8>, Vec<u8>)>,
-    },
-    Internal {
-        child0: u64,
-        seps: Vec<(Vec<u8>, u64)>,
-    },
-}
 
 /// An owned key/value record, as returned by [`PagedBTree::range`] and
 /// [`PagedBTree::scan`].
 pub type Record = (Vec<u8>, Vec<u8>);
+
+/// A separator and the right page it bounds, promoted by a split.
+type Promoted = Option<(Vec<u8>, u64)>;
 
 /// A durable B+-tree over any [`PageStore`]; see the module docs.
 #[derive(Debug)]
@@ -73,35 +64,42 @@ pub struct PagedBTree<S: PageStore> {
     root: u64,
     height: u32,
     count: u64,
+    /// The pre-split image of a node being split (page-sized, reused).
+    scratch: Vec<u8>,
 }
 
 impl<S: PageStore> PagedBTree<S> {
     /// Opens the tree persisted in `store`'s meta blob, or starts an
     /// empty tree if the store carries no meta yet.
     pub fn open(store: S) -> Result<Self, StoreError> {
-        let meta = store.meta();
-        if meta.is_empty() {
-            let mut t = PagedBTree {
-                store,
-                root: 0,
-                height: 0,
-                count: 0,
-            };
-            t.write_meta()?;
-            return Ok(t);
+        let ps = store.page_size();
+        if !(64..=usize::from(u16::MAX)).contains(&ps) {
+            return Err(StoreError::Invalid(format!(
+                "page size {ps} outside the 64..=65535 a slotted node addresses"
+            )));
         }
-        if meta.len() != META_LEN || meta[..8] != META_MAGIC {
-            return Err(Corrupt("store meta is not a PagedBTree".into()));
-        }
-        let root = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
-        let height = u32::from_le_bytes(meta[16..20].try_into().expect("4 bytes"));
-        let count = u64::from_le_bytes(meta[20..28].try_into().expect("8 bytes"));
-        Ok(PagedBTree {
+        let mut t = PagedBTree {
             store,
-            root,
-            height,
-            count,
-        })
+            root: 0,
+            height: 0,
+            count: 0,
+            scratch: vec![0; ps],
+        };
+        let meta = t.store.meta();
+        if meta.is_empty() {
+            t.write_meta()?;
+        } else if meta.starts_with(b"OICBT1") {
+            return Err(corrupt(
+                "store holds the retired OICBT1 node format; this build reads OICBT2 only",
+            ));
+        } else if meta.len() != META_LEN || meta[..8] != META_MAGIC {
+            return Err(corrupt("store meta is not a PagedBTree"));
+        } else {
+            t.root = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+            t.height = u32::from_le_bytes(meta[16..20].try_into().expect("4 bytes"));
+            t.count = u64::from_le_bytes(meta[20..28].try_into().expect("8 bytes"));
+        }
+        Ok(t)
     }
 
     /// The backing store (e.g. for [`PageStore::io_stats`]).
@@ -144,8 +142,8 @@ impl<S: PageStore> PagedBTree<S> {
     /// also fit a quarter of an internal node's payload).
     pub fn max_item(&self) -> usize {
         let ps = self.store.page_size();
-        let leaf = (ps - LEAF_HDR) / 4 - LEAF_REC_HDR;
-        let key = (ps - INT_HDR) / 4 - SEP_HDR;
+        let leaf = ((ps - LEAF_HDR) / 4).saturating_sub(LEAF_CELL);
+        let key = ((ps - INT_HDR) / 4).saturating_sub(INT_CELL);
         leaf.min(key)
     }
 
@@ -158,89 +156,96 @@ impl<S: PageStore> PagedBTree<S> {
         self.store.set_meta(&m)
     }
 
-    // ---- node (de)serialization ------------------------------------
-
-    fn load(&mut self, page: u64) -> Result<Node, StoreError> {
-        let ps = self.store.page_size();
-        let mut buf = vec![0u8; ps];
-        self.store.read_page(PageId(page), &mut buf)?;
-        decode(&buf)
-    }
-
-    fn store_node(&mut self, page: u64, node: &Node) -> Result<(), StoreError> {
-        let ps = self.store.page_size();
-        let img = encode(node, ps)?;
-        self.store.write_page(PageId(page), &img)
+    /// Allocates a page and formats it as an empty node.
+    fn new_node(&mut self, leaf: bool, links: [u64; 2]) -> Result<(u64, &mut [u8]), StoreError> {
+        let page = self.store.alloc()?;
+        let img = self.store.page_mut(page)?;
+        slotted::init(img, leaf, links);
+        Ok((page.0, img))
     }
 
     // ---- lookup ----------------------------------------------------
 
-    /// Point lookup.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.root == 0 {
-            return Ok(None);
-        }
-        let mut page = self.root;
-        loop {
-            match self.load(page)? {
-                Node::Internal { child0, seps } => page = route(child0, &seps, key),
-                Node::Leaf { recs, .. } => {
-                    return Ok(
-                        match recs.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                            Ok(i) => Some(recs[i].1.clone()),
-                            Err(_) => None,
-                        },
-                    );
-                }
-            }
-        }
+    /// Calls `f(key, value)` on every record with `lo ≤ key ≤ hi`, in key
+    /// order, until `f` returns `false`: one descent to the start leaf,
+    /// then `next` links. The slices borrow the page image — each page on
+    /// the way is read once and nothing is copied.
+    pub fn visit_range(
+        &mut self,
+        lo: &[u8],
+        hi: &[u8],
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<(), StoreError> {
+        self.visit_from(lo, true, |k, v| k <= hi && f(k, v))
     }
 
-    /// All records with `lo ≤ key ≤ hi`, in key order, via the leaf
-    /// chain: one descent to the start leaf, then `next` links.
-    pub fn range(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<Record>, StoreError> {
-        let mut out = Vec::new();
-        if self.root == 0 || lo > hi {
-            return Ok(out);
-        }
-        let mut page = self.root;
-        while let Node::Internal { child0, seps } = self.load(page)? {
-            page = route(child0, &seps, lo);
-        }
+    /// [`visit_range`](Self::visit_range) without an upper bound; with
+    /// `chain` off it stops at the end of the leaf `lo` routes to (no
+    /// later leaf can hold `lo` itself).
+    fn visit_from(
+        &mut self,
+        lo: &[u8],
+        chain: bool,
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<(), StoreError> {
+        let (mut page, mut depth, mut first) = (self.root, self.height, true);
+        // A chain can visit every live page once before it must be cyclic.
+        let mut leaves_left = self.store.live_pages();
         while page != 0 {
-            let Node::Leaf { next, recs, .. } = self.load(page)? else {
-                return Err(Corrupt("leaf chain links to a non-leaf".into()));
-            };
-            for (k, v) in recs {
-                if k.as_slice() > hi {
-                    return Ok(out);
+            let node = View::parse(self.store.page(PageId(page))?)?;
+            if depth > 1 {
+                if node.leaf {
+                    return Err(corrupt("leaf above level 1"));
                 }
-                if k.as_slice() >= lo {
-                    out.push((k, v));
+                page = node.route(lo)?.1;
+                depth -= 1;
+                continue;
+            }
+            if !node.leaf || leaves_left == 0 {
+                return Err(corrupt("leaf chain cycles or links to a non-leaf"));
+            }
+            leaves_left -= 1;
+            // Only the leaf the descent lands on can start mid-node.
+            let start = if first { node.bound(lo, false)? } else { 0 };
+            first = false;
+            for i in start..node.n {
+                let (k, v) = node.cell(i)?;
+                if !f(k, v) {
+                    return Ok(());
                 }
             }
-            page = next;
+            page = if chain { node.link(0) } else { 0 };
         }
+        Ok(())
+    }
+
+    /// Point lookup.
+    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        let mut out = None;
+        self.visit_from(key, false, |k, v| {
+            out = (k == key).then(|| v.to_vec());
+            false
+        })?;
+        Ok(out)
+    }
+
+    /// All records with `lo ≤ key ≤ hi`, in key order.
+    pub fn range(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<Record>, StoreError> {
+        let mut out = Vec::new();
+        self.visit_range(lo, hi, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            true
+        })?;
         Ok(out)
     }
 
     /// Every record in key order (leftmost descent + leaf chain).
     pub fn scan(&mut self) -> Result<Vec<Record>, StoreError> {
         let mut out = Vec::new();
-        if self.root == 0 {
-            return Ok(out);
-        }
-        let mut page = self.root;
-        while let Node::Internal { child0, .. } = self.load(page)? {
-            page = child0;
-        }
-        while page != 0 {
-            let Node::Leaf { next, recs, .. } = self.load(page)? else {
-                return Err(Corrupt("leaf chain links to a non-leaf".into()));
-            };
-            out.extend(recs);
-            page = next;
-        }
+        self.visit_from(&[], true, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            true
+        })?;
         Ok(out)
     }
 
@@ -255,137 +260,119 @@ impl<S: PageStore> PagedBTree<S> {
                 self.max_item()
             )));
         }
-        if self.root == 0 {
-            let page = self.store.alloc()?.0;
-            let node = Node::Leaf {
-                next: 0,
-                prev: 0,
-                recs: vec![(key.to_vec(), val.to_vec())],
-            };
-            self.store_node(page, &node)?;
-            self.root = page;
-            self.height = 1;
-            self.count = 1;
-            self.write_meta()?;
-            return Ok(None);
-        }
-        let (old, promo) = self.insert_at(self.root, self.height, key, val)?;
-        if let Some((sep, right)) = promo {
-            let page = self.store.alloc()?.0;
-            let node = Node::Internal {
-                child0: self.root,
-                seps: vec![(sep, right)],
-            };
-            self.store_node(page, &node)?;
+        let (old, promo) = if self.root == 0 {
+            let (page, img) = self.new_node(true, [0, 0])?;
+            slotted::push_cell(img, 0, key, val)?;
+            (self.root, self.height) = (page, 1);
+            (None, None)
+        } else {
+            self.insert_at(self.root, self.height, key, val)?
+        };
+        if let Some((sep, right)) = &promo {
+            let (page, img) = self.new_node(false, [self.root, 0])?;
+            slotted::push_cell(img, 0, sep, &right.to_le_bytes())?;
             self.root = page;
             self.height += 1;
         }
-        if old.is_none() {
-            self.count += 1;
+        self.count += u64::from(old.is_none());
+        // An overwrite moves neither root, height nor count.
+        if old.is_none() || promo.is_some() {
+            self.write_meta()?;
         }
-        self.write_meta()?;
         Ok(old)
     }
 
     /// Recursive insert; returns `(old value, promoted separator)`.
-    #[allow(clippy::type_complexity)]
     fn insert_at(
         &mut self,
         page: u64,
         depth: u32,
         key: &[u8],
         val: &[u8],
-    ) -> Result<(Option<Vec<u8>>, Option<(Vec<u8>, u64)>), StoreError> {
-        let ps = self.store.page_size();
-        match self.load(page)? {
-            Node::Leaf {
-                next,
-                prev,
-                mut recs,
-            } => {
-                if depth != 1 {
-                    return Err(Corrupt("leaf above level 1".into()));
-                }
-                let old = match recs.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Some(std::mem::replace(&mut recs[i].1, val.to_vec())),
-                    Err(i) => {
-                        recs.insert(i, (key.to_vec(), val.to_vec()));
-                        None
-                    }
-                };
-                if leaf_size(&recs) <= ps {
-                    self.store_node(page, &Node::Leaf { next, prev, recs })?;
-                    return Ok((old, None));
-                }
-                // Split at the byte-size midpoint.
-                let sp = split_point(recs.iter().map(|(k, v)| LEAF_REC_HDR + k.len() + v.len()));
-                let right_recs = recs.split_off(sp);
-                let right_page = self.store.alloc()?.0;
-                let sep = right_recs[0].0.clone();
-                if next != 0 {
-                    // The old successor's back-link now points at the
-                    // new right node.
-                    let Node::Leaf {
-                        next: nn, recs: nr, ..
-                    } = self.load(next)?
-                    else {
-                        return Err(Corrupt("leaf chain links to a non-leaf".into()));
-                    };
-                    self.store_node(
-                        next,
-                        &Node::Leaf {
-                            next: nn,
-                            prev: right_page,
-                            recs: nr,
-                        },
-                    )?;
-                }
-                self.store_node(
-                    right_page,
-                    &Node::Leaf {
-                        next,
-                        prev: page,
-                        recs: right_recs,
-                    },
-                )?;
-                self.store_node(
-                    page,
-                    &Node::Leaf {
-                        next: right_page,
-                        prev,
-                        recs,
-                    },
-                )?;
-                Ok((old, Some((sep, right_page))))
-            }
-            Node::Internal { child0, mut seps } => {
-                let idx = seps.partition_point(|(k, _)| k.as_slice() <= key);
-                let child = if idx == 0 { child0 } else { seps[idx - 1].1 };
-                let (old, promo) = self.insert_at(child, depth - 1, key, val)?;
-                let Some((sep, right)) = promo else {
-                    return Ok((old, None));
-                };
+    ) -> Result<(Option<Vec<u8>>, Promoted), StoreError> {
+        let node = View::parse(self.store.page(PageId(page))?)?;
+        if node.leaf != (depth <= 1) {
+            return Err(corrupt("leaf depth disagrees with the tree height"));
+        }
+        if !node.leaf {
+            let (idx, to) = node.route(key)?;
+            let (old, promo) = self.insert_at(to, depth - 1, key, val)?;
+            let up = match promo {
                 // The promoted separator slots exactly where we routed.
-                seps.insert(idx, (sep, right));
-                if int_size(&seps) <= ps {
-                    self.store_node(page, &Node::Internal { child0, seps })?;
-                    return Ok((old, None));
-                }
-                let sp = split_point(seps.iter().map(|(k, _)| SEP_HDR + k.len()));
-                let mut right_seps = seps.split_off(sp);
-                let (up_key, right_child0) = right_seps.remove(0);
-                let right_page = self.store.alloc()?.0;
-                self.store_node(
-                    right_page,
-                    &Node::Internal {
-                        child0: right_child0,
-                        seps: right_seps,
-                    },
-                )?;
-                self.store_node(page, &Node::Internal { child0, seps })?;
-                Ok((old, Some((up_key, right_page))))
+                Some((sep, right)) => self.add_cell(page, idx, &sep, &right.to_le_bytes())?,
+                None => None,
+            };
+            return Ok((old, up));
+        }
+        let (i, old) = node.find(key)?;
+        let old = old.map(<[u8]>::to_vec);
+        if let Some(prev) = &old {
+            let img = self.store.page_mut(PageId(page))?;
+            if prev.len() == val.len() {
+                slotted::set_value(img, i, val)?;
+                return Ok((old, None));
+            }
+            slotted::remove_cell(img, i)?;
+        }
+        Ok((old, self.add_cell(page, i, key, val)?))
+    }
+
+    /// Puts a cell at slot `i` of `page`; a node without room for it is
+    /// split at its byte midpoint first. Returns the promoted separator
+    /// and new right page of such a split.
+    fn add_cell(
+        &mut self,
+        page: u64,
+        i: usize,
+        key: &[u8],
+        val: &[u8],
+    ) -> Result<Promoted, StoreError> {
+        let img = self.store.page_mut(PageId(page))?;
+        if slotted::insert_cell(img, i, key, val)? {
+            return Ok(None);
+        }
+        self.scratch.copy_from_slice(img);
+        let old = View::parse(&self.scratch)?;
+        // Split the sequence that has the new cell at `i`: `sp` is its
+        // first right-half index, `l` old cells stay left.
+        let sp = old.split_point(i, old.cell_len(key, val))?;
+        let l = sp - usize::from(i < sp);
+        let (sep, first_right) = if i == sp { (key, val) } else { old.cell(l)? };
+        let right = self.store.alloc()?.0;
+        // A leaf keeps every cell; an internal node promotes the cell at
+        // `sp`, whose child becomes the right half's child0.
+        let (skip, right_links, left_links) = if old.leaf {
+            (0, [old.link(0), page], [right, old.link(1)])
+        } else {
+            (1, [child(first_right), 0], [old.link(0), 0])
+        };
+        let r = if i == sp { l } else { l + skip };
+        let halves = [
+            (page, 0..l, left_links, (i < sp).then_some(i)),
+            (right, r..old.n, right_links, i.checked_sub(sp + skip)),
+        ];
+        for (half, cells, links, new_at) in halves {
+            let img = self.store.page_mut(PageId(half))?;
+            slotted::rebuild(img, &old, cells, links)?;
+            if let Some(at) = new_at {
+                slotted::push_cell(img, at, key, val)?;
             }
         }
+        if old.leaf && old.link(0) != 0 {
+            // The old successor's back-link now points at the new leaf.
+            Self::set_leaf_link(&mut self.store, old.link(0), 1, right)?;
+        }
+        Ok(Some((sep.to_vec(), right)))
+    }
+
+    /// Overwrites chain link `k` of the leaf a chain link led to.
+    fn set_leaf_link(store: &mut S, page: u64, k: usize, to: u64) -> Result<(), StoreError> {
+        let img = store.page_mut(PageId(page))?;
+        if !View::parse(img)?.leaf {
+            return Err(corrupt("leaf chain links to a non-leaf"));
+        }
+        slotted::set_link(img, k, to);
+        Ok(())
     }
 
     // ---- remove ----------------------------------------------------
@@ -397,26 +384,24 @@ impl<S: PageStore> PagedBTree<S> {
             return Ok(None);
         }
         let (old, emptied) = self.remove_at(self.root, self.height, key)?;
-        if old.is_some() {
-            self.count -= 1;
+        if old.is_none() {
+            return Ok(None);
         }
+        self.count = self.count.saturating_sub(1); // hostile pages can hold extras
         if emptied {
             self.store.free(PageId(self.root))?;
-            self.root = 0;
-            self.height = 0;
-        } else if old.is_some() {
-            // Collapse a root chain of separator-less internals.
-            while self.height > 1 {
-                let Node::Internal { child0, seps } = self.load(self.root)? else {
-                    break;
-                };
-                if !seps.is_empty() {
-                    break;
-                }
-                self.store.free(PageId(self.root))?;
-                self.root = child0;
-                self.height -= 1;
+            (self.root, self.height) = (0, 0);
+        }
+        // Collapse a root chain of separator-less internals.
+        while self.height > 1 {
+            let node = View::parse(self.store.page(PageId(self.root))?)?;
+            if node.leaf || node.n > 0 {
+                break;
             }
+            let only = node.link(0);
+            self.store.free(PageId(self.root))?;
+            self.root = only;
+            self.height -= 1;
         }
         self.write_meta()?;
         Ok(old)
@@ -432,84 +417,49 @@ impl<S: PageStore> PagedBTree<S> {
         depth: u32,
         key: &[u8],
     ) -> Result<(Option<Vec<u8>>, bool), StoreError> {
-        match self.load(page)? {
-            Node::Leaf {
-                next,
-                prev,
-                mut recs,
-            } => {
-                if depth != 1 {
-                    return Err(Corrupt("leaf above level 1".into()));
-                }
-                let Ok(i) = recs.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
-                    return Ok((None, false));
-                };
-                let old = recs.remove(i).1;
-                if !recs.is_empty() {
-                    self.store_node(page, &Node::Leaf { next, prev, recs })?;
-                    return Ok((Some(old), false));
-                }
-                // Unlink the emptied leaf from the chain.
-                if prev != 0 {
-                    let Node::Leaf {
-                        prev: pp, recs: pr, ..
-                    } = self.load(prev)?
-                    else {
-                        return Err(Corrupt("leaf chain links to a non-leaf".into()));
-                    };
-                    self.store_node(
-                        prev,
-                        &Node::Leaf {
-                            next,
-                            prev: pp,
-                            recs: pr,
-                        },
-                    )?;
-                }
-                if next != 0 {
-                    let Node::Leaf {
-                        next: nn, recs: nr, ..
-                    } = self.load(next)?
-                    else {
-                        return Err(Corrupt("leaf chain links to a non-leaf".into()));
-                    };
-                    self.store_node(
-                        next,
-                        &Node::Leaf {
-                            next: nn,
-                            prev,
-                            recs: nr,
-                        },
-                    )?;
-                }
-                Ok((Some(old), true))
-            }
-            Node::Internal {
-                mut child0,
-                mut seps,
-            } => {
-                let idx = seps.partition_point(|(k, _)| k.as_slice() <= key);
-                let child = if idx == 0 { child0 } else { seps[idx - 1].1 };
-                let (old, child_empty) = self.remove_at(child, depth - 1, key)?;
-                if !child_empty {
-                    return Ok((old, false));
-                }
-                self.store.free(PageId(child))?;
-                if idx == 0 {
-                    if seps.is_empty() {
-                        // Last child gone: this node is empty too. Its
-                        // page content no longer matters — the parent
-                        // frees it.
-                        return Ok((old, true));
-                    }
-                    child0 = seps.remove(0).1;
-                } else {
-                    seps.remove(idx - 1);
-                }
-                self.store_node(page, &Node::Internal { child0, seps })?;
-                Ok((old, false))
-            }
+        let node = View::parse(self.store.page(PageId(page))?)?;
+        if node.leaf != (depth <= 1) {
+            return Err(corrupt("leaf depth disagrees with the tree height"));
         }
+        if !node.leaf {
+            let (idx, to) = node.route(key)?;
+            let (old, child_empty) = self.remove_at(to, depth - 1, key)?;
+            if !child_empty {
+                return Ok((old, false));
+            }
+            self.store.free(PageId(to))?;
+            let img = self.store.page_mut(PageId(page))?;
+            let node = View::parse(img)?;
+            if idx == 0 && node.n == 0 {
+                // Last child gone: this node is empty too. Its page
+                // content no longer matters — the parent frees it.
+                return Ok((old, true));
+            }
+            if idx == 0 {
+                // child0 is gone: the first separator's child takes over.
+                let first = child(node.cell(0)?.1);
+                slotted::set_link(img, 0, first);
+            }
+            slotted::remove_cell(img, idx.saturating_sub(1))?;
+            return Ok((old, false));
+        }
+        let (i, Some(old)) = node.find(key)? else {
+            return Ok((None, false));
+        };
+        let old = old.to_vec();
+        let (n, next, prev) = (node.n, node.link(0), node.link(1));
+        slotted::remove_cell(self.store.page_mut(PageId(page))?, i)?;
+        if n > 1 {
+            return Ok((Some(old), false));
+        }
+        // Unlink the emptied leaf from the chain.
+        if prev != 0 {
+            Self::set_leaf_link(&mut self.store, prev, 0, next)?;
+        }
+        if next != 0 {
+            Self::set_leaf_link(&mut self.store, next, 1, prev)?;
+        }
+        Ok((Some(old), true))
     }
 
     // ---- integrity -------------------------------------------------
@@ -520,241 +470,102 @@ impl<S: PageStore> PagedBTree<S> {
     /// that.
     pub fn reachable_pages(&mut self) -> Result<Vec<PageId>, StoreError> {
         let mut out = Vec::new();
-        if self.root != 0 {
-            self.collect_pages(self.root, &mut out)?;
-        }
-        out.sort_unstable();
-        Ok(out.into_iter().map(PageId).collect())
-    }
-
-    fn collect_pages(&mut self, page: u64, out: &mut Vec<u64>) -> Result<(), StoreError> {
-        out.push(page);
-        if let Node::Internal { child0, seps } = self.load(page)? {
-            self.collect_pages(child0, out)?;
-            for (_, c) in seps {
-                self.collect_pages(c, out)?;
+        let mut todo = Vec::from_iter((self.root != 0).then_some((self.root, self.height)));
+        while let Some((page, depth)) = todo.pop() {
+            out.push(PageId(page));
+            if depth > 1 {
+                let kids = self.children(page)?;
+                todo.extend(kids.iter().map(|(_, kid)| (*kid, depth - 1)));
             }
         }
-        Ok(())
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// An internal node's `(lower bound, child)` pairs in order, owned
+    /// (integrity walks recurse); `child0` comes first, bound empty.
+    fn children(&mut self, page: u64) -> Result<Vec<(Vec<u8>, u64)>, StoreError> {
+        let node = View::parse(self.store.page(PageId(page))?)?;
+        if node.leaf {
+            return Err(corrupt("leaf above level 1"));
+        }
+        let mut kids = vec![(Vec::new(), node.link(0))];
+        for i in 0..node.n {
+            let (k, c) = node.cell(i)?;
+            kids.push((k.to_vec(), child(c)));
+        }
+        Ok(kids)
     }
 
     /// Structural self-check: uniform leaf depth equal to the height,
-    /// sorted keys, separators lower-bounding their subtrees, a record
-    /// count matching the meta, and a doubly-consistent leaf chain whose
-    /// in-order traversal equals the tree's records.
+    /// every node's slot directory sound (`slotted::View::verify`: offsets in
+    /// bounds, cells disjoint, `free` exact, keys strictly sorted),
+    /// separators lower-bounding their subtrees, a record count matching
+    /// the meta, and a doubly-consistent leaf chain whose in-order
+    /// traversal equals the tree's records.
     pub fn check_invariants(&mut self) -> Result<(), StoreError> {
         if self.root == 0 {
             if self.height != 0 || self.count != 0 {
-                return Err(Corrupt("empty tree with nonzero height/count".into()));
+                return Err(corrupt("empty tree with nonzero height/count"));
             }
             return Ok(());
         }
         let mut leaves = Vec::new();
-        let n = self.check_node(self.root, self.height, None, &mut leaves)?;
+        let n = self.check_node(self.root, self.height, &[], &mut leaves)?;
         if n != self.count {
-            return Err(Corrupt(format!(
+            return Err(corrupt(format!(
                 "record count {n} != meta count {}",
                 self.count
             )));
         }
         // The leaf chain must visit exactly the in-order leaves.
         let (mut chain, mut prev) = (Vec::new(), 0u64);
-        let Some(&first) = leaves.first() else {
-            return Err(Corrupt("nonzero root reached no leaf".into()));
-        };
-        let mut page = first;
-        while page != 0 {
+        let mut page = leaves.first().copied().unwrap_or(0);
+        while page != 0 && chain.len() < leaves.len() {
             chain.push(page);
-            let Node::Leaf { next, prev: p, .. } = self.load(page)? else {
-                return Err(Corrupt("leaf chain links to a non-leaf".into()));
-            };
-            if p != prev {
-                return Err(Corrupt(format!("leaf {page} prev-link {p} != {prev}")));
+            let node = View::parse(self.store.page(PageId(page))?)?;
+            if !node.leaf || node.link(1) != prev {
+                return Err(corrupt(format!("leaf {page} prev-link is not {prev}")));
             }
             prev = page;
-            page = next;
+            page = node.link(0);
         }
-        if chain != leaves {
-            return Err(Corrupt("leaf chain disagrees with tree order".into()));
+        if page != 0 || chain != leaves {
+            return Err(corrupt("leaf chain disagrees with tree order"));
         }
         Ok(())
     }
 
     /// Checks one subtree; returns its record count and appends its
-    /// leaves in order. `lower` is the separator bounding this subtree.
+    /// leaves in order. `lower` is the separator bounding this subtree
+    /// (empty: unbounded).
     fn check_node(
         &mut self,
         page: u64,
         depth: u32,
-        lower: Option<&[u8]>,
+        lower: &[u8],
         leaves: &mut Vec<u64>,
     ) -> Result<u64, StoreError> {
-        match self.load(page)? {
-            Node::Leaf { recs, .. } => {
-                if depth != 1 {
-                    return Err(Corrupt(format!("leaf at depth {depth}")));
-                }
-                if recs.is_empty() {
-                    return Err(Corrupt("empty non-root leaf".into()));
-                }
-                if !recs.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(Corrupt("leaf keys not strictly sorted".into()));
-                }
-                if let Some(lo) = lower {
-                    if recs[0].0.as_slice() < lo {
-                        return Err(Corrupt("leaf key below its separator".into()));
-                    }
-                }
-                leaves.push(page);
-                Ok(recs.len() as u64)
+        let node = View::parse(self.store.page(PageId(page))?)?;
+        node.verify()?;
+        if node.leaf != (depth <= 1) {
+            return Err(corrupt("leaf depth disagrees with the tree height"));
+        }
+        if node.leaf {
+            if node.n == 0 {
+                return Err(corrupt("empty leaf"));
             }
-            Node::Internal { child0, seps } => {
-                if depth <= 1 {
-                    return Err(Corrupt("internal node at leaf depth".into()));
-                }
-                if !seps.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(Corrupt("separators not strictly sorted".into()));
-                }
-                let mut n = self.check_node(child0, depth - 1, lower, leaves)?;
-                for (k, c) in &seps {
-                    n += self.check_node(*c, depth - 1, Some(k), leaves)?;
-                }
-                Ok(n)
+            if node.cell(0)?.0 < lower {
+                return Err(corrupt("leaf key below its separator"));
             }
+            leaves.push(page);
+            return Ok(node.n as u64);
         }
-    }
-}
-
-/// Routes `key` through an internal node: the last separator ≤ key.
-fn route(child0: u64, seps: &[(Vec<u8>, u64)], key: &[u8]) -> u64 {
-    let idx = seps.partition_point(|(k, _)| k.as_slice() <= key);
-    if idx == 0 {
-        child0
-    } else {
-        seps[idx - 1].1
-    }
-}
-
-fn leaf_size(recs: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    LEAF_HDR
-        + recs
-            .iter()
-            .map(|(k, v)| LEAF_REC_HDR + k.len() + v.len())
-            .sum::<usize>()
-}
-
-fn int_size(seps: &[(Vec<u8>, u64)]) -> usize {
-    INT_HDR + seps.iter().map(|(k, _)| SEP_HDR + k.len()).sum::<usize>()
-}
-
-/// First index whose cumulative size reaches half the total, clamped so
-/// both sides are nonempty.
-fn split_point(sizes: impl ExactSizeIterator<Item = usize> + Clone) -> usize {
-    let len = sizes.len();
-    let total: usize = sizes.clone().sum();
-    let mut cum = 0;
-    for (i, s) in sizes.enumerate() {
-        cum += s;
-        if 2 * cum >= total {
-            return (i + 1).clamp(1, len - 1);
+        let mut n = 0;
+        for (i, (sep, kid)) in self.children(page)?.iter().enumerate() {
+            n += self.check_node(*kid, depth - 1, if i == 0 { lower } else { sep }, leaves)?;
         }
-    }
-    len - 1
-}
-
-fn encode(node: &Node, page_size: usize) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::with_capacity(page_size);
-    match node {
-        Node::Leaf { next, prev, recs } => {
-            out.push(LEAF_TAG);
-            out.extend_from_slice(&(recs.len() as u16).to_le_bytes());
-            out.extend_from_slice(&next.to_le_bytes());
-            out.extend_from_slice(&prev.to_le_bytes());
-            for (k, v) in recs {
-                out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(v.len() as u16).to_le_bytes());
-                out.extend_from_slice(k);
-                out.extend_from_slice(v);
-            }
-        }
-        Node::Internal { child0, seps } => {
-            out.push(INT_TAG);
-            out.extend_from_slice(&(seps.len() as u16).to_le_bytes());
-            out.extend_from_slice(&child0.to_le_bytes());
-            for (k, c) in seps {
-                out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                out.extend_from_slice(k);
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-    }
-    if out.len() > page_size {
-        return Err(Corrupt(format!(
-            "node encodes to {} bytes > page size {page_size}",
-            out.len()
-        )));
-    }
-    out.resize(page_size, 0);
-    Ok(out)
-}
-
-fn decode(buf: &[u8]) -> Result<Node, StoreError> {
-    let need = |off: usize, n: usize| -> Result<(), StoreError> {
-        if off + n > buf.len() {
-            Err(Corrupt("node truncated".into()))
-        } else {
-            Ok(())
-        }
-    };
-    // Corrupt pages must surface as errors, not slice panics: both
-    // readers bounds-check before decoding.
-    let u16_at = |off: usize| -> Result<u16, StoreError> {
-        need(off, 2)?;
-        Ok(u16::from_le_bytes([buf[off], buf[off + 1]]))
-    };
-    let u64_at = |off: usize| -> Result<u64, StoreError> {
-        need(off, 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[off..off + 8]);
-        Ok(u64::from_le_bytes(b))
-    };
-    match buf.first() {
-        Some(&LEAF_TAG) => {
-            let nrec = u16_at(1)? as usize;
-            let next = u64_at(3)?;
-            let prev = u64_at(11)?;
-            let mut off = LEAF_HDR;
-            let mut recs = Vec::with_capacity(nrec.min(buf.len() / LEAF_REC_HDR));
-            for _ in 0..nrec {
-                need(off, LEAF_REC_HDR)?;
-                let klen = u16_at(off)? as usize;
-                let vlen = u16_at(off + 2)? as usize;
-                off += LEAF_REC_HDR;
-                need(off, klen + vlen)?;
-                recs.push((
-                    buf[off..off + klen].to_vec(),
-                    buf[off + klen..off + klen + vlen].to_vec(),
-                ));
-                off += klen + vlen;
-            }
-            Ok(Node::Leaf { next, prev, recs })
-        }
-        Some(&INT_TAG) => {
-            let nsep = u16_at(1)? as usize;
-            let child0 = u64_at(3)?;
-            let mut off = INT_HDR;
-            let mut seps = Vec::with_capacity(nsep.min(buf.len() / SEP_HDR));
-            for _ in 0..nsep {
-                need(off, 2)?;
-                let klen = u16_at(off)? as usize;
-                off += 2;
-                need(off, klen + 8)?;
-                seps.push((buf[off..off + klen].to_vec(), u64_at(off + klen)?));
-                off += klen + 8;
-            }
-            Ok(Node::Internal { child0, seps })
-        }
-        _ => Err(Corrupt("unknown node tag".into())),
+        Ok(n)
     }
 }
 
@@ -762,6 +573,7 @@ fn decode(buf: &[u8]) -> Result<Node, StoreError> {
 mod tests {
     use super::*;
     use oic_storage::MemStore;
+    use proptest::prelude::*;
 
     fn tree(page_size: usize) -> PagedBTree<MemStore> {
         PagedBTree::open(MemStore::new(page_size)).unwrap()
@@ -788,58 +600,184 @@ mod tests {
         assert!(t.get(&key(500)).unwrap().is_none());
     }
 
-    #[test]
-    fn corrupt_pages_error_instead_of_panicking() {
-        // Every corruption pattern must surface as StoreError::Corrupt
-        // from decode's bounds checks — never as a slice panic.
-        type Corruptor = Box<dyn Fn(&mut [u8])>;
-        let patterns: [(&str, Corruptor); 4] = [
-            ("unknown tag", Box::new(|p: &mut [u8]| p[0] = 0xEE)),
-            (
-                "leaf record count beyond the page",
-                Box::new(|p: &mut [u8]| p[1..3].copy_from_slice(&u16::MAX.to_le_bytes())),
-            ),
-            (
-                "record key length beyond the page",
-                Box::new(|p: &mut [u8]| {
-                    p[LEAF_HDR..LEAF_HDR + 2].copy_from_slice(&u16::MAX.to_le_bytes())
-                }),
-            ),
-            (
-                "whole page filled with 0xFF",
-                Box::new(|p: &mut [u8]| p.fill(0xFF)),
-            ),
-        ];
-        for (what, corrupt) in patterns {
-            let mut t = tree(128);
-            for i in 0..200u32 {
-                t.insert(&key(i), &key(i)).unwrap();
-            }
-            // Corrupt the first leaf: reachable from both point lookups
-            // (of its keys) and the full scan's leaf chain.
-            let leaf = *t
-                .reachable_pages()
-                .unwrap()
-                .iter()
-                .find(|p| matches!(t.load(p.0), Ok(Node::Leaf { .. })))
-                .expect("multi-level tree has leaves");
-            let ps = t.store().page_size();
-            let mut img = vec![0u8; ps];
-            t.store_mut().read_page(leaf, &mut img).unwrap();
-            corrupt(&mut img);
-            t.store_mut().write_page(leaf, &img).unwrap();
-
-            let scan = t.scan();
-            assert!(
-                matches!(scan, Err(Corrupt(_))),
-                "{what}: scan returned {scan:?}"
-            );
-            let check = t.check_invariants();
-            assert!(
-                matches!(check, Err(Corrupt(_))),
-                "{what}: check_invariants returned {check:?}"
-            );
+    /// A tree tall enough to have leaf and internal pages at `page_size`.
+    fn tall_tree(page_size: usize) -> PagedBTree<MemStore> {
+        let mut t = tree(page_size);
+        let val = vec![0xAB; t.max_item() - 4];
+        for i in 0..400u32 {
+            t.insert(&key(i * 7 % 400), &val).unwrap();
         }
+        assert!(t.height() >= 2);
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Hostile pages: random damage to bytes, slot offsets, cell
+        /// lengths, counts and links of random leaf and internal pages
+        /// surfaces as `Corrupt` / `BadPage` (or goes unnoticed) from every
+        /// operation — never a panic, an out-of-bounds slice or a hang.
+        #[test]
+        fn corrupt_pages_error_instead_of_panicking(
+            page_size in prop::sample::select(vec![128usize, 1024]),
+            damage in prop::collection::vec((any::<u16>(), 0u8..5, any::<u16>(), any::<u16>()), 1..4),
+            probe in 0u32..350,
+        ) {
+            let mut t = tall_tree(page_size);
+            let pages = t.reachable_pages().unwrap();
+            for (pick, kind, at, with) in damage {
+                let page = pages[pick as usize % pages.len()];
+                let img = t.store_mut().page_mut(page).unwrap();
+                // Raw header reads: an earlier round may have hit this page.
+                let u16_at = |img: &[u8], off| usize::from(u16::from_le_bytes([img[off], img[off + 1]]));
+                let hdr = if img[0] == 1 { LEAF_HDR } else { INT_HDR };
+                let slot = (hdr + 2 * (at as usize % u16_at(img, 1).max(1))).min(page_size - 2);
+                let cell = u16_at(img, slot);
+                let off = match kind {
+                    0 => at as usize % page_size,                  // any byte pair
+                    1 => slot,                                     // a slot offset
+                    2 => (cell + 2 * (at as usize & 1)).min(page_size - 2), // klen / vlen
+                    3 => 1 + 2 * (at as usize & 1),                // n / cell_start
+                    _ => 5 + 8 * (at as usize & 1),                // next / prev / child0
+                };
+                // Links get a plausible page id, everything else raw noise.
+                let with = if kind == 4 { with % 64 } else { with };
+                img[off..off + 2].copy_from_slice(&with.to_le_bytes());
+            }
+            // Reads around the probe, then writes spread over the key
+            // space so some land on (or split, or empty) a damaged page.
+            let k = key(probe);
+            let mut results = vec![
+                t.get(&k).map(drop),
+                t.range(&k, &key(probe + 50)).map(drop),
+                t.visit_range(&k, &key(probe + 50), |_, _| true),
+                t.scan().map(drop),
+                t.check_invariants(),
+            ];
+            for i in (probe % 13..400).step_by(13) {
+                results.push(t.insert(&key(i), b"resized").map(drop));
+                results.push(t.insert(&[&key(i)[..], b"+"].concat(), &[7; 8]).map(drop));
+                results.push(t.remove(&key(i + 1)).map(drop));
+            }
+            results.push(t.check_invariants());
+            for r in results {
+                prop_assert!(
+                    matches!(r, Ok(()) | Err(StoreError::Corrupt(_) | StoreError::BadPage(_))),
+                    "{r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_invariants_sees_slot_directory_damage() {
+        // Damage routing never trips over: two slots swapped in one leaf
+        // (keys out of order) and a cell area that no longer tiles.
+        for damage in 0..2 {
+            let mut t = tall_tree(256);
+            t.check_invariants().unwrap();
+            let leaf = *t.reachable_pages().unwrap().last().unwrap();
+            let img = t.store_mut().page_mut(leaf).unwrap();
+            if View::parse(img).unwrap().leaf {
+                match damage {
+                    0 => img.copy_within(LEAF_HDR..LEAF_HDR + 2, LEAF_HDR + 2),
+                    _ => img[3] = img[3].wrapping_sub(1), // cell_start one lower: a gap
+                }
+                assert!(matches!(t.check_invariants(), Err(StoreError::Corrupt(_))));
+            }
+        }
+    }
+
+    #[test]
+    fn old_format_store_is_refused() {
+        let mut store = MemStore::new(256);
+        let mut meta = [0u8; META_LEN];
+        meta[..8].copy_from_slice(b"OICBT1\0\0");
+        store.set_meta(&meta).unwrap();
+        match PagedBTree::open(store) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("OICBT1"), "{msg}"),
+            other => panic!("an OICBT1 store must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn posting_chunk_sizes_survive_the_format_change() {
+        // `PagedMirror` and the whole-loop benchmark derive their posting
+        // chunk from `max_item`; the stored posting set must not move.
+        for (page_size, chunk_oids) in [(256, 4), (1024, 28), (4096, 124)] {
+            assert_eq!((tree(page_size).max_item() - 16) / 8, chunk_oids);
+        }
+    }
+
+    #[test]
+    fn a_lookup_reads_each_page_on_its_way_once() {
+        let mut t = tree(128);
+        for i in 0..300u32 {
+            t.insert(&key(i), &key(i)).unwrap();
+        }
+        let h = u64::from(t.height());
+        assert!(h >= 3);
+        let reads = |t: &mut PagedBTree<MemStore>, lo: u32, hi: u32| {
+            let before = t.store().io_stats();
+            let got = t.range(&key(lo), &key(hi)).unwrap().len();
+            (got, t.store().io_stats().since(&before).logical_reads)
+        };
+        // The whole range: one descent, then every further leaf once.
+        let (got, full) = reads(&mut t, 0, 299);
+        assert_eq!(got, 300);
+        let leaves = full - h + 1;
+        assert!(leaves > 10);
+        // One key: exactly the descent, plus the next leaf only when the
+        // key is the last of its leaf (its successor decides the range
+        // is over) — which every leaf but the final one has once.
+        let mut total = 0;
+        for i in 0..300 {
+            let (got, r) = reads(&mut t, i, i);
+            assert!(got == 1 && (r == h || r == h + 1), "key {i}: {r} reads");
+            total += r;
+        }
+        assert_eq!(total, 300 * h + leaves - 1);
+        // A point lookup never leaves the leaf it routes to.
+        let before = t.store().io_stats();
+        assert!(t.get(&key(17)).unwrap().is_some());
+        assert!(t.get(&key(1000)).unwrap().is_none());
+        assert_eq!(t.store().io_stats().since(&before).logical_reads, 2 * h);
+    }
+
+    #[test]
+    fn visit_range_stops_when_told() {
+        let mut t = tree(128);
+        for i in 0..100u32 {
+            t.insert(&key(i), &key(i)).unwrap();
+        }
+        let mut seen = Vec::new();
+        t.visit_range(&key(10), &key(90), |k, v| {
+            assert_eq!(k, v);
+            seen.push(k.to_vec());
+            seen.len() < 5
+        })
+        .unwrap();
+        assert_eq!(seen, (10..15).map(key).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overwrite_leaves_the_meta_alone_and_resizes_in_place() {
+        let mut t = tree(256);
+        for i in 0..50u32 {
+            t.insert(&key(i), b"four").unwrap();
+        }
+        let pages = t.store().live_pages();
+        // Same length, longer, shorter: the last two compact the page.
+        for val in [&b"FOUR"[..], b"a longer value", b"s"] {
+            for i in 0..50u32 {
+                assert!(t.insert(&key(i), val).unwrap().is_some());
+            }
+            t.check_invariants().unwrap();
+            assert!(t.scan().unwrap().iter().all(|(_, v)| v == val));
+        }
+        assert_eq!(t.len(), 50);
+        assert!(t.store().live_pages() >= pages);
     }
 
     #[test]

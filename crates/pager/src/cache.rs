@@ -1,6 +1,6 @@
 //! The LRU page cache: bounded frames with pin counts and dirty bits.
 //!
-//! The cache holds decoded page images between the B-tree above and the
+//! The cache holds page images between the B-tree above and the
 //! backing file below. Policy:
 //!
 //! * **LRU** — every `get` stamps the frame with a monotonically
@@ -79,48 +79,54 @@ impl PageCache {
     }
 
     /// Inserts (or replaces) a frame and returns the evicted victim
-    /// `(id, frame)` if the insert pushed the cache over capacity.
-    ///
-    /// The victim is the least-recently-used unpinned frame; the caller
-    /// (the pager) is responsible for writing it back if dirty. Fails
-    /// with [`StoreError::AllPinned`] when no frame can be evicted.
+    /// `(id, frame)` if the cache was full, for the pager to write back
+    /// if dirty. Room is made *before* the insert, so a failed one
+    /// ([`StoreError::AllPinned`]) leaves no trace.
     pub fn insert(
         &mut self,
         id: u64,
         data: Vec<u8>,
         dirty: bool,
     ) -> Result<Option<(u64, Frame)>, StoreError> {
+        let pins = self.frames.get(&id).map(|f| f.pins);
+        let victim = match pins {
+            Some(_) => None, // replacing a resident frame evicts nothing
+            None => self.make_room()?,
+        };
         self.tick += 1;
-        let pins = self.frames.get(&id).map_or(0, |f| f.pins);
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                dirty,
-                pins,
-                stamp: self.tick,
-            },
-        );
-        if self.frames.len() <= self.capacity {
+        let frame = Frame {
+            data,
+            dirty,
+            pins: pins.unwrap_or(0),
+            stamp: self.tick,
+        };
+        self.frames.insert(id, frame);
+        Ok(victim)
+    }
+
+    /// Evicts the least-recently-used unpinned frame if the cache is
+    /// full, so the next insert of a new id fits. The pager calls this
+    /// ahead of a miss to read the page straight into the victim's
+    /// buffer.
+    pub fn make_room(&mut self) -> Result<Option<(u64, Frame)>, StoreError> {
+        if self.frames.len() < self.capacity {
             return Ok(None);
         }
+        self.evict_lru().map(Some)
+    }
+
+    fn evict_lru(&mut self) -> Result<(u64, Frame), StoreError> {
         let victim = self
             .frames
             .iter()
-            .filter(|(&fid, f)| f.pins == 0 && fid != id)
+            .filter(|(_, f)| f.pins == 0)
             .min_by_key(|(_, f)| f.stamp)
-            .map(|(&vid, _)| vid);
-        match victim {
-            Some(vid) => {
-                let frame = self.frames.remove(&vid).expect("victim is resident");
-                Ok(Some((vid, frame)))
-            }
-            None => {
-                // Roll the insert back so a failed read leaves no trace.
-                self.frames.remove(&id);
-                Err(StoreError::AllPinned)
-            }
-        }
+            .map(|(&vid, _)| vid)
+            .ok_or(StoreError::AllPinned)?;
+        Ok(self
+            .frames
+            .remove_entry(&victim)
+            .expect("victim is resident"))
     }
 
     /// Removes a frame without write-back (page freed or discarded).
@@ -162,30 +168,13 @@ impl PageCache {
         ids
     }
 
-    /// Drops every frame (crash simulation / cache resize).
-    pub fn clear(&mut self) {
-        self.frames.clear();
-    }
-
     /// Shrinks (or grows) the capacity, returning evicted `(id, frame)`
     /// victims in eviction order. Fails if pins block the shrink.
     pub fn set_capacity(&mut self, capacity: usize) -> Result<Vec<(u64, Frame)>, StoreError> {
         self.capacity = capacity.max(1);
         let mut out = Vec::new();
         while self.frames.len() > self.capacity {
-            let victim = self
-                .frames
-                .iter()
-                .filter(|(_, f)| f.pins == 0)
-                .min_by_key(|(_, f)| f.stamp)
-                .map(|(&vid, _)| vid);
-            match victim {
-                Some(vid) => {
-                    let f = self.frames.remove(&vid).expect("victim is resident");
-                    out.push((vid, f));
-                }
-                None => return Err(StoreError::AllPinned),
-            }
+            out.push(self.evict_lru()?);
         }
         Ok(out)
     }

@@ -36,7 +36,7 @@
 //! page was then never overwritten, because the journal sync happens
 //! first).
 
-use crate::cache::PageCache;
+use crate::cache::{Frame, PageCache};
 use crate::file::{DiskFile, FaultClock, FaultFile, MemFile, RawFile};
 use oic_storage::paged::{IoStats, PageStore, StoreError, META_MAX};
 use oic_storage::PageId;
@@ -283,29 +283,7 @@ impl<F: RawFile> Pager<F> {
     }
 
     fn rebuild_free_set(&mut self) -> Result<(), StoreError> {
-        let mut set = HashSet::new();
-        let mut cur = self.free_head;
-        while cur != 0 {
-            if cur >= self.page_count || !set.insert(cur) {
-                return Err(StoreError::Corrupt(format!(
-                    "freelist broken at page {cur} (cycle, duplicate, or out of range)"
-                )));
-            }
-            if set.len() as u64 > self.free_count {
-                return Err(StoreError::Corrupt(
-                    "freelist longer than recorded free count".into(),
-                ));
-            }
-            cur = self.read_next_free(cur)?;
-        }
-        if set.len() as u64 != self.free_count {
-            return Err(StoreError::Corrupt(format!(
-                "freelist length {} != recorded free count {}",
-                set.len(),
-                self.free_count
-            )));
-        }
-        self.free_set = set;
+        self.free_set = self.verify_freelist()?.iter().map(|p| p.0).collect();
         Ok(())
     }
 
@@ -366,19 +344,19 @@ impl<F: RawFile> Pager<F> {
         Ok(true)
     }
 
-    /// Writes an evicted frame back to the data file (journal-first).
-    fn write_back(&mut self, id: u64, frame: crate::cache::Frame) -> Result<(), StoreError> {
+    /// Writes an evicted frame back to the data file (journal-first)
+    /// and hands its buffer on for reuse.
+    fn write_back(&mut self, id: u64, frame: Frame) -> Result<Vec<u8>, StoreError> {
         self.stats.evictions += 1;
-        if !frame.dirty {
-            return Ok(());
+        if frame.dirty {
+            if self.journal_page(id)? {
+                self.journal.sync()?;
+            }
+            self.data
+                .write_at(&frame.data, id * self.page_size as u64)?;
+            self.stats.physical_writes += 1;
         }
-        if self.journal_page(id)? {
-            self.journal.sync()?;
-        }
-        self.data
-            .write_at(&frame.data, id * self.page_size as u64)?;
-        self.stats.physical_writes += 1;
-        Ok(())
+        Ok(frame.data)
     }
 
     /// Inserts a frame, writing back whatever the insert evicts.
@@ -389,17 +367,33 @@ impl<F: RawFile> Pager<F> {
         Ok(())
     }
 
+    /// The one way a live page becomes (or stays) resident: a hit
+    /// refreshes the frame's LRU stamp, a miss evicts first and reads the
+    /// file straight into the victim's buffer — the frame it will cache.
+    /// `reading` makes it a logical read (a hit then counts as one too).
+    fn fetch(&mut self, id: PageId, reading: bool) -> Result<&mut Frame, StoreError> {
+        self.check_live(id)?;
+        let hit = self.cache.contains(id.0);
+        if reading {
+            self.stats.logical_reads += 1;
+            self.stats.cache_hits += u64::from(hit);
+        }
+        if !hit {
+            let mut buf = match self.cache.make_room()? {
+                Some((vid, victim)) => self.write_back(vid, victim)?,
+                None => vec![0u8; self.page_size],
+            };
+            self.data.read_at(&mut buf, id.0 * self.page_size as u64)?;
+            self.stats.physical_reads += 1;
+            self.store_frame(id.0, buf, false)?;
+        }
+        Ok(self.cache.get(id.0).expect("resident after fetch"))
+    }
+
     /// Pins a page resident (fetching it if needed) so the cache cannot
     /// evict it; balance with [`Pager::unpin`].
     pub fn pin(&mut self, id: PageId) -> Result<(), StoreError> {
-        self.check_live(id)?;
-        if !self.cache.contains(id.0) {
-            let mut img = vec![0u8; self.page_size];
-            self.data.read_at(&mut img, id.0 * self.page_size as u64)?;
-            self.stats.physical_reads += 1;
-            self.store_frame(id.0, img, false)?;
-        }
-        self.cache.pin(id.0);
+        self.fetch(id, false)?.pins += 1;
         Ok(())
     }
 
@@ -440,7 +434,7 @@ impl<F: RawFile> Pager<F> {
         while cur != 0 {
             if cur >= self.page_count || !seen.insert(cur) {
                 return Err(StoreError::Corrupt(format!(
-                    "freelist broken at page {cur}"
+                    "freelist broken at page {cur} (cycle, duplicate, or out of range)"
                 )));
             }
             order.push(PageId(cur));
@@ -486,8 +480,13 @@ impl<F: RawFile> PageStore for Pager<F> {
 
     fn free(&mut self, id: PageId) -> Result<(), StoreError> {
         self.check_live(id)?;
-        self.cache.take(id.0); // uncommitted content dies with the page
-        let mut link = vec![0u8; self.page_size];
+        // Uncommitted content dies with the page; its frame, if resident,
+        // becomes the link image.
+        let mut link = match self.cache.take(id.0) {
+            Some(f) => f.data,
+            None => vec![0u8; self.page_size],
+        };
+        link.fill(0);
         link[..8].copy_from_slice(&self.free_head.to_le_bytes());
         self.store_frame(id.0, link, true)?;
         self.free_head = id.0;
@@ -496,44 +495,15 @@ impl<F: RawFile> PageStore for Pager<F> {
         Ok(())
     }
 
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        if buf.len() != self.page_size {
-            return Err(StoreError::Invalid(format!(
-                "read buffer {} != page size {}",
-                buf.len(),
-                self.page_size
-            )));
-        }
-        self.check_live(id)?;
-        self.stats.logical_reads += 1;
-        if let Some(f) = self.cache.get(id.0) {
-            self.stats.cache_hits += 1;
-            buf.copy_from_slice(&f.data);
-            return Ok(());
-        }
-        self.data.read_at(buf, id.0 * self.page_size as u64)?;
-        self.stats.physical_reads += 1;
-        self.store_frame(id.0, buf.to_vec(), false)?;
-        Ok(())
+    fn page(&mut self, id: PageId) -> Result<&[u8], StoreError> {
+        Ok(&self.fetch(id, true)?.data)
     }
 
-    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError> {
-        if data.len() != self.page_size {
-            return Err(StoreError::Invalid(format!(
-                "write buffer {} != page size {}",
-                data.len(),
-                self.page_size
-            )));
-        }
-        self.check_live(id)?;
+    fn page_mut(&mut self, id: PageId) -> Result<&mut [u8], StoreError> {
         self.stats.logical_writes += 1;
-        if let Some(f) = self.cache.get(id.0) {
-            f.data.copy_from_slice(data);
-            f.dirty = true;
-            return Ok(());
-        }
-        self.store_frame(id.0, data.to_vec(), true)?;
-        Ok(())
+        let frame = self.fetch(id, false)?;
+        frame.dirty = true;
+        Ok(&mut frame.data)
     }
 
     fn meta(&self) -> &[u8] {
@@ -564,12 +534,9 @@ impl<F: RawFile> PageStore for Pager<F> {
         }
         // 2. Flush dirty frames and the header, then make them durable.
         for &id in &dirty {
-            let img = {
-                let f = self.cache.get(id).expect("dirty frame is resident");
-                f.dirty = false;
-                f.data.clone()
-            };
-            self.data.write_at(&img, id * self.page_size as u64)?;
+            let f = self.cache.get(id).expect("dirty frame is resident");
+            f.dirty = false;
+            self.data.write_at(&f.data, id * self.page_size as u64)?;
             self.stats.physical_writes += 1;
         }
         let header = self.encode_header();
@@ -809,6 +776,30 @@ mod tests {
         p.commit().unwrap();
         let flushed = p.io_stats().since(&before).physical_writes;
         assert_eq!(flushed, 1, "commit writes only the header: a is clean");
+    }
+
+    #[test]
+    fn an_edit_through_page_mut_is_a_dirty_frame() {
+        let mut p = mem(2);
+        let a = p.alloc().unwrap();
+        let b = p.alloc().unwrap();
+        let c = p.alloc().unwrap();
+        p.commit().unwrap();
+        p.reset_io_stats();
+        // A miss: `a` is read into the frame the edit then lands in.
+        p.page_mut(a).unwrap()[5] = 42;
+        let s = p.io_stats();
+        assert_eq!((s.logical_writes, s.logical_reads), (1, 0));
+        assert_eq!((s.physical_reads, s.cache_hits), (1, 0));
+        // Pushed out by two other pages, the edit is written back once …
+        assert_eq!(p.page(b).unwrap()[5], 0);
+        assert_eq!(p.page(c).unwrap()[5], 0);
+        assert_eq!(p.io_stats().physical_writes, 1);
+        // … and read back from the file, the rest of the page untouched.
+        let img = p.page(a).unwrap();
+        assert_eq!((img[5], img[4], img[6]), (42, 0, 0));
+        assert!(matches!(p.page(PageId(99)), Err(StoreError::BadPage(_))));
+        assert!(matches!(p.page_mut(PageId(0)), Err(StoreError::BadPage(_))));
     }
 
     #[test]

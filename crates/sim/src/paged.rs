@@ -97,15 +97,17 @@ impl<S: PageStore> PagedMirror<S> {
     }
 
     /// Looks up the qualifying oids for `value` at path position `pos`
-    /// with a real tree descent plus a chunk range scan.
+    /// with a real tree descent plus a chunk range scan, decoding each
+    /// chunk straight out of the page image.
     pub fn lookup(&mut self, pos: usize, value: &Value) -> Result<Vec<Oid>, StoreError> {
         let lo = posting_key(pos, value, 0);
         let hi = posting_key(pos, value, u16::MAX);
-        let mut out = Vec::new();
-        for (_, bytes) in self.tree.range(&lo, &hi)? {
-            decode_oids(&bytes, &mut out)?;
-        }
-        Ok(out)
+        let (mut out, mut aligned) = (Vec::new(), Ok(()));
+        self.tree.visit_range(&lo, &hi, |_, bytes| {
+            aligned = decode_oids(bytes, &mut out);
+            aligned.is_ok()
+        })?;
+        aligned.map(|()| out)
     }
 
     /// Physical/logical I/O counters of the backing store.

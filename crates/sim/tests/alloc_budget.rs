@@ -1,14 +1,20 @@
 //! Allocation budget of the executor: an executed operation allocates for
 //! what it returns and for the handful of keys it probes — not per entry it
-//! reads and not in proportion to the record it edits. Its own test binary,
-//! because the counting `#[global_allocator]` is process-wide.
+//! reads and not in proportion to the record it edits. The paged read path
+//! is held to the same rule one layer down: a `PagedBTree` lookup borrows
+//! the pages it reads and allocates nothing, whatever the tree's height.
+//! Its own test binary, because the counting `#[global_allocator]` is
+//! process-wide.
 
+use oic_btree::PagedBTree;
 use oic_core::{Choice, IndexConfiguration};
 use oic_cost::characteristics::{example51, ClassStats};
 use oic_cost::{Org, PathCharacteristics};
+use oic_pager::MemPager;
 use oic_schema::{fixtures, ClassId, Path, Schema, SubpathId};
-use oic_sim::{generate, scale_chars, ConfiguredDb, GenSpec};
-use oic_storage::{Object, Oid};
+use oic_sim::{generate, scale_chars, ConfiguredDb, GenSpec, PagedMirror};
+use oic_storage::paged::PageStore;
+use oic_storage::{MemStore, Object, Oid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -160,5 +166,87 @@ fn maintenance_allocations_do_not_grow_with_the_record() {
     assert!(
         long as f64 <= short as f64 * 1.5 && short as f64 <= long as f64 * 1.5,
         "{short} allocations on short records, {long} on records four times as long"
+    );
+}
+
+/// Allocations per `visit_range` (a ten-key range, so most lookups cross
+/// a leaf boundary) over a `keys`-record tree on `store`, with the tree's
+/// height.
+fn visit_allocations<S: PageStore>(store: S, keys: u32) -> (f64, u32) {
+    let mut tree = PagedBTree::open(store).expect("open");
+    for i in 0..keys {
+        tree.insert(&(i * 7 % keys).to_be_bytes(), &[0xAB; 8])
+            .expect("insert");
+    }
+    tree.commit().expect("commit");
+    let lookups = 100;
+    let (seen, n) = allocations_of(|| {
+        let mut seen = 0;
+        for i in 0..lookups {
+            let lo = i * ((keys - 10) / lookups);
+            tree.visit_range(&lo.to_be_bytes(), &(lo + 9).to_be_bytes(), |_, v| {
+                seen += v.len();
+                true
+            })
+            .expect("visit_range");
+        }
+        seen
+    });
+    assert_eq!(seen, lookups as usize * 10 * 8, "every lookup saw its keys");
+    (n as f64 / f64::from(lookups), tree.height())
+}
+
+#[test]
+fn a_resident_paged_lookup_allocates_nothing() {
+    let (on_heap, h) = visit_allocations(MemStore::new(128), 2_000);
+    assert!(h >= 4, "128-byte pages make a deep tree (height {h})");
+    assert_eq!(on_heap, 0.0, "MemStore lends its pages");
+    let fitting = MemPager::new_mem(128, 4_096).expect("pager");
+    let (cached, _) = visit_allocations(fitting, 2_000);
+    assert_eq!(cached, 0.0, "a hit lends the cache frame");
+}
+
+#[test]
+fn a_missing_paged_lookup_allocates_a_constant_whatever_the_height() {
+    // Two frames: every page of every descent is a miss, read into the
+    // evicted frame's buffer (a full cache recycles, it does not allocate).
+    let two_frames = || MemPager::new_mem(128, 2).expect("pager");
+    let (shallow, h_shallow) = visit_allocations(two_frames(), 200);
+    let (deep, h_deep) = visit_allocations(two_frames(), 6_000);
+    assert!(h_deep >= h_shallow + 2, "heights {h_shallow} and {h_deep}");
+    assert!(
+        shallow <= 1.0 && deep <= 1.0,
+        "{shallow} allocations per lookup at height {h_shallow}, {deep} at {h_deep}"
+    );
+}
+
+#[test]
+fn a_mirror_lookup_allocates_its_keys_and_its_answer() {
+    let (schema, _) = fixtures::paper_schema();
+    let (path, chars) = example51(&schema);
+    let small = scale_chars(&chars, 0.01);
+    let exec = executor(&schema, &path, &small, &paper_optimum());
+    let store = MemPager::new_mem(256, 1 << 16).expect("pager");
+    let mut mirror = PagedMirror::build(&exec, store).expect("build");
+    let height = mirror.tree_mut().height();
+    assert!(height >= 3, "a real descent (height {height})");
+    let (mut lookups, mut allocations, mut chunks) = (0u64, 0u64, 0u64);
+    for pos in 1..=exec.path_len() {
+        for v in &exec.db.ending_values.clone() {
+            let (oids, n) = allocations_of(|| mirror.lookup(pos, v).expect("lookup"));
+            assert_eq!(oids, exec.query(v, exec.class_at(pos), false).0);
+            lookups += 1;
+            allocations += n;
+            chunks += oids.len().div_ceil(mirror.chunk_oids()) as u64;
+        }
+    }
+    assert!(chunks > 4 * lookups, "answers span many records ({chunks})");
+    // Two probe keys (two allocations each) and the growing answer vector:
+    // nothing per page read, nothing per record visited. The decoded-node
+    // tree this replaced spent over a hundred allocations on one lookup.
+    let growth = (chunks * mirror.chunk_oids() as u64).ilog2() as u64;
+    assert!(
+        allocations <= lookups * (4 + growth),
+        "{allocations} allocations over {lookups} lookups of {chunks} chunks"
     );
 }

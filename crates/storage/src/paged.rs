@@ -11,7 +11,9 @@
 //!   page (backends reserve it for their header, and `0` doubles as the
 //!   nil link in page-resident data structures);
 //! * `alloc`/`free` manage a freelist inside the store;
-//! * `read_page`/`write_page` copy whole pages in and out;
+//! * `page`/`page_mut` lend the page image itself (the cache frame, the
+//!   heap slot — no copy) and are the only access a backend implements;
+//!   `read_page`/`write_page` copy whole pages in and out on top of them;
 //! * `meta`/`set_meta` carry a small application blob (a B-tree root
 //!   pointer) that commits atomically with the data;
 //! * `commit` is the durability point: everything written before it is
@@ -180,11 +182,27 @@ pub trait PageStore {
     /// error; the page's content becomes undefined.
     fn free(&mut self, id: PageId) -> Result<(), StoreError>;
 
+    /// The image of page `id`, borrowed in place (`page_size` bytes).
+    /// Counts one logical read.
+    fn page(&mut self, id: PageId) -> Result<&[u8], StoreError>;
+
+    /// The image of page `id`, borrowed for editing in place. Counts one
+    /// logical write; the page is dirty from here to the next `commit`.
+    fn page_mut(&mut self, id: PageId) -> Result<&mut [u8], StoreError>;
+
     /// Copies page `id` into `buf` (`buf.len() == page_size`).
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError>;
+    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
+        check_len("read", buf.len(), self.page_size())?;
+        buf.copy_from_slice(self.page(id)?);
+        Ok(())
+    }
 
     /// Replaces page `id` with `data` (`data.len() == page_size`).
-    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError>;
+    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError> {
+        check_len("write", data.len(), self.page_size())?;
+        self.page_mut(id)?.copy_from_slice(data);
+        Ok(())
+    }
 
     /// The user metadata blob as of the last `set_meta` (after reopen:
     /// as of the last committed `set_meta`).
@@ -207,6 +225,15 @@ pub trait PageStore {
 
     /// Zeroes the I/O counters.
     fn reset_io_stats(&mut self);
+}
+
+fn check_len(what: &str, len: usize, page_size: usize) -> Result<(), StoreError> {
+    if len != page_size {
+        return Err(StoreError::Invalid(format!(
+            "{what} buffer {len} != page size {page_size}"
+        )));
+    }
+    Ok(())
 }
 
 /// Maximum length of the user metadata blob (it must fit in every
@@ -280,36 +307,17 @@ impl PageStore for MemStore {
         Ok(())
     }
 
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        if buf.len() != self.page_size {
-            return Err(StoreError::Invalid(format!(
-                "read buffer {} != page size {}",
-                buf.len(),
-                self.page_size
-            )));
-        }
+    fn page(&mut self, id: PageId) -> Result<&[u8], StoreError> {
         let i = self.slot(id)?;
         self.stats.logical_reads += 1;
         self.stats.cache_hits += 1;
-        buf.copy_from_slice(self.pages[i].as_ref().expect("live slot"));
-        Ok(())
+        Ok(self.pages[i].as_deref().expect("live slot"))
     }
 
-    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError> {
-        if data.len() != self.page_size {
-            return Err(StoreError::Invalid(format!(
-                "write buffer {} != page size {}",
-                data.len(),
-                self.page_size
-            )));
-        }
+    fn page_mut(&mut self, id: PageId) -> Result<&mut [u8], StoreError> {
         let i = self.slot(id)?;
         self.stats.logical_writes += 1;
-        self.pages[i]
-            .as_mut()
-            .expect("live slot")
-            .copy_from_slice(data);
-        Ok(())
+        Ok(self.pages[i].as_deref_mut().expect("live slot"))
     }
 
     fn meta(&self) -> &[u8] {
@@ -399,6 +407,23 @@ mod tests {
         assert_eq!(d.hit_rate(), 1.0);
         s.reset_io_stats();
         assert_eq!(s.io_stats(), IoStats::default());
+    }
+
+    #[test]
+    fn views_lend_the_page_itself() {
+        let mut s = MemStore::new(64);
+        let p = s.alloc().unwrap();
+        s.page_mut(p).unwrap()[3] = 9;
+        assert_eq!(s.page(p).unwrap()[3], 9);
+        assert_eq!(s.page(p).unwrap().len(), 64);
+        let io = s.io_stats();
+        assert_eq!(
+            (io.logical_writes, io.logical_reads, io.cache_hits),
+            (1, 2, 2)
+        );
+        s.free(p).unwrap();
+        assert!(matches!(s.page(p), Err(StoreError::BadPage(_))));
+        assert!(matches!(s.page_mut(PageId(0)), Err(StoreError::BadPage(_))));
     }
 
     #[test]

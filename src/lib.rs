@@ -17,7 +17,8 @@
 //!   page, freelist, undo-journal commits) with an LRU page cache, plus
 //!   the crash-injection harness (`OIC_PAGE_CACHE` sizes the cache);
 //! * [`btree`] — the chained-leaf B+-tree with overflow records, and its
-//!   durable twin [`btree::PagedBTree`] serialized to `PageStore` pages;
+//!   durable twin [`btree::PagedBTree`], whose nodes are slotted
+//!   `PageStore` pages read and edited in place;
 //! * [`index`] — real SIX/IIX/MX/MIX/NIX structures and a naive evaluator;
 //! * [`cost`] — the analytic page-access model (Yao, `CRL/CML/CRT/CMT`,
 //!   per-organization costs, `CMD`);

@@ -29,6 +29,13 @@ fn readme_durability_snippet() {
     let mut tree = PagedBTree::open(pager).unwrap();
     assert_eq!(tree.len(), 1000);
     assert_eq!(tree.get(b"k0123").unwrap().unwrap(), b"v");
+    let mut seen = 0;
+    tree.visit_range(b"k0100", b"k0199", |_key, value| {
+        seen += value.len(); // slices of the page image, nothing copied
+        true // keep going
+    })
+    .unwrap();
+    assert_eq!(seen, 100);
 
     std::fs::remove_file(&file).ok();
     std::fs::remove_file(&jrnl).ok();
