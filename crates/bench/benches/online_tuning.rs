@@ -16,17 +16,76 @@
 //! the per-epoch ratio, asserted ≤ 1.05 once the estimator has converged.
 //!
 //! Writes a machine-readable snapshot to `BENCH_online_tuning.json` at the
-//! repository root via the shared `oic_bench::Json` writer.
+//! repository root via the shared `oic_bench::Json` writer: per epoch the
+//! two wall clocks and what one observed event costs
+//! (`observe_ns_per_event`), at the top the median tuned ÷ oracle epoch
+//! (`tuned_over_oracle_p50`), `host_cpus`, and the same two numbers from
+//! this bench run at the parent commit as the `baseline` object.
 
 use oic_bench::{write_repo_snapshot, Json};
-use oic_core::{OnlineTuner, TuningPolicy};
+use oic_core::{OnlineTuner, TuningPolicy, WorkloadAdvisor};
 use oic_cost::CostParams;
+use oic_schema::ClassId;
 use oic_sim::{synth_workload, DriftSim, DriftSpec, WorkloadSpec};
-use oic_workload::EstimatorConfig;
+use oic_workload::{EstimatorConfig, PathKey, WorkloadEvent};
 use std::time::Instant;
 
 const EPOCHS: u32 = 8;
 const TICKS_PER_EPOCH: u64 = 64;
+
+/// This bench at the parent commit on the same 2-CPU host (the median of
+/// three runs alternated with this tree's): `BTreeMap<PathKey, _>`
+/// estimator storage, two ordered-map probes per observed event.
+const BASELINE_COMMIT: &str = "35906fc";
+const BASELINE_HOST_CPUS: usize = 2;
+const BASELINE_TUNED_OVER_ORACLE_P50: f64 = 22.20;
+const BASELINE_OBSERVE_NS_PER_EVENT: f64 = 34.7;
+
+/// What one observed event costs at the per-event door: `ticks` stationary
+/// windows of the rates `advisor` adopts (the epoch's traffic once the
+/// tuner has converged — one weighted event per live signal per tick, path
+/// by path) through a fresh tuner tracking every live path, after one
+/// untimed window that starts every cell.
+fn observe_ns_per_event(advisor: &WorkloadAdvisor<'_>, ticks: u64) -> f64 {
+    let mut tuner = OnlineTuner::new(EstimatorConfig::default(), TuningPolicy::default());
+    let ids: Vec<_> = advisor.path_ids().collect();
+    for &id in &ids {
+        tuner.track(PathKey(id.raw() as u64), id);
+    }
+    let window = |tuner: &mut OnlineTuner, tick: u64| {
+        let mut events = 0u64;
+        for c in 0..advisor.class_count() {
+            let class = ClassId(c as u32);
+            let (beta, gamma) = advisor.rates(class);
+            if beta > 0.0 {
+                tuner.observe(tick, &WorkloadEvent::Insert { class }, beta);
+                events += 1;
+            }
+            if gamma > 0.0 {
+                tuner.observe(tick, &WorkloadEvent::Delete { class }, gamma);
+                events += 1;
+            }
+        }
+        for &id in &ids {
+            let path = PathKey(id.raw() as u64);
+            let alphas = advisor.query_rates(id).expect("live path");
+            for (c, &alpha) in alphas.iter().enumerate() {
+                if alpha > 0.0 {
+                    let class = ClassId(c as u32);
+                    tuner.observe(tick, &WorkloadEvent::Query { path, class }, alpha);
+                    events += 1;
+                }
+            }
+        }
+        events
+    };
+    window(&mut tuner, 0);
+    let t = Instant::now();
+    let events: u64 = (1..=ticks).map(|tick| window(&mut tuner, tick)).sum();
+    let ns = t.elapsed().as_nanos() as f64;
+    assert_eq!(tuner.dropped_events(), 0, "every emitted key is tracked");
+    ns / events as f64
+}
 
 fn main() {
     let w = synth_workload(&WorkloadSpec {
@@ -61,7 +120,7 @@ fn main() {
     sim_tuned.enable_traffic(&tuned, &mut tuner);
 
     println!(
-        "{:>5} {:>9} {:>7} {:>14} {:>14} {:>8} {:>6} {:>10} {:>10}",
+        "{:>5} {:>9} {:>7} {:>14} {:>14} {:>8} {:>6} {:>10} {:>10} {:>8}",
         "epoch",
         "mutations",
         "retuned",
@@ -70,9 +129,12 @@ fn main() {
         "ratio",
         "match",
         "oracle",
-        "tuned"
+        "tuned",
+        "ns/event"
     );
     let mut epochs = Vec::new();
+    let mut overheads = Vec::new();
+    let mut observe_costs = Vec::new();
     let mut max_ratio = 1.0f64;
     let mut last_tuned_plan = None;
     for epoch in 1..=EPOCHS {
@@ -108,8 +170,11 @@ fn main() {
             .iter()
             .zip(&tuned_plan.paths)
             .all(|(o, t)| o.id == t.id && o.selection.pairs() == t.selection.pairs());
+        let observe_ns = observe_ns_per_event(&tuned, TICKS_PER_EPOCH);
+        overheads.push(tuned_ns as f64 / oracle_ns as f64);
+        observe_costs.push(observe_ns);
         println!(
-            "{:>5} {:>9} {:>7} {:>14.3} {:>14.3} {:>8.4} {:>6} {:>10} {:>10}",
+            "{:>5} {:>9} {:>7} {:>14.3} {:>14.3} {:>8.4} {:>6} {:>10} {:>10} {:>8.1}",
             epoch,
             churn.total(),
             retuned,
@@ -119,6 +184,7 @@ fn main() {
             selections_match,
             format!("{:.1?}", std::time::Duration::from_nanos(oracle_ns as u64)),
             format!("{:.1?}", std::time::Duration::from_nanos(tuned_ns as u64)),
+            observe_ns,
         );
         epochs.push(Json::obj([
             ("epoch", Json::from(epoch)),
@@ -132,6 +198,7 @@ fn main() {
             ("selections_match", Json::from(selections_match)),
             ("oracle_ns", Json::from(oracle_ns)),
             ("tuned_ns", Json::from(tuned_ns)),
+            ("observe_ns_per_event", Json::fixed(observe_ns, 2)),
         ]));
     }
 
@@ -144,8 +211,24 @@ fn main() {
         "captured-stream tuning drifted {max_ratio:.4}× past the oracle"
     );
 
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        (xs[(xs.len() - 1) / 2] + xs[xs.len() / 2]) / 2.0
+    };
+    let tuned_over_oracle = median(&mut overheads);
+    let observe_ns = median(&mut observe_costs);
+    println!(
+        "tuned / oracle epoch (median): {tuned_over_oracle:.2} ({BASELINE_TUNED_OVER_ORACLE_P50:.2} \
+         at {BASELINE_COMMIT}); observed event: {observe_ns:.1} ns \
+         ({BASELINE_OBSERVE_NS_PER_EVENT:.1})"
+    );
+
     let snapshot = Json::obj([
         ("bench", Json::from("online_tuning")),
+        (
+            "host_cpus",
+            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ),
         (
             "config",
             Json::obj([
@@ -167,6 +250,23 @@ fn main() {
             ]),
         ),
         ("epochs", Json::Arr(epochs)),
+        ("tuned_over_oracle_p50", Json::fixed(tuned_over_oracle, 2)),
+        ("observe_ns_per_event", Json::fixed(observe_ns, 2)),
+        (
+            "baseline",
+            Json::obj([
+                ("commit", Json::from(BASELINE_COMMIT)),
+                ("host_cpus", Json::from(BASELINE_HOST_CPUS)),
+                (
+                    "tuned_over_oracle_p50",
+                    Json::fixed(BASELINE_TUNED_OVER_ORACLE_P50, 2),
+                ),
+                (
+                    "observe_ns_per_event",
+                    Json::fixed(BASELINE_OBSERVE_NS_PER_EVENT, 2),
+                ),
+            ]),
+        ),
         ("max_cost_ratio", Json::fixed(max_ratio, 6)),
         ("tuner_retunes", Json::from(tuner.retunes())),
         ("dropped_events", Json::from(tuner.dropped_events())),

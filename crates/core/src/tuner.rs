@@ -7,7 +7,10 @@
 //! [`TuningPolicy`] watching estimator-vs-adopted divergence — when the
 //! estimates have drifted far enough from the rates the current plan was
 //! priced under to justify pushing them through the advisor's mutation API
-//! and firing [`WorkloadAdvisor::reoptimize`].
+//! and firing [`WorkloadAdvisor::reoptimize`]. An observed event makes no
+//! probe of its own here: the tracked gate rides on the estimator's one
+//! probe per run of same-key events ([`RateEstimator::observe_if`]), and
+//! reads resolve a path once ([`RateEstimator::path`]), not once per class.
 //!
 //! The push path is the ordinary PR-3 mutation API
 //! ([`WorkloadAdvisor::update_rates`] / `update_query_rates`), so a
@@ -61,6 +64,9 @@ impl TuningPolicy {
     /// coming alive.
     pub fn divergence(&self, adopted: f64, estimated: f64) -> f64 {
         let diff = (estimated - adopted).abs();
+        if diff == 0.0 {
+            return 0.0; // whatever the tolerance — and `drift`'s common case
+        }
         let tol = (self.relative * adopted.abs()).max(self.floor);
         if tol <= 0.0 {
             return if diff > 0.0 { f64::INFINITY } else { 0.0 };
@@ -84,7 +90,7 @@ pub struct OnlineTuner {
     policy: TuningPolicy,
     /// Live `PathKey → PathId`, in deterministic key order.
     tracked: BTreeMap<PathKey, PathId>,
-    /// Query events whose key was not tracked at arrival.
+    /// Events refused at arrival (untracked key, class past the ceiling).
     dropped_events: u64,
     /// Re-optimizations this tuner fired.
     retunes: u64,
@@ -122,16 +128,15 @@ impl OnlineTuner {
     }
 
     /// Feeds one observed event. Query events for untracked keys are
-    /// dropped; class-level insert/delete traffic is always accepted
-    /// (maintenance rates are workload-wide, not per path).
+    /// dropped, like any event whose class index exceeds `MAX_CLASS_INDEX`;
+    /// other insert/delete traffic is always accepted (maintenance rates are
+    /// workload-wide). The registry is probed only on first sight of a key.
+    #[inline]
     pub fn observe(&mut self, tick: u64, event: &WorkloadEvent, weight: f64) {
-        if let WorkloadEvent::Query { path, .. } = event {
-            if !self.tracked.contains_key(path) {
-                self.dropped_events += 1;
-                return;
-            }
+        let admit = |key| self.tracked.contains_key(&key);
+        if !self.estimator.observe_if(tick, event, weight, admit) {
+            self.dropped_events += 1;
         }
-        self.estimator.observe(tick, event, weight);
     }
 
     /// Replays a recorded log through [`OnlineTuner::observe`]. A corrupt
@@ -157,7 +162,7 @@ impl OnlineTuner {
         self.policy
     }
 
-    /// Query events dropped because their key was not tracked.
+    /// Events dropped: untracked query keys, classes past `MAX_CLASS_INDEX`.
     pub fn dropped_events(&self) -> u64 {
         self.dropped_events
     }
@@ -189,9 +194,10 @@ impl OnlineTuner {
             let Some(adopted) = advisor.query_rates(id) else {
                 continue; // removed behind our back; step_traffic untracks
             };
+            let est = self.estimator.path(key);
             for (c, &a) in adopted.iter().enumerate() {
-                let est = self.estimator.query_rate(key, ClassId(c as u32));
-                worst = worst.max(self.policy.divergence(a, est));
+                let d = self.policy.divergence(a, est(ClassId(c as u32)));
+                worst = if d > worst { d } else { worst }; // `max` chains NaN fix-ups
             }
         }
         worst
@@ -219,8 +225,7 @@ impl OnlineTuner {
             advisor.update_rates(class, self.estimator.class_rates(class));
         }
         for (&key, &id) in &self.tracked {
-            let est = &self.estimator;
-            advisor.update_query_rates(id, |c| est.query_rate(key, c));
+            advisor.update_query_rates(id, self.estimator.path(key));
         }
         self.retunes += 1;
         advisor.reoptimize()
@@ -405,6 +410,45 @@ mod tests {
         ok.push(0, WorkloadEvent::Insert { class: ClassId(0) }, 1.0);
         tuner.replay(&ok).expect("well-formed");
         assert!(tuner.estimator().has_observations());
+    }
+
+    #[test]
+    fn the_remembered_path_is_no_way_around_the_gate() {
+        let (schema, _) = fixtures::paper_schema();
+        let (_, id, _) = advisor(&schema);
+        let key = PathKey(id.raw() as u64);
+        let query = |class| WorkloadEvent::Query {
+            path: key,
+            class: ClassId(class),
+        };
+        let mut tuner = OnlineTuner::new(EstimatorConfig::default(), TuningPolicy::default());
+        tuner.track(key, id);
+        for t in 0..3 {
+            tuner.observe(t, &query(0), 0.8);
+        }
+        // `key` is the path the estimator resolved last. Untracked, its
+        // very next event must still be dropped and counted.
+        tuner.untrack(key);
+        tuner.observe(3, &query(0), 0.8);
+        assert_eq!(tuner.dropped_events(), 1);
+        assert_eq!(tuner.estimator().observed_paths().count(), 0);
+        assert_eq!(tuner.estimator().observed_events(), 3);
+        // Re-tracked, the key starts from empty cells: the first window
+        // is adopted verbatim, nothing of the old 0.8 decays into it.
+        tuner.track(key, id);
+        tuner.observe(3, &query(1), 0.1);
+        tuner.seal(4);
+        let est = tuner.estimator();
+        assert_eq!(est.query_rate(key, ClassId(0)), 0.0);
+        assert_eq!(est.query_rate(key, ClassId(1)).to_bits(), 0.1f64.to_bits());
+        assert_eq!(tuner.dropped_events(), 1);
+        // A class index past the capture ceiling is dropped and counted
+        // whatever the event kind, tracked key or not.
+        let hostile = ClassId(u32::MAX);
+        tuner.observe(4, &WorkloadEvent::Insert { class: hostile }, 1.0);
+        tuner.observe(4, &query(u32::MAX), 1.0);
+        assert_eq!(tuner.dropped_events(), 3);
+        assert_eq!(tuner.estimator().observed_events(), 4);
     }
 
     #[test]

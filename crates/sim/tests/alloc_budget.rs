@@ -3,18 +3,28 @@
 //! reads and not in proportion to the record it edits. The paged read path
 //! is held to the same rule one layer down: a `PagedBTree` lookup borrows
 //! the pages it reads and allocates nothing, whatever the tree's height.
+//! The capture loop's complexity contract lives here too, in counts
+//! rather than wall clock: an observed event costs an add — one probe of
+//! the estimator's ordered path index per *run* of same-path events,
+//! however many paths are tracked — and a warmed quiet tuner epoch
+//! allocates nothing.
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide.
 
 use oic_btree::PagedBTree;
-use oic_core::{Choice, IndexConfiguration};
+use oic_core::{Choice, IndexConfiguration, OnlineTuner, TuningPolicy, WorkloadAdvisor};
 use oic_cost::characteristics::{example51, ClassStats};
-use oic_cost::{Org, PathCharacteristics};
+use oic_cost::{CostParams, Org, PathCharacteristics};
 use oic_pager::MemPager;
 use oic_schema::{fixtures, ClassId, Path, Schema, SubpathId};
-use oic_sim::{generate, scale_chars, ConfiguredDb, GenSpec, PagedMirror};
+use oic_sim::{
+    generate, scale_chars, synth_workload, ConfiguredDb, GenSpec, PagedMirror, WorkloadSpec,
+};
 use oic_storage::paged::PageStore;
 use oic_storage::{MemStore, Object, Oid};
+use oic_workload::{EstimatorConfig, PathKey, WorkloadEvent};
+use rand::seq::SliceRandom;
+use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -249,4 +259,132 @@ fn a_mirror_lookup_allocates_its_keys_and_its_answer() {
         allocations <= lookups * (4 + growth),
         "{allocations} allocations over {lookups} lookups of {chunks} chunks"
     );
+}
+
+/// One stationary capture window of the rates `advisor` adopted, as the
+/// drift drivers emit it: the class signals, then every path's per-class
+/// query events, in the order `order` lists them.
+fn emit_window(
+    tuner: &mut OnlineTuner,
+    advisor: &WorkloadAdvisor<'_>,
+    tick: u64,
+    order: &[(PathKey, ClassId, f64)],
+) {
+    for c in 0..advisor.class_count() {
+        let class = ClassId(c as u32);
+        let (beta, gamma) = advisor.rates(class);
+        tuner.observe(tick, &WorkloadEvent::Insert { class }, beta);
+        tuner.observe(tick, &WorkloadEvent::Delete { class }, gamma);
+    }
+    for &(path, class, alpha) in order {
+        tuner.observe(tick, &WorkloadEvent::Query { path, class }, alpha);
+    }
+}
+
+/// The capture loop's counts on a `paths`-path tree: `(paths, events per
+/// window, probes of a path-grouped window, of a round-robin window, of
+/// windows cut into runs of 4 and 16, of a shuffled window, of one `drift`,
+/// allocations of a warmed quiet epoch)`.
+fn capture_counts(paths: usize) -> (u64, u64, [u64; 6], u64) {
+    let w = synth_workload(&WorkloadSpec {
+        paths,
+        depth: 5,
+        fanout: 3,
+        seed: 11,
+    });
+    let adv = w.advisor(CostParams::default());
+    let mut tuner = OnlineTuner::new(EstimatorConfig::default(), TuningPolicy::default());
+    let mut grouped = Vec::new();
+    for id in adv.path_ids() {
+        let key = PathKey(id.raw() as u64);
+        tuner.track(key, id);
+        let alphas = adv.query_rates(id).expect("live path");
+        grouped.extend((0..alphas.len()).map(|c| (key, ClassId(c as u32), alphas[c])));
+    }
+    let classes = adv.class_count();
+    let (p, e) = (paths as u64, (paths * classes) as u64);
+    assert_eq!(grouped.len() as u64, e);
+    // The same events, dealt one per path in turn (no two neighbours share
+    // a path), in runs of `r` classes per path, and shuffled.
+    let runs_of = |r: usize| -> Vec<_> {
+        let mut out = Vec::with_capacity(grouped.len());
+        for lo in (0..classes).step_by(r) {
+            for path in grouped.chunks(classes) {
+                out.extend_from_slice(&path[lo..(lo + r).min(classes)]);
+            }
+        }
+        out
+    };
+    let mut shuffled = grouped.clone();
+    shuffled.shuffle(&mut StdRng::seed_from_u64(5));
+
+    let mut tick = 0;
+    let mut probes_of = |tuner: &mut OnlineTuner, order: &[(PathKey, ClassId, f64)]| {
+        let before = tuner.estimator().path_probes();
+        emit_window(tuner, &adv, tick, order);
+        tick += 1;
+        tuner.estimator().path_probes() - before
+    };
+    probes_of(&mut tuner, &grouped); // first sight of every key
+    let probes = [
+        probes_of(&mut tuner, &grouped),
+        probes_of(&mut tuner, &runs_of(1)),
+        probes_of(&mut tuner, &runs_of(4)),
+        probes_of(&mut tuner, &runs_of(16)),
+        probes_of(&mut tuner, &shuffled),
+        {
+            tuner.seal(tick);
+            let before = tuner.estimator().path_probes();
+            assert_eq!(tuner.drift(&adv), 0.0, "a stationary stream");
+            tuner.estimator().path_probes() - before
+        },
+    ];
+    // A warmed quiet epoch, the benchmark's shape: 16 stationary windows,
+    // seal, drift. Every cell exists, so nothing is left to allocate.
+    let (drift, allocations) = allocations_of(|| {
+        for t in tick..tick + 16 {
+            emit_window(&mut tuner, &adv, t, &grouped);
+        }
+        tuner.seal(tick + 16);
+        tuner.drift(&adv)
+    });
+    assert_eq!(drift, 0.0, "a quiet epoch");
+    assert_eq!(tuner.dropped_events(), 0);
+    (p, e, probes, allocations)
+}
+
+#[test]
+fn an_observed_event_costs_an_add_whatever_the_number_of_paths() {
+    let mut per_event = Vec::new();
+    for paths in [48, 250] {
+        let (p, e, [grouped, round_robin, runs4, runs16, shuffled, drift], allocations) =
+            capture_counts(paths);
+        let classes = e / p;
+        assert!(classes >= 100, "long runs to find ({classes} classes)");
+        // One probe per run of same-path events — the tuner's gate rides
+        // on it — where every event used to pay two (2E).
+        assert_eq!(grouped, p, "{paths} paths: a path-grouped window");
+        assert_eq!(
+            round_robin, e,
+            "{paths} paths: no runs, one probe per event"
+        );
+        assert!(
+            shuffled <= e && shuffled > p,
+            "{paths} paths: shuffled {shuffled}"
+        );
+        assert_eq!(runs4, p * classes.div_ceil(4), "{paths} paths: runs of 4");
+        assert_eq!(
+            runs16,
+            p * classes.div_ceil(16),
+            "{paths} paths: runs of 16"
+        );
+        assert!(round_robin > runs4 && runs4 > runs16 && runs16 > grouped);
+        // A read resolves each tracked path once, not once per class.
+        assert_eq!(drift, p, "{paths} paths: one drift call");
+        assert_eq!(allocations, 0, "{paths} paths: a warmed quiet epoch");
+        per_event.push([grouped, runs4, runs16].map(|n| n as f64 / e as f64));
+    }
+    // Probes per event depend on the run length alone, not on how many
+    // paths are tracked.
+    assert_eq!(per_event[0], per_event[1]);
 }

@@ -39,10 +39,27 @@
 //! exact value and every later fold adds `a·0.0`. This is what makes the
 //! replay-equivalence property of `oic-sim/tests/online.rs` exact rather
 //! than approximate.
+//!
+//! # Storage: an observed event costs an add
+//!
+//! A path's cells live in one slot of a dense slab; the ordered `PathKey →
+//! slot` index serves only what needs a key (first sight, `drop_path`, the
+//! key-ordered `fingerprint`, one [`RateEstimator::path`] view per read).
+//! `observe` remembers the path it resolved last, so a *run* of same-path
+//! events probes once — then an event is a tick compare, a key compare, an
+//! index and an add — and a stream with no runs probes once per event
+//! ([`RateEstimator::path_probes`]). `drop_path` forgets the remembered
+//! path and empties the slot before it is recycled. Neither contract sees
+//! any of it: a cell folds the same wherever it sits, the digest walks keys.
 
 use oic_schema::ClassId;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
+
+/// Ceiling on captured class indexes (over 100× the largest schema the repo
+/// generates). Cells are dense by class, so an index is an allocation size:
+/// past this a log is a [`CaptureError::ClassRange`], an event is refused.
+pub const MAX_CLASS_INDEX: usize = (1 << 16) - 1;
 
 /// Why a captured log failed to decode or to replay.
 ///
@@ -58,9 +75,9 @@ pub enum CaptureError {
         /// What failed to parse.
         reason: String,
     },
-    /// A class index exceeds the `u32` id domain of [`ClassId`].
+    /// A class index exceeds [`MAX_CLASS_INDEX`].
     ClassRange {
-        /// 1-based line number.
+        /// Entry position (see type docs).
         line: usize,
         /// The out-of-range value.
         class: u64,
@@ -94,7 +111,7 @@ impl fmt::Display for CaptureError {
                 write!(f, "line {line}: {reason}")
             }
             CaptureError::ClassRange { line, class } => {
-                write!(f, "line {line}: class {class} exceeds the u32 id domain")
+                write!(f, "entry {line}: class {class} exceeds {MAX_CLASS_INDEX}")
             }
             CaptureError::NonMonotonicTick { at, tick, prev } => {
                 write!(f, "entry {at}: tick {tick} precedes tick {prev}")
@@ -138,6 +155,14 @@ pub enum WorkloadEvent {
         /// The deleted object's class.
         class: ClassId,
     },
+}
+
+impl WorkloadEvent {
+    /// The class the event carries, whatever its kind.
+    fn class(&self) -> ClassId {
+        let (Self::Query { class, .. } | Self::Insert { class } | Self::Delete { class }) = *self;
+        class
+    }
 }
 
 /// One recorded event: when it was observed and with what weight.
@@ -192,11 +217,12 @@ impl EventLog {
         self.entries.is_empty()
     }
 
-    /// Checks the invariants replay relies on — non-decreasing ticks and
-    /// finite, non-negative weights — without feeding anything. A log
-    /// built through [`EventLog::push`] can violate them (push never
-    /// validates: a live recorder must stay infallible on its hot path),
-    /// and a decoded log cannot (decode runs the same checks).
+    /// Checks the invariants replay relies on — non-decreasing ticks,
+    /// finite non-negative weights, class indexes within [`MAX_CLASS_INDEX`]
+    /// — without feeding anything. A log built through [`EventLog::push`]
+    /// can violate them (push never validates: a live recorder must stay
+    /// infallible on its hot path), and a decoded log cannot (decode runs
+    /// the same checks).
     pub fn validate(&self) -> Result<(), CaptureError> {
         let mut prev: Option<u64> = None;
         for (at, e) in self.entries.iter().enumerate() {
@@ -210,6 +236,12 @@ impl EventLog {
                 }
             }
             prev = Some(e.tick);
+            if e.event.class().index() > MAX_CLASS_INDEX {
+                return Err(CaptureError::ClassRange {
+                    line: at,
+                    class: e.event.class().index() as u64,
+                });
+            }
             if !e.weight.is_finite() || e.weight < 0.0 {
                 return Err(CaptureError::BadWeight {
                     at,
@@ -226,9 +258,9 @@ impl EventLog {
     /// statement about a single code path.
     ///
     /// The log is [`EventLog::validate`]d up front: on a corrupt log
-    /// (rewinding ticks, NaN/infinite/negative weights) the error is
-    /// returned and **nothing** is fed — a sink never observes a prefix
-    /// of a stream that would later have poisoned its clock.
+    /// (rewinding ticks, NaN/infinite/negative weights, class indexes past
+    /// the ceiling) the error is returned and **nothing** is fed — a sink
+    /// never observes a prefix of a stream that would later have poisoned it.
     pub fn replay(
         &self,
         mut sink: impl FnMut(u64, &WorkloadEvent, f64),
@@ -265,7 +297,7 @@ impl EventLog {
 
     /// Parses the [`EventLog::encode`] format, validating everything a
     /// hand-edited or truncated file can get wrong: field shapes, class
-    /// ids beyond the `u32` domain, weight bits spelling NaN/infinite/
+    /// indexes beyond [`MAX_CLASS_INDEX`], weight bits spelling NaN/infinite/
     /// negative masses, and ticks that rewind. A decoded log therefore
     /// always [`EventLog::replay`]s cleanly. The first offending line is
     /// reported; nothing is returned from a corrupt file.
@@ -286,12 +318,13 @@ impl EventLog {
             let parse_u64 = |s: &str, what: &str| s.parse::<u64>().map_err(|_| fail(what));
             let parse_class = |s: &str| {
                 let raw = parse_u64(s, "bad class")?;
-                u32::try_from(raw)
-                    .map(ClassId)
-                    .map_err(|_| CaptureError::ClassRange {
+                if raw > MAX_CLASS_INDEX as u64 {
+                    return Err(CaptureError::ClassRange {
                         line: no,
                         class: raw,
-                    })
+                    });
+                }
+                Ok(ClassId(raw as u32))
             };
             let parse_tick = |s: &str, prev: &mut Option<u64>| {
                 let tick = parse_u64(s, "bad tick")?;
@@ -430,17 +463,24 @@ pub struct RateEstimator {
     /// The tick whose bucket is currently open; `None` until the first
     /// observation or seal.
     cursor: Option<u64>,
-    /// β cells, dense by class index (grown on demand).
-    inserts: Vec<Cell>,
-    /// γ cells, dense by class index.
-    deletes: Vec<Cell>,
-    /// α cells per path, dense by class index. A `BTreeMap` so iteration
-    /// (and the fingerprint) is deterministic in the key order, never in
-    /// hash order.
-    queries: BTreeMap<PathKey, Vec<Cell>>,
+    /// Cells by slot, dense by class index (grown on demand): the β
+    /// signals, the γ signals, then one slot per path's α signals. A freed
+    /// slot is empty (it rolls as nothing) and waits in `free` for reuse.
+    slab: Vec<Vec<Cell>>,
+    free: Vec<usize>,
+    /// `PathKey → slot`. A `BTreeMap` so iteration (and the fingerprint) is
+    /// deterministic in the key order, never in hash or slot order.
+    index: BTreeMap<PathKey, usize>,
+    /// The path (and slot) `observe` resolved last; `drop_path` forgets it.
+    last: Option<(PathKey, usize)>,
+    /// Probes of `index` (a `Cell`: reads count too).
+    probes: std::cell::Cell<u64>,
     /// Events accepted (diagnostics).
     observed: u64,
 }
+
+const BETA: usize = 0;
+const GAMMA: usize = 1;
 
 impl RateEstimator {
     /// New estimator. `cfg.smoothing` must be in `(0, 1]`.
@@ -453,9 +493,11 @@ impl RateEstimator {
         RateEstimator {
             cfg,
             cursor: None,
-            inserts: Vec::new(),
-            deletes: Vec::new(),
-            queries: BTreeMap::new(),
+            slab: vec![Vec::new(), Vec::new()],
+            free: Vec::new(),
+            index: BTreeMap::new(),
+            last: None,
+            probes: std::cell::Cell::new(0),
             observed: 0,
         }
     }
@@ -475,26 +517,74 @@ impl RateEstimator {
         self.observed
     }
 
-    /// Feeds one weighted event at `tick`.
+    /// Probes of the ordered path index so far: one per run of same-path
+    /// `observe`s, one per [`RateEstimator::path`] view. Deterministic.
+    pub fn path_probes(&self) -> u64 {
+        self.probes.get()
+    }
+
+    /// Feeds one weighted event at `tick`. An event whose class index
+    /// exceeds [`MAX_CLASS_INDEX`] is refused, leaving no trace.
     ///
     /// # Panics
     /// Panics if `tick` precedes an already-folded window (ticks must be
     /// non-decreasing — a replayed log satisfies this by construction).
+    #[inline]
     pub fn observe(&mut self, tick: u64, event: &WorkloadEvent, weight: f64) {
-        self.roll_to(tick);
-        match *event {
-            WorkloadEvent::Query { path, class } => {
-                let cells = self.queries.entry(path).or_default();
-                Self::class_cell(cells, class).add(weight);
-            }
-            WorkloadEvent::Insert { class } => {
-                Self::class_cell(&mut self.inserts, class).add(weight);
-            }
-            WorkloadEvent::Delete { class } => {
-                Self::class_cell(&mut self.deletes, class).add(weight);
-            }
+        self.observe_if(tick, event, weight, |_| true);
+    }
+
+    /// [`RateEstimator::observe`] behind a gate: `admit` is asked only when
+    /// the probe `observe` makes anyway finds no state under a query's key,
+    /// and a key it turns away is not started. Returns whether it accepted.
+    #[inline]
+    pub fn observe_if(
+        &mut self,
+        tick: u64,
+        event: &WorkloadEvent,
+        weight: f64,
+        admit: impl Fn(PathKey) -> bool,
+    ) -> bool {
+        let class = event.class().index();
+        if class > MAX_CLASS_INDEX {
+            return false;
         }
+        // Resolved before the clock moves: a refused event leaves no trace.
+        let slot = match (*event, self.last) {
+            (WorkloadEvent::Insert { .. }, _) => BETA,
+            (WorkloadEvent::Delete { .. }, _) => GAMMA,
+            (WorkloadEvent::Query { path, .. }, Some((key, slot))) if key == path => slot,
+            (WorkloadEvent::Query { path, .. }, _) => match self.resolve(path, admit) {
+                Some(slot) => slot,
+                None => return false,
+            },
+        };
+        if self.cursor != Some(tick) {
+            self.roll_to(tick);
+        }
+        let cells = &mut self.slab[slot];
+        if cells.len() <= class {
+            cells.resize(class + 1, Cell::default());
+        }
+        cells[class].add(weight);
         self.observed += 1;
+        true
+    }
+
+    /// The slot of `path` through the ordered index (one probe); an
+    /// admitted first-seen key takes a recycled slot or a fresh one.
+    fn resolve(&mut self, path: PathKey, admit: impl Fn(PathKey) -> bool) -> Option<usize> {
+        self.probes.set(self.probes.get() + 1);
+        let slot = match self.index.entry(path) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(_) if !admit(path) => return None,
+            Entry::Vacant(e) => *e.insert(self.free.pop().unwrap_or_else(|| {
+                self.slab.push(Vec::new());
+                self.slab.len() - 1
+            })),
+        };
+        self.last = Some((path, slot));
+        Some(slot)
     }
 
     /// Folds every window before `up_to` (the open one and any idle gap)
@@ -511,27 +601,37 @@ impl RateEstimator {
     /// Removes every trace of `path` (a departed path's estimates must not
     /// outlive it — its key may even be recycled by the producer).
     pub fn drop_path(&mut self, path: PathKey) {
-        self.queries.remove(&path);
+        self.last = None;
+        if let Some(slot) = self.index.remove(&path) {
+            self.slab[slot].clear();
+            self.free.push(slot);
+        }
     }
 
     /// Estimated `(insert, delete)` rates of a class; `0.0` for signals no
     /// completed window ever observed.
     pub fn class_rates(&self, class: ClassId) -> (f64, f64) {
-        let get = |cells: &[Cell]| cells.get(class.index()).map_or(0.0, |c| c.est);
-        (get(&self.inserts), get(&self.deletes))
+        let get = |slot: usize| self.slab[slot].get(class.index()).map_or(0.0, |c| c.est);
+        (get(BETA), get(GAMMA))
+    }
+
+    /// `path`'s query-rate estimates as a function of the class, resolved
+    /// once (one probe) for any number of reads; `0.0` where unobserved.
+    #[inline]
+    pub fn path(&self, path: PathKey) -> impl Fn(ClassId) -> f64 + '_ {
+        self.probes.set(self.probes.get() + 1);
+        let cells: &[Cell] = self.index.get(&path).map_or(&[], |&slot| &self.slab[slot]);
+        move |class| cells.get(class.index()).map_or(0.0, |c| c.est)
     }
 
     /// Estimated query rate of `(path, class)`; `0.0` when unobserved.
     pub fn query_rate(&self, path: PathKey, class: ClassId) -> f64 {
-        self.queries
-            .get(&path)
-            .and_then(|cells| cells.get(class.index()))
-            .map_or(0.0, |c| c.est)
+        self.path(path)(class)
     }
 
     /// The paths with any recorded query state, in key order.
     pub fn observed_paths(&self) -> impl Iterator<Item = PathKey> + '_ {
-        self.queries.keys().copied()
+        self.index.keys().copied()
     }
 
     /// FNV-1a digest of the complete estimator state (cursor, every cell's
@@ -564,21 +664,13 @@ impl RateEstimator {
                 h.eat(&t.to_le_bytes());
             }
         }
-        h.cells(&self.inserts);
-        h.cells(&self.deletes);
-        for (key, cells) in &self.queries {
+        h.cells(&self.slab[BETA]);
+        h.cells(&self.slab[GAMMA]);
+        for (key, &slot) in &self.index {
             h.eat(&key.0.to_le_bytes());
-            h.cells(cells);
+            h.cells(&self.slab[slot]);
         }
         h.0
-    }
-
-    fn class_cell(cells: &mut Vec<Cell>, class: ClassId) -> &mut Cell {
-        let i = class.index();
-        if cells.len() <= i {
-            cells.resize(i + 1, Cell::default());
-        }
-        &mut cells[i]
     }
 
     /// Advances the cursor to `tick`, folding the open window and decaying
@@ -597,18 +689,11 @@ impl RateEstimator {
         }
         let a = self.cfg.smoothing;
         let gap = tick - cur - 1;
-        let roll = |cells: &mut [Cell]| {
-            for c in cells {
-                c.fold(a);
-                if gap > 0 {
-                    c.decay(a, gap);
-                }
+        for c in self.slab.iter_mut().flatten() {
+            c.fold(a);
+            if gap > 0 {
+                c.decay(a, gap);
             }
-        };
-        roll(&mut self.inserts);
-        roll(&mut self.deletes);
-        for cells in self.queries.values_mut() {
-            roll(cells);
         }
         self.cursor = Some(tick);
     }
@@ -623,6 +708,7 @@ impl Default for RateEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q(path: u64, class: u32) -> WorkloadEvent {
         WorkloadEvent::Query {
@@ -844,6 +930,368 @@ mod tests {
         ));
         assert!(log.validate().is_err());
         assert!(EventLog::new().validate().is_ok());
+    }
+
+    #[test]
+    fn a_class_index_past_the_ceiling_is_an_error_not_an_allocation() {
+        // Regression: `i 0 4294967295 3ff0000000000000` decoded cleanly and
+        // then aborted the process in `replay` — the estimator resized a
+        // dense vector to the class index (a 103 GB allocation).
+        let hostile = ClassId(u32::MAX);
+        let cases = [
+            (
+                "i 0 4294967295 3ff0000000000000\n",
+                WorkloadEvent::Insert { class: hostile },
+            ),
+            (
+                "d 0 4294967295 3ff0000000000000\n",
+                WorkloadEvent::Delete { class: hostile },
+            ),
+            ("q 0 7 4294967295 3ff0000000000000\n", q(7, u32::MAX)),
+        ];
+        for (line, event) in cases {
+            assert!(matches!(
+                EventLog::decode(line),
+                Err(CaptureError::ClassRange { line: 1, class }) if class == u64::from(u32::MAX)
+            ));
+            // A pushed log is never validated on the way in: replay must.
+            let mut log = EventLog::new();
+            log.push(0, q(1, 0), 1.0);
+            log.push(0, event, 1.0);
+            assert!(matches!(
+                log.validate(),
+                Err(CaptureError::ClassRange { line: 1, .. })
+            ));
+            let mut fed = 0;
+            assert!(log.replay(|_, _, _| fed += 1).is_err());
+            assert_eq!(fed, 0, "nothing fed from a bad log");
+            // The infallible door refuses the event and leaves no trace.
+            let mut est = RateEstimator::default();
+            est.observe(3, &q(1, 0), 1.0);
+            let before = (est.fingerprint(), est.observed_events());
+            est.observe(9, &event, 1.0);
+            assert_eq!((est.fingerprint(), est.observed_events()), before);
+            assert!(!est.observe_if(9, &event, 1.0, |_| true));
+        }
+        // The ceiling itself is inside the domain.
+        let edge = format!("i 0 {MAX_CLASS_INDEX} 3ff0000000000000\n");
+        let log = EventLog::decode(&edge).expect("at the ceiling");
+        let mut est = RateEstimator::default();
+        log.replay(|t, e, w| est.observe(t, e, w)).expect("valid");
+        assert_eq!(est.observed_events(), 1);
+    }
+
+    /// The parent commit's representation — an ordered map of per-path
+    /// cell vectors, probed once per event, its own FNV — kept as the
+    /// oracle the slot-addressed estimator must match bit for bit.
+    struct Model {
+        cfg: EstimatorConfig,
+        cursor: Option<u64>,
+        inserts: Vec<Cell>,
+        deletes: Vec<Cell>,
+        queries: BTreeMap<PathKey, Vec<Cell>>,
+    }
+
+    impl Model {
+        fn new(cfg: EstimatorConfig) -> Self {
+            Model {
+                cfg,
+                cursor: None,
+                inserts: Vec::new(),
+                deletes: Vec::new(),
+                queries: BTreeMap::new(),
+            }
+        }
+
+        fn class_cell(cells: &mut Vec<Cell>, class: ClassId) -> &mut Cell {
+            let i = class.index();
+            if cells.len() <= i {
+                cells.resize(i + 1, Cell::default());
+            }
+            &mut cells[i]
+        }
+
+        fn observe(&mut self, tick: u64, event: &WorkloadEvent, weight: f64) {
+            self.roll_to(tick);
+            match *event {
+                WorkloadEvent::Query { path, class } => {
+                    let cells = self.queries.entry(path).or_default();
+                    Self::class_cell(cells, class).add(weight);
+                }
+                WorkloadEvent::Insert { class } => {
+                    Self::class_cell(&mut self.inserts, class).add(weight);
+                }
+                WorkloadEvent::Delete { class } => {
+                    Self::class_cell(&mut self.deletes, class).add(weight);
+                }
+            }
+        }
+
+        fn seal(&mut self, up_to: u64) {
+            if self.cursor.is_some() {
+                self.roll_to(up_to);
+            }
+        }
+
+        fn roll_to(&mut self, tick: u64) {
+            let Some(cur) = self.cursor else {
+                self.cursor = Some(tick);
+                return;
+            };
+            assert!(tick >= cur);
+            if tick == cur {
+                return;
+            }
+            let a = self.cfg.smoothing;
+            let gap = tick - cur - 1;
+            let roll = |cells: &mut [Cell]| {
+                for c in cells {
+                    c.fold(a);
+                    if gap > 0 {
+                        c.decay(a, gap);
+                    }
+                }
+            };
+            roll(&mut self.inserts);
+            roll(&mut self.deletes);
+            for cells in self.queries.values_mut() {
+                roll(cells);
+            }
+            self.cursor = Some(tick);
+        }
+
+        fn fingerprint(&self) -> u64 {
+            fn eat(h: &mut u64, bytes: &[u8]) {
+                for &b in bytes {
+                    *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            fn cells(h: &mut u64, cells: &[Cell]) {
+                eat(h, &(cells.len() as u64).to_le_bytes());
+                for c in cells {
+                    eat(h, &c.est.to_bits().to_le_bytes());
+                    eat(h, &c.bucket.to_bits().to_le_bytes());
+                    eat(h, &[u8::from(c.seen), u8::from(c.touched)]);
+                }
+            }
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            eat(&mut h, &self.cfg.smoothing.to_bits().to_le_bytes());
+            match self.cursor {
+                None => eat(&mut h, &[0]),
+                Some(t) => {
+                    eat(&mut h, &[1]);
+                    eat(&mut h, &t.to_le_bytes());
+                }
+            }
+            cells(&mut h, &self.inserts);
+            cells(&mut h, &self.deletes);
+            for (key, path_cells) in &self.queries {
+                eat(&mut h, &key.0.to_le_bytes());
+                cells(&mut h, path_cells);
+            }
+            h
+        }
+
+        /// Every observable of `est` equals the model's, bit for bit.
+        fn assert_matches(&self, est: &RateEstimator, context: &str) {
+            assert_eq!(est.fingerprint(), self.fingerprint(), "{context}");
+            assert!(
+                est.observed_paths().eq(self.queries.keys().copied()),
+                "{context}: observed paths"
+            );
+            let bits = |cells: Option<&Vec<Cell>>, c: usize| {
+                cells
+                    .and_then(|v| v.get(c))
+                    .map_or(0.0, |c| c.est)
+                    .to_bits()
+            };
+            for c in 0..CLASSES + 1 {
+                let class = ClassId(c as u32);
+                let (beta, gamma) = est.class_rates(class);
+                assert_eq!(beta.to_bits(), bits(Some(&self.inserts), c), "{context}");
+                assert_eq!(gamma.to_bits(), bits(Some(&self.deletes), c), "{context}");
+                for key in (0..KEYS + 1).map(PathKey) {
+                    assert_eq!(
+                        est.query_rate(key, class).to_bits(),
+                        bits(self.queries.get(&key), c),
+                        "{context}: {key:?} class {c}"
+                    );
+                }
+            }
+        }
+    }
+
+    const KEYS: u64 = 5;
+    const CLASSES: usize = 4;
+
+    /// One step of the differential: a window of events at the current
+    /// tick (grouped into same-path runs, or in drawn order), a clock
+    /// advance, a seal, or a path drop.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Window {
+            events: Vec<(u8, u8, u8)>,
+            grouped: bool,
+        },
+        Advance(u64),
+        Seal(u64),
+        Drop(u64),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => (prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..24), any::<bool>())
+                .prop_map(|(events, grouped)| Step::Window { events, grouped }),
+            2 => (1u64..5).prop_map(Step::Advance),
+            2 => (0u64..4).prop_map(Step::Seal),
+            3 => (0..KEYS).prop_map(Step::Drop),
+        ]
+    }
+
+    /// Signal 0 / 1 are β / γ, the rest a query under key `signal - 2`.
+    fn event_of(signal: u8, class: u8) -> WorkloadEvent {
+        let class = ClassId(u32::from(class) % CLASSES as u32);
+        match u64::from(signal) % (KEYS + 2) {
+            0 => WorkloadEvent::Insert { class },
+            1 => WorkloadEvent::Delete { class },
+            key => WorkloadEvent::Query {
+                path: PathKey(key - 2),
+                class,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn estimator_matches_the_map_model(
+            steps in prop::collection::vec(step_strategy(), 1..60),
+            smoothing in prop::sample::select(vec![0.5f64, 0.3, 1.0]),
+        ) {
+            let cfg = EstimatorConfig { smoothing };
+            let (mut est, mut model) = (RateEstimator::new(cfg), Model::new(cfg));
+            let mut tick = 0u64;
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Window { events, grouped } => {
+                        let mut events = events.clone();
+                        if *grouped {
+                            events.sort_by_key(|&(signal, _, _)| u64::from(signal) % (KEYS + 2));
+                        }
+                        for (signal, class, w) in events {
+                            let (event, weight) = (event_of(signal, class), f64::from(w) / 7.0);
+                            est.observe(tick, &event, weight);
+                            model.observe(tick, &event, weight);
+                        }
+                    }
+                    Step::Advance(by) => tick += by,
+                    Step::Seal(by) => {
+                        tick += by;
+                        est.seal(tick);
+                        model.seal(tick);
+                    }
+                    Step::Drop(key) => {
+                        est.drop_path(PathKey(*key));
+                        model.queries.remove(&PathKey(*key));
+                    }
+                }
+                model.assert_matches(&est, &format!("after step {i} ({step:?})"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_key_and_its_recycled_slot_both_start_fresh() {
+        let cfg = EstimatorConfig::default();
+        let (mut est, mut model) = (RateEstimator::new(cfg), Model::new(cfg));
+        let feed = |est: &mut RateEstimator, model: &mut Model, t, e: WorkloadEvent, w| {
+            est.observe(t, &e, w);
+            model.observe(t, &e, w);
+        };
+        for t in 0..3 {
+            feed(&mut est, &mut model, t, q(1, 2), 0.7);
+            feed(&mut est, &mut model, t, q(2, 0), 0.2);
+        }
+        // Drop the path observed last, then see the same key again: the
+        // remembered slot must not be written through, and the first
+        // window is adopted verbatim again — nothing of the old cells.
+        est.drop_path(PathKey(2));
+        model.queries.remove(&PathKey(2));
+        feed(&mut est, &mut model, 3, q(2, 1), 0.4);
+        model.assert_matches(&est, "same key re-observed");
+        est.seal(4);
+        model.seal(4);
+        model.assert_matches(&est, "same key re-observed, sealed");
+        assert_eq!(est.query_rate(PathKey(2), ClassId(0)), 0.0, "old cell gone");
+        assert_eq!(
+            est.query_rate(PathKey(2), ClassId(1)).to_bits(),
+            0.4f64.to_bits()
+        );
+        // A different key lands in the slot key 1 frees.
+        est.drop_path(PathKey(1));
+        model.queries.remove(&PathKey(1));
+        feed(&mut est, &mut model, 4, q(9, 0), 0.3);
+        est.seal(5);
+        model.seal(5);
+        model.assert_matches(&est, "recycled slot");
+        assert_eq!(
+            est.query_rate(PathKey(9), ClassId(2)),
+            0.0,
+            "no inherited cell"
+        );
+        assert_eq!(est.slab.len(), 2 + 2, "the freed slot was reused");
+    }
+
+    #[test]
+    fn the_fingerprint_sees_history_not_slots() {
+        // The same per-signal history, with paths first seen, dropped and
+        // re-seen in different orders: slot numbers differ, digests do not.
+        let run = |order: &[u64], drops: &[u64]| {
+            let mut est = RateEstimator::default();
+            for &k in order {
+                est.observe(0, &q(k, 1), 0.5);
+            }
+            est.observe(0, &q(40, 0), 1.0);
+            est.seal(1);
+            for &k in drops {
+                est.drop_path(PathKey(k));
+            }
+            est.drop_path(PathKey(40));
+            for &k in order.iter().rev() {
+                est.observe(1, &q(k, 0), 0.25 * k as f64);
+            }
+            est.seal(2);
+            est
+        };
+        let a = run(&[1, 2, 3], &[1, 3]);
+        let b = run(&[3, 1, 2], &[3, 1]);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.index, b.index, "the two really are laid out differently");
+        assert!(a.observed_paths().eq(b.observed_paths()));
+    }
+
+    #[test]
+    fn a_run_of_same_path_events_probes_the_index_once() {
+        let mut est = RateEstimator::default();
+        for t in 0..4 {
+            for k in 0..6 {
+                for c in 0..10 {
+                    est.observe(t, &q(k, c), 1.0);
+                }
+            }
+        }
+        assert_eq!(est.path_probes(), 4 * 6, "one probe per run");
+        // Insert/delete traffic neither probes nor breaks a run.
+        est.observe(4, &q(5, 0), 1.0);
+        est.observe(4, &WorkloadEvent::Insert { class: ClassId(0) }, 1.0);
+        est.observe(4, &q(5, 1), 1.0);
+        assert_eq!(est.path_probes(), 24);
+        // A refused key is probed, never started, never remembered.
+        assert!(!est.observe_if(4, &q(77, 0), 1.0, |_| false));
+        assert!(!est.observe_if(4, &q(77, 0), 1.0, |_| false));
+        assert_eq!(est.path_probes(), 26);
+        assert_eq!(est.observed_paths().count(), 6);
     }
 
     #[test]

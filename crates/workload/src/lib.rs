@@ -31,6 +31,7 @@ pub mod ops;
 
 pub use capture::{
     CaptureError, EstimatorConfig, EventLog, LogEntry, PathKey, RateEstimator, WorkloadEvent,
+    MAX_CLASS_INDEX,
 };
 pub use derive::{derive_subpath_load, SubpathLoad};
 pub use load::{example51_load, LoadDistribution, Triplet};

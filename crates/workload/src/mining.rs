@@ -142,7 +142,7 @@ pub fn position_mass_from_estimator(
     estimator: &RateEstimator,
     key: PathKey,
 ) -> Vec<f64> {
-    position_mass(schema, path, |c| estimator.query_rate(key, c))
+    position_mass(schema, path, estimator.path(key))
 }
 
 /// The level-wise frequent-span miner. `masses[l - 1]` is position `l`'s
