@@ -20,14 +20,16 @@
 //! every-path-every-sweep engine, measured at the last commit that had
 //! one, and the 100k cold/warm times of the last commit that priced a
 //! shared cell once per dirty owner (34fe127, before the claim pass and
-//! the cost model's leaf-term memo).
+//! the cost model's leaf-term memo). Beside it, the `parent` object holds
+//! this bench's per-size times and plan costs at the commit before Yao's
+//! closed form (`oic_cost::yao`), on the same host; every `total_cost` must
+//! equal the parent's bit for bit (asserted here), and CI holds the 1k and
+//! 10k cold optimizes to at most the parent's.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_cost::CostParams;
 use oic_sim::{synth_forest, DriftSim, DriftSpec, ForestSpec};
 use std::time::Instant;
-
-const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// The 10k-path cold `optimize()` of the deleted global engine and the
 /// component engine's speedup over it (identical plans), as measured at
@@ -40,6 +42,18 @@ const BASELINE_SPEEDUP_10K: f64 = 2.319;
 /// (identical plans and counters).
 const PARENT_100K_OPTIMIZE_NS: u64 = 26_486_548_374;
 const PARENT_100K_REOPTIMIZE_NS: u64 = 4_493_652_865;
+
+/// The sizes run, each with this bench's numbers at commit 8862d26 (Yao's
+/// estimate as an `O(t)` loop) on the same 2-CPU host, median of three runs
+/// alternated with this tree's: `(paths, optimize_ns, reoptimize_ns,
+/// total_cost)`.
+const PARENT_COMMIT: &str = "8862d26";
+const PARENT_HOST_CPUS: usize = 2;
+const PARENT: [(usize, u64, u64, f64); 3] = [
+    (1_000, 166_076_480, 23_800_564, 6577.5716387253415),
+    (10_000, 240_414_637, 71_258_647, 35451.14093823215),
+    (100_000, 1_068_811_664, 720_573_388, 315127.63900371786),
+];
 
 /// Hard single-core wall-clock bound on the 100k cold optimize + one warm
 /// reoptimize. Generous against the measured numbers so slow CI hosts
@@ -55,7 +69,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &paths in &SIZES {
+    for &(paths, _, _, parent_cost) in &PARENT {
         let spec = ForestSpec {
             roots: 64,
             paths,
@@ -95,6 +109,12 @@ fn main() {
         assert!(
             cold.candidates_pruned > 0,
             "{paths} paths: dominance pruning never engaged"
+        );
+        assert_eq!(
+            cold.total_cost.to_bits(),
+            parent_cost.to_bits(),
+            "{paths} paths: plan cost {} differs from the parent's {parent_cost}",
+            cold.total_cost
         );
         println!(
             "{:>8} {:>14} {:>14} {:>11} {:>8} {:>10} {:>8.0}",
@@ -167,6 +187,29 @@ fn main() {
                 (
                     "parent_100k_reoptimize_ns",
                     Json::from(PARENT_100K_REOPTIMIZE_NS),
+                ),
+            ]),
+        ),
+        (
+            "parent",
+            Json::obj([
+                ("commit", Json::from(PARENT_COMMIT)),
+                ("host_cpus", Json::from(PARENT_HOST_CPUS)),
+                (
+                    "sizes",
+                    Json::Arr(
+                        PARENT
+                            .iter()
+                            .map(|&(paths, optimize_ns, reoptimize_ns, total_cost)| {
+                                Json::obj([
+                                    ("paths", Json::from(paths)),
+                                    ("optimize_ns", Json::from(optimize_ns)),
+                                    ("reoptimize_ns", Json::from(reoptimize_ns)),
+                                    ("total_cost", Json::fixed(total_cost, 3)),
+                                ])
+                            })
+                            .collect(),
+                    ),
                 ),
             ]),
         ),

@@ -1,0 +1,271 @@
+//! Golden decision digests: the bits of every decision the advisor makes on
+//! fixed inputs, folded per stage and pinned to constants recorded from an
+//! earlier commit. A perf change that claims "plans bit-identical" is held
+//! to it here instead of by a one-off comparison.
+//!
+//! Each stage folds its numbers with the order-sensitive FNV-1a idiom of
+//! `page_accounting_is_golden` (`crates/btree/tests/proptest_tree.rs`):
+//! floats by their bits, selections as `(start, end, organization)`
+//! triples, counters as integers. A stage whose digest moves fails with
+//! the stage's name, and the failure message lists the actual digests of
+//! the failing test's stages in the format of [`GOLDEN`], so a deliberate
+//! move is re-recorded by pasting them (and explained in CHANGES.md).
+//!
+//! Pinned stages:
+//! * Example 5.1's cost matrix, every cell's cost and size, under
+//!   `CostParams::paper()` and `CostParams::default()`;
+//! * cold and warm (one `DriftSim` step) unconstrained plans on
+//!   `synth_workload` trees of 48 and 250 paths (depth 5, fanout 3) and on
+//!   64-root `synth_forest`s of 1k and 3k paths (depth 8, fanout 1), at two
+//!   seeds, under one and two lanes (both must give the recorded digest);
+//! * the 25 / 50 / 75 % budgeted plans on both trees.
+//!
+//! Budgeted plans on the forests are deliberately not pinned: their
+//! λ-bisection breakpoints are near-ties, and a last-ulp change in a cell
+//! price may move them (DESIGN.md §5.2).
+
+use oo_index_config::core::{Choice, CostMatrix, WorkloadPlan};
+use oo_index_config::cost::characteristics::example51;
+use oo_index_config::cost::{CostModel, CostParams, Org};
+use oo_index_config::schema::fixtures;
+use oo_index_config::sim::{
+    synth_forest, synth_workload, DriftSim, DriftSpec, ForestSpec, SynthWorkload, WorkloadSpec,
+};
+use oo_index_config::workload::example51_load;
+
+const SEEDS: [u64; 2] = [7, 11];
+const LANES: [usize; 2] = [1, 2];
+const BUDGET_FRACTIONS: [f64; 3] = [0.25, 0.50, 0.75];
+
+/// The per-epoch churn of the warm stage (the benchmark's drift spec).
+fn churn(seed: u64) -> DriftSpec {
+    DriftSpec {
+        arrivals: 6,
+        departures: 6,
+        stat_drifts: 4,
+        rate_drifts: 4,
+        query_drifts: 10,
+        seed,
+    }
+}
+
+/// Order-sensitive FNV-1a fold.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) -> &mut Self {
+        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+        self
+    }
+
+    fn float(&mut self, x: f64) -> &mut Self {
+        self.word(x.to_bits())
+    }
+
+    fn choice(&mut self, choice: Choice) -> &mut Self {
+        self.word(match choice {
+            Choice::Index(org) => org.index() as u64,
+            Choice::NoIndex => 3,
+        })
+    }
+
+    /// Every path's selection, then the plan's cost, footprint and the
+    /// two work counters.
+    fn plan(&mut self, plan: &WorkloadPlan) -> &mut Self {
+        for outcome in &plan.paths {
+            self.word(outcome.selection.pairs().len() as u64);
+            for &(sub, choice) in outcome.selection.pairs() {
+                self.word(sub.start as u64)
+                    .word(sub.end as u64)
+                    .choice(choice);
+            }
+        }
+        self.float(plan.total_cost)
+            .float(plan.size_pages)
+            .word(plan.dp_runs)
+            .word(plan.maintenance_pricings)
+    }
+}
+
+/// Checks every `(stage, digest)` against [`GOLDEN`]; on any mismatch
+/// panics naming the first moved stage and listing the actual digests.
+fn check(actual: &[(String, u64)]) {
+    let table: String = actual
+        .iter()
+        .map(|(stage, d)| format!("    (\"{stage}\", {d:#018x}),\n"))
+        .collect();
+    for (stage, d) in actual {
+        let want = GOLDEN.iter().find(|(s, _)| s == stage);
+        assert_eq!(
+            Some(d),
+            want.map(|(_, d)| d),
+            "stage `{stage}` moved; actual:\n{table}"
+        );
+    }
+}
+
+#[test]
+fn example51_matrix_is_golden() {
+    let (schema, _) = fixtures::paper_schema();
+    let (path, chars) = example51(&schema);
+    let ld = example51_load(&schema, &path);
+    let actual: Vec<(String, u64)> = [
+        ("paper", CostParams::paper()),
+        ("default", CostParams::default()),
+    ]
+    .into_iter()
+    .map(|(name, params)| {
+        let model = CostModel::new(&schema, &path, &chars, params);
+        let matrix = CostMatrix::build(&model, &ld);
+        let mut d = Digest::new();
+        for &sub in matrix.rows() {
+            for org in Org::ALL {
+                d.float(matrix.cost(sub, org)).float(matrix.size(sub, org));
+            }
+        }
+        (format!("example51/{name}"), d.0)
+    })
+    .collect();
+    check(&actual);
+}
+
+/// Cold and warm plan digests of `w`; every lane count must give the same
+/// digests before they are reported.
+fn plan_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
+    let per_lane: Vec<[u64; 2]> = LANES
+        .iter()
+        .map(|&lanes| {
+            let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+            let cold = Digest::new().plan(&adv.optimize()).0;
+            DriftSim::new(w, churn(seed)).step(&mut adv);
+            let warm = Digest::new().plan(&adv.reoptimize()).0;
+            [cold, warm]
+        })
+        .collect();
+    for (lanes, digests) in LANES.iter().zip(&per_lane) {
+        assert_eq!(digests, &per_lane[0], "{name}: {lanes} lanes vs one");
+    }
+    let [cold, warm] = per_lane[0];
+    vec![
+        (format!("{name}/seed{seed}/cold"), cold),
+        (format!("{name}/seed{seed}/warm"), warm),
+    ]
+}
+
+/// The budgeted plans at each fraction of the unconstrained footprint, on
+/// one advisor (each solve warm from the previous one).
+fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
+    let mut adv = w.advisor(CostParams::default());
+    let size = adv.optimize().size_pages;
+    BUDGET_FRACTIONS
+        .iter()
+        .map(|f| {
+            let b = adv.optimize_with_budget(f * size);
+            let mut d = Digest::new();
+            d.plan(&b.plan).word(b.feasible as u64);
+            (
+                format!("{name}/seed{seed}/budget{}", (f * 100.0) as u32),
+                d.0,
+            )
+        })
+        .collect()
+}
+
+fn tree(paths: usize, seed: u64) -> SynthWorkload {
+    synth_workload(&WorkloadSpec {
+        paths,
+        depth: 5,
+        fanout: 3,
+        seed,
+    })
+}
+
+fn forest(paths: usize, seed: u64) -> SynthWorkload {
+    synth_forest(&ForestSpec {
+        roots: 64,
+        paths,
+        depth: 8,
+        fanout: 1,
+        seed,
+    })
+}
+
+#[test]
+fn tree_plans_are_golden() {
+    let mut actual = Vec::new();
+    for seed in SEEDS {
+        let small = tree(48, seed);
+        actual.extend(plan_stages("tree48", &small, seed));
+        actual.extend(budget_stages("tree48", &small, seed));
+        actual.extend(plan_stages("tree250", &tree(250, seed), seed));
+    }
+    check(&actual);
+}
+
+// The 250-path budgets dominate this file's run time (debug builds
+// re-derive every eviction trial), so each seed is its own test.
+#[test]
+fn tree250_budgets_are_golden_seed7() {
+    check(&budget_stages("tree250", &tree(250, SEEDS[0]), SEEDS[0]));
+}
+
+#[test]
+fn tree250_budgets_are_golden_seed11() {
+    check(&budget_stages("tree250", &tree(250, SEEDS[1]), SEEDS[1]));
+}
+
+#[test]
+fn forest_1k_plans_are_golden() {
+    let actual: Vec<_> = SEEDS
+        .iter()
+        .flat_map(|&seed| plan_stages("forest1k", &forest(1_000, seed), seed))
+        .collect();
+    check(&actual);
+}
+
+#[test]
+fn forest_3k_plans_are_golden() {
+    let actual: Vec<_> = SEEDS
+        .iter()
+        .flat_map(|&seed| plan_stages("forest3k", &forest(3_000, seed), seed))
+        .collect();
+    check(&actual);
+}
+
+/// Recorded from the commit before Yao's closed form (every stage).
+const GOLDEN: &[(&str, u64)] = &[
+    ("example51/paper", 0x3b235bc366e99259),
+    ("example51/default", 0x77e81cb29f0673db),
+    ("tree48/seed7/cold", 0x0e601eedbd5627bd),
+    ("tree48/seed7/warm", 0xb7b2ac5f13a25772),
+    ("tree48/seed7/budget25", 0x077cb1cca6016ed2),
+    ("tree48/seed7/budget50", 0x8fbcffc84bac6065),
+    ("tree48/seed7/budget75", 0xe5875773606a6124),
+    ("tree48/seed11/cold", 0x7f50f17f2682ebc1),
+    ("tree48/seed11/warm", 0x0999a553ed3f7f2e),
+    ("tree48/seed11/budget25", 0xaccd0bb33ba4491d),
+    ("tree48/seed11/budget50", 0x4f4383ef889742a1),
+    ("tree48/seed11/budget75", 0xfb9caab78919aa55),
+    ("tree250/seed7/cold", 0xf5c9e4452889814d),
+    ("tree250/seed7/warm", 0xfbf927bf47bbc5bb),
+    ("tree250/seed7/budget25", 0xf8fa2e0929e2f387),
+    ("tree250/seed7/budget50", 0xb4564b6553380993),
+    ("tree250/seed7/budget75", 0x764d587a5eeae90f),
+    ("tree250/seed11/cold", 0x7ab0458c2c18e30f),
+    ("tree250/seed11/warm", 0x3e655c53386998e0),
+    ("tree250/seed11/budget25", 0xb4bb000e5095f4fa),
+    ("tree250/seed11/budget50", 0xe80eb76432bc40bd),
+    ("tree250/seed11/budget75", 0x12c12e10ca19e4d3),
+    ("forest1k/seed7/cold", 0xe293f6dbf9c9a438),
+    ("forest1k/seed7/warm", 0xd84e47b0bfe26770),
+    ("forest1k/seed11/cold", 0x36271b39225def1a),
+    ("forest1k/seed11/warm", 0x2b108371311abddb),
+    ("forest3k/seed7/cold", 0x7d4f1e5a0ef1aa6b),
+    ("forest3k/seed7/warm", 0xa768e186d5feec14),
+    ("forest3k/seed11/cold", 0x07ab25bb57ebfac9),
+    ("forest3k/seed11/warm", 0xfd77d8f37d5440a8),
+];
