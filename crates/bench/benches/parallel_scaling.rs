@@ -23,6 +23,12 @@
 //! cycles, and a snapshot that pretended otherwise would be worthless.
 //! `host_cpus` is committed in `BENCH_parallel_scaling.json` so readers
 //! can tell which regime produced the numbers.
+//!
+//! The snapshot's `parent` object holds this bench's per-lane times and
+//! plan costs at the commit before the executor's pool was reduced to
+//! parked workers sharing one batch descriptor, on the same host. Every
+//! plan cost must equal the parent's bit for bit (asserted here), and CI
+//! holds the two-lane cold optimize to at most 1.10× the parent's.
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_core::WorkloadPlan;
@@ -34,6 +40,36 @@ use std::time::Instant;
 
 const LANES: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
+
+/// One workload's numbers at commit bd01eea (the work-stealing pool) on
+/// the same 2-CPU host, median of three runs alternated with this tree's.
+struct Parent {
+    /// The plan cost every lane count produced.
+    total_cost: f64,
+    /// `(optimize_ns, reoptimize_ns)`, aligned with [`LANES`].
+    lanes: [(u64, u64); 4],
+}
+
+const PARENT_COMMIT: &str = "bd01eea";
+const PARENT_HOST_CPUS: usize = 2;
+const PARENT_TREE: Parent = Parent {
+    total_cost: 3505.1989280270755,
+    lanes: [
+        (11_675_850, 5_749_869),
+        (7_981_312, 4_160_689),
+        (7_954_947, 4_338_061),
+        (8_252_087, 4_498_075),
+    ],
+};
+const PARENT_FOREST: Parent = Parent {
+    total_cost: 13701.686646848973,
+    lanes: [
+        (63_360_214, 20_278_166),
+        (38_063_742, 13_372_443),
+        (38_126_797, 13_311_486),
+        (40_090_756, 15_959_345),
+    ],
+};
 
 /// One workload's rows: per-lane JSON, the sequential cold plan, and the
 /// cold-optimize speedup per lane count (aligned with [`LANES`]).
@@ -50,7 +86,7 @@ impl Scaling {
     }
 }
 
-fn measure(w: &SynthWorkload) -> Scaling {
+fn measure(w: &SynthWorkload, parent: &Parent) -> Scaling {
     println!(
         "{:>7} {:>14} {:>14} {:>9} {:>9}",
         "lanes", "optimize", "reoptimize", "speedup", "plan"
@@ -129,6 +165,14 @@ fn measure(w: &SynthWorkload) -> Scaling {
         ]));
     }
     let (plan, _, _) = baseline.expect("at least one lane ran");
+    // Every lane's plan is bit-identical to this one (asserted above).
+    assert_eq!(
+        plan.total_cost.to_bits(),
+        parent.total_cost.to_bits(),
+        "plan cost {} differs from the parent's {}",
+        plan.total_cost,
+        parent.total_cost
+    );
     println!(
         "plan: {} candidates, {} physical indexes, {} components, total cost {:.0}\n",
         plan.candidates, plan.physical_indexes, plan.components, plan.total_cost
@@ -138,6 +182,23 @@ fn measure(w: &SynthWorkload) -> Scaling {
         plan,
         speedups,
     }
+}
+
+fn parent_rows(parent: &Parent) -> Json {
+    Json::Arr(
+        LANES
+            .iter()
+            .zip(&parent.lanes)
+            .map(|(&lanes, &(optimize_ns, reoptimize_ns))| {
+                Json::obj([
+                    ("threads", Json::from(lanes)),
+                    ("optimize_ns", Json::from(optimize_ns)),
+                    ("reoptimize_ns", Json::from(reoptimize_ns)),
+                    ("total_cost", Json::fixed(parent.total_cost, 3)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn main() {
@@ -152,7 +213,7 @@ fn main() {
         "parallel scaling: {} paths over a depth-{} tree, host has {host_cpus} CPU(s)\n",
         spec.paths, spec.depth
     );
-    let tree = measure(&synth_workload(&spec));
+    let tree = measure(&synth_workload(&spec), &PARENT_TREE);
 
     let forest_spec = ForestSpec {
         roots: 64,
@@ -165,7 +226,7 @@ fn main() {
         "parallel scaling: {} paths over {} depth-{} chain schemas\n",
         forest_spec.paths, forest_spec.roots, forest_spec.depth
     );
-    let forest = measure(&synth_forest(&forest_spec));
+    let forest = measure(&synth_forest(&forest_spec), &PARENT_FOREST);
 
     let speedup_8 = tree.speedup_at(8);
     let forest_speedup_2 = forest.speedup_at(2);
@@ -215,6 +276,18 @@ fn main() {
                 ("components", Json::from(forest.plan.components)),
                 ("total_cost", Json::fixed(forest.plan.total_cost, 3)),
                 ("threads", Json::Arr(forest.rows)),
+            ]),
+        ),
+        (
+            "parent",
+            Json::obj([
+                ("commit", Json::from(PARENT_COMMIT)),
+                ("host_cpus", Json::from(PARENT_HOST_CPUS)),
+                ("threads", parent_rows(&PARENT_TREE)),
+                (
+                    "forest",
+                    Json::obj([("threads", parent_rows(&PARENT_FOREST))]),
+                ),
             ]),
         ),
     ]);

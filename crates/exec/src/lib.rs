@@ -1,43 +1,37 @@
-//! An offline-friendly **work-stealing thread pool** over `std::thread`
-//! primitives — no registry dependencies — with a rayon-like scoped API:
-//! [`ThreadPool::scope`] spawns borrowing closures, [`Executor::par_map`]
-//! fans a slice out across the pool and returns results **in input
-//! order**.
+//! An offline-friendly **parallel map** over `std::thread` — no registry
+//! dependencies: [`Executor::par_map`] fans a slice out over parked worker
+//! threads and returns results **in input order**.
 //!
-//! The pool exists to parallelize the per-path stages of the workload
-//! advisor (`oic_core::WorkloadAdvisor`), whose headline invariant is that
-//! the parallel plan is **bit-identical** to the sequential one for any
-//! thread count (DESIGN.md §5.13). The executor's part of that contract is
-//! narrow and easy to audit:
+//! It parallelizes the per-path stages of the workload advisor
+//! (`oic_core::WorkloadAdvisor`), whose headline invariant is that the
+//! parallel plan is **bit-identical** to the sequential one for any thread
+//! count (DESIGN.md §5.13). The executor's part of that contract:
 //!
 //! * `par_map` applies a *pure* function per item and returns the results
-//!   indexed exactly like the input — which worker computed an item, and
-//!   in which order items finished, is unobservable;
+//!   indexed exactly like the input — which lane computed an item, and in
+//!   which order items finished, is unobservable;
 //! * [`Executor::sequential`] (`OIC_THREADS=1`) runs everything inline on
-//!   the caller's thread — the sequential engine is the same code with the
-//!   fan-out skipped, not a second implementation.
+//!   the caller's thread — the same code with the fan-out skipped, not a
+//!   second implementation.
 //!
-//! All ordering-sensitive reductions (merging memo writes, summing floats)
-//! stay in the *caller*, which sequences them deterministically from the
-//! order-stable `par_map` output.
+//! Ordering-sensitive reductions (merging memo writes, summing floats) stay
+//! in the *caller*, which sequences them from the order-stable output.
 //!
 //! # Scheduling
 //!
-//! One local FIFO deque per worker plus a shared injector. Submitted jobs
-//! are placed round-robin across the local deques; an idle worker drains
-//! its own deque first, then the injector, then **steals from the back of
-//! a sibling's deque**. Workers park on a condvar when every queue is
-//! empty; submission wakes exactly one. `par_map` additionally
-//! self-balances *within* a batch: workers claim item indexes from one
-//! shared atomic counter, so an uneven item granularity cannot idle a lane
-//! while another lane still holds a long tail.
+//! One process-global pool per lane count: `lanes − 1` parked workers and
+//! **one batch descriptor**. A batch publishes its lane body, wakes
+//! `min(lanes − 1, items − 1)` recruits and runs the body on the caller
+//! too; every lane claims item indexes from one atomic cursor, so uneven
+//! items cannot idle a lane while another holds a long tail. A pool runs
+//! one batch at a time: a batch that finds it **busy runs inline** — a
+//! concurrent `par_map` from another thread, or one nested inside an item
+//! — which the determinism contract makes unobservable.
 //!
-//! # Panics
-//!
-//! A panicking task never poisons the pool: the payload is captured, every
-//! other task of the scope still runs to completion, and the panic resumes
-//! on the caller once the scope is drained — so a failing assertion inside
-//! a parallel stage surfaces exactly like its sequential counterpart.
+//! Each lane catches its own panic, the other lanes keep draining, and the
+//! first payload resumes on the caller once every lane has returned — so a
+//! failing assertion in a parallel stage surfaces like its sequential
+//! counterpart, and the pool keeps working.
 //!
 //! ```
 //! use oic_exec::Executor;
@@ -49,13 +43,12 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-use std::collections::{HashMap, VecDeque};
-use std::marker::PhantomData;
+use std::any::Any;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// The environment variable the default executor reads: the total number
@@ -68,272 +61,126 @@ pub const THREADS_ENV: &str = "OIC_THREADS";
 /// machine this targets, so a typo in `OIC_THREADS` cannot fork-bomb.
 const MAX_LANES: usize = 256;
 
-/// A type-erased unit of work. Jobs created by [`ThreadPool::scope`]
-/// borrow the scope's stack frame; the scope guarantees they finish (or
-/// never start) before that frame unwinds.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A batch's lane body with its borrow lifetime erased; see [`Pool::run`].
+type Task = &'static (dyn Fn() + Sync);
 
-/// Lock, shrugging off poison: a panicking *task* is caught inside the
-/// job wrapper, but a panicking worker thread (impossible by
-/// construction, defensively handled) must not deadlock the others.
+/// Lock, shrugging off poison: lane bodies run outside the lock and catch
+/// their own panics, and every update under it is a plain field store, so
+/// the descriptor is valid whatever thread panicked.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared between the pool handle and its workers.
-struct Shared {
-    /// Global overflow queue, drained after a worker's own deque.
-    injector: Mutex<VecDeque<Job>>,
-    /// One local deque per worker; siblings steal from the **back**.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Wakeup state: queued-job claims and the shutdown flag.
-    idle: Mutex<IdleState>,
-    /// Workers park here when every queue is empty.
-    wakeup: Condvar,
-    /// Round-robin cursor for job placement.
-    place: AtomicUsize,
+/// The one batch a pool is running, if any.
+#[derive(Default)]
+struct Batch {
+    /// The running batch's lane body; `None` while the pool is free.
+    task: Option<Task>,
+    /// Recruits the running batch still wants; zeroed when its caller's
+    /// lane returns, so a late recruit never starts a finished batch.
+    wanted: usize,
+    /// Recruits currently inside `task`.
+    active: usize,
+    /// First panic a recruit caught in the running batch.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-struct IdleState {
-    /// Jobs pushed and not yet claimed by a worker.
-    pending: usize,
-    /// Set once by `Drop`; workers exit when it is set and no job remains.
-    shutdown: bool,
+/// Parked workers sharing one [`Batch`] descriptor. Pools are
+/// process-global and never dropped, so workers park for the life of the
+/// process instead of being joined.
+#[derive(Default)]
+struct Pool {
+    batch: Mutex<Batch>,
+    /// Workers wait here for `wanted > 0`.
+    start: Condvar,
+    /// The caller waits here for `active == 0`.
+    done: Condvar,
 }
 
-/// A fixed-size work-stealing thread pool. Workers are spawned eagerly and
-/// park when idle (zero CPU); dropping the pool drains every queued job,
-/// then joins the workers.
-///
-/// Most callers want an [`Executor`] (which memoizes one process-global
-/// pool per thread count) rather than a pool of their own.
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns `workers` worker threads (the caller's thread is *not* one
-    /// of them; [`Executor::par_map`] adds it as an extra lane while a
-    /// batch runs). `workers` must be ≥ 1 — a zero-worker pool is spelled
-    /// [`Executor::sequential`].
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "a pool needs at least one worker");
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(IdleState {
-                pending: 0,
-                shutdown: false,
-            }),
-            wakeup: Condvar::new(),
-            place: AtomicUsize::new(0),
-        });
-        let handles = (0..workers)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
+impl Pool {
+    /// The process-global pool of `lanes - 1` workers, spawned on first use.
+    fn global(lanes: usize) -> &'static Pool {
+        static POOLS: OnceLock<Mutex<HashMap<usize, &'static Pool>>> = OnceLock::new();
+        let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
+        lock(pools).entry(lanes).or_insert_with(|| {
+            let pool: &'static Pool = Box::leak(Box::default());
+            for worker in 1..lanes {
                 thread::Builder::new()
-                    .name(format!("oic-exec-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("spawning a pool worker")
-            })
-            .collect();
-        ThreadPool { shared, handles }
+                    .name(format!("oic-exec-{lanes}-{worker}"))
+                    .spawn(move || pool.work())
+                    .expect("spawning a pool worker");
+            }
+            pool
+        })
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.locals.len()
-    }
-
-    /// Places one job (round-robin across the local deques) and wakes a
-    /// parked worker.
-    fn submit(&self, job: Job) {
-        let slot = self.shared.place.fetch_add(1, Ordering::Relaxed) % self.shared.locals.len();
-        lock(&self.shared.locals[slot]).push_back(job);
-        lock(&self.shared.idle).pending += 1;
-        self.shared.wakeup.notify_one();
-    }
-
-    /// Runs `f` with a [`Scope`] on which borrowing closures can be
-    /// spawned onto the pool. Every spawned task is guaranteed to have
-    /// finished when `scope` returns — including when `f` itself panics —
-    /// which is what makes lending the tasks references to the caller's
-    /// stack sound. If any task panicked, the first captured payload is
-    /// resumed on the caller after the scope drains.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'env, '_>) -> R) -> R {
-        let state = Arc::new(ScopeState {
-            running: Mutex::new(0),
-            drained: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _env: PhantomData,
-        };
-        // The guard waits for stragglers even when `f` unwinds: no task
-        // may outlive the borrows it captured from `f`'s frame.
-        let _drain = DrainGuard(&state);
-        let out = f(&scope);
-        state.wait();
-        if let Some(payload) = lock(&state.panic).take() {
-            resume_unwind(payload);
-        }
-        out
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        lock(&self.shared.idle).shutdown = true;
-        self.shared.wakeup.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        // Claim one queued job, or decide to park/exit.
-        {
-            let mut idle = lock(&shared.idle);
-            loop {
-                if idle.pending > 0 {
-                    idle.pending -= 1;
-                    break;
-                }
-                if idle.shutdown {
-                    return;
-                }
-                idle = shared.wakeup.wait(idle).unwrap_or_else(|e| e.into_inner());
+    fn work(&self) {
+        let mut batch = lock(&self.batch);
+        loop {
+            batch = self
+                .start
+                .wait_while(batch, |b| b.wanted == 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            batch.wanted -= 1;
+            batch.active += 1;
+            let task = batch.task.expect("a batch that wants recruits has a body");
+            drop(batch);
+            let result = catch_unwind(AssertUnwindSafe(task));
+            batch = lock(&self.batch);
+            if let Err(payload) = result {
+                batch.panic.get_or_insert(payload);
+            }
+            batch.active -= 1;
+            if batch.active == 0 {
+                self.done.notify_one();
             }
         }
-        // A claim corresponds to a job already pushed; scan until it (or
-        // any other unclaimed job) is found: own deque front, injector,
-        // then steal from the back of a sibling's deque. Claims never
-        // outnumber pushed jobs, so the scan terminates.
-        let job = loop {
-            if let Some(job) = lock(&shared.locals[me]).pop_front() {
-                break job;
-            }
-            if let Some(job) = lock(&shared.injector).pop_front() {
-                break job;
-            }
-            let steal = (0..shared.locals.len())
-                .filter(|&other| other != me)
-                .find_map(|other| lock(&shared.locals[other]).pop_back());
-            if let Some(job) = steal {
-                break job;
-            }
-            std::hint::spin_loop();
-        };
-        job();
     }
-}
 
-/// Completion tracking for one [`ThreadPool::scope`].
-struct ScopeState {
-    /// Spawned tasks not yet finished.
-    running: Mutex<usize>,
-    /// Signalled when `running` returns to zero.
-    drained: Condvar,
-    /// First captured task panic, resumed on the caller.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl ScopeState {
-    fn wait(&self) {
-        let mut running = lock(&self.running);
-        while *running > 0 {
-            running = self
-                .drained
-                .wait(running)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Runs `lane` on the caller and on up to `recruits` parked workers,
+    /// returning once every lane that started has returned, with the first
+    /// panic any lane raised. A busy pool runs `lane` on the caller alone.
+    fn run(&self, recruits: usize, lane: &(dyn Fn() + Sync)) -> Option<Box<dyn Any + Send>> {
+        let mut batch = lock(&self.batch);
+        if batch.task.is_some() {
+            drop(batch);
+            return catch_unwind(AssertUnwindSafe(lane)).err();
         }
-    }
-
-    fn finish_one(&self) {
-        let mut running = lock(&self.running);
-        *running -= 1;
-        if *running == 0 {
-            self.drained.notify_all();
+        // SAFETY: lifetime erasure only. Workers read `task` only under
+        // the lock and only while `wanted > 0`, and then count themselves
+        // in `active` until they are done calling it. Before this function
+        // returns — and it cannot unwind before then, since the caller's
+        // call is wrapped in `catch_unwind` and every wait shrugs off
+        // poison — it zeroes `wanted`, waits for `active == 0` and clears
+        // `task`, all under the lock. So no worker can call `lane` after
+        // its borrow ends, which is the guarantee `'static` stands in for.
+        batch.task = Some(unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Task>(lane) });
+        batch.wanted = recruits;
+        drop(batch);
+        for _ in 0..recruits {
+            self.start.notify_one();
         }
+        let own = catch_unwind(AssertUnwindSafe(lane)).err();
+        let mut batch = lock(&self.batch);
+        batch.wanted = 0;
+        batch = self
+            .done
+            .wait_while(batch, |b| b.active > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        batch.task = None;
+        own.or(batch.panic.take())
     }
-}
-
-/// Blocks until the scope's tasks drain; runs on both the normal and the
-/// unwinding exit path of [`ThreadPool::scope`].
-struct DrainGuard<'a>(&'a Arc<ScopeState>);
-
-impl Drop for DrainGuard<'_> {
-    fn drop(&mut self) {
-        self.0.wait();
-    }
-}
-
-/// A spawn handle lending the pool closures that borrow the enclosing
-/// [`ThreadPool::scope`] frame (lifetime `'env`).
-pub struct Scope<'env, 'pool> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'env`, like `std::thread::Scope`.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env, '_> {
-    /// Spawns `task` onto the pool. The task may borrow anything that
-    /// outlives the `scope` call; it runs at most once, and the scope
-    /// blocks until it has finished. A panic inside `task` is captured and
-    /// resumed from `scope` after the remaining tasks drain.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        *lock(&self.state.running) += 1;
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                lock(&state.panic).get_or_insert(payload);
-            }
-            state.finish_one();
-        });
-        // SAFETY: lifetime erasure only. The job is executed (or the
-        // process aborts) before `scope` returns: `running` was
-        // incremented above, the worker decrements it strictly after the
-        // closure finishes, and `DrainGuard`/`ScopeState::wait` block the
-        // scope — on the normal *and* unwinding path — until `running`
-        // is zero. Every `'env` borrow the closure captured therefore
-        // outlives its execution, which is the guarantee `'static` is
-        // standing in for. The pool itself never drops a queued job
-        // without running it (shutdown drains the queues first).
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.pool.submit(job);
-    }
-}
-
-/// Process-global pool per lane count, so every advisor (and every test)
-/// asking for the same `OIC_THREADS` shares one set of parked workers
-/// instead of spawning its own.
-fn global_pool(lanes: usize) -> Arc<ThreadPool> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    Arc::clone(
-        lock(pools)
-            .entry(lanes)
-            .or_insert_with(|| Arc::new(ThreadPool::new(lanes - 1))),
-    )
 }
 
 /// A cheaply clonable handle selecting how parallel stages run: inline on
-/// the caller ([`Executor::sequential`]) or fanned out over a shared
-/// [`ThreadPool`]. `threads` counts *lanes* — the caller's thread plus the
-/// pool workers a `par_map` batch recruits — so `with_threads(8)` uses a
+/// the caller ([`Executor::sequential`]) or fanned out over a shared pool
+/// of parked workers. `threads` counts *lanes* — the caller's thread plus
+/// the workers a `par_map` batch recruits — so `with_threads(8)` uses a
 /// 7-worker pool and `with_threads(1)` is exactly the sequential engine.
 #[derive(Clone)]
 pub struct Executor {
     lanes: usize,
-    pool: Option<Arc<ThreadPool>>,
+    pool: Option<&'static Pool>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -354,10 +201,7 @@ impl Default for Executor {
 impl Executor {
     /// Everything inline on the caller's thread — the sequential engine.
     pub fn sequential() -> Self {
-        Executor {
-            lanes: 1,
-            pool: None,
-        }
+        Executor::with_threads(1)
     }
 
     /// `lanes` compute lanes (clamped to `1..=256`): the caller plus
@@ -365,13 +209,8 @@ impl Executor {
     /// `with_threads(1)` is [`Executor::sequential`].
     pub fn with_threads(lanes: usize) -> Self {
         let lanes = lanes.clamp(1, MAX_LANES);
-        if lanes == 1 {
-            return Executor::sequential();
-        }
-        Executor {
-            lanes,
-            pool: Some(global_pool(lanes)),
-        }
+        let pool = (lanes > 1).then(|| Pool::global(lanes));
+        Executor { lanes, pool }
     }
 
     /// Reads [`THREADS_ENV`] (`OIC_THREADS`): `1` → sequential, `n ≥ 2` →
@@ -399,9 +238,10 @@ impl Executor {
     /// order**; `f` receives `(index, &item)`. Sequential executors (and
     /// trivial batches) run inline; parallel executors recruit up to
     /// `threads() - 1` pool workers alongside the caller, all claiming
-    /// item indexes from one shared counter. For a pure `f` the result is
-    /// identical for every thread count — the determinism contract the
-    /// advisor's bit-identity invariant builds on.
+    /// item indexes from one shared counter, or run inline when the pool
+    /// is busy. For a pure `f` the result is identical for every thread
+    /// count — the determinism contract the advisor's bit-identity
+    /// invariant builds on.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -409,36 +249,26 @@ impl Executor {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let pool = match &self.pool {
+        let pool = match self.pool {
             Some(pool) if n > 1 => pool,
             _ => return items.iter().enumerate().map(|(i, t)| f(i, t)).collect(),
         };
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let run = || loop {
+        let lane = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            let out = f(i, &items[i]);
-            *lock(&slots[i]) = Some(out);
+            *lock(&slots[i]) = Some(f(i, &items[i]));
         };
-        pool.scope(|scope| {
-            // One recruit per spare lane, capped by the batch size; the
-            // caller is the final lane.
-            for _ in 0..(self.lanes - 1).min(n - 1) {
-                scope.spawn(run);
-            }
-            run();
-        });
+        if let Some(payload) = pool.run((self.lanes - 1).min(n - 1), &lane) {
+            resume_unwind(payload);
+        }
+        // No lane panicked, so the cursor passed `n` and every item ran.
         slots
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                lock(&slot)
-                    .take()
-                    .unwrap_or_else(|| panic!("par_map item {i} produced no result"))
-            })
+            .map(|slot| lock(&slot).take().expect("every item ran"))
             .collect()
     }
 
@@ -472,18 +302,14 @@ impl Executor {
         let chunks = (self.lanes * 4).clamp(1, n);
         let share = total.div_ceil(chunks).max(1);
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(chunks);
-        let mut start = 0;
         let mut acc = 0usize;
         for (i, t) in items.iter().enumerate() {
             acc += weight(t).max(1);
-            if acc >= share {
-                ranges.push((start, i + 1));
-                start = i + 1;
+            if acc >= share || i + 1 == n {
+                let lo = ranges.last().map_or(0, |&(_, hi)| hi);
+                ranges.push((lo, i + 1));
                 acc = 0;
             }
-        }
-        if start < n {
-            ranges.push((start, n));
         }
         let nested: Vec<Vec<R>> = self.par_map(&ranges, |_, &(lo, hi)| {
             (lo..hi).map(|i| f(i, &items[i])).collect()
@@ -495,7 +321,43 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// Runs a 64-item batch whose items each record their thread, then
+    /// wait until the caller and some other thread have both run an item
+    /// (or 30 s have passed), then return `f(caller)`. On a free pool the
+    /// caller's lane and at least one recruit therefore both run items; a
+    /// pool that ran the batch inline shows up as a single thread id. Each
+    /// test calling this owns its lane count, so no other test can keep
+    /// its pool busy.
+    fn on_two_lanes<R: Send>(
+        exec: &Executor,
+        f: impl Fn(ThreadId) -> R + Sync,
+    ) -> (Vec<R>, HashSet<ThreadId>) {
+        let caller = thread::current().id();
+        let seen = Mutex::new(HashSet::new());
+        let joined = Condvar::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let out = exec.par_map(&[(); 64], |_, _| {
+            let mut ids = lock(&seen);
+            ids.insert(thread::current().id());
+            joined.notify_all();
+            while ids.len() < 2 || !ids.contains(&caller) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                ids = joined.wait_timeout(ids, left).unwrap().0;
+            }
+            drop(ids);
+            f(caller)
+        });
+        (out, seen.into_inner().unwrap())
+    }
 
     #[test]
     fn sequential_runs_inline() {
@@ -531,16 +393,12 @@ mod tests {
 
     #[test]
     fn batches_actually_fan_out() {
-        let exec = Executor::with_threads(4);
-        assert_eq!(exec.threads(), 4);
-        // Pool workers exist and run jobs (even on a single-CPU host the
-        // recruited lanes execute; they just time-slice).
-        let hits = AtomicU64::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        exec.par_map(&items, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
+        // Six lanes belong to this test alone: nothing else can hold the
+        // pool busy and make the batch run inline.
+        let exec = Executor::with_threads(6);
+        assert_eq!(exec.threads(), 6);
+        let (_, ids) = on_two_lanes(&exec, |_| ());
+        assert!(ids.len() >= 2, "one thread ran the whole batch");
     }
 
     #[test]
@@ -583,20 +441,48 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_borrowing_tasks_to_completion() {
-        let pool = ThreadPool::new(3);
-        let counter = AtomicU64::new(0);
-        let data: Vec<u64> = (1..=100).collect();
-        pool.scope(|s| {
-            for chunk in data.chunks(7) {
+    fn concurrent_batches_on_one_executor_each_get_the_sequential_result() {
+        let exec = Executor::with_threads(4);
+        let items: Vec<u64> = (0..997).collect();
+        let f = |i: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64;
+        let expected = Executor::sequential().par_map(&items, f);
+        let start = Barrier::new(4);
+        thread::scope(|s| {
+            for _ in 0..4 {
                 s.spawn(|| {
-                    counter.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
+                    start.wait();
+                    for _ in 0..50 {
+                        assert_eq!(exec.par_map(&items, f), expected);
+                    }
                 });
             }
         });
-        // The scope returned, so every task (borrowing `data` and
-        // `counter`) has finished.
-        assert_eq!(counter.load(Ordering::Relaxed), 5050);
+    }
+
+    #[test]
+    fn nested_par_map_completes_with_the_sequential_result() {
+        // Seven lanes belong to this test alone, so the caller and a
+        // recruit both run outer items and each nests a batch into the
+        // pool it is already busy with.
+        let exec = Executor::with_threads(7);
+        let inner: Vec<u64> = (0..100).collect();
+        let (sums, ids) = on_two_lanes(&exec, |_| {
+            exec.par_map(&inner, |i, &x| x * i as u64)
+                .iter()
+                .sum::<u64>()
+        });
+        assert!(ids.len() >= 2, "one thread ran the whole outer batch");
+        assert!(sums.iter().all(|&s| s == 328_350), "{sums:?}");
+    }
+
+    #[test]
+    fn back_to_back_tiny_batches_are_all_correct() {
+        let exec = Executor::with_threads(8);
+        for round in 0..10_000u64 {
+            let items: Vec<u64> = (round..round + 2 + round % 8).collect();
+            let expected: Vec<u64> = items.iter().map(|&x| 2 * x - round).collect();
+            assert_eq!(exec.par_map(&items, |i, &x| x + i as u64), expected);
+        }
     }
 
     #[test]
@@ -624,29 +510,29 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_private_pool_drains_queued_jobs() {
-        let pool = ThreadPool::new(2);
-        let ran = Arc::new(AtomicU64::new(0));
-        pool.scope(|s| {
-            for _ in 0..50 {
-                let ran = Arc::clone(&ran);
-                s.spawn(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        drop(pool);
-        assert_eq!(ran.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn global_pools_are_shared_per_lane_count() {
-        let a = Executor::with_threads(5);
-        let b = Executor::with_threads(5);
-        let (Some(pa), Some(pb)) = (&a.pool, &b.pool) else {
-            panic!("parallel executors carry a pool");
-        };
-        assert!(Arc::ptr_eq(pa, pb), "same lane count, same pool");
-        assert_eq!(pa.workers(), 4);
+    fn a_panic_on_the_callers_or_a_workers_lane_resumes_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct LanePanic {
+            on_caller: bool,
+        }
+        // Five lanes belong to this test alone, so the batch really fans
+        // out and both lanes run items.
+        let exec = Executor::with_threads(5);
+        for on_caller in [true, false] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                on_two_lanes(&exec, |caller| {
+                    if (thread::current().id() == caller) == on_caller {
+                        std::panic::panic_any(LanePanic { on_caller });
+                    }
+                })
+            }));
+            let payload = result.expect_err("the lane panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<LanePanic>(),
+                Some(&LanePanic { on_caller })
+            );
+            let items: Vec<u64> = (0..64).collect();
+            assert_eq!(exec.par_map(&items, |_, &x| x + 1)[63], 64);
+        }
     }
 }

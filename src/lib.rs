@@ -26,8 +26,9 @@
 //!   capture layer (replayable event logs, decayed rate estimation) behind
 //!   the online tuning loop, and the frequent-subpath miner gating
 //!   candidate admission;
-//! * [`exec`] — the offline-friendly work-stealing thread pool behind the
-//!   advisor's parallel stages (`OIC_THREADS`, bit-identical plans);
+//! * [`exec`] — the offline-friendly parallel map behind the advisor's
+//!   parallel stages: parked workers, one batch at a time per pool, a busy
+//!   pool runs the batch inline (`OIC_THREADS`, bit-identical plans);
 //! * [`core`] — index configurations, the cost matrix, branch-and-bound and
 //!   polynomial-DP selection, the shared candidate space, the workload-scale
 //!   advisor (Section 6's "configurations for n paths": one ledger prices

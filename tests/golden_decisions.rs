@@ -17,7 +17,8 @@
 //! * cold and warm (one `DriftSim` step) unconstrained plans on
 //!   `synth_workload` trees of 48 and 250 paths (depth 5, fanout 3) and on
 //!   64-root `synth_forest`s of 1k and 3k paths (depth 8, fanout 1), at two
-//!   seeds, under one and two lanes (both must give the recorded digest);
+//!   seeds, under one, two and eight lanes (each must give the recorded
+//!   digest);
 //! * the 25 / 50 / 75 % budgeted plans on both trees.
 //!
 //! Budgeted plans on the forests are deliberately not pinned: their
@@ -34,7 +35,7 @@ use oo_index_config::sim::{
 use oo_index_config::workload::example51_load;
 
 const SEEDS: [u64; 2] = [7, 11];
-const LANES: [usize; 2] = [1, 2];
+const LANES: [usize; 3] = [1, 2, 8];
 const BUDGET_FRACTIONS: [f64; 3] = [0.25, 0.50, 0.75];
 
 /// The per-epoch churn of the warm stage (the benchmark's drift spec).
