@@ -2,7 +2,7 @@
 //! thread counts on a 1000-path class tree (three large components) and a
 //! 3000-path forest of 64 chain schemas (64 components, ten paths per
 //! candidate), with the headline invariant asserted in the loop: every
-//! parallel plan is **bit-identical** to the `OIC_THREADS=1` sequential
+//! parallel plan is **bit-identical** to the `with_threads(1)` sequential
 //! plan (selections, float totals via `to_bits`, and the work-audit
 //! telemetry alike — DESIGN.md §5.13).
 //!

@@ -424,8 +424,6 @@ impl MigrationPlanner {
         let mut steps = Vec::new();
         let mut switches = Vec::new();
         let mut wave = 0usize;
-        let mut builds = 0usize;
-        let mut build_pages = 0.0f64;
         let mut duration = 0.0f64;
         let mut interim_cost = 0.0f64;
         loop {
@@ -444,27 +442,14 @@ impl MigrationPlanner {
                 .fold(0.0, f64::max);
             interim_cost += wave_pages * unit_before;
             duration += wave_pages;
-            for key in chosen {
-                let info = sim.indexes.get_mut(&key).expect("chosen key is ledgered");
-                info.built = true;
-                builds += 1;
-                build_pages += info.pages;
-                steps.push(MigrationStep {
-                    wave,
-                    action: MigrationAction::Build,
-                    steps: key.0.clone(),
-                    embedded: key.1,
-                    org: key.2,
-                    pages: info.pages,
-                });
-            }
+            sim.build(chosen, wave, &mut steps);
             wave += 1;
         }
         let final_cost = sim.current_cost();
-        let drops = steps
-            .iter()
-            .filter(|s| s.action == MigrationAction::Drop)
-            .count();
+        let built = || steps.iter().filter(|s| s.action == MigrationAction::Build);
+        let builds = built().count();
+        let build_pages = built().fold(0.0, |pages, s| pages + s.pages);
+        let drops = steps.len() - builds;
         Ok(MigrationSchedule {
             steps,
             switches,
@@ -501,18 +486,7 @@ impl MigrationPlanner {
             return Ok(if steps.is_empty() { None } else { Some(steps) });
         }
         let chosen = self.pick_builds(envelope, Mode::Greedy)?;
-        for key in chosen {
-            let info = self.indexes.get_mut(&key).expect("chosen key is ledgered");
-            info.built = true;
-            steps.push(MigrationStep {
-                wave: 0,
-                action: MigrationAction::Build,
-                steps: key.0.clone(),
-                embedded: key.1,
-                org: key.2,
-                pages: info.pages,
-            });
-        }
+        self.build(chosen, 0, &mut steps);
         Ok(Some(steps))
     }
 
@@ -547,9 +521,9 @@ impl MigrationPlanner {
             .enumerate()
             .map(|(i, p)| (p.id, i))
             .collect();
-        let old_paths: HashMap<PathId, PathArm> = self.paths.drain(..).map(|p| (p.id, p)).collect();
+        let mut old_paths: HashMap<PathId, PathArm> =
+            self.paths.drain(..).map(|p| (p.id, p)).collect();
         let old_indexes = std::mem::take(&mut self.indexes);
-        let mut old_paths = old_paths;
         let mut indexes = BTreeMap::new();
         let mut paths = Vec::with_capacity(advisor.path_count());
         for id in advisor.path_ids().collect::<Vec<_>>() {
@@ -592,20 +566,7 @@ impl MigrationPlanner {
                 .or_insert(IndexInfo { built: true, ..old });
         }
         // Departed paths cancel the unbuilt builds nobody else wants.
-        let needed: BTreeSet<&IndexKey> = paths
-            .iter()
-            .flat_map(|p| p.target.iter().chain(p.current.iter()).map(|pc| &pc.key))
-            .collect();
-        for (_, prev) in old_paths {
-            let mut seen = BTreeSet::new();
-            for piece in &prev.target {
-                let unbuilt = !indexes.get(&piece.key).map(|i| i.built).unwrap_or(false);
-                if unbuilt && !needed.contains(&piece.key) && seen.insert(piece.key.clone()) {
-                    indexes.remove(&piece.key);
-                    self.cancelled += 1;
-                }
-            }
-        }
+        self.cancelled += Self::cancel_departed(&mut indexes, &paths, old_paths.values()) as u64;
         self.paths = paths;
         self.indexes = indexes;
         Ok(())
@@ -621,29 +582,47 @@ impl MigrationPlanner {
             return 0;
         };
         let departed = self.paths.remove(pos);
-        let needed: BTreeSet<&IndexKey> = self
-            .paths
-            .iter()
-            .flat_map(|p| p.target.iter().chain(p.current.iter()).map(|pc| &pc.key))
-            .collect();
-        let mut cancelled = 0;
-        let mut seen = BTreeSet::new();
-        for piece in &departed.target {
-            let unbuilt = !self
-                .indexes
-                .get(&piece.key)
-                .map(|i| i.built)
-                .unwrap_or(false);
-            if unbuilt && !needed.contains(&piece.key) && seen.insert(piece.key.clone()) {
-                self.indexes.remove(&piece.key);
-                cancelled += 1;
-            }
-        }
+        let cancelled = Self::cancel_departed(&mut self.indexes, &self.paths, [&departed]);
         self.cancelled += cancelled as u64;
         cancelled
     }
 
+    /// Un-ledgers each departed path's unbuilt target indexes that no arm
+    /// of a `remaining` path references, and returns how many it cancelled
+    /// (an index counts once per departed path that wanted it).
+    fn cancel_departed<'p>(
+        indexes: &mut BTreeMap<IndexKey, IndexInfo>,
+        remaining: &[PathArm],
+        departed: impl IntoIterator<Item = &'p PathArm>,
+    ) -> usize {
+        let needed: BTreeSet<&IndexKey> = remaining
+            .iter()
+            .flat_map(|p| p.target.iter().chain(p.current.iter()).map(|pc| &pc.key))
+            .collect();
+        let mut cancelled = 0;
+        for prev in departed {
+            let mut seen = BTreeSet::new();
+            for piece in &prev.target {
+                let unbuilt = !indexes.get(&piece.key).is_some_and(|i| i.built);
+                if unbuilt && !needed.contains(&piece.key) && seen.insert(&piece.key) {
+                    indexes.remove(&piece.key);
+                    cancelled += 1;
+                }
+            }
+        }
+        cancelled
+    }
+
     // ---- wave engine ------------------------------------------------------
+
+    /// Marks a wave's `chosen` keys built, one `Build` step each.
+    fn build(&mut self, chosen: Vec<IndexKey>, wave: usize, steps: &mut Vec<MigrationStep>) {
+        for key in chosen {
+            let info = self.indexes.get_mut(&key).expect("chosen key is ledgered");
+            info.built = true;
+            steps.push(step(wave, MigrationAction::Build, key, info.pages));
+        }
+    }
 
     /// Instantaneous wave-start transitions to fixpoint: switch every path
     /// whose target pieces are all built; when `eager`, drop every built
@@ -675,14 +654,7 @@ impl MigrationPlanner {
             if eager {
                 for key in self.droppable() {
                     let info = self.indexes.remove(&key).expect("droppable is ledgered");
-                    steps.push(MigrationStep {
-                        wave,
-                        action: MigrationAction::Drop,
-                        steps: key.0,
-                        embedded: key.1,
-                        org: key.2,
-                        pages: info.pages,
-                    });
+                    steps.push(step(wave, MigrationAction::Drop, key, info.pages));
                     changed = true;
                 }
             }
@@ -722,14 +694,7 @@ impl MigrationPlanner {
             .collect();
         for key in stale {
             let info = self.indexes.remove(&key).expect("stale is ledgered");
-            steps.push(MigrationStep {
-                wave,
-                action: MigrationAction::Drop,
-                steps: key.0,
-                embedded: key.1,
-                org: key.2,
-                pages: info.pages,
-            });
+            steps.push(step(wave, MigrationAction::Drop, key, info.pages));
         }
     }
 
@@ -864,6 +829,19 @@ impl MigrationPlanner {
             }
         }
         freed
+    }
+}
+
+/// One schedule step on the index `key`.
+fn step(wave: usize, action: MigrationAction, key: IndexKey, pages: f64) -> MigrationStep {
+    let (steps, embedded, org) = key;
+    MigrationStep {
+        wave,
+        action,
+        steps,
+        embedded,
+        org,
+        pages,
     }
 }
 

@@ -503,7 +503,9 @@ impl WorkloadAdvisor<'_> {
     ///
     /// When even the most size-averse sweep cannot fit (a budget below the
     /// workload's minimum footprint), the returned plan is that leanest
-    /// plan and `feasible` is `false`.
+    /// plan and `feasible` is `false`. A NaN budget is clamped to `0.0`,
+    /// which no non-empty plan fits: same plan, same `feasible: false`,
+    /// and `budget_pages` reports the `0.0`.
     ///
     /// The unconstrained `optimize()` is itself a coordinate-descent
     /// heuristic, and the budget search explores strictly harder
@@ -512,7 +514,11 @@ impl WorkloadAdvisor<'_> {
     /// **cheaper** than the unconstrained one — a bonus, reported as a
     /// [`BudgetedWorkloadPlan::cost_ratio`] just under 1.
     pub fn optimize_with_budget(&mut self, budget_pages: f64) -> BudgetedWorkloadPlan {
-        assert!(!budget_pages.is_nan(), "budget must be a page count or ∞");
+        let budget_pages = if budget_pages.is_nan() {
+            0.0
+        } else {
+            budget_pages
+        };
         let unconstrained = self.reoptimize();
         let unconstrained_cost = unconstrained.total_cost;
         let unconstrained_size = unconstrained.size_pages;

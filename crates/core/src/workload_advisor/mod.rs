@@ -75,7 +75,8 @@
 //! The three hot per-path stages — cost-model construction + pricing,
 //! standalone DP optima, and the best-response sweeps of the coordinate
 //! descent — fan out over an [`oic_exec::Executor`] (default: one lane
-//! per CPU, `OIC_THREADS` overrides, `1` = the sequential engine). The
+//! per CPU; [`WorkloadAdvisor::with_threads`] picks another count, `1` =
+//! the sequential engine). The
 //! parallel plan is **bit-identical** to the sequential one for every
 //! thread count, telemetry included, by construction rather than by luck:
 //! each unpriced cell is claimed by its first dirty owner, priced once
@@ -197,7 +198,7 @@ impl<'a> WorkloadAdvisor<'a> {
             next_id: 0,
             epoch: 0,
             mutations: 0,
-            exec: Executor::from_env(),
+            exec: Executor::default(),
             shards: ShardIndex::new(),
             basis: HashMap::new(),
             mining: MiningPolicy::default(),
@@ -206,8 +207,9 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     /// Replaces the executor the per-path stages run on (chainable). The
-    /// default is [`Executor::from_env`]; the plan is bit-identical for
-    /// any choice, so this is purely a wall-clock knob.
+    /// default is [`Executor::default`], one lane per available CPU; the
+    /// plan is bit-identical for any choice, so this is purely a
+    /// wall-clock knob.
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = exec;
         self

@@ -268,6 +268,16 @@ fn budget_below_minimum_footprint_is_flagged_infeasible() {
 }
 
 #[test]
+fn nan_budget_is_the_zero_budget() {
+    let (schema, _) = fixtures::paper_schema();
+    let nan = two_path_advisor(&schema).optimize_with_budget(f64::NAN);
+    let zero = two_path_advisor(&schema).optimize_with_budget(0.0);
+    assert!(!nan.feasible, "no plan fits a NaN budget");
+    assert_eq!(nan.budget_pages, 0.0);
+    nan.assert_same_plan(&zero, "NaN vs 0.0 budget");
+}
+
+#[test]
 fn budgeted_plans_are_monotone_in_the_budget() {
     // A wider budget can only help: sweep a few budgets and check the
     // realized costs never increase with the budget.

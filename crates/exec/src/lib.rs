@@ -10,9 +10,12 @@
 //! * `par_map` applies a *pure* function per item and returns the results
 //!   indexed exactly like the input — which lane computed an item, and in
 //!   which order items finished, is unobservable;
-//! * [`Executor::sequential`] (`OIC_THREADS=1`) runs everything inline on
-//!   the caller's thread — the same code with the fan-out skipped, not a
+//! * [`Executor::sequential`] (`with_threads(1)`) runs everything inline
+//!   on the caller's thread — the same code with the fan-out skipped, not a
 //!   second implementation.
+//!
+//! The lane count is always chosen in code: [`Executor::with_threads`], or
+//! [`Executor::default`] for one lane per available CPU.
 //!
 //! Ordering-sensitive reductions (merging memo writes, summing floats) stay
 //! in the *caller*, which sequences them from the order-stable output.
@@ -51,14 +54,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// The environment variable the default executor reads: the total number
-/// of compute lanes (caller thread included). `1` selects the sequential
-/// engine; unset, `0`, or unparsable values fall back to the machine's
-/// available parallelism.
-pub const THREADS_ENV: &str = "OIC_THREADS";
-
 /// Upper bound on configurable lanes — a sanity clamp, far above any
-/// machine this targets, so a typo in `OIC_THREADS` cannot fork-bomb.
+/// machine this targets, so an absurd `with_threads` argument cannot
+/// fork-bomb.
 const MAX_LANES: usize = 256;
 
 /// A batch's lane body with its borrow lifetime erased; see [`Pool::run`].
@@ -192,9 +190,9 @@ impl std::fmt::Debug for Executor {
 }
 
 impl Default for Executor {
-    /// [`Executor::from_env`].
+    /// One lane per available CPU (one if that cannot be determined).
     fn default() -> Self {
-        Executor::from_env()
+        Executor::with_threads(thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -211,17 +209,6 @@ impl Executor {
         let lanes = lanes.clamp(1, MAX_LANES);
         let pool = (lanes > 1).then(|| Pool::global(lanes));
         Executor { lanes, pool }
-    }
-
-    /// Reads [`THREADS_ENV`] (`OIC_THREADS`): `1` → sequential, `n ≥ 2` →
-    /// `n` lanes; unset, `0`, or unparsable → one lane per available CPU.
-    pub fn from_env() -> Self {
-        let lanes = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()));
-        Executor::with_threads(lanes)
     }
 
     /// Total compute lanes (1 = sequential).

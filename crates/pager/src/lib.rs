@@ -20,9 +20,9 @@
 //!   the injected fault kills it, then reopen the surviving bytes and
 //!   check that recovery lands exactly on the last commit.
 //!
-//! The cache capacity defaults to [`DEFAULT_CACHE_PAGES`] and is
-//! overridable with the `OIC_PAGE_CACHE` environment variable (CI runs
-//! the suite at `OIC_PAGE_CACHE=2` to keep eviction honest).
+//! The cache capacity is an argument of [`Pager::open`];
+//! [`FilePager::open_path`] opens with [`DEFAULT_CACHE_PAGES`], and
+//! [`Pager::set_cache_capacity`] resizes a cache at any time.
 //!
 //! ```
 //! use oic_pager::MemPager;
@@ -45,7 +45,4 @@ pub mod pager;
 
 pub use cache::{Frame, PageCache};
 pub use file::{DiskFile, FaultClock, FaultFile, MemFile, RawFile};
-pub use pager::{
-    cache_capacity_from_env, FaultStore, FilePager, MemPager, Pager, DEFAULT_CACHE_PAGES,
-    MIN_PAGE_SIZE,
-};
+pub use pager::{FaultStore, FilePager, MemPager, Pager, DEFAULT_CACHE_PAGES, MIN_PAGE_SIZE};

@@ -59,19 +59,8 @@ const JRNL_HEADER: u64 = 28;
 /// Smallest page that still fits the header fields plus some metadata.
 pub const MIN_PAGE_SIZE: usize = 128;
 
-/// Default cache capacity when `OIC_PAGE_CACHE` is unset.
+/// Cache capacity of [`FilePager::open_path`].
 pub const DEFAULT_CACHE_PAGES: usize = 256;
-
-/// Cache capacity from the `OIC_PAGE_CACHE` environment variable
-/// (clamped to ≥ 1), or [`DEFAULT_CACHE_PAGES`]. CI runs the whole test
-/// suite under `OIC_PAGE_CACHE=2` so eviction paths cannot rot.
-pub fn cache_capacity_from_env() -> usize {
-    std::env::var("OIC_PAGE_CACHE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(DEFAULT_CACHE_PAGES)
-}
 
 fn fnv64(chunks: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -123,8 +112,8 @@ pub type MemPager = Pager<MemFile>;
 
 impl FilePager {
     /// Opens (creating if absent) the store at `path`, with the journal
-    /// sidecar at `path` + `.jrnl` and the cache capacity taken from
-    /// `OIC_PAGE_CACHE` (default [`DEFAULT_CACHE_PAGES`]).
+    /// sidecar at `path` + `.jrnl` and a cache of [`DEFAULT_CACHE_PAGES`]
+    /// frames ([`Pager::set_cache_capacity`] resizes it).
     pub fn open_path(path: impl AsRef<Path>, page_size: usize) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let jrnl: PathBuf = {
@@ -136,7 +125,7 @@ impl FilePager {
             DiskFile::open(path)?,
             DiskFile::open(&jrnl)?,
             page_size,
-            cache_capacity_from_env(),
+            DEFAULT_CACHE_PAGES,
         )
     }
 }
@@ -866,18 +855,5 @@ mod tests {
         Pager::open(data.handle(), jrnl.handle(), 256, 2).unwrap();
         let err = Pager::open(data.handle(), jrnl.handle(), 512, 2).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)));
-    }
-
-    #[test]
-    fn cache_capacity_env_parsing() {
-        // Not set in the test environment by default: default applies
-        // (when CI sets OIC_PAGE_CACHE the parsed value must win).
-        match std::env::var("OIC_PAGE_CACHE") {
-            Ok(v) => assert_eq!(
-                cache_capacity_from_env(),
-                v.parse::<usize>().unwrap().max(1)
-            ),
-            Err(_) => assert_eq!(cache_capacity_from_env(), DEFAULT_CACHE_PAGES),
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! results as its in-memory twin.
 
 use oic_btree::PagedBTree;
-use oic_pager::{FilePager, Pager};
+use oic_pager::{FilePager, Pager, DEFAULT_CACHE_PAGES};
 use oic_storage::MemStore;
 
 const PAGE_SIZE: usize = 256;
@@ -22,7 +22,23 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn file_backed_tree_survives_drop_and_matches_in_memory_twin() {
-    let path = temp_path("twin");
+    // Once under constant eviction pressure, once at the default cache.
+    for cache in [2, DEFAULT_CACHE_PAGES] {
+        survives_drop_and_matches_twin(cache);
+    }
+}
+
+/// Opens `path` through `open_path` and resizes its cache to `cache`.
+fn open_with_cache(path: &std::path::Path, cache: usize) -> FilePager {
+    let mut store = FilePager::open_path(path, PAGE_SIZE).expect("open");
+    assert_eq!(store.cache_capacity(), DEFAULT_CACHE_PAGES);
+    store.set_cache_capacity(cache).expect("resize");
+    assert_eq!(store.cache_capacity(), cache);
+    store
+}
+
+fn survives_drop_and_matches_twin(cache: usize) {
+    let path = temp_path(&format!("twin{cache}"));
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(path.with_extension("db.jrnl"));
 
@@ -31,8 +47,7 @@ fn file_backed_tree_survives_drop_and_matches_in_memory_twin() {
 
     // Build the file-backed tree, commit, and DROP it.
     {
-        let store = FilePager::open_path(&path, PAGE_SIZE).expect("create");
-        let mut tree = PagedBTree::open(store).expect("tree");
+        let mut tree = PagedBTree::open(open_with_cache(&path, cache)).expect("tree");
         for i in 0..800u32 {
             let k = i.wrapping_mul(37) % 1_000;
             tree.insert(&key(k), &val(i)).expect("insert");
@@ -48,8 +63,7 @@ fn file_backed_tree_survives_drop_and_matches_in_memory_twin() {
     } // <- everything in RAM about the file-backed tree dies here
 
     // Reopen from the file alone.
-    let store = FilePager::open_path(&path, PAGE_SIZE).expect("reopen");
-    let mut tree = PagedBTree::open(store).expect("tree from disk");
+    let mut tree = PagedBTree::open(open_with_cache(&path, cache)).expect("tree from disk");
     tree.check_invariants().expect("invariants after reopen");
     assert_eq!(tree.len(), twin.len());
 
@@ -58,7 +72,7 @@ fn file_backed_tree_survives_drop_and_matches_in_memory_twin() {
         assert_eq!(
             tree.get(&key(i)).expect("get"),
             twin.get(&key(i)).expect("twin get"),
-            "point query {i} diverges after reopen"
+            "point query {i} diverges after reopen (cache {cache})"
         );
     }
     // …and identical range queries.
@@ -66,25 +80,11 @@ fn file_backed_tree_survives_drop_and_matches_in_memory_twin() {
         assert_eq!(
             tree.range(&key(lo), &key(hi)).expect("range"),
             twin.range(&key(lo), &key(hi)).expect("twin range"),
-            "range {lo}..={hi} diverges after reopen"
+            "range {lo}..={hi} diverges after reopen (cache {cache})"
         );
     }
     assert_eq!(tree.scan().expect("scan"), twin.scan().expect("twin scan"));
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("db.jrnl"));
-}
-
-#[test]
-fn page_cache_env_is_respected_end_to_end() {
-    // Whatever OIC_PAGE_CACHE says (CI runs the suite at 2), the store
-    // opened through the env-sensitive path reports that capacity.
-    let path = temp_path("envcap");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("db.jrnl"));
-    let store = FilePager::open_path(&path, PAGE_SIZE).expect("create");
-    assert_eq!(store.cache_capacity(), oic_pager::cache_capacity_from_env());
-    drop(store);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(path.with_extension("db.jrnl"));
 }

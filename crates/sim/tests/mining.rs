@@ -5,8 +5,8 @@
 //! * **Support 0 is the identity.** A `MiningPolicy` with `min_support`
 //!   0 admits every candidate, so the mined advisor's plan is *bitwise*
 //!   the unmined advisor's plan — same cost bits, same selections, same
-//!   work counters — under 1 and 8 lanes (the `OIC_THREADS` ∈ {1, 8}
-//!   matrix, pinned here explicitly via the builder knob).
+//!   work counters — under 1 and 8 lanes, each chosen with the builder
+//!   knob.
 //! * **Budgeted solves price under the λ-aware mask.** Every λ sweep
 //!   runs under the size-aware dominance mask, in the full space and in
 //!   a mined one, for random budgets — including infeasible ones — and a

@@ -168,8 +168,8 @@ proptest! {
 /// The parallel engine is bit-identical to the sequential one through the
 /// whole closed loop: same-seed traffic runs under 8 threads and 1 thread
 /// produce bit-identical plans at every trigger, and identical estimator
-/// fingerprints. (CI re-runs this whole file under `OIC_THREADS` ∈ {1, 8},
-/// which covers the env-driven executor selection as well.)
+/// fingerprints. (`tests/golden_decisions.rs` pins the larger online loop,
+/// migration schedules included, at lanes {1, 2, 8}.)
 #[test]
 fn traffic_mode_is_bit_identical_across_thread_counts() {
     let w = synth_workload(&WorkloadSpec {

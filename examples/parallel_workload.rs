@@ -3,8 +3,8 @@
 //! (`with_threads(1)`) and with an 8-lane thread pool, time both, and
 //! verify the headline invariant — the parallel plan is **bit-identical**
 //! to the sequential one (DESIGN.md §5.13). Thread count is a wall-clock
-//! knob, never an answer knob; `OIC_THREADS` sets the default for
-//! advisors that don't choose explicitly.
+//! knob, never an answer knob; advisors that don't choose explicitly run
+//! one lane per available CPU.
 //!
 //! Run with `cargo run --release --example parallel_workload`.
 

@@ -69,9 +69,9 @@ run mined_workload "mined plan == full plan"
 run migration "interim cost ≤ naive ordering"
 
 # paged_store builds a file-backed tree, drops every handle, and reopens
-# it cold from the file alone; run it under a tiny cache so the eviction
+# it cold from the file alone behind an 8-frame cache, so the eviction
 # path is exercised too.
-OIC_PAGE_CACHE=2 run paged_store "survived drop/reopen"
+run paged_store "survived drop/reopen"
 
 # The crash-injection sweep is the durability proof (DESIGN.md §5.14):
 # a torn write at every write count, recovery must land on the last

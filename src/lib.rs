@@ -15,7 +15,7 @@
 //!   `PageStore` trait the durable stack is generic over;
 //! * [`pager`] — durable paged storage: the file-backed pager (header
 //!   page, freelist, undo-journal commits) with an LRU page cache, plus
-//!   the crash-injection harness (`OIC_PAGE_CACHE` sizes the cache);
+//!   the crash-injection harness;
 //! * [`btree`] — the chained-leaf B+-tree with overflow records, and its
 //!   durable twin [`btree::PagedBTree`], whose nodes are slotted
 //!   `PageStore` pages read and edited in place;
@@ -28,7 +28,7 @@
 //!   candidate admission;
 //! * [`exec`] — the offline-friendly parallel map behind the advisor's
 //!   parallel stages: parked workers, one batch at a time per pool, a busy
-//!   pool runs the batch inline (`OIC_THREADS`, bit-identical plans);
+//!   pool runs the batch inline (bit-identical plans at any lane count);
 //! * [`core`] — index configurations, the cost matrix, branch-and-bound and
 //!   polynomial-DP selection, the shared candidate space, the workload-scale
 //!   advisor (Section 6's "configurations for n paths": one ledger prices

@@ -19,24 +19,37 @@
 //!   64-root `synth_forest`s of 1k and 3k paths (depth 8, fanout 1), at two
 //!   seeds, under one, two and eight lanes (each must give the recorded
 //!   digest);
-//! * the 25 / 50 / 75 % budgeted plans on both trees.
+//! * the 25 / 50 / 75 % budgeted plans on both trees;
+//! * the online loop on the 48-path tree: twelve `DriftSim` traffic
+//!   epochs through an `OnlineTuner`, each epoch's churn, tuner firings,
+//!   estimator fingerprint and plan, and the `MigrationPlanner` retargeted
+//!   to each new plan — its schedule and the wave it advances — under one,
+//!   two and eight lanes.
 //!
 //! Budgeted plans on the forests are deliberately not pinned: their
 //! λ-bisection breakpoints are near-ties, and a last-ulp change in a cell
 //! price may move them (DESIGN.md §5.2).
 
-use oo_index_config::core::{Choice, CostMatrix, WorkloadPlan};
+use oo_index_config::core::{
+    Choice, CostMatrix, MigrationAction, MigrationEnvelope, MigrationPlanner, MigrationStep,
+    OnlineTuner, TuningPolicy, WorkloadPlan,
+};
 use oo_index_config::cost::characteristics::example51;
 use oo_index_config::cost::{CostModel, CostParams, Org};
 use oo_index_config::schema::fixtures;
 use oo_index_config::sim::{
     synth_forest, synth_workload, DriftSim, DriftSpec, ForestSpec, SynthWorkload, WorkloadSpec,
 };
-use oo_index_config::workload::example51_load;
+use oo_index_config::workload::{example51_load, EstimatorConfig};
 
 const SEEDS: [u64; 2] = [7, 11];
 const LANES: [usize; 3] = [1, 2, 8];
 const BUDGET_FRACTIONS: [f64; 3] = [0.25, 0.50, 0.75];
+/// The online stage's migration envelope (the benchmark's drift loop).
+const ENVELOPE: MigrationEnvelope = MigrationEnvelope {
+    concurrent_builds: 2,
+    space_pages: f64::INFINITY,
+};
 
 /// The per-epoch churn of the warm stage (the benchmark's drift spec).
 fn churn(seed: u64) -> DriftSpec {
@@ -89,6 +102,18 @@ impl Digest {
             .float(plan.size_pages)
             .word(plan.dp_runs)
             .word(plan.maintenance_pricings)
+    }
+
+    fn steps(&mut self, steps: &[MigrationStep]) -> &mut Self {
+        self.word(steps.len() as u64);
+        for s in steps {
+            self.word(s.wave as u64)
+                .word((s.action == MigrationAction::Build) as u64)
+                .word(s.org.index() as u64)
+                .word(s.embedded as u64)
+                .float(s.pages);
+        }
+        self
     }
 }
 
@@ -237,7 +262,74 @@ fn forest_3k_plans_are_golden() {
     check(&actual);
 }
 
-/// Recorded from the commit before Yao's closed form (every stage).
+/// Twelve traffic epochs of the online loop on `w` at `lanes`: per epoch
+/// the churn, the tuner's firings and fingerprint, the plan if any, the
+/// schedule after retargeting to it, and the wave `advance` performs.
+fn online_digest(w: &SynthWorkload, seed: u64, lanes: usize) -> u64 {
+    let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+    let plan = adv.optimize();
+    let mut tuner = OnlineTuner::new(EstimatorConfig::default(), TuningPolicy::default());
+    let mut sim = DriftSim::new(w, churn(seed));
+    sim.enable_traffic(&adv, &mut tuner);
+    let mut planner = MigrationPlanner::new(&adv, &plan, &plan).expect("live path set");
+    let mut d = Digest::new();
+    for _ in 0..12 {
+        let (c, plan) = sim.step_traffic(&mut adv, &mut tuner, 16);
+        for n in [
+            c.arrived,
+            c.departed,
+            c.stats_changed,
+            c.rates_changed,
+            c.queries_changed,
+        ] {
+            d.word(n as u64);
+        }
+        d.word(tuner.retunes())
+            .word(tuner.estimator().fingerprint());
+        if let Some(plan) = plan {
+            d.plan(&plan);
+            planner.retarget(&adv, &plan).expect("live path set");
+            let s = planner.schedule(ENVELOPE).expect("unbounded space");
+            d.steps(&s.steps).word(s.switches.len() as u64);
+            for &(wave, id) in &s.switches {
+                d.word(wave as u64).word(u64::from(id.raw()));
+            }
+            d.word(s.waves as u64)
+                .word(s.builds as u64)
+                .word(s.drops as u64)
+                .word(s.cancelled)
+                .float(s.final_cost)
+                .float(s.interim_cost)
+                .float(s.interim_excess);
+        }
+        let wave = planner.advance(ENVELOPE).expect("unbounded space");
+        d.steps(wave.as_deref().unwrap_or_default());
+    }
+    d.0
+}
+
+#[test]
+fn online_loop_is_golden() {
+    let actual: Vec<_> = SEEDS
+        .iter()
+        .map(|&seed| {
+            let w = tree(48, seed);
+            let per_lane: Vec<u64> = LANES
+                .iter()
+                .map(|&lanes| online_digest(&w, seed, lanes))
+                .collect();
+            for (lanes, digest) in LANES.iter().zip(&per_lane) {
+                assert_eq!(digest, &per_lane[0], "online: {lanes} lanes vs one");
+            }
+            (format!("online/tree48/seed{seed}"), per_lane[0])
+        })
+        .collect();
+    check(&actual);
+}
+
+/// Recorded from the commit before Yao's closed form (every stage but
+/// `online/*`, which was recorded before the migration planner's build and
+/// cancellation loops were shared).
 const GOLDEN: &[(&str, u64)] = &[
     ("example51/paper", 0x3b235bc366e99259),
     ("example51/default", 0x77e81cb29f0673db),
@@ -269,4 +361,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("forest3k/seed7/warm", 0xa768e186d5feec14),
     ("forest3k/seed11/cold", 0x07ab25bb57ebfac9),
     ("forest3k/seed11/warm", 0xfd77d8f37d5440a8),
+    ("online/tree48/seed7", 0xda8bd0c7db2f240f),
+    ("online/tree48/seed11", 0xb5ec43212d37ce97),
 ];
