@@ -703,8 +703,8 @@ mod tests {
 
     #[test]
     fn posting_chunk_sizes_survive_the_format_change() {
-        // `PagedMirror` and the whole-loop benchmark derive their posting
-        // chunk from `max_item`; the stored posting set must not move.
+        // The whole-loop benchmark derives its posting chunk from
+        // `max_item`; the stored posting set must not move.
         for (page_size, chunk_oids) in [(256, 4), (1024, 28), (4096, 124)] {
             assert_eq!((tree(page_size).max_item() - 16) / 8, chunk_oids);
         }

@@ -218,11 +218,6 @@ impl BTreeIndex {
         self.peek(key).is_some()
     }
 
-    /// Posting-list length for `key` (no accounting; assertions/tests).
-    pub fn peek_entry_count(&self, key: &[u8]) -> usize {
-        self.peek(key).map_or(0, Record::count)
-    }
-
     // ---- write operations -------------------------------------------------
 
     /// Inserts one posting entry under `key`, creating the record if absent.
@@ -880,7 +875,6 @@ mod tests {
             u64::from_be_bytes(e.try_into().unwrap()) < 20
         });
         assert_eq!(removed, 2); // 3 and 13
-        assert_eq!(t.peek_entry_count(&key(3)), 3);
         let n = t.remove_record(&mut store, &key(3)).unwrap();
         assert_eq!(n, 3);
         assert!(!t.visit(&store, &key(3), |_| {}));

@@ -33,7 +33,6 @@ pub mod est;
 pub mod invalidation;
 pub mod model;
 mod org;
-pub mod paged_io;
 mod params;
 pub mod primitives;
 pub mod size;

@@ -20,7 +20,7 @@
 //! The simulator is pure policy: all state lives in the advisor, so a
 //! `advisor.rebuild().optimize()` after any number of steps is the
 //! from-scratch baseline the warm `reoptimize()` is compared against (see
-//! `tests/evolving.rs` and `benches/evolving_workload.rs`).
+//! `tests/evolving.rs`).
 
 use crate::workload_gen::{random_query_rates, random_walk};
 use crate::SynthWorkload;

@@ -18,14 +18,10 @@
 //! * [`workload_gen`] — synthetic N-path workloads (class trees, shared
 //!   prefixes, per-path query rates) for workload-scale validation and the
 //!   `scaling_dp_vs_bb` bench;
-//! * [`paged`] — the paged executor mode: per-position query answers
-//!   materialized into a durable `PagedBTree` with chunked posting lists,
-//!   so the same predictions can be compared against *physical* page I/O
-//!   (cold and warm) from the real pager, not just logical touch counts;
 //! * [`drift`] — epoch-batched workload churn (path arrivals/departures,
 //!   statistic drift, rate and query churn) driving the online
 //!   `WorkloadAdvisor`'s incremental re-optimization, for the
-//!   `evolving_workload` bench and the warm-equals-cold property tests.
+//!   warm-equals-cold property tests and the whole-loop benchmark.
 //!   Its *traffic mode* (`enable_traffic`/`step_traffic`) hides rate drift
 //!   from the advisor and emits it as a captured
 //!   [`WorkloadEvent`](oic_workload::WorkloadEvent) stream instead, so an
@@ -40,12 +36,10 @@
 pub mod drift;
 mod exec;
 mod gendb;
-pub mod paged;
 pub mod validate;
 pub mod workload_gen;
 
 pub use drift::{DriftSim, DriftSpec, EpochChurn};
 pub use exec::ConfiguredDb;
 pub use gendb::{generate, scale_chars, GenSpec, GeneratedDb};
-pub use paged::PagedMirror;
 pub use workload_gen::{synth_forest, synth_workload, ForestSpec, SynthWorkload, WorkloadSpec};

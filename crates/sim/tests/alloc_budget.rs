@@ -17,9 +17,7 @@ use oic_cost::characteristics::{example51, ClassStats};
 use oic_cost::{CostParams, Org, PathCharacteristics};
 use oic_pager::MemPager;
 use oic_schema::{fixtures, ClassId, Path, Schema, SubpathId};
-use oic_sim::{
-    generate, scale_chars, synth_workload, ConfiguredDb, GenSpec, PagedMirror, WorkloadSpec,
-};
+use oic_sim::{generate, scale_chars, synth_workload, ConfiguredDb, GenSpec, WorkloadSpec};
 use oic_storage::paged::PageStore;
 use oic_storage::{MemStore, Object, Oid};
 use oic_workload::{EstimatorConfig, PathKey, WorkloadEvent};
@@ -227,37 +225,6 @@ fn a_missing_paged_lookup_allocates_a_constant_whatever_the_height() {
     assert!(
         shallow <= 1.0 && deep <= 1.0,
         "{shallow} allocations per lookup at height {h_shallow}, {deep} at {h_deep}"
-    );
-}
-
-#[test]
-fn a_mirror_lookup_allocates_its_keys_and_its_answer() {
-    let (schema, _) = fixtures::paper_schema();
-    let (path, chars) = example51(&schema);
-    let small = scale_chars(&chars, 0.01);
-    let exec = executor(&schema, &path, &small, &paper_optimum());
-    let store = MemPager::new_mem(256, 1 << 16).expect("pager");
-    let mut mirror = PagedMirror::build(&exec, store).expect("build");
-    let height = mirror.tree_mut().height();
-    assert!(height >= 3, "a real descent (height {height})");
-    let (mut lookups, mut allocations, mut chunks) = (0u64, 0u64, 0u64);
-    for pos in 1..=exec.path_len() {
-        for v in &exec.db.ending_values.clone() {
-            let (oids, n) = allocations_of(|| mirror.lookup(pos, v).expect("lookup"));
-            assert_eq!(oids, exec.query(v, exec.class_at(pos), false).0);
-            lookups += 1;
-            allocations += n;
-            chunks += oids.len().div_ceil(mirror.chunk_oids()) as u64;
-        }
-    }
-    assert!(chunks > 4 * lookups, "answers span many records ({chunks})");
-    // Two probe keys (two allocations each) and the growing answer vector:
-    // nothing per page read, nothing per record visited. The decoded-node
-    // tree this replaced spent over a hundred allocations on one lookup.
-    let growth = (chunks * mirror.chunk_oids() as u64).ilog2() as u64;
-    assert!(
-        allocations <= lookups * (4 + growth),
-        "{allocations} allocations over {lookups} lookups of {chunks} chunks"
     );
 }
 

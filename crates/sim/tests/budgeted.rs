@@ -317,21 +317,65 @@ fn infinite_budget_reproduces_optimize_bit_identically() {
         let w = small_workload(seed);
         let params = CostParams::default();
         let plan = w.advisor(params).optimize();
-        let budgeted = w.advisor(params).optimize_with_budget(f64::INFINITY);
-        assert!(budgeted.feasible);
-        assert_eq!(
-            budgeted.plan.total_cost.to_bits(),
-            plan.total_cost.to_bits(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            budgeted.plan.size_pages.to_bits(),
-            plan.size_pages.to_bits()
-        );
-        for (a, b) in budgeted.plan.paths.iter().zip(&plan.paths) {
-            assert_eq!(a.selection.pairs(), b.selection.pairs(), "seed {seed}");
+        // Unbounded, and exactly the unconstrained footprint: both slack.
+        for budget in [f64::INFINITY, plan.size_pages] {
+            let budgeted = w.advisor(params).optimize_with_budget(budget);
+            assert!(budgeted.feasible);
+            assert_eq!(budgeted.lambda, 0.0, "seed {seed} budget {budget}");
+            assert_eq!(
+                budgeted.plan.total_cost.to_bits(),
+                plan.total_cost.to_bits(),
+                "seed {seed} budget {budget}"
+            );
+            assert_eq!(
+                budgeted.plan.size_pages.to_bits(),
+                plan.size_pages.to_bits()
+            );
+            for (a, b) in budgeted.plan.paths.iter().zip(&plan.paths) {
+                assert_eq!(a.selection.pairs(), b.selection.pairs(), "seed {seed}");
+            }
         }
     }
+}
+
+/// Half the storage for a modest time premium: on an update-significant
+/// mix (the generator's update rates ×5, query rates ×0.5), a budget of
+/// 50 % of the unconstrained footprint is feasible and costs at most
+/// 1.25× the unconstrained optimum.
+#[test]
+fn half_the_footprint_costs_at_most_a_quarter_more_on_a_balanced_mix() {
+    let w = synth_workload(&WorkloadSpec {
+        paths: 48,
+        depth: 5,
+        fanout: 3,
+        seed: 1994,
+    });
+    let mut adv = WorkloadAdvisor::new(&w.schema, CostParams::default())
+        .with_stats(|c| w.stats[c.index()])
+        .with_maintenance(|c| {
+            let (beta, gamma) = w.maint[c.index()];
+            (beta * 5.0, gamma * 5.0)
+        });
+    for (path, alphas) in w.paths.iter().zip(&w.queries) {
+        adv.add_path(path.clone(), |c| alphas[c.index()] * 0.5);
+    }
+    let unconstrained = adv.optimize();
+    let (c0, budget) = (unconstrained.total_cost, 0.5 * unconstrained.size_pages);
+    let b = adv.optimize_with_budget(budget);
+    assert!(b.feasible, "the 50% budget is feasible on this workload");
+    assert!(
+        b.plan.size_pages <= budget + 1e-9 * budget.max(1.0),
+        "{} pages over budget {budget}",
+        b.plan.size_pages
+    );
+    assert!(
+        b.plan.total_cost <= 1.25 * c0,
+        "50% budget: cost {} vs 1.25 × {c0}",
+        b.plan.total_cost
+    );
+    // The budget search explores harder than the unconstrained descent and
+    // may undercut it slightly; far below would be an accounting bug.
+    assert!(b.plan.total_cost >= 0.95 * c0);
 }
 
 // ---- the unconstrained engine against the same tables (DESIGN.md §5.15) ---

@@ -124,14 +124,6 @@ impl SimStore {
         self.counters.borrow_mut().stats = AccessStats::default();
     }
 
-    /// Returns the cumulative counters and resets them in one step — the
-    /// per-phase snapshot primitive (`let phase = store.take_stats();`
-    /// brackets exactly the accesses since the previous take/reset).
-    pub fn take_stats(&self) -> AccessStats {
-        let mut c = self.counters.borrow_mut();
-        std::mem::take(&mut c.stats)
-    }
-
     /// Opens an operation scope; accesses are additionally tracked with
     /// distinct-page resolution until [`SimStore::end_op`]. Scopes do not
     /// nest — beginning a new scope discards the previous one.
@@ -195,33 +187,6 @@ mod tests {
             }
         );
         s.reset_stats();
-        assert_eq!(s.stats().total(), 0);
-    }
-
-    #[test]
-    fn take_stats_snapshots_and_resets() {
-        let mut s = SimStore::new(4096);
-        let a = s.alloc();
-        s.touch_read(a);
-        s.touch_write(a);
-        let phase1 = s.take_stats();
-        assert_eq!(
-            phase1,
-            AccessStats {
-                reads: 1,
-                writes: 1
-            }
-        );
-        s.touch_read(a);
-        let phase2 = s.take_stats();
-        assert_eq!(
-            phase2,
-            AccessStats {
-                reads: 1,
-                writes: 0
-            },
-            "second phase starts from zero"
-        );
         assert_eq!(s.stats().total(), 0);
     }
 
