@@ -1,11 +1,11 @@
-//! The five index organizations of Choenni et al. (ICDE 1994), Section 2.2,
+//! The index organizations of Choenni et al. (ICDE 1994), Section 2.2,
 //! implemented over the real page-counting B+-tree substrate:
 //!
-//! * [`SimpleIndex`] (SIX) — an index on an attribute of a single class;
-//! * [`InheritedIndex`] (IIX) — an index on an attribute of all classes of
-//!   an inheritance hierarchy (a.k.a. class-hierarchy index);
-//! * [`MultiIndex`] (MX) — a SIX on each class in the scope of a path;
-//! * [`MultiInheritedIndex`] (MIX) — an IIX per path position;
+//! * [`MultiIndex`] — MX and MIX, one type with two [`Grouping`]s: per
+//!   path position, an index on the position's attribute for each class
+//!   (MX, each a SIX) or for the whole inheritance hierarchy (MIX, an IIX).
+//!   A SIX is the IIX over one class, so one crate-private inherited index
+//!   serves both;
 //! * [`NestedInheritedIndex`] (NIX) — a primary index on the ending
 //!   attribute over the whole scope plus an auxiliary parent index
 //!   (Figures 3–5), with the paper's insertion/deletion algorithms
@@ -25,21 +25,16 @@
 #![warn(missing_docs)]
 
 mod iix;
-mod mix;
 mod mx;
 mod naive;
 mod nix;
 mod segment;
-mod six;
 #[cfg(test)]
 pub(crate) mod testutil;
 mod traits;
 
-pub use iix::InheritedIndex;
-pub use mix::MultiInheritedIndex;
-pub use mx::MultiIndex;
+pub use mx::{Grouping, MultiIndex};
 pub use naive::NaivePathEvaluator;
 pub use nix::NestedInheritedIndex;
 pub use segment::Segment;
-pub use six::SimpleIndex;
 pub use traits::PathIndex;

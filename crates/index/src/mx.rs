@@ -1,48 +1,61 @@
-//! MX — the multi-index (Section 2.2): a simple index on each class in the
-//! scope of a path.
+//! MX and MIX — the multi-index and the multi-inherited index (Section
+//! 2.2): per position of a path, inherited indexes on the position's
+//! attribute. MX allocates one per class of the position's inheritance
+//! hierarchy (each a SIX), MIX one per hierarchy (“if a class has an
+//! inheritance hierarchy then an inherited index is allocated on the class
+//! otherwise a simple index”, Section 3.1 — a degenerate IIX *is* a SIX).
+//! How a hierarchy is cut into B-trees is the only difference between them.
 
+use crate::iix::InheritedIndex;
 use crate::traits::normalize;
-use crate::{PathIndex, Segment, SimpleIndex};
+use crate::{PathIndex, Segment};
 use oic_schema::{ClassId, Path, Schema, SubpathId};
 use oic_storage::{Object, ObjectStore, Oid, SimStore, Value};
 
-/// The multi-index: per position of the segment, one [`SimpleIndex`] per
-/// class of the inheritance hierarchy at that position, on the path
-/// attribute of the position. Queries walk backward from the ending
-/// attribute, feeding each position's qualifying oids into the previous
-/// position's indexes.
+/// How a [`MultiIndex`] cuts each position's inheritance hierarchy into
+/// B-trees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
+    /// MX: one simple index per class.
+    PerClass,
+    /// MIX: one inherited index per hierarchy.
+    PerHierarchy,
+}
+
+/// The multi-index (MX) or multi-inherited index (MIX), by its
+/// [`Grouping`]. Queries walk backward from the ending attribute, feeding
+/// each position's qualifying oids into the previous position's indexes.
 pub struct MultiIndex {
-    schema_boundary: Option<Vec<ClassId>>,
     segment: Segment,
-    /// `indexes[local][j]` — index of hierarchy member `j` at position
-    /// `local`.
-    indexes: Vec<Vec<SimpleIndex>>,
+    /// `groups[local]` — the indexes at position `local`, covering its
+    /// hierarchy in order.
+    groups: Vec<Vec<InheritedIndex>>,
 }
 
 impl MultiIndex {
-    /// Creates an empty MX on subpath `sub` of `path`.
-    pub fn new(schema: &Schema, path: &Path, sub: SubpathId, store: &mut SimStore) -> Self {
+    /// Creates an empty MX or MIX on subpath `sub` of `path`.
+    pub fn new(
+        schema: &Schema,
+        path: &Path,
+        sub: SubpathId,
+        grouping: Grouping,
+        store: &mut SimStore,
+    ) -> Self {
         let segment = Segment::new(schema, path, sub);
-        let mut indexes = Vec::with_capacity(segment.len());
-        for i in 0..segment.len() {
-            let attr = segment.attr_name(i).to_string();
-            indexes.push(
-                segment
-                    .hierarchy(i)
-                    .iter()
-                    .map(|&c| SimpleIndex::new(store, c, attr.clone()))
-                    .collect(),
-            );
-        }
-        let boundary = match segment.step(segment.len() - 1).attr.kind {
-            oic_schema::AttrKind::Reference(domain) => Some(schema.hierarchy(domain)),
-            oic_schema::AttrKind::Atomic(_) => None,
-        };
-        MultiIndex {
-            schema_boundary: boundary,
-            segment,
-            indexes,
-        }
+        let groups = (0..segment.len())
+            .map(|i| {
+                let hierarchy = segment.hierarchy(i);
+                let size = match grouping {
+                    Grouping::PerClass => 1,
+                    Grouping::PerHierarchy => hierarchy.len(),
+                };
+                hierarchy
+                    .chunks(size)
+                    .map(|classes| InheritedIndex::new(store, classes, segment.attr_name(i)))
+                    .collect()
+            })
+            .collect();
+        MultiIndex { segment, groups }
     }
 
     /// Bulk-loads the index from every scope object already in the heap.
@@ -50,10 +63,11 @@ impl MultiIndex {
         schema: &Schema,
         path: &Path,
         sub: SubpathId,
+        grouping: Grouping,
         store: &mut SimStore,
         heap: &ObjectStore,
     ) -> Self {
-        let mut idx = Self::new(schema, path, sub, store);
+        let mut idx = Self::new(schema, path, sub, grouping, store);
         for i in 0..idx.segment.len() {
             for &class in idx.segment.hierarchy(i).to_vec().iter() {
                 for oid in heap.oids_of(class) {
@@ -64,14 +78,9 @@ impl MultiIndex {
         idx
     }
 
-    fn lookup_position(&self, store: &SimStore, local: usize, keys: &[Value]) -> Vec<Oid> {
-        let mut out = Vec::new();
-        for six in &self.indexes[local] {
-            for key in keys {
-                six.lookup(store, key, &mut out);
-            }
-        }
-        normalize(out)
+    /// The index holding `class`'s objects, if `class` is in scope.
+    fn index_of(&mut self, local: usize, class: ClassId) -> Option<&mut InheritedIndex> {
+        self.groups[local].iter_mut().find(|idx| idx.covers(class))
     }
 }
 
@@ -93,26 +102,35 @@ impl PathIndex for MultiIndex {
         // Walk from the ending attribute down to the position above the
         // target, retrieving whole hierarchies.
         let mut keys: Vec<Value> = keys.to_vec();
-        let mut local = self.segment.len() - 1;
-        while local > target_local {
-            let oids = self.lookup_position(store, local, &keys);
-            keys = oids.into_iter().map(Value::Ref).collect();
+        for local in (target_local + 1..self.segment.len()).rev() {
+            let mut oids = Vec::new();
+            for idx in &self.groups[local] {
+                for key in &keys {
+                    idx.lookup(store, key, &mut oids);
+                }
+            }
+            keys = normalize(oids).into_iter().map(Value::Ref).collect();
             if keys.is_empty() {
                 return Vec::new();
             }
-            local -= 1;
         }
-        // At the target position, probe only the requested class(es).
+        // At the target position, an index the targets cover is read whole;
+        // otherwise class-tagged oids let only the targets' sections of a
+        // record be read (none at all when no target is covered).
         let targets = self
             .segment
             .target_classes(target_local, target, with_subclasses);
         let mut out = Vec::new();
-        for six in &self.indexes[target_local] {
-            if !targets.contains(&six.class()) {
-                continue;
-            }
+        for idx in &self.groups[target_local] {
+            let whole = idx.covered_by(&targets);
             for key in &keys {
-                six.lookup(store, key, &mut out);
+                if whole {
+                    idx.lookup(store, key, &mut out);
+                } else {
+                    for &c in targets.iter().filter(|&&c| idx.covers(c)) {
+                        idx.lookup_class(store, key, c, &mut out);
+                    }
+                }
             }
         }
         normalize(out)
@@ -120,60 +138,40 @@ impl PathIndex for MultiIndex {
 
     fn on_insert(&mut self, store: &mut SimStore, obj: &Object) {
         if let Some(local) = self.segment.local_of(obj.class()) {
-            if let Some(six) = self.indexes[local]
-                .iter_mut()
-                .find(|s| s.class() == obj.class())
-            {
-                six.insert_object(store, obj);
+            if let Some(idx) = self.index_of(local, obj.class()) {
+                idx.insert_object(store, obj);
             }
         }
     }
 
     fn on_delete(&mut self, store: &mut SimStore, obj: &Object) {
-        if let Some(local) = self.segment.local_of(obj.class()) {
-            if let Some(six) = self.indexes[local]
-                .iter_mut()
-                .find(|s| s.class() == obj.class())
-            {
-                six.delete_object(store, obj);
-            }
-            // The indexes at the previous position are keyed by this oid:
-            // delete the record from each (Section 3.1 MX deletion).
-            if local > 0 {
-                let key = Value::Ref(obj.oid);
-                for six in &mut self.indexes[local - 1] {
-                    six.remove_key(store, &key);
+        let keyed = match self.segment.local_of(obj.class()) {
+            Some(local) => {
+                if let Some(idx) = self.index_of(local, obj.class()) {
+                    idx.delete_object(store, obj);
                 }
+                // The indexes at the previous position are keyed by this
+                // oid (Section 3.1 MX deletion, the CML term of `CMMIX`).
+                local.checked_sub(1)
             }
-        } else if let Some(boundary) = &self.schema_boundary {
             // CMD: an object of the ending attribute's domain died; its oid
             // keys records in the last position's indexes.
-            if boundary.contains(&obj.class()) {
-                let key = Value::Ref(obj.oid);
-                let last = self.indexes.len() - 1;
-                for six in &mut self.indexes[last] {
-                    six.remove_key(store, &key);
-                }
+            None if self.segment.is_boundary(obj.class()) => Some(self.groups.len() - 1),
+            None => None,
+        };
+        if let Some(local) = keyed {
+            let key = Value::Ref(obj.oid);
+            for idx in &mut self.groups[local] {
+                idx.remove_key(store, &key);
             }
         }
     }
 
-    fn describe(&self) -> String {
-        format!(
-            "MX[start={} len={}]",
-            self.segment.start,
-            self.segment.len()
-        )
-    }
-
     fn total_pages(&self) -> u64 {
-        self.indexes
+        self.groups
             .iter()
             .flatten()
-            .map(|s| {
-                let p = s.tree().level_profile();
-                p.levels.iter().map(|&(_, pk)| pk).sum::<u64>()
-            })
+            .map(InheritedIndex::pages)
             .sum()
     }
 }
@@ -189,7 +187,7 @@ mod tests {
         // Fiat” over the Figure 2-style instances.
         let mut db = testutil::figure2_db(1024);
         let sub = SubpathId { start: 1, end: 3 };
-        let mx = MultiIndex::build(&db.schema, &db.path_pe, sub, &mut db.store, &db.heap);
+        let mx = db.multi_index(sub, Grouping::PerClass);
         // All persons owning a vehicle made by Fiat.
         let fiat = Value::from("Fiat");
         let persons = mx.lookup(
@@ -211,7 +209,7 @@ mod tests {
     fn mx_maintenance_insert_delete() {
         let mut db = testutil::figure2_db(1024);
         let sub = SubpathId { start: 1, end: 3 };
-        let mut mx = MultiIndex::build(&db.schema, &db.path_pe, sub, &mut db.store, &db.heap);
+        let mut mx = db.multi_index(sub, Grouping::PerClass);
         let renault = Value::from("Renault");
         let before = mx.lookup(
             &db.store,
@@ -242,7 +240,7 @@ mod tests {
         let mut db = testutil::figure2_db(1024);
         // Index only Per.owns.man (positions 1..2); Company is the boundary.
         let sub = SubpathId { start: 1, end: 2 };
-        let mut mx = MultiIndex::build(&db.schema, &db.path_pe, sub, &mut db.store, &db.heap);
+        let mut mx = db.multi_index(sub, Grouping::PerClass);
         let comp = db.company_named("Fiat");
         let hits = mx.lookup(&db.store, &[Value::Ref(comp)], db.classes.person, false);
         assert!(!hits.is_empty());
@@ -256,7 +254,7 @@ mod tests {
     fn lookup_with_subclasses_unions_hierarchy() {
         let mut db = testutil::figure2_db(1024);
         let sub = SubpathId { start: 2, end: 3 };
-        let mx = MultiIndex::build(&db.schema, &db.path_pe, sub, &mut db.store, &db.heap);
+        let mx = db.multi_index(sub, Grouping::PerClass);
         let fiat = Value::from("Fiat");
         let all = mx.lookup(
             &db.store,
@@ -276,5 +274,83 @@ mod tests {
         for b in &buses {
             assert!(all.contains(b));
         }
+    }
+
+    #[test]
+    fn mix_agrees_with_oracle_on_pe() {
+        let mut db = testutil::figure2_db(1024);
+        let sub = SubpathId { start: 1, end: 3 };
+        let mix = db.multi_index(sub, Grouping::PerHierarchy);
+        for name in ["Fiat", "Renault", "Daf", "Nobody"] {
+            let got = mix.lookup(&db.store, &[Value::from(name)], db.classes.person, false);
+            let want = db.oracle(&db.path_pe, db.classes.person, false, &Value::from(name));
+            assert_eq!(got, want, "query {name}");
+        }
+    }
+
+    #[test]
+    fn mix_hierarchy_targets() {
+        let mut db = testutil::figure2_db(1024);
+        let sub = SubpathId { start: 2, end: 3 };
+        let mix = db.multi_index(sub, Grouping::PerHierarchy);
+        let sub_path = db.path_pe.subpath(&db.schema, sub).unwrap();
+        for name in ["Fiat", "Daf"] {
+            for (target, with_sub) in [
+                (db.classes.vehicle, true),
+                (db.classes.vehicle, false),
+                (db.classes.bus, false),
+                (db.classes.truck, false),
+            ] {
+                let got = mix.lookup(&db.store, &[Value::from(name)], target, with_sub);
+                let want = db.oracle(&sub_path, target, with_sub, &Value::from(name));
+                assert_eq!(got, want, "query {name} target {target:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mix_maintenance_roundtrip() {
+        let mut db = testutil::figure2_db(1024);
+        let sub = SubpathId { start: 1, end: 3 };
+        let mut mix = db.multi_index(sub, Grouping::PerHierarchy);
+        let daf = Value::from("Daf");
+        let before = mix.lookup(
+            &db.store,
+            std::slice::from_ref(&daf),
+            db.classes.person,
+            false,
+        );
+        assert!(!before.is_empty());
+        let victim = before[0];
+        let obj = db.heap.peek(victim).unwrap().clone();
+        mix.on_delete(&mut db.store, &obj);
+        let after = mix.lookup(
+            &db.store,
+            std::slice::from_ref(&daf),
+            db.classes.person,
+            false,
+        );
+        assert!(!after.contains(&victim));
+        mix.on_insert(&mut db.store, &obj);
+        assert_eq!(
+            mix.lookup(&db.store, &[daf], db.classes.person, false),
+            before
+        );
+    }
+
+    #[test]
+    fn mix_boundary_delete() {
+        let mut db = testutil::figure2_db(1024);
+        let sub = SubpathId { start: 1, end: 2 };
+        let mut mix = db.multi_index(sub, Grouping::PerHierarchy);
+        let daf = db.company_named("Daf");
+        assert!(!mix
+            .lookup(&db.store, &[Value::Ref(daf)], db.classes.person, false)
+            .is_empty());
+        let obj = db.heap.peek(daf).unwrap().clone();
+        mix.on_delete(&mut db.store, &obj);
+        assert!(mix
+            .lookup(&db.store, &[Value::Ref(daf)], db.classes.person, false)
+            .is_empty());
     }
 }

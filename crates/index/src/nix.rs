@@ -15,7 +15,7 @@
 //! records, and propagates `numchild` decrements up the parent chains
 //! (steps 3a–3c); insertion mirrors it without the cascade.
 
-use crate::traits::{entry_to_oid, normalize, selecting};
+use crate::traits::{entry_to_oid, normalize, selecting, tree_pages};
 use crate::{PathIndex, Segment};
 use oic_btree::{BTreeIndex, Layout};
 use oic_schema::{ClassId, Path, Schema, SubpathId};
@@ -69,7 +69,6 @@ fn parent_oid(e: &[u8]) -> Oid {
 
 /// The nested inherited index on one segment.
 pub struct NestedInheritedIndex {
-    schema_boundary: Option<Vec<ClassId>>,
     segment: Segment,
     primary: BTreeIndex,
     aux: BTreeIndex,
@@ -78,15 +77,9 @@ pub struct NestedInheritedIndex {
 impl NestedInheritedIndex {
     /// Creates an empty NIX on subpath `sub` of `path`.
     pub fn new(schema: &Schema, path: &Path, sub: SubpathId, store: &mut SimStore) -> Self {
-        let segment = Segment::new(schema, path, sub);
-        let boundary = match segment.step(segment.len() - 1).attr.kind {
-            oic_schema::AttrKind::Reference(domain) => Some(schema.hierarchy(domain)),
-            oic_schema::AttrKind::Atomic(_) => None,
-        };
         let layout = Layout::for_page_size(store.page_size());
         NestedInheritedIndex {
-            schema_boundary: boundary,
-            segment,
+            segment: Segment::new(schema, path, sub),
             primary: BTreeIndex::new(store, layout),
             aux: BTreeIndex::new(store, layout),
         }
@@ -287,44 +280,26 @@ impl PathIndex for NestedInheritedIndex {
                     self.cascade_decrement(store, key, p);
                 }
             }
-        } else if let Some(boundary) = &self.schema_boundary {
+        } else if self.segment.is_boundary(obj.class()) {
             // CMD: a domain object of the ending attribute died — the
             // primary record keyed by its oid disappears, and every pointer
             // into it is dropped from the auxiliary index (delpoint).
-            if boundary.contains(&obj.class()) {
-                let key = encode_key(&Value::Ref(obj.oid));
-                let mut members = Vec::new();
-                self.primary
-                    .visit(store, &key, |e| members.push(entry_to_oid(e)));
-                self.primary.remove_record(store, &key);
-                for o in members {
-                    if self.segment.local_of(o.class).unwrap_or(0) > 0 {
-                        self.aux.remove_entries(store, &aux_key(o), |en| {
-                            is_ptr(en) && en[1..] == key[..]
-                        });
-                    }
+            let key = encode_key(&Value::Ref(obj.oid));
+            let mut members = Vec::new();
+            self.primary
+                .visit(store, &key, |e| members.push(entry_to_oid(e)));
+            self.primary.remove_record(store, &key);
+            for o in members {
+                if self.segment.local_of(o.class).unwrap_or(0) > 0 {
+                    self.aux
+                        .remove_entries(store, &aux_key(o), |en| is_ptr(en) && en[1..] == key[..]);
                 }
             }
         }
     }
 
-    fn describe(&self) -> String {
-        format!(
-            "NIX[start={} len={}]",
-            self.segment.start,
-            self.segment.len()
-        )
-    }
-
     fn total_pages(&self) -> u64 {
-        let sum = |t: &BTreeIndex| {
-            t.level_profile()
-                .levels
-                .iter()
-                .map(|&(_, pk)| pk)
-                .sum::<u64>()
-        };
-        sum(&self.primary) + sum(&self.aux)
+        tree_pages(&self.primary) + tree_pages(&self.aux)
     }
 }
 

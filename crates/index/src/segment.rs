@@ -1,6 +1,6 @@
 //! Binding of a subpath to its physical context.
 
-use oic_schema::{ClassId, Path, PathStep, Schema, SubpathId};
+use oic_schema::{AttrKind, ClassId, Path, PathStep, Schema, SubpathId};
 
 /// A subpath resolved against a schema: its steps, its position offset
 /// within the full path, and the inheritance hierarchy at every position.
@@ -14,6 +14,8 @@ pub struct Segment {
     /// `subtrees[i]` maps each class at position `i` to its own subtree
     /// (itself plus transitive subclasses) within that position.
     subtrees: Vec<std::collections::HashMap<ClassId, Vec<ClassId>>>,
+    /// The ending attribute's domain hierarchy (empty for an atomic one).
+    boundary: Vec<ClassId>,
 }
 
 impl Segment {
@@ -31,24 +33,17 @@ impl Segment {
                     .collect::<std::collections::HashMap<_, _>>()
             })
             .collect();
+        let boundary = match sp.ending_attribute().attr.kind {
+            AttrKind::Reference(domain) => schema.hierarchy(domain),
+            AttrKind::Atomic(_) => Vec::new(),
+        };
         Segment {
             start: sub.start,
             steps: sp.steps().to_vec(),
             hierarchies,
             subtrees,
+            boundary,
         }
-    }
-
-    /// Covers the whole `path`.
-    pub fn whole(schema: &Schema, path: &Path) -> Self {
-        Self::new(
-            schema,
-            path,
-            SubpathId {
-                start: 1,
-                end: path.len(),
-            },
-        )
     }
 
     /// Number of positions.
@@ -110,11 +105,8 @@ impl Segment {
     /// attribute (i.e. sits at full-path position `end() + 1`). Deleting
     /// such an object kills the record keyed by its oid — the measured
     /// counterpart of the paper's `CMD`.
-    pub fn is_boundary_class(&self, schema: &Schema, class: ClassId) -> bool {
-        match self.steps.last().expect("non-empty").attr.kind {
-            oic_schema::AttrKind::Reference(domain) => schema.is_same_or_subclass(class, domain),
-            oic_schema::AttrKind::Atomic(_) => false,
-        }
+    pub fn is_boundary(&self, class: ClassId) -> bool {
+        self.boundary.contains(&class)
     }
 
     /// Human-readable rendering.
@@ -156,10 +148,10 @@ mod tests {
         let path = fixtures::paper_path_pexa(&schema);
         // Per.owns.man ends at `man` whose domain is Company.
         let seg = Segment::new(&schema, &path, SubpathId { start: 1, end: 2 });
-        assert!(seg.is_boundary_class(&schema, c.company));
-        assert!(!seg.is_boundary_class(&schema, c.division));
+        assert!(seg.is_boundary(c.company));
+        assert!(!seg.is_boundary(c.division));
         // The full path ends at an atomic attribute: no boundary class.
-        let whole = Segment::whole(&schema, &path);
-        assert!(!whole.is_boundary_class(&schema, c.division));
+        let whole = Segment::new(&schema, &path, SubpathId { start: 1, end: 4 });
+        assert!(!whole.is_boundary(c.division));
     }
 }

@@ -2,8 +2,9 @@
 //! paper's Figure 1 schema, plus an independent navigation oracle used to
 //! validate every index organization against the same ground truth.
 
+use crate::{Grouping, MultiIndex};
 use oic_schema::fixtures::{paper_path_pe, paper_path_pexa, paper_schema, PaperClasses};
-use oic_schema::{Path, Schema};
+use oic_schema::{Path, Schema, SubpathId};
 use oic_storage::{FieldValue, Object, ObjectStore, Oid, SimStore, Value};
 
 /// The fixture database.
@@ -142,6 +143,18 @@ pub fn figure2_db(page_size: usize) -> TestDb {
 }
 
 impl TestDb {
+    /// MX or MIX on subpath `sub` of `path_pe`, bulk-loaded from the heap.
+    pub fn multi_index(&mut self, sub: SubpathId, grouping: Grouping) -> MultiIndex {
+        MultiIndex::build(
+            &self.schema,
+            &self.path_pe,
+            sub,
+            grouping,
+            &mut self.store,
+            &self.heap,
+        )
+    }
+
     /// Oid of the company with the given name.
     pub fn company_named(&self, name: &str) -> Oid {
         self.companies

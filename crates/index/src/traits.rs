@@ -1,6 +1,7 @@
 //! The common interface of all path index organizations.
 
 use crate::Segment;
+use oic_btree::BTreeIndex;
 use oic_schema::ClassId;
 use oic_storage::{Object, Oid, SimStore, Value};
 
@@ -32,9 +33,6 @@ pub trait PathIndex {
     /// and *boundary* objects (domain of the ending attribute), whose death
     /// removes the record keyed by their oid — the paper's `CMD` effect.
     fn on_delete(&mut self, store: &mut SimStore, obj: &Object);
-
-    /// Short human-readable description (organization + segment).
-    fn describe(&self) -> String;
 
     /// Total index pages currently allocated (all underlying B-trees).
     fn total_pages(&self) -> u64;
@@ -70,4 +68,9 @@ pub(crate) fn entry_to_oid(e: &[u8]) -> Oid {
     let mut b = [0u8; 8];
     b.copy_from_slice(&e[..8]);
     Oid::from_bytes(b)
+}
+
+/// Helper: pages allocated by a tree, summed over its level profile.
+pub(crate) fn tree_pages(tree: &BTreeIndex) -> u64 {
+    tree.level_profile().levels.iter().map(|&(_, p)| p).sum()
 }

@@ -2,9 +2,7 @@
 //! naive) must agree with a plain in-memory oracle after every operation of
 //! a random insert/delete stream over a random database.
 
-use oic_index::{
-    MultiIndex, MultiInheritedIndex, NaivePathEvaluator, NestedInheritedIndex, PathIndex,
-};
+use oic_index::{Grouping, MultiIndex, NaivePathEvaluator, NestedInheritedIndex, PathIndex};
 use oic_schema::fixtures::{paper_path_pe, paper_schema};
 use oic_schema::{ClassId, Path, Schema, SubpathId};
 use oic_storage::{FieldValue, Object, ObjectStore, Oid, SimStore, Value};
@@ -147,8 +145,8 @@ proptest! {
         let mut db = random_db(seed, 6, 12, 30);
         let (_, classes) = paper_schema();
         let sub = SubpathId { start: 1, end: 3 };
-        let mut mx = MultiIndex::build(&db.schema, &db.path, sub, &mut db.store, &db.heap);
-        let mut mix = MultiInheritedIndex::build(&db.schema, &db.path, sub, &mut db.store, &db.heap);
+        let mut mx = MultiIndex::build(&db.schema, &db.path, sub, Grouping::PerClass, &mut db.store, &db.heap);
+        let mut mix = MultiIndex::build(&db.schema, &db.path, sub, Grouping::PerHierarchy, &mut db.store, &db.heap);
         let mut nix = NestedInheritedIndex::build(&db.schema, &db.path, sub, &mut db.store, &db.heap);
         let naive = NaivePathEvaluator::new(&db.schema, &db.path, sub);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);

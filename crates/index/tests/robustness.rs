@@ -2,7 +2,7 @@
 //! empty results, repeated deletions are idempotent, and page accounting
 //! never goes backwards.
 
-use oic_index::{MultiIndex, MultiInheritedIndex, NestedInheritedIndex, PathIndex};
+use oic_index::{Grouping, MultiIndex, NestedInheritedIndex, PathIndex};
 use oic_schema::fixtures::paper_schema;
 use oic_schema::SubpathId;
 use oic_storage::{FieldValue, Object, ObjectStore, Oid, SimStore, Value};
@@ -74,8 +74,15 @@ fn out_of_scope_objects_are_ignored() {
     // Index only Vehicle.man (positions 2..2): persons and divisions are
     // out of scope; companies are the boundary.
     let sub = SubpathId { start: 2, end: 2 };
-    let mut mx = MultiIndex::build(&schema, &path, sub, &mut store, &heap);
-    let mut mix = MultiInheritedIndex::build(&schema, &path, sub, &mut store, &heap);
+    let mut mx = MultiIndex::build(&schema, &path, sub, Grouping::PerClass, &mut store, &heap);
+    let mut mix = MultiIndex::build(
+        &schema,
+        &path,
+        sub,
+        Grouping::PerHierarchy,
+        &mut store,
+        &heap,
+    );
     let mut nix = NestedInheritedIndex::build(&schema, &path, sub, &mut store, &heap);
     let division = Object::new(
         &schema,
@@ -104,7 +111,7 @@ fn out_of_scope_objects_are_ignored() {
 fn missing_keys_and_targets_return_empty() {
     let (schema, classes, mut store, heap, path) = tiny_db();
     let sub = SubpathId { start: 1, end: 3 };
-    let mx = MultiIndex::build(&schema, &path, sub, &mut store, &heap);
+    let mx = MultiIndex::build(&schema, &path, sub, Grouping::PerClass, &mut store, &heap);
     let nix = NestedInheritedIndex::build(&schema, &path, sub, &mut store, &heap);
     // Unknown key.
     assert!(mx

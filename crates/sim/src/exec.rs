@@ -11,11 +11,9 @@
 use crate::GeneratedDb;
 use oic_core::{Choice, IndexConfiguration};
 use oic_cost::Org;
-use oic_index::{
-    MultiIndex, MultiInheritedIndex, NaivePathEvaluator, NestedInheritedIndex, PathIndex,
-};
-use oic_schema::{ClassId, Path, Schema};
-use oic_storage::{Object, Oid, OpStats, Value};
+use oic_index::{Grouping, MultiIndex, NaivePathEvaluator, NestedInheritedIndex, PathIndex};
+use oic_schema::{ClassId, Path, Schema, SubpathId};
+use oic_storage::{Object, ObjectStore, Oid, OpStats, SimStore, Value};
 use oic_workload::{EventLog, PathKey, WorkloadEvent};
 use std::cell::RefCell;
 
@@ -26,6 +24,24 @@ struct CaptureState {
     key: PathKey,
     tick: u64,
     log: EventLog,
+}
+
+/// Builds the physical index of `org` on subpath `sub` of `path` over the
+/// objects already in `heap`.
+pub(crate) fn build_index(
+    schema: &Schema,
+    path: &Path,
+    sub: SubpathId,
+    org: Org,
+    store: &mut SimStore,
+    heap: &ObjectStore,
+) -> Box<dyn PathIndex> {
+    let grouping = match org {
+        Org::Mx => Grouping::PerClass,
+        Org::Mix => Grouping::PerHierarchy,
+        Org::Nix => return Box::new(NestedInheritedIndex::build(schema, path, sub, store, heap)),
+    };
+    Box::new(MultiIndex::build(schema, path, sub, grouping, store, heap))
 }
 
 enum SegmentExec {
@@ -67,18 +83,13 @@ impl<'a> ConfiguredDb<'a> {
         let mut segments = Vec::new();
         for &(sub, choice) in config.pairs() {
             let exec = match choice {
-                Choice::Index(Org::Mx) => SegmentExec::Indexed(Box::new(MultiIndex::build(
+                Choice::Index(org) => SegmentExec::Indexed(build_index(
                     schema,
                     path,
                     sub,
+                    org,
                     &mut db.store,
                     &db.heap,
-                ))),
-                Choice::Index(Org::Mix) => SegmentExec::Indexed(Box::new(
-                    MultiInheritedIndex::build(schema, path, sub, &mut db.store, &db.heap),
-                )),
-                Choice::Index(Org::Nix) => SegmentExec::Indexed(Box::new(
-                    NestedInheritedIndex::build(schema, path, sub, &mut db.store, &db.heap),
                 )),
                 Choice::NoIndex => SegmentExec::Naive(NaivePathEvaluator::new(schema, path, sub)),
             };

@@ -1,6 +1,7 @@
 //! Analytic-vs-measured validation: run real operations, compare page
 //! counts against the Section 3 cost model.
 
+use crate::exec::build_index;
 use crate::{generate, ConfiguredDb, GenSpec, GeneratedDb};
 use oic_core::IndexConfiguration;
 use oic_cost::{CostModel, CostParams, Org, PathCharacteristics};
@@ -130,21 +131,6 @@ pub fn validate_org(
     rows
 }
 
-/// Validates all three organizations; convenience wrapper.
-pub fn validate_all(
-    schema: &Schema,
-    path: &Path,
-    chars: &PathCharacteristics,
-    params: CostParams,
-    spec: &GenSpec,
-    ops_per_kind: usize,
-) -> Vec<ValidationRow> {
-    Org::ALL
-        .iter()
-        .flat_map(|&org| validate_org(schema, path, chars, params, org, spec, ops_per_kind))
-        .collect()
-}
-
 /// Builds the real physical index of `org` on `sub` over a freshly
 /// generated database and compares its allocated pages against the
 /// `oic_cost::size` model: returns `(predicted pages, measured pages)`.
@@ -161,19 +147,11 @@ pub fn validate_size(
     spec: &GenSpec,
     sub: SubpathId,
 ) -> (f64, f64) {
-    use oic_index::{MultiIndex, MultiInheritedIndex, NestedInheritedIndex, PathIndex};
     let model = CostModel::new(schema, path, chars, params);
     let predicted = oic_cost::size::index_size_pages(&model, sub, org);
     let mut db = generate(schema, path, chars, spec);
-    let measured = match org {
-        Org::Mx => MultiIndex::build(schema, path, sub, &mut db.store, &db.heap).total_pages(),
-        Org::Mix => {
-            MultiInheritedIndex::build(schema, path, sub, &mut db.store, &db.heap).total_pages()
-        }
-        Org::Nix => {
-            NestedInheritedIndex::build(schema, path, sub, &mut db.store, &db.heap).total_pages()
-        }
-    } as f64;
+    let measured =
+        build_index(schema, path, sub, org, &mut db.store, &db.heap).total_pages() as f64;
     (predicted, measured)
 }
 

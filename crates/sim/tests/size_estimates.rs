@@ -2,41 +2,8 @@
 
 use oic_cost::characteristics::example51;
 use oic_cost::{CostModel, CostParams, Org};
-use oic_index::{MultiIndex, MultiInheritedIndex, NestedInheritedIndex, PathIndex};
 use oic_schema::{fixtures, SubpathId};
-use oic_sim::{generate, scale_chars, GenSpec};
-
-#[test]
-fn size_estimates_track_real_index_pages() {
-    let (schema, _) = fixtures::paper_schema();
-    let (path, chars) = example51(&schema);
-    let small = scale_chars(&chars, 0.02);
-    let params = CostParams::calibrated(1024.0);
-    let model = CostModel::new(&schema, &path, &small, params);
-    let spec = GenSpec {
-        page_size: 1024,
-        seed: 77,
-    };
-    let full = SubpathId { start: 1, end: 4 };
-    for org in Org::ALL {
-        let mut db = generate(&schema, &path, &small, &spec);
-        let real = match org {
-            Org::Mx => {
-                MultiIndex::build(&schema, &path, full, &mut db.store, &db.heap).total_pages()
-            }
-            Org::Mix => MultiInheritedIndex::build(&schema, &path, full, &mut db.store, &db.heap)
-                .total_pages(),
-            Org::Nix => NestedInheritedIndex::build(&schema, &path, full, &mut db.store, &db.heap)
-                .total_pages(),
-        } as f64;
-        let predicted = model.size_pages(org, full);
-        let ratio = real / predicted;
-        assert!(
-            (0.3..=3.5).contains(&ratio),
-            "{org}: predicted {predicted:.0} pages vs real {real:.0} (ratio {ratio:.2})"
-        );
-    }
-}
+use oic_sim::{scale_chars, GenSpec};
 
 /// The budgeted-selection contract with reality: on the Example 5.1
 /// database the measured physical index pages stay within **2×** of the

@@ -19,7 +19,8 @@
 //! * [`btree`] — the chained-leaf B+-tree with overflow records, and its
 //!   durable twin [`btree::PagedBTree`], whose nodes are slotted
 //!   `PageStore` pages read and edited in place;
-//! * [`index`] — real SIX/IIX/MX/MIX/NIX structures and a naive evaluator;
+//! * [`index`] — real MX/MIX (one multi-index over per-class SIX or
+//!   per-hierarchy IIX trees) and NIX structures and a naive evaluator;
 //! * [`cost`] — the analytic page-access model (Yao, `CRL/CML/CRT/CMT`,
 //!   per-organization costs, `CMD`);
 //! * [`workload`] — load distributions, subpath load derivation, the

@@ -24,23 +24,31 @@
 //!   epochs through an `OnlineTuner`, each epoch's churn, tuner firings,
 //!   estimator fingerprint and plan, and the `MigrationPlanner` retargeted
 //!   to each new plan — its schedule and the wave it advances — under one,
-//!   two and eight lanes.
+//!   two and eight lanes;
+//! * executed page accounting on Example 5.1's database at 0.4 % scale:
+//!   six `ConfiguredDb` configurations (whole-path MX, MIX and NIX, and
+//!   three splits) under a seeded stream of queries, inserts and deletes,
+//!   at two seeds — every operation's page counters and every answer.
 //!
 //! Budgeted plans on the forests are deliberately not pinned: their
 //! λ-bisection breakpoints are near-ties, and a last-ulp change in a cell
 //! price may move them (DESIGN.md §5.2).
 
 use oo_index_config::core::{
-    Choice, CostMatrix, MigrationAction, MigrationEnvelope, MigrationPlanner, MigrationStep,
-    OnlineTuner, TuningPolicy, WorkloadPlan,
+    Choice, CostMatrix, IndexConfiguration, MigrationAction, MigrationEnvelope, MigrationPlanner,
+    MigrationStep, OnlineTuner, TuningPolicy, WorkloadPlan,
 };
 use oo_index_config::cost::characteristics::example51;
 use oo_index_config::cost::{CostModel, CostParams, Org};
-use oo_index_config::schema::fixtures;
+use oo_index_config::schema::{fixtures, Schema, SubpathId};
 use oo_index_config::sim::{
-    synth_forest, synth_workload, DriftSim, DriftSpec, ForestSpec, SynthWorkload, WorkloadSpec,
+    generate, scale_chars, synth_forest, synth_workload, ConfiguredDb, DriftSim, DriftSpec,
+    ForestSpec, GenSpec, SynthWorkload, WorkloadSpec,
 };
+use oo_index_config::storage::Oid;
 use oo_index_config::workload::{example51_load, EstimatorConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const SEEDS: [u64; 2] = [7, 11];
 const LANES: [usize; 3] = [1, 2, 8];
@@ -327,9 +335,125 @@ fn online_loop_is_golden() {
     check(&actual);
 }
 
+/// Example 5.1's configurations the executed stage runs: whole-path MX,
+/// MIX and NIX, the paper optimum, a MIX piece before an unindexed tail,
+/// and a three-piece split.
+fn executed_configs(n: usize) -> Vec<(&'static str, IndexConfiguration)> {
+    let pieces = |p: &[(usize, usize, Choice)]| {
+        let pairs = p
+            .iter()
+            .map(|&(start, end, c)| (SubpathId { start, end }, c))
+            .collect();
+        IndexConfiguration::new(pairs, n).expect("valid split")
+    };
+    let (mx, mix, nix) = (
+        Choice::Index(Org::Mx),
+        Choice::Index(Org::Mix),
+        Choice::Index(Org::Nix),
+    );
+    vec![
+        ("mx", IndexConfiguration::whole_path(Org::Mx, n)),
+        ("mix", IndexConfiguration::whole_path(Org::Mix, n)),
+        ("nix", IndexConfiguration::whole_path(Org::Nix, n)),
+        ("nix12_mx34", pieces(&[(1, 2, nix), (3, 4, mx)])),
+        (
+            "mix12_none34",
+            pieces(&[(1, 2, mix), (3, 4, Choice::NoIndex)]),
+        ),
+        (
+            "mx1_mix23_nix4",
+            pieces(&[(1, 1, mx), (2, 3, mix), (4, 4, nix)]),
+        ),
+    ]
+}
+
+/// 160 seeded operations on `exec`: queries at every position (Vehicle
+/// with and without subclasses, Bus and Truck alone), inserts of copies
+/// under fresh oids, and deletes at every position (Company and Division
+/// deletes run the boundary `CMD`). Folds the index pages after the build
+/// and at the end, every operation's four page counters and every query's
+/// sorted answer.
+fn executed_digest(exec: &mut ConfiguredDb<'_>, schema: &Schema, seed: u64) -> u64 {
+    let class = |name| schema.class_by_name(name).expect("paper class");
+    let targets = [
+        (class("Person"), false),
+        (class("Vehicle"), true),
+        (class("Vehicle"), false),
+        (class("Bus"), false),
+        (class("Truck"), false),
+        (class("Company"), false),
+        (class("Division"), false),
+    ];
+    let oid_word = |oid: Oid| u64::from_be_bytes(oid.to_bytes());
+    let values = exec.db.ending_values.clone();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a6e);
+    let mut d = Digest::new();
+    d.word(exec.index_pages());
+    for _ in 0..160 {
+        let pos = rng.gen_range(0..exec.path_len());
+        let stats = match rng.gen_range(0..10u32) {
+            0..=5 => {
+                let value = &values[rng.gen_range(0..values.len())];
+                let (target, subs) = targets[rng.gen_range(0..targets.len())];
+                let (mut oids, stats) = exec.query(value, target, subs);
+                oids.sort_unstable();
+                d.word(oids.len() as u64);
+                for oid in oids {
+                    d.word(oid_word(oid));
+                }
+                stats
+            }
+            kind => {
+                let pool = &exec.db.pools[pos];
+                if pool.is_empty() {
+                    d.word(u64::MAX);
+                    continue;
+                }
+                let oid = pool[rng.gen_range(0..pool.len())];
+                if kind < 8 {
+                    let mut copy = exec.db.heap.peek(oid).expect("pooled oid").clone();
+                    copy.oid = exec.db.heap.fresh_oid(oid.class);
+                    d.word(oid_word(copy.oid));
+                    exec.insert(copy)
+                } else {
+                    d.word(oid_word(oid));
+                    exec.delete(oid)
+                }
+            }
+        };
+        d.word(stats.reads)
+            .word(stats.writes)
+            .word(stats.distinct_reads)
+            .word(stats.distinct_writes);
+    }
+    d.word(exec.index_pages()).0
+}
+
+#[test]
+fn executed_pages_are_golden() {
+    let (schema, _) = fixtures::paper_schema();
+    let (path, chars) = example51(&schema);
+    let small = scale_chars(&chars, 0.004);
+    let mut actual = Vec::new();
+    for seed in SEEDS {
+        for (name, config) in executed_configs(path.len()) {
+            let spec = GenSpec {
+                page_size: 1024,
+                seed,
+            };
+            let db = generate(&schema, &path, &small, &spec);
+            let mut exec = ConfiguredDb::new(&schema, &path, db, &config);
+            let digest = executed_digest(&mut exec, &schema, seed);
+            actual.push((format!("executed/{name}/seed{seed}"), digest));
+        }
+    }
+    check(&actual);
+}
+
 /// Recorded from the commit before Yao's closed form (every stage but
 /// `online/*`, which was recorded before the migration planner's build and
-/// cancellation loops were shared).
+/// cancellation loops were shared, and `executed/*`, recorded before MX and
+/// MIX became one type).
 const GOLDEN: &[(&str, u64)] = &[
     ("example51/paper", 0x3b235bc366e99259),
     ("example51/default", 0x77e81cb29f0673db),
@@ -363,4 +487,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("forest3k/seed11/warm", 0xfd77d8f37d5440a8),
     ("online/tree48/seed7", 0xda8bd0c7db2f240f),
     ("online/tree48/seed11", 0xb5ec43212d37ce97),
+    ("executed/mx/seed7", 0x9b2b3d1ac2751bd5),
+    ("executed/mix/seed7", 0x30732b893fc4ed18),
+    ("executed/nix/seed7", 0xe652ffd0a1130ddd),
+    ("executed/nix12_mx34/seed7", 0xb7adeee2f685fc80),
+    ("executed/mix12_none34/seed7", 0x64505df5fed11fe3),
+    ("executed/mx1_mix23_nix4/seed7", 0x5859704cc271bada),
+    ("executed/mx/seed11", 0x630dc6268f6a5d3c),
+    ("executed/mix/seed11", 0x2ebd5e402711029d),
+    ("executed/nix/seed11", 0x04bced8236e4df30),
+    ("executed/nix12_mx34/seed11", 0xfc7f8bcc4b2505a4),
+    ("executed/mix12_none34/seed11", 0xf3989903528e4b51),
+    ("executed/mx1_mix23_nix4/seed11", 0xfd7f19e991d77345),
 ];
