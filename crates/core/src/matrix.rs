@@ -13,7 +13,7 @@ use oic_workload::LoadDistribution;
 /// Storage is dense: rows are addressed by [`SubpathId::rank`] and columns
 /// by [`Org::index`], so the `pc`/`select` hot paths index flat arrays
 /// instead of hashing `(SubpathId, Org)` keys. Row minima (`Min_Cost`) are
-/// precomputed at build time.
+/// read off a row's three or four cells.
 ///
 /// Beside the cost plane the matrix carries a **size plane**: the estimated
 /// footprint in pages of each `(subpath, organization)` cell (see
@@ -33,8 +33,6 @@ pub struct CostMatrix {
     sizes: Vec<[f64; 3]>,
     /// No-index column per rank, when built.
     no_index: Option<Vec<f64>>,
-    /// Precomputed `Min_Cost` per rank.
-    minima: Vec<(Choice, f64)>,
 }
 
 impl CostMatrix {
@@ -100,6 +98,18 @@ impl CostMatrix {
         Self::finish(path_len, rows, costs, sizes, None)
     }
 
+    /// A matrix with a row for every subpath, from its cost and size
+    /// planes indexed by [`SubpathId::rank`] — what the workload advisor
+    /// prices, moved in without a per-row copy.
+    pub(crate) fn from_planes(path_len: usize, costs: Vec<[f64; 3]>, sizes: Vec<[f64; 3]>) -> Self {
+        debug_assert_eq!(costs.len(), SubpathId::count(path_len));
+        debug_assert_eq!(sizes.len(), costs.len());
+        let rows = (0..costs.len())
+            .map(|r| SubpathId::from_rank(path_len, r))
+            .collect();
+        Self::finish(path_len, rows, costs, sizes, None)
+    }
+
     fn finish(
         path_len: usize,
         rows: Vec<SubpathId>,
@@ -107,32 +117,12 @@ impl CostMatrix {
         sizes: Vec<[f64; 3]>,
         no_index: Option<Vec<f64>>,
     ) -> Self {
-        let minima = costs
-            .iter()
-            .enumerate()
-            .map(|(r, cells)| {
-                let mut best = (Choice::Index(Org::Mx), f64::INFINITY);
-                for org in Org::ALL {
-                    let c = cells[org.index()];
-                    if c < best.1 {
-                        best = (Choice::Index(org), c);
-                    }
-                }
-                if let Some(col) = &no_index {
-                    if col[r] < best.1 {
-                        best = (Choice::NoIndex, col[r]);
-                    }
-                }
-                best
-            })
-            .collect();
         CostMatrix {
             path_len,
             rows,
             costs,
             sizes,
             no_index,
-            minima,
         }
     }
 
@@ -197,10 +187,23 @@ impl CostMatrix {
     }
 
     /// `Min_Cost` — the best choice and cost for one row (the underlined
-    /// entry in Figure 6/8). Considers the no-index column when present.
-    /// Precomputed at build time; this is a flat array read.
+    /// entry in Figure 6/8). Considers the no-index column when present;
+    /// ties go to the first column.
     pub fn min_cost(&self, sub: SubpathId) -> (Choice, f64) {
-        self.minima[sub.rank(self.path_len)]
+        let r = sub.rank(self.path_len);
+        let mut best = (Choice::Index(Org::Mx), f64::INFINITY);
+        for org in Org::ALL {
+            let c = self.costs[r][org.index()];
+            if c < best.1 {
+                best = (Choice::Index(org), c);
+            }
+        }
+        if let Some(col) = &self.no_index {
+            if col[r] < best.1 {
+                best = (Choice::NoIndex, col[r]);
+            }
+        }
+        best
     }
 
     /// Renders the matrix as an aligned text table (Figure 6/8 style), with

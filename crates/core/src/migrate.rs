@@ -386,7 +386,7 @@ impl MigrationPlanner {
         let built = self.indexes.values().filter(|i| i.built);
         let maintenance = ledger::sorted(built.map(|i| i.maintenance).collect());
         let query = |p: &PathArm| ledger::subtotal(p.active().iter().map(|piece| piece.query));
-        ledger::objective(self.paths.iter().map(query), &maintenance)
+        ledger::objective(self.paths.iter().map(query), maintenance.into_iter())
     }
 
     /// The planner's schedule: benefit-per-page ordering with the

@@ -7,7 +7,22 @@
 
 use crate::trace::TraceEvent;
 use crate::{Choice, CostMatrix, IndexConfiguration};
+use oic_cost::Org;
 use oic_schema::SubpathId;
+
+/// Every DP column, in the order the DPs try them: the organizations in
+/// [`Org::ALL`] order, then the optional no-index column.
+const CHOICES: [Choice; 4] = [
+    Choice::Index(Org::Mx),
+    Choice::Index(Org::Mix),
+    Choice::Index(Org::Nix),
+    Choice::NoIndex,
+];
+
+/// The columns `matrix` prices.
+fn choices(matrix: &CostMatrix) -> &'static [Choice] {
+    &CHOICES[..if matrix.has_no_index() { 4 } else { 3 }]
+}
 
 /// `2^(n-1)` — the recombination count of Section 5, saturating for paths
 /// long enough to overflow (the DP handles those; enumeration never could).
@@ -124,18 +139,15 @@ pub(crate) fn search(
 /// that carry a size plane, where the frontier's label sets cost real
 /// work the cost-only callers never read.
 pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
-    use oic_cost::Org;
     let n = matrix.path_len();
-    let mut choices: Vec<Choice> = Org::ALL.iter().copied().map(Choice::Index).collect();
-    if matrix.has_no_index() {
-        choices.push(Choice::NoIndex);
-    }
+    let choices = choices(matrix);
     let nch = choices.len();
-    // dp[j][c]: cheapest cover of positions 1..=j whose last piece uses
-    // choices[c]; parent[j][c] = (start of last piece, choice index of the
-    // piece before it; usize::MAX when the last piece starts at 1).
-    let mut dp = vec![vec![f64::INFINITY; nch]; n + 1];
-    let mut parent = vec![vec![(0usize, usize::MAX); nch]; n + 1];
+    // dp[j·nch + c]: cheapest cover of positions 1..=j whose last piece
+    // uses choices[c]; parent[j·nch + c] = (start of last piece, choice
+    // index of the piece before it; usize::MAX when the last piece starts
+    // at 1). Flat, one allocation each.
+    let mut dp = vec![f64::INFINITY; (n + 1) * nch];
+    let mut parent = vec![(0usize, usize::MAX); (n + 1) * nch];
     // Prefix optimum min_Y dp[j][Y] together with its arg, so the inner
     // loop stays O(|choices|) per (i, j) pair.
     let mut prefix_best = vec![(f64::INFINITY, usize::MAX); n + 1];
@@ -155,14 +167,14 @@ pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
                 let piece = matrix.choice_cost(sub, choice);
                 evaluated += 1;
                 let total = prev_cost + piece;
-                if total < dp[j][c] {
-                    dp[j][c] = total;
-                    parent[j][c] = (i, prev_choice);
+                if total < dp[j * nch + c] {
+                    dp[j * nch + c] = total;
+                    parent[j * nch + c] = (i, prev_choice);
                 }
             }
         }
         let mut best = (f64::INFINITY, usize::MAX);
-        for (c, &cost) in dp[j].iter().enumerate() {
+        for (c, &cost) in dp[j * nch..(j + 1) * nch].iter().enumerate() {
             if cost < best.0 {
                 best = (cost, c);
             }
@@ -175,7 +187,7 @@ pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
     let mut pairs = Vec::new();
     let mut j = n;
     while j > 0 {
-        let (i, prev_c) = parent[j][c];
+        let (i, prev_c) = parent[j * nch + c];
         pairs.push((SubpathId { start: i, end: j }, choices[c]));
         j = i - 1;
         c = prev_c;
@@ -240,8 +252,8 @@ impl FrontierResult {
 
 /// One DP label: a Pareto-optimal `(cost, size)` way to cover positions
 /// `1..=j`, remembering the last piece (`start`, `choice`) and the label of
-/// the prefix it extends (`parent`, an index into position `start - 1`'s
-/// label set) for reconstruction.
+/// the prefix it extends (`parent`, an index into [`Labels::labels`]) for
+/// reconstruction.
 #[derive(Debug, Clone, Copy)]
 struct Label {
     cost: f64,
@@ -249,6 +261,110 @@ struct Label {
     start: usize,
     choice: usize,
     parent: usize,
+}
+
+/// The label DP [`frontier_dp`] and [`frontier_point`] share: every
+/// position's Pareto label set, flattened — position `j`'s labels are
+/// `labels[first[j]..first[j + 1]]`, cost ascending.
+struct Labels {
+    choices: &'static [Choice],
+    labels: Vec<Label>,
+    first: Vec<usize>,
+    evaluated: u64,
+    extended: u64,
+}
+
+impl Labels {
+    fn build(matrix: &CostMatrix) -> Self {
+        let n = matrix.path_len();
+        let choices = choices(matrix);
+        // Position 0 holds the empty-prefix seed.
+        let seed = Label {
+            cost: 0.0,
+            size: 0.0,
+            start: 0,
+            choice: usize::MAX,
+            parent: usize::MAX,
+        };
+        // Label sets hold a few labels each on workload matrices.
+        let mut labels = Vec::with_capacity(4 * n + 1);
+        labels.push(seed);
+        let mut first = Vec::with_capacity(n + 2);
+        first.extend([0, 1]);
+        let (mut evaluated, mut extended) = (0u64, 0u64);
+        for j in 1..=n {
+            let set = labels.len();
+            // Choice-major, then longer pieces first (i ascending): with the
+            // keep-first-on-ties rule of `pareto_insert` this reproduces the
+            // scalar DP's tie-breaking exactly (first organization column,
+            // longest last piece), because the earliest generated label
+            // among equals wins.
+            for (c, &choice) in choices.iter().enumerate() {
+                for i in 1..=j {
+                    let prefix = first[i - 1]..first[i];
+                    if prefix.is_empty() {
+                        continue;
+                    }
+                    let sub = SubpathId { start: i, end: j };
+                    let piece_cost = matrix.choice_cost(sub, choice);
+                    evaluated += 1;
+                    if !piece_cost.is_finite() {
+                        continue;
+                    }
+                    let piece_size = matrix.choice_size(sub, choice);
+                    extended += prefix.len() as u64;
+                    for parent in prefix {
+                        let label = Label {
+                            cost: labels[parent].cost + piece_cost,
+                            size: labels[parent].size + piece_size,
+                            start: i,
+                            choice: c,
+                            parent,
+                        };
+                        pareto_insert(&mut labels, set, label);
+                    }
+                }
+            }
+            first.push(labels.len());
+        }
+        Labels {
+            choices,
+            labels,
+            first,
+            evaluated,
+            extended,
+        }
+    }
+
+    /// The last position's labels: one per frontier point.
+    fn last(&self) -> &[Label] {
+        &self.labels[self.first[self.first.len() - 2]..]
+    }
+
+    /// The frontier point of one of [`Self::last`]'s labels: walks the
+    /// parent chain to reconstruct its configuration.
+    fn point(&self, label: &Label) -> FrontierPoint {
+        let n = self.first.len() - 2;
+        let (mut pairs, mut end, mut cur) = (Vec::new(), n, label);
+        while end > 0 {
+            pairs.push((
+                SubpathId {
+                    start: cur.start,
+                    end,
+                },
+                self.choices[cur.choice],
+            ));
+            end = cur.start - 1;
+            cur = &self.labels[cur.parent];
+        }
+        pairs.reverse();
+        FrontierPoint {
+            cost: label.cost,
+            size: label.size,
+            config: IndexConfiguration::new(pairs, n)
+                .expect("DP pieces concatenate to the full path"),
+        }
+    }
 }
 
 /// `Frontier_DP` — the two-objective generalization of [`opt_ind_con_dp`]:
@@ -277,119 +393,54 @@ struct Label {
 /// dominance rule), so on sized matrices the frontier's cost optimum is
 /// the cheapest-to-store among cost-optimal configurations.
 pub fn frontier_dp(matrix: &CostMatrix) -> FrontierResult {
-    use oic_cost::Org;
-    let n = matrix.path_len();
-    let mut choices: Vec<Choice> = Org::ALL.iter().copied().map(Choice::Index).collect();
-    if matrix.has_no_index() {
-        choices.push(Choice::NoIndex);
-    }
-    // labels[j]: the Pareto set over covers of 1..=j. labels[0] is the
-    // empty-prefix seed.
-    let mut labels: Vec<Vec<Label>> = Vec::with_capacity(n + 1);
-    labels.push(vec![Label {
-        cost: 0.0,
-        size: 0.0,
-        start: 0,
-        choice: usize::MAX,
-        parent: usize::MAX,
-    }]);
-    let mut evaluated = 0u64;
-    let mut label_work = 0u64;
-    for j in 1..=n {
-        let mut raw: Vec<Label> = Vec::new();
-        // Choice-major, then longer pieces first (i ascending): with the
-        // keep-first-on-ties prune below this reproduces the scalar DP's
-        // tie-breaking exactly (first organization column, longest last
-        // piece), because the earliest generated label among equals wins.
-        for (c, &choice) in choices.iter().enumerate() {
-            for i in 1..=j {
-                if labels[i - 1].is_empty() {
-                    continue;
-                }
-                let sub = SubpathId { start: i, end: j };
-                let piece_cost = matrix.choice_cost(sub, choice);
-                evaluated += 1;
-                if !piece_cost.is_finite() {
-                    continue;
-                }
-                let piece_size = matrix.choice_size(sub, choice);
-                for (pi, prev) in labels[i - 1].iter().enumerate() {
-                    raw.push(Label {
-                        cost: prev.cost + piece_cost,
-                        size: prev.size + piece_size,
-                        start: i,
-                        choice: c,
-                        parent: pi,
-                    });
-                    label_work += 1;
-                }
-            }
-        }
-        labels.push(pareto_prune(raw));
-    }
-    // Each surviving label of position n is one frontier point; walk the
-    // parent chain to reconstruct its configuration.
-    let points = labels[n]
-        .iter()
-        .map(|label| {
-            let mut pairs = Vec::new();
-            let mut j = n;
-            let mut cur = *label;
-            loop {
-                pairs.push((
-                    SubpathId {
-                        start: cur.start,
-                        end: j,
-                    },
-                    choices[cur.choice],
-                ));
-                if cur.start == 1 {
-                    break;
-                }
-                j = cur.start - 1;
-                cur = labels[j][cur.parent];
-            }
-            pairs.reverse();
-            FrontierPoint {
-                cost: label.cost,
-                size: label.size,
-                config: IndexConfiguration::new(pairs, n)
-                    .expect("DP pieces concatenate to the full path"),
-            }
-        })
-        .collect();
+    let dp = Labels::build(matrix);
     FrontierResult {
-        points,
-        evaluated,
-        labels: label_work,
-        candidate_space: candidate_space_size(n),
+        points: dp.last().iter().map(|label| dp.point(label)).collect(),
+        evaluated: dp.evaluated,
+        labels: dp.extended,
+        candidate_space: candidate_space_size(matrix.path_len()),
     }
 }
 
-/// Pareto-prunes labels: sorted by cost, keep only strict improvements in
-/// size. Equal `(cost, size)` keeps the earliest-generated label (the
-/// scalar DP's tie-breaking); equal cost with different sizes keeps the
-/// smaller size (it dominates).
-fn pareto_prune(raw: Vec<Label>) -> Vec<Label> {
-    let mut order: Vec<usize> = (0..raw.len()).collect();
-    order.sort_by(|&a, &b| {
-        raw[a]
-            .cost
-            .total_cmp(&raw[b].cost)
-            .then(raw[a].size.total_cmp(&raw[b].size))
-            .then(a.cmp(&b))
-    });
-    let mut out = Vec::new();
-    let mut min_size = f64::INFINITY;
-    for idx in order {
-        if raw[idx].size < min_size {
-            min_size = raw[idx].size;
-            out.push(raw[idx]);
-        }
+/// `frontier_dp(matrix).within_budget(budget_pages)`, reconstructing that
+/// one point's configuration only. At `f64::INFINITY` it is the
+/// frontier's first point, [`FrontierResult::min_cost`] (every label's
+/// size is below `INFINITY`: the prune keeps none that is not), or `None`
+/// when the matrix's rows cannot cover the path.
+pub(crate) fn frontier_point(matrix: &CostMatrix, budget_pages: f64) -> Option<FrontierPoint> {
+    let dp = Labels::build(matrix);
+    let fits = dp.last().iter().find(|label| label.size <= budget_pages)?;
+    Some(dp.point(fits))
+}
+
+/// Adds one generated `label` to the Pareto set `labels[set..]` (cost
+/// ascending, size strictly descending), generation order being call
+/// order. The set ends as sorting all of the position's labels by `(cost,
+/// size)` — `total_cmp`, the earliest generated first among equals — and
+/// keeping each label strictly leaner than every one before it would
+/// leave it: a label is dropped when the leanest label ordered before it
+/// is no fatter, and it drops the labels ordered after it that are no
+/// leaner. So equal `(cost, size)` keeps the earliest-generated label
+/// (the scalar DP's tie-breaking), and equal cost with different sizes
+/// keeps the smaller size (it dominates).
+fn pareto_insert(labels: &mut Vec<Label>, set: usize, label: Label) {
+    let order = |l: &Label| {
+        l.cost
+            .total_cmp(&label.cost)
+            .then(l.size.total_cmp(&label.size))
+    };
+    let at = set + labels[set..].partition_point(|l| order(l).is_le());
+    let leanest_before = if at > set {
+        labels[at - 1].size
+    } else {
+        f64::INFINITY
+    };
+    // A NaN or infinite size is never kept, so the sizes compare totally.
+    if label.size < leanest_before {
+        let fatter = labels[at..].iter().take_while(|l| label.size <= l.size);
+        let end = at + fatter.count();
+        labels.splice(at..end, [label]);
     }
-    // Sorted by cost ascending (the sort order), size strictly descending
-    // (the sweep's keep rule).
-    out
 }
 
 /// Exhaustive `(cost, size)` Pareto frontier over all `2^(n-1)`
@@ -397,12 +448,8 @@ fn pareto_prune(raw: Vec<Label>) -> Vec<Label> {
 /// [`frontier_dp`] is verified against. Returns `(cost, size)` pairs, cost
 /// ascending.
 pub fn exhaustive_frontier(matrix: &CostMatrix) -> Vec<(f64, f64)> {
-    use oic_cost::Org;
     let n = matrix.path_len();
-    let mut choices: Vec<Choice> = Org::ALL.iter().copied().map(Choice::Index).collect();
-    if matrix.has_no_index() {
-        choices.push(Choice::NoIndex);
-    }
+    let choices = choices(matrix);
     let prune_pairs = |mut pairs: Vec<(f64, f64)>| -> Vec<(f64, f64)> {
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let mut out: Vec<(f64, f64)> = Vec::new();
@@ -426,7 +473,7 @@ pub fn exhaustive_frontier(matrix: &CostMatrix) -> Vec<(f64, f64)> {
             }
             let sub = SubpathId { start, end: pos };
             let mut next = Vec::new();
-            for &choice in &choices {
+            for &choice in choices {
                 let c = matrix.choice_cost(sub, choice);
                 if !c.is_finite() {
                     continue;
@@ -628,602 +675,4 @@ pub fn prune_dominated(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use oic_cost::Org;
-
-    fn sid(s: usize, e: usize) -> SubpathId {
-        SubpathId { start: s, end: e }
-    }
-
-    /// A 3-position matrix where splitting wins.
-    fn split_wins() -> CostMatrix {
-        CostMatrix::from_values(
-            3,
-            &[
-                (sid(1, 1), [1.0, 5.0, 5.0]),
-                (sid(2, 2), [5.0, 1.0, 5.0]),
-                (sid(3, 3), [5.0, 5.0, 1.0]),
-                (sid(1, 2), [9.0, 9.0, 9.0]),
-                (sid(2, 3), [9.0, 9.0, 9.0]),
-                (sid(1, 3), [9.0, 9.0, 8.0]),
-            ],
-        )
-    }
-
-    /// A matrix where the whole path wins.
-    fn whole_wins() -> CostMatrix {
-        CostMatrix::from_values(
-            3,
-            &[
-                (sid(1, 1), [4.0, 5.0, 5.0]),
-                (sid(2, 2), [4.0, 5.0, 5.0]),
-                (sid(3, 3), [4.0, 5.0, 5.0]),
-                (sid(1, 2), [7.0, 9.0, 9.0]),
-                (sid(2, 3), [7.0, 9.0, 9.0]),
-                (sid(1, 3), [9.0, 9.0, 2.0]),
-            ],
-        )
-    }
-
-    #[test]
-    fn bb_finds_three_way_split() {
-        let r = opt_ind_con(&split_wins());
-        assert_eq!(r.cost, 3.0);
-        assert_eq!(r.best.degree(), 3);
-        assert_eq!(r.best.pairs()[0], (sid(1, 1), Choice::Index(Org::Mx)));
-        assert_eq!(r.best.pairs()[1], (sid(2, 2), Choice::Index(Org::Mix)));
-        assert_eq!(r.best.pairs()[2], (sid(3, 3), Choice::Index(Org::Nix)));
-    }
-
-    #[test]
-    fn bb_keeps_whole_path_when_best() {
-        let r = opt_ind_con(&whole_wins());
-        assert_eq!(r.cost, 2.0);
-        assert_eq!(r.best.degree(), 1);
-        // With PC_min = 2 after the first candidate, every proper prefix
-        // (cost ≥ 4) is pruned immediately: only 1 evaluation.
-        assert_eq!(r.evaluated, 1);
-        assert_eq!(r.pruned, 2, "prefixes S1,2 and S1,1");
-    }
-
-    #[test]
-    fn bb_matches_exhaustive() {
-        for m in [split_wins(), whole_wins()] {
-            let a = opt_ind_con(&m);
-            let b = exhaustive(&m);
-            assert_eq!(a.cost, b.cost);
-            assert_eq!(a.best.pairs(), b.best.pairs());
-            assert!(a.evaluated <= b.evaluated);
-        }
-    }
-
-    #[test]
-    fn exhaustive_candidate_count() {
-        let r = exhaustive(&split_wins());
-        assert_eq!(r.candidate_space, 4);
-        assert_eq!(r.evaluated, 4);
-    }
-
-    #[test]
-    fn single_position_path() {
-        let m = CostMatrix::from_values(1, &[(sid(1, 1), [2.0, 3.0, 4.0])]);
-        let r = opt_ind_con(&m);
-        assert_eq!(r.cost, 2.0);
-        assert_eq!(r.best.degree(), 1);
-        assert_eq!(r.candidate_space, 1);
-    }
-
-    #[test]
-    fn dp_matches_exhaustive_on_fixtures() {
-        for m in [split_wins(), whole_wins(), crate::fig6::fig6_matrix()] {
-            let dp = opt_ind_con_dp(&m);
-            let ex = exhaustive(&m);
-            assert!((dp.cost - ex.cost).abs() < 1e-9);
-            assert_eq!(dp.best.pairs(), ex.best.pairs());
-            // The configuration's cost re-derives from the matrix cells.
-            let derived: f64 = dp
-                .best
-                .pairs()
-                .iter()
-                .map(|&(sub, choice)| match choice {
-                    Choice::Index(org) => m.cost(sub, org),
-                    Choice::NoIndex => unreachable!("no-index column not built"),
-                })
-                .sum();
-            assert!((derived - dp.cost).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn dp_transition_count_is_polynomial() {
-        let m = split_wins();
-        let dp = opt_ind_con_dp(&m);
-        // n(n+1)/2 pieces × 3 organizations.
-        assert_eq!(dp.evaluated, 6 * 3);
-        assert_eq!(dp.pruned, 0);
-        assert_eq!(dp.candidate_space, 4);
-    }
-
-    #[test]
-    fn dp_single_position_path() {
-        let m = CostMatrix::from_values(1, &[(sid(1, 1), [2.0, 3.0, 4.0])]);
-        let r = opt_ind_con_dp(&m);
-        assert_eq!(r.cost, 2.0);
-        assert_eq!(r.best.pairs(), &[(sid(1, 1), Choice::Index(Org::Mx))]);
-    }
-
-    /// A 3-position matrix with a real cost-vs-size tension: the cheap
-    /// whole-path NIX is fat, the per-position MX split is lean but slower.
-    fn tension() -> CostMatrix {
-        CostMatrix::from_values_with_sizes(
-            3,
-            &[
-                (sid(1, 1), [4.0, 5.0, 6.0], [10.0, 12.0, 20.0]),
-                (sid(2, 2), [4.0, 5.0, 6.0], [10.0, 12.0, 20.0]),
-                (sid(3, 3), [4.0, 5.0, 6.0], [10.0, 12.0, 20.0]),
-                (sid(1, 2), [9.0, 8.0, 7.0], [25.0, 30.0, 60.0]),
-                (sid(2, 3), [9.0, 8.0, 7.0], [25.0, 30.0, 60.0]),
-                (sid(1, 3), [9.0, 9.0, 2.0], [40.0, 50.0, 100.0]),
-            ],
-        )
-    }
-
-    #[test]
-    fn frontier_matches_exhaustive_on_fixtures() {
-        for m in [
-            split_wins(),
-            whole_wins(),
-            tension(),
-            crate::fig6::fig6_matrix(),
-        ] {
-            let f = frontier_dp(&m);
-            let ex = exhaustive_frontier(&m);
-            assert_eq!(f.points.len(), ex.len(), "frontier cardinality");
-            for (p, &(c, s)) in f.points.iter().zip(&ex) {
-                assert!((p.cost - c).abs() < 1e-9, "{} vs {c}", p.cost);
-                assert!((p.size - s).abs() < 1e-9, "{} vs {s}", p.size);
-                // Each point's (cost, size) re-derives from its config.
-                let derived_cost: f64 = p
-                    .config
-                    .pairs()
-                    .iter()
-                    .map(|&(sub, ch)| m.choice_cost(sub, ch))
-                    .sum();
-                let derived_size = m.configuration_size(&p.config);
-                assert!((derived_cost - p.cost).abs() < 1e-9);
-                assert!((derived_size - p.size).abs() < 1e-9);
-            }
-            // Frontier shape: cost strictly ascending, size strictly
-            // descending.
-            for w in f.points.windows(2) {
-                assert!(w[0].cost < w[1].cost);
-                assert!(w[0].size > w[1].size);
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_min_cost_equals_scalar_dp() {
-        for m in [
-            split_wins(),
-            whole_wins(),
-            tension(),
-            crate::fig6::fig6_matrix(),
-        ] {
-            let f = frontier_dp(&m);
-            let dp = opt_ind_con_dp(&m);
-            assert_eq!(f.min_cost().cost.to_bits(), dp.cost.to_bits());
-            assert_eq!(f.min_cost().config.pairs(), dp.best.pairs());
-            assert_eq!(f.evaluated, dp.evaluated);
-        }
-    }
-
-    #[test]
-    fn frontier_collapses_to_singletons_without_sizes() {
-        // Size-free matrices: every label set is the scalar optimum, so the
-        // frontier has exactly one point and no extra label work beyond one
-        // extension per priced piece.
-        let m = split_wins();
-        let f = frontier_dp(&m);
-        assert_eq!(f.points.len(), 1);
-        assert_eq!(f.labels, f.evaluated);
-    }
-
-    #[test]
-    fn within_budget_picks_the_cheapest_fitting_point() {
-        let m = tension();
-        let f = frontier_dp(&m);
-        // Unconstrained: whole-path NIX, cost 2, 100 pages.
-        assert_eq!(f.min_cost().cost, 2.0);
-        assert_eq!(f.min_cost().size, 100.0);
-        // 100+ pages: the optimum fits.
-        assert_eq!(f.within_budget(120.0).unwrap().cost, 2.0);
-        // Under 100: forced off the whole-path; the three-way MX split
-        // (cost 12, 30 pages) is the only lean alternative on this matrix.
-        let p = f.within_budget(99.0).unwrap();
-        assert!(p.cost > 2.0 && p.size <= 99.0);
-        assert_eq!(f.within_budget(30.0).unwrap().size, 30.0);
-        // Below the leanest configuration: infeasible.
-        assert!(f.within_budget(29.0).is_none());
-        // The budgeted answer always matches a brute-force scan.
-        for budget in [29.0, 30.0, 45.0, 99.0, 100.0, 1e9] {
-            let ex_best = exhaustive_frontier(&m)
-                .into_iter()
-                .filter(|&(_, s)| s <= budget)
-                .map(|(c, _)| c)
-                .fold(f64::INFINITY, f64::min);
-            match f.within_budget(budget) {
-                Some(p) => assert!((p.cost - ex_best).abs() < 1e-9, "budget {budget}"),
-                None => assert!(ex_best.is_infinite(), "budget {budget}"),
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_handles_no_index_column() {
-        // A no-index choice is free in pages: with the column built the
-        // all-no-index configuration (size 0) anchors the frontier's lean
-        // end.
-        let m = fixtures_matrix();
-        let f = frontier_dp(&m);
-        let last = f.points.last().unwrap();
-        assert_eq!(last.size, 0.0);
-        assert!(last
-            .config
-            .pairs()
-            .iter()
-            .all(|&(_, c)| c == Choice::NoIndex));
-        let ex = exhaustive_frontier(&m);
-        assert_eq!(f.points.len(), ex.len());
-    }
-
-    /// A sized matrix with a no-index column, via the real model.
-    fn fixtures_matrix() -> CostMatrix {
-        use oic_cost::characteristics::example51;
-        use oic_cost::{CostModel, CostParams};
-        use oic_schema::fixtures;
-        use oic_workload::example51_load;
-        let (schema, _) = fixtures::paper_schema();
-        let (path, chars) = example51(&schema);
-        let ld = example51_load(&schema, &path);
-        let model = CostModel::new(&schema, &path, &chars, CostParams::default());
-        CostMatrix::build_with_no_index(&model, &ld)
-    }
-
-    #[test]
-    fn frontier_single_position_path() {
-        // n = 1: the only cover is S1,1 with one of the three
-        // organizations; the frontier is the Pareto set of those three
-        // (cost, size) cells.
-        let m = CostMatrix::from_values_with_sizes(
-            1,
-            &[(sid(1, 1), [5.0, 4.0, 3.0], [10.0, 20.0, 30.0])],
-        );
-        let f = frontier_dp(&m);
-        // All three cells are Pareto-optimal here (cost descends as size
-        // ascends across Mx→Mix→Nix).
-        assert_eq!(f.points.len(), 3);
-        assert_eq!(f.min_cost().cost, 3.0);
-        assert_eq!(f.min_cost().size, 30.0);
-        assert_eq!(f.points.last().unwrap().size, 10.0);
-        let ex = exhaustive_frontier(&m);
-        assert_eq!(f.points.len(), ex.len());
-        for (p, (c, s)) in f.points.iter().zip(ex) {
-            assert_eq!((p.cost, p.size), (c, s));
-            assert_eq!(p.config.degree(), 1);
-        }
-        // The scalar DP agrees bit-for-bit on the cost optimum.
-        let dp = opt_ind_con_dp(&m);
-        assert_eq!(f.min_cost().cost.to_bits(), dp.cost.to_bits());
-        assert_eq!(f.min_cost().config.pairs(), dp.best.pairs());
-        // A dominated cell never surfaces: make Mix worse in both axes.
-        let m = CostMatrix::from_values_with_sizes(
-            1,
-            &[(sid(1, 1), [5.0, 9.0, 3.0], [10.0, 99.0, 30.0])],
-        );
-        let f = frontier_dp(&m);
-        assert_eq!(f.points.len(), 2, "Mix is dominated by both neighbours");
-    }
-
-    #[test]
-    fn frontier_with_all_zero_query_rates_is_maintenance_only() {
-        // α = 0 everywhere: the load is pure maintenance. The matrix still
-        // prices every cell (insert/delete traffic), the frontier still
-        // has its full shape, and it matches the exhaustive baseline.
-        use oic_cost::characteristics::example51;
-        use oic_cost::{CostModel, CostParams};
-        use oic_schema::fixtures;
-        use oic_workload::{LoadDistribution, Triplet};
-        let (schema, _) = fixtures::paper_schema();
-        let (path, chars) = example51(&schema);
-        let ld = LoadDistribution::build(&schema, &path, |_| Triplet::new(0.0, 0.1, 0.1));
-        let model = CostModel::new(&schema, &path, &chars, CostParams::default());
-        let m = CostMatrix::build(&model, &ld);
-        let f = frontier_dp(&m);
-        assert!(!f.points.is_empty());
-        assert!(f.min_cost().cost > 0.0, "maintenance is not free");
-        let ex = exhaustive_frontier(&m);
-        assert_eq!(f.points.len(), ex.len());
-        for (p, (c, s)) in f.points.iter().zip(ex) {
-            assert!((p.cost - c).abs() < 1e-9 && (p.size - s).abs() < 1e-9);
-        }
-        // With the no-index column built, zero queries make "index
-        // nothing" free — the frontier's lean anchor at (0 cost, 0 pages),
-        // which is also the scalar optimum. One point: it dominates all.
-        let m = CostMatrix::build_with_no_index(&model, &ld);
-        let f = frontier_dp(&m);
-        assert_eq!(f.points.len(), 1);
-        let only = &f.points[0];
-        assert_eq!((only.cost, only.size), (0.0, 0.0));
-        assert!(only
-            .config
-            .pairs()
-            .iter()
-            .all(|&(_, c)| c == Choice::NoIndex));
-        let dp = opt_ind_con_dp(&m);
-        assert_eq!(dp.cost, 0.0);
-        assert_eq!(only.config.pairs(), dp.best.pairs());
-    }
-
-    #[test]
-    fn frontier_breaks_exact_cost_ties_toward_the_leaner_organization() {
-        // Every organization of every subpath costs the same; only sizes
-        // differ. Dominance must collapse each label set to the leanest
-        // spelling, and the single frontier point is the min-size cover.
-        let m = CostMatrix::from_values_with_sizes(
-            2,
-            &[
-                (sid(1, 1), [4.0, 4.0, 4.0], [12.0, 10.0, 11.0]),
-                (sid(2, 2), [4.0, 4.0, 4.0], [7.0, 9.0, 8.0]),
-                (sid(1, 2), [8.0, 8.0, 8.0], [20.0, 16.0, 18.0]),
-            ],
-        );
-        let f = frontier_dp(&m);
-        assert_eq!(f.points.len(), 1, "equal costs: one Pareto point");
-        let p = &f.points[0];
-        assert_eq!(p.cost, 8.0);
-        assert_eq!(p.size, 16.0, "whole-path Mix is the leanest 8.0 cover");
-        assert_eq!(
-            p.config.pairs(),
-            &[(sid(1, 2), Choice::Index(Org::Mix))],
-            "tie broken toward the leaner organization"
-        );
-        let ex = exhaustive_frontier(&m);
-        assert_eq!(ex, vec![(8.0, 16.0)]);
-        // Fully degenerate ties — equal cost *and* equal size — keep the
-        // scalar DP's tie-breaking: longest last piece, first organization
-        // column (Mx).
-        let m = CostMatrix::from_values_with_sizes(
-            2,
-            &[
-                (sid(1, 1), [4.0, 4.0, 4.0], [5.0, 5.0, 5.0]),
-                (sid(2, 2), [4.0, 4.0, 4.0], [5.0, 5.0, 5.0]),
-                (sid(1, 2), [8.0, 8.0, 8.0], [10.0, 10.0, 10.0]),
-            ],
-        );
-        let f = frontier_dp(&m);
-        let dp = opt_ind_con_dp(&m);
-        assert_eq!(f.points.len(), 1);
-        assert_eq!(f.points[0].config.pairs(), dp.best.pairs());
-        assert_eq!(
-            f.points[0].config.pairs(),
-            &[(sid(1, 2), Choice::Index(Org::Mx))]
-        );
-    }
-
-    #[test]
-    fn budget_exactly_on_a_frontier_knee_takes_the_knee() {
-        let m = tension();
-        let f = frontier_dp(&m);
-        assert!(f.points.len() >= 2, "the fixture has a real trade-off");
-        for (k, p) in f.points.iter().enumerate() {
-            // A budget exactly equal to a knee's footprint admits that
-            // knee (≤, not <): no page of slack is required.
-            let hit = f.within_budget(p.size).expect("the knee itself fits");
-            assert_eq!(hit.cost.to_bits(), p.cost.to_bits(), "knee {k}");
-            assert_eq!(hit.size.to_bits(), p.size.to_bits(), "knee {k}");
-            // One ulp under the knee falls through to the next point (or
-            // to infeasibility after the leanest knee).
-            let under = f.within_budget(p.size - p.size.abs() * 1e-15 - f64::MIN_POSITIVE);
-            match f.points.get(k + 1) {
-                Some(next) => {
-                    let under = under.expect("a leaner point exists");
-                    assert_eq!(under.cost.to_bits(), next.cost.to_bits(), "below knee {k}");
-                }
-                None => assert!(under.is_none(), "below the leanest point: infeasible"),
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_space_saturates() {
-        assert_eq!(candidate_space_size(1), 1);
-        assert_eq!(candidate_space_size(4), 8);
-        assert_eq!(candidate_space_size(64), 1u64 << 63);
-        assert_eq!(candidate_space_size(65), u64::MAX);
-        assert_eq!(candidate_space_size(200), u64::MAX);
-    }
-
-    #[test]
-    fn dp_equals_bb_on_random_matrices() {
-        let mut seed = 0xC0FFEE_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed % 1000) as f64 / 100.0 + 0.1
-        };
-        for n in 2..=10 {
-            let mut values = Vec::new();
-            for len in 1..=n {
-                for start in 1..=(n - len + 1) {
-                    values.push((sid(start, start + len - 1), [next(), next(), next()]));
-                }
-            }
-            let m = CostMatrix::from_values(n, &values);
-            let dp = opt_ind_con_dp(&m);
-            let bb = opt_ind_con(&m);
-            assert!(
-                (dp.cost - bb.cost).abs() < 1e-9,
-                "n={n}: dp {} vs bb {}",
-                dp.cost,
-                bb.cost
-            );
-        }
-    }
-
-    #[test]
-    fn prune_dominated_strikes_dominated_orgs_and_keeps_argmins() {
-        // Rank (1,1): Mx full price 2.0; Mix query 5.0 > 2.0 (pruned),
-        // Nix query 1.5 ≤ 2.0 (kept). Argmin Mx always survives.
-        let query = vec![
-            [1.0, 5.0, 1.5],  // (1,1)
-            [1.0, 1.0, 1.0],  // (2,2)
-            [0.5, 0.6, 20.0], // (1,2): Nix query 20 > Mx full 1.5
-        ];
-        let maint = vec![
-            [1.0, 1.0, 1.0], // (1,1): floor = 2.0 (Mx)
-            [1.0, 1.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ];
-        let flat = vec![[1.0; 3]; 3];
-        let masks = prune_dominated(&query, &maint, &flat, 2);
-        assert_eq!(masks[sid(1, 1).rank(2)], 0b010, "Mix dominated at (1,1)");
-        assert_eq!(masks[sid(2, 2).rank(2)], 0, "three-way tie keeps all");
-        assert_eq!(masks[sid(1, 2).rank(2)], 0b100, "Nix dominated at (1,2)");
-        // The λ guard: when every would-be dominator is *fatter* than the
-        // dominated cell, a large enough λ could flip the comparison, so
-        // the strike is withheld.
-        let fat_dominators = vec![
-            [9.0, 0.5, 9.0], // (1,1): Mix is the thinnest cell
-            [1.0, 1.0, 1.0],
-            [9.0, 9.0, 0.5], // (1,2): Nix is the thinnest cell
-        ];
-        let masks = prune_dominated(&query, &maint, &fat_dominators, 2);
-        assert_eq!(masks[sid(1, 1).rank(2)], 0, "thin Mix survives every λ");
-        assert_eq!(masks[sid(1, 2).rank(2)], 0, "thin Nix survives every λ");
-    }
-
-    #[test]
-    fn prune_dominated_eliminates_ranks_beaten_by_singleton_floors() {
-        // Singleton floors: 2.0 + 2.0 = 4.0. Rank (1,2)'s cheapest query
-        // share alone is 10.0 > 4.0, and the replacement pair's pages
-        // (1.0 + 1.0 = 2.0) fit under the rank's thinnest cell (2.0): the
-        // whole rank is eliminated for every λ ≥ 0.
-        let query = vec![[1.0, 1.5, 1.2], [1.0, 1.1, 1.3], [10.0, 11.0, 12.0]];
-        let maint = vec![[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]];
-        let sizes = vec![[1.0; 3], [1.0; 3], [2.0; 3]];
-        let masks = prune_dominated(&query, &maint, &sizes, 2);
-        assert_eq!(masks[sid(1, 2).rank(2)], 0b111, "rank eliminated");
-        // Singleton ranks are never rank-eliminated, whatever their price.
-        assert_ne!(masks[sid(1, 1).rank(2)], 0b111);
-        assert_ne!(masks[sid(2, 2).rank(2)], 0b111);
-        // The λ guard: a singleton replacement fatter than the rank's
-        // thinnest cell could lose at large λ, so elimination is withheld
-        // (the 2.0 + 2.0 = 4.0 replacement pages exceed the rank's 1.0).
-        let fat_singletons = vec![[2.0; 3], [2.0; 3], [1.0, 1.0, 1.0]];
-        let masks = prune_dominated(&query, &maint, &fat_singletons, 2);
-        assert_ne!(masks[sid(1, 2).rank(2)], 0b111, "fat replacement kept");
-    }
-
-    /// The advisor-facing contract: masking pruned cells to `INFINITY`
-    /// leaves the DP's cost *bits* and its tie-broken selection unchanged
-    /// — on the uncovered pricing, under random coverage (covered cells
-    /// pay query only and bypass the mask, exactly as
-    /// the advisor's `priced_matrix` prices them), and under every λ-priced
-    /// objective `q + m + λ·s` the budgeted sweeps construct.
-    #[test]
-    fn masked_dp_is_bit_identical_on_random_grids() {
-        let mut seed = 0xDEC0DE_u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for n in 2..=8 {
-            for trial in 0..8 {
-                let ranks = SubpathId::count(n);
-                let mut query = Vec::with_capacity(ranks);
-                let mut maint = Vec::with_capacity(ranks);
-                let mut sizes = Vec::with_capacity(ranks);
-                for _ in 0..ranks {
-                    let cell = |r: &mut dyn FnMut() -> u64| (r() % 1000) as f64 / 100.0;
-                    query.push([cell(&mut rng), cell(&mut rng), cell(&mut rng)]);
-                    maint.push([cell(&mut rng), cell(&mut rng), cell(&mut rng)]);
-                    sizes.push([cell(&mut rng), cell(&mut rng), cell(&mut rng)]);
-                }
-                let masks = prune_dominated(&query, &maint, &sizes, n);
-                // Random coverage (none on even trials).
-                let covered: Vec<u8> = (0..ranks)
-                    .map(|_| if trial % 2 == 0 { 0 } else { (rng() % 8) as u8 })
-                    .collect();
-                for lambda in [0.0, 0.7, 13.0] {
-                    let price = |with_mask: bool| {
-                        let values: Vec<(SubpathId, [f64; 3])> = (0..ranks)
-                            .map(|r| {
-                                let mut cell = [0.0; 3];
-                                for o in 0..3 {
-                                    cell[o] = if covered[r] & (1 << o) != 0 {
-                                        query[r][o]
-                                    } else if with_mask && masks[r] & (1 << o) != 0 {
-                                        f64::INFINITY
-                                    } else {
-                                        query[r][o] + maint[r][o] + lambda * sizes[r][o]
-                                    };
-                                }
-                                (SubpathId::from_rank(n, r), cell)
-                            })
-                            .collect();
-                        opt_ind_con_dp(&CostMatrix::from_values(n, &values))
-                    };
-                    let full = price(false);
-                    let masked = price(true);
-                    assert_eq!(
-                        full.cost.to_bits(),
-                        masked.cost.to_bits(),
-                        "n={n} trial={trial} λ={lambda}: cost {} vs {}",
-                        full.cost,
-                        masked.cost
-                    );
-                    assert_eq!(
-                        full.best.pairs(),
-                        masked.best.pairs(),
-                        "n={n} trial={trial} λ={lambda}: selections diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bb_equals_exhaustive_on_random_matrices() {
-        // Deterministic pseudo-random matrices across path lengths.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed % 1000) as f64 / 100.0 + 0.1
-        };
-        for n in 2..=8 {
-            let mut values = Vec::new();
-            for len in 1..=n {
-                for start in 1..=(n - len + 1) {
-                    values.push((sid(start, start + len - 1), [next(), next(), next()]));
-                }
-            }
-            let m = CostMatrix::from_values(n, &values);
-            let a = opt_ind_con(&m);
-            let b = exhaustive(&m);
-            assert!(
-                (a.cost - b.cost).abs() < 1e-9,
-                "n={n}: bb {} vs exhaustive {}",
-                a.cost,
-                b.cost
-            );
-            assert!(a.evaluated <= b.evaluated);
-        }
-    }
-}
+mod tests;

@@ -2,12 +2,12 @@
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
 use super::descent::MAX_SWEEPS;
-use super::ledger::{self, Ledger, Pair};
+use super::ledger::{self, Ledger, Pair, PairMap, PairSet};
 use super::pricing::{matrix_selection, priced_matrix, to_selection, true_marginal, Bans, Pricing};
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
-use crate::select::frontier_dp;
-use std::collections::{HashMap, HashSet};
+use crate::select::frontier_point;
+use crate::space::CandidateId;
 
 /// One eviction trial's outcome: the re-selected owners of the banned
 /// index, ascending by path index (a path never repeats a class, so its
@@ -49,10 +49,11 @@ pub struct BudgetedWorkloadPlan {
     pub evictions: usize,
     /// Eviction trials this call actually ran (each bans one physical
     /// index and re-selects all of its owners with a frontier DP). A work
-    /// counter like the inner epoch's `dp_runs`: trials answered from the
-    /// other components' previous round, and whole rounds answered from
-    /// the recorded trail, are not counted — so it is 0 for a call the
-    /// trail serves outright and is excluded from the identity asserts.
+    /// counter like the inner epoch's `dp_runs`: trials kept from an
+    /// earlier round — because nothing they read moved — and whole rounds
+    /// answered from the recorded trail are not counted, so it is 0 for a
+    /// call the trail serves outright. The same for every lane count, and
+    /// excluded from the identity asserts.
     pub eviction_trials: u64,
     /// Cost of the unconstrained optimum (the budget-∞ baseline).
     pub unconstrained_cost: f64,
@@ -115,23 +116,26 @@ impl BudgetedWorkloadPlan {
 /// its stop test — which index to evict next depends on the selections and
 /// the bans alone — so one trail serves every budget: a looser budget
 /// lands on an earlier step, a tighter one extends the walk from the end.
+/// Any mutation of the advisor drops it; until then it also keeps the
+/// trials of the next round that the last eviction did not disturb.
+#[derive(Default)]
 pub(super) struct EvictionTrail {
-    /// Candidate-sharing component of each live path (index into the
-    /// advisor's path list → component number).
-    comp_of: Vec<usize>,
     /// One step per adopted eviction. Footprints strictly decrease.
     steps: Vec<TrailStep>,
     /// Every index evicted so far; they stay banned so a later owner's
     /// re-selection cannot smuggle one back.
-    banned: HashSet<Pair>,
+    banned: PairSet,
     /// The walk found no eviction that frees a page at the last step: no
     /// budget below that step's footprint is reachable.
     dead_end: bool,
-    /// Per component, the re-selections of the trials run against that
-    /// component's current selections and bans. An eviction changes both
-    /// inside one component only, so it clears that component's entry and
-    /// every other trial keeps its re-selection for the next round.
-    trials: Vec<HashMap<Pair, Reselection>>,
+    /// The re-selection of each trial whose inputs are still those of the
+    /// walk's current end: its owners' selections, and the ownership
+    /// counts and bans over its owners' candidates. An eviction moves them
+    /// only for the trials with an owner among the evicted index's owners,
+    /// or holding a candidate those owners left or took up; it drops
+    /// exactly those, and every other trial keeps its re-selection for the
+    /// next round.
+    trials: PairMap<Reselection>,
 }
 
 /// One adopted eviction: the owners it re-selected and the workload's
@@ -144,23 +148,6 @@ struct TrailStep {
 }
 
 impl EvictionTrail {
-    /// An unwalked trail over `paths` live paths grouped into `components`.
-    fn new(components: &[Vec<usize>], paths: usize) -> Self {
-        let mut comp_of = vec![0; paths];
-        for (c, comp) in components.iter().enumerate() {
-            for &i in comp {
-                comp_of[i] = c;
-            }
-        }
-        EvictionTrail {
-            comp_of,
-            steps: Vec::new(),
-            banned: HashSet::new(),
-            dead_end: false,
-            trials: vec![HashMap::new(); components.len()],
-        }
-    }
-
     /// The selections after the first `steps` evictions, from the
     /// unconstrained `base`.
     fn selections_at(&self, base: &[Selection], steps: usize) -> Vec<Selection> {
@@ -261,8 +248,7 @@ impl WorkloadAdvisor<'_> {
                 // and an ∞ old price would turn the guard into an
                 // unconditional adoption.
                 let (old_cost, old_size) = true_marginal(st, &self.space, &context, sel);
-                let frontier = frontier_dp(&matrix);
-                if let Some(point) = frontier.within_budget(slack) {
+                if let Some(point) = frontier_point(&matrix, slack) {
                     let tol = 1e-9 * old_cost.abs().max(1.0);
                     let stol = 1e-9 * old_size.abs().max(1.0);
                     // Lexicographic improvement: strictly cheaper, or
@@ -308,9 +294,8 @@ impl WorkloadAdvisor<'_> {
     /// Work is proportional to what an eviction changes (DESIGN.md
     /// §5.12): a round builds once what its trials share — the ledger of
     /// its selections, which every trial forks, and who owns which index —
-    /// runs trials only for the component the previous eviction touched,
-    /// and re-derives every other trial's totals from its kept
-    /// re-selection.
+    /// runs only the trials whose inputs the previous eviction moved, and
+    /// re-derives every other trial's totals from its kept re-selection.
     fn evict_to_budget(
         &self,
         trail: &mut EvictionTrail,
@@ -335,26 +320,31 @@ impl WorkloadAdvisor<'_> {
             // fan-out is free of coordination; the fold below walks the
             // sorted pair order, which keeps the chosen eviction — and the
             // whole descent — bit-identical to the sequential engine.
-            let comp = |pair: &Pair| trail.comp_of[owners[pair][0]];
             let fresh: Vec<Pair> = pairs
                 .iter()
                 .copied()
-                .filter(|pair| !trail.trials[comp(pair)].contains_key(pair))
+                .filter(|pair| !trail.trials.contains_key(pair))
                 .collect();
             trials_run += fresh.len() as u64;
             let trial_of = |_: usize, pair: &Pair| {
                 self.eviction_trial(&round, &owners[pair], &selections, &trail.banned, *pair)
             };
+            // A kept trial IS the trial of this round, bit for bit: debug
+            // builds run every one of them again.
+            debug_assert!(
+                trail
+                    .trials
+                    .iter()
+                    .all(|(pair, kept)| *kept == trial_of(0, pair)),
+                "a kept eviction trial diverged from a fresh run"
+            );
             let outcomes: Vec<Reselection> = self.exec.par_map(&fresh, trial_of);
-            for (pair, outcome) in fresh.iter().zip(outcomes) {
-                let c = comp(pair);
-                trail.trials[c].insert(*pair, outcome);
-            }
+            trail.trials.extend(fresh.into_iter().zip(outcomes));
             let stol = 1e-9 * size0.abs().max(1.0);
             // (regret per page, evicted index, cost, size)
             let mut best: Option<(f64, Pair, f64, f64)> = None;
             for &pair in &pairs {
-                let Some(changed) = &trail.trials[comp(&pair)][&pair] else {
+                let Some(changed) = &trail.trials[&pair] else {
                     continue; // the ban left some owner uncoverable
                 };
                 let (cost, size) = self.trial_totals(&round, &selections, changed);
@@ -388,14 +378,12 @@ impl WorkloadAdvisor<'_> {
                 trail.dead_end = true; // nothing left to evict
                 break;
             };
-            // The eviction re-selects and bans inside one component only:
-            // that component's trials are stale, all others carry over.
-            let c = comp(&pair);
-            let changed = trail.trials[c]
+            let changed = trail
+                .trials
                 .remove(&pair)
                 .flatten()
                 .expect("the adopted trial re-selected its owners");
-            trail.trials[c].clear();
+            self.drop_disturbed_trials(&mut trail.trials, &owners, &selections, &changed);
             for (i, sel) in &changed {
                 selections[*i].clone_from(sel);
             }
@@ -412,6 +400,43 @@ impl WorkloadAdvisor<'_> {
         (trail.steps.len(), trials_run)
     }
 
+    /// Drops the kept trials an adopted eviction disturbed. The eviction
+    /// re-selects the evicted index's owners (`changed`, from the round's
+    /// `selections`) and bans the index. A trial reads its owners'
+    /// selections, the bans over their candidates and whether some other
+    /// path holds each of their cells ([`Self::eviction_trial`]), so it
+    /// stays valid unless one of its owners — under the round's `owners` —
+    /// holds a candidate of an old or new selection in `changed`. That
+    /// covers the re-selected owners themselves, and the new ban: each
+    /// held the evicted index in its old selection. It also covers a trial
+    /// whose index gains or loses an owner: every owner holds the index's
+    /// own candidate.
+    fn drop_disturbed_trials(
+        &self,
+        trials: &mut PairMap<Reselection>,
+        owners: &PairMap<Vec<usize>>,
+        selections: &[Selection],
+        changed: &[(usize, Selection)],
+    ) {
+        let mut touched: Vec<CandidateId> = Vec::new();
+        for (i, sel) in changed {
+            let st = &self.paths[*i];
+            let old = st.pieces(&selections[*i]);
+            touched.extend(old.chain(st.pieces(sel)).map(|((cand, _), _)| cand));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let disturbed: Vec<bool> = self
+            .paths
+            .iter()
+            .map(|st| {
+                let mut cands = st.cands.iter().flatten();
+                cands.any(|cand| touched.binary_search(cand).is_ok())
+            })
+            .collect();
+        trials.retain(|pair, _| owners[pair].iter().all(|&i| !disturbed[i]));
+    }
+
     /// One eviction trial: ban `pair` on top of `banned` and let all of
     /// its `owners` re-select without it, one after the other, each
     /// under the sharing context the earlier ones left. Returns the
@@ -424,7 +449,7 @@ impl WorkloadAdvisor<'_> {
         round: &Ledger<'_>,
         owners: &[usize],
         selections: &[Selection],
-        banned: &HashSet<Pair>,
+        banned: &PairSet,
         pair: Pair,
     ) -> Reselection {
         let bans = Bans {
@@ -442,13 +467,13 @@ impl WorkloadAdvisor<'_> {
                 lambda: 0.0,
                 bans: Some(&bans),
             };
-            // frontier_dp rather than the scalar DP, deliberately:
-            // its empty point set detects a ban that left the path
-            // uncoverable (the scalar DP panics there), and its
-            // first point breaks exact cost ties toward the leaner
-            // configuration — the right bias while evicting pages.
-            let frontier = frontier_dp(&priced_matrix(st, &self.space, pricing));
-            let sel = to_selection(&frontier.points.first()?.config);
+            // The frontier's first point rather than the scalar DP,
+            // deliberately: its absence detects a ban that left the path
+            // uncoverable (the scalar DP panics there), and it breaks
+            // exact cost ties toward the leaner configuration — the right
+            // bias while evicting pages.
+            let matrix = priced_matrix(st, &self.space, pricing);
+            let sel = to_selection(&frontier_point(&matrix, f64::INFINITY)?.config);
             overlay.insert(i, st.pieces(&sel));
             changed.push((i, sel));
         }
@@ -601,10 +626,7 @@ impl WorkloadAdvisor<'_> {
             .iter()
             .map(|p| to_selection(&p.selection))
             .collect();
-        let mut trail = match self.trail.take() {
-            Some(trail) => trail,
-            None => EvictionTrail::new(&comps, self.paths.len()),
-        };
+        let mut trail = self.trail.take().unwrap_or_default();
         let (evictions, eviction_trials) = self.evict_to_budget(&mut trail, &base, budget_pages);
         let evicted = trail.selections_at(&base, evictions);
         let (cost, size) = match evictions.checked_sub(1) {

@@ -15,10 +15,50 @@
 use super::pricing::installed;
 use crate::space::{CandidateId, CandidateSpace};
 use oic_cost::Org;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A physical index: one interned candidate under one organization.
 pub(crate) type Pair = (CandidateId, Org);
+
+/// The one hasher of [`Pair`] keys: a fixed multiplicative round per word
+/// (FxHash's), instead of SipHash's keyed rounds. Keys are two small
+/// integers no adversary picks, and no consumer depends on the iteration
+/// order a hasher gives — every fold and every choice over these maps
+/// sorts first (see the module doc and `evict_to_budget`).
+#[derive(Default)]
+pub(crate) struct PairHasher(u64);
+
+impl PairHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by physical index ([`Pair`], spelled out: CI allows no
+/// other hash map over it), hashed by [`PairHasher`].
+pub(crate) type PairMap<V> = HashMap<(CandidateId, Org), V, BuildHasherDefault<PairHasher>>;
+
+/// A set of physical indexes, hashed by [`PairHasher`].
+pub(crate) type PairSet = HashSet<(CandidateId, Org), BuildHasherDefault<PairHasher>>;
 
 /// Sorts once-paid values into the fold's summation order.
 pub(crate) fn sorted(mut once: Vec<f64>) -> Vec<f64> {
@@ -33,8 +73,11 @@ pub(crate) fn subtotal(shares: impl Iterator<Item = f64>) -> f64 {
 
 /// The objective: per-path query subtotals in path order plus the
 /// [`sorted`] once-paid maintenance prices.
-pub(crate) fn objective(subtotals: impl Iterator<Item = f64>, maintenance: &[f64]) -> f64 {
-    subtotals.sum::<f64>() + maintenance.iter().sum::<f64>()
+pub(crate) fn objective(
+    subtotals: impl Iterator<Item = f64>,
+    maintenance: impl Iterator<Item = f64>,
+) -> f64 {
+    subtotals.sum::<f64>() + maintenance.sum::<f64>()
 }
 
 fn insert_sorted(sorted: &mut Vec<f64>, value: f64) {
@@ -46,6 +89,38 @@ fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
     let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
     debug_assert_eq!(sorted[at].to_bits(), value.to_bits());
     sorted.remove(at);
+}
+
+/// `base` without one copy of each `removed` value and with the `added`
+/// ones, in `total_cmp` order — the operand a ledger built from scratch
+/// would sort — as the runs of `base` between the few changes, so a sum
+/// folds each run in one tight loop and nothing is copied. All three are
+/// sorted, and `removed` is a sub-multiset of `base`. Values equal under
+/// `total_cmp` are equal bit for bit, so which copy goes first cannot
+/// move a sum.
+fn merged<'a>(
+    base: &'a [f64],
+    removed: &'a [f64],
+    added: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    let at = |from: usize, v: &f64| from + base[from..].partition_point(|x| x.total_cmp(v).is_lt());
+    let mut runs = Vec::with_capacity(2 * (removed.len() + added.len()) + 1);
+    let (mut from, mut removed) = (0, removed.iter().peekable());
+    for next in added.iter().map(Some).chain([None]) {
+        let before_next = |r: &&f64| next.map_or(true, |v| r.total_cmp(v).is_lt());
+        while let Some(r) = removed.next_if(before_next) {
+            let cut = at(from, r);
+            runs.push(&base[from..cut]);
+            from = cut + 1;
+        }
+        if let Some(v) = next {
+            let cut = at(from, v);
+            runs.extend([&base[from..cut], std::slice::from_ref(v)]);
+            from = cut;
+        }
+    }
+    runs.push(&base[from..]);
+    runs.into_iter().flatten().copied()
 }
 
 /// The 3-bit-per-rank mask of a path's `(candidate, org)` cells that some
@@ -63,7 +138,7 @@ fn context_key_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool)
 /// How many registered selections cite each physical index.
 #[derive(Default)]
 pub(crate) struct Ownership {
-    count: HashMap<Pair, usize>,
+    count: PairMap<usize>,
 }
 
 impl Ownership {
@@ -110,11 +185,11 @@ impl Ownership {
 }
 
 /// The owning paths of every index `selections` cite, ascending.
-pub(crate) fn owners<I>(selections: impl Iterator<Item = I>) -> HashMap<Pair, Vec<usize>>
+pub(crate) fn owners<I>(selections: impl Iterator<Item = I>) -> PairMap<Vec<usize>>
 where
     I: Iterator<Item = (Pair, f64)>,
 {
-    let mut owners: HashMap<Pair, Vec<usize>> = HashMap::new();
+    let mut owners: PairMap<Vec<usize>> = PairMap::default();
     for (i, pieces) in selections.enumerate() {
         for (pair, _) in pieces {
             owners.entry(pair).or_default().push(i);
@@ -186,7 +261,7 @@ impl<'a> Ledger<'a> {
 
     /// The `(cost, size)` of the registered selections.
     pub(crate) fn totals(&self) -> (f64, f64) {
-        let cost = objective(self.query.iter().copied(), &self.maint);
+        let cost = objective(self.query.iter().copied(), self.maint.iter().copied());
         (cost, self.sizes.iter().sum::<f64>())
     }
 
@@ -258,31 +333,38 @@ impl Overlay<'_> {
     /// The `(cost, size)` of the base selections with the swaps applied —
     /// bit-identical to [`Ledger::totals`] of a ledger built on them: the
     /// swapped paths' subtotals replace the base's in the query fold, and
-    /// the sorted operands drop the indexes whose last owner left and gain
-    /// the newly owned ones.
+    /// the base's sorted operands are [`merged`] with the few indexes
+    /// whose last owner left (dropped) and the newly owned ones (added),
+    /// without copying them.
     pub(crate) fn totals(&self) -> (f64, f64) {
         let base = self.base;
-        let (mut maint, mut sizes) = (base.maint.clone(), base.sizes.clone());
+        // `[maintenance, size]` of the indexes dropped and added.
+        let (mut removed, mut added) = ([vec![], vec![]], [vec![], vec![]]);
         for &(pair, change) in &self.delta {
             let before = base.owned.count(pair) as isize;
             if (before > 0) == (before + change > 0) {
                 continue;
             }
             let (maintenance, size) = installed(base.space, pair);
-            if before > 0 {
-                remove_sorted(&mut maint, maintenance);
-                remove_sorted(&mut sizes, size);
-            } else {
-                insert_sorted(&mut maint, maintenance);
-                insert_sorted(&mut sizes, size);
-            }
+            let into = if before > 0 { &mut removed } else { &mut added };
+            into[0].push(maintenance);
+            into[1].push(size);
         }
-        let mut swapped = self.swapped.iter().peekable();
-        let query = base.query.iter().enumerate().map(|(i, &held)| {
-            let swap = swapped.next_if(|swap| swap.0 == i);
-            swap.map_or(held, |swap| swap.1)
-        });
-        (objective(query, &maint), sizes.iter().sum::<f64>())
+        for values in removed.iter_mut().chain(&mut added) {
+            values.sort_unstable_by(f64::total_cmp);
+        }
+        // The base's subtotals with the swapped ones in, run by run.
+        let mut runs = Vec::with_capacity(2 * self.swapped.len() + 1);
+        let mut from = 0;
+        for (i, query) in &self.swapped {
+            runs.extend([&base.query[from..*i], std::slice::from_ref(query)]);
+            from = i + 1;
+        }
+        runs.push(&base.query[from..]);
+        let query = runs.into_iter().flatten().copied();
+        let maint = merged(&base.maint, &removed[0], &added[0]);
+        let size = merged(&base.sizes, &removed[1], &added[1]).sum::<f64>();
+        (objective(query, maint), size)
     }
 }
 
@@ -294,7 +376,10 @@ mod tests {
     /// A random add/remove/swap sequence of selections ends bit-equal —
     /// cost, size, every context key — to a ledger built from scratch on
     /// the final selections; so does an overlay that reaches them on top
-    /// of the untouched start.
+    /// of the untouched start. Prices are drawn from a handful of values
+    /// including both signed zeros, so the overlay's merged fold meets
+    /// duplicates, `-0.0` beside `0.0`, and a value one index drops while
+    /// another adds it.
     #[test]
     fn incremental_ledger_equals_one_built_from_scratch() {
         let (schema, _) = fixtures::paper_schema();
@@ -309,11 +394,12 @@ mod tests {
             seed % below
         };
         // Few distinct prices, so equal values sit side by side in the
-        // sorted operands.
+        // sorted operands; signed zeros sort apart (`-0.0` first).
+        let price = |k: u64, step: f64| if k == 0 { -0.0 } else { (k - 1) as f64 * step };
         for &cand in &cands {
             for org in Org::ALL {
-                space.maintenance_cost(cand, org, || next(4) as f64 * 0.3 + 0.1);
-                space.size_cost(cand, org, || next(3) as f64 * 7.0);
+                space.maintenance_cost(cand, org, || price(next(5), 0.3));
+                space.size_cost(cand, org, || price(next(4), 7.0));
             }
         }
         // A selection of up to four distinct indexes; empty = a path that
@@ -369,5 +455,27 @@ mod tests {
                 overlay.insert(i, sels[i].iter().copied());
             }
         }
+    }
+
+    /// The overlay's operand merge is the sorted multiset difference and
+    /// union, bit for bit: duplicates, both signed zeros, a value removed
+    /// and added back, and additions before, between and after the base.
+    #[test]
+    fn merged_operands_are_the_sorted_multiset() {
+        let base = [-0.0, -0.0, 0.0, 1.0, 1.0, 2.0, 5.0];
+        let removed = [-0.0, 1.0, 5.0];
+        let added = [-1.0, -0.0, 0.0, 1.0, 3.0, 9.0];
+        let got: Vec<u64> = merged(&base, &removed, &added).map(f64::to_bits).collect();
+        let want = [-1.0, -0.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 9.0];
+        assert_eq!(got, want.map(f64::to_bits));
+        let all: Vec<f64> = merged(&base, &[], &[]).collect();
+        assert_eq!(
+            all.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            base.map(f64::to_bits)
+        );
+        assert_eq!(
+            merged(&[], &[], &[-0.0]).sum::<f64>().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 }

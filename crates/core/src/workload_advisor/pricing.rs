@@ -2,7 +2,7 @@
 //! bases, the first-owner claim pass, dominance masks) and
 //! [`priced_matrix`], the one place a path's cost matrix is built.
 
-use super::ledger::Pair;
+use super::ledger::{Pair, PairSet};
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor};
 use crate::select::{opt_ind_con_dp, prune_dominated};
@@ -11,7 +11,7 @@ use crate::{pc, Choice, CostMatrix, IndexConfiguration};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::{ClassId, PathSignature, Schema, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The installed `(maintenance, footprint)` prices of a live cell — what
 /// phase 1 priced for every admitted rank of every path.
@@ -365,15 +365,22 @@ fn reprice_compute(
 }
 
 /// The bans one eviction trial prices under: every index the descent
-/// evicted so far plus the one on trial.
+/// evicted so far plus the one on trial. [`priced_matrix`] reads one ban
+/// mask per rank of every owner it re-prices, three set probes each, so
+/// the evicted set hashes with the cheap `PairHasher`.
 pub(super) struct Bans<'a> {
-    pub(super) evicted: &'a HashSet<Pair>,
+    /// The trail's evictions so far; they stay banned for the whole walk.
+    pub(super) evicted: &'a PairSet,
+    /// The index this trial evicts.
     pub(super) trial: Pair,
 }
 
 impl Bans<'_> {
-    fn contains(&self, pair: Pair) -> bool {
-        pair == self.trial || self.evicted.contains(&pair)
+    /// The 3-bit mask of `cand`'s banned organizations.
+    fn mask(&self, cand: CandidateId) -> u8 {
+        let banned = |pair: Pair| pair == self.trial || self.evicted.contains(&pair);
+        let orgs = Org::ALL.into_iter().filter(|&org| banned((cand, org)));
+        orgs.fold(0, |mask, org| mask | 1 << org.index())
     }
 }
 
@@ -422,52 +429,47 @@ pub(super) fn priced_matrix(
         bans,
     } = pricing;
     let n = st.path.len();
-    let ban_in_rank = |r: usize| {
-        bans.is_some_and(|b| {
-            st.cands[r].is_some_and(|cand| Org::ALL.iter().any(|&o| b.contains((cand, o))))
-        })
-    };
-    let ban_in_path = bans.is_some() && (0..SubpathId::count(n)).any(ban_in_rank);
-    let values: Vec<(SubpathId, [f64; 3], [f64; 3])> = (0..SubpathId::count(n))
-        .map(|r| {
-            let sub = SubpathId::from_rank(n, r);
-            // A mined-out rank is absent from the candidate space:
-            // never priced, never selectable, no pages.
-            let Some(cand) = st.cands[r] else {
-                return (sub, [f64::INFINITY; 3], [0.0; 3]);
-            };
-            let covered = context.map_or(0, |ctx| ctx[r]);
-            let cut = match st.pruned.as_deref().map_or(0, |p| p[r]) {
-                0b111 if ban_in_path => 0,
-                cut if cut != 0b111 && ban_in_rank(r) => 0,
-                cut => cut,
-            };
-            let mut cell = [0.0; 3];
-            let mut sizes = [0.0; 3];
-            for org in Org::ALL {
-                if bans.is_some_and(|b| b.contains((cand, org))) {
-                    cell[org.index()] = f64::INFINITY;
-                    sizes[org.index()] = 0.0;
-                    continue;
-                }
-                // Coverage outranks the prune mask: a covered cell
-                // costs its query share only — which can beat the
-                // mask's uncovered-price dominance argument — so it
-                // stays selectable.
-                let (m, s) = if covered & (1 << org.index()) != 0 {
-                    (0.0, 0.0)
-                } else if cut & (1 << org.index()) != 0 {
-                    (f64::INFINITY, 0.0)
-                } else {
-                    installed(space, (cand, org))
-                };
-                cell[org.index()] = st.query_costs[r][org.index()] + m + lambda * s;
-                sizes[org.index()] = s;
+    let ranks = SubpathId::count(n);
+    // Per rank, the mask of banned cells, each looked up once.
+    let banned: Vec<u8> = bans.map_or_else(Vec::new, |b| {
+        let mask = |cand: &Option<CandidateId>| cand.map_or(0, |cand| b.mask(cand));
+        st.cands.iter().map(mask).collect()
+    });
+    let ban_in_path = banned.iter().any(|&mask| mask != 0);
+    // A mined-out rank is absent from the candidate space: never priced,
+    // never selectable, no pages.
+    let mut costs = vec![[f64::INFINITY; 3]; ranks];
+    let mut sizes = vec![[0.0; 3]; ranks];
+    for (r, (cell, cell_sizes)) in costs.iter_mut().zip(&mut sizes).enumerate() {
+        let Some(cand) = st.cands[r] else {
+            continue;
+        };
+        let covered = context.map_or(0, |ctx| ctx[r]);
+        let ban = banned.get(r).copied().unwrap_or(0);
+        let cut = match st.pruned.as_deref().map_or(0, |p| p[r]) {
+            0b111 if ban_in_path => 0,
+            cut if cut != 0b111 && ban != 0 => 0,
+            cut => cut,
+        };
+        for org in Org::ALL {
+            if ban & (1 << org.index()) != 0 {
+                continue; // unselectable, no pages
             }
-            (sub, cell, sizes)
-        })
-        .collect();
-    CostMatrix::from_values_with_sizes(n, &values)
+            // Coverage outranks the prune mask: a covered cell costs its
+            // query share only — which can beat the mask's
+            // uncovered-price dominance argument — so it stays selectable.
+            let (m, s) = if covered & (1 << org.index()) != 0 {
+                (0.0, 0.0)
+            } else if cut & (1 << org.index()) != 0 {
+                (f64::INFINITY, 0.0)
+            } else {
+                installed(space, (cand, org))
+            };
+            cell[org.index()] = st.query_costs[r][org.index()] + m + lambda * s;
+            cell_sizes[org.index()] = s;
+        }
+    }
+    CostMatrix::from_planes(n, costs, sizes)
 }
 
 /// The marginal `(cost, size)` of one path's *existing* selection

@@ -707,9 +707,12 @@ fn every_mutator_drops_the_recorded_descent() {
 /// Seeded 8–64-path workloads under binding budgets. In debug builds every
 /// eviction trial of every round — run fresh or kept from the previous
 /// round — has its incrementally derived `(cost, size)` compared
-/// `to_bits()` against `selection_totals` of the applied trial (a
-/// `debug_assert` inside the descent, the adopted trial included), so
-/// this test fails on the first trial whose totals drift by one ulp.
+/// `to_bits()` against the totals of a ledger built from scratch on the
+/// applied trial, and every kept trial is run again and compared with the
+/// re-selection it kept (two `debug_assert`s inside the descent, the
+/// adopted trial included). So this test fails on the first trial whose
+/// totals drift by one ulp, and on the first kept trial an eviction
+/// disturbed without dropping it.
 #[test]
 fn incremental_trial_totals_equal_full_repricing() {
     let params = CostParams::default();
@@ -735,6 +738,53 @@ fn incremental_trial_totals_equal_full_repricing() {
         }
     }
     assert!(trials > 1_000, "only {trials} trials exercised");
+}
+
+/// Eviction trials the cold 25 % solve on the 250-path tree of
+/// `tests/golden_decisions.rs` ran when an eviction dropped every kept
+/// trial of its component, recorded before trials were kept per owner.
+const COMPONENT_SCOPED_TRIALS: u64 = 8_509;
+
+/// The same solve's trials now that an eviction drops only the trials it
+/// disturbed: 53 % fewer.
+const OWNER_SCOPED_TRIALS: u64 = 3_960;
+const _: () = assert!(OWNER_SCOPED_TRIALS < COMPONENT_SCOPED_TRIALS);
+
+/// The walk's work contract on the 250-path tree (depth 5, fanout 3, seed
+/// 7) at `lanes` lanes: the cold 25 % solve runs [`OWNER_SCOPED_TRIALS`]
+/// trials, and the 50 % and 75 % solves after it land on the recorded
+/// trail without a trial. One test per lane count, so the three debug
+/// walks (each re-checks every trial) run side by side.
+fn assert_walk_trials(lanes: usize) {
+    let w = synth_workload(&WorkloadSpec {
+        paths: 250,
+        depth: 5,
+        fanout: 3,
+        seed: 7,
+    });
+    let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+    let size = adv.optimize().size_pages;
+    let cold = adv.optimize_with_budget(0.25 * size);
+    assert_eq!(cold.eviction_trials, OWNER_SCOPED_TRIALS, "{lanes} lanes");
+    for f in [0.5, 0.75] {
+        let served = adv.optimize_with_budget(f * size);
+        assert_eq!(served.eviction_trials, 0, "{lanes} lanes, {f}: trail");
+    }
+}
+
+#[test]
+fn eviction_walk_runs_only_disturbed_trials_one_lane() {
+    assert_walk_trials(1);
+}
+
+#[test]
+fn eviction_walk_runs_only_disturbed_trials_two_lanes() {
+    assert_walk_trials(2);
+}
+
+#[test]
+fn eviction_walk_runs_only_disturbed_trials_eight_lanes() {
+    assert_walk_trials(8);
 }
 
 /// A budget below the workload's minimum footprint walks the descent to

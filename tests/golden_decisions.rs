@@ -19,7 +19,9 @@
 //!   64-root `synth_forest`s of 1k and 3k paths (depth 8, fanout 1), at two
 //!   seeds, under one, two and eight lanes (each must give the recorded
 //!   digest);
-//! * the 25 / 50 / 75 % budgeted plans on both trees;
+//! * the 25 / 50 / 75 % budgeted plans on both trees, and each plan's
+//!   search outcome (λ, sweeps, repairs, evictions, feasibility and the
+//!   unconstrained cost and footprint);
 //! * the online loop on the 48-path tree: twelve `DriftSim` traffic
 //!   epochs through an `OnlineTuner`, each epoch's churn, tuner firings,
 //!   estimator fingerprint and plan, and the `MigrationPlanner` retargeted
@@ -191,20 +193,28 @@ fn plan_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
 }
 
 /// The budgeted plans at each fraction of the unconstrained footprint, on
-/// one advisor (each solve warm from the previous one).
+/// one advisor (each solve warm from the previous one), and beside each
+/// plan the search that found it: the winning λ, the sweep, repair and
+/// eviction counts, feasibility and the unconstrained baseline.
 fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
     let mut adv = w.advisor(CostParams::default());
     let size = adv.optimize().size_pages;
     BUDGET_FRACTIONS
         .iter()
-        .map(|f| {
+        .flat_map(|f| {
             let b = adv.optimize_with_budget(f * size);
-            let mut d = Digest::new();
-            d.plan(&b.plan).word(b.feasible as u64);
-            (
-                format!("{name}/seed{seed}/budget{}", (f * 100.0) as u32),
-                d.0,
-            )
+            let stage = format!("{name}/seed{seed}/budget{}", (f * 100.0) as u32);
+            let plan = Digest::new().plan(&b.plan).word(b.feasible as u64).0;
+            let search = Digest::new()
+                .float(b.lambda)
+                .word(b.lambda_sweeps as u64)
+                .word(b.repairs as u64)
+                .word(b.evictions as u64)
+                .word(b.feasible as u64)
+                .float(b.unconstrained_cost)
+                .float(b.unconstrained_size)
+                .0;
+            [(stage.clone(), plan), (format!("{stage}/search"), search)]
         })
         .collect()
 }
@@ -452,8 +462,9 @@ fn executed_pages_are_golden() {
 
 /// Recorded from the commit before Yao's closed form (every stage but
 /// `online/*`, which was recorded before the migration planner's build and
-/// cancellation loops were shared, and `executed/*`, recorded before MX and
-/// MIX became one type).
+/// cancellation loops were shared, `executed/*`, recorded before MX and
+/// MIX became one type, and `*/search`, recorded before the budget search
+/// got its `Pair` hasher, owner-scoped trial reuse and one-point frontier).
 const GOLDEN: &[(&str, u64)] = &[
     ("example51/paper", 0x3b235bc366e99259),
     ("example51/default", 0x77e81cb29f0673db),
@@ -462,21 +473,33 @@ const GOLDEN: &[(&str, u64)] = &[
     ("tree48/seed7/budget25", 0x077cb1cca6016ed2),
     ("tree48/seed7/budget50", 0x8fbcffc84bac6065),
     ("tree48/seed7/budget75", 0xe5875773606a6124),
+    ("tree48/seed7/budget25/search", 0x3d9ea9dee19a9691),
+    ("tree48/seed7/budget50/search", 0x804a5885bb4085e0),
+    ("tree48/seed7/budget75/search", 0xb5733913ed811735),
     ("tree48/seed11/cold", 0x7f50f17f2682ebc1),
     ("tree48/seed11/warm", 0x0999a553ed3f7f2e),
     ("tree48/seed11/budget25", 0xaccd0bb33ba4491d),
     ("tree48/seed11/budget50", 0x4f4383ef889742a1),
     ("tree48/seed11/budget75", 0xfb9caab78919aa55),
+    ("tree48/seed11/budget25/search", 0x2790f2e7e658d60e),
+    ("tree48/seed11/budget50/search", 0x4eee632d1b7e5d5b),
+    ("tree48/seed11/budget75/search", 0x3232a96e7da5c44e),
     ("tree250/seed7/cold", 0xf5c9e4452889814d),
     ("tree250/seed7/warm", 0xfbf927bf47bbc5bb),
     ("tree250/seed7/budget25", 0xf8fa2e0929e2f387),
     ("tree250/seed7/budget50", 0xb4564b6553380993),
     ("tree250/seed7/budget75", 0x764d587a5eeae90f),
+    ("tree250/seed7/budget25/search", 0x5e02dae60641cce5),
+    ("tree250/seed7/budget50/search", 0x4d1c08d2c980c774),
+    ("tree250/seed7/budget75/search", 0xc26c1673892607fe),
     ("tree250/seed11/cold", 0x7ab0458c2c18e30f),
     ("tree250/seed11/warm", 0x3e655c53386998e0),
     ("tree250/seed11/budget25", 0xb4bb000e5095f4fa),
     ("tree250/seed11/budget50", 0xe80eb76432bc40bd),
     ("tree250/seed11/budget75", 0x12c12e10ca19e4d3),
+    ("tree250/seed11/budget25/search", 0xcdf125529b30c367),
+    ("tree250/seed11/budget50/search", 0x22e93401a70abc03),
+    ("tree250/seed11/budget75/search", 0x12ea87f1c2ac256c),
     ("forest1k/seed7/cold", 0xe293f6dbf9c9a438),
     ("forest1k/seed7/warm", 0xd84e47b0bfe26770),
     ("forest1k/seed11/cold", 0x36271b39225def1a),
