@@ -48,8 +48,9 @@
 //! ```
 
 use oic_cost::Org;
-use oic_schema::{AttrId, ClassId, Path, Schema, SubpathId};
+use oic_schema::{AttrId, ClassId, Path, PathStep, Schema, SubpathId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense identifier of an interned physical candidate. Ids index flat
 /// arrays directly; the id of a freed candidate (refcount zero) is recycled
@@ -69,6 +70,44 @@ impl CandidateId {
 /// One step of a physical candidate: the hierarchy root class and the
 /// interned attribute traversed at that position.
 pub type CandidateStep = (ClassId, AttrId);
+
+/// The crate's one hasher: a fixed multiplicative round per word
+/// (FxHash's), instead of SipHash's keyed rounds. It hashes the advisor's
+/// `(candidate, organization)` keys and the space's step-sequence keys —
+/// small integers no adversary picks — and no consumer depends on the
+/// iteration order it gives: the advisor sorts before every fold and
+/// choice over its maps, and the space never iterates its lookup (ids
+/// come from the arena and its free list).
+#[derive(Default)]
+pub(crate) struct PairHasher(u64);
+
+impl PairHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The live candidates of one role, by step sequence. Probed with a
+/// borrowed `&[CandidateStep]`, so a hit allocates nothing.
+type StepMap = HashMap<Box<[CandidateStep]>, CandidateId, BuildHasherDefault<PairHasher>>;
 
 /// One arena slot: a candidate's identity, dependency set, and refcount.
 #[derive(Debug)]
@@ -99,8 +138,9 @@ struct Slot {
 pub struct CandidateSpace {
     /// Arena slots; freed slots stay in place (refs = 0) until recycled.
     slots: Vec<Slot>,
-    /// Reverse lookup used at interning time; freed candidates are removed.
-    lookup: HashMap<(Box<[CandidateStep]>, bool), CandidateId>,
+    /// Reverse lookup used at interning time, one map per role (indexed by
+    /// `embedded`); freed candidates are removed.
+    lookup: [StepMap; 2],
     /// Memoized maintenance price per `(candidate, org)`; `NaN` = unpriced.
     maint: Vec<[f64; 3]>,
     /// Memoized footprint in pages per `(candidate, org)`; `NaN` =
@@ -137,38 +177,34 @@ impl CandidateSpace {
         embedded: bool,
         deps: impl FnOnce() -> Vec<ClassId>,
     ) -> CandidateId {
-        use std::collections::hash_map::Entry;
-        match self.lookup.entry((Box::from(steps), embedded)) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                self.slots[id.index()].refs += 1;
+        let lookup = &mut self.lookup[usize::from(embedded)];
+        if let Some(&id) = lookup.get(steps) {
+            self.slots[id.index()].refs += 1;
+            return id;
+        }
+        let slot = Slot {
+            steps: Box::from(steps),
+            embedded,
+            deps: deps().into(),
+            refs: 1,
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.slots[id.index()] = slot;
+                self.maint[id.index()] = [f64::NAN; 3];
+                self.size[id.index()] = [f64::NAN; 3];
                 id
             }
-            Entry::Vacant(e) => {
-                let slot = Slot {
-                    steps: e.key().0.clone(),
-                    embedded,
-                    deps: deps().into(),
-                    refs: 1,
-                };
-                let id = match self.free.pop() {
-                    Some(id) => {
-                        self.slots[id.index()] = slot;
-                        self.maint[id.index()] = [f64::NAN; 3];
-                        self.size[id.index()] = [f64::NAN; 3];
-                        id
-                    }
-                    None => {
-                        let id = CandidateId(self.slots.len() as u32);
-                        self.slots.push(slot);
-                        self.maint.push([f64::NAN; 3]);
-                        self.size.push([f64::NAN; 3]);
-                        id
-                    }
-                };
-                *e.insert(id)
+            None => {
+                let id = CandidateId(self.slots.len() as u32);
+                self.slots.push(slot);
+                self.maint.push([f64::NAN; 3]);
+                self.size.push([f64::NAN; 3]);
+                id
             }
-        }
+        };
+        lookup.insert(Box::from(steps), id);
+        id
     }
 
     /// Interns every subpath of `path`, returning one candidate id per
@@ -178,15 +214,9 @@ impl CandidateSpace {
     /// position intern as embedded. Pass the resulting ids back to
     /// [`CandidateSpace::release_path`] when the path departs.
     pub fn intern_path(&mut self, schema: &Schema, path: &Path) -> Vec<CandidateId> {
-        let n = path.len();
-        (0..SubpathId::count(n))
-            .map(|r| {
-                let sub = SubpathId::from_rank(n, r);
-                self.intern(&path.step_keys(sub), sub.end < n, || {
-                    oic_cost::invalidation::maintenance_dependencies(schema, path, sub)
-                })
-            })
-            .collect()
+        let admitted = vec![true; SubpathId::count(path.len())];
+        let ids = self.intern_path_admitted(schema, path, &admitted);
+        ids.into_iter().map(|id| id.expect("admitted")).collect()
     }
 
     /// [`CandidateSpace::intern_path`] under a mined admission verdict:
@@ -195,6 +225,10 @@ impl CandidateSpace {
     /// matches `intern_path` bitwise when everything is admitted). A
     /// mined-out rank holds no reference and occupies no slot: the space,
     /// the maintenance memo and the shard index never see it.
+    ///
+    /// Every subpath probes a borrowed slice of one key vector per path,
+    /// so a rank whose candidate is live allocates nothing; a miss
+    /// allocates its slot's identity and lookup key.
     pub fn intern_path_admitted(
         &mut self,
         schema: &Schema,
@@ -203,13 +237,14 @@ impl CandidateSpace {
     ) -> Vec<Option<CandidateId>> {
         let n = path.len();
         debug_assert_eq!(admitted.len(), SubpathId::count(n));
+        let keys: Vec<CandidateStep> = path.steps().iter().map(PathStep::key).collect();
         (0..SubpathId::count(n))
             .map(|r| {
                 if !admitted[r] {
                     return None;
                 }
                 let sub = SubpathId::from_rank(n, r);
-                Some(self.intern(&path.step_keys(sub), sub.end < n, || {
+                Some(self.intern(&keys[sub.start - 1..sub.end], sub.end < n, || {
                     oic_cost::invalidation::maintenance_dependencies(schema, path, sub)
                 }))
             })
@@ -229,9 +264,9 @@ impl CandidateSpace {
             assert!(slot.refs > 0, "release of a dead candidate {id:?}");
             slot.refs -= 1;
             if slot.refs == 0 {
-                let key = (std::mem::take(&mut slot.steps), slot.embedded);
+                let steps = std::mem::take(&mut slot.steps);
                 slot.deps = Box::default();
-                self.lookup.remove(&key);
+                self.lookup[usize::from(slot.embedded)].remove(&*steps);
                 self.maint[id.index()] = [f64::NAN; 3];
                 self.size[id.index()] = [f64::NAN; 3];
                 self.free.push(id);
@@ -261,9 +296,9 @@ impl CandidateSpace {
     /// role, if any path currently exposes it. Unlike
     /// [`CandidateSpace::intern`] this acquires **no** reference — it is
     /// the what-if API's resolution primitive, safe to call without ever
-    /// releasing.
+    /// releasing. It allocates nothing.
     pub fn find(&self, steps: &[CandidateStep], embedded: bool) -> Option<CandidateId> {
-        self.lookup.get(&(Box::from(steps), embedded)).copied()
+        self.lookup[usize::from(embedded)].get(steps).copied()
     }
 
     /// Number of **live** candidates (refcount > 0).

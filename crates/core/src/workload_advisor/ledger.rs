@@ -13,45 +13,13 @@
 //! one built from scratch agree bitwise.
 
 use super::pricing::installed;
-use crate::space::{CandidateId, CandidateSpace};
+use crate::space::{CandidateId, CandidateSpace, PairHasher};
 use oic_cost::Org;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// A physical index: one interned candidate under one organization.
 pub(crate) type Pair = (CandidateId, Org);
-
-/// The one hasher of [`Pair`] keys: a fixed multiplicative round per word
-/// (FxHash's), instead of SipHash's keyed rounds. Keys are two small
-/// integers no adversary picks, and no consumer depends on the iteration
-/// order a hasher gives — every fold and every choice over these maps
-/// sorts first (see the module doc and `evict_to_budget`).
-#[derive(Default)]
-pub(crate) struct PairHasher(u64);
-
-impl PairHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(u64::from(b)));
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.add(u64::from(word));
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.add(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A map keyed by physical index ([`Pair`], spelled out: CI allows no
 /// other hash map over it), hashed by [`PairHasher`].

@@ -63,12 +63,10 @@ pub(super) struct QueryBasis {
 }
 
 impl QueryBasis {
-    /// Prices the retrieval coefficients of `st`'s path shape: one cost
-    /// model build, then every `(rank, org, slot)` retrieval unit cost in
-    /// the exact order `pc::processing_cost` visits them.
-    fn build(schema: &Schema, params: CostParams, stats: &[ClassStats], st: &PathState) -> Self {
-        let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
-        let model = CostModel::new(schema, &st.path, &chars, params);
+    /// Prices the retrieval coefficients of `st`'s path shape from its
+    /// cost `model`: every `(rank, org, slot)` retrieval unit cost in the
+    /// exact order `pc::processing_cost` visits them.
+    fn build(schema: &Schema, model: &CostModel<'_>, st: &PathState) -> Self {
         let n = st.path.len();
         let classes = st.path.scope_by_position(schema);
         let mut coeffs = Vec::with_capacity(SubpathId::count(n));
@@ -163,39 +161,6 @@ impl WorkloadAdvisor<'_> {
             .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
             .collect();
 
-        // Basis prepass: among the query-dirty paths, find the distinct
-        // signatures the per-signature basis cache does not hold yet and
-        // price each **once** — instead of rebuilding a full cost model
-        // per path. Only signatures shared by ≥ 2 dirty paths are worth a
-        // basis (building one costs a full model pass; a lone path prices
-        // cheaper from scratch, and does so in the fallback arm of
-        // `reprice_compute`). Representatives are the first dirty path of
-        // each qualifying signature, in path order, and the merge installs
-        // in that same order, so the cache contents are
-        // executor-independent.
-        let reps: Vec<usize> = {
-            let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
-            for &i in &dirty {
-                let st = &self.paths[i];
-                if st.dirty_query && !self.basis.contains_key(&st.signature) {
-                    members.entry(&st.signature).or_insert((i, 0)).1 += 1;
-                }
-            }
-            let mut firsts: Vec<usize> = members
-                .into_values()
-                .filter(|&(_, count)| count >= 2)
-                .map(|(first, _)| first)
-                .collect();
-            firsts.sort_unstable();
-            firsts
-        };
-        let built: Vec<QueryBasis> = self.exec.par_map(&reps, |_, &i| {
-            QueryBasis::build(self.schema, self.params, &self.stats, &self.paths[i])
-        });
-        for (b, &i) in built.into_iter().zip(&reps) {
-            self.basis.insert(self.paths[i].signature.clone(), b);
-        }
-
         // Claim pass, in path order: an unpriced `(candidate, org)` goes to
         // the first dirty path that exposes it — the cells a sequential
         // first-owner walk would price, each exactly once. (A cell's
@@ -224,8 +189,55 @@ impl WorkloadAdvisor<'_> {
                 mine
             })
             .collect();
+
+        // Basis prepass: among the query-dirty paths, find the distinct
+        // signatures the per-signature basis cache does not hold yet and
+        // price each **once** — instead of rebuilding a full cost model
+        // per path. Only signatures shared by ≥ 2 dirty paths are worth a
+        // basis (building one costs a full model pass; a lone path prices
+        // cheaper from scratch, and does so in the fallback arm of
+        // `reprice_compute`). Representatives are the first dirty path of
+        // each qualifying signature, in path order, and the merge installs
+        // in that same order, so the cache contents are
+        // executor-independent. A basis job also prices its
+        // representative's claims with the model it built, so that path's
+        // model is built once; `reprice_compute` skips them.
+        let reps: Vec<usize> = {
+            let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
+            for (k, &i) in dirty.iter().enumerate() {
+                let st = &self.paths[i];
+                if st.dirty_query && !self.basis.contains_key(&st.signature) {
+                    members.entry(&st.signature).or_insert((k, 0)).1 += 1;
+                }
+            }
+            let mut firsts: Vec<usize> = members
+                .into_values()
+                .filter(|&(_, count)| count >= 2)
+                .map(|(first, _)| first)
+                .collect();
+            firsts.sort_unstable();
+            firsts
+        };
+        let built: Vec<(QueryBasis, Vec<(f64, f64)>)> = self.exec.par_map(&reps, |_, &k| {
+            let st = &self.paths[dirty[k]];
+            with_model(self.schema, self.params, &self.stats, st, |model| {
+                let cells = price_claims(self.schema, &self.maint, model, st, &claims[k]);
+                (QueryBasis::build(self.schema, model, st), cells)
+            })
+        });
+        let mut rep_cells: Vec<Option<Vec<(f64, f64)>>> = vec![None; dirty.len()];
+        for ((b, cells), &k) in built.into_iter().zip(&reps) {
+            self.basis.insert(self.paths[dirty[k]].signature.clone(), b);
+            rep_cells[k] = Some(cells);
+        }
+
         let outs: Vec<RepriceOut> = self.exec.par_map(&dirty, |k, &i| {
             let st = &self.paths[i];
+            let mine: &[_] = if rep_cells[k].is_some() {
+                &[]
+            } else {
+                &claims[k]
+            };
             reprice_compute(
                 self.schema,
                 self.params,
@@ -233,11 +245,13 @@ impl WorkloadAdvisor<'_> {
                 &self.maint,
                 self.basis.get(&st.signature),
                 st,
-                &claims[k],
+                mine,
             )
         });
-        for ((out, &i), mine) in outs.into_iter().zip(&dirty).zip(&claims) {
-            for (&(_, cand, org), (m, s)) in mine.iter().zip(out.cells) {
+        let merged = outs.into_iter().zip(&dirty).zip(&claims).zip(rep_cells);
+        for (((out, &i), mine), basis_cells) in merged {
+            let cells = basis_cells.unwrap_or(out.cells);
+            for (&(_, cand, org), (m, s)) in mine.iter().zip(cells) {
                 debug_assert!(
                     self.space.priced_maintenance(cand, org).is_none(),
                     "cell ({cand:?}, {org}) priced twice"
@@ -312,7 +326,8 @@ impl WorkloadAdvisor<'_> {
 /// [`QueryBasis`] when the prepass cached one — bitwise the
 /// from-scratch values — and price from scratch otherwise (a signature
 /// with fewer than two dirty members). The cost model is built only
-/// for that fallback or for a claimed cell.
+/// for that fallback or for a claimed cell (a basis representative's
+/// claims arrive empty: its basis job priced them).
 fn reprice_compute(
     schema: &Schema,
     params: CostParams,
@@ -328,10 +343,13 @@ fn reprice_compute(
         _ => None,
     };
     let from_scratch = st.dirty_query && query_costs.is_none();
-    let mut cells = Vec::with_capacity(claims.len());
-    if from_scratch || !claims.is_empty() {
-        let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
-        let model = CostModel::new(schema, &st.path, &chars, params);
+    if !from_scratch && claims.is_empty() {
+        return RepriceOut {
+            query_costs,
+            cells: Vec::new(),
+        };
+    }
+    with_model(schema, params, stats, st, |model| {
         if from_scratch {
             let alphas = &st.alphas;
             let qld = LoadDistribution::build(schema, &st.path, |c| {
@@ -343,25 +361,52 @@ fn reprice_compute(
                     return [0.0; 3];
                 }
                 let sub = SubpathId::from_rank(n, r);
-                Org::ALL.map(|org| pc::processing_cost(&model, &qld, sub, Choice::Index(org)))
+                Org::ALL.map(|org| pc::processing_cost(model, &qld, sub, Choice::Index(org)))
             });
             query_costs = Some(shares.collect());
         }
-        if !claims.is_empty() {
-            let mld = LoadDistribution::build(schema, &st.path, |c| {
-                let (beta, gamma) = maint[c.index()];
-                Triplet::new(0.0, beta, gamma)
-            });
-            for &(r, _, org) in claims {
-                let sub = SubpathId::from_rank(n, r);
-                cells.push((
-                    pc::processing_cost(&model, &mld, sub, Choice::Index(org)),
-                    model.size_pages(org, sub),
-                ));
-            }
-        }
+        let cells = price_claims(schema, maint, model, st, claims);
+        RepriceOut { query_costs, cells }
+    })
+}
+
+/// Runs `f` on `st`'s cost model under the current statistics — the one
+/// model build of a path's re-pricing.
+fn with_model<R>(
+    schema: &Schema,
+    params: CostParams,
+    stats: &[ClassStats],
+    st: &PathState,
+    f: impl FnOnce(&CostModel<'_>) -> R,
+) -> R {
+    let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
+    f(&CostModel::new(schema, &st.path, &chars, params))
+}
+
+/// The `(maintenance, size)` of each cell the claim pass assigned to `st`
+/// (`claims`: rank, candidate, organization), in claim order, priced
+/// under the workload's shared insert/delete rates `maint`.
+fn price_claims(
+    schema: &Schema,
+    maint: &[(f64, f64)],
+    model: &CostModel<'_>,
+    st: &PathState,
+    claims: &[(usize, CandidateId, Org)],
+) -> Vec<(f64, f64)> {
+    if claims.is_empty() {
+        return Vec::new();
     }
-    RepriceOut { query_costs, cells }
+    let n = st.path.len();
+    let mld = LoadDistribution::build(schema, &st.path, |c| {
+        let (beta, gamma) = maint[c.index()];
+        Triplet::new(0.0, beta, gamma)
+    });
+    let cell = |&(r, _, org): &(usize, CandidateId, Org)| {
+        let sub = SubpathId::from_rank(n, r);
+        let m = pc::processing_cost(model, &mld, sub, Choice::Index(org));
+        (m, model.size_pages(org, sub))
+    };
+    claims.iter().map(cell).collect()
 }
 
 /// The bans one eviction trial prices under: every index the descent

@@ -47,10 +47,10 @@ pub use params::CostParams;
 // share priced models and characteristics across worker threads by
 // reference. That is sound because every memo in this crate is either
 // filled at construction or a `OnceLock` of a pure function of the model
-// (the cost model's leaf terms), and these assertions keep it that way:
-// adding a `Cell`/`RefCell` lazy cache to any of these types is a compile
-// error here, pointing at this contract instead of at a distant
-// auto-trait failure in `oic_core`.
+// (the cost model's leaf terms and NIX walks), and these assertions keep
+// it that way: adding a `Cell`/`RefCell` lazy cache to any of these types
+// is a compile error here, pointing at this contract instead of at a
+// distant auto-trait failure in `oic_core`.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     const fn pricing_path_is_shareable() {

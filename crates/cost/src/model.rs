@@ -24,8 +24,9 @@ use std::sync::OnceLock;
 /// position or dense subpath rank. The per-subpath cost entry points then
 /// read the caches instead of re-deriving the same `O(n·nc)` aggregates for
 /// every one of the `n(n+1)/2 × |Org|` matrix cells. The MX/MIX Yao terms
-/// that do not depend on the subpath (DESIGN.md §5.2) are priced on first
-/// use and reused by every subpath that folds them.
+/// that do not depend on the subpath, and each subpath's NIX retrieval
+/// walk (DESIGN.md §5.2), are priced on first use and reused by every
+/// cost that folds them.
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     schema: &'a Schema,
@@ -46,6 +47,9 @@ pub struct CostModel<'a> {
     nix_cache: Vec<NixStats>,
     /// Memoized MX/MIX leaf terms per position.
     terms: Vec<LeafTerms>,
+    /// Memoized NIX retrieval level walk per subpath, indexed by
+    /// [`SubpathId::rank`] (see [`CostModel::nix_crt`]).
+    nix_walks: Vec<OnceLock<Box<[f64]>>>,
 }
 
 /// The `CRT`/`CMT` terms of position `l` that no subpath bound enters: an
@@ -116,6 +120,7 @@ impl<'a> CostModel<'a> {
             mix_ests: Vec::new(),
             nix_cache: Vec::new(),
             terms: Self::blank_terms(chars),
+            nix_walks: Self::blank_walks(path.len()),
         };
         let n = path.len();
         model.mx_ests = (1..=n)
@@ -141,7 +146,12 @@ impl<'a> CostModel<'a> {
         self.matched_values = m;
         // Every memoized retrieval term was priced at the old probe counts.
         self.terms = Self::blank_terms(self.chars);
+        self.nix_walks = Self::blank_walks(self.n());
         self
+    }
+
+    fn blank_walks(n: usize) -> Vec<OnceLock<Box<[f64]>>> {
+        (0..SubpathId::count(n)).map(|_| OnceLock::new()).collect()
     }
 
     fn blank_terms(chars: &PathCharacteristics) -> Vec<LeafTerms> {
@@ -504,16 +514,55 @@ impl<'a> CostModel<'a> {
         (section / p.page_size).ceil().clamp(1.0, full)
     }
 
+    /// `CRT(primary(S), probe(e), pr)`, the retrieval through `sub`'s NIX
+    /// primary index whichever section `pr` reads. The Yao level walk reads
+    /// only the primary estimate and the probe count, so it is priced once
+    /// per rank; `pr` enters only the spanning leaf term `t·pr`, which is
+    /// re-folded first, then the memoized levels in order — `crt`'s
+    /// operands in `crt`'s order (DESIGN.md §5.2).
+    fn nix_crt(&self, sub: SubpathId, pr: f64) -> f64 {
+        let rank = sub.rank(self.n());
+        let primary = &self.nix_cache[rank].primary;
+        let t = self.probe(sub.end);
+        if t <= 0.0 {
+            return 0.0;
+        }
+        let spanning = !primary.in_page(&self.params);
+        let walk = self.nix_walks[rank].get_or_init(|| {
+            // A spanning record's leaf level is the `t·pr` term itself.
+            let walked = primary.height - usize::from(spanning);
+            let mut t_cur = t;
+            let levels = primary.levels[..walked].iter().rev();
+            levels
+                .map(|&(n_k, p_k)| {
+                    t_cur = npa(t_cur.min(n_k), n_k, p_k);
+                    t_cur
+                })
+                .collect()
+        });
+        let mut total = 0.0;
+        if spanning {
+            total += t * pr;
+        }
+        for &a in walk.iter() {
+            total += a;
+        }
+        debug_assert_eq!(
+            total.to_bits(),
+            crt(primary, &self.params, t, pr).to_bits(),
+            "NIX walk memo of S{sub}"
+        );
+        total
+    }
+
     fn nix_retrieval(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
-        let stats = self.nix(sub);
-        let pr = self.nix_pr(sub, stats, NixSection::Class(l, x));
-        crt(&stats.primary, &self.params, self.probe(sub.end), pr)
+        let pr = self.nix_pr(sub, self.nix(sub), NixSection::Class(l, x));
+        self.nix_crt(sub, pr)
     }
 
     fn nix_retrieval_traversal(&self, sub: SubpathId) -> f64 {
-        let stats = self.nix(sub);
-        let pr = self.nix_pr(sub, stats, NixSection::Position(sub.start));
-        crt(&stats.primary, &self.params, self.probe(sub.end), pr)
+        let pr = self.nix_pr(sub, self.nix(sub), NixSection::Position(sub.start));
+        self.nix_crt(sub, pr)
     }
 
     /// Auxiliary-index cost shared by NIX insertion/deletion steps 2/4:
@@ -985,13 +1034,19 @@ mod tests {
         assert!(nix_q < stats.primary.pr_full(m.params()) + stats.primary.height as f64);
     }
 
-    /// The leaf-term memo's oracle: MX/MIX costs as they were priced
-    /// before the memo existed — every `CRT`/`CMT` term walked again for
-    /// every `(sub, l, x)`, straight through `crt`/`cmt`, in the same fold
-    /// order. NIX has no subpath-independent term and no memo; its arms
-    /// call the model's own pricing.
+    /// The memos' oracle: costs as they were priced before the leaf-term
+    /// and NIX-walk memos existed — every `CRT`/`CMT` term walked again
+    /// for every `(sub, l, x)`, straight through `crt`/`cmt`, in the same
+    /// fold order. NIX maintenance memoizes nothing; its arms call the
+    /// model's own pricing.
     mod from_scratch {
         use super::super::*;
+
+        fn nix_crt(m: &CostModel<'_>, sub: SubpathId, who: NixSection) -> f64 {
+            let stats = m.nix(sub);
+            let pr = m.nix_pr(sub, stats, who);
+            crt(&stats.primary, &m.params, m.probe(sub.end), pr)
+        }
 
         fn mx_crt(m: &CostModel<'_>, l: usize, x: usize) -> f64 {
             let est = m.est_mx(l, x);
@@ -1020,7 +1075,7 @@ mod tests {
             match org {
                 Org::Mx => mx_crt(m, l, x) + mx_tail(m, sub, l + 1),
                 Org::Mix => mix_crt(m, l, Some(x)) + mix_tail(m, sub, l + 1),
-                Org::Nix => m.nix_retrieval(sub, l, x),
+                Org::Nix => nix_crt(m, sub, NixSection::Class(l, x)),
             }
         }
 
@@ -1032,7 +1087,7 @@ mod tests {
                     head + mx_tail(m, sub, s + 1)
                 }
                 Org::Mix => mix_tail(m, sub, s),
-                Org::Nix => m.nix_retrieval_traversal(sub),
+                Org::Nix => nix_crt(m, sub, NixSection::Position(s)),
             }
         }
 
@@ -1141,7 +1196,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
 
-        /// Memoized leaf terms change no bit of any MX/MIX cost: random
+        /// Memoized leaf terms and NIX walks change no bit of any cost: random
         /// chains of up to 8 positions with hierarchies of 1–3 classes,
         /// statistics spread wide enough for in-page and spanning records
         /// on small and large pages, section and whole-record reads.
@@ -1170,7 +1225,7 @@ mod tests {
     #[test]
     fn reference_covers_in_page_and_spanning_records() {
         // The property above is only as good as its inputs: its domain
-        // must reach both CRT branches for MX and MIX.
+        // must reach both CRT branches for MX, MIX and the NIX primary.
         let (schema, path) = chain(&[(3, true), (2, false)], true);
         for (d, spanning) in [(50_000.0, false), (20.0, true)] {
             let chars = PathCharacteristics::build(&schema, &path, |_| {
@@ -1179,6 +1234,9 @@ mod tests {
             let m = CostModel::new(&schema, &path, &chars, CostParams::with_page_size(1024.0));
             assert_eq!(!m.est_mx(1, 0).in_page(&m.params), spanning);
             assert_eq!(!m.est_mix(1).in_page(&m.params), spanning);
+            for sub in path.subpath_ids() {
+                assert_eq!(!m.nix(sub).primary.in_page(&m.params), spanning, "S{sub}");
+            }
             assert_matches_from_scratch(&m);
         }
     }
@@ -1189,8 +1247,13 @@ mod tests {
         let params = CostParams::paper();
         let eq = CostModel::new(&f.schema, &f.path, &f.chars, params);
         let full = sub(1, 4);
-        // Fill the memo at m = 1, then widen the predicate.
+        // Fill the memos at m = 1 — every MX/MIX leaf term and every NIX
+        // walk — then widen the predicate.
         let at_one = Org::ALL.map(|org| eq.retrieval(org, full, 1, 0));
+        for ids in f.path.subpath_ids() {
+            eq.retrieval_traversal(Org::Nix, ids);
+            assert!(eq.nix_walks[ids.rank(4)].get().is_some(), "S{ids}");
+        }
         let widened = eq.with_matched_values(20.0);
         let fresh = CostModel::new(&f.schema, &f.path, &f.chars, params).with_matched_values(20.0);
         for org in Org::ALL {

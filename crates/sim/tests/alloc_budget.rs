@@ -7,7 +7,8 @@
 //! rather than wall clock: an observed event costs an add — one probe of
 //! the estimator's ordered path index per *run* of same-path events,
 //! however many paths are tracked — and a warmed quiet tuner epoch
-//! allocates nothing.
+//! allocates nothing. Interning an arriving path allocates per step, not
+//! per subpath, and the what-if candidate lookup allocates nothing.
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide.
 
@@ -17,7 +18,10 @@ use oic_cost::characteristics::{example51, ClassStats};
 use oic_cost::{CostParams, Org, PathCharacteristics};
 use oic_pager::MemPager;
 use oic_schema::{fixtures, ClassId, Path, Schema, SubpathId};
-use oic_sim::{generate, scale_chars, synth_workload, ConfiguredDb, GenSpec, WorkloadSpec};
+use oic_sim::{
+    generate, scale_chars, synth_forest, synth_workload, ConfiguredDb, ForestSpec, GenSpec,
+    WorkloadSpec,
+};
 use oic_storage::paged::PageStore;
 use oic_storage::{MemStore, Object, Oid};
 use oic_workload::{EstimatorConfig, PathKey, WorkloadEvent};
@@ -354,4 +358,58 @@ fn an_observed_event_costs_an_add_whatever_the_number_of_paths() {
     // Probes per event depend on the run length alone, not on how many
     // paths are tracked.
     assert_eq!(per_event[0], per_event[1]);
+}
+
+/// Interning's allocation contract: each subpath of an arriving path
+/// probes a borrowed slice of one key vector per path, so re-adding a path
+/// whose candidates are all live allocates per step (its key vector, its
+/// state, its scope), not per subpath, and the what-if lookup
+/// `CandidateSpace::find` allocates nothing. When every subpath built its
+/// own key vector and boxed a lookup key, the 8-step path below made 99
+/// allocations (2 per subpath + 27) and a `find` made 1; it now makes 28.
+#[test]
+fn re_adding_a_live_path_allocates_per_step_not_per_subpath() {
+    let w = synth_forest(&ForestSpec {
+        roots: 4,
+        paths: 400,
+        depth: 8,
+        fanout: 2,
+        seed: 7,
+    });
+    let mut adv = w.advisor(CostParams::default());
+    let live = adv.candidate_space().len();
+    let mut per_len = Vec::new();
+    for len in 2..=8 {
+        let i = w.paths.iter().position(|p| p.len() == len);
+        let i = i.unwrap_or_else(|| panic!("the forest has a {len}-step path"));
+        let (path, alphas) = (w.paths[i].clone(), w.queries[i].clone());
+        let (_, allocations) = allocations_of(|| adv.add_path_dense(path, alphas));
+        assert_eq!(
+            adv.candidate_space().len(),
+            live,
+            "every candidate was live"
+        );
+        per_len.push(allocations);
+        let steps: Vec<_> = w.paths[i].steps().iter().map(|s| s.key()).collect();
+        let (found, allocations) = allocations_of(|| adv.candidate_space().find(&steps, false));
+        assert!(
+            found.is_some(),
+            "{len} steps: the whole path is a candidate"
+        );
+        assert_eq!(allocations, 0, "{len} steps: find allocates nothing");
+    }
+    // A step adds one subpath per position it extends; a per-subpath
+    // allocation would make the increments grow with the length.
+    for (len, pair) in (3..).zip(per_len.windows(2)) {
+        assert!(
+            pair[1] <= pair[0] + 3,
+            "{len} steps: {} allocations after {} ({per_len:?})",
+            pair[1],
+            pair[0]
+        );
+    }
+    assert!(
+        per_len[6] < SubpathId::count(8) as u64,
+        "8 steps: {per_len:?}"
+    );
 }
