@@ -98,18 +98,6 @@ impl CostMatrix {
         Self::finish(path_len, rows, costs, sizes, None)
     }
 
-    /// A matrix with a row for every subpath, from its cost and size
-    /// planes indexed by [`SubpathId::rank`] — what the workload advisor
-    /// prices, moved in without a per-row copy.
-    pub(crate) fn from_planes(path_len: usize, costs: Vec<[f64; 3]>, sizes: Vec<[f64; 3]>) -> Self {
-        debug_assert_eq!(costs.len(), SubpathId::count(path_len));
-        debug_assert_eq!(sizes.len(), costs.len());
-        let rows = (0..costs.len())
-            .map(|r| SubpathId::from_rank(path_len, r))
-            .collect();
-        Self::finish(path_len, rows, costs, sizes, None)
-    }
-
     fn finish(
         path_len: usize,
         rows: Vec<SubpathId>,

@@ -19,9 +19,32 @@ const CHOICES: [Choice; 4] = [
     Choice::NoIndex,
 ];
 
+/// The index columns of [`CHOICES`].
+const INDEXES: [Choice; 3] = [
+    Choice::Index(Org::Mx),
+    Choice::Index(Org::Mix),
+    Choice::Index(Org::Nix),
+];
+
 /// The columns `matrix` prices.
 fn choices(matrix: &CostMatrix) -> &'static [Choice] {
     &CHOICES[..if matrix.has_no_index() { 4 } else { 3 }]
+}
+
+/// `matrix`'s cells as the recurrences read them: a piece's `(cost,
+/// size)` under each of `choices`.
+pub(crate) fn matrix_cells<const NCH: usize>(
+    matrix: &CostMatrix,
+    choices: [Choice; NCH],
+) -> impl Fn(SubpathId) -> [(f64, f64); NCH] + '_ {
+    move |sub| {
+        choices.map(|choice| {
+            (
+                matrix.choice_cost(sub, choice),
+                matrix.choice_size(sub, choice),
+            )
+        })
+    }
 }
 
 /// `2^(n-1)` — the recombination count of Section 5, saturating for paths
@@ -138,67 +161,121 @@ pub(crate) fn search(
 /// scaling-bench story against branch and bound — survives on matrices
 /// that carry a size plane, where the frontier's label sets cost real
 /// work the cost-only callers never read.
+///
+/// A thin wrapper: the recurrence is `ScalarDp::run`, which reads each
+/// piece through a closure — here the matrix's cell — so the workload
+/// advisor runs the same recurrence over cells it prices in place.
 pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
     let n = matrix.path_len();
-    let choices = choices(matrix);
-    let nch = choices.len();
-    // dp[j·nch + c]: cheapest cover of positions 1..=j whose last piece
-    // uses choices[c]; parent[j·nch + c] = (start of last piece, choice
-    // index of the piece before it; usize::MAX when the last piece starts
-    // at 1). Flat, one allocation each.
-    let mut dp = vec![f64::INFINITY; (n + 1) * nch];
-    let mut parent = vec![(0usize, usize::MAX); (n + 1) * nch];
-    // Prefix optimum min_Y dp[j][Y] together with its arg, so the inner
-    // loop stays O(|choices|) per (i, j) pair.
-    let mut prefix_best = vec![(f64::INFINITY, usize::MAX); n + 1];
-    prefix_best[0] = (0.0, usize::MAX);
-    let mut evaluated = 0u64;
-    for j in 1..=n {
-        // Longer pieces first (i ascending), matching the paper's search
-        // order so cost ties resolve toward the same configuration as the
-        // branch and bound.
-        for i in 1..=j {
-            let sub = SubpathId { start: i, end: j };
-            let (prev_cost, prev_choice) = prefix_best[i - 1];
-            if !prev_cost.is_finite() {
-                continue;
-            }
-            for (c, &choice) in choices.iter().enumerate() {
-                let piece = matrix.choice_cost(sub, choice);
-                evaluated += 1;
-                let total = prev_cost + piece;
-                if total < dp[j * nch + c] {
-                    dp[j * nch + c] = total;
-                    parent[j * nch + c] = (i, prev_choice);
-                }
-            }
-        }
-        let mut best = (f64::INFINITY, usize::MAX);
-        for (c, &cost) in dp[j * nch..(j + 1) * nch].iter().enumerate() {
-            if cost < best.0 {
-                best = (cost, c);
-            }
-        }
-        prefix_best[j] = best;
-    }
-    // Reconstruct the optimal configuration back-to-front.
-    let (cost, mut c) = prefix_best[n];
+    let mut dp = ScalarDp::default();
+    let (cost, evaluated) = if matrix.has_no_index() {
+        dp.run(n, |sub| CHOICES.map(|c| matrix.choice_cost(sub, c)))
+    } else {
+        dp.run(n, |sub| INDEXES.map(|c| matrix.choice_cost(sub, c)))
+    };
     debug_assert!(cost.is_finite(), "matrix rows must cover the path");
     let mut pairs = Vec::new();
-    let mut j = n;
-    while j > 0 {
-        let (i, prev_c) = parent[j * nch + c];
-        pairs.push((SubpathId { start: i, end: j }, choices[c]));
-        j = i - 1;
-        c = prev_c;
-    }
-    pairs.reverse();
+    dp.pieces_into(&mut pairs, |sub, c| (sub, CHOICES[c]));
     SelectionResult {
         best: IndexConfiguration::new(pairs, n).expect("DP pieces concatenate to the full path"),
         cost,
         evaluated,
         pruned: 0,
         candidate_space: candidate_space_size(n),
+    }
+}
+
+/// The scalar recurrence of [`opt_ind_con_dp`] over reusable tables: a
+/// caller that runs many DPs (the workload advisor, one table per job)
+/// keeps one and re-runs it, so a DP allocates nothing once the tables
+/// have grown to the longest path.
+#[derive(Debug, Default)]
+pub(crate) struct ScalarDp {
+    /// `dp[j·nch + c]`: cheapest cover of positions `1..=j` whose last
+    /// piece uses choice `c`.
+    dp: Vec<f64>,
+    /// `parent[j·nch + c]`: (start of that last piece, choice of the piece
+    /// before it; `usize::MAX` when the last piece starts at 1).
+    parent: Vec<(usize, usize)>,
+    /// The prefix optimum `min_Y dp[j][Y]` with its arg, so the inner loop
+    /// stays `O(nch)` per `(i, j)` pair.
+    prefix_best: Vec<(f64, usize)>,
+    /// Choices per piece in the last run.
+    nch: usize,
+}
+
+impl ScalarDp {
+    /// Runs the recurrence over a path of `n` positions with `NCH`
+    /// choices per piece, reading piece `S_{i,j}`'s cost under each choice
+    /// from `piece` once per transition: positions `j` ascending, then
+    /// longer pieces first (`i` ascending, the paper's search order, so
+    /// cost ties resolve toward the same configuration as the branch and
+    /// bound), then choices in order. A piece whose prefix is unreachable
+    /// is not read. Returns the optimum's cost (`INFINITY` when nothing
+    /// covers the path) and the transitions evaluated.
+    pub(crate) fn run<const NCH: usize>(
+        &mut self,
+        n: usize,
+        mut piece: impl FnMut(SubpathId) -> [f64; NCH],
+    ) -> (f64, u64) {
+        let nch = NCH;
+        self.nch = nch;
+        let states = (n + 1) * nch;
+        self.dp.clear();
+        self.dp.resize(states, f64::INFINITY);
+        self.parent.clear();
+        self.parent.resize(states, (0, usize::MAX));
+        self.prefix_best.clear();
+        self.prefix_best.resize(n + 1, (f64::INFINITY, usize::MAX));
+        self.prefix_best[0] = (0.0, usize::MAX);
+        let mut evaluated = 0u64;
+        for j in 1..=n {
+            let row = j * nch..(j + 1) * nch;
+            for i in 1..=j {
+                let (prev_cost, prev_choice) = self.prefix_best[i - 1];
+                if !prev_cost.is_finite() {
+                    continue;
+                }
+                let costs = piece(SubpathId { start: i, end: j });
+                let (dp, parent) = (&mut self.dp[row.clone()], &mut self.parent[row.clone()]);
+                for (c, (best, from)) in dp.iter_mut().zip(parent).enumerate() {
+                    let total = prev_cost + costs[c];
+                    evaluated += 1;
+                    if total < *best {
+                        *best = total;
+                        *from = (i, prev_choice);
+                    }
+                }
+            }
+            let mut best = (f64::INFINITY, usize::MAX);
+            for (c, &cost) in self.dp[row].iter().enumerate() {
+                if cost < best.0 {
+                    best = (cost, c);
+                }
+            }
+            self.prefix_best[j] = best;
+        }
+        (self.prefix_best[n].0, evaluated)
+    }
+
+    /// The last run's optimum as `f(piece, choice)` per piece, in path
+    /// order, written over `out` (which grows at most once). The run must
+    /// have covered the path.
+    pub(crate) fn pieces_into<T>(&self, out: &mut Vec<T>, f: impl Fn(SubpathId, usize) -> T) {
+        let n = self.prefix_best.len() - 1;
+        // Back-to-front along the parent chain: `(end, choice)` per piece.
+        let last = (n > 0).then_some((n, self.prefix_best[n].1));
+        let chain = std::iter::successors(last, |&(end, c)| {
+            let (start, prev) = self.parent[end * self.nch + c];
+            (start > 1).then_some((start - 1, prev))
+        });
+        out.clear();
+        out.reserve(chain.clone().count());
+        for (end, c) in chain {
+            let start = self.parent[end * self.nch + c].0;
+            out.push(f(SubpathId { start, end }, c));
+        }
+        out.reverse();
     }
 }
 
@@ -252,32 +329,42 @@ impl FrontierResult {
 
 /// One DP label: a Pareto-optimal `(cost, size)` way to cover positions
 /// `1..=j`, remembering the last piece (`start`, `choice`) and the label of
-/// the prefix it extends (`parent`, an index into [`Labels::labels`]) for
+/// the prefix it extends (`parent`, an index into the label table) for
 /// reconstruction.
 #[derive(Debug, Clone, Copy)]
-struct Label {
-    cost: f64,
-    size: f64,
+pub(crate) struct Label {
+    pub(crate) cost: f64,
+    pub(crate) size: f64,
     start: usize,
     choice: usize,
     parent: usize,
 }
 
-/// The label DP [`frontier_dp`] and [`frontier_point`] share: every
-/// position's Pareto label set, flattened — position `j`'s labels are
-/// `labels[first[j]..first[j + 1]]`, cost ascending.
-struct Labels {
-    choices: &'static [Choice],
+/// The label recurrence [`frontier_dp`] and [`frontier_point`] share, over
+/// reusable tables: every position's Pareto label set, flattened —
+/// position `j`'s labels are `labels[first[j]..first[j + 1]]`, cost
+/// ascending. Like [`ScalarDp`], a caller running many DPs keeps one.
+#[derive(Debug, Default)]
+pub(crate) struct Labels {
     labels: Vec<Label>,
     first: Vec<usize>,
-    evaluated: u64,
-    extended: u64,
+    /// The cells of the pieces ending at the position being closed, `NCH`
+    /// per start.
+    row: Vec<(f64, f64)>,
 }
 
 impl Labels {
-    fn build(matrix: &CostMatrix) -> Self {
-        let n = matrix.path_len();
-        let choices = choices(matrix);
+    /// Runs the recurrence over a path of `n` positions with `NCH`
+    /// choices per piece, reading piece `S_{i,j}`'s `(cost, size)` under
+    /// each choice from `piece` once, when the position `j` it closes is
+    /// reached and only if its prefix is reachable. Returns the
+    /// transitions evaluated and the label extensions performed.
+    pub(crate) fn run<const NCH: usize>(
+        &mut self,
+        n: usize,
+        mut piece: impl FnMut(SubpathId) -> [(f64, f64); NCH],
+    ) -> (u64, u64) {
+        let Labels { labels, first, row } = self;
         // Position 0 holds the empty-prefix seed.
         let seed = Label {
             cost: 0.0,
@@ -286,32 +373,41 @@ impl Labels {
             choice: usize::MAX,
             parent: usize::MAX,
         };
+        labels.clear();
         // Label sets hold a few labels each on workload matrices.
-        let mut labels = Vec::with_capacity(4 * n + 1);
+        labels.reserve(4 * n + 1);
         labels.push(seed);
-        let mut first = Vec::with_capacity(n + 2);
+        first.clear();
         first.extend([0, 1]);
         let (mut evaluated, mut extended) = (0u64, 0u64);
         for j in 1..=n {
             let set = labels.len();
+            row.clear();
+            for i in 1..=j {
+                let reachable = first[i - 1] < first[i];
+                let sub = SubpathId { start: i, end: j };
+                row.extend(if reachable {
+                    piece(sub)
+                } else {
+                    [(f64::INFINITY, 0.0); NCH]
+                });
+            }
             // Choice-major, then longer pieces first (i ascending): with the
             // keep-first-on-ties rule of `pareto_insert` this reproduces the
             // scalar DP's tie-breaking exactly (first organization column,
             // longest last piece), because the earliest generated label
             // among equals wins.
-            for (c, &choice) in choices.iter().enumerate() {
+            for c in 0..NCH {
                 for i in 1..=j {
                     let prefix = first[i - 1]..first[i];
                     if prefix.is_empty() {
                         continue;
                     }
-                    let sub = SubpathId { start: i, end: j };
-                    let piece_cost = matrix.choice_cost(sub, choice);
+                    let (piece_cost, piece_size) = row[(i - 1) * NCH + c];
                     evaluated += 1;
                     if !piece_cost.is_finite() {
                         continue;
                     }
-                    let piece_size = matrix.choice_size(sub, choice);
                     extended += prefix.len() as u64;
                     for parent in prefix {
                         let label = Label {
@@ -321,19 +417,13 @@ impl Labels {
                             choice: c,
                             parent,
                         };
-                        pareto_insert(&mut labels, set, label);
+                        pareto_insert(labels, set, label);
                     }
                 }
             }
             first.push(labels.len());
         }
-        Labels {
-            choices,
-            labels,
-            first,
-            evaluated,
-            extended,
-        }
+        (evaluated, extended)
     }
 
     /// The last position's labels: one per frontier point.
@@ -341,27 +431,41 @@ impl Labels {
         &self.labels[self.first[self.first.len() - 2]..]
     }
 
-    /// The frontier point of one of [`Self::last`]'s labels: walks the
-    /// parent chain to reconstruct its configuration.
-    fn point(&self, label: &Label) -> FrontierPoint {
+    /// One of [`Self::last`]'s labels' configuration as `f(piece, choice)`
+    /// per piece, in path order, written over `out` (which grows at most
+    /// once): walks the label's parent chain.
+    pub(crate) fn pieces_into<T>(
+        &self,
+        label: &Label,
+        out: &mut Vec<T>,
+        f: impl Fn(SubpathId, usize) -> T,
+    ) {
         let n = self.first.len() - 2;
-        let (mut pairs, mut end, mut cur) = (Vec::new(), n, label);
-        while end > 0 {
-            pairs.push((
+        let chain = std::iter::successors((n > 0).then_some((n, label)), |&(_, cur)| {
+            (cur.start > 1).then(|| (cur.start - 1, &self.labels[cur.parent]))
+        });
+        out.clear();
+        out.reserve(chain.clone().count());
+        for (end, cur) in chain {
+            out.push(f(
                 SubpathId {
                     start: cur.start,
                     end,
                 },
-                self.choices[cur.choice],
+                cur.choice,
             ));
-            end = cur.start - 1;
-            cur = &self.labels[cur.parent];
         }
-        pairs.reverse();
+        out.reverse();
+    }
+
+    /// The frontier point of one of [`Self::last`]'s labels.
+    fn point(&self, label: &Label) -> FrontierPoint {
+        let mut pairs = Vec::new();
+        self.pieces_into(label, &mut pairs, |sub, c| (sub, CHOICES[c]));
         FrontierPoint {
             cost: label.cost,
             size: label.size,
-            config: IndexConfiguration::new(pairs, n)
+            config: IndexConfiguration::new(pairs, self.first.len() - 2)
                 .expect("DP pieces concatenate to the full path"),
         }
     }
@@ -392,25 +496,45 @@ impl Labels {
 /// configurations of different footprint keep the smaller footprint (the
 /// dominance rule), so on sized matrices the frontier's cost optimum is
 /// the cheapest-to-store among cost-optimal configurations.
+///
+/// A thin wrapper over the label recurrence, which reads each piece
+/// through a closure — here the matrix's cell.
 pub fn frontier_dp(matrix: &CostMatrix) -> FrontierResult {
-    let dp = Labels::build(matrix);
+    let n = matrix.path_len();
+    let mut dp = Labels::default();
+    let (evaluated, labels) = if matrix.has_no_index() {
+        dp.run(n, matrix_cells(matrix, CHOICES))
+    } else {
+        dp.run(n, matrix_cells(matrix, INDEXES))
+    };
     FrontierResult {
         points: dp.last().iter().map(|label| dp.point(label)).collect(),
-        evaluated: dp.evaluated,
-        labels: dp.extended,
+        evaluated,
+        labels,
         candidate_space: candidate_space_size(matrix.path_len()),
     }
 }
 
-/// `frontier_dp(matrix).within_budget(budget_pages)`, reconstructing that
-/// one point's configuration only. At `f64::INFINITY` it is the
+/// The cheapest label of the frontier of the cells `piece` prices (over
+/// `n` positions, `NCH` choices per piece) whose footprint fits
+/// `budget_pages` — `frontier_dp(..).within_budget(budget_pages)` without
+/// reconstructing a single point: [`Labels::pieces_into`] reads the
+/// returned label's configuration. At `f64::INFINITY` it is the
 /// frontier's first point, [`FrontierResult::min_cost`] (every label's
 /// size is below `INFINITY`: the prune keeps none that is not), or `None`
-/// when the matrix's rows cannot cover the path.
-pub(crate) fn frontier_point(matrix: &CostMatrix, budget_pages: f64) -> Option<FrontierPoint> {
-    let dp = Labels::build(matrix);
-    let fits = dp.last().iter().find(|label| label.size <= budget_pages)?;
-    Some(dp.point(fits))
+/// when the cells cannot cover the path.
+pub(crate) fn frontier_point<const NCH: usize>(
+    labels: &mut Labels,
+    n: usize,
+    piece: impl FnMut(SubpathId) -> [(f64, f64); NCH],
+    budget_pages: f64,
+) -> Option<Label> {
+    labels.run(n, piece);
+    labels
+        .last()
+        .iter()
+        .find(|label| label.size <= budget_pages)
+        .copied()
 }
 
 /// Adds one generated `label` to the Pareto set `labels[set..]` (cost
@@ -622,7 +746,8 @@ pub fn exhaustive(matrix: &CostMatrix) -> SelectionResult {
 ///
 /// Bans are the one context the mask does not see: the advisor's eviction
 /// trials re-validate per rank that no banned candidate participates in a
-/// bound before applying it (`workload_advisor`'s `priced_matrix` carve-outs).
+/// bound before applying it (the ban carve-outs of `workload_advisor`'s
+/// cell rule).
 pub fn prune_dominated(
     query: &[[f64; 3]],
     maint: &[[f64; 3]],

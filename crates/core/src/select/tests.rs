@@ -461,10 +461,12 @@ fn pareto_insert_equals_sort_and_sweep() {
 
 /// The one-point reconstruction is the full frontier's answer: on
 /// random sized matrices — some with banned cells or a whole banned
-/// column, some with no cover at all — `frontier_point` at ∞ is the
-/// first point, and at every other budget (each knee, between knees,
-/// below the leanest point) it is `within_budget`'s: the same `Option`,
-/// cost and size bits, and configuration.
+/// column, some with no cover at all — `frontier_point` over the
+/// matrix's cells at ∞ is the first point, and at every other budget
+/// (each knee, between knees, below the leanest point) it is
+/// `within_budget`'s: the same `Option`, cost and size bits, and
+/// configuration. One label table serves every matrix, so a run that
+/// read stale labels of a longer earlier path would show.
 #[test]
 fn one_point_frontier_equals_the_full_frontier() {
     let mut seed = 0xF00D_u64;
@@ -484,7 +486,8 @@ fn one_point_frontier_equals_the_full_frontier() {
         })
     };
     let (mut banned, mut uncoverable) = (0, 0);
-    for n in 1..=6 {
+    let mut labels = Labels::default();
+    for n in (1..=6).rev() {
         for trial in 0..12 {
             let column = (trial % 4 == 1).then(|| rng(3) as usize);
             let values: Vec<_> = (0..SubpathId::count(n))
@@ -504,13 +507,19 @@ fn one_point_frontier_equals_the_full_frontier() {
             banned += usize::from(column.is_some());
             uncoverable += usize::from(f.points.is_empty());
             let ctx = format!("n={n} trial={trial}");
-            let one = frontier_point(&m, f64::INFINITY);
-            assert_eq!(bits(f.points.first()), bits(one.as_ref()), "{ctx}");
+            let mut one = |budget: f64| {
+                let label = frontier_point(&mut labels, n, matrix_cells(&m, INDEXES), budget);
+                label.map(|label| labels.point(&label))
+            };
+            assert_eq!(
+                bits(f.points.first()),
+                bits(one(f64::INFINITY).as_ref()),
+                "{ctx}"
+            );
             let leanest = f.points.last().map_or(0.0, |p| p.size);
             let knees = f.points.iter().flat_map(|p| [p.size, p.size + 0.5]);
             for b in knees.chain([leanest - 1.0, 0.0, f64::INFINITY]) {
-                let one = frontier_point(&m, b);
-                assert_eq!(bits(f.within_budget(b)), bits(one.as_ref()), "{ctx} {b}");
+                assert_eq!(bits(f.within_budget(b)), bits(one(b).as_ref()), "{ctx} {b}");
             }
         }
     }
@@ -615,7 +624,7 @@ fn prune_dominated_eliminates_ranks_beaten_by_singleton_floors() {
 /// leaves the DP's cost *bits* and its tie-broken selection unchanged
 /// — on the uncovered pricing, under random coverage (covered cells
 /// pay query only and bypass the mask, exactly as
-/// the advisor's `priced_matrix` prices them), and under every λ-priced
+/// the advisor's cell rule prices them), and under every λ-priced
 /// objective `q + m + λ·s` the budgeted sweeps construct.
 #[test]
 fn masked_dp_is_bit_identical_on_random_grids() {

@@ -2,11 +2,11 @@
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
 use super::descent::MAX_SWEEPS;
-use super::ledger::{self, Ledger, Pair, PairMap, PairSet};
-use super::pricing::{matrix_selection, priced_matrix, to_selection, true_marginal, Bans, Pricing};
-use super::state::PathState;
+use super::ledger::{self, Enclosure, Ledger, Overlay, Pair, PairMap, PairSet};
+use super::pricing::{
+    best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
+};
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
-use crate::select::frontier_point;
 use crate::space::CandidateId;
 
 /// One eviction trial's outcome: the re-selected owners of the banned
@@ -63,9 +63,15 @@ pub struct BudgetedWorkloadPlan {
 
 impl BudgetedWorkloadPlan {
     /// `total_cost / unconstrained_cost` — the price of the budget, ≥ 1 up
-    /// to float noise (1 when the budget is slack).
+    /// to float noise (1 when the budget is slack). 1 as well when both
+    /// costs are zero — an empty advisor, or a workload whose rates are
+    /// all zero — rather than `0 / 0`.
     pub fn cost_ratio(&self) -> f64 {
-        self.plan.total_cost / self.unconstrained_cost
+        if self.plan.total_cost == 0.0 && self.unconstrained_cost == 0.0 {
+            1.0
+        } else {
+            self.plan.total_cost / self.unconstrained_cost
+        }
     }
 
     /// [`WorkloadPlan::assert_bit_identical_to`] extended over the budget
@@ -204,9 +210,11 @@ impl WorkloadAdvisor<'_> {
             lambda,
             ..Pricing::default()
         };
-        let seed =
-            |_: usize, st: &PathState| matrix_selection(&priced_matrix(st, &self.space, pricing)).0;
-        let mut selections: Vec<Selection> = self.exec.par_map(&self.paths, seed);
+        let mut selections: Vec<Selection> = self.par_map_dp(&self.paths, |dp, st| {
+            let mut sel = Selection::new();
+            best_response(st, &self.space, pricing, dp, &mut sel);
+            sel
+        });
         let outs = self.descend_components(comps, lambda, &selections, |i| {
             Some((vec![0; self.paths[i].cands.len()], selections[i].clone()))
         });
@@ -229,17 +237,17 @@ impl WorkloadAdvisor<'_> {
     fn repair(&self, selections: &mut [Selection], budget_pages: f64) -> usize {
         let mut ledger = self.ledger(selections);
         let mut repairs = 0;
+        let (mut context, mut tables, mut point) = (Vec::new(), FrontierTables::default(), vec![]);
         for _ in 0..MAX_SWEEPS {
             let mut changed = false;
             for (i, (st, sel)) in self.paths.iter().zip(selections.iter_mut()).enumerate() {
                 ledger.remove(i, st.pieces(sel));
                 let slack = budget_pages - ledger.totals().1;
-                let context = ledger.context_key(&st.cands);
+                ledger.context_into(&st.cands, &mut context);
                 let pricing = Pricing {
                     context: Some(&context),
                     ..Pricing::default()
                 };
-                let matrix = priced_matrix(st, &self.space, pricing);
                 // Marginal (cost, size) of the current selection, for the
                 // strict-improvement guard — priced mask-blind: the mask
                 // certifies a struck cell belongs to no *optimum*, not
@@ -248,17 +256,17 @@ impl WorkloadAdvisor<'_> {
                 // and an ∞ old price would turn the guard into an
                 // unconditional adoption.
                 let (old_cost, old_size) = true_marginal(st, &self.space, &context, sel);
-                if let Some(point) = frontier_point(&matrix, slack) {
+                let fits =
+                    frontier_response(st, &self.space, pricing, slack, &mut tables, &mut point);
+                if let Some((cost, size)) = fits {
                     let tol = 1e-9 * old_cost.abs().max(1.0);
                     let stol = 1e-9 * old_size.abs().max(1.0);
                     // Lexicographic improvement: strictly cheaper, or
                     // equally cheap and strictly leaner (frees slack for
                     // later paths without giving anything up). Strictness
                     // guarantees termination.
-                    if point.cost < old_cost - tol
-                        || (point.cost <= old_cost + tol && point.size < old_size - stol)
-                    {
-                        *sel = to_selection(&point.config);
+                    if cost < old_cost - tol || (cost <= old_cost + tol && size < old_size - stol) {
+                        sel.clone_from(&point);
                         repairs += 1;
                         changed = true;
                     }
@@ -311,13 +319,15 @@ impl WorkloadAdvisor<'_> {
             let round = self.ledger(&selections);
             let paths = self.paths.iter().zip(&selections);
             let owners = ledger::owners(paths.map(|(st, sel)| st.pieces(sel)));
-            let (cost0, size0) = round.totals();
-            debug_assert!(size0 > budget_pages, "the walk stops at the first fit");
+            debug_assert!(
+                round.totals().1 > budget_pages,
+                "the walk stops at the first fit"
+            );
             // Deterministic candidate order (hash maps iterate randomly).
             let mut pairs: Vec<Pair> = owners.keys().copied().collect();
             pairs.sort_unstable();
             // Each trial is read-only given the round's selections, so the
-            // fan-out is free of coordination; the fold below walks the
+            // fan-out is free of coordination; the selection walks the
             // sorted pair order, which keeps the chosen eviction — and the
             // whole descent — bit-identical to the sequential engine.
             let fresh: Vec<Pair> = pairs
@@ -340,41 +350,9 @@ impl WorkloadAdvisor<'_> {
             );
             let outcomes: Vec<Reselection> = self.exec.par_map(&fresh, trial_of);
             trail.trials.extend(fresh.into_iter().zip(outcomes));
-            let stol = 1e-9 * size0.abs().max(1.0);
-            // (regret per page, evicted index, cost, size)
-            let mut best: Option<(f64, Pair, f64, f64)> = None;
-            for &pair in &pairs {
-                let Some(changed) = &trail.trials[&pair] else {
-                    continue; // the ban left some owner uncoverable
-                };
-                let (cost, size) = self.trial_totals(&round, &selections, changed);
-                // The incremental totals ARE the ledger totals of the
-                // applied trial, bit for bit: debug builds re-derive every
-                // trial of every round the slow way.
-                debug_assert_eq!(
-                    (cost.to_bits(), size.to_bits()),
-                    {
-                        let mut applied = selections.clone();
-                        for (i, sel) in changed {
-                            applied[*i].clone_from(sel);
-                        }
-                        let (c, s) = self.ledger(&applied).totals();
-                        (c.to_bits(), s.to_bits())
-                    },
-                    "incremental trial totals diverged from a from-scratch ledger"
-                );
-                if size >= size0 - stol {
-                    continue; // evicting this index frees nothing
-                }
-                let regret = (cost - cost0) / (size0 - size);
-                let better = best
-                    .as_ref()
-                    .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.3));
-                if better {
-                    best = Some((regret, pair, cost, size));
-                }
-            }
-            let Some((_, pair, cost, size)) = best else {
+            let Some((pair, cost, size)) =
+                self.cheapest_eviction(&round, &selections, &pairs, &trail.trials)
+            else {
                 trail.dead_end = true; // nothing left to evict
                 break;
             };
@@ -398,6 +376,122 @@ impl WorkloadAdvisor<'_> {
             }
         }
         (trail.steps.len(), trials_run)
+    }
+
+    /// The round's eviction: among the trials of `pairs` (sorted), the one
+    /// that frees pages at the least regret per page freed, ties to the
+    /// leaner, then to the earlier pair — with its exact `(cost, size)`.
+    /// `None` when no trial frees a page.
+    ///
+    /// Each trial's totals are enclosed first, from the round's totals and
+    /// the trial's few changed operands ([`ledger::Overlay::enclosure`]),
+    /// and folded exactly only where the enclosure cannot rule the trial
+    /// out (DESIGN.md §5.12): where its "frees pages" test is ambiguous,
+    /// and where its regret interval reaches the least certain upper bound
+    /// on the winner's regret. A trial skipped for its regret lies
+    /// strictly above a trial whose regret bounds the winner's, so it can
+    /// neither win nor tie, and the exact selection over the folded trials
+    /// in pair order picks what it would pick over all of them.
+    fn cheapest_eviction(
+        &self,
+        round: &Ledger<'_>,
+        selections: &[Selection],
+        pairs: &[Pair],
+        trials: &PairMap<Reselection>,
+    ) -> Option<(Pair, f64, f64)> {
+        let scale = round.scale();
+        let (cost0, size0) = scale.totals;
+        // A trial frees pages when its size ends below `frees`.
+        let frees = size0 - 1e-9 * size0.abs().max(1.0);
+        let regret = |cost: f64, size: f64| (cost - cost0) / (size0 - size);
+        let mut overlay = round.overlay();
+        // (position in `pairs`, cost, size) of each folded trial.
+        let mut folded: Vec<(usize, f64, f64)> = Vec::new();
+        // (position in `pairs`, regret lower bound) of each trial that
+        // frees pages for certain.
+        let mut certain: Vec<(usize, f64)> = Vec::new();
+        let mut bound = f64::INFINITY;
+        for (k, pair) in pairs.iter().enumerate() {
+            let Some(changed) = &trials[pair] else {
+                continue; // the ban left some owner uncoverable
+            };
+            self.apply_trial(&mut overlay, selections, changed);
+            let enclosure = overlay.enclosure(&scale);
+            match frees_pages(&enclosure, frees) {
+                Some(false) => {}
+                Some(true) => {
+                    let (lo, hi) = regret_bounds(&enclosure, cost0, size0);
+                    bound = bound.min(hi);
+                    certain.push((k, lo));
+                }
+                None => {
+                    let (cost, size) = overlay.totals();
+                    if size < frees {
+                        bound = bound.min(regret(cost, size));
+                    }
+                    folded.push((k, cost, size));
+                }
+            }
+        }
+        for (k, lo) in certain {
+            if lo <= bound {
+                let changed = trials[&pairs[k]].as_deref().expect("a kept trial");
+                self.apply_trial(&mut overlay, selections, changed);
+                let (cost, size) = overlay.totals();
+                folded.push((k, cost, size));
+            }
+        }
+        folded.sort_unstable_by_key(|&(k, ..)| k);
+        // (regret per page, evicted index, cost, size)
+        let mut best: Option<(f64, Pair, f64, f64)> = None;
+        for &(k, cost, size) in &folded {
+            if size >= frees {
+                continue; // evicting this index frees nothing
+            }
+            let regret = regret(cost, size);
+            let better = best
+                .as_ref()
+                .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.3));
+            if better {
+                best = Some((regret, pairs[k], cost, size));
+            }
+        }
+        if cfg!(debug_assertions) {
+            // Debug builds fold every trial: the incremental totals ARE
+            // the ledger totals of the applied trial, bit for bit, inside
+            // their enclosure, and a trial left unfolded frees nothing or
+            // regrets strictly more than the adopted one.
+            let adopted = best.map(|b| b.0);
+            for (k, pair) in pairs.iter().enumerate() {
+                let Some(changed) = &trials[pair] else {
+                    continue;
+                };
+                self.apply_trial(&mut overlay, selections, changed);
+                let (cost, size) = overlay.totals();
+                let mut applied = selections.to_vec();
+                for (i, sel) in changed {
+                    applied[*i].clone_from(sel);
+                }
+                let (c, s) = self.ledger(&applied).totals();
+                assert_eq!(
+                    (cost.to_bits(), size.to_bits()),
+                    (c.to_bits(), s.to_bits()),
+                    "incremental trial totals diverged from a from-scratch ledger"
+                );
+                let Enclosure { cost: c, size: s } = overlay.enclosure(&scale);
+                assert!(
+                    (cost - c.0).abs() <= c.1 && (size - s.0).abs() <= s.1,
+                    "trial totals ({cost}, {size}) outside their enclosure {c:?} {s:?}"
+                );
+                if folded.binary_search_by_key(&k, |&(k, ..)| k).is_err() {
+                    assert!(
+                        size >= frees || adopted.is_some_and(|r| regret(cost, size) > r),
+                        "an unfolded trial could have won or tied"
+                    );
+                }
+            }
+        }
+        best.map(|(_, pair, cost, size)| (pair, cost, size))
     }
 
     /// Drops the kept trials an adopted eviction disturbed. The eviction
@@ -443,7 +537,8 @@ impl WorkloadAdvisor<'_> {
     /// re-selected owners, or `None` when the ban leaves some owner
     /// uncoverable. Read-only (runs on pool workers during the parallel
     /// descent), and it touches nothing but the owners, on an overlay of
-    /// the `round`'s ledger.
+    /// the `round`'s ledger; its context buffer and frontier tables are
+    /// its own.
     fn eviction_trial(
         &self,
         round: &Ledger<'_>,
@@ -457,11 +552,12 @@ impl WorkloadAdvisor<'_> {
             trial: pair,
         };
         let mut overlay = round.overlay();
-        let mut changed: Vec<(usize, Selection)> = Vec::new();
+        let mut changed: Vec<(usize, Selection)> = Vec::with_capacity(owners.len());
+        let (mut context, mut tables) = (Vec::new(), FrontierTables::default());
         for &i in owners {
             let st = &self.paths[i];
             overlay.remove(st.pieces(&selections[i]));
-            let context = overlay.context_key(&st.cands);
+            overlay.context_into(&st.cands, &mut context);
             let pricing = Pricing {
                 context: Some(&context),
                 lambda: 0.0,
@@ -472,30 +568,30 @@ impl WorkloadAdvisor<'_> {
             // uncoverable (the scalar DP panics there), and it breaks
             // exact cost ties toward the leaner configuration — the right
             // bias while evicting pages.
-            let matrix = priced_matrix(st, &self.space, pricing);
-            let sel = to_selection(&frontier_point(&matrix, f64::INFINITY)?.config);
+            let mut sel = Selection::new();
+            let inf = f64::INFINITY;
+            frontier_response(st, &self.space, pricing, inf, &mut tables, &mut sel)?;
             overlay.insert(i, st.pieces(&sel));
             changed.push((i, sel));
         }
         Some(changed)
     }
 
-    /// The true `(cost, size)` of the round's selections with `changed`
-    /// substituted — bit-identical to the totals of a ledger built on the
-    /// applied trial ([`ledger::Overlay::totals`]).
-    fn trial_totals(
+    /// The round's selections with `changed` substituted, on `overlay`
+    /// (cleared first): its [`Overlay::totals`] are bit-identical to the
+    /// totals of a ledger built on the applied trial.
+    fn apply_trial(
         &self,
-        round: &Ledger<'_>,
+        overlay: &mut Overlay<'_>,
         selections: &[Selection],
         changed: &[(usize, Selection)],
-    ) -> (f64, f64) {
-        let mut overlay = round.overlay();
+    ) {
+        overlay.clear();
         for (i, sel) in changed {
             let st = &self.paths[*i];
             overlay.remove(st.pieces(&selections[*i]));
             overlay.insert(*i, st.pieces(sel));
         }
-        overlay.totals()
     }
 
     /// Workload-scale selection under a **shared page budget**: the
@@ -683,4 +779,37 @@ impl WorkloadAdvisor<'_> {
             unconstrained_size,
         }
     }
+}
+
+/// Whether a trial whose totals lie in `enclosure` frees pages — its
+/// size ends below `frees` — for certain (`Some`), or `None` when the
+/// enclosure cannot tell (or is not finite) and only the exact fold can.
+fn frees_pages(enclosure: &Enclosure, frees: f64) -> Option<bool> {
+    let ((cost, cost_radius), (size, radius)) = (enclosure.cost, enclosure.size);
+    let (lo, hi) = (size - radius, size + radius);
+    if !(cost.is_finite() && cost_radius.is_finite() && lo.is_finite() && hi.is_finite()) {
+        None
+    } else if lo >= frees {
+        Some(false)
+    } else if hi < frees {
+        Some(true)
+    } else {
+        None
+    }
+}
+
+/// An outward-padded enclosure of the regret `(cost - cost0) / (size0 -
+/// size)` the walk computes for a trial whose totals lie in `enclosure`
+/// and which frees pages for certain (so every size in it is below
+/// `size0`). Rounding is monotone, so the quotient of the interval's
+/// corners, each computed as the walk computes the regret, already
+/// encloses the walk's value; the padding is a margin on top.
+fn regret_bounds(enclosure: &Enclosure, cost0: f64, size0: f64) -> (f64, f64) {
+    let ((cost, cost_radius), (size, radius)) = (enclosure.cost, enclosure.size);
+    let (gain_lo, gain_hi) = (cost - cost_radius - cost0, cost + cost_radius - cost0);
+    let (freed_lo, freed_hi) = (size0 - (size + radius), size0 - (size - radius));
+    let lo = gain_lo / if gain_lo >= 0.0 { freed_hi } else { freed_lo };
+    let hi = gain_hi / if gain_hi >= 0.0 { freed_lo } else { freed_hi };
+    let pad = |x: f64| 4.0 * f64::EPSILON * x.abs() + f64::MIN_POSITIVE;
+    (lo - pad(lo), hi + pad(hi))
 }

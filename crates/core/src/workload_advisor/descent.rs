@@ -1,11 +1,13 @@
 //! The engine's only descent loop: per-component Gauss–Seidel best
 //! responses under `cost + λ·size` pricing (DESIGN.md §5.15).
 
-use super::ledger::Ownership;
-use super::pricing::{matrix_selection, priced_matrix, Pricing};
+use super::pricing::{best_response, Pricing};
 use super::state::PathState;
 use super::{Selection, SweepMemo, WorkloadAdvisor};
-use crate::space::CandidateSpace;
+use crate::select::ScalarDp;
+use crate::space::{CandidateId, CandidateSpace, PairHasher};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Maximum coordinate-descent rounds; the objective is monotone, so this is
 /// a safety net, not a tuning knob (workloads converge in 2–3 sweeps).
@@ -62,12 +64,19 @@ impl WorkloadAdvisor<'_> {
 /// One candidate-disjoint component's coordinate descent under `cost +
 /// λ·size` pricing: λ = 0 is the unconstrained selection, λ > 0 a budgeted
 /// sweep. Self-contained: members share no candidate with any other path,
-/// so ownership registered over the members alone is the **exact** sharing
+/// so ownership counted over the members alone is the **exact** sharing
 /// context, for every λ. Sequential Gauss–Seidel in ascending member
-/// order; a member whose context matches its memo is a hit, not a matrix
-/// build and a DP. Read-only against the advisor (runs on pool workers);
-/// selections, memo updates and work counters are buffered in the output
-/// and installed by the caller in component order.
+/// order; a member whose context matches its memo is a hit, not a DP.
+/// Read-only against the advisor (runs on pool workers); selections, memo
+/// updates and work counters are buffered in the output and installed by
+/// the caller in component order.
+///
+/// Ownership is dense: the component's candidates are numbered locally
+/// once per call (one probe per member rank), the owners of each
+/// `(candidate, organization)` are counted in a flat vector, and a
+/// member's context is written into one reused buffer and compared with
+/// its memo in place. A DP runs on the component's own tables, straight
+/// into the memo it refreshes.
 fn descend_component(
     paths: &[PathState],
     space: &CandidateSpace,
@@ -76,10 +85,12 @@ fn descend_component(
     mut sels: Vec<Selection>,
     mut memos: Vec<SweepMemo>,
 ) -> CompOut {
-    let mut owned = Ownership::default();
-    for (&i, sel) in comp.iter().zip(&sels) {
-        owned.register(paths[i].pieces(sel));
+    let owners = Owners::new(paths, comp);
+    let mut counts = vec![0u32; 3 * owners.candidates];
+    for (k, sel) in sels.iter().enumerate() {
+        owners.count(k, sel, |count| *count += 1, &mut counts);
     }
+    let (mut context, mut dp) = (Vec::new(), ScalarDp::default());
     let mut sweeps = 0;
     let mut dp_runs = 0u64;
     let mut dp_memo_hits = 0u64;
@@ -88,28 +99,31 @@ fn descend_component(
         let mut changed = false;
         for (k, &i) in comp.iter().enumerate() {
             let st = &paths[i];
-            owned.unregister(st.pieces(&sels[k]));
-            let context = owned.context_key(&st.cands);
-            let pairs = match &memos[k] {
-                Some((key, pairs)) if *key == context => {
+            owners.count(k, &sels[k], |count| *count -= 1, &mut counts);
+            owners.context_into(k, &counts, &mut context);
+            let memo = match &mut memos[k] {
+                Some(memo) if memo.0 == context => {
                     dp_memo_hits += 1;
-                    pairs.clone()
+                    memo
                 }
-                _ => {
+                stale => {
                     dp_runs += 1;
+                    let (key, sel) = stale.get_or_insert_with(Default::default);
+                    key.clone_from(&context);
                     let pricing = Pricing {
                         context: Some(&context),
                         lambda,
                         bans: None,
                     };
-                    let pairs = matrix_selection(&priced_matrix(st, space, pricing)).0;
-                    memos[k] = Some((context, pairs.clone()));
-                    pairs
+                    best_response(st, space, pricing, &mut dp, sel);
+                    stale.as_mut().expect("just refreshed")
                 }
             };
-            changed |= pairs != sels[k];
-            owned.register(st.pieces(&pairs));
-            sels[k] = pairs;
+            if memo.1 != sels[k] {
+                changed = true;
+                sels[k].clone_from(&memo.1);
+            }
+            owners.count(k, &sels[k], |count| *count += 1, &mut counts);
         }
         if !changed {
             break;
@@ -121,5 +135,72 @@ fn descend_component(
         sweeps,
         dp_runs,
         dp_memo_hits,
+    }
+}
+
+/// A component's candidates, numbered locally: member `k`'s local
+/// candidate number per rank ([`NONE`] for a mined-out rank) is
+/// `slots[first[k]..first[k + 1]]`, so `3·slot + org` addresses the owner
+/// count of each of its cells.
+struct Owners {
+    slots: Vec<u32>,
+    first: Vec<usize>,
+    /// Distinct candidates among the members.
+    candidates: usize,
+    /// Each member's path length, for the rank of a selected piece.
+    lens: Vec<usize>,
+}
+
+/// The local number of a mined-out rank.
+const NONE: u32 = u32::MAX;
+
+impl Owners {
+    fn new(paths: &[PathState], comp: &[usize]) -> Self {
+        let mut local: HashMap<CandidateId, u32, BuildHasherDefault<PairHasher>> =
+            HashMap::default();
+        let ranks = comp.iter().map(|&i| paths[i].cands.len()).sum();
+        let mut slots = Vec::with_capacity(ranks);
+        let mut first = Vec::with_capacity(comp.len() + 1);
+        first.push(0);
+        for &i in comp {
+            for cand in &paths[i].cands {
+                let next = local.len() as u32;
+                slots.push(cand.map_or(NONE, |cand| *local.entry(cand).or_insert(next)));
+            }
+            first.push(slots.len());
+        }
+        Owners {
+            slots,
+            first,
+            candidates: local.len(),
+            lens: comp.iter().map(|&i| paths[i].path.len()).collect(),
+        }
+    }
+
+    /// Applies `change` to the owner count of each index member `k`'s
+    /// selection `sel` cites.
+    fn count(&self, k: usize, sel: &Selection, change: impl Fn(&mut u32), counts: &mut [u32]) {
+        let slots = &self.slots[self.first[k]..self.first[k + 1]];
+        for &(sub, org) in sel {
+            change(&mut counts[3 * slots[sub.rank(self.lens[k])] as usize + org.index()]);
+        }
+    }
+
+    /// Member `k`'s sharing context — per rank, the 3-bit mask of the
+    /// cells some member owns — written over `out`; call it once the
+    /// member's own selection is withdrawn.
+    fn context_into(&self, k: usize, counts: &[u32], out: &mut Vec<u8>) {
+        let slots = &self.slots[self.first[k]..self.first[k + 1]];
+        out.clear();
+        out.extend(slots.iter().map(|&slot| match slot {
+            NONE => 0,
+            slot => {
+                let owned = &counts[3 * slot as usize..3 * slot as usize + 3];
+                owned
+                    .iter()
+                    .enumerate()
+                    .fold(0, |mask, (o, &count)| mask | u8::from(count > 0) << o)
+            }
+        }));
     }
 }

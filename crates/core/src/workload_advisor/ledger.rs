@@ -2,11 +2,12 @@
 //! and what a set of selections costs — `Σ_i Q_i + Σ_{distinct (c, X)}
 //! M(c, X)`, each shared index's maintenance and pages paid once.
 //!
-//! Everything that registers a selection in an ownership map, derives a
-//! sharing-context key from one, or folds selections into `(cost, size)`
-//! does it here, so a plan's quote, `price_plan`'s re-derivation and a
-//! migration's landing cost are one number (DESIGN.md §5.12). **The
-//! fold:** a path's query shares add up in selection order, the per-path
+//! Everything that folds selections into `(cost, size)` does it here, so
+//! a plan's quote, `price_plan`'s re-derivation and a migration's landing
+//! cost are one number (DESIGN.md §5.12), and so does everything that
+//! reads ownership across the workload (the one exception is a
+//! component's descent, which counts its members' owners densely —
+//! DESIGN.md §5.15). **The fold:** a path's query shares add up in selection order, the per-path
 //! subtotals in path order, the once-paid maintenance (and size) values in
 //! `total_cmp` order — the sorted sequence of a multiset of floats is
 //! unique, bit patterns included, so a ledger updated incrementally and
@@ -93,19 +94,20 @@ fn merged<'a>(
 
 /// The 3-bit-per-rank mask of a path's `(candidate, org)` cells that some
 /// *other* path covers — the sharing context a best response depends on —
-/// once the path's own selection is withdrawn. A mined-out rank has no
-/// candidate anyone could cover.
-fn context_key_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool) -> Vec<u8> {
+/// once the path's own selection is withdrawn, written over `out`. A
+/// mined-out rank has no candidate anyone could cover.
+fn context_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool, out: &mut Vec<u8>) {
     let mask = |cand| {
         let covered = Org::ALL.iter().filter(|&&org| covered((cand, org)));
         covered.fold(0u8, |mask, org| mask | 1 << org.index())
     };
-    cands.iter().map(|&cand| cand.map_or(0, mask)).collect()
+    out.clear();
+    out.extend(cands.iter().map(|&cand| cand.map_or(0, mask)));
 }
 
 /// How many registered selections cite each physical index.
 #[derive(Default)]
-pub(crate) struct Ownership {
+struct Ownership {
     count: PairMap<usize>,
 }
 
@@ -130,25 +132,6 @@ impl Ownership {
             self.count.remove(&pair);
         }
         last
-    }
-
-    /// Registers one selection's indexes.
-    pub(crate) fn register(&mut self, pieces: impl Iterator<Item = (Pair, f64)>) {
-        for (pair, _) in pieces {
-            self.add(pair);
-        }
-    }
-
-    /// Withdraws one registered selection's indexes.
-    pub(crate) fn unregister(&mut self, pieces: impl Iterator<Item = (Pair, f64)>) {
-        for (pair, _) in pieces {
-            self.drop_one(pair);
-        }
-    }
-
-    /// The sharing context of a path whose own selection is withdrawn.
-    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
-        context_key_by(cands, |pair| self.count.contains_key(&pair))
     }
 }
 
@@ -243,9 +226,22 @@ impl<'a> Ledger<'a> {
         self.maint.len()
     }
 
-    /// [`Ownership::context_key`] over the registered selections.
-    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
-        self.owned.context_key(cands)
+    /// The sharing context of a path whose own selection is withdrawn,
+    /// over the registered selections, written over `out`.
+    pub(crate) fn context_into(&self, cands: &[Option<CandidateId>], out: &mut Vec<u8>) {
+        context_by(cands, |pair| self.owned.count.contains_key(&pair), out);
+    }
+
+    /// What every overlay's [`Overlay::enclosure`] reads of this ledger:
+    /// its totals, and per coordinate the number and absolute sum of the
+    /// operands the fold adds.
+    pub(crate) fn scale(&self) -> Scale {
+        let abs = |values: &[f64]| values.iter().map(|v| v.abs()).sum::<f64>();
+        Scale {
+            totals: self.totals(),
+            terms: (self.query.len() + self.maint.len(), self.sizes.len()),
+            magnitude: (abs(&self.query) + abs(&self.maint), abs(&self.sizes)),
+        }
     }
 
     /// An empty overlay on this ledger.
@@ -256,6 +252,24 @@ impl<'a> Ledger<'a> {
             swapped: Vec::new(),
         }
     }
+}
+
+/// A ledger's totals with the size of the folds behind them — see
+/// [`Ledger::scale`].
+pub(crate) struct Scale {
+    /// `(cost, size)`, as [`Ledger::totals`].
+    pub(crate) totals: (f64, f64),
+    /// Operands the cost and the size fold add.
+    terms: (usize, usize),
+    /// Absolute sum of those operands, per fold.
+    magnitude: (f64, f64),
+}
+
+/// `(estimate, radius)` per coordinate: the exact totals lie within
+/// `radius` of `estimate` — see [`Overlay::enclosure`].
+pub(crate) struct Enclosure {
+    pub(crate) cost: (f64, f64),
+    pub(crate) size: (f64, f64),
 }
 
 /// A few paths re-selected on top of a [`Ledger`] that stays untouched:
@@ -269,6 +283,12 @@ pub(crate) struct Overlay<'l> {
 }
 
 impl Overlay<'_> {
+    /// Drops every swap: the overlay is empty again, its buffers kept.
+    pub(crate) fn clear(&mut self) {
+        self.delta.clear();
+        self.swapped.clear();
+    }
+
     fn bump(&mut self, pair: Pair, by: isize) {
         match self.delta.iter_mut().find(|(p, _)| *p == pair) {
             Some((_, d)) => *d += by,
@@ -290,12 +310,64 @@ impl Overlay<'_> {
         self.swapped.push((i, query));
     }
 
-    /// [`Ownership::context_key`] under the swaps so far.
-    pub(crate) fn context_key(&self, cands: &[Option<CandidateId>]) -> Vec<u8> {
-        context_key_by(cands, |pair| {
+    /// [`Ledger::context_into`] under the swaps so far.
+    pub(crate) fn context_into(&self, cands: &[Option<CandidateId>], out: &mut Vec<u8>) {
+        let covered = |pair| {
             let delta = self.delta.iter().find(|(p, _)| *p == pair);
             self.base.owned.count(pair) as isize + delta.map_or(0, |d| d.1) > 0
+        };
+        context_by(cands, covered, out);
+    }
+
+    /// The indexes whose ownership the swaps move across zero, as `(the
+    /// base owned it, its installed (maintenance, size))`.
+    fn crossings(&self) -> impl Iterator<Item = (bool, (f64, f64))> + '_ {
+        let base = self.base;
+        self.delta.iter().filter_map(move |&(pair, change)| {
+            let before = base.owned.count(pair) as isize;
+            let crosses = (before > 0) != (before + change > 0);
+            crosses.then(|| (before > 0, installed(base.space, pair)))
         })
+    }
+
+    /// A certified enclosure of [`Self::totals`], at a cost proportional
+    /// to the swaps: the base's totals with the few changed operands
+    /// applied — swapped subtotals out and in, dropped and added indexes'
+    /// prices — and a radius from the recursive-summation bound. Each
+    /// fold adds at most `N + k` operands (`N` the base's, `k` the changed
+    /// ones) of absolute sum at most `S + C` (the base's sum plus the
+    /// changed ones'), so it lies within `γ_{N+k}·(S + C)` of the real sum
+    /// of its operands; the base's totals lie within `γ_N·S` of theirs; and
+    /// the estimate adds `k` terms to them. With `γ_m ≤ m·ε` (ε =
+    /// `f64::EPSILON`, twice the unit roundoff) the three errors sum to
+    /// less than `4·(N + k + 16)·ε·(2S + C + |estimate|)`, the radius.
+    pub(crate) fn enclosure(&self, scale: &Scale) -> Enclosure {
+        let base = self.base;
+        // (estimate, changed operands, their absolute sum) per coordinate.
+        let mut cost = (scale.totals.0, 0usize, 0.0f64);
+        let mut size = (scale.totals.1, 0usize, 0.0f64);
+        let apply = |(sum, k, abs): &mut (f64, usize, f64), value: f64, sign: f64| {
+            *sum += sign * value;
+            *k += 1;
+            *abs += value.abs();
+        };
+        for &(i, query) in &self.swapped {
+            apply(&mut cost, query, 1.0);
+            apply(&mut cost, base.query[i], -1.0);
+        }
+        for (dropped, (maintenance, pages)) in self.crossings() {
+            let sign = if dropped { -1.0 } else { 1.0 };
+            apply(&mut cost, maintenance, sign);
+            apply(&mut size, pages, sign);
+        }
+        let radius = |(sum, k, abs): (f64, usize, f64), terms: usize, magnitude: f64| {
+            let bound = 2.0 * magnitude + abs + sum.abs();
+            4.0 * (terms + k + 16) as f64 * f64::EPSILON * bound
+        };
+        Enclosure {
+            cost: (cost.0, radius(cost, scale.terms.0, scale.magnitude.0)),
+            size: (size.0, radius(size, scale.terms.1, scale.magnitude.1)),
+        }
     }
 
     /// The `(cost, size)` of the base selections with the swaps applied —
@@ -308,13 +380,8 @@ impl Overlay<'_> {
         let base = self.base;
         // `[maintenance, size]` of the indexes dropped and added.
         let (mut removed, mut added) = ([vec![], vec![]], [vec![], vec![]]);
-        for &(pair, change) in &self.delta {
-            let before = base.owned.count(pair) as isize;
-            if (before > 0) == (before + change > 0) {
-                continue;
-            }
-            let (maintenance, size) = installed(base.space, pair);
-            let into = if before > 0 { &mut removed } else { &mut added };
+        for (dropped, (maintenance, size)) in self.crossings() {
+            let into = if dropped { &mut removed } else { &mut added };
             into[0].push(maintenance);
             into[1].push(size);
         }
@@ -344,7 +411,8 @@ mod tests {
     /// A random add/remove/swap sequence of selections ends bit-equal —
     /// cost, size, every context key — to a ledger built from scratch on
     /// the final selections; so does an overlay that reaches them on top
-    /// of the untouched start. Prices are drawn from a handful of values
+    /// of the untouched start, and each overlay's totals lie within its
+    /// enclosure. Prices are drawn from a handful of values
     /// including both signed zeros, so the overlay's merged fold meets
     /// duplicates, `-0.0` beside `0.0`, and a value one index drops while
     /// another adds it.
@@ -389,6 +457,14 @@ mod tests {
         let scratch =
             |sels: &[Vec<(Pair, f64)>]| Ledger::new(&space, sels.iter().map(|s| s.iter().copied()));
         let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+        // Every overlay's exact totals lie within its enclosure's radius.
+        let enclosed = |overlay: &Overlay<'_>, base: &Ledger<'_>| {
+            let (cost, size) = overlay.totals();
+            let Enclosure { cost: c, size: s } = overlay.enclosure(&base.scale());
+            assert!((cost - c.0).abs() <= c.1, "cost {cost} vs {c:?}");
+            assert!((size - s.0).abs() <= s.1, "size {size} vs {s:?}");
+        };
+        let mut context = Vec::new();
         for _ in 0..40 {
             let start: Vec<_> = (0..6).map(|_| draw(&mut next)).collect();
             let (base, mut ledger, mut sels) = (scratch(&start), scratch(&start), start.clone());
@@ -409,6 +485,7 @@ mod tests {
             }
             assert_eq!(bits(overlay.totals()), bits(fresh));
             assert_eq!(bits(base.totals()), bits(scratch(&start).totals()));
+            enclosed(&overlay, &base);
             // Each path's sharing context: every index but its own.
             for i in 0..6 {
                 ledger.remove(i, sels[i].iter().copied());
@@ -417,8 +494,10 @@ mod tests {
                 let mask = |&cand| (0..3).filter(move |&x| held((cand, Org::ALL[x])));
                 let key = cands.iter().map(|c| mask(c).fold(0u8, |m, x| m | 1 << x));
                 let key: Vec<u8> = key.collect();
-                assert_eq!(ledger.context_key(&slots), key);
-                assert_eq!(overlay.context_key(&slots), key);
+                ledger.context_into(&slots, &mut context);
+                assert_eq!(context, key);
+                overlay.context_into(&slots, &mut context);
+                assert_eq!(context, key);
                 ledger.insert(i, sels[i].iter().copied());
                 overlay.insert(i, sels[i].iter().copied());
             }

@@ -108,7 +108,7 @@ use oic_cost::{ClassStats, CostParams, Org};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{mining, MiningPolicy};
-use pricing::{matrix_selection, priced_matrix, Pricing, QueryBasis};
+use pricing::{best_response, Pricing, QueryBasis};
 use state::{Dirty, PathState};
 use std::collections::HashMap;
 
@@ -550,9 +550,10 @@ impl<'a> WorkloadAdvisor<'a> {
             .filter(|&i| self.paths[i].standalone.is_none())
             .collect();
         dp_runs += stale.len() as u64;
-        let results = self.exec.par_map(&stale, |_, &i| {
-            let st = &self.paths[i];
-            matrix_selection(&priced_matrix(st, &self.space, Pricing::default()))
+        let results = self.par_map_dp(&stale, |dp, &i| {
+            let (st, mut sel) = (&self.paths[i], Selection::new());
+            let cost = best_response(st, &self.space, Pricing::default(), dp, &mut sel);
+            (sel, cost)
         });
         for (result, &i) in results.into_iter().zip(&stale) {
             self.paths[i].standalone = Some(result);

@@ -1,13 +1,14 @@
 //! Pricing: the re-pricing phase of `reoptimize()` (per-signature query
-//! bases, the first-owner claim pass, dominance masks) and
-//! [`priced_matrix`], the one place a path's cost matrix is built.
+//! bases, the first-owner claim pass, dominance masks) and [`Cells`], the
+//! one cell rule every advisor DP reads its pieces through, with the two
+//! in-place kernels over it ([`best_response`], [`frontier_response`]).
 
 use super::ledger::{Pair, PairSet};
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor};
-use crate::select::{opt_ind_con_dp, prune_dominated};
+use crate::select::{frontier_point, prune_dominated, Labels, ScalarDp};
 use crate::space::{CandidateId, CandidateSpace};
-use crate::{pc, Choice, CostMatrix, IndexConfiguration};
+use crate::{pc, Choice, IndexConfiguration};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::{ClassId, PathSignature, Schema, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
@@ -410,9 +411,9 @@ fn price_claims(
 }
 
 /// The bans one eviction trial prices under: every index the descent
-/// evicted so far plus the one on trial. [`priced_matrix`] reads one ban
-/// mask per rank of every owner it re-prices, three set probes each, so
-/// the evicted set hashes with the cheap `PairHasher`.
+/// evicted so far plus the one on trial. [`Cells::new`] reads one ban
+/// mask per rank of every owner a trial re-prices, three set probes each,
+/// so the evicted set hashes with the cheap `PairHasher`.
 pub(super) struct Bans<'a> {
     /// The trail's evictions so far; they stay banned for the whole walk.
     pub(super) evicted: &'a PairSet,
@@ -429,8 +430,8 @@ impl Bans<'_> {
     }
 }
 
-/// What a path's matrix is priced under. The default — no context, λ = 0,
-/// no bans — is the standalone pricing (maintenance unshared).
+/// What a path's cells are priced under. The default — no context, λ =
+/// 0, no bans — is the standalone pricing (maintenance unshared).
 #[derive(Default, Clone, Copy)]
 pub(super) struct Pricing<'p> {
     /// The sharing context (3-bit covered mask per rank): a covered cell
@@ -441,7 +442,7 @@ pub(super) struct Pricing<'p> {
     /// The Lagrange multiplier: an uncovered cell pays `query +
     /// maintenance + λ·size`. λ = 0 is the unconstrained pricing — `m +
     /// 0.0·s` is bit-identical to `m`, and the scalar DP never reads the
-    /// size plane — so one implementation of the coverage rule serves the
+    /// size — so one implementation of the coverage rule serves the
     /// unconstrained and the budgeted machinery.
     pub(super) lambda: f64,
     /// Banned physical indexes, whose cells become unselectable
@@ -449,11 +450,13 @@ pub(super) struct Pricing<'p> {
     pub(super) bans: Option<&'p Bans<'p>>,
 }
 
-/// One path's priced cost matrix, with its size plane. All of the path's
-/// cells must already be priced (phase 1).
+/// One path's cells under a [`Pricing`] — the one cell rule every
+/// advisor DP reads its pieces through, where the recurrence reads them:
+/// no cost matrix is built. All of the path's cells must already be
+/// priced (phase 1).
 ///
 /// Cells struck by the path's dominance mask
-/// ([`crate::select::prune_dominated`]) become unselectable. The mask is
+/// ([`crate::select::prune_dominated`]) are unselectable. The mask is
 /// **λ-uniform** — a struck cell is beaten in both cost and size, so it is
 /// absent from the optimum of `cost + λ·size` for every λ ≥ 0 (DESIGN.md
 /// §5.15/§5.17) — which lets the λ-priced sweeps, the eviction descent and
@@ -463,64 +466,158 @@ pub(super) struct Pricing<'p> {
 /// is ban-free; the whole-rank (0b111) bound leans on singleton
 /// replacements anywhere in the span, so it applies only when the entire
 /// path is.
-pub(super) fn priced_matrix(
-    st: &PathState,
-    space: &CandidateSpace,
-    pricing: Pricing<'_>,
-) -> CostMatrix {
-    let Pricing {
-        context,
-        lambda,
-        bans,
-    } = pricing;
-    let n = st.path.len();
-    let ranks = SubpathId::count(n);
-    // Per rank, the mask of banned cells, each looked up once.
-    let banned: Vec<u8> = bans.map_or_else(Vec::new, |b| {
-        let mask = |cand: &Option<CandidateId>| cand.map_or(0, |cand| b.mask(cand));
-        st.cands.iter().map(mask).collect()
-    });
-    let ban_in_path = banned.iter().any(|&mask| mask != 0);
-    // A mined-out rank is absent from the candidate space: never priced,
-    // never selectable, no pages.
-    let mut costs = vec![[f64::INFINITY; 3]; ranks];
-    let mut sizes = vec![[0.0; 3]; ranks];
-    for (r, (cell, cell_sizes)) in costs.iter_mut().zip(&mut sizes).enumerate() {
+pub(super) struct Cells<'a> {
+    st: &'a PathState,
+    space: &'a CandidateSpace,
+    context: Option<&'a [u8]>,
+    lambda: f64,
+    /// Per rank, the mask of banned cells, each looked up once (empty
+    /// without bans).
+    banned: &'a [u8],
+    /// Whether any rank of the path has a banned cell.
+    ban_in_path: bool,
+}
+
+impl<'a> Cells<'a> {
+    /// `st`'s cells under `pricing`; the per-rank ban masks are written
+    /// over the caller's `banned` buffer.
+    pub(super) fn new(
+        st: &'a PathState,
+        space: &'a CandidateSpace,
+        pricing: Pricing<'a>,
+        banned: &'a mut Vec<u8>,
+    ) -> Self {
+        banned.clear();
+        if let Some(bans) = pricing.bans {
+            let mask = |cand: &Option<CandidateId>| cand.map_or(0, |cand| bans.mask(cand));
+            banned.extend(st.cands.iter().map(mask));
+        }
+        let ban_in_path = banned.iter().any(|&mask| mask != 0);
+        Cells {
+            st,
+            space,
+            context: pricing.context,
+            lambda: pricing.lambda,
+            banned,
+            ban_in_path,
+        }
+    }
+
+    /// The `(cost, size)` of piece `sub` under each organization, in
+    /// [`Org::ALL`] order: `query + maintenance + λ·size`. A mined-out
+    /// rank is absent from the candidate space and a banned cell
+    /// unselectable: `INFINITY`, no pages.
+    pub(super) fn piece(&self, sub: SubpathId) -> [(f64, f64); 3] {
+        let st = self.st;
+        let r = sub.rank(st.path.len());
         let Some(cand) = st.cands[r] else {
-            continue;
+            return [(f64::INFINITY, 0.0); 3];
         };
-        let covered = context.map_or(0, |ctx| ctx[r]);
-        let ban = banned.get(r).copied().unwrap_or(0);
+        let ban = self.banned.get(r).copied().unwrap_or(0);
         let cut = match st.pruned.as_deref().map_or(0, |p| p[r]) {
-            0b111 if ban_in_path => 0,
+            0b111 if self.ban_in_path => 0,
             cut if cut != 0b111 && ban != 0 => 0,
             cut => cut,
         };
-        for org in Org::ALL {
-            if ban & (1 << org.index()) != 0 {
-                continue; // unselectable, no pages
+        let covered = self.context.map_or(0, |ctx| ctx[r]);
+        let query = &st.query_costs[r];
+        [0, 1, 2].map(|o| {
+            let bit = 1 << o;
+            if ban & bit != 0 {
+                return (f64::INFINITY, 0.0);
             }
             // Coverage outranks the prune mask: a covered cell costs its
-            // query share only — which can beat the mask's
-            // uncovered-price dominance argument — so it stays selectable.
-            let (m, s) = if covered & (1 << org.index()) != 0 {
+            // query share only — which can beat the mask's uncovered-price
+            // dominance argument — so it stays selectable.
+            let (m, s) = if covered & bit != 0 {
                 (0.0, 0.0)
-            } else if cut & (1 << org.index()) != 0 {
+            } else if cut & bit != 0 {
                 (f64::INFINITY, 0.0)
             } else {
-                installed(space, (cand, org))
+                installed(self.space, (cand, Org::ALL[o]))
             };
-            cell[org.index()] = st.query_costs[r][org.index()] + m + lambda * s;
-            cell_sizes[org.index()] = s;
-        }
+            (query[o] + m + self.lambda * s, s)
+        })
     }
-    CostMatrix::from_planes(n, costs, sizes)
+}
+
+/// The scalar best response of `st` under `pricing` (which bans nothing):
+/// [`ScalarDp`] over the path's [`Cells`] on the caller's tables, the
+/// selection written over `out`. Returns its cost.
+pub(super) fn best_response(
+    st: &PathState,
+    space: &CandidateSpace,
+    pricing: Pricing<'_>,
+    dp: &mut ScalarDp,
+    out: &mut Selection,
+) -> f64 {
+    debug_assert!(pricing.bans.is_none(), "a ban can leave a path uncoverable");
+    let mut no_bans = Vec::new();
+    let cells = Cells::new(st, space, pricing, &mut no_bans);
+    let (cost, _) = dp.run(st.path.len(), |sub| cells.piece(sub).map(|cell| cell.0));
+    dp.pieces_into(out, |sub, o| (sub, Org::ALL[o]));
+    cost
+}
+
+impl WorkloadAdvisor<'_> {
+    /// `f` over `items` on the executor, in item order, each contiguous
+    /// chunk of items on its own [`ScalarDp`] tables: one chunk inline, a
+    /// few per lane when the executor fans out. A DP overwrites every
+    /// table entry it reads, so what a table held before — and with it the
+    /// chunking — reaches no result.
+    pub(super) fn par_map_dp<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&mut ScalarDp, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let chunks = if self.exec.is_parallel() {
+            4 * self.exec.threads()
+        } else {
+            1
+        };
+        let parts: Vec<&[T]> = items.chunks(items.len().div_ceil(chunks).max(1)).collect();
+        let outs = self.exec.par_map(&parts, |_, part| {
+            let mut dp = ScalarDp::default();
+            part.iter().map(|item| f(&mut dp, item)).collect::<Vec<R>>()
+        });
+        let mut all = Vec::with_capacity(items.len());
+        outs.into_iter().for_each(|part| all.extend(part));
+        all
+    }
+}
+
+/// The tables of one job's frontier responses — an eviction trial, or
+/// the repair pass.
+#[derive(Default)]
+pub(super) struct FrontierTables {
+    labels: Labels,
+    banned: Vec<u8>,
+}
+
+/// The cheapest point of `st`'s `(cost, size)` frontier under `pricing`
+/// that fits `budget_pages` ([`frontier_point`] over the path's
+/// [`Cells`]), its selection written over `out`; `None` when no point
+/// fits — at `f64::INFINITY`, when a ban left the path uncoverable.
+pub(super) fn frontier_response(
+    st: &PathState,
+    space: &CandidateSpace,
+    pricing: Pricing<'_>,
+    budget_pages: f64,
+    tables: &mut FrontierTables,
+    out: &mut Selection,
+) -> Option<(f64, f64)> {
+    let FrontierTables { labels, banned } = tables;
+    let cells = Cells::new(st, space, pricing, banned);
+    let piece = |sub| cells.piece(sub);
+    let label = frontier_point(labels, st.path.len(), piece, budget_pages)?;
+    labels.pieces_into(&label, out, |sub, o| (sub, Org::ALL[o]));
+    Some((label.cost, label.size))
 }
 
 /// The marginal `(cost, size)` of one path's *existing* selection
 /// under a sharing context, read from the installed prices and never
 /// through the dominance mask — bit-identical to summing the matching
-/// unmasked cells of [`priced_matrix`] at λ = 0, in selection order.
+/// unmasked [`Cells`] at λ = 0, in selection order.
 pub(super) fn true_marginal(
     st: &PathState,
     space: &CandidateSpace,
@@ -541,13 +638,6 @@ pub(super) fn true_marginal(
         size += s;
     }
     (cost, size)
-}
-
-/// The scalar optimum of a priced matrix as a `(subpath, org)` list, with
-/// its cost.
-pub(super) fn matrix_selection(matrix: &CostMatrix) -> (Selection, f64) {
-    let result = opt_ind_con_dp(matrix);
-    (to_selection(&result.best), result.cost)
 }
 
 /// Converts a configuration into a workload [`Selection`] (workload

@@ -256,6 +256,177 @@ fn tight_budget_trades_cost_for_pages() {
     assert!(budgeted.lambda_sweeps > 0);
 }
 
+/// `cost_ratio` is 1 when both costs are zero: on an empty advisor (both
+/// are `-0.0`, the empty fold) and on a workload whose rates are all
+/// zero, under a slack and a binding budget alike — never `0 / 0`.
+#[test]
+fn cost_ratio_of_two_zero_costs_is_one() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut empty = WorkloadAdvisor::new(&schema, CostParams::default());
+    for budget in [f64::INFINITY, 0.0] {
+        let b = empty.optimize_with_budget(budget);
+        assert_eq!(b.plan.total_cost, 0.0);
+        assert_eq!(b.cost_ratio(), 1.0, "empty advisor, budget {budget}");
+    }
+    let mut idle =
+        WorkloadAdvisor::new(&schema, CostParams::default()).with_stats(fig7_stats(&schema));
+    idle.add_path(fixtures::paper_path_pexa(&schema), |_| 0.0);
+    idle.add_path(fixtures::paper_path_pe(&schema), |_| 0.0);
+    let size = idle.optimize().size_pages;
+    assert!(size > 0.0, "an idle workload still selects indexes");
+    for budget in [f64::INFINITY, 0.5 * size] {
+        let b = idle.optimize_with_budget(budget);
+        assert_eq!(b.unconstrained_cost, 0.0, "all rates are zero");
+        assert_eq!(b.plan.total_cost, 0.0);
+        assert_eq!(b.cost_ratio(), 1.0, "idle workload, budget {budget}");
+    }
+    // A non-zero cost keeps the plain ratio.
+    let b = two_path_advisor(&schema).optimize_with_budget(f64::INFINITY);
+    assert_eq!(b.cost_ratio(), 1.0);
+}
+
+/// The in-place kernels against the brute-force oracles, on matrices
+/// built cell by cell from the cell rule ([`pricing::Cells`]): random
+/// sharing contexts, prune masks, mined-out ranks, bans (none, some,
+/// every index of the path) and λ ∈ {0, small, huge}. The scalar best
+/// response has `exhaustive`'s optimal cost bits and `opt_ind_con_dp`'s
+/// configuration (the DP's tie-break: longer last piece, first
+/// organization). The trial response — the frontier's first point — has
+/// `exhaustive_frontier`'s first `(cost, size)` bits and `frontier_dp`'s
+/// configuration, and is `None` exactly when nothing covers the path; at
+/// a finite budget it is `within_budget`'s point. The kernels' tables
+/// are reused across every case.
+#[test]
+fn in_place_kernels_match_the_oracles_on_their_cells() {
+    use crate::select::{exhaustive, exhaustive_frontier, frontier_dp, opt_ind_con_dp, ScalarDp};
+    use ledger::{Pair, PairSet};
+    use pricing::{best_response, frontier_response, Bans, Cells, FrontierTables, Pricing};
+
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    adv.optimize();
+    let admitted: Vec<Vec<Option<CandidateId>>> =
+        adv.paths.iter().map(|st| st.cands.clone()).collect();
+    let mut seed = 0x5EED_CE11_u64;
+    let mut rng = move |below: usize| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % below as u64) as usize
+    };
+    let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+    let pieces = |sel: &Selection| -> Vec<(SubpathId, Choice)> {
+        sel.iter()
+            .map(|&(sub, org)| (sub, Choice::Index(org)))
+            .collect()
+    };
+    let (mut dp, mut tables, mut sel) = (ScalarDp::default(), FrontierTables::default(), vec![]);
+    let (mut banned_cases, mut uncoverable, mut struck) = (0, 0, 0);
+    for case in 0..800 {
+        let i = case % adv.paths.len();
+        let n = adv.paths[i].path.len();
+        // Mined-out non-singleton ranks, and prune masks that never
+        // strike a whole singleton rank (the pruner cannot).
+        let st = &mut adv.paths[i];
+        st.cands.clone_from(&admitted[i]);
+        let mut masks = vec![0u8; st.cands.len()];
+        for (r, mask) in masks.iter_mut().enumerate() {
+            let singleton = r < n;
+            if !singleton && rng(5) == 0 {
+                st.cands[r] = None;
+            }
+            if rng(4) == 0 {
+                *mask = rng(if singleton { 7 } else { 8 }) as u8;
+            }
+        }
+        st.pruned = Some(masks);
+        let st = &adv.paths[i];
+        struck += st
+            .pruned
+            .as_deref()
+            .unwrap()
+            .iter()
+            .filter(|&&m| m != 0)
+            .count();
+        let context: Vec<u8> = st
+            .cands
+            .iter()
+            .map(|c| c.map_or(0, |_| [0, rng(8) as u8][rng(2)]))
+            .collect();
+        let lambda = [0.0, 1e-3, 1e6][rng(3)];
+        let live: Vec<Pair> = st
+            .cands
+            .iter()
+            .flatten()
+            .flat_map(|&cand| Org::ALL.map(|org| (cand, org)))
+            .collect();
+        let mut evicted = PairSet::default();
+        match case % 4 {
+            0 => {}
+            3 => evicted.extend(live.iter().copied()),
+            _ => evicted.extend(live.iter().copied().filter(|_| rng(4) == 0)),
+        }
+        let bans = Bans {
+            evicted: &evicted,
+            trial: live[rng(live.len())],
+        };
+        let banning = case % 4 != 0;
+        banned_cases += usize::from(banning);
+        let pricing = Pricing {
+            context: Some(&context),
+            lambda,
+            bans: banning.then_some(&bans),
+        };
+        let mut masks = Vec::new();
+        let cells = Cells::new(st, &adv.space, pricing, &mut masks);
+        let values: Vec<_> = (0..st.cands.len())
+            .map(|r| {
+                let sub = SubpathId::from_rank(n, r);
+                let piece = cells.piece(sub);
+                (sub, piece.map(|c| c.0), piece.map(|c| c.1))
+            })
+            .collect();
+        let m = CostMatrix::from_values_with_sizes(n, &values);
+        let ctx = format!("case {case}: path {i}, λ {lambda}, bans {banning}");
+        if !banning {
+            let cost = best_response(st, &adv.space, pricing, &mut dp, &mut sel);
+            assert_eq!(cost.to_bits(), exhaustive(&m).cost.to_bits(), "{ctx}");
+            assert_eq!(pieces(&sel), opt_ind_con_dp(&m).best.pairs(), "{ctx}");
+        }
+        let oracle = exhaustive_frontier(&m);
+        let frontier = frontier_dp(&m);
+        let first = frontier_response(
+            st,
+            &adv.space,
+            pricing,
+            f64::INFINITY,
+            &mut tables,
+            &mut sel,
+        );
+        assert_eq!(first.map(bits), oracle.first().copied().map(bits), "{ctx}");
+        uncoverable += usize::from(first.is_none());
+        if first.is_some() {
+            assert_eq!(pieces(&sel), frontier.points[0].config.pairs(), "{ctx}");
+        }
+        let knee = oracle.get(rng(oracle.len().max(1))).map_or(0.0, |p| p.1);
+        let budget = knee + [0.0, 0.5, -0.5][rng(3)];
+        let fit = frontier_response(st, &adv.space, pricing, budget, &mut tables, &mut sel);
+        let want = frontier.within_budget(budget);
+        assert_eq!(
+            fit.map(bits),
+            want.map(|p| bits((p.cost, p.size))),
+            "{ctx}, budget {budget}"
+        );
+        if let Some(p) = want {
+            assert_eq!(pieces(&sel), p.config.pairs(), "{ctx}, budget {budget}");
+        }
+    }
+    assert!(
+        banned_cases > 0 && uncoverable > 0 && struck > 0,
+        "{banned_cases} banned, {uncoverable} uncoverable, {struck} struck"
+    );
+}
+
 #[test]
 fn budget_below_minimum_footprint_is_flagged_infeasible() {
     let (schema, _) = fixtures::paper_schema();

@@ -8,7 +8,8 @@
 //! the estimator's ordered path index per *run* of same-path events,
 //! however many paths are tracked — and a warmed quiet tuner epoch
 //! allocates nothing. Interning an arriving path allocates per step, not
-//! per subpath, and the what-if candidate lookup allocates nothing.
+//! per subpath, and the what-if candidate lookup allocates nothing. A λ
+//! sweep of the budget search allocates per path, not per DP.
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide.
 
@@ -411,5 +412,36 @@ fn re_adding_a_live_path_allocates_per_step_not_per_subpath() {
     assert!(
         per_len[6] < SubpathId::count(8) as u64,
         "8 steps: {per_len:?}"
+    );
+}
+
+/// The budget search's allocation contract, the shared descent kernel's
+/// half of ROADMAP item 8: a λ sweep allocates a few times per path — the
+/// seed and descent selections it returns, its memos, one set of DP tables
+/// per job — not per DP. A one-lane advisor on the 250-path tree (depth 5,
+/// fanout 3, seed 1994), after `optimize()` and a 25 % solve, runs its 50 %
+/// solve without an eviction trial (the recorded trail serves it). When
+/// every DP built a priced cost matrix, allocated its tables and hashed
+/// its sharing context, that solve made 206 895 allocations over 26 λ
+/// sweeps: 31.8 per path per sweep.
+#[test]
+fn a_lambda_sweep_allocates_per_path_not_per_dp() {
+    let w = synth_workload(&WorkloadSpec {
+        paths: 250,
+        depth: 5,
+        fanout: 3,
+        seed: 1994,
+    });
+    let mut adv = w.advisor(CostParams::default()).with_threads(1);
+    let size = adv.optimize().size_pages;
+    adv.optimize_with_budget(0.25 * size);
+    let (half, allocations) = allocations_of(|| adv.optimize_with_budget(0.5 * size));
+    assert_eq!(half.eviction_trials, 0, "the trail serves the 50 % solve");
+    assert!(half.lambda_sweeps > 0, "the 50 % budget binds");
+    let per_sweep = allocations as f64 / (250.0 * half.lambda_sweeps as f64);
+    assert!(
+        per_sweep <= 16.0,
+        "{allocations} allocations over {} λ sweeps: {per_sweep:.1} per path per sweep",
+        half.lambda_sweeps
     );
 }
