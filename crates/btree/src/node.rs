@@ -12,11 +12,18 @@ pub(crate) type Key = Vec<u8>;
 /// `entry_overhead`-byte big-endian length then the entry's bytes, so
 /// `ln = record_overhead + |key| + |body|` and entry `i` sits at the same
 /// byte offset it would have on a page.
+///
+/// `width` is the length every entry shares, or 0 when lengths differ: the
+/// first push into an empty record sets it, a push or replacement of
+/// another length clears it, and removals keep it. While it is non-zero,
+/// readers step over the length prefixes instead of parsing them. `count`
+/// and `width` are packed as `u32` so the record stays seven words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Record {
     pub key: Key,
     body: Vec<u8>,
-    count: usize,
+    count: u32,
+    width: u32,
 }
 
 impl Record {
@@ -25,6 +32,7 @@ impl Record {
             key: key.to_vec(),
             body: Vec::new(),
             count: 0,
+            width: 0,
         }
     }
 
@@ -35,7 +43,7 @@ impl Record {
 
     /// Number of entries in the posting list.
     pub fn count(&self) -> usize {
-        self.count
+        self.count as usize
     }
 
     /// The posting list in order, each entry with the offset of its length
@@ -46,17 +54,41 @@ impl Record {
             body: &self.body,
             offset: layout.record_overhead + self.key.len(),
             prefix: layout.entry_overhead,
+            width: self.width as usize,
         }
     }
 
     /// Appends an entry.
     pub fn push(&mut self, layout: &Layout, entry: &[u8]) {
         push_entry(&mut self.body, layout.entry_overhead, entry);
+        self.width = if self.count == 0 {
+            u32::try_from(entry.len()).unwrap_or(0)
+        } else {
+            self.keep_width(entry.len())
+        };
         self.count += 1;
+    }
+
+    /// `width` after an entry of `len` bytes joins the others.
+    fn keep_width(&self, len: usize) -> u32 {
+        if self.width as usize == len {
+            self.width
+        } else {
+            0
+        }
+    }
+
+    /// Length of the entry whose prefix starts at body offset `at`.
+    fn entry_len(&self, w: usize, at: usize) -> usize {
+        match self.width {
+            0 => be_len(&self.body[at..at + w]),
+            width => width as usize,
+        }
     }
 
     /// Removes every entry `pred` selects, calling `on_match` with the
     /// record offset of each before anything moves. Returns how many went.
+    /// Each maximal run of kept entries moves down in one copy.
     pub fn remove_where(
         &mut self,
         layout: &Layout,
@@ -65,23 +97,34 @@ impl Record {
     ) -> usize {
         let w = layout.entry_overhead;
         let base = layout.record_overhead + self.key.len();
-        let (mut read, mut write, mut removed) = (0, 0, 0);
+        // Kept bytes so far end at `write`; the current kept run starts at
+        // `run`. A copy only lands below `read`, so `pred` sees every entry
+        // where it was.
+        let (mut read, mut write, mut run, mut removed) = (0, 0, 0, 0);
         while read < self.body.len() {
-            let end = read + w + be_len(&self.body[read..read + w]);
+            let end = read + w + self.entry_len(w, read);
             if pred(&self.body[read + w..end]) {
                 on_match(base + read);
                 removed += 1;
-            } else {
-                if write < read {
-                    self.body.copy_within(read..end, write);
-                }
-                write += end - read;
+                write = self.shift_run(run..read, write);
+                run = end;
             }
             read = end;
         }
+        let end = self.body.len();
+        let write = self.shift_run(run..end, write);
         self.body.truncate(write);
-        self.count -= removed;
+        self.count -= removed as u32;
         removed
+    }
+
+    /// Moves the kept bytes `run` down to `write`; returns where the next
+    /// kept run goes.
+    fn shift_run(&mut self, run: std::ops::Range<usize>, write: usize) -> usize {
+        if write < run.start {
+            self.body.copy_within(run.clone(), write);
+        }
+        write + run.len()
     }
 
     /// Overwrites the entry whose length prefix sits at record offset
@@ -89,7 +132,8 @@ impl Record {
     pub fn replace_at(&mut self, layout: &Layout, offset: usize, entry: &[u8]) {
         let w = layout.entry_overhead;
         let at = offset - layout.record_overhead - self.key.len();
-        let old = be_len(&self.body[at..at + w]);
+        let old = self.entry_len(w, at);
+        self.width = self.keep_width(entry.len());
         self.body[at..at + w].copy_from_slice(&be_prefix(w, entry.len())[8 - w..]);
         self.body
             .splice(at + w..at + w + old, entry.iter().copied());
@@ -120,6 +164,8 @@ pub(crate) struct Entries<'a> {
     body: &'a [u8],
     offset: usize,
     prefix: usize,
+    /// The record's common entry length; 0 parses each prefix.
+    width: usize,
 }
 
 impl<'a> Iterator for Entries<'a> {
@@ -129,12 +175,15 @@ impl<'a> Iterator for Entries<'a> {
         if self.body.is_empty() {
             return None;
         }
-        let (prefix, rest) = self.body.split_at(self.prefix);
-        let (entry, rest) = rest.split_at(be_len(prefix));
+        let len = match self.width {
+            0 => be_len(&self.body[..self.prefix]),
+            width => width,
+        };
+        let (entry, rest) = self.body.split_at(self.prefix + len);
         let at = self.offset;
-        self.offset += self.prefix + entry.len();
+        self.offset += entry.len();
         self.body = rest;
-        Some((at, entry))
+        Some((at, &entry[self.prefix..]))
     }
 }
 
@@ -187,6 +236,128 @@ impl LevelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference reader: every entry by parsing its length prefix.
+    fn parsed(r: &Record, layout: &Layout) -> Vec<(usize, Vec<u8>)> {
+        let w = layout.entry_overhead;
+        let mut at = 0;
+        let mut out = Vec::new();
+        while at < r.body.len() {
+            let len = be_len(&r.body[at..at + w]);
+            let off = layout.record_overhead + r.key.len() + at;
+            out.push((off, r.body[at + w..at + w + len].to_vec()));
+            at += w + len;
+        }
+        out
+    }
+
+    /// The reference compaction: one parse and one copy per entry.
+    fn removed_per_entry(
+        r: &Record,
+        layout: &Layout,
+        pred: impl Fn(&[u8]) -> bool,
+    ) -> (Vec<u8>, usize, Vec<usize>) {
+        let (mut body, mut offsets) = (Vec::new(), Vec::new());
+        for (off, e) in parsed(r, layout) {
+            if pred(&e) {
+                offsets.push(off);
+            } else {
+                push_entry(&mut body, layout.entry_overhead, &e);
+            }
+        }
+        (body, r.count() - offsets.len(), offsets)
+    }
+
+    /// A record of `lens.len()` entries, each tagged by its index.
+    fn record_of(layout: &Layout, lens: &[usize]) -> Record {
+        let mut r = Record::new(b"key");
+        for (i, &len) in lens.iter().enumerate() {
+            r.push(layout, &vec![i as u8; len]);
+        }
+        r
+    }
+
+    /// Mixed lengths, or one length for every entry.
+    fn lens_strategy() -> impl Strategy<Value = Vec<usize>> {
+        (prop::collection::vec(1usize..40, 0..60), any::<bool>()).prop_map(
+            |(lens, uniform)| match (uniform, lens.first()) {
+                (true, Some(&len)) => vec![len; lens.len()],
+                _ => lens,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The width step reads exactly what prefix parsing reads, and
+        /// `width` is set exactly when every length agrees.
+        #[test]
+        fn width_step_matches_prefix_parse(lens in lens_strategy(), page in 0usize..2) {
+            let layout = Layout::for_page_size([256, 4096][page]);
+            let r = record_of(&layout, &lens);
+            let uniform = lens.windows(2).all(|w| w[0] == w[1]);
+            let want = if uniform { lens.first().copied().unwrap_or(0) } else { 0 };
+            prop_assert_eq!(r.width as usize, want);
+            let got: Vec<(usize, Vec<u8>)> =
+                r.entries(&layout).map(|(off, e)| (off, e.to_vec())).collect();
+            prop_assert_eq!(got, parsed(&r, &layout));
+        }
+
+        /// Run-wise compaction leaves the bytes, the count and the
+        /// `on_match` offsets per-entry compaction leaves, and keeps `width`.
+        #[test]
+        fn runwise_removal_matches_per_entry(lens in lens_strategy(), mask in any::<u64>(), stride in 1u8..5) {
+            let layout = Layout::for_page_size(4096);
+            let mut r = record_of(&layout, &lens);
+            let pred = |e: &[u8]| (mask >> (e[0] % 64)) & 1 == 1 && e[0] % stride == 0;
+            let (body, count, offsets) = removed_per_entry(&r, &layout, pred);
+            let width = r.width;
+            let mut got = Vec::new();
+            let removed = r.remove_where(&layout, pred, |off| got.push(off));
+            prop_assert_eq!(removed, offsets.len());
+            prop_assert_eq!(got, offsets);
+            prop_assert_eq!(&r.body, &body);
+            prop_assert_eq!(r.count(), count);
+            prop_assert_eq!(r.width, width, "removals keep the width");
+            let rest: Vec<(usize, Vec<u8>)> =
+                r.entries(&layout).map(|(off, e)| (off, e.to_vec())).collect();
+            prop_assert_eq!(rest, parsed(&r, &layout));
+        }
+    }
+
+    #[test]
+    fn width_follows_pushes_and_replacements() {
+        let layout = Layout::for_page_size(4096);
+        let mut r = Record::new(b"k");
+        r.push(&layout, &[1; 12]);
+        r.push(&layout, &[2; 12]);
+        assert_eq!(r.width, 12, "the first push sets it");
+        let (at, _) = r.entries(&layout).nth(1).expect("two entries");
+        r.replace_at(&layout, at, &[3; 12]);
+        assert_eq!(r.width, 12, "a same-length replacement keeps it");
+        r.replace_at(&layout, at, &[3; 9]);
+        assert_eq!(r.width, 0, "a replacement of another length clears it");
+        r.replace_at(&layout, at, &[3; 12]);
+        assert_eq!(r.width, 0, "only an empty record resets it");
+        assert_eq!(r.entries(&layout).count(), 2);
+
+        let mut r = record_of(&layout, &[8, 8]);
+        r.push(&layout, &[9; 4]);
+        assert_eq!(r.width, 0, "a push of another length clears it");
+        assert_eq!(r.remove_where(&layout, |_| true, |_| {}), 3);
+        assert_eq!(r.width, 0, "removals keep it, even to empty");
+        r.push(&layout, &[5; 6]);
+        assert_eq!(r.width, 6, "a push into an empty record resets it");
+        let entries: Vec<&[u8]> = r.entries(&layout).map(|(_, e)| e).collect();
+        assert_eq!(entries, vec![&[5u8; 6][..]]);
+    }
+
+    #[test]
+    fn record_stays_seven_words() {
+        assert_eq!(std::mem::size_of::<Record>(), 56);
+    }
 
     #[test]
     fn record_size_and_offsets() {

@@ -353,7 +353,10 @@ impl BTreeIndex {
     /// Replaces the first entry matching `pred` with `new_entry` in place
     /// (read + rewrite of the page holding it). Returns whether a
     /// replacement happened. Intended for same-size updates such as the NIX
-    /// `numchild` counter.
+    /// `numchild` counter: an in-place rewrite moves no byte, so nothing
+    /// rebalances. A `new_entry` whose length differs from the matched
+    /// entry's is refused — `false`, nothing changed or written; remove
+    /// and re-insert instead.
     pub fn replace_entry(
         &mut self,
         store: &mut SimStore,
@@ -363,27 +366,23 @@ impl BTreeIndex {
     ) -> bool {
         let leaf = self.descend(Some(store), key, |_, _| {});
         let layout = self.layout;
-        let Leaf {
-            records,
-            bytes,
-            pages,
-            ..
-        } = self.leaf_mut(leaf);
+        let Leaf { records, pages, .. } = self.leaf_mut(leaf);
         let Ok(pos) = find(records, key) else {
             return false;
         };
         let rec = &mut records[pos];
-        let Some((off, _)) = rec.entries(&layout).find(|(_, e)| pred(e)) else {
+        let Some((off, old)) = rec.entries(&layout).find(|(_, e)| pred(e)) else {
             return false;
         };
+        if old.len() != new_entry.len() {
+            return false;
+        }
         let pg = (off / layout.page_size).min(pages.len() - 1);
         if pg > 0 {
             store.touch_read(pages[pg]);
         }
         store.touch_write(pages[pg]);
-        *bytes -= rec.len_bytes(&layout);
         rec.replace_at(&layout, off, &new_entry);
-        *bytes += rec.len_bytes(&layout);
         true
     }
 
@@ -440,6 +439,19 @@ impl BTreeIndex {
         self.ensure_chain(store, right_id);
         self.ensure_chain(store, leaf);
         self.insert_into_parent(store, &mut path, leaf, sep, right_id);
+        // A cut at the byte midpoint can leave a side of several records
+        // over the page when one large record sits next to it: split that
+        // side again (re-descending without accounting for its path).
+        for half in [leaf, right_id] {
+            let Leaf { records, bytes, .. } = self.leaf(half);
+            if records.len() > 1 && *bytes > layout.node_capacity() {
+                let key = records[0].key.clone();
+                let mut path = Vec::with_capacity(self.height - 1);
+                let found = self.descend(None, &key, |node, idx| path.push((node, idx)));
+                debug_assert_eq!(found, half);
+                self.rebalance_after_growth(store, path, half);
+            }
+        }
     }
 
     fn ensure_chain(&mut self, store: &mut SimStore, leaf: NodeId) {
@@ -654,8 +666,9 @@ impl BTreeIndex {
     }
 
     /// Structural invariants; used by tests and fuzzing. Checks key order
-    /// within and across leaves, separator consistency, chain-page sizing
-    /// and record/entry counters.
+    /// within and across leaves, separator consistency, leaf fill (a leaf
+    /// of several records fits its page), chain-page sizing and
+    /// record/entry counters.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut rec_total = 0u64;
         let mut entry_total = 0u64;
@@ -753,6 +766,11 @@ impl BTreeIndex {
                     }
                 } else if pages.len() != 1 {
                     return Err("multi-record leaf must own exactly one page".into());
+                } else if total > self.layout.node_capacity() {
+                    return Err(format!(
+                        "multi-record leaf holds {total} bytes > capacity {}",
+                        self.layout.node_capacity()
+                    ));
                 }
                 Ok(())
             }
@@ -907,6 +925,60 @@ mod tests {
         let entries = read(&t, &store, &key(1)).unwrap();
         assert!(entries.contains(&vec![2, 9]));
         assert!(!t.replace_entry(&mut store, &key(9), |_| true, vec![]));
+    }
+
+    #[test]
+    fn replace_entry_refuses_another_length() {
+        // One record of 20 ten-byte entries: a 200-byte replacement would
+        // push it past the page without growing its chain.
+        let (mut store, mut t) = small_tree(256);
+        for i in 0..20u8 {
+            t.insert_entry(&mut store, &key(1), vec![i; 10]);
+        }
+        let before = read(&t, &store, &key(1)).unwrap();
+        let pages = store.live_pages();
+        assert!(!t.replace_entry(&mut store, &key(1), |e| e[0] == 3, vec![3; 200]));
+        assert!(!t.replace_entry(&mut store, &key(1), |e| e[0] == 3, vec![3; 9]));
+        assert_eq!(
+            read(&t, &store, &key(1)).unwrap(),
+            before,
+            "nothing changed"
+        );
+        assert_eq!(store.live_pages(), pages);
+        t.check_invariants().unwrap();
+        assert!(t.replace_entry(&mut store, &key(1), |e| e[0] == 3, vec![7; 10]));
+        assert_eq!(read(&t, &store, &key(1)).unwrap()[3], vec![7; 10]);
+
+        // A four-record leaf: 100-byte replacements of 10-byte entries
+        // would overfill its one page.
+        let (mut store, mut t) = small_tree(256);
+        for k in 0..4u64 {
+            t.insert_entry(&mut store, &key(k), vec![k as u8; 10]);
+        }
+        assert_eq!(t.height(), 1);
+        for k in 0..4u64 {
+            assert!(!t.replace_entry(&mut store, &key(k), |_| true, vec![0; 100]));
+        }
+        t.check_invariants().unwrap();
+        assert_eq!(t.leaf_pages(), 1);
+    }
+
+    #[test]
+    fn split_leaves_no_overfull_leaf() {
+        // Capacity 112: records of 48, 45 and 19 bytes fill one leaf;
+        // growing the middle one to 71 makes 138, and the byte-midpoint
+        // cut keeps 119 bytes left of it unless that side splits again.
+        let (mut store, mut t) = small_tree(128);
+        for (k, len) in [(1, 30), (2, 27), (3, 1)] {
+            t.insert_entry(&mut store, &key(k), vec![k as u8; len]);
+        }
+        t.check_invariants().unwrap();
+        t.insert_entry(&mut store, &key(2), vec![2; 24]);
+        t.check_invariants().unwrap();
+        assert_eq!(t.level_profile().leaf_level(), (3, 3));
+        for k in 1..=3 {
+            assert!(t.visit(&store, &key(k), |_| {}));
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! * The tree behaves like an ordered map of ordered posting lists and
 //!   never violates its structural invariants, for arbitrary interleavings
-//!   of inserts, entry removals, record removals, in-place replacements and
-//!   reads, across page sizes (`tree_matches_model`).
+//!   of inserts, entry removals, record removals, in-place replacements
+//!   (of the same length, and refused ones of another) and reads, across
+//!   page sizes (`tree_matches_model`).
 //! * Its page accounting is pinned: three fixed seeded streams reproduce
 //!   the access counters, per-operation statistics, tree shape and live
 //!   pages recorded before the record became one flat byte run
@@ -40,6 +41,9 @@ enum Op {
     RemoveRecord(u16),
     /// Overwrites the last byte of the first selected entry.
     Replace(u16, Sel, u8),
+    /// Replaces the first selected entry with one of the given length,
+    /// which the tree refuses unless the length is the old one's.
+    Resize(u16, Sel, usize),
     ReadMatching(u16, Sel),
     Read(u16),
     ScanLeaves,
@@ -125,6 +129,19 @@ fn apply(
             }
             replaced as u64
         }
+        Op::Resize(k, sel, len) => {
+            let slot = model
+                .get_mut(&key(*k))
+                .and_then(|list| list.iter_mut().find(|e| sel.matches(e)));
+            let new = entry(sel.tag, *len, *len as u64);
+            let replaced = tree.replace_entry(store, &key(*k), |e| sel.matches(e), new.clone());
+            let fits = slot.as_ref().is_some_and(|old| old.len() == *len);
+            prop_assert_eq!(replaced, fits);
+            if let Some(slot) = slot.filter(|_| fits) {
+                *slot = new;
+            }
+            replaced as u64
+        }
         Op::ReadMatching(k, sel) => {
             let got = read_matching(tree, store, &key(*k), *sel);
             let want: Vec<Vec<u8>> = model
@@ -178,6 +195,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (any::<u16>(), sel_strategy()).prop_map(|(k, s)| Op::RemoveEntries(k % 64, s)),
         1 => any::<u16>().prop_map(|k| Op::RemoveRecord(k % 64)),
         1 => (any::<u16>(), sel_strategy(), any::<u8>()).prop_map(|(k, s, b)| Op::Replace(k % 64, s, b)),
+        1 => (any::<u16>(), sel_strategy(), 1usize..25).prop_map(|(k, s, len)| Op::Resize(k % 64, s, len)),
         1 => (any::<u16>(), sel_strategy()).prop_map(|(k, s)| Op::ReadMatching(k % 64, s)),
         1 => any::<u16>().prop_map(|k| Op::Read(k % 64)),
     ]

@@ -2,7 +2,6 @@
 
 use crate::{AccessStats, OpStats};
 use std::cell::RefCell;
-use std::collections::HashSet;
 
 /// Identifier of a page in a [`SimStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,11 +22,42 @@ struct Counters {
     op: OpScope,
 }
 
+/// The distinct-page sets of one operation, as epoch stamps: page `p` is in
+/// the read (write) set exactly when `read_stamp[p]` (`write_stamp[p]`)
+/// equals `epoch`. Page ids are dense — the allocator hands out `0..next`
+/// and recycles — so the vectors are as long as the store ever grew, and
+/// opening a scope is one increment instead of clearing two sets.
 #[derive(Debug, Default)]
 struct OpScope {
     stats: OpStats,
-    read_set: HashSet<PageId>,
-    write_set: HashSet<PageId>,
+    /// The open (or last) scope's stamp; never 0, which marks "unseen".
+    epoch: u32,
+    read_stamp: Vec<u32>,
+    write_stamp: Vec<u32>,
+}
+
+impl OpScope {
+    /// Starts a new scope: a fresh epoch, and on wrap-around fresh stamps,
+    /// so no stamp left by an earlier scope can alias it.
+    fn begin(&mut self) {
+        self.stats = OpStats::default();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.read_stamp.fill(0);
+            self.write_stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Stamps `id` into `stamps` for the current epoch; returns whether it
+    /// was not there yet.
+    fn first_touch(stamps: &mut Vec<u32>, epoch: u32, id: PageId) -> bool {
+        let i = id.0 as usize;
+        if i >= stamps.len() {
+            stamps.resize(i + 1, 0);
+        }
+        std::mem::replace(&mut stamps[i], epoch) != epoch
+    }
 }
 
 /// A simulated disk: a page allocator whose every read and write is counted.
@@ -90,26 +120,30 @@ impl SimStore {
         self.free.push(id);
     }
 
-    /// Records a read of `id`.
+    /// Records a read of `id`, a page this store allocated.
     pub fn touch_read(&self, id: PageId) {
+        debug_assert!(id.0 < self.next, "{id} was never allocated here");
         let mut c = self.counters.borrow_mut();
         c.stats.reads += 1;
         if c.in_op {
-            c.op.stats.reads += 1;
-            if c.op.read_set.insert(id) {
-                c.op.stats.distinct_reads += 1;
+            let op = &mut c.op;
+            op.stats.reads += 1;
+            if OpScope::first_touch(&mut op.read_stamp, op.epoch, id) {
+                op.stats.distinct_reads += 1;
             }
         }
     }
 
-    /// Records a write of `id`.
+    /// Records a write of `id`, a page this store allocated.
     pub fn touch_write(&self, id: PageId) {
+        debug_assert!(id.0 < self.next, "{id} was never allocated here");
         let mut c = self.counters.borrow_mut();
         c.stats.writes += 1;
         if c.in_op {
-            c.op.stats.writes += 1;
-            if c.op.write_set.insert(id) {
-                c.op.stats.distinct_writes += 1;
+            let op = &mut c.op;
+            op.stats.writes += 1;
+            if OpScope::first_touch(&mut op.write_stamp, op.epoch, id) {
+                op.stats.distinct_writes += 1;
             }
         }
     }
@@ -130,9 +164,7 @@ impl SimStore {
     pub fn begin_op(&self) {
         let mut c = self.counters.borrow_mut();
         c.in_op = true;
-        c.op.stats = OpStats::default();
-        c.op.read_set.clear();
-        c.op.write_set.clear();
+        c.op.begin();
     }
 
     /// Closes the operation scope and returns its statistics.
@@ -208,6 +240,61 @@ mod tests {
         // Scope closed: further accesses only hit cumulative counters.
         s.touch_read(a);
         assert_eq!(s.end_op(), OpStats::default());
+    }
+
+    /// Test hook: the next scope opens at epoch `last + 1`.
+    fn set_epoch(s: &SimStore, last: u32) {
+        s.counters.borrow_mut().op.epoch = last;
+    }
+
+    #[test]
+    fn stamped_scopes_survive_epoch_wrap() {
+        let mut s = SimStore::new(4096);
+        let p: Vec<PageId> = (0..6).map(|_| s.alloc()).collect();
+        set_epoch(&s, u32::MAX - 2);
+        // Scope k reads pages 0..=k twice each and writes page k, so each
+        // scope's distinct counts differ from every earlier scope's; stamps
+        // left behind must not make a page look already seen.
+        for k in 0..6 {
+            s.begin_op();
+            for pg in &p[..=k] {
+                s.touch_read(*pg);
+                s.touch_read(*pg);
+            }
+            s.touch_write(p[k]);
+            s.touch_write(p[k]);
+            let op = s.end_op();
+            assert_eq!(
+                (op.reads, op.distinct_reads, op.writes, op.distinct_writes),
+                (2 * (k as u64 + 1), k as u64 + 1, 2, 1),
+                "scope {k}, epoch {}",
+                s.counters.borrow().op.epoch
+            );
+        }
+        assert!(s.counters.borrow().op.epoch < 8, "the epoch wrapped");
+    }
+
+    #[test]
+    fn stale_stamp_cannot_alias_after_wrap() {
+        // A page stamped at epoch 1 before the wrap, untouched until the
+        // epoch comes round to 1 again, must still count as unseen.
+        let mut s = SimStore::new(4096);
+        let a = s.alloc();
+        let b = s.alloc();
+        set_epoch(&s, 0);
+        s.begin_op();
+        s.touch_read(a);
+        s.touch_write(b);
+        s.end_op();
+        set_epoch(&s, u32::MAX - 1);
+        s.begin_op();
+        s.end_op();
+        s.begin_op();
+        assert_eq!(s.counters.borrow().op.epoch, 1, "wrapped back to 1");
+        s.touch_read(a);
+        s.touch_write(b);
+        let op = s.end_op();
+        assert_eq!((op.distinct_reads, op.distinct_writes), (1, 1));
     }
 
     #[test]
