@@ -1,6 +1,5 @@
-//! Candidate-sharing component index: an incrementally maintained
-//! union-find over the advisor's live paths, keyed by shared
-//! [`CandidateId`]s.
+//! Candidate-sharing components of the advisor's live paths, rebuilt from
+//! their candidate slices on every call over dense tables.
 //!
 //! Two paths land in the same component iff they are connected by a chain
 //! of shared physical candidates. Paths in different components share no
@@ -9,244 +8,208 @@
 //! independently — and in parallel.
 
 use crate::CandidateId;
-use std::collections::HashMap;
 
-/// Incremental union-find over paths keyed by shared candidates.
-///
-/// Paths are identified by their raw [`PathId`](crate::PathId) value
-/// (`u32`, monotonically assigned, never reused), so plain `Vec`s indexed
-/// by raw id back the parent/size arrays. Path additions union
-/// incrementally (one `find` per candidate). Removals cannot split a
-/// union-find incrementally, so they mark the structure dirty and the next
-/// [`ShardIndex::components`] call rebuilds from the live set — required
-/// anyway because [`CandidateSpace`](crate::CandidateSpace) recycles the
-/// ids of freed candidates, which would otherwise alias stale owners.
-#[derive(Debug, Default)]
-pub(crate) struct ShardIndex {
-    /// Union-find parent per raw path id.
-    parent: Vec<u32>,
-    /// Component size per root (indexed by raw path id; meaningful at
-    /// roots only).
-    size: Vec<u32>,
-    /// First live path seen holding each candidate; unions route through
-    /// it. Stale after a removal (`dirty`) until the next rebuild.
-    cand_owner: HashMap<CandidateId, u32>,
-    /// Set on removal: incremental state may be stale; the next
-    /// [`ShardIndex::components`] call rebuilds from the live set.
-    dirty: bool,
+/// An empty entry of a dense table: a candidate no live path holds, a
+/// path outside any group yet, a mined-out rank.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// The candidate-sharing components of a set of live paths — see
+/// [`components`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Components {
+    /// Indices into the live set, grouped by component: components by
+    /// their first member, members ascending.
+    pub(crate) groups: Vec<Vec<usize>>,
+    /// Per candidate id, its number within its component — `0..k` for a
+    /// component of `k` distinct candidates, numbered first seen first
+    /// over the members in order, each member's candidates in order —
+    /// or [`NONE`] when no live path holds it.
+    pub(crate) local: Vec<u32>,
 }
 
-impl ShardIndex {
-    /// New, empty index.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a freshly added path and unions it with every live path
-    /// sharing one of its candidates. A no-op while dirty: the pending
-    /// rebuild re-derives everything from the live set.
-    pub(crate) fn add_path(&mut self, raw: u32, cands: &[CandidateId]) {
-        if self.dirty {
-            return;
-        }
-        self.grow(raw);
-        self.link(raw, cands);
-    }
-
-    /// Marks the index stale after a path departure. The union-find and
-    /// the candidate-owner table are rebuilt lazily by the next
-    /// [`ShardIndex::components`] call; until then additions are no-ops.
-    pub(crate) fn remove_path(&mut self) {
-        self.dirty = true;
-    }
-
-    /// The candidate-sharing connected components of `live` (one `(raw
-    /// path id, interned candidates)` entry per live path, in advisor
-    /// storage order). Returns indices into `live`, grouped by component
-    /// in first-seen-root order — i.e. components are ordered by their
-    /// smallest member index and members ascend within each — which is
-    /// what makes the sharded descent deterministic.
-    pub(crate) fn components(&mut self, live: &[(u32, &[CandidateId])]) -> Vec<Vec<usize>> {
-        if self.dirty {
-            self.rebuild(live);
-        }
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut by_root: HashMap<u32, usize> = HashMap::new();
-        for (idx, &(raw, _)) in live.iter().enumerate() {
-            let root = self.find(raw);
-            let g = *by_root.entry(root).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(idx);
-        }
-        groups
-    }
-
-    /// Full rebuild from the live set: fresh forest, fresh candidate
-    /// owners. Handles departures *and* candidate-id recycling in one
-    /// sweep (the "split audit").
-    fn rebuild(&mut self, live: &[(u32, &[CandidateId])]) {
-        let n = live
-            .iter()
-            .map(|&(raw, _)| raw as usize + 1)
-            .max()
-            .unwrap_or(0);
-        self.parent = (0..n as u32).collect();
-        self.size = vec![1; n];
-        self.cand_owner.clear();
-        self.dirty = false;
-        for &(raw, cands) in live {
-            self.link(raw, cands);
-        }
-    }
-
-    /// Unions `raw` with the recorded owner of each candidate, claiming
-    /// ownership of candidates seen for the first time.
-    fn link(&mut self, raw: u32, cands: &[CandidateId]) {
-        for &cand in cands {
-            match self.cand_owner.get(&cand) {
-                Some(&owner) => self.union(raw, owner),
-                None => {
-                    self.cand_owner.insert(cand, raw);
-                }
-            }
-        }
-    }
-
-    /// Grows the forest to cover raw id `raw` (fresh singletons).
-    fn grow(&mut self, raw: u32) {
-        let need = raw as usize + 1;
-        while self.parent.len() < need {
-            self.parent.push(self.parent.len() as u32);
-            self.size.push(1);
-        }
-    }
-
-    /// Root of `x` with path halving.
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let grand = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = grand;
+/// The candidate-sharing components of `live` (each live path's interned
+/// candidates, in advisor storage order; every id below `slots`). A
+/// union-find over the path indices links each path to the first holder
+/// of each of its candidates, the smaller index always the root, so a
+/// root is its component's first member.
+pub(crate) fn components(live: &[&[CandidateId]], slots: usize) -> Components {
+    fn root(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            let grand = parent[parent[x as usize] as usize];
+            parent[x as usize] = grand;
             x = grand;
         }
         x
     }
-
-    /// Union by size; ties keep the smaller root (determinism).
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
+    let mut parent: Vec<u32> = (0..live.len() as u32).collect();
+    let mut holder = vec![NONE; slots];
+    for (p, cands) in live.iter().enumerate() {
+        for cand in cands.iter() {
+            match holder[cand.index()] {
+                NONE => holder[cand.index()] = p as u32,
+                first => {
+                    let (a, b) = (root(&mut parent, first), root(&mut parent, p as u32));
+                    parent[a.max(b) as usize] = a.min(b);
+                }
+            }
         }
-        let (big, small) = match self.size[ra as usize].cmp(&self.size[rb as usize]) {
-            std::cmp::Ordering::Greater => (ra, rb),
-            std::cmp::Ordering::Less => (rb, ra),
-            std::cmp::Ordering::Equal => (ra.min(rb), ra.max(rb)),
-        };
-        self.parent[small as usize] = big;
-        self.size[big as usize] += self.size[small as usize];
     }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Per root, its group's position in `groups`.
+    let mut group = vec![NONE; live.len()];
+    for p in 0..live.len() {
+        let r = root(&mut parent, p as u32) as usize;
+        if group[r] == NONE {
+            group[r] = groups.len() as u32;
+            groups.push(Vec::new());
+        }
+        groups[group[r] as usize].push(p);
+    }
+    let mut local = holder;
+    local.fill(NONE);
+    for members in &groups {
+        let mut next = 0;
+        for &p in members {
+            for cand in live[p] {
+                if local[cand.index()] == NONE {
+                    local[cand.index()] = next;
+                    next += 1;
+                }
+            }
+        }
+    }
+    Components { groups, local }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn c(i: u32) -> CandidateId {
-        CandidateId(i)
+    fn c(ids: &[u32]) -> Vec<CandidateId> {
+        ids.iter().copied().map(CandidateId).collect()
+    }
+
+    fn groups(live: &[Vec<CandidateId>]) -> Vec<Vec<usize>> {
+        let live: Vec<&[CandidateId]> = live.iter().map(Vec::as_slice).collect();
+        components(&live, 8).groups
     }
 
     #[test]
     fn additions_merge_on_shared_candidates() {
-        let mut idx = ShardIndex::new();
-        idx.add_path(0, &[c(0), c(1)]);
-        idx.add_path(1, &[c(2)]);
-        let live: Vec<(u32, Vec<CandidateId>)> = vec![(0, vec![c(0), c(1)]), (1, vec![c(2)])];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0], vec![1]]);
-
+        assert_eq!(groups(&[c(&[0, 1]), c(&[2])]), vec![vec![0], vec![1]]);
         // Path 2 bridges the two: candidate 1 from path 0, candidate 2
         // from path 1 — one component, ordered by smallest member.
-        idx.add_path(2, &[c(1), c(2)]);
-        let live: Vec<(u32, Vec<CandidateId>)> = vec![
-            (0, vec![c(0), c(1)]),
-            (1, vec![c(2)]),
-            (2, vec![c(1), c(2)]),
-        ];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0, 1, 2]]);
+        let bridged = [c(&[0, 1]), c(&[2]), c(&[1, 2])];
+        assert_eq!(groups(&bridged), vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn components_order_by_first_seen_member() {
-        let mut idx = ShardIndex::new();
-        idx.add_path(0, &[c(0)]);
-        idx.add_path(1, &[c(1)]);
-        idx.add_path(2, &[c(0)]);
-        idx.add_path(3, &[c(1)]);
-        let live: Vec<(u32, Vec<CandidateId>)> = vec![
-            (0, vec![c(0)]),
-            (1, vec![c(1)]),
-            (2, vec![c(0)]),
-            (3, vec![c(1)]),
-        ];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0, 2], vec![1, 3]]);
+        let live = [c(&[0]), c(&[1]), c(&[0]), c(&[1])];
+        assert_eq!(groups(&live), vec![vec![0, 2], vec![1, 3]]);
     }
 
     #[test]
     fn removal_splits_on_rebuild() {
-        let mut idx = ShardIndex::new();
         // Path 1 is the only bridge between 0 and 2.
-        idx.add_path(0, &[c(0)]);
-        idx.add_path(1, &[c(0), c(1)]);
-        idx.add_path(2, &[c(1)]);
-        let live: Vec<(u32, Vec<CandidateId>)> =
-            vec![(0, vec![c(0)]), (1, vec![c(0), c(1)]), (2, vec![c(1)])];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0, 1, 2]]);
-
-        // Dropping the bridge splits the component — the rebuild audit.
-        idx.remove_path();
-        let live: Vec<(u32, Vec<CandidateId>)> = vec![(0, vec![c(0)]), (2, vec![c(1)])];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0], vec![1]]);
+        let bridged = [c(&[0]), c(&[0, 1]), c(&[1])];
+        assert_eq!(groups(&bridged), vec![vec![0, 1, 2]]);
+        // Dropping the bridge splits the component on the next call.
+        let split = [c(&[0]), c(&[1])];
+        assert_eq!(groups(&split), vec![vec![0], vec![1]]);
     }
 
     #[test]
     fn recycled_candidate_ids_do_not_alias_after_rebuild() {
-        let mut idx = ShardIndex::new();
-        idx.add_path(0, &[c(0)]);
-        idx.add_path(1, &[c(1)]);
-        // Path 0 departs; the space recycles candidate id 0 for a brand-new
-        // physical candidate interned by path 2. Stale incremental state
-        // would union 2 with the dead path 0; the rebuild must not.
-        idx.remove_path();
-        idx.add_path(2, &[c(0)]); // no-op while dirty
-        let live: Vec<(u32, Vec<CandidateId>)> = vec![(1, vec![c(1)]), (2, vec![c(0)])];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0], vec![1]]);
-
-        // Incremental additions resume after the rebuild cleared `dirty`.
-        idx.add_path(3, &[c(0)]);
-        let live: Vec<(u32, Vec<CandidateId>)> =
-            vec![(1, vec![c(1)]), (2, vec![c(0)]), (3, vec![c(0)])];
-        let borrowed: Vec<(u32, &[CandidateId])> =
-            live.iter().map(|(r, v)| (*r, v.as_slice())).collect();
-        assert_eq!(idx.components(&borrowed), vec![vec![0], vec![1, 2]]);
+        // Path 0 held candidate 0 and departed; the space recycles id 0
+        // for a brand-new candidate of a later path. Only live holders of
+        // id 0 share a component with that path.
+        let recycled = [c(&[1]), c(&[0])];
+        assert_eq!(groups(&recycled), vec![vec![0], vec![1]]);
+        let both = [c(&[1]), c(&[0]), c(&[0])];
+        assert_eq!(groups(&both), vec![vec![0], vec![1, 2]]);
+        let live: Vec<&[CandidateId]> = both.iter().map(Vec::as_slice).collect();
+        let local = components(&live, 8).local;
+        assert_eq!((local[0], local[1]), (0, 0));
     }
 
     #[test]
     fn empty_live_set_has_no_components() {
-        let mut idx = ShardIndex::new();
-        idx.remove_path();
-        assert_eq!(idx.components(&[]), Vec::<Vec<usize>>::new());
+        let none = components(&[], 4);
+        assert!(none.groups.is_empty());
+        assert_eq!(none.local, vec![NONE; 4]);
+    }
+
+    /// The groups, in order, and every component's local numbers — `0..k`,
+    /// first seen first — of a BFS over `live` from each unvisited path.
+    fn oracle(live: &[Vec<CandidateId>], slots: usize) -> Components {
+        let paths = live.len();
+        let mut seen = vec![false; paths];
+        let (mut groups, mut local) = (Vec::new(), vec![NONE; slots]);
+        for start in 0..paths {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let (mut members, mut at) = (vec![start], 0);
+            while let Some(&p) = members.get(at) {
+                at += 1;
+                for q in 0..paths {
+                    if !seen[q] && live[q].iter().any(|x| live[p].contains(x)) {
+                        seen[q] = true;
+                        members.push(q);
+                    }
+                }
+            }
+            members.sort_unstable();
+            let mut next = 0;
+            for cand in members.iter().flat_map(|&p| &live[p]) {
+                if local[cand.index()] == NONE {
+                    local[cand.index()] = next;
+                    next += 1;
+                }
+            }
+            groups.push(members);
+        }
+        Components { groups, local }
+    }
+
+    /// Seeded churn against the BFS [`oracle`]: paths arrive holding ids
+    /// from a small range and depart at random, so a departed bridge
+    /// splits its component and its ids come back in later arrivals.
+    #[test]
+    fn components_match_a_bfs_oracle() {
+        let mut seed = 0xC0_3B0_u64;
+        let mut next = move |below: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % below
+        };
+        for case in 0..60 {
+            let slots = 1 + next(24) as usize;
+            let mut live: Vec<Vec<CandidateId>> = Vec::new();
+            for step in 0..40 {
+                if !live.is_empty() && next(3) == 0 {
+                    live.remove(next(live.len() as u64) as usize);
+                } else {
+                    let mut cands = Vec::new();
+                    for _ in 0..next(5) {
+                        let cand = CandidateId(next(slots as u64) as u32);
+                        if !cands.contains(&cand) {
+                            cands.push(cand);
+                        }
+                    }
+                    live.push(cands);
+                }
+                let borrowed: Vec<&[CandidateId]> = live.iter().map(Vec::as_slice).collect();
+                let got = components(&borrowed, slots);
+                assert_eq!(
+                    got,
+                    oracle(&live, slots),
+                    "case {case} step {step}: {live:?}"
+                );
+            }
+        }
     }
 }

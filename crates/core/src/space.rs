@@ -71,23 +71,23 @@ impl CandidateId {
 /// interned attribute traversed at that position.
 pub type CandidateStep = (ClassId, AttrId);
 
-/// The crate's one hasher: a fixed multiplicative round per word
-/// (FxHash's), instead of SipHash's keyed rounds. It hashes the advisor's
-/// `(candidate, organization)` keys and the space's step-sequence keys —
-/// small integers no adversary picks — and no consumer depends on the
-/// iteration order it gives: the advisor sorts before every fold and
-/// choice over its maps, and the space never iterates its lookup (ids
-/// come from the arena and its free list).
+/// The hasher of [`StepMap`], the space's step-sequence lookup: a fixed
+/// multiplicative round per word (FxHash's), instead of SipHash's keyed
+/// rounds, over small integers no adversary picks. Nothing depends on the
+/// iteration order it gives: the space never iterates its lookup (ids
+/// come from the arena and its free list). Tables keyed by candidate or
+/// by `(candidate, organization)` hash nothing: they are vectors over the
+/// dense ids.
 #[derive(Default)]
-pub(crate) struct PairHasher(u64);
+pub(crate) struct StepHasher(u64);
 
-impl PairHasher {
+impl StepHasher {
     fn add(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 
-impl Hasher for PairHasher {
+impl Hasher for StepHasher {
     fn write(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|&b| self.add(u64::from(b)));
     }
@@ -107,7 +107,7 @@ impl Hasher for PairHasher {
 
 /// The live candidates of one role, by step sequence. Probed with a
 /// borrowed `&[CandidateStep]`, so a hit allocates nothing.
-type StepMap = HashMap<Box<[CandidateStep]>, CandidateId, BuildHasherDefault<PairHasher>>;
+type StepMap = HashMap<Box<[CandidateStep]>, CandidateId, BuildHasherDefault<StepHasher>>;
 
 /// One arena slot: a candidate's identity, dependency set, and refcount.
 #[derive(Debug)]
@@ -224,7 +224,7 @@ impl CandidateSpace {
     /// rank order, so the interning history — and thus every recycled id —
     /// matches `intern_path` bitwise when everything is admitted). A
     /// mined-out rank holds no reference and occupies no slot: the space,
-    /// the maintenance memo and the shard index never see it.
+    /// the maintenance memo and the component builder never see it.
     ///
     /// Every subpath probes a borrowed slice of one key vector per path,
     /// so a rank whose candidate is live allocates nothing; a miss

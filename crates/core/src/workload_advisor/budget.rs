@@ -2,12 +2,12 @@
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
 use super::descent::MAX_SWEEPS;
-use super::ledger::{self, Enclosure, Ledger, Overlay, Pair, PairMap, PairSet};
+use super::ledger::{self, pair_at, slot, Enclosure, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
 };
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
-use crate::space::CandidateId;
+use crate::shard::Components;
 
 /// One eviction trial's outcome: the re-selected owners of the banned
 /// index, ascending by path index (a path never repeats a class, so its
@@ -128,9 +128,10 @@ impl BudgetedWorkloadPlan {
 pub(super) struct EvictionTrail {
     /// One step per adopted eviction. Footprints strictly decrease.
     steps: Vec<TrailStep>,
-    /// Every index evicted so far; they stay banned so a later owner's
-    /// re-selection cannot smuggle one back.
-    banned: PairSet,
+    /// Every index evicted so far, as a 3-bit organization mask per
+    /// candidate; they stay banned so a later owner's re-selection cannot
+    /// smuggle one back.
+    banned: Vec<u8>,
     /// The walk found no eviction that frees a page at the last step: no
     /// budget below that step's footprint is reachable.
     dead_end: bool,
@@ -140,8 +141,8 @@ pub(super) struct EvictionTrail {
     /// only for the trials with an owner among the evicted index's owners,
     /// or holding a candidate those owners left or took up; it drops
     /// exactly those, and every other trial keeps its re-selection for the
-    /// next round.
-    trials: PairMap<Reselection>,
+    /// next round. By [`ledger::slot`]; `None` where no trial is kept.
+    trials: Vec<Option<Reselection>>,
 }
 
 /// One adopted eviction: the owners it re-selected and the workload's
@@ -205,7 +206,7 @@ impl WorkloadAdvisor<'_> {
     /// round — is a memo hit. `comps` are the advisor's current
     /// [`Self::components`]; singletons keep their context-free response,
     /// which no other path can ever perturb.
-    fn lambda_sweep(&self, lambda: f64, comps: &[Vec<usize>]) -> Vec<Selection> {
+    fn lambda_sweep(&self, lambda: f64, comps: &Components) -> Vec<Selection> {
         let pricing = Pricing {
             lambda,
             ..Pricing::default()
@@ -315,57 +316,63 @@ impl WorkloadAdvisor<'_> {
         }
         let mut selections = trail.selections_at(base, trail.steps.len());
         let mut trials_run = 0u64;
+        // The space cannot change under the trail (any mutation drops
+        // it), so its tables keep the size the walk started with.
+        trail.banned.resize(self.space.slot_count(), 0);
+        trail
+            .trials
+            .resize_with(ledger::slots(&self.space), || None);
         while !trail.dead_end {
             let round = self.ledger(&selections);
             let paths = self.paths.iter().zip(&selections);
-            let owners = ledger::owners(paths.map(|(st, sel)| st.pieces(sel)));
+            let owners = ledger::owners(&self.space, paths.map(|(st, sel)| st.pieces(sel)));
             debug_assert!(
                 round.totals().1 > budget_pages,
                 "the walk stops at the first fit"
             );
-            // Deterministic candidate order (hash maps iterate randomly).
-            let mut pairs: Vec<Pair> = owners.keys().copied().collect();
-            pairs.sort_unstable();
+            let slots = (0..owners.len()).filter(|&s| !owners[s].is_empty());
+            let pairs: Vec<Pair> = slots.map(pair_at).collect();
             // Each trial is read-only given the round's selections, so the
             // fan-out is free of coordination; the selection walks the
-            // sorted pair order, which keeps the chosen eviction — and the
-            // whole descent — bit-identical to the sequential engine.
+            // ascending pair order, which keeps the chosen eviction — and
+            // the whole descent — bit-identical to the sequential engine.
             let fresh: Vec<Pair> = pairs
                 .iter()
                 .copied()
-                .filter(|pair| !trail.trials.contains_key(pair))
+                .filter(|&pair| trail.trials[slot(pair)].is_none())
                 .collect();
             trials_run += fresh.len() as u64;
-            let trial_of = |_: usize, pair: &Pair| {
-                self.eviction_trial(&round, &owners[pair], &selections, &trail.banned, *pair)
+            let trial_of = |_: usize, &pair: &Pair| {
+                let owners = &owners[slot(pair)];
+                self.eviction_trial(&round, owners, &selections, &trail.banned, pair)
             };
             // A kept trial IS the trial of this round, bit for bit: debug
             // builds run every one of them again.
             debug_assert!(
-                trail
-                    .trials
-                    .iter()
-                    .all(|(pair, kept)| *kept == trial_of(0, pair)),
+                trail.trials.iter().enumerate().all(|(s, kept)| kept
+                    .as_ref()
+                    .map_or(true, |kept| *kept == trial_of(0, &pair_at(s)))),
                 "a kept eviction trial diverged from a fresh run"
             );
             let outcomes: Vec<Reselection> = self.exec.par_map(&fresh, trial_of);
-            trail.trials.extend(fresh.into_iter().zip(outcomes));
+            for (pair, outcome) in fresh.into_iter().zip(outcomes) {
+                trail.trials[slot(pair)] = Some(outcome);
+            }
             let Some((pair, cost, size)) =
                 self.cheapest_eviction(&round, &selections, &pairs, &trail.trials)
             else {
                 trail.dead_end = true; // nothing left to evict
                 break;
             };
-            let changed = trail
-                .trials
-                .remove(&pair)
+            let changed = trail.trials[slot(pair)]
+                .take()
                 .flatten()
                 .expect("the adopted trial re-selected its owners");
             self.drop_disturbed_trials(&mut trail.trials, &owners, &selections, &changed);
             for (i, sel) in &changed {
                 selections[*i].clone_from(sel);
             }
-            trail.banned.insert(pair);
+            trail.banned[pair.0.index()] |= 1 << pair.1.index();
             trail.steps.push(TrailStep {
                 changed,
                 cost,
@@ -378,7 +385,8 @@ impl WorkloadAdvisor<'_> {
         (trail.steps.len(), trials_run)
     }
 
-    /// The round's eviction: among the trials of `pairs` (sorted), the one
+    /// The round's eviction: among the trials of `pairs` (ascending, each
+    /// with its trial in `trials`, by [`ledger::slot`]), the one
     /// that frees pages at the least regret per page freed, ties to the
     /// leaner, then to the earlier pair — with its exact `(cost, size)`.
     /// `None` when no trial frees a page.
@@ -397,8 +405,12 @@ impl WorkloadAdvisor<'_> {
         round: &Ledger<'_>,
         selections: &[Selection],
         pairs: &[Pair],
-        trials: &PairMap<Reselection>,
+        trials: &[Option<Reselection>],
     ) -> Option<(Pair, f64, f64)> {
+        let trial = |pair: &Pair| {
+            let kept = trials[slot(*pair)].as_ref();
+            kept.expect("every round index has its trial").as_deref()
+        };
         let scale = round.scale();
         let (cost0, size0) = scale.totals;
         // A trial frees pages when its size ends below `frees`.
@@ -412,7 +424,7 @@ impl WorkloadAdvisor<'_> {
         let mut certain: Vec<(usize, f64)> = Vec::new();
         let mut bound = f64::INFINITY;
         for (k, pair) in pairs.iter().enumerate() {
-            let Some(changed) = &trials[pair] else {
+            let Some(changed) = trial(pair) else {
                 continue; // the ban left some owner uncoverable
             };
             self.apply_trial(&mut overlay, selections, changed);
@@ -435,7 +447,7 @@ impl WorkloadAdvisor<'_> {
         }
         for (k, lo) in certain {
             if lo <= bound {
-                let changed = trials[&pairs[k]].as_deref().expect("a kept trial");
+                let changed = trial(&pairs[k]).expect("a kept trial");
                 self.apply_trial(&mut overlay, selections, changed);
                 let (cost, size) = overlay.totals();
                 folded.push((k, cost, size));
@@ -463,7 +475,7 @@ impl WorkloadAdvisor<'_> {
             // regrets strictly more than the adopted one.
             let adopted = best.map(|b| b.0);
             for (k, pair) in pairs.iter().enumerate() {
-                let Some(changed) = &trials[pair] else {
+                let Some(changed) = trial(pair) else {
                     continue;
                 };
                 self.apply_trial(&mut overlay, selections, changed);
@@ -507,28 +519,29 @@ impl WorkloadAdvisor<'_> {
     /// own candidate.
     fn drop_disturbed_trials(
         &self,
-        trials: &mut PairMap<Reselection>,
-        owners: &PairMap<Vec<usize>>,
+        trials: &mut [Option<Reselection>],
+        owners: &[Vec<usize>],
         selections: &[Selection],
         changed: &[(usize, Selection)],
     ) {
-        let mut touched: Vec<CandidateId> = Vec::new();
+        let mut touched = vec![false; self.space.slot_count()];
         for (i, sel) in changed {
             let st = &self.paths[*i];
             let old = st.pieces(&selections[*i]);
-            touched.extend(old.chain(st.pieces(sel)).map(|((cand, _), _)| cand));
+            for ((cand, _), _) in old.chain(st.pieces(sel)) {
+                touched[cand.index()] = true;
+            }
         }
-        touched.sort_unstable();
-        touched.dedup();
         let disturbed: Vec<bool> = self
             .paths
             .iter()
-            .map(|st| {
-                let mut cands = st.cands.iter().flatten();
-                cands.any(|cand| touched.binary_search(cand).is_ok())
-            })
+            .map(|st| st.cands.iter().flatten().any(|cand| touched[cand.index()]))
             .collect();
-        trials.retain(|pair, _| owners[pair].iter().all(|&i| !disturbed[i]));
+        for (kept, owners) in trials.iter_mut().zip(owners) {
+            if owners.iter().any(|&i| disturbed[i]) {
+                *kept = None;
+            }
+        }
     }
 
     /// One eviction trial: ban `pair` on top of `banned` and let all of
@@ -544,7 +557,7 @@ impl WorkloadAdvisor<'_> {
         round: &Ledger<'_>,
         owners: &[usize],
         selections: &[Selection],
-        banned: &PairSet,
+        banned: &[u8],
         pair: Pair,
     ) -> Reselection {
         let bans = Bans {

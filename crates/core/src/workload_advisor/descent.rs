@@ -5,9 +5,8 @@ use super::pricing::{best_response, Pricing};
 use super::state::PathState;
 use super::{Selection, SweepMemo, WorkloadAdvisor};
 use crate::select::ScalarDp;
-use crate::space::{CandidateId, CandidateSpace, PairHasher};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use crate::shard::{Components, NONE};
+use crate::space::CandidateSpace;
 
 /// Maximum coordinate-descent rounds; the objective is monotone, so this is
 /// a safety net, not a tuning knob (workloads converge in 2–3 sweeps).
@@ -37,12 +36,13 @@ impl WorkloadAdvisor<'_> {
     /// members, in component order, for the caller to install.
     pub(super) fn descend_components<'c>(
         &self,
-        comps: &'c [Vec<usize>],
+        comps: &'c Components,
         lambda: f64,
         selections: &[Selection],
         memo_of: impl Fn(usize) -> SweepMemo + Sync,
     ) -> Vec<(&'c [usize], CompOut)> {
         let jobs: Vec<&'c [usize]> = comps
+            .groups
             .iter()
             .filter(|c| c.len() > 1)
             .map(Vec::as_slice)
@@ -54,7 +54,7 @@ impl WorkloadAdvisor<'_> {
             |_, comp| {
                 let seeds = comp.iter().map(|&i| selections[i].clone()).collect();
                 let memos = comp.iter().map(|&i| memo_of(i)).collect();
-                descend_component(paths, space, comp, lambda, seeds, memos)
+                descend_component(paths, space, comp, &comps.local, lambda, seeds, memos)
             },
         );
         jobs.into_iter().zip(outs).collect()
@@ -71,8 +71,8 @@ impl WorkloadAdvisor<'_> {
 /// updates and work counters are buffered in the output and installed by
 /// the caller in component order.
 ///
-/// Ownership is dense: the component's candidates are numbered locally
-/// once per call (one probe per member rank), the owners of each
+/// Ownership is dense: the component's candidates carry their numbers
+/// within it (`local`, from [`crate::shard::components`]), the owners of each
 /// `(candidate, organization)` are counted in a flat vector, and a
 /// member's context is written into one reused buffer and compared with
 /// its memo in place. A DP runs on the component's own tables, straight
@@ -81,11 +81,12 @@ fn descend_component(
     paths: &[PathState],
     space: &CandidateSpace,
     comp: &[usize],
+    local: &[u32],
     lambda: f64,
     mut sels: Vec<Selection>,
     mut memos: Vec<SweepMemo>,
 ) -> CompOut {
-    let owners = Owners::new(paths, comp);
+    let owners = Owners::new(paths, comp, local);
     let mut counts = vec![0u32; 3 * owners.candidates];
     for (k, sel) in sels.iter().enumerate() {
         owners.count(k, sel, |count| *count += 1, &mut counts);
@@ -151,28 +152,24 @@ struct Owners {
     lens: Vec<usize>,
 }
 
-/// The local number of a mined-out rank.
-const NONE: u32 = u32::MAX;
-
 impl Owners {
-    fn new(paths: &[PathState], comp: &[usize]) -> Self {
-        let mut local: HashMap<CandidateId, u32, BuildHasherDefault<PairHasher>> =
-            HashMap::default();
+    /// The members' cells under `local`, each candidate's number within
+    /// the component.
+    fn new(paths: &[PathState], comp: &[usize], local: &[u32]) -> Self {
         let ranks = comp.iter().map(|&i| paths[i].cands.len()).sum();
         let mut slots = Vec::with_capacity(ranks);
         let mut first = Vec::with_capacity(comp.len() + 1);
         first.push(0);
         for &i in comp {
-            for cand in &paths[i].cands {
-                let next = local.len() as u32;
-                slots.push(cand.map_or(NONE, |cand| *local.entry(cand).or_insert(next)));
-            }
+            let cands = paths[i].cands.iter();
+            slots.extend(cands.map(|cand| cand.map_or(NONE, |cand| local[cand.index()])));
             first.push(slots.len());
         }
+        let numbered = slots.iter().filter(|&&slot| slot != NONE);
         Owners {
+            candidates: numbered.max().map_or(0, |&last| last as usize + 1),
             slots,
             first,
-            candidates: local.len(),
             lens: comp.iter().map(|&i| paths[i].path.len()).collect(),
         }
     }

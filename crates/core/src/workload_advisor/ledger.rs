@@ -14,20 +14,29 @@
 //! one built from scratch agree bitwise.
 
 use super::pricing::installed;
-use crate::space::{CandidateId, CandidateSpace, PairHasher};
+use crate::space::{CandidateId, CandidateSpace};
 use oic_cost::Org;
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
 
 /// A physical index: one interned candidate under one organization.
 pub(crate) type Pair = (CandidateId, Org);
 
-/// A map keyed by physical index ([`Pair`], spelled out: CI allows no
-/// other hash map over it), hashed by [`PairHasher`].
-pub(crate) type PairMap<V> = HashMap<(CandidateId, Org), V, BuildHasherDefault<PairHasher>>;
+/// The dense slot of a physical index, `3·candidate + organization`:
+/// below `3·`[`CandidateSpace::slot_count`], and ascending slots are
+/// ascending [`Pair`]s — every table the advisor keys by index is a
+/// vector over these slots.
+pub(crate) fn slot((cand, org): Pair) -> usize {
+    3 * cand.index() + org.index()
+}
 
-/// A set of physical indexes, hashed by [`PairHasher`].
-pub(crate) type PairSet = HashSet<(CandidateId, Org), BuildHasherDefault<PairHasher>>;
+/// The physical index at a dense [`slot`].
+pub(crate) fn pair_at(slot: usize) -> Pair {
+    (CandidateId((slot / 3) as u32), Org::ALL[slot % 3])
+}
+
+/// The number of dense [`slot`]s of `space`.
+pub(crate) fn slots(space: &CandidateSpace) -> usize {
+    3 * space.slot_count()
+}
 
 /// Sorts once-paid values into the fold's summation order.
 pub(crate) fn sorted(mut once: Vec<f64>) -> Vec<f64> {
@@ -105,45 +114,44 @@ fn context_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool, out
     out.extend(cands.iter().map(|&cand| cand.map_or(0, mask)));
 }
 
-/// How many registered selections cite each physical index.
-#[derive(Default)]
+/// How many registered selections cite each physical index, by [`slot`].
 struct Ownership {
-    count: PairMap<usize>,
+    count: Vec<u32>,
 }
 
 impl Ownership {
-    fn count(&self, pair: Pair) -> usize {
-        self.count.get(&pair).copied().unwrap_or(0)
+    fn count(&self, pair: Pair) -> u32 {
+        self.count[slot(pair)]
     }
 
     /// Adds one owner of `pair`; `true` when it had none.
     fn add(&mut self, pair: Pair) -> bool {
-        let count = self.count.entry(pair).or_default();
+        let count = &mut self.count[slot(pair)];
         *count += 1;
         *count == 1
     }
 
     /// Drops one owner of `pair`; `true` when it was the last.
     fn drop_one(&mut self, pair: Pair) -> bool {
-        let count = self.count.get_mut(&pair).expect("selection was registered");
-        *count -= 1;
-        let last = *count == 0;
-        if last {
-            self.count.remove(&pair);
-        }
-        last
+        let count = &mut self.count[slot(pair)];
+        *count = count.checked_sub(1).expect("selection was registered");
+        *count == 0
     }
 }
 
-/// The owning paths of every index `selections` cite, ascending.
-pub(crate) fn owners<I>(selections: impl Iterator<Item = I>) -> PairMap<Vec<usize>>
+/// The owning paths of every index `selections` cite, ascending, by
+/// [`slot`] of `space` (empty for an index nobody cites).
+pub(crate) fn owners<I>(
+    space: &CandidateSpace,
+    selections: impl Iterator<Item = I>,
+) -> Vec<Vec<usize>>
 where
     I: Iterator<Item = (Pair, f64)>,
 {
-    let mut owners: PairMap<Vec<usize>> = PairMap::default();
+    let mut owners = vec![Vec::new(); slots(space)];
     for (i, pieces) in selections.enumerate() {
         for (pair, _) in pieces {
-            owners.entry(pair).or_default().push(i);
+            owners[slot(pair)].push(i);
         }
     }
     owners
@@ -168,15 +176,20 @@ impl<'a> Ledger<'a> {
     where
         I: Iterator<Item = (Pair, f64)>,
     {
-        let mut owned = Ownership::default();
+        let mut owned = Ownership {
+            count: vec![0; slots(space)],
+        };
+        let (mut maint, mut sizes) = (Vec::new(), Vec::new());
         let mut share = |(pair, share)| {
-            owned.add(pair);
+            if owned.add(pair) {
+                let (maintenance, size) = installed(space, pair);
+                maint.push(maintenance);
+                sizes.push(size);
+            }
             share
         };
         let query = selections.map(|pieces| subtotal(pieces.map(&mut share)));
         let query = query.collect();
-        let distinct = owned.count.keys();
-        let (maint, sizes) = distinct.map(|&pair| installed(space, pair)).unzip();
         Ledger {
             space,
             query,
@@ -229,7 +242,7 @@ impl<'a> Ledger<'a> {
     /// The sharing context of a path whose own selection is withdrawn,
     /// over the registered selections, written over `out`.
     pub(crate) fn context_into(&self, cands: &[Option<CandidateId>], out: &mut Vec<u8>) {
-        context_by(cands, |pair| self.owned.count.contains_key(&pair), out);
+        context_by(cands, |pair| self.owned.count(pair) > 0, out);
     }
 
     /// What every overlay's [`Overlay::enclosure`] reads of this ledger:

@@ -101,7 +101,7 @@ pub use budget::BudgetedWorkloadPlan;
 pub use plan::{PathOutcome, SharedIndexOutcome, WorkloadPlan};
 pub use whatif::{WhatIfReport, WhatIfSubscriber};
 
-use crate::shard::ShardIndex;
+use crate::shard::{self, Components};
 use crate::space::{CandidateId, CandidateSpace};
 use budget::EvictionTrail;
 use oic_cost::{ClassStats, CostParams, Org};
@@ -161,9 +161,6 @@ pub struct WorkloadAdvisor<'a> {
     /// How the per-path stages run: inline, or fanned out over a pool.
     /// Either way the plan is bit-identical (DESIGN.md §5.13).
     exec: Executor,
-    /// Incremental union-find over the live paths, keyed by shared
-    /// candidates — the component decomposition of the descent.
-    shards: ShardIndex,
     /// Per-signature query-pricing basis: retrieval coefficients priced
     /// once per distinct path signature, evaluated per path against its
     /// own query rates. `update_stats` evicts the bases whose scope
@@ -199,7 +196,6 @@ impl<'a> WorkloadAdvisor<'a> {
             epoch: 0,
             mutations: 0,
             exec: Executor::default(),
-            shards: ShardIndex::new(),
             basis: HashMap::new(),
             mining: MiningPolicy::default(),
             trail: None,
@@ -282,7 +278,6 @@ impl<'a> WorkloadAdvisor<'a> {
             .space
             .intern_path_admitted(self.schema, &path, &admitted);
         let st = PathState::new(self.schema, id, path, alphas, cands);
-        self.shards.add_path(id.0, &st.live_cands);
         self.paths.push(st);
         self.mutations += 1;
         id
@@ -296,7 +291,6 @@ impl<'a> WorkloadAdvisor<'a> {
         let i = self.find(id)?;
         let st = self.paths.remove(i);
         self.space.release_path(&st.live_cands);
-        self.shards.remove_path();
         self.mutations += 1;
         Some(st.path)
     }
@@ -395,10 +389,9 @@ impl<'a> WorkloadAdvisor<'a> {
     /// Recomputes path `i`'s admission under the adopted policy and
     /// re-interns its candidates when the verdict moved: dropped ranks
     /// are released from the space (freed when this path was their last
-    /// owner), newly admitted ranks are interned in rank order, the shard
-    /// index is dirty-marked (its next `components()` call rebuilds from
-    /// the live slices), and every cached artifact of the path is
-    /// invalidated. An unchanged verdict is a recognized no-op.
+    /// owner), newly admitted ranks are interned in rank order, and every
+    /// cached artifact of the path is invalidated. An unchanged verdict is
+    /// a recognized no-op.
     fn remine_path(&mut self, i: usize) {
         let admitted = {
             let st = &self.paths[i];
@@ -416,11 +409,6 @@ impl<'a> WorkloadAdvisor<'a> {
         let cands = self
             .space
             .intern_path_admitted(self.schema, &self.paths[i].path, &admitted);
-        // The shard index keys components by candidate identity; a moved
-        // admission set invalidates it wholesale (dirty-mark — the
-        // rebuild happens lazily at the next components() call, against
-        // every path's live slice).
-        self.shards.remove_path();
         self.paths[i].admit(cands);
     }
 
@@ -565,8 +553,8 @@ impl<'a> WorkloadAdvisor<'a> {
             .sum();
 
         let comps = self.components();
-        let components = comps.len();
-        let largest_component = comps.iter().map(Vec::len).max().unwrap_or(0);
+        let components = comps.groups.len();
+        let largest_component = comps.groups.iter().map(Vec::len).max().unwrap_or(0);
 
         // Phase 3 — coordinate descent from the standalone seed, per
         // component (DESIGN.md §5.15): components share no candidate, so
@@ -622,13 +610,10 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     /// The candidate-sharing components of the live paths (indices into
-    /// the path list, grouped in first-member order).
-    fn components(&mut self) -> Vec<Vec<usize>> {
-        let live: Vec<(u32, &[CandidateId])> = self
-            .paths
-            .iter()
-            .map(|st| (st.id.0, st.live_cands.as_slice()))
-            .collect();
-        self.shards.components(&live)
+    /// the path list, grouped in first-member order), rebuilt from their
+    /// live candidates.
+    fn components(&self) -> Components {
+        let live: Vec<&[CandidateId]> = self.paths.iter().map(|st| &st.live_cands[..]).collect();
+        shard::components(&live, self.space.slot_count())
     }
 }

@@ -144,11 +144,13 @@ impl WorkloadAdvisor<'_> {
                 standalone_cost: st.standalone.as_ref().expect("phase 2 filled it").1,
             }
         });
-        let owners = ledger::owners(paths.map(|(st, sel)| st.pieces(sel)));
+        let owners = ledger::owners(&self.space, paths.map(|(st, sel)| st.pieces(sel)));
         let mut shared: Vec<SharedIndexOutcome> = owners
             .into_iter()
+            .enumerate()
             .filter(|(_, own)| own.len() >= 2)
-            .map(|((candidate, org), owners)| {
+            .map(|(slot, owners)| {
+                let (candidate, org) = ledger::pair_at(slot);
                 let maintenance = installed(&self.space, (candidate, org)).0;
                 SharedIndexOutcome {
                     candidate,

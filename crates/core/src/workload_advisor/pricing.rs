@@ -3,7 +3,7 @@
 //! one cell rule every advisor DP reads its pieces through, with the two
 //! in-place kernels over it ([`best_response`], [`frontier_response`]).
 
-use super::ledger::{Pair, PairSet};
+use super::ledger::Pair;
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor};
 use crate::select::{frontier_point, prune_dominated, Labels, ScalarDp};
@@ -412,11 +412,12 @@ fn price_claims(
 
 /// The bans one eviction trial prices under: every index the descent
 /// evicted so far plus the one on trial. [`Cells::new`] reads one ban
-/// mask per rank of every owner a trial re-prices, three set probes each,
-/// so the evicted set hashes with the cheap `PairHasher`.
+/// mask per rank of every owner a trial re-prices: one load, plus the
+/// trial's bit.
 pub(super) struct Bans<'a> {
-    /// The trail's evictions so far; they stay banned for the whole walk.
-    pub(super) evicted: &'a PairSet,
+    /// Per candidate, the 3-bit mask of the trail's evictions so far;
+    /// they stay banned for the whole walk.
+    pub(super) evicted: &'a [u8],
     /// The index this trial evicts.
     pub(super) trial: Pair,
 }
@@ -424,9 +425,9 @@ pub(super) struct Bans<'a> {
 impl Bans<'_> {
     /// The 3-bit mask of `cand`'s banned organizations.
     fn mask(&self, cand: CandidateId) -> u8 {
-        let banned = |pair: Pair| pair == self.trial || self.evicted.contains(&pair);
-        let orgs = Org::ALL.into_iter().filter(|&org| banned((cand, org)));
-        orgs.fold(0, |mask, org| mask | 1 << org.index())
+        let (trial, org) = self.trial;
+        let on_trial = if cand == trial { 1 << org.index() } else { 0 };
+        self.evicted[cand.index()] | on_trial
     }
 }
 

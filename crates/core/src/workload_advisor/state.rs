@@ -41,8 +41,8 @@ pub(super) struct PathState {
     /// removal).
     pub(super) cands: Vec<Option<CandidateId>>,
     /// The admitted entries of `cands`, flattened in rank order — the
-    /// slice the shard index, the release path and the component builder
-    /// consume without re-flattening per call. Kept in sync at intern and
+    /// slice the release path and the component builder consume without
+    /// re-flattening per call. Kept in sync at intern and
     /// re-mine time.
     pub(super) live_cands: Vec<CandidateId>,
     /// Query share per rank and organization; valid unless `dirty_query`.

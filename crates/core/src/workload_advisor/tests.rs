@@ -299,7 +299,7 @@ fn cost_ratio_of_two_zero_costs_is_one() {
 #[test]
 fn in_place_kernels_match_the_oracles_on_their_cells() {
     use crate::select::{exhaustive, exhaustive_frontier, frontier_dp, opt_ind_con_dp, ScalarDp};
-    use ledger::{Pair, PairSet};
+    use ledger::Pair;
     use pricing::{best_response, frontier_response, Bans, Cells, FrontierTables, Pricing};
 
     let (schema, _) = fixtures::paper_schema();
@@ -360,11 +360,11 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
             .flatten()
             .flat_map(|&cand| Org::ALL.map(|org| (cand, org)))
             .collect();
-        let mut evicted = PairSet::default();
-        match case % 4 {
-            0 => {}
-            3 => evicted.extend(live.iter().copied()),
-            _ => evicted.extend(live.iter().copied().filter(|_| rng(4) == 0)),
+        let mut evicted = vec![0u8; adv.space.slot_count()];
+        for &(cand, org) in &live {
+            if case % 4 == 3 || (case % 4 != 0 && rng(4) == 0) {
+                evicted[cand.index()] |= 1 << org.index();
+            }
         }
         let bans = Bans {
             evicted: &evicted,
@@ -635,4 +635,177 @@ fn rate_churn_skips_query_share_recomputation() {
         assert_eq!(&st.query_costs, old, "query shares are rate-blind");
     }
     assert_costs_match(&plan, &adv.rebuild().optimize());
+}
+
+/// `price_plan` pairs a plan's paths with the live ones in id order: it
+/// prices the advisor's own plan at its quote, bit for bit, and refuses
+/// another path set, a plan missing a live path and a changed identity.
+#[test]
+fn price_plan_pairs_paths_by_id() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    let plan = adv.optimize();
+    assert_eq!(adv.price_plan(&plan).to_bits(), plan.total_cost.to_bits());
+    let refusal = |edit: &dyn Fn(&mut WorkloadPlan)| {
+        let mut foreign = two_path_advisor(&schema).optimize();
+        edit(&mut foreign);
+        let err = catch_unwind(AssertUnwindSafe(|| adv.price_plan(&foreign)));
+        let err = err.expect_err("a foreign plan is refused");
+        err.downcast_ref::<String>()
+            .expect("a formatted message")
+            .clone()
+    };
+    let fewer = refusal(&|p| drop(p.paths.pop()));
+    assert!(
+        fewer.contains("plan and advisor hold different path sets"),
+        "{fewer}"
+    );
+    let missing = refusal(&|p| p.paths[1].id = PathId(7));
+    assert!(
+        missing.contains("plan misses live path PathId(1)"),
+        "{missing}"
+    );
+    let renamed = refusal(&|p| p.paths[0].path = p.paths[1].path.clone());
+    assert!(
+        renamed.contains("path PathId(0) changed identity"),
+        "{renamed}"
+    );
+}
+
+/// Eviction trials on the prune masks `refresh_masks` really produces
+/// respond exactly as on unmasked cells: under the same bans, every
+/// owner's [`pricing::frontier_response`] — its first point, or `None`
+/// when the bans leave it uncoverable — is bit-equal with `pruned =
+/// None`. The trials ban indexes of the adopted plan on top of random
+/// earlier evictions, so bans land on the singleton replacements a
+/// whole-rank (`0b111`) strike leans on: the cell rule must ignore that
+/// strike while any rank of the path is banned.
+#[test]
+fn eviction_trials_respond_as_without_prune_masks() {
+    use ledger::Pair;
+    use pricing::{frontier_response, to_selection, Bans, FrontierTables, Pricing};
+
+    let (schema, _) = fixtures::paper_schema();
+    let spellings: [(&str, &[&str]); 5] = [
+        ("Person", &["owns", "man", "divs", "name"]),
+        ("Person", &["owns", "man", "name"]),
+        ("Vehicle", &["man", "divs", "name"]),
+        ("Vehicle", &["man", "name"]),
+        ("Company", &["divs", "name"]),
+    ];
+    let mut seed = 0xCA7E_0111_u64;
+    let mut rng = move |below: usize| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % below as u64) as usize
+    };
+    // Per trial, per owner in order: the response's (cost, size) bits and
+    // selection, or `None`; a trial stops at its first uncoverable owner.
+    type Responses = Vec<Vec<Option<((u64, u64), Selection)>>>;
+    let trials = |adv: &WorkloadAdvisor<'_>, sels: &[Selection], bans: &[(Vec<u8>, Pair)]| {
+        let round = adv.ledger(sels);
+        let owners = ledger::owners(
+            &adv.space,
+            adv.paths.iter().zip(sels).map(|(st, sel)| st.pieces(sel)),
+        );
+        let (mut context, mut tables) = (Vec::new(), FrontierTables::default());
+        let mut out: Responses = Vec::new();
+        for (evicted, trial) in bans {
+            let bans = Bans {
+                evicted,
+                trial: *trial,
+            };
+            let mut overlay = round.overlay();
+            let mut responses = Vec::new();
+            for &i in &owners[ledger::slot(*trial)] {
+                let st = &adv.paths[i];
+                overlay.remove(st.pieces(&sels[i]));
+                overlay.context_into(&st.cands, &mut context);
+                let pricing = Pricing {
+                    context: Some(&context),
+                    lambda: 0.0,
+                    bans: Some(&bans),
+                };
+                let mut sel = Selection::new();
+                let inf = f64::INFINITY;
+                let point = frontier_response(st, &adv.space, pricing, inf, &mut tables, &mut sel);
+                let Some((cost, size)) = point else {
+                    responses.push(None);
+                    break;
+                };
+                overlay.insert(i, st.pieces(&sel));
+                responses.push(Some(((cost.to_bits(), size.to_bits()), sel)));
+            }
+            out.push(responses);
+        }
+        out
+    };
+    let (mut whole_rank_strikes, mut uncoverable, mut responses) = (0, 0, 0);
+    for case in 0..24 {
+        let rates = [(0.0, 0.0), (0.01, 0.02), (0.5, 0.2), (5.0, 3.0)];
+        let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+            .with_stats(|_| {
+                let n = [100.0, 10_000.0, 200_000.0][rng(3)];
+                ClassStats::new(n, n / [1.0, 10.0, 1000.0][rng(3)], [1.0, 3.0][rng(2)])
+            })
+            .with_maintenance(|_| rates[rng(4)])
+            .with_threads(1);
+        for _ in 0..4 {
+            let (root, steps) = spellings[rng(spellings.len())];
+            let path = Path::parse(&schema, root, steps).expect("valid on Figure 1");
+            adv.add_path(path, |_| [0.0, 0.01, 0.3, 4.0][rng(4)]);
+        }
+        let plan = adv.optimize();
+        let sels: Vec<Selection> = plan
+            .paths
+            .iter()
+            .map(|p| to_selection(&p.selection))
+            .collect();
+        whole_rank_strikes += adv
+            .paths
+            .iter()
+            .flat_map(|st| st.pruned.as_deref().expect("refreshed"))
+            .filter(|&&mask| mask == 0b111)
+            .count();
+        // Every adopted index on trial, on top of random earlier evictions
+        // among the live cells.
+        let live: Vec<Pair> = adv
+            .paths
+            .iter()
+            .flat_map(|st| st.live_cands.iter())
+            .flat_map(|&cand| Org::ALL.map(|org| (cand, org)))
+            .collect();
+        let held = sels
+            .iter()
+            .zip(&adv.paths)
+            .flat_map(|(sel, st)| st.pieces(sel));
+        let bans: Vec<(Vec<u8>, Pair)> = held
+            .map(|(trial, _)| {
+                let mut evicted = vec![0u8; adv.space.slot_count()];
+                for &(cand, org) in &live {
+                    if (cand, org) != trial && rng(3) == 0 {
+                        evicted[cand.index()] |= 1 << org.index();
+                    }
+                }
+                (evicted, trial)
+            })
+            .collect();
+        let masked = trials(&adv, &sels, &bans);
+        for st in &mut adv.paths {
+            st.pruned = None;
+        }
+        let unmasked = trials(&adv, &sels, &bans);
+        assert_eq!(masked, unmasked, "case {case}");
+        let all = masked.iter().flatten();
+        responses += all.clone().count();
+        uncoverable += all.filter(|r| r.is_none()).count();
+    }
+    // The sweep met whole-rank strikes, and responses of both kinds.
+    assert!(
+        whole_rank_strikes > 0 && uncoverable > 0,
+        "{whole_rank_strikes} {uncoverable}"
+    );
+    assert!(responses > uncoverable, "{responses} {uncoverable}");
 }

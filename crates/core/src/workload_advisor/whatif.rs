@@ -3,13 +3,12 @@
 //! adopted state, and the mined-admission cost bound.
 
 use super::pricing::{installed, to_selection};
-use super::{PathId, PathOutcome, Selection, WorkloadAdvisor, WorkloadPlan};
+use super::{PathId, Selection, WorkloadAdvisor, WorkloadPlan};
 use crate::space::{CandidateId, CandidateStep};
 use crate::{pc, Choice};
 use oic_cost::{CostModel, Org, PathCharacteristics};
 use oic_schema::{Path, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
-use std::collections::HashMap;
 
 /// The answer of [`WorkloadAdvisor::what_if`]: one candidate physical
 /// index priced *hypothetically* — query benefit per subscribing path plus
@@ -168,22 +167,28 @@ impl WorkloadAdvisor<'_> {
     /// oracle (exact-rate) advisor says it costs.
     ///
     /// Requires a completed `(re)optimize` on `self` (so every cell is
-    /// priced) and the same live path set (matched by [`PathId`], which
-    /// congruent mutation histories keep aligned).
+    /// priced) and the same live path set (matched by
+    /// [`PathId`], which congruent mutation histories keep
+    /// aligned), listed ascending by id as every plan lists it.
     pub fn price_plan(&self, plan: &WorkloadPlan) -> f64 {
         assert_eq!(
             plan.paths.len(),
             self.paths.len(),
             "price_plan: plan and advisor hold different path sets"
         );
-        let by_id: HashMap<PathId, &PathOutcome> = plan.paths.iter().map(|p| (p.id, p)).collect();
-        let selections: Vec<Selection> = self
-            .paths
-            .iter()
-            .map(|st| {
-                let p = by_id
-                    .get(&st.id)
-                    .unwrap_or_else(|| panic!("price_plan: plan misses live path {:?}", st.id));
+        // Both list their paths ascending by id, so they pair up in order.
+        let pairs = self.paths.iter().zip(&plan.paths);
+        let selections: Vec<Selection> = pairs
+            .map(|(st, p)| {
+                if p.id != st.id {
+                    let held = |id| plan.paths.binary_search_by_key(&id, |p| p.id).is_ok();
+                    let lost = self
+                        .paths
+                        .iter()
+                        .find(|st| !held(st.id))
+                        .map_or(st.id, |st| st.id);
+                    panic!("price_plan: plan misses live path {lost:?}");
+                }
                 assert_eq!(
                     p.path.signature(),
                     st.signature,

@@ -48,8 +48,8 @@ proptest! {
 
     /// Random drifting workloads over 1–5 class trees: every epoch's warm
     /// plan equals the cold rebuild, and all cached plumbing stays
-    /// consistent — the incremental machinery (union-find maintenance as
-    /// components split and merge, basis eviction, prune-mask refresh)
+    /// consistent — the incremental machinery (components rebuilt as
+    /// paths split and merge them, basis eviction, prune-mask refresh)
     /// never lets a stale artifact leak into a plan.
     #[test]
     fn warm_reoptimize_equals_cold_rebuild(
