@@ -41,20 +41,19 @@
 //! under it: [`MigrationPlanner::retarget`] re-syncs the path set and
 //! re-prices every arm after an [`OnlineTuner`](crate::OnlineTuner)
 //! retune (built indexes are carried across by their durable physical
-//! identity, not by recyclable [`CandidateId`](crate::CandidateId)s), and
+//! identity, not by recyclable [`CandidateId`]s), and
 //! [`MigrationPlanner::remove_path`] cancels scheduled-but-unbuilt builds
 //! a departing path no longer justifies.
 
-use crate::space::CandidateStep;
-use crate::workload_advisor::{ledger, PathId, WorkloadAdvisor, WorkloadPlan};
-use crate::Choice;
+use crate::space::{CandidateId, CandidateStep};
+use crate::workload_advisor::{ledger, AdoptedPath, PathId, WorkloadAdvisor, WorkloadPlan};
 use oic_cost::Org;
 use oic_schema::SubpathId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use MigrationError::PathSetMismatch;
 
 /// Durable physical identity of one index: the step sequence, the
 /// embedded-vs-terminal role, and the organization. Unlike
-/// [`CandidateId`](crate::CandidateId) (recycled when the last owning path
+/// [`CandidateId`] (recycled when the last owning path
 /// departs), this key survives arbitrary workload churn, so a half-run
 /// migration can be re-targeted without losing track of what is built.
 pub type IndexKey = (Vec<CandidateStep>, bool, Org);
@@ -181,42 +180,80 @@ pub struct MigrationSchedule {
     pub interim_excess: f64,
 }
 
-/// One selected piece of one path's arm, with its captured prices.
-#[derive(Debug, Clone)]
+/// One selected piece of one path's arm: its index, its subpath rank, and
+/// the path's query share under it — the adopted memo value.
+#[derive(Debug, Clone, Copy)]
 struct Piece {
-    sub: SubpathId,
-    org: Org,
-    key: IndexKey,
-    /// The path's query share under this piece — the adopted memo value.
+    index: u32,
+    rank: u32,
     query: f64,
 }
 
-/// One path mid-migration: the arm it runs and the arm it is headed to.
-#[derive(Debug, Clone)]
+/// A path's arm: a range of the planner's piece table.
+type Arm = (u32, u32);
+
+/// One path mid-migration: the arm it runs and the arm it is headed to,
+/// with the ledger's query subtotal of each. A departed path keeps its
+/// place as a switched path with two empty arms.
+#[derive(Debug, Clone, Copy)]
 struct PathArm {
     id: PathId,
-    current: Vec<Piece>,
-    target: Vec<Piece>,
+    current: Arm,
+    target: Arm,
+    current_query: f64,
+    target_query: f64,
     /// `true` once every target piece is built and the path switched.
     switched: bool,
+    departed: bool,
+    /// Target pieces whose index is not built.
+    missing: u32,
 }
 
 impl PathArm {
-    fn active(&self) -> &[Piece] {
-        if self.switched {
-            &self.target
-        } else {
-            &self.current
+    fn new(id: PathId, current: Arm, target: Arm) -> PathArm {
+        PathArm {
+            id,
+            current,
+            target,
+            current_query: 0.0,
+            target_query: 0.0,
+            switched: false,
+            departed: false,
+            missing: 0,
         }
+    }
+
+    fn active(&self) -> Arm {
+        [self.current, self.target][usize::from(self.switched)]
     }
 }
 
-/// Captured prices of one physical index.
-#[derive(Debug, Clone)]
-struct IndexInfo {
+/// One physical index: its captured prices, whether it is built, and how
+/// many pieces of the present paths' current, active and target arms cite
+/// it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Index {
     maintenance: f64,
     pages: f64,
     built: bool,
+    in_current: u32,
+    in_active: u32,
+    in_target: u32,
+}
+
+impl Index {
+    /// Built, and cited by no active arm and no target arm.
+    fn droppable(&self) -> bool {
+        self.built && self.in_active == 0 && self.in_target == 0
+    }
+}
+
+/// The steps and switch points a run of waves performed, and its wave.
+#[derive(Debug, Default)]
+struct Log {
+    wave: usize,
+    steps: Vec<MigrationStep>,
+    switches: Vec<(usize, PathId)>,
 }
 
 /// Scheduling mode: the planner's ordering or the naive baseline.
@@ -228,13 +265,55 @@ enum Mode {
     Naive,
 }
 
+/// What a capture fixed: each index's durable key and every arm's pieces.
+/// Index ids ascend in lexicographic [`IndexKey`] order.
+#[derive(Debug, Clone, Default)]
+struct Capture {
+    keys: Vec<IndexKey>,
+    pieces: Vec<Piece>,
+}
+
+impl Capture {
+    fn arm(&self, (start, end): Arm) -> &[Piece] {
+        &self.pieces[start as usize..end as usize]
+    }
+
+    /// Logs one step on index `i`.
+    fn step(&self, log: &mut Log, action: MigrationAction, i: u32, pages: f64) {
+        let (steps, embedded, org) = self.keys[i as usize].clone();
+        log.steps.push(MigrationStep {
+            wave: log.wave,
+            action,
+            steps,
+            embedded,
+            org,
+            pages,
+        });
+    }
+}
+
+/// The distinct indexes an arm cites, in first-citation order.
+fn distinct(arm: &[Piece]) -> impl Iterator<Item = u32> + '_ {
+    let first = |&(k, pc): &(usize, &Piece)| arm[..k].iter().all(|q| q.index != pc.index);
+    arm.iter().enumerate().filter(first).map(|(_, pc)| pc.index)
+}
+
+/// What the wave engine advances: `schedule` runs on a copy, `advance` in place.
+#[derive(Debug, Clone)]
+struct State {
+    paths: Vec<PathArm>,
+    indexes: Vec<Index>,
+    /// Maintenance of every built index, in the ledger's summation order.
+    maintenance: Vec<f64>,
+}
+
 /// The migration planner: captured `(current, target)` arms per path, the
 /// physical index ledger, and the wave engine. See the module docs for
 /// the objective and the envelope semantics.
 #[derive(Debug, Clone)]
 pub struct MigrationPlanner {
-    paths: Vec<PathArm>,
-    indexes: BTreeMap<IndexKey, IndexInfo>,
+    capture: Capture,
+    state: State,
     cancelled: u64,
 }
 
@@ -252,106 +331,16 @@ impl MigrationPlanner {
         current: &WorkloadPlan,
         target: &WorkloadPlan,
     ) -> Result<MigrationPlanner, MigrationError> {
-        if current.paths.len() != advisor.path_count() || target.paths.len() != advisor.path_count()
-        {
-            return Err(MigrationError::PathSetMismatch);
-        }
-        let cur_by_id: HashMap<PathId, usize> = current
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id, i))
-            .collect();
-        let tgt_by_id: HashMap<PathId, usize> = target
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id, i))
-            .collect();
-        let mut indexes = BTreeMap::new();
+        let cur = advisor.outcome_order(current).ok_or(PathSetMismatch)?;
+        let tgt = advisor.outcome_order(target).ok_or(PathSetMismatch)?;
+        let mut interner = Interner::new(advisor);
         let mut paths = Vec::with_capacity(advisor.path_count());
-        for id in advisor.path_ids().collect::<Vec<_>>() {
-            let cur = *cur_by_id.get(&id).ok_or(MigrationError::PathSetMismatch)?;
-            let tgt = *tgt_by_id.get(&id).ok_or(MigrationError::PathSetMismatch)?;
-            let current_arm = Self::capture_arm(
-                advisor,
-                id,
-                &selection_of(&current.paths[cur].selection),
-                &mut indexes,
-                true,
-            )?;
-            let target_arm = Self::capture_arm(
-                advisor,
-                id,
-                &selection_of(&target.paths[tgt].selection),
-                &mut indexes,
-                false,
-            )?;
-            paths.push(PathArm {
-                id,
-                current: current_arm,
-                target: target_arm,
-                switched: false,
-            });
+        for (k, p) in advisor.adopted_paths().enumerate() {
+            let current = interner.arm(&p, p.pieces(&current.paths[cur[k]]), true)?;
+            let target = interner.arm(&p, p.pieces(&target.paths[tgt[k]]), false)?;
+            paths.push(PathArm::new(p.id, current, target));
         }
-        Ok(MigrationPlanner {
-            paths,
-            indexes,
-            cancelled: 0,
-        })
-    }
-
-    /// Prices one arm of one path through the memo machinery: query shares
-    /// from the adopted query-cost memos, maintenance and footprint from
-    /// the adopted candidate memos — the numbers
-    /// [`WorkloadAdvisor::what_if`] reports, read without its subscriber
-    /// scan (one per piece made capture quadratic in the path count);
-    /// a candidate that is absent or not fully priced takes `what_if`'s
-    /// standalone arm. `mark_built` records the arm's indexes as
-    /// physically present (the deployed current arms).
-    fn capture_arm(
-        advisor: &WorkloadAdvisor<'_>,
-        id: PathId,
-        arm: &[(SubpathId, Org)],
-        indexes: &mut BTreeMap<IndexKey, IndexInfo>,
-        mark_built: bool,
-    ) -> Result<Vec<Piece>, MigrationError> {
-        let path = advisor.path(id).ok_or(MigrationError::PathSetMismatch)?;
-        let n = path.len();
-        let mut pieces = Vec::with_capacity(arm.len());
-        for &(sub, org) in arm {
-            let steps = path.step_keys(sub);
-            let embedded = sub.end < n;
-            let key: IndexKey = (steps, embedded, org);
-            let query = advisor
-                .query_share(id, sub, org)
-                .ok_or(MigrationError::PathSetMismatch)?;
-            let entry = indexes.entry(key.clone()).or_insert_with(|| {
-                let (maintenance, pages) = advisor
-                    .candidate_space()
-                    .find(&key.0, embedded)
-                    .and_then(|cand| advisor.adopted_prices(cand))
-                    .unwrap_or_else(|| {
-                        let report = advisor.what_if(path, sub);
-                        (report.maintenance, report.size_pages)
-                    });
-                IndexInfo {
-                    maintenance: maintenance[org.index()],
-                    pages: pages[org.index()],
-                    built: false,
-                }
-            });
-            if mark_built {
-                entry.built = true;
-            }
-            pieces.push(Piece {
-                sub,
-                org,
-                key,
-                query,
-            });
-        }
-        Ok(pieces)
+        Ok(interner.finish(paths, 0))
     }
 
     /// Builds cancelled by path churn so far.
@@ -362,18 +351,8 @@ impl MigrationPlanner {
     /// Whether the migration has fully landed: every path switched to its
     /// target arm and no stale index remains built.
     pub fn is_complete(&self) -> bool {
-        let targets: BTreeSet<&IndexKey> = self
-            .paths
-            .iter()
-            .flat_map(|p| p.target.iter().map(|pc| &pc.key))
-            .collect();
-        self.paths
-            .iter()
-            .all(|p| p.target.iter().all(|pc| self.indexes[&pc.key].built))
-            && self
-                .indexes
-                .iter()
-                .all(|(k, i)| !i.built || targets.contains(k))
+        let st = &self.state;
+        !st.has_unbuilt() && st.indexes.iter().all(|i| !i.built || i.in_target > 0)
     }
 
     /// The unit workload cost of the planner's present interim state:
@@ -383,10 +362,7 @@ impl MigrationPlanner {
     /// to [`WorkloadAdvisor::price_plan`] on that plan, and to the plan's
     /// own `total_cost` when this advisor quoted it.
     pub fn current_cost(&self) -> f64 {
-        let built = self.indexes.values().filter(|i| i.built);
-        let maintenance = ledger::sorted(built.map(|i| i.maintenance).collect());
-        let query = |p: &PathArm| ledger::subtotal(p.active().iter().map(|piece| piece.query));
-        ledger::objective(self.paths.iter().map(query), maintenance.into_iter())
+        self.state.cost()
     }
 
     /// The planner's schedule: benefit-per-page ordering with the
@@ -419,41 +395,36 @@ impl MigrationPlanner {
         if envelope.concurrent_builds == 0 {
             return Err(MigrationError::ZeroConcurrency);
         }
-        let mut sim = self.clone();
-        let initial_cost = sim.current_cost();
-        let mut steps = Vec::new();
-        let mut switches = Vec::new();
-        let mut wave = 0usize;
-        let mut duration = 0.0f64;
-        let mut interim_cost = 0.0f64;
+        let (cap, mut sim, mut log) = (&self.capture, self.state.clone(), Log::default());
+        let initial_cost = sim.cost();
+        let (mut duration, mut interim_cost) = (0.0f64, 0.0f64);
         loop {
-            sim.settle(mode == Mode::Greedy, wave, &mut steps, &mut switches);
-            if sim.unbuilt_targets().is_empty() {
+            sim.settle(cap, mode == Mode::Greedy, &mut log);
+            if !sim.has_unbuilt() {
                 if mode == Mode::Naive {
-                    sim.drop_stale(wave, &mut steps);
+                    sim.drop_idle(cap, &mut log);
                 }
                 break;
             }
-            let unit_before = sim.current_cost();
-            let chosen = sim.pick_builds(envelope, mode)?;
-            let wave_pages = chosen
-                .iter()
-                .map(|k| sim.indexes[k].pages)
-                .fold(0.0, f64::max);
+            let unit_before = sim.cost();
+            let chosen = sim.pick_builds(cap, envelope, mode)?;
+            let wave_pages = chosen.iter().map(|&i| sim.indexes[i as usize].pages);
+            let wave_pages = wave_pages.fold(0.0, f64::max);
             interim_cost += wave_pages * unit_before;
             duration += wave_pages;
-            sim.build(chosen, wave, &mut steps);
-            wave += 1;
+            sim.build(cap, chosen, &mut log);
+            log.wave += 1;
         }
-        let final_cost = sim.current_cost();
+        let final_cost = sim.cost();
+        let steps = &log.steps;
         let built = || steps.iter().filter(|s| s.action == MigrationAction::Build);
         let builds = built().count();
         let build_pages = built().fold(0.0, |pages, s| pages + s.pages);
         let drops = steps.len() - builds;
         Ok(MigrationSchedule {
-            steps,
-            switches,
-            waves: wave,
+            steps: log.steps,
+            switches: log.switches,
+            waves: log.wave,
             builds,
             drops,
             cancelled: self.cancelled,
@@ -472,6 +443,10 @@ impl MigrationPlanner {
     /// performed, or `None` when the migration is already complete. A
     /// driver alternates `advance` with tuner epochs and calls
     /// [`MigrationPlanner::retarget`] when a retune moves the target.
+    ///
+    /// An `Err` leaves the planner as it was: when no build fits the
+    /// envelope, the wave's switches and drops are not applied either, so
+    /// every step the planner takes is one an `Ok` reported.
     pub fn advance(
         &mut self,
         envelope: MigrationEnvelope,
@@ -479,15 +454,14 @@ impl MigrationPlanner {
         if envelope.concurrent_builds == 0 {
             return Err(MigrationError::ZeroConcurrency);
         }
-        let mut steps = Vec::new();
-        let mut switches = Vec::new();
-        self.settle(true, 0, &mut steps, &mut switches);
-        if self.unbuilt_targets().is_empty() {
-            return Ok(if steps.is_empty() { None } else { Some(steps) });
+        let (cap, mut next, mut log) = (&self.capture, self.state.clone(), Log::default());
+        next.settle(cap, true, &mut log);
+        if next.has_unbuilt() {
+            let chosen = next.pick_builds(cap, envelope, Mode::Greedy)?;
+            next.build(cap, chosen, &mut log);
         }
-        let chosen = self.pick_builds(envelope, Mode::Greedy)?;
-        self.build(chosen, 0, &mut steps);
-        Ok(Some(steps))
+        self.state = next;
+        Ok((!log.steps.is_empty()).then_some(log.steps))
     }
 
     /// Re-targets a half-run migration after the workload moved under it:
@@ -495,7 +469,8 @@ impl MigrationPlanner {
     /// under its present memos (call right after the `reoptimize()` that
     /// produced `target`). Built indexes are carried across by their
     /// durable [`IndexKey`] — what is physically on disk does not change
-    /// because the optimizer changed its mind.
+    /// because the optimizer changed its mind. A refused plan leaves the
+    /// planner as it was.
     ///
     /// * A **switched** path's current arm becomes its old target (that is
     ///   what it runs now); an unswitched path keeps its old current arm.
@@ -512,256 +487,343 @@ impl MigrationPlanner {
         advisor: &WorkloadAdvisor<'_>,
         target: &WorkloadPlan,
     ) -> Result<(), MigrationError> {
-        if target.paths.len() != advisor.path_count() {
-            return Err(MigrationError::PathSetMismatch);
-        }
-        let tgt_by_id: HashMap<PathId, usize> = target
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id, i))
-            .collect();
-        let mut old_paths: HashMap<PathId, PathArm> =
-            self.paths.drain(..).map(|p| (p.id, p)).collect();
-        let old_indexes = std::mem::take(&mut self.indexes);
-        let mut indexes = BTreeMap::new();
+        let tgt = advisor.outcome_order(target).ok_or(PathSetMismatch)?;
+        let (old, prior) = (&self.capture, &self.state);
+        let mut interner = Interner::new(advisor);
         let mut paths = Vec::with_capacity(advisor.path_count());
-        for id in advisor.path_ids().collect::<Vec<_>>() {
-            let t = *tgt_by_id.get(&id).ok_or(MigrationError::PathSetMismatch)?;
-            let target_sel = selection_of(&target.paths[t].selection);
-            let target_arm = Self::capture_arm(advisor, id, &target_sel, &mut indexes, false)?;
-            let (current_arm, switched) = match old_paths.remove(&id) {
+        // Both path lists ascend by handle: a merge pairs them up.
+        let mut olds = prior.paths.iter().filter(|p| !p.departed).peekable();
+        let mut departed: Vec<&PathArm> = Vec::new();
+        for (k, p) in advisor.adopted_paths().enumerate() {
+            let target = interner.arm(&p, p.pieces(&target.paths[tgt[k]]), false)?;
+            departed.extend(std::iter::from_fn(|| olds.next_if(|q| q.id < p.id)));
+            let current = match olds.next_if(|q| q.id == p.id) {
                 Some(prev) => {
-                    let running = if prev.switched {
-                        prev.target
-                    } else {
-                        prev.current
-                    };
-                    let sel: Vec<(SubpathId, Org)> =
-                        running.iter().map(|pc| (pc.sub, pc.org)).collect();
-                    (
-                        Self::capture_arm(advisor, id, &sel, &mut indexes, false)?,
-                        false,
-                    )
+                    let running = old.arm(prev.active()).iter();
+                    let org = |pc: &Piece| old.keys[pc.index as usize].2;
+                    interner.arm(&p, running.map(|pc| (pc.rank as usize, org(pc))), false)?
                 }
-                None => (target_arm.clone(), false),
+                None => target,
             };
-            paths.push(PathArm {
-                id,
-                current: current_arm,
-                target: target_arm,
-                switched,
-            });
+            paths.push(PathArm::new(p.id, current, target));
         }
+        departed.extend(olds);
         // Carry the built set across by durable key; re-captured entries
         // keep the freshly-captured prices, stale built leftovers keep
         // their old ones (they only live until the next eager drop).
-        for (key, old) in old_indexes {
-            if !old.built {
-                continue;
+        for (key, index) in old.keys.iter().zip(&prior.indexes) {
+            if index.built {
+                interner.carry(key, index);
             }
-            indexes
-                .entry(key)
-                .and_modify(|e| e.built = true)
-                .or_insert(IndexInfo { built: true, ..old });
         }
-        // Departed paths cancel the unbuilt builds nobody else wants.
-        self.cancelled += Self::cancel_departed(&mut indexes, &paths, old_paths.values()) as u64;
-        self.paths = paths;
-        self.indexes = indexes;
+        // Departed paths cancel the unbuilt builds no new arm cites, each
+        // once per departed path that wanted it.
+        let wanted = departed.iter().flat_map(|q| distinct(old.arm(q.target)));
+        let unbuilt = wanted.filter(|&i| !prior.indexes[i as usize].built);
+        let cancelled = unbuilt.filter(|&i| interner.find(&old.keys[i as usize]).1.is_none());
+        let cancelled = cancelled.count() as u64;
+        *self = interner.finish(paths, self.cancelled + cancelled);
         Ok(())
     }
 
     /// Removes a departing path mid-migration (mirror of
     /// [`WorkloadAdvisor::remove_path`]): its scheduled-but-unbuilt builds
-    /// are cancelled unless another path's target still needs them, its
+    /// are cancelled unless another path's arm still cites them, its
     /// built indexes stay until the eager drop pass collects them. Returns
     /// the number of builds cancelled. Unknown handles are a no-op.
     pub fn remove_path(&mut self, id: PathId) -> usize {
-        let Some(pos) = self.paths.iter().position(|p| p.id == id) else {
+        let (cap, st) = (&self.capture, &mut self.state);
+        let Ok(at) = st.paths.binary_search_by_key(&id, |p| p.id) else {
             return 0;
         };
-        let departed = self.paths.remove(pos);
-        let cancelled = Self::cancel_departed(&mut self.indexes, &self.paths, [&departed]);
+        let p = st.paths[at];
+        let gone = &mut st.paths[at];
+        (gone.current, gone.target, gone.missing) = ((0, 0), (0, 0), 0);
+        (gone.switched, gone.departed) = (true, true);
+        for pc in cap.arm(p.current) {
+            st.indexes[pc.index as usize].in_current -= 1;
+            st.indexes[pc.index as usize].in_active -= u32::from(!p.switched);
+        }
+        for pc in cap.arm(p.target) {
+            st.indexes[pc.index as usize].in_target -= 1;
+            st.indexes[pc.index as usize].in_active -= u32::from(p.switched);
+        }
+        let cancelled = distinct(cap.arm(p.target)).filter(|&i| {
+            let index = &st.indexes[i as usize];
+            !index.built && index.in_current == 0 && index.in_target == 0
+        });
+        let cancelled = cancelled.count();
         self.cancelled += cancelled as u64;
         cancelled
     }
+}
 
-    /// Un-ledgers each departed path's unbuilt target indexes that no arm
-    /// of a `remaining` path references, and returns how many it cancelled
-    /// (an index counts once per departed path that wanted it).
-    fn cancel_departed<'p>(
-        indexes: &mut BTreeMap<IndexKey, IndexInfo>,
-        remaining: &[PathArm],
-        departed: impl IntoIterator<Item = &'p PathArm>,
-    ) -> usize {
-        let needed: BTreeSet<&IndexKey> = remaining
-            .iter()
-            .flat_map(|p| p.target.iter().chain(p.current.iter()).map(|pc| &pc.key))
-            .collect();
-        let mut cancelled = 0;
-        for prev in departed {
-            let mut seen = BTreeSet::new();
-            for piece in &prev.target {
-                let unbuilt = !indexes.get(&piece.key).is_some_and(|i| i.built);
-                if unbuilt && !needed.contains(&piece.key) && seen.insert(&piece.key) {
-                    indexes.remove(&piece.key);
-                    cancelled += 1;
-                }
-            }
-        }
-        cancelled
-    }
+/// Interns the indexes a capture's arms cite, each once: by its
+/// candidate's dense slot ([`ledger::slot`]), or by durable key among the
+/// few with no live candidate.
+struct Interner<'a, 'b> {
+    advisor: &'a WorkloadAdvisor<'b>,
+    by_slot: Vec<Option<u32>>,
+    keyed: Vec<u32>,
+    capture: Capture,
+    indexes: Vec<Index>,
+}
 
-    // ---- wave engine ------------------------------------------------------
-
-    /// Marks a wave's `chosen` keys built, one `Build` step each.
-    fn build(&mut self, chosen: Vec<IndexKey>, wave: usize, steps: &mut Vec<MigrationStep>) {
-        for key in chosen {
-            let info = self.indexes.get_mut(&key).expect("chosen key is ledgered");
-            info.built = true;
-            steps.push(step(wave, MigrationAction::Build, key, info.pages));
+impl<'a, 'b> Interner<'a, 'b> {
+    fn new(advisor: &'a WorkloadAdvisor<'b>) -> Self {
+        Interner {
+            advisor,
+            by_slot: vec![None; ledger::slots(advisor.candidate_space())],
+            keyed: Vec::new(),
+            capture: Capture::default(),
+            indexes: Vec::new(),
         }
     }
 
-    /// Instantaneous wave-start transitions to fixpoint: switch every path
-    /// whose target pieces are all built; when `eager`, drop every built
-    /// index no active arm and no target arm references (switching frees
-    /// indexes, so the two interleave until quiescent).
-    fn settle(
+    /// Captures one arm of path `p`, pricing it from the adopted memos (a
+    /// candidate absent or not fully priced takes `what_if`'s standalone
+    /// arm); `mark_built` records its indexes as deployed.
+    fn arm(
         &mut self,
-        eager: bool,
-        wave: usize,
-        steps: &mut Vec<MigrationStep>,
-        switches: &mut Vec<(usize, PathId)>,
-    ) {
-        loop {
-            let mut changed = false;
-            let ready: Vec<usize> = self
-                .paths
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| {
-                    !p.switched && p.target.iter().all(|pc| self.indexes[&pc.key].built)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for i in ready {
-                self.paths[i].switched = true;
-                switches.push((wave, self.paths[i].id));
-                changed = true;
+        p: &AdoptedPath<'_>,
+        pieces: impl Iterator<Item = (usize, Org)>,
+        mark_built: bool,
+    ) -> Result<Arm, MigrationError> {
+        let start = self.capture.pieces.len() as u32;
+        for (rank, org) in pieces {
+            let shares = p.shares.ok_or(PathSetMismatch)?;
+            let interned = p.cands[rank].and_then(|cand| self.by_slot[ledger::slot((cand, org))]);
+            let index = interned.unwrap_or_else(|| self.intern(p, rank, org));
+            self.indexes[index as usize].built |= mark_built;
+            let (rank, query) = (rank as u32, shares[rank][org.index()]);
+            self.capture.pieces.push(Piece { index, rank, query });
+        }
+        Ok((start, self.capture.pieces.len() as u32))
+    }
+
+    /// The index of `org` over rank `rank` of `p`, interned on first sight
+    /// (a mined-out rank may be interned already, through another path).
+    fn intern(&mut self, p: &AdoptedPath<'_>, rank: usize, org: Org) -> u32 {
+        let (n, sub) = (p.path.len(), SubpathId::from_rank(p.path.len(), rank));
+        let key: IndexKey = (p.path.step_keys(sub), sub.end < n, org);
+        let (cand, found) = self.find(&key);
+        if let Some(index) = found {
+            return index;
+        }
+        let prices = cand.and_then(|cand| self.advisor.adopted_prices(cand));
+        let (maintenance, pages) = prices.unwrap_or_else(|| {
+            let report = self.advisor.what_if(p.path, sub);
+            (report.maintenance, report.size_pages)
+        });
+        self.add(key, cand, (maintenance[org.index()], pages[org.index()]))
+    }
+
+    /// The live candidate of `key`, and the index it is interned as.
+    fn find(&self, key: &IndexKey) -> (Option<CandidateId>, Option<u32>) {
+        let cand = self.advisor.candidate_space().find(&key.0, key.1);
+        let (keys, mut keyed) = (&self.capture.keys, self.keyed.iter().copied());
+        let slotted = |cand| self.by_slot[ledger::slot((cand, key.2))];
+        let index = cand.map_or_else(|| keyed.find(|&i| keys[i as usize] == *key), slotted);
+        (cand, index)
+    }
+
+    /// Interns `key` as an unbuilt index nothing cites yet.
+    fn add(&mut self, key: IndexKey, cand: Option<CandidateId>, prices: (f64, f64)) -> u32 {
+        let id = self.capture.keys.len() as u32;
+        match cand {
+            Some(cand) => self.by_slot[ledger::slot((cand, key.2))] = Some(id),
+            None => self.keyed.push(id),
+        }
+        self.capture.keys.push(key);
+        let mut index = Index::default();
+        (index.maintenance, index.pages) = prices;
+        self.indexes.push(index);
+        id
+    }
+
+    /// Carries an index built under the previous capture across: marks it
+    /// built if re-captured, else keeps it as a stale built leftover.
+    fn carry(&mut self, key: &IndexKey, old: &Index) {
+        let index = match self.find(key) {
+            (_, Some(index)) => index,
+            (cand, None) => self.add(key.clone(), cand, (old.maintenance, old.pages)),
+        };
+        self.indexes[index as usize].built = true;
+    }
+
+    /// Numbers the indexes in key order and counts every captured
+    /// (unswitched) arm's citations, once.
+    fn finish(self, mut paths: Vec<PathArm>, cancelled: u64) -> MigrationPlanner {
+        let mut keyed: Vec<(IndexKey, u32)> = self.capture.keys.into_iter().zip(0..).collect();
+        keyed.sort_unstable();
+        let (keys, order): (Vec<IndexKey>, Vec<u32>) = keyed.into_iter().unzip();
+        let mut renumber = vec![0; order.len()];
+        for (id, &old) in (0..).zip(&order) {
+            renumber[old as usize] = id;
+        }
+        let mut pieces = self.capture.pieces;
+        for pc in &mut pieces {
+            pc.index = renumber[pc.index as usize];
+        }
+        let capture = Capture { keys, pieces };
+        let mut indexes: Vec<Index> = order
+            .iter()
+            .map(|&old| self.indexes[old as usize])
+            .collect();
+        for p in &mut paths {
+            let arm = |arm| capture.arm(arm).iter();
+            for pc in arm(p.current) {
+                indexes[pc.index as usize].in_current += 1;
+                indexes[pc.index as usize].in_active += 1;
             }
-            if eager {
-                for key in self.droppable() {
-                    let info = self.indexes.remove(&key).expect("droppable is ledgered");
-                    steps.push(step(wave, MigrationAction::Drop, key, info.pages));
-                    changed = true;
-                }
+            for pc in arm(p.target) {
+                indexes[pc.index as usize].in_target += 1;
+                p.missing += u32::from(!indexes[pc.index as usize].built);
             }
-            if !changed {
-                break;
+            p.current_query = ledger::subtotal(arm(p.current).map(|pc| pc.query));
+            p.target_query = ledger::subtotal(arm(p.target).map(|pc| pc.query));
+        }
+        let built = indexes.iter().filter(|i| i.built);
+        let maintenance = ledger::sorted(built.map(|i| i.maintenance).collect());
+        let state = State {
+            paths,
+            indexes,
+            maintenance,
+        };
+        MigrationPlanner {
+            capture,
+            state,
+            cancelled,
+        }
+    }
+}
+
+impl State {
+    /// The ledger fold of the active arms' query subtotals and the built
+    /// indexes' maintenance.
+    fn cost(&self) -> f64 {
+        let present = self.paths.iter().filter(|p| !p.departed);
+        let query = present.map(|p| [p.current_query, p.target_query][usize::from(p.switched)]);
+        ledger::objective(query, self.maintenance.iter().copied())
+    }
+
+    /// Whether some path still misses a target piece.
+    fn has_unbuilt(&self) -> bool {
+        self.paths.iter().any(|p| p.missing > 0)
+    }
+
+    /// Marks a wave's `chosen` indexes built, one `Build` step each, and
+    /// recounts what the incomplete paths miss.
+    fn build(&mut self, cap: &Capture, chosen: Vec<u32>, log: &mut Log) {
+        for i in chosen {
+            let index = &mut self.indexes[i as usize];
+            index.built = true;
+            ledger::insert_sorted(&mut self.maintenance, index.maintenance);
+            cap.step(log, MigrationAction::Build, i, index.pages);
+        }
+        let indexes = &self.indexes;
+        for p in self.paths.iter_mut().filter(|p| p.missing > 0) {
+            let unbuilt = cap.arm(p.target).iter();
+            let unbuilt = unbuilt.filter(|pc| !indexes[pc.index as usize].built);
+            p.missing = unbuilt.count() as u32;
+        }
+    }
+
+    /// Instantaneous wave-start transitions: switch every path whose
+    /// target pieces are all built; when `eager`, then drop every built
+    /// index no active arm and no target arm references. That is the
+    /// fixpoint: switching frees indexes, but dropping one enables no
+    /// switch and frees no other index.
+    fn settle(&mut self, cap: &Capture, eager: bool, log: &mut Log) {
+        for at in 0..self.paths.len() {
+            let p = self.paths[at];
+            if p.switched || p.missing > 0 {
+                continue;
+            }
+            self.paths[at].switched = true;
+            for pc in cap.arm(p.target) {
+                self.indexes[pc.index as usize].in_active += 1;
+            }
+            for pc in cap.arm(p.current) {
+                self.indexes[pc.index as usize].in_active -= 1;
+            }
+            log.switches.push((log.wave, p.id));
+        }
+        if eager {
+            self.drop_idle(cap, log);
+        }
+    }
+
+    /// Drops every droppable index, in key order.
+    fn drop_idle(&mut self, cap: &Capture, log: &mut Log) {
+        for (i, index) in (0..).zip(&mut self.indexes) {
+            if index.droppable() {
+                index.built = false;
+                ledger::remove_sorted(&mut self.maintenance, index.maintenance);
+                cap.step(log, MigrationAction::Drop, i, index.pages);
             }
         }
     }
 
-    /// Built indexes no active arm and no target arm references.
-    fn droppable(&self) -> Vec<IndexKey> {
-        let referenced: BTreeSet<&IndexKey> = self
-            .paths
-            .iter()
-            .flat_map(|p| p.active().iter().chain(p.target.iter()).map(|pc| &pc.key))
-            .collect();
-        self.indexes
-            .iter()
-            .filter(|(k, i)| i.built && !referenced.contains(k))
-            .map(|(k, _)| k.clone())
-            .collect()
+    /// Distinct target indexes not yet built, in lexicographic key order.
+    fn unbuilt_targets(&self, cap: &Capture) -> Vec<u32> {
+        let incomplete = self.paths.iter().filter(|p| p.missing > 0);
+        let cited = incomplete.flat_map(|p| cap.arm(p.target).iter().map(|pc| pc.index));
+        let mut unbuilt: Vec<u32> = cited.filter(|&i| !self.indexes[i as usize].built).collect();
+        unbuilt.sort_unstable();
+        unbuilt.dedup();
+        unbuilt
     }
 
-    /// Terminal drop pass of the naive baseline: everything built that no
-    /// target references goes at once, after the last build.
-    fn drop_stale(&mut self, wave: usize, steps: &mut Vec<MigrationStep>) {
-        let targets: BTreeSet<&IndexKey> = self
-            .paths
-            .iter()
-            .flat_map(|p| p.target.iter().map(|pc| &pc.key))
-            .collect();
-        let stale: Vec<IndexKey> = self
-            .indexes
-            .iter()
-            .filter(|(k, i)| i.built && !targets.contains(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in stale {
-            let info = self.indexes.remove(&key).expect("stale is ledgered");
-            steps.push(step(wave, MigrationAction::Drop, key, info.pages));
-        }
+    /// Pages of every built index, summed in key order as the ledger once
+    /// iterated them.
+    fn live_pages(&self) -> f64 {
+        let built = self.indexes.iter().filter(|i| i.built);
+        built.map(|i| i.pages).sum()
     }
 
-    /// Distinct target keys not yet built, in lexicographic order.
-    fn unbuilt_targets(&self) -> Vec<IndexKey> {
-        let mut out = BTreeSet::new();
-        for p in &self.paths {
-            for piece in &p.target {
-                if !self.indexes[&piece.key].built {
-                    out.insert(piece.key.clone());
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// Packs the next wave: up to `concurrent_builds` unbuilt keys that
-    /// fit the space envelope, in benefit-per-page path order (greedy) or
-    /// lexicographic key order (naive). Errs with `SpaceExceeded` when
-    /// nothing fits — the caller's drops already ran, so there is nothing
-    /// left to repair with.
+    /// Packs the next wave: up to `concurrent_builds` unbuilt indexes
+    /// that fit the space envelope, in benefit-per-page path order
+    /// (greedy) or lexicographic key order (naive). Errs with
+    /// `SpaceExceeded` when nothing fits — the caller's drops already ran,
+    /// so there is nothing left to repair with.
     fn pick_builds(
         &self,
+        cap: &Capture,
         envelope: MigrationEnvelope,
         mode: Mode,
-    ) -> Result<Vec<IndexKey>, MigrationError> {
-        let live_pages: f64 = self
-            .indexes
-            .values()
-            .filter(|i| i.built)
-            .map(|i| i.pages)
-            .sum();
-        let ordered: Vec<IndexKey> = match mode {
-            Mode::Naive => self.unbuilt_targets(),
-            Mode::Greedy => {
-                let mut out = Vec::new();
-                for i in self.ranked_paths() {
-                    for piece in &self.paths[i].target {
-                        if !self.indexes[&piece.key].built && !out.contains(&piece.key) {
-                            out.push(piece.key.clone());
-                        }
-                    }
-                }
-                out
-            }
+    ) -> Result<Vec<u32>, MigrationError> {
+        let live_pages = self.live_pages();
+        let targets = |at: usize| distinct(cap.arm(self.paths[at].target));
+        let ordered: Vec<u32> = match mode {
+            Mode::Naive => self.unbuilt_targets(cap),
+            Mode::Greedy => self
+                .ranked_paths(cap)
+                .into_iter()
+                .flat_map(targets)
+                .collect(),
         };
-        let mut chosen: Vec<IndexKey> = Vec::new();
+        // An index that did not fit when first offered fits no better
+        // later: the wave only grows.
+        let mut chosen: Vec<u32> = Vec::new();
         let mut chosen_pages = 0.0f64;
-        for key in ordered {
+        for i in ordered {
             if chosen.len() == envelope.concurrent_builds {
                 break;
             }
-            if chosen.contains(&key) {
+            let index = &self.indexes[i as usize];
+            if index.built || chosen.contains(&i) {
                 continue;
             }
-            let pages = self.indexes[&key].pages;
-            if live_pages + chosen_pages + pages <= envelope.space_pages {
-                chosen_pages += pages;
-                chosen.push(key);
+            if live_pages + chosen_pages + index.pages <= envelope.space_pages {
+                chosen_pages += index.pages;
+                chosen.push(i);
             }
         }
         if chosen.is_empty() {
-            let smallest = self
-                .unbuilt_targets()
-                .iter()
-                .map(|k| self.indexes[k].pages)
-                .fold(f64::INFINITY, f64::min);
+            let unbuilt = self.unbuilt_targets(cap);
+            let smallest = unbuilt.iter().map(|&i| self.indexes[i as usize].pages);
+            let smallest = smallest.fold(f64::INFINITY, f64::min);
             return Err(MigrationError::SpaceExceeded {
                 need: live_pages + smallest,
                 envelope: envelope.space_pages,
@@ -775,274 +837,42 @@ impl MigrationPlanner {
     /// `(current − target)` plus the maintenance of every index their
     /// switch would free, over the pages still to build. Ties break by
     /// `PathId` ascending, so the order is fully deterministic.
-    fn ranked_paths(&self) -> Vec<usize> {
+    fn ranked_paths(&self, cap: &Capture) -> Vec<usize> {
         let mut scored: Vec<(f64, usize)> = Vec::new();
-        for (i, p) in self.paths.iter().enumerate() {
-            if p.switched {
+        for (at, p) in self.paths.iter().enumerate() {
+            if p.switched || p.missing == 0 {
                 continue;
             }
-            let mut pages = 0.0f64;
-            let mut missing = BTreeSet::new();
-            for piece in &p.target {
-                if !self.indexes[&piece.key].built && missing.insert(&piece.key) {
-                    pages += self.indexes[&piece.key].pages;
-                }
-            }
+            let unbuilt = distinct(cap.arm(p.target)).map(|i| self.indexes[i as usize]);
+            let unbuilt = unbuilt.filter(|index| !index.built);
+            let pages = unbuilt.fold(0.0f64, |pages, index| pages + index.pages);
             if pages == 0.0 {
                 continue; // settles instantly at the next wave start
             }
-            let cur_q: f64 = p.current.iter().map(|pc| pc.query).sum();
-            let tgt_q: f64 = p.target.iter().map(|pc| pc.query).sum();
-            let freed = self.freed_by_switch(i);
-            scored.push(((cur_q - tgt_q + freed) / pages, i));
+            let cur_q: f64 = cap.arm(p.current).iter().map(|pc| pc.query).sum();
+            let tgt_q: f64 = cap.arm(p.target).iter().map(|pc| pc.query).sum();
+            let freed = self.freed_by_switch(cap, at);
+            scored.push(((cur_q - tgt_q + freed) / pages, at));
         }
         scored.sort_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then_with(|| self.paths[a.1].id.cmp(&self.paths[b.1].id))
         });
-        scored.into_iter().map(|(_, i)| i).collect()
+        scored.into_iter().map(|(_, at)| at).collect()
     }
 
-    /// Maintenance freed if path `i` switched now: its current-arm indexes
-    /// that are built and that no other active arm and no target arm
-    /// references — exactly what the eager drop pass would then collect.
-    fn freed_by_switch(&self, i: usize) -> f64 {
-        let referenced: BTreeSet<&IndexKey> = self
-            .paths
-            .iter()
-            .enumerate()
-            .flat_map(|(j, p)| {
-                let active = if j == i { &[][..] } else { p.active() };
-                active.iter().chain(p.target.iter()).map(|pc| &pc.key)
-            })
-            .collect();
-        let mut freed = 0.0;
-        let mut seen = BTreeSet::new();
-        for piece in &self.paths[i].current {
-            if referenced.contains(&piece.key) || !seen.insert(&piece.key) {
-                continue;
-            }
-            if let Some(info) = self.indexes.get(&piece.key) {
-                if info.built {
-                    freed += info.maintenance;
-                }
-            }
-        }
-        freed
+    /// Maintenance freed if path `at` switched now: its current-arm
+    /// indexes that are built and that no other active arm and no target
+    /// arm references — exactly what the eager drop pass would then
+    /// collect.
+    fn freed_by_switch(&self, cap: &Capture, at: usize) -> f64 {
+        let p = &self.paths[at];
+        let own = |i: u32| cap.arm(p.active()).iter().filter(|q| q.index == i).count() as u32;
+        let current = distinct(cap.arm(p.current)).map(|i| (i, &self.indexes[i as usize]));
+        let freed = current.filter(|&(i, x)| x.built && x.in_target == 0 && x.in_active <= own(i));
+        freed.fold(0.0, |freed, (_, index)| freed + index.maintenance)
     }
-}
-
-/// One schedule step on the index `key`.
-fn step(wave: usize, action: MigrationAction, key: IndexKey, pages: f64) -> MigrationStep {
-    let (steps, embedded, org) = key;
-    MigrationStep {
-        wave,
-        action,
-        steps,
-        embedded,
-        org,
-        pages,
-    }
-}
-
-/// The `(subpath, organization)` pieces of a selection, in its own order
-/// (no-index choices never appear at workload scale; skipped defensively).
-fn selection_of(config: &crate::IndexConfiguration) -> Vec<(SubpathId, Org)> {
-    config
-        .pairs()
-        .iter()
-        .filter_map(|&(sub, choice)| match choice {
-            Choice::Index(org) => Some((sub, org)),
-            Choice::NoIndex => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use oic_cost::{ClassStats, CostParams};
-    use oic_schema::{fixtures, ClassId};
-
-    fn advisor(schema: &oic_schema::Schema) -> WorkloadAdvisor<'_> {
-        let mut adv = WorkloadAdvisor::new(schema, CostParams::default())
-            .with_stats(|_| ClassStats::new(500.0, 50.0, 2.0))
-            .with_maintenance(|_| (0.05, 0.02));
-        adv.add_path(fixtures::paper_path_pexa(schema), |_| 0.1);
-        adv.add_path(fixtures::paper_path_pe(schema), |_| 0.2);
-        adv
-    }
-
-    /// A `(current, target)` pair that actually differs: the paper
-    /// workload re-optimized under 40× update traffic.
-    fn drifted(adv: &mut WorkloadAdvisor<'_>) -> (WorkloadPlan, WorkloadPlan) {
-        let current = adv.optimize();
-        for c in 0..adv.class_count() {
-            adv.update_rates(ClassId(c as u32), (2.0, 0.8));
-        }
-        let target = adv.reoptimize();
-        (current, target)
-    }
-
-    #[test]
-    fn empty_diff_yields_empty_schedule() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let a = adv.optimize();
-        let b = adv.reoptimize();
-        let planner = MigrationPlanner::new(&adv, &a, &b).expect("same path set");
-        assert!(planner.is_complete());
-        let sched = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        assert!(sched.steps.is_empty(), "nothing to build or drop");
-        assert_eq!(sched.waves, 0);
-        assert_eq!(sched.duration, 0.0);
-        assert_eq!(sched.interim_cost, 0.0);
-        assert_eq!(sched.interim_excess, 0.0);
-        assert_eq!(sched.initial_cost, sched.final_cost);
-    }
-
-    #[test]
-    fn zero_concurrency_envelope_errors_cleanly() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let envelope = MigrationEnvelope {
-            concurrent_builds: 0,
-            space_pages: f64::INFINITY,
-        };
-        let err = planner.schedule(envelope).expect_err("zero concurrency");
-        assert_eq!(err, MigrationError::ZeroConcurrency);
-        assert!(err.to_string().contains("zero concurrent builds"));
-    }
-
-    #[test]
-    fn endpoints_price_bitwise_like_price_plan() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let sched = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        assert_eq!(
-            sched.initial_cost.to_bits(),
-            adv.price_plan(&current).to_bits(),
-            "start state prices exactly like the old plan under the new rates"
-        );
-        assert_eq!(
-            sched.final_cost.to_bits(),
-            adv.price_plan(&target).to_bits(),
-            "end state prices exactly like the target plan"
-        );
-        assert_eq!(
-            sched.final_cost.to_bits(),
-            target.total_cost.to_bits(),
-            "the target plan's own objective is the same number"
-        );
-        assert!(
-            sched.final_cost <= sched.initial_cost,
-            "the optimizer retargeted for a reason"
-        );
-    }
-
-    #[test]
-    fn advancing_to_completion_reaches_the_scheduled_end_state() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let mut planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let sched = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        let mut waves = 0;
-        while let Some(_steps) = planner.advance(MigrationEnvelope::default()).expect("ok") {
-            waves += 1;
-            assert!(waves <= sched.waves + 1, "advance must terminate");
-        }
-        assert!(planner.is_complete());
-        assert_eq!(planner.current_cost().to_bits(), sched.final_cost.to_bits());
-    }
-
-    #[test]
-    fn removing_a_path_cancels_its_unbuilt_builds() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let ids: Vec<PathId> = adv.path_ids().collect();
-        let planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let full = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        assert!(full.builds > 0, "the drifted target needs builds");
-        // A path departs before anything was built: every target build
-        // only it needed is cancelled, and the remaining schedule never
-        // builds it.
-        let mut planner = planner;
-        let cancelled = planner.remove_path(ids[0]);
-        assert!(cancelled > 0, "the departed path had scheduled builds");
-        assert_eq!(planner.cancelled(), cancelled as u64);
-        let sched = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        assert_eq!(sched.cancelled, cancelled as u64);
-        assert!(
-            sched.builds + cancelled <= full.builds + sched.drops,
-            "cancelled builds never reappear"
-        );
-        assert_eq!(planner.remove_path(ids[0]), 0, "unknown handle is a no-op");
-    }
-
-    #[test]
-    fn tight_space_envelope_drops_before_building() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let slack = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        // An envelope exactly as large as the bigger endpoint, plus the
-        // largest single build: tight enough that keeping every old index
-        // while building every new one cannot fit, so the repair must
-        // interleave drops.
-        let start: f64 = planner
-            .indexes
-            .values()
-            .filter(|i| i.built)
-            .map(|i| i.pages)
-            .sum();
-        let end: f64 = slack
-            .steps
-            .iter()
-            .filter(|s| s.action == MigrationAction::Build)
-            .map(|s| s.pages)
-            .sum();
-        let biggest = slack.steps.iter().map(|s| s.pages).fold(0.0f64, f64::max);
-        let envelope = MigrationEnvelope {
-            concurrent_builds: 2,
-            space_pages: start.max(end) + biggest,
-        };
-        let sched = planner.schedule(envelope).expect("repairable");
-        assert_eq!(sched.final_cost.to_bits(), slack.final_cost.to_bits());
-        // And an envelope smaller than the end state is honestly hopeless.
-        let hopeless = MigrationEnvelope {
-            concurrent_builds: 2,
-            space_pages: 1.0,
-        };
-        assert!(matches!(
-            planner.schedule(hopeless),
-            Err(MigrationError::SpaceExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn greedy_interim_cost_never_exceeds_naive() {
-        let (schema, _) = fixtures::paper_schema();
-        let mut adv = advisor(&schema);
-        let (current, target) = drifted(&mut adv);
-        let planner = MigrationPlanner::new(&adv, &current, &target).expect("same path set");
-        let greedy = planner.schedule(MigrationEnvelope::default()).expect("ok");
-        let naive = planner
-            .naive_schedule(MigrationEnvelope::default())
-            .expect("ok");
-        assert_eq!(greedy.final_cost.to_bits(), naive.final_cost.to_bits());
-        assert_eq!(greedy.builds, naive.builds, "same physical work");
-        assert!(
-            greedy.interim_cost <= naive.interim_cost,
-            "ordering must not hurt: {} vs {}",
-            greedy.interim_cost,
-            naive.interim_cost
-        );
-    }
-}
+mod tests;

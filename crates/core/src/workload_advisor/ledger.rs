@@ -58,12 +58,14 @@ pub(crate) fn objective(
     subtotals.sum::<f64>() + maintenance.sum::<f64>()
 }
 
-fn insert_sorted(sorted: &mut Vec<f64>, value: f64) {
+/// Inserts `value` into a [`sorted`] sequence at its place.
+pub(crate) fn insert_sorted(sorted: &mut Vec<f64>, value: f64) {
     let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
     sorted.insert(at, value);
 }
 
-fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
+/// Removes one copy of `value` from a [`sorted`] sequence.
+pub(crate) fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
     let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
     debug_assert_eq!(sorted[at].to_bits(), value.to_bits());
     sorted.remove(at);

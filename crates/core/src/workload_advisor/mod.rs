@@ -99,6 +99,7 @@ mod whatif;
 
 pub use budget::BudgetedWorkloadPlan;
 pub use plan::{PathOutcome, SharedIndexOutcome, WorkloadPlan};
+pub(crate) use whatif::AdoptedPath;
 pub use whatif::{WhatIfReport, WhatIfSubscriber};
 
 use crate::shard::{self, Components};

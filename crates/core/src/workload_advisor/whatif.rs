@@ -3,7 +3,7 @@
 //! adopted state, and the mined-admission cost bound.
 
 use super::pricing::{installed, to_selection};
-use super::{PathId, Selection, WorkloadAdvisor, WorkloadPlan};
+use super::{PathId, PathOutcome, Selection, WorkloadAdvisor, WorkloadPlan};
 use crate::space::{CandidateId, CandidateStep};
 use crate::{pc, Choice};
 use oic_cost::{CostModel, Org, PathCharacteristics};
@@ -56,19 +56,57 @@ pub struct WhatIfSubscriber {
     pub query_costs: [f64; 3],
 }
 
+/// One live path as the migration planner captures it: its handle, its
+/// interned candidate per subpath rank, and its adopted query shares.
+pub(crate) struct AdoptedPath<'a> {
+    pub(crate) id: PathId,
+    pub(crate) path: &'a Path,
+    /// Interned candidate per rank — `None` where mining dropped the rank.
+    pub(crate) cands: &'a [Option<CandidateId>],
+    /// Query share per rank and organization — the exact memo values the
+    /// plan's ledger folds; `None` while stale (pending mutations not yet
+    /// repriced).
+    pub(crate) shares: Option<&'a [[f64; 3]]>,
+}
+
+impl AdoptedPath<'_> {
+    /// The `(subpath rank, organization)` pieces of this path's selection
+    /// in `outcome`, in selection order (no-index choices never appear at
+    /// workload scale; skipped defensively).
+    pub(crate) fn pieces<'o>(
+        &self,
+        outcome: &'o PathOutcome,
+    ) -> impl Iterator<Item = (usize, Org)> + 'o {
+        let (n, pairs) = (self.path.len(), outcome.selection.pairs().iter());
+        pairs.filter_map(move |&(sub, choice)| match choice {
+            Choice::Index(org) => Some((sub.rank(n), org)),
+            Choice::NoIndex => None,
+        })
+    }
+}
+
 impl WorkloadAdvisor<'_> {
-    /// The adopted query share of one `(subpath, organization)` cell of a
-    /// live path — the exact memo value the plan's ledger folds,
-    /// read without any recomputation. `None` for an unknown handle or
-    /// while the path's shares are stale (pending mutations not yet
-    /// repriced). The migration planner captures interim prices through
-    /// this so its endpoint costs equal [`Self::price_plan`] bitwise.
-    pub(crate) fn query_share(&self, id: PathId, sub: SubpathId, org: Org) -> Option<f64> {
-        let st = &self.paths[self.find(id)?];
-        if st.dirty_query {
-            return None;
-        }
-        Some(st.query_costs[sub.rank(st.path.len())][org.index()])
+    /// For each live path, in live-path order, the position of its outcome
+    /// in `plan` — `None` unless `plan` covers exactly the live path set,
+    /// in any order (a plan in live-path order sorts in one pass).
+    pub(crate) fn outcome_order(&self, plan: &WorkloadPlan) -> Option<Vec<usize>> {
+        let mut order: Vec<usize> = (0..plan.paths.len()).collect();
+        order.sort_by_key(|&i| plan.paths[i].id);
+        let mut live = self.paths.iter().zip(&order);
+        let covered = order.len() == self.paths.len();
+        (covered && live.all(|(st, &i)| plan.paths[i].id == st.id)).then_some(order)
+    }
+
+    /// Every live path in live-path order, read without any recomputation.
+    /// The migration planner captures its arms through this, so its
+    /// endpoint costs equal [`Self::price_plan`] bitwise.
+    pub(crate) fn adopted_paths(&self) -> impl Iterator<Item = AdoptedPath<'_>> {
+        self.paths.iter().map(|st| AdoptedPath {
+            id: st.id,
+            path: &st.path,
+            cands: &st.cands,
+            shares: (!st.dirty_query).then_some(&st.query_costs[..]),
+        })
     }
 
     /// The adopted `(maintenance, footprint)` memos of a live candidate,

@@ -27,6 +27,11 @@
 //!   estimator fingerprint and plan, and the `MigrationPlanner` retargeted
 //!   to each new plan — its schedule and the wave it advances — under one,
 //!   two and eight lanes;
+//! * a deployment after one seeded readvise batch on the 250-path tree and
+//!   the 3k-path forest, under one, two and eight lanes: the greedy and
+//!   naive schedules under unbounded space and two tight envelopes (or
+//!   the `SpaceExceeded` that refused them), every step in full with its
+//!   index's key, and an `advance` walk to completion;
 //! * executed page accounting on Example 5.1's database at 0.4 % scale:
 //!   six `ConfiguredDb` configurations (whole-path MX, MIX and NIX, and
 //!   three splits) under a seeded stream of queries, inserts and deletes,
@@ -37,12 +42,14 @@
 //! price may move them (DESIGN.md §5.2).
 
 use oo_index_config::core::{
-    Choice, CostMatrix, IndexConfiguration, MigrationAction, MigrationEnvelope, MigrationPlanner,
-    MigrationStep, OnlineTuner, TuningPolicy, WorkloadPlan,
+    Choice, CostMatrix, IndexConfiguration, MigrationAction, MigrationEnvelope, MigrationError,
+    MigrationPlanner, MigrationSchedule, MigrationStep, OnlineTuner, PathId, TuningPolicy,
+    WorkloadAdvisor, WorkloadPlan,
 };
 use oo_index_config::cost::characteristics::example51;
-use oo_index_config::cost::{CostModel, CostParams, Org};
-use oo_index_config::schema::{fixtures, Schema, SubpathId};
+use oo_index_config::cost::{ClassStats, CostModel, CostParams, Org};
+use oo_index_config::schema::{fixtures, ClassId, Schema, SubpathId};
+use oo_index_config::sim::workload_gen::random_query_rates;
 use oo_index_config::sim::{
     generate, scale_chars, synth_forest, synth_workload, ConfiguredDb, DriftSim, DriftSpec,
     ForestSpec, GenSpec, SynthWorkload, WorkloadSpec,
@@ -124,6 +131,54 @@ impl Digest {
                 .float(s.pages);
         }
         self
+    }
+
+    /// Every step in full — wave, action, the index's step sequence, role
+    /// and organization, and its pages — so two steps with equal pages
+    /// cannot swap unseen.
+    fn deploy_steps(&mut self, steps: &[MigrationStep]) -> &mut Self {
+        self.word(steps.len() as u64);
+        for s in steps {
+            self.word(s.wave as u64)
+                .word((s.action == MigrationAction::Build) as u64)
+                .word(s.steps.len() as u64);
+            for &(class, attr) in &s.steps {
+                self.word(u64::from(class.0))
+                    .word(u64::from(attr.class.0))
+                    .word(u64::from(attr.slot));
+            }
+            self.word(s.embedded as u64)
+                .word(s.org.index() as u64)
+                .float(s.pages);
+        }
+        self
+    }
+
+    /// A schedule's steps in full, its switch points and every count and
+    /// cost field — or the error that refused it.
+    fn schedule(&mut self, s: &Result<MigrationSchedule, MigrationError>) -> &mut Self {
+        let s = match s {
+            Ok(s) => s,
+            Err(MigrationError::SpaceExceeded { need, envelope }) => {
+                return self.word(1).float(*need).float(*envelope)
+            }
+            Err(e) => panic!("unexpected refusal: {e}"),
+        };
+        self.word(0).deploy_steps(&s.steps);
+        self.word(s.switches.len() as u64);
+        for &(wave, id) in &s.switches {
+            self.word(wave as u64).word(u64::from(id.raw()));
+        }
+        self.word(s.waves as u64)
+            .word(s.builds as u64)
+            .word(s.drops as u64)
+            .word(s.cancelled)
+            .float(s.build_pages)
+            .float(s.duration)
+            .float(s.initial_cost)
+            .float(s.final_cost)
+            .float(s.interim_cost)
+            .float(s.interim_excess)
     }
 }
 
@@ -345,6 +400,112 @@ fn online_loop_is_golden() {
     check(&actual);
 }
 
+/// One seeded readvise batch: new statistics for eight classes, heavy
+/// update rates for one class in `heat` and new query rates for one path
+/// in `2.5 · heat` — at `heat` 4, enough drift on the 250-path tree to
+/// retire and replace a few dozen indexes.
+fn readvise_batch(adv: &mut WorkloadAdvisor<'_>, w: &SynthWorkload, seed: u64, heat: usize) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xdeb1);
+    let classes = adv.class_count();
+    let ids: Vec<PathId> = adv.path_ids().collect();
+    for _ in 0..8 {
+        let c = rng.gen_range(0..classes);
+        let old = w.stats[c];
+        let scale = rng.gen_range(500..2000) as f64 / 1000.0;
+        let n = (old.n * scale).max(1.0).round();
+        let d = (old.d * scale).max(1.0).round();
+        adv.update_stats(ClassId(c as u32), ClassStats::new(n, d, old.nin));
+    }
+    for _ in 0..classes / heat {
+        let c = rng.gen_range(0..classes);
+        let rates = (
+            rng.gen_range(0..4000) as f64 / 1000.0,
+            rng.gen_range(0..2000) as f64 / 1000.0,
+        );
+        adv.update_rates(ClassId(c as u32), rates);
+    }
+    for _ in 0..ids.len() * 4 / (10 * heat) {
+        let id = ids[rng.gen_range(0..ids.len())];
+        let alphas = random_query_rates(classes, &mut rng);
+        adv.update_query_rates(id, |c| alphas[c.index()]);
+    }
+}
+
+/// The deployment after one readvise batch of `heat` on `w` at `lanes`:
+/// the greedy and naive schedules under unbounded space and under two
+/// space envelopes tight enough to force drops before builds, then an
+/// `advance` walk to completion, every wave folded in full.
+fn deploy_digest(w: &SynthWorkload, seed: u64, heat: usize, lanes: usize) -> u64 {
+    let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
+    let current = adv.optimize();
+    readvise_batch(&mut adv, w, seed, heat);
+    let target = adv.reoptimize();
+    let mut planner = MigrationPlanner::new(&adv, &current, &target).expect("live path set");
+    let mut d = Digest::new();
+    let slack = planner.schedule(ENVELOPE);
+    // The footprint at the start is the target's, less what the slack
+    // schedule builds, plus what it drops. The tight envelopes admit the
+    // larger endpoint and one biggest build, or a quarter of one: the
+    // naive order, which drops last, cannot fit them.
+    let (mut start, mut biggest) = (target.size_pages, 0.0f64);
+    for s in &slack.as_ref().expect("unbounded space").steps {
+        match s.action {
+            MigrationAction::Build => start -= s.pages,
+            MigrationAction::Drop => start += s.pages,
+        }
+        biggest = biggest.max(s.pages);
+    }
+    d.schedule(&slack)
+        .schedule(&planner.naive_schedule(ENVELOPE));
+    for margin in [1.0, 0.25] {
+        let tight = MigrationEnvelope {
+            concurrent_builds: 2,
+            space_pages: start.max(target.size_pages) + margin * biggest,
+        };
+        d.schedule(&planner.schedule(tight))
+            .schedule(&planner.naive_schedule(tight));
+    }
+    let mut waves = 0;
+    while let Some(steps) = planner.advance(ENVELOPE).expect("unbounded space") {
+        d.deploy_steps(&steps);
+        waves += 1;
+        assert!(waves <= 1000, "advance must terminate");
+    }
+    d.word(waves)
+        .word(planner.is_complete() as u64)
+        .float(planner.current_cost())
+        .0
+}
+
+fn deploy_stage(name: &str, w: &SynthWorkload, seed: u64, heat: usize) -> (String, u64) {
+    let per_lane: Vec<u64> = LANES
+        .iter()
+        .map(|&lanes| deploy_digest(w, seed, heat, lanes))
+        .collect();
+    for (lanes, digest) in LANES.iter().zip(&per_lane) {
+        assert_eq!(digest, &per_lane[0], "{name}: {lanes} lanes vs one");
+    }
+    (format!("deploy/{name}/seed{seed}"), per_lane[0])
+}
+
+#[test]
+fn tree250_deployment_is_golden() {
+    let actual: Vec<_> = SEEDS
+        .iter()
+        .map(|&seed| deploy_stage("tree250", &tree(250, seed), seed, 4))
+        .collect();
+    check(&actual);
+}
+
+#[test]
+fn forest3k_deployment_is_golden() {
+    let actual: Vec<_> = SEEDS
+        .iter()
+        .map(|&seed| deploy_stage("forest3k", &forest(3_000, seed), seed, 32))
+        .collect();
+    check(&actual);
+}
+
 /// Example 5.1's configurations the executed stage runs: whole-path MX,
 /// MIX and NIX, the paper optimum, a MIX piece before an unindexed tail,
 /// and a three-piece split.
@@ -463,8 +624,10 @@ fn executed_pages_are_golden() {
 /// Recorded from the commit before Yao's closed form (every stage but
 /// `online/*`, which was recorded before the migration planner's build and
 /// cancellation loops were shared, `executed/*`, recorded before MX and
-/// MIX became one type, and `*/search`, recorded before the budget search
-/// got its `Pair` hasher, owner-scoped trial reuse and one-point frontier).
+/// MIX became one type, `*/search`, recorded before the budget search
+/// got its `Pair` hasher, owner-scoped trial reuse and one-point frontier,
+/// and `deploy/*`, recorded before the migration planner moved onto a
+/// dense index table with reference counts).
 const GOLDEN: &[(&str, u64)] = &[
     ("example51/paper", 0x3b235bc366e99259),
     ("example51/default", 0x77e81cb29f0673db),
@@ -510,6 +673,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("forest3k/seed11/warm", 0xfd77d8f37d5440a8),
     ("online/tree48/seed7", 0xda8bd0c7db2f240f),
     ("online/tree48/seed11", 0xb5ec43212d37ce97),
+    ("deploy/tree250/seed7", 0x55e5804477d17104),
+    ("deploy/tree250/seed11", 0x6dceca598984fbc4),
+    ("deploy/forest3k/seed7", 0x2c619100bbd70750),
+    ("deploy/forest3k/seed11", 0x461367d22fe88f93),
     ("executed/mx/seed7", 0x9b2b3d1ac2751bd5),
     ("executed/mix/seed7", 0x30732b893fc4ed18),
     ("executed/nix/seed7", 0xe652ffd0a1130ddd),
