@@ -292,6 +292,9 @@ impl<'a> WorkloadAdvisor<'a> {
         let i = self.find(id)?;
         let st = self.paths.remove(i);
         self.space.release_path(&st.live_cands);
+        if !self.paths.iter().any(|p| p.signature == st.signature) {
+            self.basis.remove(&st.signature);
+        }
         self.mutations += 1;
         Some(st.path)
     }

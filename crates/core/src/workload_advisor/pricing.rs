@@ -1,7 +1,9 @@
-//! Pricing: the re-pricing phase of `reoptimize()` (per-signature query
-//! bases, the first-owner claim pass, dominance masks) and [`Cells`], the
-//! one cell rule every advisor DP reads its pieces through, with the two
-//! in-place kernels over it ([`best_response`], [`frontier_response`]).
+//! Pricing: the re-pricing phase of `reoptimize()` (the first-owner claim
+//! pass, then one job per dirty path signature: one cost model, the
+//! signature's query basis, its members' claimed cells — every query
+//! share a basis replay), dominance masks, and [`Cells`], the one cell
+//! rule every advisor DP reads its pieces through, with the two in-place
+//! kernels over it ([`best_response`], [`frontier_response`]).
 
 use super::ledger::Pair;
 use super::state::PathState;
@@ -10,7 +12,7 @@ use crate::select::{frontier_point, prune_dominated, Labels, ScalarDp};
 use crate::space::{CandidateId, CandidateSpace};
 use crate::{pc, Choice, IndexConfiguration};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
-use oic_schema::{ClassId, PathSignature, Schema, SubpathId};
+use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
 use std::collections::HashMap;
 
@@ -22,15 +24,11 @@ pub(super) fn installed(space: &CandidateSpace, (cand, org): Pair) -> (f64, f64)
     (maintenance, priced(space.priced_size(cand, org)))
 }
 
-/// One dirty path's buffered re-pricing output, computed read-only on a
-/// worker and merged into the advisor (memo installs in path-id order) on
-/// the caller — see [`reprice_compute`].
-struct RepriceOut {
-    /// Fresh query shares, when the path's were stale.
-    query_costs: Option<Vec<[f64; 3]>>,
-    /// `(maintenance, size)` of each cell the path claimed, in claim order.
-    cells: Vec<(f64, f64)>,
-}
+/// One dirty path's re-pricing output, computed read-only by its
+/// signature's job and installed in path order: fresh query shares when
+/// the path's were stale, and the `(maintenance, size)` of each cell it
+/// claimed, in claim order.
+type Repriced = (Option<Vec<[f64; 3]>>, Vec<(f64, f64)>);
 
 /// Per-signature query-retrieval basis: the per-slot retrieval
 /// coefficients of one path *shape*, priced once and re-evaluated against
@@ -41,10 +39,10 @@ struct RepriceOut {
 /// insert/delete, or maintenance rates — so every path sharing a signature
 /// (same classes step for step, hence the same characteristics and cost
 /// model) shares these coefficients exactly. [`QueryBasis::eval`] replays
-/// the from-scratch per-path pricing arithmetic (the fallback arm of
-/// [`reprice_compute`]) — same slot order, same guards, same fold — term
-/// for term, so the shares it produces are **bitwise** the ones that arm
-/// computes (DESIGN.md §5.15).
+/// the definition — `pc::processing_cost` of each cell under the path's
+/// query-only load — term for term (same slot order, same guards, same
+/// fold), so the shares it produces are **bitwise** the from-scratch ones
+/// (DESIGN.md §5.15). It is the advisor's only source of query shares.
 pub(super) struct QueryBasis {
     /// The representative path's scope (sorted class ids) — the
     /// invalidation key: `update_stats(c, ..)` evicts every basis whose
@@ -152,10 +150,11 @@ impl QueryBasis {
 impl WorkloadAdvisor<'_> {
     /// Phase 1 of [`Self::reoptimize`] — re-prices the dirty paths: a
     /// sequential claim pass hands every unpriced cell to its first dirty
-    /// owner, the owners price their claims read-only on the executor,
-    /// and the merge installs each cell once, in path order — same memo
-    /// contents and pricing counter for any thread count. Returns the
-    /// dirty paths (ascending) and the cells priced.
+    /// owner, one read-only job per dirty signature prices its members'
+    /// claims and query shares on the executor, and the merge installs
+    /// each cell once, in path order — same memo contents and pricing
+    /// counter for any thread count. Returns the dirty paths (ascending)
+    /// and the cells priced.
     pub(super) fn reprice(&mut self) -> (Vec<usize>, u64) {
         let pricings_before = self.space.maintenance_pricings();
         let dirty: Vec<usize> = (0..self.paths.len())
@@ -191,67 +190,37 @@ impl WorkloadAdvisor<'_> {
             })
             .collect();
 
-        // Basis prepass: among the query-dirty paths, find the distinct
-        // signatures the per-signature basis cache does not hold yet and
-        // price each **once** — instead of rebuilding a full cost model
-        // per path. Only signatures shared by ≥ 2 dirty paths are worth a
-        // basis (building one costs a full model pass; a lone path prices
-        // cheaper from scratch, and does so in the fallback arm of
-        // `reprice_compute`). Representatives are the first dirty path of
-        // each qualifying signature, in path order, and the merge installs
-        // in that same order, so the cache contents are
-        // executor-independent. A basis job also prices its
-        // representative's claims with the model it built, so that path's
-        // model is built once; `reprice_compute` skips them.
-        let reps: Vec<usize> = {
-            let mut members: HashMap<&PathSignature, (usize, usize)> = HashMap::new();
+        // One job per dirty signature, members in path order, jobs in
+        // first-member order.
+        let jobs: Vec<Vec<usize>> = {
+            let mut job_of: HashMap<&PathSignature, usize> = HashMap::new();
+            let mut jobs: Vec<Vec<usize>> = Vec::new();
             for (k, &i) in dirty.iter().enumerate() {
-                let st = &self.paths[i];
-                if st.dirty_query && !self.basis.contains_key(&st.signature) {
-                    members.entry(&st.signature).or_insert((k, 0)).1 += 1;
-                }
+                let j = *job_of.entry(&self.paths[i].signature).or_insert_with(|| {
+                    jobs.push(Vec::new());
+                    jobs.len() - 1
+                });
+                jobs[j].push(k);
             }
-            let mut firsts: Vec<usize> = members
-                .into_values()
-                .filter(|&(_, count)| count >= 2)
-                .map(|(first, _)| first)
-                .collect();
-            firsts.sort_unstable();
-            firsts
+            jobs
         };
-        let built: Vec<(QueryBasis, Vec<(f64, f64)>)> = self.exec.par_map(&reps, |_, &k| {
-            let st = &self.paths[dirty[k]];
-            with_model(self.schema, self.params, &self.stats, st, |model| {
-                let cells = price_claims(self.schema, &self.maint, model, st, &claims[k]);
-                (QueryBasis::build(self.schema, model, st), cells)
-            })
+        let outs = self.exec.par_map(&jobs, |_, members| {
+            self.reprice_job(&dirty, &claims, members)
         });
-        let mut rep_cells: Vec<Option<Vec<(f64, f64)>>> = vec![None; dirty.len()];
-        for ((b, cells), &k) in built.into_iter().zip(&reps) {
-            self.basis.insert(self.paths[dirty[k]].signature.clone(), b);
-            rep_cells[k] = Some(cells);
-        }
 
-        let outs: Vec<RepriceOut> = self.exec.par_map(&dirty, |k, &i| {
-            let st = &self.paths[i];
-            let mine: &[_] = if rep_cells[k].is_some() {
-                &[]
-            } else {
-                &claims[k]
-            };
-            reprice_compute(
-                self.schema,
-                self.params,
-                &self.stats,
-                &self.maint,
-                self.basis.get(&st.signature),
-                st,
-                mine,
-            )
-        });
-        let merged = outs.into_iter().zip(&dirty).zip(&claims).zip(rep_cells);
-        for (((out, &i), mine), basis_cells) in merged {
-            let cells = basis_cells.unwrap_or(out.cells);
+        // Install in path order.
+        let mut priced: Vec<Option<Repriced>> = vec![None; dirty.len()];
+        for ((built, per_member), members) in outs.into_iter().zip(&jobs) {
+            if let Some(b) = built {
+                let sig = &self.paths[dirty[members[0]]].signature;
+                self.basis.insert(sig.clone(), b);
+            }
+            for (out, &k) in per_member.into_iter().zip(members) {
+                priced[k] = Some(out);
+            }
+        }
+        for ((out, &i), mine) in priced.into_iter().zip(&dirty).zip(&claims) {
+            let (shares, cells) = out.expect("every dirty path belongs to one job");
             for (&(_, cand, org), (m, s)) in mine.iter().zip(cells) {
                 debug_assert!(
                     self.space.priced_maintenance(cand, org).is_none(),
@@ -261,7 +230,7 @@ impl WorkloadAdvisor<'_> {
                 self.space.size_cost(cand, org, || s);
             }
             let st = &mut self.paths[i];
-            if let Some(q) = out.query_costs {
+            if let Some(q) = shares {
                 st.query_costs = q;
             }
             st.dirty_query = false;
@@ -274,6 +243,54 @@ impl WorkloadAdvisor<'_> {
             "every claimed cell is priced exactly once"
         );
         (dirty, epoch_pricings)
+    }
+
+    /// One dirty signature's re-pricing job, read-only: `members` index
+    /// `dirty` (and `claims`), first member first. Members share their
+    /// step sequence, so one cost model is the one each member would
+    /// build: the job builds it once, and only when it has work — a basis
+    /// to price (some member is query-dirty and none is cached) or a
+    /// claimed cell. Query-dirty members replay their shares from the
+    /// signature's basis. Returns the basis it built, if any, and each
+    /// member's [`Repriced`] output.
+    fn reprice_job(
+        &self,
+        dirty: &[usize],
+        claims: &[Vec<(usize, CandidateId, Org)>],
+        members: &[usize],
+    ) -> (Option<QueryBasis>, Vec<Repriced>) {
+        let st = |k: usize| &self.paths[dirty[k]];
+        let first = st(members[0]);
+        let cached = self.basis.get(&first.signature);
+        let build = cached.is_none() && members.iter().any(|&k| st(k).dirty_query);
+        let claimed = members.iter().any(|&k| !claims[k].is_empty());
+        let (built, cells): (Option<QueryBasis>, Vec<Vec<(f64, f64)>>) = if build || claimed {
+            let price = |model: &CostModel<'_>| {
+                let cells = members.iter().map(|&k| {
+                    let mine = claims[k].iter().map(|&(r, _, org)| (r, org));
+                    price_cells(self.schema, &self.maint, model, &first.path, mine)
+                });
+                let built = build.then(|| QueryBasis::build(self.schema, model, first));
+                (built, cells.collect())
+            };
+            with_model(self.schema, self.params, &self.stats, &first.path, price)
+        } else {
+            (None, vec![Vec::new(); members.len()])
+        };
+        let basis = built.as_ref().or(cached);
+        let repriced: Vec<Repriced> = members
+            .iter()
+            .zip(cells)
+            .map(|(&k, cells)| {
+                let st = st(k);
+                let shares = st.dirty_query.then(|| {
+                    let basis = basis.expect("a query-dirty job has a basis");
+                    basis.eval(&st.alphas, st.path.len(), &st.cands)
+                });
+                (shares, cells)
+            })
+            .collect();
+        (built, repriced)
     }
 
     /// Dominance pruning: refreshes the per-rank prune masks of the paths
@@ -318,96 +335,45 @@ impl WorkloadAdvisor<'_> {
     }
 }
 
-/// The read-only half of re-pricing one dirty path: recompute stale
-/// query shares and price the cells the claim pass assigned to it
-/// (`claims`: rank, candidate, organization). Runs on pool workers; the
-/// caller installs the buffers in path order.
-///
-/// Stale query shares replay from the path's per-signature
-/// [`QueryBasis`] when the prepass cached one — bitwise the
-/// from-scratch values — and price from scratch otherwise (a signature
-/// with fewer than two dirty members). The cost model is built only
-/// for that fallback or for a claimed cell (a basis representative's
-/// claims arrive empty: its basis job priced them).
-fn reprice_compute(
+/// Runs `f` on `path`'s cost model under the current statistics.
+pub(super) fn with_model<R>(
     schema: &Schema,
     params: CostParams,
     stats: &[ClassStats],
-    maint: &[(f64, f64)],
-    basis: Option<&QueryBasis>,
-    st: &PathState,
-    claims: &[(usize, CandidateId, Org)],
-) -> RepriceOut {
-    let n = st.path.len();
-    let mut query_costs = match basis {
-        Some(basis) if st.dirty_query => Some(basis.eval(&st.alphas, n, &st.cands)),
-        _ => None,
-    };
-    let from_scratch = st.dirty_query && query_costs.is_none();
-    if !from_scratch && claims.is_empty() {
-        return RepriceOut {
-            query_costs,
-            cells: Vec::new(),
-        };
-    }
-    with_model(schema, params, stats, st, |model| {
-        if from_scratch {
-            let alphas = &st.alphas;
-            let qld = LoadDistribution::build(schema, &st.path, |c| {
-                Triplet::new(alphas[c.index()], 0.0, 0.0)
-            });
-            let shares = (0..SubpathId::count(n)).map(|r| {
-                // Mined out: no cell to price.
-                if st.cands[r].is_none() {
-                    return [0.0; 3];
-                }
-                let sub = SubpathId::from_rank(n, r);
-                Org::ALL.map(|org| pc::processing_cost(model, &qld, sub, Choice::Index(org)))
-            });
-            query_costs = Some(shares.collect());
-        }
-        let cells = price_claims(schema, maint, model, st, claims);
-        RepriceOut { query_costs, cells }
-    })
-}
-
-/// Runs `f` on `st`'s cost model under the current statistics — the one
-/// model build of a path's re-pricing.
-fn with_model<R>(
-    schema: &Schema,
-    params: CostParams,
-    stats: &[ClassStats],
-    st: &PathState,
+    path: &Path,
     f: impl FnOnce(&CostModel<'_>) -> R,
 ) -> R {
-    let chars = PathCharacteristics::build(schema, &st.path, |c| stats[c.index()]);
-    f(&CostModel::new(schema, &st.path, &chars, params))
+    let chars = PathCharacteristics::build(schema, path, |c| stats[c.index()]);
+    f(&CostModel::new(schema, path, &chars, params))
 }
 
-/// The `(maintenance, size)` of each cell the claim pass assigned to `st`
-/// (`claims`: rank, candidate, organization), in claim order, priced
-/// under the workload's shared insert/delete rates `maint`.
-fn price_claims(
+/// The one maintenance-cell rule: the `(maintenance, size)` of each
+/// `(rank, organization)` cell of `path`, in order, priced on `path`'s
+/// cost `model` under the workload's shared insert/delete rates `maint`.
+/// Re-pricing prices claimed cells through it, and `what_if` a
+/// hypothetical candidate's, so a quote equals the later adoption
+/// bitwise.
+pub(super) fn price_cells(
     schema: &Schema,
     maint: &[(f64, f64)],
     model: &CostModel<'_>,
-    st: &PathState,
-    claims: &[(usize, CandidateId, Org)],
+    path: &Path,
+    cells: impl ExactSizeIterator<Item = (usize, Org)>,
 ) -> Vec<(f64, f64)> {
-    if claims.is_empty() {
+    if cells.len() == 0 {
         return Vec::new();
     }
-    let n = st.path.len();
-    let mld = LoadDistribution::build(schema, &st.path, |c| {
+    let n = path.len();
+    let mld = LoadDistribution::build(schema, path, |c| {
         let (beta, gamma) = maint[c.index()];
         Triplet::new(0.0, beta, gamma)
     });
-    let cell = |&(r, _, org): &(usize, CandidateId, Org)| {
+    let cell = |(r, org)| {
         let sub = SubpathId::from_rank(n, r);
         let m = pc::processing_cost(model, &mld, sub, Choice::Index(org));
         (m, model.size_pages(org, sub))
     };
-    claims.iter().map(cell).collect()
+    cells.map(cell).collect()
 }
 
 /// The bans one eviction trial prices under: every index the descent

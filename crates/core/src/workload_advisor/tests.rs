@@ -5,6 +5,7 @@ use crate::{pc, Choice, CostMatrix};
 use oic_cost::{CostModel, PathCharacteristics};
 use oic_schema::fixtures;
 use oic_workload::{LoadDistribution, Triplet};
+use std::collections::HashSet;
 
 fn fig7_stats(schema: &Schema) -> impl FnMut(ClassId) -> ClassStats + '_ {
     |c| match schema.class_name(c) {
@@ -635,6 +636,32 @@ fn rate_churn_skips_query_share_recomputation() {
         assert_eq!(&st.query_costs, old, "query shares are rate-blind");
     }
     assert_costs_match(&plan, &adv.rebuild().optimize());
+}
+
+/// The per-signature basis cache holds exactly the live signatures after
+/// every optimize: a lone path's signature prices a basis too, and a
+/// departure that leaves a signature without a live path drops it.
+#[test]
+fn the_basis_map_holds_exactly_the_live_signatures() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    let optimize_and_check = |adv: &mut WorkloadAdvisor<'_>, ctx: &str| {
+        adv.optimize();
+        let live: HashSet<&PathSignature> = adv.paths.iter().map(|st| &st.signature).collect();
+        let cached: HashSet<&PathSignature> = adv.basis.keys().collect();
+        assert_eq!(cached, live, "{ctx}");
+    };
+    optimize_and_check(&mut adv, "cold");
+    let twin = adv.add_path(fixtures::paper_path_pe(&schema), |_| 0.1);
+    optimize_and_check(&mut adv, "a second Pe");
+    let pexa = adv.path_ids().next().unwrap();
+    adv.remove_path(pexa);
+    optimize_and_check(&mut adv, "Pexa departed");
+    adv.remove_path(twin);
+    optimize_and_check(&mut adv, "the Pe twin departed");
+    let person = schema.class_by_name("Person").unwrap();
+    adv.update_stats(person, ClassStats::new(150_000.0, 30_000.0, 1.0));
+    optimize_and_check(&mut adv, "stat drift");
 }
 
 /// `price_plan` pairs a plan's paths with the live ones in id order: it

@@ -2,13 +2,12 @@
 //! without adopting it, another advisor's plan priced under this one's
 //! adopted state, and the mined-admission cost bound.
 
-use super::pricing::{installed, to_selection};
+use super::pricing::{installed, price_cells, to_selection, with_model};
 use super::{PathId, PathOutcome, Selection, WorkloadAdvisor, WorkloadPlan};
 use crate::space::{CandidateId, CandidateStep};
-use crate::{pc, Choice};
-use oic_cost::{CostModel, Org, PathCharacteristics};
+use crate::Choice;
+use oic_cost::Org;
 use oic_schema::{Path, SubpathId};
-use oic_workload::{LoadDistribution, Triplet};
 
 /// The answer of [`WorkloadAdvisor::what_if`]: one candidate physical
 /// index priced *hypothetically* — query benefit per subscribing path plus
@@ -179,20 +178,18 @@ impl WorkloadAdvisor<'_> {
         }
         // Hypothetical (or invalidated) candidate: one standalone pricing
         // pass, installing nothing.
-        let chars = PathCharacteristics::build(self.schema, path, |c| self.stats[c.index()]);
-        let model = CostModel::new(self.schema, path, &chars, self.params);
-        let mld = LoadDistribution::build(self.schema, path, |c| {
-            let (beta, gamma) = self.maint[c.index()];
-            Triplet::new(0.0, beta, gamma)
+        let r = sub.rank(n);
+        let cells = with_model(self.schema, self.params, &self.stats, path, |model| {
+            let cells = Org::ALL.map(|org| (r, org));
+            price_cells(self.schema, &self.maint, model, path, cells.into_iter())
         });
         WhatIfReport {
             steps,
             embedded,
             candidate,
             adopted: false,
-            maintenance: Org::ALL
-                .map(|org| pc::processing_cost(&model, &mld, sub, Choice::Index(org))),
-            size_pages: Org::ALL.map(|org| model.size_pages(org, sub)),
+            maintenance: [0, 1, 2].map(|o| cells[o].0),
+            size_pages: [0, 1, 2].map(|o| cells[o].1),
             subscribers: Vec::new(),
         }
     }
