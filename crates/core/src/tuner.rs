@@ -122,11 +122,6 @@ impl OnlineTuner {
         self.estimator.drop_path(key);
     }
 
-    /// Whether `key` is currently tracked.
-    pub fn is_tracked(&self, key: PathKey) -> bool {
-        self.tracked.contains_key(&key)
-    }
-
     /// Feeds one observed event. Query events for untracked keys are
     /// dropped, like any event whose class index exceeds `MAX_CLASS_INDEX`;
     /// other insert/delete traffic is always accepted (maintenance rates are

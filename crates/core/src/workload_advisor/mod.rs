@@ -203,19 +203,14 @@ impl<'a> WorkloadAdvisor<'a> {
         }
     }
 
-    /// Replaces the executor the per-path stages run on (chainable). The
-    /// default is [`Executor::default`], one lane per available CPU; the
-    /// plan is bit-identical for any choice, so this is purely a
-    /// wall-clock knob.
-    pub fn with_executor(mut self, exec: Executor) -> Self {
-        self.exec = exec;
+    /// Sets the lane count the per-path stages run on (chainable): `1` is
+    /// the sequential engine, `n ≥ 2` recruits `n - 1` shared pool
+    /// workers. The default is [`Executor::default`], one lane per
+    /// available CPU; the plan is bit-identical for any choice, so this is
+    /// purely a wall-clock knob.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.exec = Executor::with_threads(threads);
         self
-    }
-
-    /// [`Self::with_executor`] by lane count: `1` is the sequential
-    /// engine, `n ≥ 2` recruits `n - 1` shared pool workers.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_executor(Executor::with_threads(threads))
     }
 
     /// The executor the per-path stages run on.
@@ -477,9 +472,8 @@ impl<'a> WorkloadAdvisor<'a> {
     /// that [`Self::reoptimize`] must match — benches time the two against
     /// each other; the property tests pin the cost equality.
     pub fn rebuild(&self) -> WorkloadAdvisor<'a> {
-        let mut adv = WorkloadAdvisor::new(self.schema, self.params)
-            .with_executor(self.exec.clone())
-            .with_mining(self.mining);
+        let mut adv = WorkloadAdvisor::new(self.schema, self.params).with_mining(self.mining);
+        adv.exec = self.exec.clone();
         adv.stats.clone_from(&self.stats);
         adv.maint.clone_from(&self.maint);
         for st in &self.paths {

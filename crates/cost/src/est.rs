@@ -12,7 +12,7 @@
 //! * the level profile `(n_k, p_k)` (records and pages per level, root
 //!   first) feeds `CRT`/`CMT` via Yao's formula.
 
-use crate::CostParams;
+use crate::{CostParams, PTR_LEN};
 
 /// Estimated shape of one index structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,12 +38,9 @@ impl IndexEst {
         self.record_len <= params.page_size
     }
 
-    /// Default full-record retrieval page count `pr = ⌈ln/p⌉` for spanning
-    /// records (honours `CostParams::pr_override`).
+    /// Full-record retrieval page count `pr = ⌈ln/p⌉` for spanning records.
     pub fn pr_full(&self, params: &CostParams) -> f64 {
-        params
-            .pr_override
-            .unwrap_or_else(|| params.record_pages(self.record_len))
+        params.record_pages(self.record_len)
     }
 
     /// The leaf level `(n_h, p_h)`.
@@ -71,7 +68,7 @@ pub fn estimate_btree(
         // Each record owns its chain; one leaf node per record.
         (d, d * params.record_pages(ln))
     };
-    let fanout = (cap / (key_len + params.ptr_len)).floor().max(2.0);
+    let fanout = (cap / (key_len + PTR_LEN)).floor().max(2.0);
     // Build levels bottom-up, then reverse.
     let mut rev_levels: Vec<(f64, f64)> = vec![(d, leaf_pages)];
     let mut nodes = leaf_nodes;
@@ -140,14 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn pr_override_wins() {
-        let mut p = params();
-        p.pr_override = Some(1.5);
-        let e = estimate_btree(100.0, 10_000.0, 9.0, &p);
-        assert_eq!(e.pr_full(&p), 1.5);
-    }
-
-    #[test]
     fn estimate_matches_real_tree_shape() {
         // Cross-check against the actual oic-btree structure.
         use oic_btree::{BTreeIndex, Layout};
@@ -162,8 +151,7 @@ mod tests {
             k.extend_from_slice(&i.to_be_bytes());
             tree.insert_entry(&mut store, &k, vec![0u8; 9]);
         }
-        let mut p = CostParams::with_page_size(page as f64);
-        p.key_len = 9.0;
+        let p = CostParams::with_page_size(page as f64);
         let e = estimate_btree(d as f64, 28.0, 9.0, &p);
         // Real splits leave pages half-full, so allow a factor-2 band.
         let real_h = tree.height();

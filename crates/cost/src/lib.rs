@@ -41,7 +41,10 @@ pub mod yao;
 pub use characteristics::{ClassStats, PathCharacteristics};
 pub use model::CostModel;
 pub use org::Org;
-pub use params::CostParams;
+pub use params::{
+    CostParams, CLASS_DIR_LEN, ENTRY_OVERHEAD, KEY_LEN, NODE_HEADER, NUMCHILD_LEN, OBJ_LEN,
+    OID_LEN, PTR_LEN, RECORD_OVERHEAD,
+};
 
 // The workload advisor's parallel stages (`oic_core`, DESIGN.md §5.13)
 // share priced models and characteristics across worker threads by

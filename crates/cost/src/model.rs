@@ -7,12 +7,22 @@
 //! ending attribute `A_n` (the workload model only admits queries against
 //! `A_n`, Section 3.2): the index at position `i` is probed with
 //! `noid⁺_{i+1}` keys, which degenerates to 1 at `i = n`.
+//!
+//! Record lengths are assembled from the crate's byte constants
+//! ([`crate::OID_LEN`] and its siblings, DESIGN.md §5.9). The paper's `pr`
+//! and `pm` inputs are computed, not taken (§5.5): `pr` is `⌈ln/p⌉` for a
+//! whole spanning record or the pages of one class section, and `pm` is
+//! one page per entry edit — or, for NIX under
+//! [`CostParams::nix_section_rewrites`], the class section's `pr`.
 
 use crate::derived::Derived;
 use crate::est::{estimate_btree, IndexEst};
 use crate::primitives::{cml, cmt, crl, crr, crt};
 use crate::yao::npa;
-use crate::{CostParams, Org, PathCharacteristics};
+use crate::{
+    CostParams, Org, PathCharacteristics, CLASS_DIR_LEN, ENTRY_OVERHEAD, KEY_LEN, NUMCHILD_LEN,
+    OBJ_LEN, OID_LEN, PTR_LEN, RECORD_OVERHEAD,
+};
 use oic_schema::{Path, Schema, SubpathId};
 use std::sync::OnceLock;
 
@@ -74,9 +84,9 @@ struct ClassTerms {
     mx_crt: OnceLock<f64>,
     /// `CRT(est_mix(l), probe(l), mix_pr(l, Some(x)))`.
     mix_crt: OnceLock<f64>,
-    /// `CMT(est_mx(l, x), nin_{l,x}, pm_entry)`.
+    /// `CMT(est_mx(l, x), nin_{l,x}, 1)`.
     mx_cmt: OnceLock<f64>,
-    /// `CMT(est_mix(l), nin_{l,x}, pm_entry)`.
+    /// `CMT(est_mix(l), nin_{l,x}, 1)`.
     mix_cmt: OnceLock<f64>,
 }
 
@@ -200,18 +210,17 @@ impl<'a> CostModel<'a> {
     /// attribute of the full path, oids in between.
     fn key_len_at(&self, l: usize) -> f64 {
         if l == self.n() && self.path.step(l).attr.kind.is_atomic() {
-            self.params.key_len
+            KEY_LEN
         } else {
-            self.params.oid_len
+            OID_LEN
         }
     }
 
     // ---- MX -----------------------------------------------------------
 
     fn mx_record_len(&self, l: usize, x: usize) -> f64 {
-        let p = &self.params;
         let k = self.derived().k(l, x);
-        p.record_overhead + self.key_len_at(l) + k * (p.oid_len + p.entry_overhead)
+        RECORD_OVERHEAD + self.key_len_at(l) + k * (OID_LEN + ENTRY_OVERHEAD)
     }
 
     fn compute_est_mx(&self, l: usize, x: usize) -> IndexEst {
@@ -241,7 +250,7 @@ impl<'a> CostModel<'a> {
     fn mx_cmt(&self, l: usize, x: usize) -> f64 {
         *self.terms[l - 1].classes[x].mx_cmt.get_or_init(|| {
             let nin = self.chars.stats(l, x).nin;
-            cmt(self.est_mx(l, x), &self.params, nin, self.params.pm_entry)
+            cmt(self.est_mx(l, x), &self.params, nin, 1.0)
         })
     }
 
@@ -273,7 +282,7 @@ impl<'a> CostModel<'a> {
         let mut total = self.mx_cmt(l, x);
         if l > sub.start {
             for j in 0..self.chars.nc(l - 1) {
-                total += cml(self.est_mx(l - 1, j), &self.params, self.params.pm_entry);
+                total += cml(self.est_mx(l - 1, j), &self.params, 1.0);
             }
         }
         total
@@ -296,13 +305,12 @@ impl<'a> CostModel<'a> {
     // ---- MIX ------------------------------------------------------------
 
     fn mix_record_len(&self, l: usize) -> f64 {
-        let p = &self.params;
         let d = self.derived();
-        let dir = self.chars.nc(l) as f64 * p.class_dir_len;
+        let dir = self.chars.nc(l) as f64 * CLASS_DIR_LEN;
         let body: f64 = (0..self.chars.nc(l))
-            .map(|x| d.k(l, x) * (p.oid_len + p.entry_overhead))
+            .map(|x| d.k(l, x) * (OID_LEN + ENTRY_OVERHEAD))
             .sum();
-        p.record_overhead + self.key_len_at(l) + dir + body
+        RECORD_OVERHEAD + self.key_len_at(l) + dir + body
     }
 
     fn compute_est_mix(&self, l: usize) -> IndexEst {
@@ -319,20 +327,16 @@ impl<'a> CostModel<'a> {
     fn mix_pr(&self, l: usize, class: Option<usize>) -> f64 {
         let est = self.est_mix(l);
         let full = est.pr_full(&self.params);
-        if self.params.whole_record_reads {
-            return full;
-        }
         match class {
             None => full,
             Some(x) => {
                 if est.record_len <= self.params.page_size {
                     1.0
                 } else {
-                    let p = &self.params;
-                    let section = self.derived().k(l, x) * (p.oid_len + p.entry_overhead)
-                        + p.class_dir_len
+                    let section = self.derived().k(l, x) * (OID_LEN + ENTRY_OVERHEAD)
+                        + CLASS_DIR_LEN
                         + self.key_len_at(l);
-                    (section / p.page_size).ceil().clamp(1.0, full)
+                    (section / self.params.page_size).ceil().clamp(1.0, full)
                 }
             }
         }
@@ -367,7 +371,7 @@ impl<'a> CostModel<'a> {
     fn mix_cmt(&self, l: usize, x: usize) -> f64 {
         *self.terms[l - 1].classes[x].mix_cmt.get_or_init(|| {
             let nin = self.chars.stats(l, x).nin;
-            cmt(self.est_mix(l), &self.params, nin, self.params.pm_entry)
+            cmt(self.est_mix(l), &self.params, nin, 1.0)
         })
     }
 
@@ -390,7 +394,7 @@ impl<'a> CostModel<'a> {
     fn mix_delete(&self, sub: SubpathId, l: usize, x: usize) -> f64 {
         let mut total = self.mix_cmt(l, x);
         if l > sub.start {
-            total += cml(self.est_mix(l - 1), &self.params, self.params.pm_entry);
+            total += cml(self.est_mix(l - 1), &self.params, 1.0);
         }
         total
     }
@@ -407,18 +411,16 @@ impl<'a> CostModel<'a> {
     /// `(oid, numchild)` pairs under a multi-valued step, bare oids
     /// otherwise (Section 3.1, primary record format).
     fn nix_entry_len(&self, l: usize) -> f64 {
-        let p = &self.params;
-        p.oid_len
-            + p.entry_overhead
+        OID_LEN
+            + ENTRY_OVERHEAD
             + if self.chars.is_multi(l) {
-                p.numchild_len
+                NUMCHILD_LEN
             } else {
                 0.0
             }
     }
 
     fn nix_primary_len(&self, sub: SubpathId) -> f64 {
-        let p = &self.params;
         let d = self.derived();
         let mut body = 0.0;
         let mut classes = 0.0;
@@ -429,7 +431,7 @@ impl<'a> CostModel<'a> {
                 classes += 1.0;
             }
         }
-        p.record_overhead + self.key_len_at(sub.end) + classes * p.class_dir_len + body
+        RECORD_OVERHEAD + self.key_len_at(sub.end) + classes * CLASS_DIR_LEN + body
     }
 
     /// Physical statistics of a NIX allocated on `sub` (cached per rank;
@@ -459,24 +461,23 @@ impl<'a> CostModel<'a> {
                 ln_az_class: 0.0,
             };
         }
-        let p = &self.params;
         let mut tuples = 0.0;
         let mut bytes = 0.0;
         let mut n_az = 0.0;
         for l in sub.start + 1..=sub.end {
             for x in 0..self.chars.nc(l) {
                 let s = self.chars.stats(l, x);
-                let tuple = p.record_overhead
-                    + p.oid_len
-                    + d.ninbar(l, x, sub.end) * (p.ptr_len + p.entry_overhead)
-                    + d.par(l) * (p.oid_len + p.entry_overhead);
+                let tuple = RECORD_OVERHEAD
+                    + OID_LEN
+                    + d.ninbar(l, x, sub.end) * (PTR_LEN + ENTRY_OVERHEAD)
+                    + d.par(l) * (OID_LEN + ENTRY_OVERHEAD);
                 tuples += s.n;
                 bytes += s.n * tuple;
                 n_az += 1.0;
             }
         }
         let avg_tuple = if tuples > 0.0 { bytes / tuples } else { 0.0 };
-        let auxiliary = estimate_btree(tuples.max(1.0), avg_tuple.max(1.0), p.oid_len, p);
+        let auxiliary = estimate_btree(tuples.max(1.0), avg_tuple.max(1.0), OID_LEN, &self.params);
         let ln_az_class = if n_az > 0.0 { bytes / n_az } else { 0.0 };
         NixStats {
             primary,
@@ -493,25 +494,21 @@ impl<'a> CostModel<'a> {
         if stats.primary.record_len <= self.params.page_size {
             return 1.0;
         }
-        if self.params.whole_record_reads {
-            return full;
-        }
         let d = self.derived();
-        let p = &self.params;
         let section = match who {
             NixSection::Class(l, x) => {
                 d.occ(l, x, sub.end) * self.nix_entry_len(l)
-                    + p.class_dir_len
+                    + CLASS_DIR_LEN
                     + self.key_len_at(sub.end)
             }
             NixSection::Position(l) => {
                 (0..self.chars.nc(l))
-                    .map(|x| d.occ(l, x, sub.end) * self.nix_entry_len(l) + p.class_dir_len)
+                    .map(|x| d.occ(l, x, sub.end) * self.nix_entry_len(l) + CLASS_DIR_LEN)
                     .sum::<f64>()
                     + self.key_len_at(sub.end)
             }
         };
-        (section / p.page_size).ceil().clamp(1.0, full)
+        (section / self.params.page_size).ceil().clamp(1.0, full)
     }
 
     /// `CRT(primary(S), probe(e), pr)`, the retrieval through `sub`'s NIX
@@ -617,7 +614,7 @@ impl<'a> CostModel<'a> {
         if self.params.nix_section_rewrites {
             self.nix_pr(sub, stats, NixSection::Class(l, x))
         } else {
-            self.params.pm_entry
+            1.0
         }
     }
 
@@ -639,7 +636,7 @@ impl<'a> CostModel<'a> {
             // class section (no per-entry directory).
             self.nix_pr(sub, stats, NixSection::Class(l, x))
         } else {
-            self.params.pm_entry
+            1.0
         };
         for i in sub.start..l {
             let anc = d.ancestors_at(l, i);
@@ -795,12 +792,11 @@ impl<'a> CostModel<'a> {
     /// extension): every class heap in the subpath's scope is scanned once
     /// per query.
     pub fn no_index_retrieval(&self, sub: SubpathId) -> f64 {
-        let p = &self.params;
         let mut total = 0.0;
         for l in sub.start..=sub.end {
             for x in 0..self.chars.nc(l) {
                 let n = self.chars.stats(l, x).n;
-                total += (n * p.obj_len / p.page_size).ceil().max(1.0);
+                total += (n * OBJ_LEN / self.params.page_size).ceil().max(1.0);
             }
         }
         total
@@ -1100,8 +1096,8 @@ mod tests {
         ) -> f64 {
             let nin = m.chars.stats(l, x).nin;
             match org {
-                Org::Mx => cmt(m.est_mx(l, x), &m.params, nin, m.params.pm_entry),
-                Org::Mix => cmt(m.est_mix(l), &m.params, nin, m.params.pm_entry),
+                Org::Mx => cmt(m.est_mx(l, x), &m.params, nin, 1.0),
+                Org::Mix => cmt(m.est_mix(l), &m.params, nin, 1.0),
                 Org::Nix => m.nix_insert(sub, l, x),
             }
         }
@@ -1113,15 +1109,14 @@ mod tests {
             l: usize,
             x: usize,
         ) -> f64 {
-            let pm = m.params.pm_entry;
             let mut total = maint_insert(m, org, sub, l, x);
             match org {
                 Org::Mx if l > sub.start => {
                     for j in 0..m.chars.nc(l - 1) {
-                        total += cml(m.est_mx(l - 1, j), &m.params, pm);
+                        total += cml(m.est_mx(l - 1, j), &m.params, 1.0);
                     }
                 }
-                Org::Mix if l > sub.start => total += cml(m.est_mix(l - 1), &m.params, pm),
+                Org::Mix if l > sub.start => total += cml(m.est_mix(l - 1), &m.params, 1.0),
                 Org::Nix => return m.nix_delete(sub, l, x),
                 _ => {}
             }
@@ -1199,13 +1194,13 @@ mod tests {
         /// Memoized leaf terms and NIX walks change no bit of any cost: random
         /// chains of up to 8 positions with hierarchies of 1–3 classes,
         /// statistics spread wide enough for in-page and spanning records
-        /// on small and large pages, section and whole-record reads.
+        /// on small and large pages, both NIX maintenance granularities.
         #[test]
         fn memoized_costs_equal_the_from_scratch_reference(
             shape in proptest::collection::vec((1usize..=3, proptest::prelude::any::<bool>()), 1..=8),
             stats in proptest::collection::vec((10.0f64..20_000.0, 0.0005f64..1.0, 1.0f64..6.0), 8),
             page in proptest::sample::select(vec![256.0, 1024.0, 4096.0]),
-            whole_record_reads in proptest::prelude::any::<bool>(),
+            nix_section_rewrites in proptest::prelude::any::<bool>(),
             atomic_end in proptest::prelude::any::<bool>(),
             matched in proptest::sample::select(vec![1.0, 12.5]),
         ) {
@@ -1214,7 +1209,7 @@ mod tests {
                 let (n, d, nin) = stats[c.index() % stats.len()];
                 crate::ClassStats::new(n.round(), (n * d).round().max(1.0), nin)
             });
-            let params = CostParams { whole_record_reads, ..CostParams::with_page_size(page) };
+            let params = CostParams { nix_section_rewrites, ..CostParams::with_page_size(page) };
             let m = CostModel::new(&schema, &path, &chars, params).with_matched_values(matched);
             assert_matches_from_scratch(&m);
             // Second read: every term now comes out of the memo.

@@ -1,54 +1,46 @@
 //! Physical parameters of the cost model.
+//!
+//! The byte lengths the estimator prices records with are constants: they
+//! mirror `oic_btree::Layout` and `oic_storage::encode_key`, and
+//! `tests/estimator_vs_real_tree.rs` pins them to both (DESIGN.md §5.9).
 
-/// Physical constants and overridable averages (DESIGN.md §5.5, §5.9).
+/// Encoded oid length (1 tag + 8 payload, matching `oic_storage::encode_key`).
+pub const OID_LEN: f64 = 9.0;
+/// Pointer length (page/record addresses inside index records; mirrors
+/// `oic_btree::Layout::child_ptr`).
+pub const PTR_LEN: f64 = 8.0;
+/// Encoded atomic key length (fixed-width domains; tag byte included).
+pub const KEY_LEN: f64 = 9.0;
+/// Per-posting-entry overhead in an index record.
+pub const ENTRY_OVERHEAD: f64 = 2.0;
+/// Per-record header in a leaf.
+pub const RECORD_OVERHEAD: f64 = 8.0;
+/// Node header (mirrors `oic_btree::Layout::node_header`).
+pub const NODE_HEADER: f64 = 16.0;
+/// Per-class directory slot in MIX/NIX records (class tag + offset).
+pub const CLASS_DIR_LEN: f64 = 8.0;
+/// `numchild` counter per NIX primary entry under a multi-valued step.
+pub const NUMCHILD_LEN: f64 = 4.0;
+/// Average stored object size, used only by the no-index scan model
+/// (Section 6 extension).
+pub const OBJ_LEN: f64 = 100.0;
+
+/// The two physical settings a caller chooses (DESIGN.md §5.5, §5.9).
 ///
 /// The paper treats `pr_X`, `pm_X`, `pmd_X`, `pmi_X` as *input parameters*
-/// (Section 3.1); the model computes principled defaults from record-length
-/// estimates, and each can be overridden here. Byte-level constants mirror
-/// the `oic-btree` layout so the estimator and the real structures agree.
+/// (Section 3.1) whose values sit in its unavailable companion report; the
+/// model computes them instead — `pr = ⌈ln/p⌉` for a whole spanning record
+/// or the class-section fraction the record directory permits, and one
+/// page per entry-level mutation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Page size `p` in bytes.
     pub page_size: f64,
-    /// Encoded oid length (tagged, matching `oic_storage::encode_key`).
-    pub oid_len: f64,
-    /// Pointer length (page/record addresses inside index records).
-    pub ptr_len: f64,
-    /// Encoded atomic key length (fixed-width domains; tag byte included).
-    pub key_len: f64,
-    /// Per-posting-entry overhead in an index record.
-    pub entry_overhead: f64,
-    /// Per-record header in a leaf.
-    pub record_overhead: f64,
-    /// Node header (mirrors `oic_btree::Layout::node_header`).
-    pub node_header: f64,
-    /// Per-class directory slot in MIX/NIX records (class tag + offset).
-    pub class_dir_len: f64,
-    /// `numchild` counter per NIX primary entry under a multi-valued step.
-    pub numchild_len: f64,
-    /// Override for `pm_X` (pages modified per in-record entry mutation in a
-    /// spanning record). Default 1.0.
-    pub pm_entry: f64,
-    /// Override for `pm_AX` (pages rewritten per auxiliary class record when
-    /// the record spans pages). Default 1.0.
-    pub pm_aux: f64,
-    /// Optional fixed `pr` override for spanning-record retrievals; `None`
-    /// computes `⌈ln/p⌉` or the class-section fraction.
-    pub pr_override: Option<f64>,
-    /// Average stored object size, used only by the no-index scan model
-    /// (Section 6 extension).
-    pub obj_len: f64,
-    /// When `true`, spanning MIX/NIX records are always fetched in full
-    /// (`pr = ⌈ln/p⌉`) instead of per class section. The paper's record
-    /// directory (Figure 3) enables section reads — our default — but its
-    /// Figure 8 magnitudes are closer to whole-record fetches; this switch
-    /// reproduces that conservative behaviour.
-    pub whole_record_reads: bool,
     /// NIX primary-record maintenance granularity. `true` (paper-faithful
     /// default) prices `pmd_NIX = prd_NIX`: maintaining an object's entry
     /// fetches and rewrites its whole class section (“the average number of
     /// relevant pages which should be retrieved … are modified”, §3.1).
-    /// `false` prices entry-level edits (`pm_entry` pages), matching the
+    /// `false` prices entry-level edits (one page), matching the
     /// `oic-btree` implementation whose records carry per-entry offsets —
     /// use [`CostParams::calibrated`] for validation against `oic-sim`.
     pub nix_section_rewrites: bool,
@@ -59,19 +51,6 @@ impl CostParams {
     pub fn with_page_size(page_size: f64) -> Self {
         CostParams {
             page_size,
-            oid_len: 9.0,
-            ptr_len: 8.0,
-            key_len: 9.0,
-            entry_overhead: 2.0,
-            record_overhead: 8.0,
-            node_header: 16.0,
-            class_dir_len: 8.0,
-            numchild_len: 4.0,
-            pm_entry: 1.0,
-            pm_aux: 1.0,
-            pr_override: None,
-            obj_len: 100.0,
-            whole_record_reads: false,
             nix_section_rewrites: true,
         }
     }
@@ -80,9 +59,10 @@ impl CostParams {
     /// (entry-level NIX maintenance): the preset the `oic-sim` validation
     /// harness compares measurements against.
     pub fn calibrated(page_size: f64) -> Self {
-        let mut p = CostParams::with_page_size(page_size);
-        p.nix_section_rewrites = false;
-        p
+        CostParams {
+            nix_section_rewrites: false,
+            ..CostParams::with_page_size(page_size)
+        }
     }
 
     /// The parameterization used for the paper-reproduction experiments
@@ -101,7 +81,7 @@ impl CostParams {
 
     /// Usable node payload per page.
     pub fn node_capacity(&self) -> f64 {
-        self.page_size - self.node_header
+        self.page_size - NODE_HEADER
     }
 
     /// Pages occupied by a record of `ln` bytes (`⌈ln/p⌉`, at least 1).

@@ -107,8 +107,11 @@ pub fn cmt(est: &IndexEst, params: &CostParams, t: f64, pm: f64) -> f64 {
 ///
 /// ```text
 /// CRR = npa(m, n_az, pl_az)   if ln_AX ≤ p
-///     = m · pm_AX             otherwise
+///     = m                     otherwise
 /// ```
+///
+/// A spanning class record rewrites one page per modification
+/// (`pm_AX = 1`, DESIGN.md §5.5).
 pub fn crr(m: f64, n_az: f64, pl_az: f64, ln_ax: f64, params: &CostParams) -> f64 {
     if m <= 0.0 {
         return 0.0;
@@ -116,7 +119,7 @@ pub fn crr(m: f64, n_az: f64, pl_az: f64, ln_ax: f64, params: &CostParams) -> f6
     if ln_ax <= params.page_size {
         npa(m.min(n_az), n_az, pl_az)
     } else {
-        m * params.pm_aux
+        m
     }
 }
 
@@ -222,7 +225,7 @@ mod tests {
         // In-page class records: Yao over the aux leaves.
         let v = crr(3.0, 10.0, 40.0, 500.0, &p);
         assert!(v > 0.0 && v <= 40.0);
-        // Spanning class records: m · pm_aux.
+        // Spanning class records: one page each.
         let v = crr(3.0, 10.0, 40.0, 10_000.0, &p);
         assert_eq!(v, 3.0);
         assert_eq!(crr(0.0, 10.0, 40.0, 500.0, &p), 0.0);

@@ -1,12 +1,37 @@
 //! The B+-tree estimator against the real `oic-btree` structure, across
 //! random shapes: heights within one level, leaf pages within a factor two
-//! (real splits leave pages part-filled; the estimator packs them).
+//! (real splits leave pages part-filled; the estimator packs them). The
+//! estimator's byte lengths are checked against the layout and the key
+//! encoding they copy.
 
 use oic_btree::{BTreeIndex, Layout};
 use oic_cost::est::estimate_btree;
-use oic_cost::CostParams;
-use oic_storage::SimStore;
+use oic_cost::{
+    CostParams, ENTRY_OVERHEAD, KEY_LEN, NODE_HEADER, OID_LEN, PTR_LEN, RECORD_OVERHEAD,
+};
+use oic_schema::ClassId;
+use oic_storage::{encode_key, Oid, SimStore, Value};
 use proptest::prelude::*;
+
+#[test]
+fn byte_constants_match_the_layout_and_the_key_encoding() {
+    for page_size in [512usize, 1024, 4096] {
+        let layout = Layout::for_page_size(page_size);
+        assert_eq!(NODE_HEADER, layout.node_header as f64);
+        assert_eq!(RECORD_OVERHEAD, layout.record_overhead as f64);
+        assert_eq!(ENTRY_OVERHEAD, layout.entry_overhead as f64);
+        assert_eq!(PTR_LEN, layout.child_ptr as f64);
+        assert_eq!(
+            CostParams::with_page_size(page_size as f64).node_capacity(),
+            layout.node_capacity() as f64
+        );
+    }
+    let oid = Oid::new(ClassId(3), 42);
+    assert_eq!(OID_LEN, encode_key(&Value::Ref(oid)).len() as f64);
+    for i in [i64::MIN, -7, 0, 7, i64::MAX] {
+        assert_eq!(KEY_LEN, encode_key(&Value::Int(i)).len() as f64);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -31,8 +56,9 @@ proptest! {
         }
         let params = CostParams::with_page_size(page_size as f64);
         // ln mirrors the layout: record_overhead + key + entries.
-        let ln = 8.0 + 9.0 + entries_per_key as f64 * (entry_len as f64 + 2.0);
-        let est = estimate_btree(keys as f64, ln, 9.0, &params);
+        let entry = entry_len as f64 + ENTRY_OVERHEAD;
+        let ln = RECORD_OVERHEAD + KEY_LEN + entries_per_key as f64 * entry;
+        let est = estimate_btree(keys as f64, ln, KEY_LEN, &params);
 
         let real_h = tree.height() as i64;
         prop_assert!(
@@ -64,8 +90,8 @@ proptest! {
             }
         }
         let params = CostParams::with_page_size(page_size as f64);
-        let ln = 8.0 + 9.0 + entries_per_key as f64 * 6.0;
-        let est = estimate_btree(keys as f64, ln, 9.0, &params);
+        let ln = RECORD_OVERHEAD + KEY_LEN + entries_per_key as f64 * (4.0 + ENTRY_OVERHEAD);
+        let est = estimate_btree(keys as f64, ln, KEY_LEN, &params);
         prop_assume!(ln > page_size as f64);
         // Chains: est pl = keys · ⌈ln/p⌉; the real tree agrees exactly on
         // chain length per record.

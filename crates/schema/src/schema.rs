@@ -47,11 +47,6 @@ impl Schema {
             .ok_or_else(|| SchemaError::UnknownClass(name.to_string()))
     }
 
-    /// Direct subclasses of `id`.
-    pub fn direct_subclasses(&self, id: ClassId) -> &[ClassId] {
-        &self.children[id.index()]
-    }
-
     /// The inheritance hierarchy rooted at `id`: the class itself followed by
     /// all transitive subclasses in pre-order. This is the paper's `C⁺_{l,x}`;
     /// its length is `nc_l` (Table 2).

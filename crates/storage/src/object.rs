@@ -70,12 +70,6 @@ impl Object {
         self.fields.get(name)
     }
 
-    /// Replaces the value of an existing field; returns the old value.
-    pub fn set_field(&mut self, name: &str, v: FieldValue) -> Option<FieldValue> {
-        debug_assert!(self.fields.contains_key(name), "unknown field {name}");
-        self.fields.insert(name.to_string(), v)
-    }
-
     /// Convenience: the values of attribute `name` as a vector (empty if the
     /// attribute is unknown).
     pub fn values_of(&self, name: &str) -> Vec<&Value> {

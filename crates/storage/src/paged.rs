@@ -135,13 +135,6 @@ impl IoStats {
         self.logical_reads - self.cache_hits
     }
 
-    /// Physical page transfers in both directions (journal included) —
-    /// the durable analogue of the paper's page-access cost unit.
-    #[inline]
-    pub fn physical_total(&self) -> u64 {
-        self.physical_reads + self.physical_writes + self.journal_writes
-    }
-
     /// Fraction of logical reads served by the cache (1.0 when idle).
     pub fn hit_rate(&self) -> f64 {
         if self.logical_reads == 0 {

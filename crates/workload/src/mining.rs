@@ -14,43 +14,32 @@
 //! the summed `α` of every position at or above `p`
 //! ([`position_mass`]), and the support of a span — the rate of queries
 //! that traverse *all* of it — is the minimum traversal mass over its
-//! positions (its start, masses being non-decreasing along the path).
-//! That minimum is **anti-monotone** over span inclusion
-//! (`support(s,e) = min(support(s,e-1), support(s+1,e))`), which is
-//! exactly the downward-closure property Apriori exploits: a span is
-//! generated as a level-`k` candidate only when both of its `(k-1)`-
-//! sub-spans are frequent, so infrequent regions of the lattice are never
-//! expanded. Mining therefore drops precisely the spans that start in a
-//! path's rarely-traversed prefix — the chains a kept span can still
-//! extend are never severed in the middle, which is why admission stays
-//! cheap in plan quality (the bound the advisor reports).
+//! positions.
 //!
-//! [`mine`] runs the level-wise pass over per-position masses (from
-//! declared rates via [`position_mass`], from a live decayed
-//! [`RateEstimator`] via [`position_mass_from_estimator`], or straight
-//! from a captured [`EventLog`] via [`mine_log`]); the resulting
-//! [`MiningOutcome`] tells the advisor which subpath ranks to intern at
-//! all. Support `0` admits everything — the unmined candidate space, and
-//! therefore the unmined plan, bitwise.
+//! **Apriori collapses to a closed form on intervals.** A span's support
+//! is an interval minimum, so a span is frequent exactly when every one
+//! of its positions is: the level-wise join (generate a span only when
+//! both maximal sub-spans are frequent) admits precisely the spans lying
+//! inside one run of frequent positions. [`mine`] therefore scans each
+//! start forward until its first infrequent position, `O(n²)` over the
+//! `n(n+1)/2` ranks. Mining drops precisely the spans that reach into a
+//! rarely-traversed position — the chains a kept span can still extend
+//! are never severed in the middle, which is why admission stays cheap in
+//! plan quality (the bound the advisor reports). Support `0` admits
+//! everything — the unmined candidate space, and therefore the unmined
+//! plan, bitwise.
 //!
 //! **Coverability is structural.** A selection must tile the whole path,
-//! so every position needs at least one admitted span. Because support is
-//! an interval minimum, an infrequent singleton poisons every span
-//! containing it — if position `l`'s own mass is below the threshold, *no*
-//! span covering `l` is frequent. The outcome therefore always admits a
-//! covering set: with [`MiningPolicy::always_admit_owned`] (the default)
-//! every position's own singleton rank bypasses the support test; without
-//! it, singletons compete like any span and the positions left uncovered
-//! get their singleton force-admitted (counted in
-//! [`MiningOutcome::forced`] — by the poisoning argument this recovers
-//! exactly the infrequent singletons, so the two modes admit the same
-//! set and differ only in how they account for it). The apex
-//! (whole-path) rank is kept unconditionally as well: the workload
-//! selection layer has no no-index arm, so the coarsest one-index
-//! tiling must survive for paths whose traffic never clears the
-//! threshold.
+//! so every position needs at least one admitted span. An infrequent
+//! position poisons every span containing it, so the outcome always
+//! admits every singleton: with [`MiningPolicy::always_admit_owned`] (the
+//! default) as owned ranks, without it as forced ones (counted in
+//! [`MiningOutcome::forced`]) — the two modes admit the same set and
+//! differ only in how they account for it. The apex (whole-path) rank is
+//! kept unconditionally as well: the workload selection layer has no
+//! no-index arm, so the coarsest one-index tiling must survive for paths
+//! whose traffic never clears the threshold.
 
-use crate::capture::{EstimatorConfig, EventLog, PathKey, RateEstimator};
 use oic_schema::{ClassId, Path, Schema, SubpathId};
 
 /// When a mined support admits a candidate subpath.
@@ -87,14 +76,10 @@ impl MiningPolicy {
     }
 }
 
-/// The miner's verdict for one path: per-rank supports and admissions, in
-/// [`SubpathId`] rank order.
+/// The miner's verdict for one path: per-rank admissions, in [`SubpathId`]
+/// rank order.
 #[derive(Debug, Clone)]
 pub struct MiningOutcome {
-    /// Exact support of every subpath rank (the interval minimum of the
-    /// per-position masses), including Apriori-pruned ranks — the
-    /// recurrence fills the whole table as a by-product of the join.
-    pub supports: Vec<f64>,
     /// Whether each rank is admitted into the candidate space.
     pub admitted: Vec<bool>,
     /// Ranks dropped (`admitted` false) — what the optimizer will never
@@ -105,9 +90,6 @@ pub struct MiningOutcome {
     /// (whole-path) rank when infrequent — the coarsest cover is always
     /// kept so a cold path can still be tiled by a single index.
     pub forced: usize,
-    /// Deepest lattice level (span length) holding a frequent span — how
-    /// far the level-wise expansion got before dying out.
-    pub levels: usize,
 }
 
 /// Traversal mass of each path position under per-class query rates: a
@@ -133,137 +115,42 @@ pub fn position_mass(
         .collect()
 }
 
-/// [`position_mass`] read from a live decayed estimator — what an online
-/// retune mines from: the same per-path, per-class query-rate estimates
-/// the tuner pushes through the advisor's mutation API.
-pub fn position_mass_from_estimator(
-    schema: &Schema,
-    path: &Path,
-    estimator: &RateEstimator,
-    key: PathKey,
-) -> Vec<f64> {
-    position_mass(schema, path, estimator.path(key))
-}
-
-/// The level-wise frequent-span miner. `masses[l - 1]` is position `l`'s
-/// query mass; the path has `masses.len()` positions.
+/// The frequent-span miner. `masses[l - 1]` is position `l`'s query
+/// mass; the path has `masses.len()` positions.
 ///
-/// Level 1 scores every singleton; level `k` *generates* a span only when
-/// both of its `(k-1)`-sub-spans are frequent (the Apriori join — an
-/// infrequent sub-span certifies, by anti-monotonicity, that every
-/// extension is infrequent without evaluating it) and admits it when its
-/// support clears [`MiningPolicy::min_support`]. The support table itself
-/// is filled for every rank via the same `min` recurrence the join
-/// evaluates, so reporting is total even where the expansion was pruned.
+/// A position is frequent when its mass clears
+/// [`MiningPolicy::min_support`] (a NaN mass or threshold never does). A
+/// span is admitted when every position in it is frequent, when it is a
+/// singleton, or when it is the apex — what the Apriori join computes on
+/// the interval lattice, read off in closed form.
 pub fn mine(policy: &MiningPolicy, masses: &[f64]) -> MiningOutcome {
     let n = masses.len();
-    let ranks = SubpathId::count(n);
-    let mut supports = vec![0.0; ranks];
-    let mut admitted = vec![false; ranks];
-    let mut frequent = vec![false; ranks];
-    let mut levels = 0;
-    let rank = |s: usize, e: usize| SubpathId { start: s, end: e }.rank(n);
-    // Level 1: singletons carry their own position mass.
-    for (l, &mass) in masses.iter().enumerate() {
-        let r = rank(l + 1, l + 1);
-        supports[r] = mass;
-        frequent[r] = mass >= policy.min_support;
-        if frequent[r] {
-            levels = 1;
+    let mut admitted = vec![false; SubpathId::count(n)];
+    for s in 1..=n {
+        // Spans from `s` stay frequent up to the first infrequent position.
+        let mut frequent = true;
+        for e in s..=n {
+            frequent &= masses[e - 1] >= policy.min_support;
+            let apex = s == 1 && e == n;
+            admitted[SubpathId { start: s, end: e }.rank(n)] = frequent || s == e || apex;
         }
     }
-    // Levels 2..=n: the Apriori join. A span is a candidate iff both
-    // maximal proper sub-spans are frequent; its support is their minimum
-    // (== the span's interval minimum). The recurrence still fills the
-    // support table for pruned spans — one `min` each, free — but only
-    // generated candidates are ever *evaluated* for admission.
-    for k in 2..=n {
-        let mut alive = false;
-        for s in 1..=(n - k + 1) {
-            let e = s + k - 1;
-            let (left, right) = (rank(s, e - 1), rank(s + 1, e));
-            let r = rank(s, e);
-            supports[r] = supports[left].min(supports[right]);
-            if frequent[left] && frequent[right] && supports[r] >= policy.min_support {
-                frequent[r] = true;
-                alive = true;
-            }
-        }
-        if alive {
-            levels = k;
-        }
-    }
-    // Admission: frequent spans, plus the owned-singleton guarantee.
-    for r in 0..ranks {
-        let sub = SubpathId::from_rank(n, r);
-        admitted[r] = frequent[r] || (sub.start == sub.end && policy.always_admit_owned);
-    }
-    // Coverability: force-admit the singleton of any position no admitted
-    // span covers (an infrequent singleton poisons every span containing
-    // it, so the force lands exactly on the infrequent singletons).
-    let mut forced = 0;
-    for l in 1..=n {
-        let covered = (0..ranks).any(|r| {
-            let sub = SubpathId::from_rank(n, r);
-            admitted[r] && sub.start <= l && l <= sub.end
-        });
-        if !covered {
-            admitted[rank(l, l)] = true;
-            forced += 1;
-        }
-    }
-    // The apex (whole-path) rank is always admitted: the selection layer
-    // has no no-index arm at workload scale, so a path whose traversal
-    // mass never clears the threshold must still be tileable by ONE
-    // index — the paper's baseline configuration — rather than a forced
-    // singleton tiling whose maintenance multiplies with path length.
-    // Mining thus prunes the middle of the interval lattice and always
-    // keeps its two extremes, the coarsest and finest partitions.
-    if n > 1 && !admitted[rank(1, n)] {
-        admitted[rank(1, n)] = true;
-        forced += 1;
-    }
+    let cold = n - masses.iter().filter(|&&m| m >= policy.min_support).count();
+    let forced_singletons = if policy.always_admit_owned { 0 } else { cold };
+    let forced_apex = usize::from(n > 1 && cold > 0);
     let mined_out = admitted.iter().filter(|&&a| !a).count();
     MiningOutcome {
-        supports,
         admitted,
         mined_out,
-        forced,
-        levels,
+        forced: forced_singletons + forced_apex,
     }
-}
-
-/// [`mine`] straight from a captured [`EventLog`]: replay the log into a
-/// fresh decayed estimator, seal past the last recorded tick, and score
-/// `path`'s spans from the resulting per-class estimates under `key`.
-/// A corrupt log (rewinding ticks, non-finite or negative weights) is
-/// reported instead of panicking mid-replay.
-pub fn mine_log(
-    schema: &Schema,
-    path: &Path,
-    key: PathKey,
-    log: &EventLog,
-    cfg: EstimatorConfig,
-    policy: &MiningPolicy,
-) -> Result<MiningOutcome, crate::capture::CaptureError> {
-    let mut estimator = RateEstimator::new(cfg);
-    let mut last_tick = 0u64;
-    log.replay(|tick, event, weight| {
-        last_tick = last_tick.max(tick);
-        estimator.observe(tick, event, weight);
-    })?;
-    estimator.seal(last_tick + 1);
-    Ok(mine(
-        policy,
-        &position_mass_from_estimator(schema, path, &estimator, key),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::WorkloadEvent;
     use oic_schema::fixtures;
+    use proptest::prelude::*;
 
     fn pexa_masses(alpha: impl FnMut(ClassId) -> f64) -> Vec<f64> {
         let (schema, _) = fixtures::paper_schema();
@@ -278,28 +165,6 @@ mod tests {
         assert!(out.admitted.iter().all(|&a| a));
         assert_eq!(out.mined_out, 0);
         assert_eq!(out.forced, 0);
-        assert_eq!(out.levels, masses.len());
-    }
-
-    #[test]
-    fn supports_are_interval_minima_and_anti_monotone() {
-        let masses = [0.4, 0.1, 0.3, 0.2];
-        let out = mine(&MiningPolicy::default(), &masses);
-        let n = masses.len();
-        for r in 0..SubpathId::count(n) {
-            let sub = SubpathId::from_rank(n, r);
-            let expect = (sub.start..=sub.end)
-                .map(|l| masses[l - 1])
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(out.supports[r], expect, "rank {r}");
-            // Anti-monotone: any containing span supports no more.
-            for r2 in 0..SubpathId::count(n) {
-                let sup = SubpathId::from_rank(n, r2);
-                if sup.start <= sub.start && sub.end <= sup.end {
-                    assert!(out.supports[r2] <= out.supports[r]);
-                }
-            }
-        }
     }
 
     #[test]
@@ -357,39 +222,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mine_log_scores_from_replayed_traffic() {
-        let (schema, _) = fixtures::paper_schema();
-        let path = fixtures::paper_path_pexa(&schema);
-        let key = PathKey(7);
-        let mut log = EventLog::new();
-        for t in 0..4 {
-            for c in schema.class_ids() {
-                log.push(
-                    t,
-                    WorkloadEvent::Query {
-                        path: key,
-                        class: c,
-                    },
-                    0.25,
-                );
+    /// Masses and thresholds from a small alphabet, so ties, NaN, ±∞
+    /// and negatives all come up.
+    fn hostile() -> impl Strategy<Value = f64> {
+        prop::sample::select(vec![
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            0.1,
+            0.25,
+            1.0,
+            f64::INFINITY,
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// `mine` against the definition it implements: a span is admitted
+        /// when every position in it clears the threshold, when it is a
+        /// singleton, or when it is the apex; `forced` books the infrequent
+        /// singletons (unless owned) plus an infrequent apex.
+        #[test]
+        fn mine_matches_the_brute_force_definition(
+            masses in prop::collection::vec(hostile(), 0..=10),
+            min_support in hostile(),
+        ) {
+            let n = masses.len();
+            let frequent = |l: usize| masses[l - 1] >= min_support;
+            let cold = (1..=n).filter(|&l| !frequent(l)).count();
+            let want: Vec<bool> = (0..SubpathId::count(n))
+                .map(|r| {
+                    let sub = SubpathId::from_rank(n, r);
+                    (sub.start..=sub.end).all(frequent)
+                        || sub.start == sub.end
+                        || (sub.start == 1 && sub.end == n)
+                })
+                .collect();
+            let apex_forced = usize::from(n > 1 && (1..=n).any(|l| !frequent(l)));
+            for always_admit_owned in [true, false] {
+                let policy = MiningPolicy { min_support, always_admit_owned };
+                let out = mine(&policy, &masses);
+                prop_assert_eq!(&out.admitted, &want, "{:?} at {}", masses, min_support);
+                prop_assert_eq!(out.mined_out, want.iter().filter(|&&a| !a).count());
+                let singletons = if always_admit_owned { 0 } else { cold };
+                prop_assert_eq!(out.forced, singletons + apex_forced, "{:?}", policy);
             }
         }
-        let out = mine_log(
-            &schema,
-            &path,
-            key,
-            &log,
-            EstimatorConfig::default(),
-            &MiningPolicy {
-                min_support: 0.1,
-                always_admit_owned: true,
-            },
-        )
-        .expect("well-formed log");
-        // Uniform stationary traffic: every position is warm, nothing is
-        // mined out.
-        assert_eq!(out.mined_out, 0);
-        assert!(out.levels >= 1);
     }
 }
