@@ -6,7 +6,11 @@
 //! Each stage folds its numbers with the order-sensitive FNV-1a idiom of
 //! `page_accounting_is_golden` (`crates/btree/tests/proptest_tree.rs`):
 //! floats by their bits, selections as `(start, end, organization)`
-//! triples, counters as integers. A stage whose digest moves fails with
+//! triples, counters as integers. A plan is folded twice: its decisions
+//! (selections, cost, footprint) into the stage's digest, and its two work
+//! counters (DP runs, maintenance pricings) into a separate `…/work`
+//! digest, so a change that only saves work moves the `…/work` stages and
+//! nothing else. A stage whose digest moves fails with
 //! the stage's name, and the failure message lists the actual digests of
 //! the failing test's stages in the format of [`GOLDEN`], so a deliberate
 //! move is re-recorded by pasting them (and explained in CHANGES.md).
@@ -104,8 +108,9 @@ impl Digest {
         })
     }
 
-    /// Every path's selection, then the plan's cost, footprint and the
-    /// two work counters.
+    /// Every path's selection, then the plan's cost and footprint: the
+    /// decisions, which no change to how much work the advisor does may
+    /// move.
     fn plan(&mut self, plan: &WorkloadPlan) -> &mut Self {
         for outcome in &plan.paths {
             self.word(outcome.selection.pairs().len() as u64);
@@ -115,10 +120,14 @@ impl Digest {
                     .choice(choice);
             }
         }
-        self.float(plan.total_cost)
-            .float(plan.size_pages)
-            .word(plan.dp_runs)
-            .word(plan.maintenance_pricings)
+        self.float(plan.total_cost).float(plan.size_pages)
+    }
+
+    /// The plan's two work counters: DP runs and cumulative maintenance
+    /// pricings. A change that makes the advisor do less work moves these
+    /// and only these.
+    fn work(&mut self, plan: &WorkloadPlan) -> &mut Self {
+        self.word(plan.dp_runs).word(plan.maintenance_pricings)
     }
 
     fn steps(&mut self, steps: &[MigrationStep]) -> &mut Self {
@@ -224,33 +233,42 @@ fn example51_matrix_is_golden() {
     check(&actual);
 }
 
-/// Cold and warm plan digests of `w`; every lane count must give the same
-/// digests before they are reported.
+/// Cold and warm plan digests of `w`, each a decision digest and a work
+/// digest; every lane count must give the same digests before they are
+/// reported.
 fn plan_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
-    let per_lane: Vec<[u64; 2]> = LANES
+    let per_lane: Vec<[u64; 4]> = LANES
         .iter()
         .map(|&lanes| {
             let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
-            let cold = Digest::new().plan(&adv.optimize()).0;
+            let cold = adv.optimize();
             DriftSim::new(w, churn(seed)).step(&mut adv);
-            let warm = Digest::new().plan(&adv.reoptimize()).0;
-            [cold, warm]
+            let warm = adv.reoptimize();
+            [
+                Digest::new().plan(&cold).0,
+                Digest::new().work(&cold).0,
+                Digest::new().plan(&warm).0,
+                Digest::new().work(&warm).0,
+            ]
         })
         .collect();
     for (lanes, digests) in LANES.iter().zip(&per_lane) {
         assert_eq!(digests, &per_lane[0], "{name}: {lanes} lanes vs one");
     }
-    let [cold, warm] = per_lane[0];
+    let [cold, cold_work, warm, warm_work] = per_lane[0];
     vec![
         (format!("{name}/seed{seed}/cold"), cold),
+        (format!("{name}/seed{seed}/cold/work"), cold_work),
         (format!("{name}/seed{seed}/warm"), warm),
+        (format!("{name}/seed{seed}/warm/work"), warm_work),
     ]
 }
 
 /// The budgeted plans at each fraction of the unconstrained footprint, on
 /// one advisor (each solve warm from the previous one), and beside each
-/// plan the search that found it: the winning λ, the sweep, repair and
-/// eviction counts, feasibility and the unconstrained baseline.
+/// plan its work digest and the search that found it: the winning λ, the
+/// sweep, repair and eviction counts, feasibility and the unconstrained
+/// baseline.
 fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
     let mut adv = w.advisor(CostParams::default());
     let size = adv.optimize().size_pages;
@@ -260,6 +278,7 @@ fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)>
             let b = adv.optimize_with_budget(f * size);
             let stage = format!("{name}/seed{seed}/budget{}", (f * 100.0) as u32);
             let plan = Digest::new().plan(&b.plan).word(b.feasible as u64).0;
+            let work = Digest::new().work(&b.plan).0;
             let search = Digest::new()
                 .float(b.lambda)
                 .word(b.lambda_sweeps as u64)
@@ -269,7 +288,11 @@ fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)>
                 .float(b.unconstrained_cost)
                 .float(b.unconstrained_size)
                 .0;
-            [(stage.clone(), plan), (format!("{stage}/search"), search)]
+            [
+                (stage.clone(), plan),
+                (format!("{stage}/work"), work),
+                (format!("{stage}/search"), search),
+            ]
         })
         .collect()
 }
@@ -337,15 +360,16 @@ fn forest_3k_plans_are_golden() {
 
 /// Twelve traffic epochs of the online loop on `w` at `lanes`: per epoch
 /// the churn, the tuner's firings and fingerprint, the plan if any, the
-/// schedule after retargeting to it, and the wave `advance` performs.
-fn online_digest(w: &SynthWorkload, seed: u64, lanes: usize) -> u64 {
+/// schedule after retargeting to it, and the wave `advance` performs —
+/// and, apart, the work digest of every plan.
+fn online_digest(w: &SynthWorkload, seed: u64, lanes: usize) -> [u64; 2] {
     let mut adv = w.advisor(CostParams::default()).with_threads(lanes);
     let plan = adv.optimize();
     let mut tuner = OnlineTuner::new(EstimatorConfig::default(), TuningPolicy::default());
     let mut sim = DriftSim::new(w, churn(seed));
     sim.enable_traffic(&adv, &mut tuner);
     let mut planner = MigrationPlanner::new(&adv, &plan, &plan).expect("live path set");
-    let mut d = Digest::new();
+    let (mut d, mut work) = (Digest::new(), Digest::new());
     for _ in 0..12 {
         let (c, plan) = sim.step_traffic(&mut adv, &mut tuner, 16);
         for n in [
@@ -361,6 +385,7 @@ fn online_digest(w: &SynthWorkload, seed: u64, lanes: usize) -> u64 {
             .word(tuner.estimator().fingerprint());
         if let Some(plan) = plan {
             d.plan(&plan);
+            work.work(&plan);
             planner.retarget(&adv, &plan).expect("live path set");
             let s = planner.schedule(ENVELOPE).expect("unbounded space");
             d.steps(&s.steps).word(s.switches.len() as u64);
@@ -378,23 +403,25 @@ fn online_digest(w: &SynthWorkload, seed: u64, lanes: usize) -> u64 {
         let wave = planner.advance(ENVELOPE).expect("unbounded space");
         d.steps(wave.as_deref().unwrap_or_default());
     }
-    d.0
+    [d.0, work.0]
 }
 
 #[test]
 fn online_loop_is_golden() {
     let actual: Vec<_> = SEEDS
         .iter()
-        .map(|&seed| {
+        .flat_map(|&seed| {
             let w = tree(48, seed);
-            let per_lane: Vec<u64> = LANES
+            let per_lane: Vec<[u64; 2]> = LANES
                 .iter()
                 .map(|&lanes| online_digest(&w, seed, lanes))
                 .collect();
             for (lanes, digest) in LANES.iter().zip(&per_lane) {
                 assert_eq!(digest, &per_lane[0], "online: {lanes} lanes vs one");
             }
-            (format!("online/tree48/seed{seed}"), per_lane[0])
+            let stage = format!("online/tree48/seed{seed}");
+            let [decisions, work] = per_lane[0];
+            [(stage.clone(), decisions), (format!("{stage}/work"), work)]
         })
         .collect();
     check(&actual);
@@ -622,57 +649,89 @@ fn executed_pages_are_golden() {
 }
 
 /// Recorded from the commit before Yao's closed form (every stage but
-/// `online/*`, which was recorded before the migration planner's build and
-/// cancellation loops were shared, `executed/*`, recorded before MX and
-/// MIX became one type, `*/search`, recorded before the budget search
-/// got its `Pair` hasher, owner-scoped trial reuse and one-point frontier,
-/// and `deploy/*`, recorded before the migration planner moved onto a
-/// dense index table with reference counts).
+/// `online/*`, `*/cold`, `*/warm`, `*/budget{25,50,75}` and their `…/work`
+/// twins, which were re-recorded when the plan fold was split into
+/// decisions and work, before sweep memos kept their trajectories,
+/// `executed/*`, recorded before MX and MIX became one type, `*/search`,
+/// recorded before the budget search got its `Pair` hasher, owner-scoped
+/// trial reuse and one-point frontier, and `deploy/*`, recorded before the
+/// migration planner moved onto a dense index table with reference
+/// counts).
 const GOLDEN: &[(&str, u64)] = &[
     ("example51/paper", 0x3b235bc366e99259),
     ("example51/default", 0x77e81cb29f0673db),
-    ("tree48/seed7/cold", 0x0e601eedbd5627bd),
-    ("tree48/seed7/warm", 0xb7b2ac5f13a25772),
-    ("tree48/seed7/budget25", 0x077cb1cca6016ed2),
-    ("tree48/seed7/budget50", 0x8fbcffc84bac6065),
-    ("tree48/seed7/budget75", 0xe5875773606a6124),
+    ("tree48/seed7/cold", 0xea174ec9a0f4e6b3),
+    ("tree48/seed7/cold/work", 0x08cf5b07b56e35ef),
+    ("tree48/seed7/warm", 0xbc014a0de7cd0fd3),
+    ("tree48/seed7/warm/work", 0x093b2207b5c8f3f4),
+    ("tree48/seed7/budget25", 0x84726649d3a6c60d),
+    ("tree48/seed7/budget25/work", 0x07cf3b07b49952e4),
+    ("tree48/seed7/budget50", 0x9bddb54878447a1e),
+    ("tree48/seed7/budget50/work", 0x07cf3b07b49952e4),
+    ("tree48/seed7/budget75", 0xc14f423244620b43),
+    ("tree48/seed7/budget75/work", 0x07cf3b07b49952e4),
     ("tree48/seed7/budget25/search", 0x3d9ea9dee19a9691),
     ("tree48/seed7/budget50/search", 0x804a5885bb4085e0),
     ("tree48/seed7/budget75/search", 0xb5733913ed811735),
-    ("tree48/seed11/cold", 0x7f50f17f2682ebc1),
-    ("tree48/seed11/warm", 0x0999a553ed3f7f2e),
-    ("tree48/seed11/budget25", 0xaccd0bb33ba4491d),
-    ("tree48/seed11/budget50", 0x4f4383ef889742a1),
-    ("tree48/seed11/budget75", 0xfb9caab78919aa55),
+    ("tree48/seed11/cold", 0x501ad97b9f979607),
+    ("tree48/seed11/cold/work", 0x08bf0907b563cd8f),
+    ("tree48/seed11/warm", 0x9f986cead019260b),
+    ("tree48/seed11/warm/work", 0x081a6b07b4d3c99c),
+    ("tree48/seed11/budget25", 0x6442dc57698d7fb0),
+    ("tree48/seed11/budget25/work", 0x085f0907b50ea2e2),
+    ("tree48/seed11/budget50", 0x985a355ede4edc84),
+    ("tree48/seed11/budget50/work", 0x085f0907b50ea2e2),
+    ("tree48/seed11/budget75", 0x177979a26883c3d8),
+    ("tree48/seed11/budget75/work", 0x085f0907b50ea2e2),
     ("tree48/seed11/budget25/search", 0x2790f2e7e658d60e),
     ("tree48/seed11/budget50/search", 0x4eee632d1b7e5d5b),
     ("tree48/seed11/budget75/search", 0x3232a96e7da5c44e),
-    ("tree250/seed7/cold", 0xf5c9e4452889814d),
-    ("tree250/seed7/warm", 0xfbf927bf47bbc5bb),
-    ("tree250/seed7/budget25", 0xf8fa2e0929e2f387),
-    ("tree250/seed7/budget50", 0xb4564b6553380993),
-    ("tree250/seed7/budget75", 0x764d587a5eeae90f),
+    ("tree250/seed7/cold", 0x841b1446ec3947ec),
+    ("tree250/seed7/cold/work", 0x03195f07b090a670),
+    ("tree250/seed7/warm", 0xd4b7eacd46f8585f),
+    ("tree250/seed7/warm/work", 0x04b0cf07b1f8ee55),
+    ("tree250/seed7/budget25", 0xd3886b491acb33d7),
+    ("tree250/seed7/budget25/work", 0x04f1a307b221cab9),
+    ("tree250/seed7/budget50", 0xf7cd8d7b4631d593),
+    ("tree250/seed7/budget50/work", 0x04f1a307b221cab9),
+    ("tree250/seed7/budget75", 0x917890904ba6f61f),
+    ("tree250/seed7/budget75/work", 0x04f1a307b221cab9),
     ("tree250/seed7/budget25/search", 0x5e02dae60641cce5),
     ("tree250/seed7/budget50/search", 0x4d1c08d2c980c774),
     ("tree250/seed7/budget75/search", 0xc26c1673892607fe),
-    ("tree250/seed11/cold", 0x7ab0458c2c18e30f),
-    ("tree250/seed11/warm", 0x3e655c53386998e0),
-    ("tree250/seed11/budget25", 0xb4bb000e5095f4fa),
-    ("tree250/seed11/budget50", 0xe80eb76432bc40bd),
-    ("tree250/seed11/budget75", 0x12c12e10ca19e4d3),
+    ("tree250/seed11/cold", 0x9fb895ce1eab9221),
+    ("tree250/seed11/cold/work", 0x03549f07b0cfcb1b),
+    ("tree250/seed11/warm", 0x960ad66cd39f7736),
+    ("tree250/seed11/warm/work", 0x0735aa07b41932df),
+    ("tree250/seed11/budget25", 0x1b50d801f20cb501),
+    ("tree250/seed11/budget25/work", 0x04afff07b1e91d18),
+    ("tree250/seed11/budget50", 0xd338555f5ef38afa),
+    ("tree250/seed11/budget50/work", 0x04afff07b1e91d18),
+    ("tree250/seed11/budget75", 0x02245ba1142d8054),
+    ("tree250/seed11/budget75/work", 0x04afff07b1e91d18),
     ("tree250/seed11/budget25/search", 0xcdf125529b30c367),
     ("tree250/seed11/budget50/search", 0x22e93401a70abc03),
     ("tree250/seed11/budget75/search", 0x12ea87f1c2ac256c),
-    ("forest1k/seed7/cold", 0xe293f6dbf9c9a438),
-    ("forest1k/seed7/warm", 0xd84e47b0bfe26770),
-    ("forest1k/seed11/cold", 0x36271b39225def1a),
-    ("forest1k/seed11/warm", 0x2b108371311abddb),
-    ("forest3k/seed7/cold", 0x7d4f1e5a0ef1aa6b),
-    ("forest3k/seed7/warm", 0xa768e186d5feec14),
-    ("forest3k/seed11/cold", 0x07ab25bb57ebfac9),
-    ("forest3k/seed11/warm", 0xfd77d8f37d5440a8),
-    ("online/tree48/seed7", 0xda8bd0c7db2f240f),
-    ("online/tree48/seed11", 0xb5ec43212d37ce97),
+    ("forest1k/seed7/cold", 0xac6db750b3c42b31),
+    ("forest1k/seed7/cold/work", 0x206e1e07c9949b7c),
+    ("forest1k/seed7/warm", 0xbd43504f694cde5e),
+    ("forest1k/seed7/warm/work", 0xfe719a07ac830b77),
+    ("forest1k/seed11/cold", 0x0a52193a43836e03),
+    ("forest1k/seed11/cold/work", 0x1ff8e607c8fb9fe4),
+    ("forest1k/seed11/warm", 0x39bc37ac5b65b202),
+    ("forest1k/seed11/warm/work", 0x0417b707b14e4c84),
+    ("forest3k/seed7/cold", 0x41a8439c92f9865c),
+    ("forest3k/seed7/cold/work", 0x5e717a07fe486ae2),
+    ("forest3k/seed7/warm", 0x6ae2aac0228e6b63),
+    ("forest3k/seed7/warm/work", 0x3f05f307e357870e),
+    ("forest3k/seed11/cold", 0x97aab23c6f3783d2),
+    ("forest3k/seed11/cold/work", 0x5f920f07ff4321c6),
+    ("forest3k/seed11/warm", 0x295a81a1f32fefa7),
+    ("forest3k/seed11/warm/work", 0x3d095307e1dc5616),
+    ("online/tree48/seed7", 0xe7d43d9021923353),
+    ("online/tree48/seed7/work", 0x3fde2debf2d27da7),
+    ("online/tree48/seed11", 0x826928feaa0c299f),
+    ("online/tree48/seed11/work", 0x41f311552c79ed03),
     ("deploy/tree250/seed7", 0x55e5804477d17104),
     ("deploy/tree250/seed11", 0x6dceca598984fbc4),
     ("deploy/forest3k/seed7", 0x2c619100bbd70750),
