@@ -25,6 +25,13 @@
 //! closed form (`oic_cost::yao`), on the same host; every `total_cost` must
 //! equal the parent's bit for bit (asserted here), and CI holds the 1k and
 //! 10k cold optimizes to at most the parent's.
+//!
+//! The warm epoch is ROADMAP item 14's metric: each row reports the warm
+//! `reoptimize()` as a share of the cold `optimize()` (`warm_over_cold`)
+//! and both DP counts. The `trail_parent` object holds the same numbers at
+//! the commit before sweep memos kept their trajectories and plans shared
+//! their paths, on the same host; every warm plan's cost must equal the
+//! parent's bit for bit, and the warm DP count must drop (asserted here).
 
 use oic_bench::{write_repo_snapshot, Json};
 use oic_cost::CostParams;
@@ -55,6 +62,31 @@ const PARENT: [(usize, u64, u64, f64); 3] = [
     (100_000, 1_068_811_664, 720_573_388, 315127.63900371786),
 ];
 
+/// The sizes again, at commit f6c5603 (one sweep memo entry per path,
+/// plans deep-copying their paths) on the same 2-CPU host, median of three
+/// runs alternated with this tree's: `(paths, optimize_ns, reoptimize_ns,
+/// cold dp_runs, warm dp_runs, warm total_cost)`.
+const TRAIL_PARENT_COMMIT: &str = "f6c5603";
+const TRAIL_PARENT: [(usize, u64, u64, u64, u64, f64); 3] = [
+    (1_000, 22_768_630, 5_546_298, 2_327, 923, 6568.816006524188),
+    (
+        10_000,
+        122_659_210,
+        46_755_771,
+        28_364,
+        17_534,
+        35447.257906278406,
+    ),
+    (
+        100_000,
+        1_060_008_190,
+        698_163_463,
+        302_395,
+        200_922,
+        315213.7390472427,
+    ),
+];
+
 /// Hard single-core wall-clock bound on the 100k cold optimize + one warm
 /// reoptimize. Generous against the measured numbers so slow CI hosts
 /// pass, but tight enough that a quadratic regression blows through it.
@@ -69,7 +101,8 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &(paths, _, _, parent_cost) in &PARENT {
+    let parents = PARENT.iter().zip(&TRAIL_PARENT);
+    for (&(paths, _, _, parent_cost), trail_parent) in parents {
         let spec = ForestSpec {
             roots: 64,
             paths,
@@ -98,8 +131,9 @@ fn main() {
         );
         sim.step(&mut adv);
         let t = Instant::now();
-        adv.reoptimize();
+        let warm = adv.reoptimize();
         let reoptimize_ns = t.elapsed().as_nanos();
+        let warm_over_cold = reoptimize_ns as f64 / optimize_ns as f64;
 
         assert!(
             cold.components > 1,
@@ -115,6 +149,18 @@ fn main() {
             parent_cost.to_bits(),
             "{paths} paths: plan cost {} differs from the parent's {parent_cost}",
             cold.total_cost
+        );
+        let &(_, _, _, _, parent_warm_dps, parent_warm_cost) = trail_parent;
+        assert_eq!(
+            warm.total_cost.to_bits(),
+            parent_warm_cost.to_bits(),
+            "{paths} paths: warm plan cost {} differs from the parent's {parent_warm_cost}",
+            warm.total_cost
+        );
+        assert!(
+            warm.dp_runs < parent_warm_dps,
+            "{paths} paths: the warm epoch ran {} DPs, the parent {parent_warm_dps}",
+            warm.dp_runs
         );
         println!(
             "{:>8} {:>14} {:>14} {:>11} {:>8} {:>10} {:>8.0}",
@@ -132,6 +178,13 @@ fn main() {
             cold.speculation_skips,
             cold.total_cost
         );
+        println!(
+            "{:>8} warm/cold {:.1} %, DPs {} warm / {} cold",
+            "",
+            100.0 * warm_over_cold,
+            warm.dp_runs,
+            cold.dp_runs
+        );
 
         let row = [
             ("paths", Json::from(paths)),
@@ -142,6 +195,10 @@ fn main() {
             ("candidates_pruned", Json::from(cold.candidates_pruned)),
             ("speculation_skips", Json::from(cold.speculation_skips)),
             ("total_cost", Json::fixed(cold.total_cost, 3)),
+            ("warm_over_cold", Json::fixed(warm_over_cold, 3)),
+            ("cold_dp_runs", Json::from(cold.dp_runs)),
+            ("warm_dp_runs", Json::from(warm.dp_runs)),
+            ("warm_total_cost", Json::fixed(warm.total_cost, 3)),
         ];
 
         if paths == 100_000 {
@@ -206,6 +263,35 @@ fn main() {
                                     ("optimize_ns", Json::from(optimize_ns)),
                                     ("reoptimize_ns", Json::from(reoptimize_ns)),
                                     ("total_cost", Json::fixed(total_cost, 3)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "trail_parent",
+            Json::obj([
+                ("commit", Json::from(TRAIL_PARENT_COMMIT)),
+                ("host_cpus", Json::from(PARENT_HOST_CPUS)),
+                (
+                    "sizes",
+                    Json::Arr(
+                        TRAIL_PARENT
+                            .iter()
+                            .map(|&(paths, cold_ns, warm_ns, cold_dps, warm_dps, cost)| {
+                                Json::obj([
+                                    ("paths", Json::from(paths)),
+                                    ("optimize_ns", Json::from(cold_ns)),
+                                    ("reoptimize_ns", Json::from(warm_ns)),
+                                    (
+                                        "warm_over_cold",
+                                        Json::fixed(warm_ns as f64 / cold_ns as f64, 3),
+                                    ),
+                                    ("cold_dp_runs", Json::from(cold_dps)),
+                                    ("warm_dp_runs", Json::from(warm_dps)),
+                                    ("warm_total_cost", Json::fixed(cost, 3)),
                                 ])
                             })
                             .collect(),

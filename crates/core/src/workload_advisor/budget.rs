@@ -1,7 +1,7 @@
 //! Selection under a shared page budget (DESIGN.md §5.12): λ-priced
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
-use super::descent::MAX_SWEEPS;
+use super::descent::{Memo, MAX_SWEEPS};
 use super::ledger::{self, pair_at, slot, Enclosure, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
@@ -216,9 +216,7 @@ impl WorkloadAdvisor<'_> {
             best_response(st, &self.space, pricing, dp, &mut sel);
             sel
         });
-        let outs = self.descend_components(comps, lambda, &selections, |i| {
-            Some((vec![0; self.paths[i].cands.len()], selections[i].clone()))
-        });
+        let outs = self.descend_components(comps, lambda, Memo::Seeded, &selections);
         for (comp, out) in outs {
             for (&i, sel) in comp.iter().zip(out.sels) {
                 selections[i] = sel;

@@ -12,14 +12,30 @@ use crate::space::CandidateSpace;
 /// a safety net, not a tuning knob (workloads converge in 2–3 sweeps).
 pub(super) const MAX_SWEEPS: usize = 8;
 
+/// Where a descent finds its members' earlier best responses.
+#[derive(Clone, Copy)]
+pub(super) enum Memo {
+    /// The unconstrained (λ = 0) descent of [`WorkloadAdvisor::reoptimize`]:
+    /// each member's [`SweepMemo`] trail, read in place from its path
+    /// state. The descent hands back, per member, the entries it added and
+    /// which old ones it visited, for [`PathState::retrace`].
+    Trail,
+    /// A λ-priced sweep of the budget search: one entry per member, seeded
+    /// with its context-free response and overwritten in place on a miss.
+    /// The advisor's trails hold λ = 0 responses and are not read.
+    Seeded,
+}
+
 /// One component's buffered descent output, computed read-only on a worker
-/// and installed into the advisor (selections, sweep memos, work counters)
-/// by the caller in component order — see [`descend_component`].
+/// and installed into the advisor (selections, trails, work counters) by
+/// the caller in component order — see [`descend_component`].
 pub(super) struct CompOut {
     /// Converged selection per member, in component order.
     pub(super) sels: Vec<Selection>,
-    /// Final sweep memo per member, in component order.
-    pub(super) memos: Vec<SweepMemo>,
+    /// Under [`Memo::Trail`], per member in component order: the trail
+    /// entries this descent added, and a bit per entry of the old trail
+    /// that it visited. Empty under [`Memo::Seeded`].
+    pub(super) trails: Vec<(SweepMemo, u32)>,
     /// Sweeps this component ran until convergence.
     pub(super) sweeps: usize,
     /// Context-keyed DP invocations inside this component.
@@ -28,18 +44,22 @@ pub(super) struct CompOut {
     pub(super) dp_memo_hits: u64,
 }
 
+// A member visits one context per sweep, so a trail — the contexts of one
+// descent — fits the visited-bit mask.
+const _: () = assert!(MAX_SWEEPS <= u32::BITS as usize);
+
 impl WorkloadAdvisor<'_> {
     /// Descends every multi-path component of `comps` under `cost +
-    /// λ·size` pricing, from the per-path `selections`; `memo_of(i)` is
-    /// path `i`'s last best response at this λ. Components fan out over
-    /// the executor weighted by member count; each job comes back with its
+    /// λ·size` pricing, from the per-path `selections`, finding earlier
+    /// best responses where `memo` says. Components fan out over the
+    /// executor weighted by member count; each job comes back with its
     /// members, in component order, for the caller to install.
     pub(super) fn descend_components<'c>(
         &self,
         comps: &'c Components,
         lambda: f64,
+        memo: Memo,
         selections: &[Selection],
-        memo_of: impl Fn(usize) -> SweepMemo + Sync,
     ) -> Vec<(&'c [usize], CompOut)> {
         let jobs: Vec<&'c [usize]> = comps
             .groups
@@ -53,8 +73,7 @@ impl WorkloadAdvisor<'_> {
             |comp| comp.len(),
             |_, comp| {
                 let seeds = comp.iter().map(|&i| selections[i].clone()).collect();
-                let memos = comp.iter().map(|&i| memo_of(i)).collect();
-                descend_component(paths, space, comp, &comps.local, lambda, seeds, memos)
+                descend_component(paths, space, comp, &comps.local, lambda, memo, seeds)
             },
         );
         jobs.into_iter().zip(outs).collect()
@@ -66,31 +85,43 @@ impl WorkloadAdvisor<'_> {
 /// sweep. Self-contained: members share no candidate with any other path,
 /// so ownership counted over the members alone is the **exact** sharing
 /// context, for every λ. Sequential Gauss–Seidel in ascending member
-/// order; a member whose context matches its memo is a hit, not a DP.
-/// Read-only against the advisor (runs on pool workers); selections, memo
-/// updates and work counters are buffered in the output and installed by
-/// the caller in component order.
+/// order; a member whose context its memo holds is a hit, not a DP.
+/// Read-only against the advisor (runs on pool workers); selections, new
+/// trail entries and work counters are buffered in the output and
+/// installed by the caller in component order.
 ///
 /// Ownership is dense: the component's candidates carry their numbers
 /// within it (`local`, from [`crate::shard::components`]), the owners of each
 /// `(candidate, organization)` are counted in a flat vector, and a
 /// member's context is written into one reused buffer and compared with
-/// its memo in place. A DP runs on the component's own tables, straight
-/// into the memo it refreshes.
+/// its memo entries in place. A DP runs on the component's own tables,
+/// straight into the memo entry it fills.
 fn descend_component(
     paths: &[PathState],
     space: &CandidateSpace,
     comp: &[usize],
     local: &[u32],
     lambda: f64,
+    memo: Memo,
     mut sels: Vec<Selection>,
-    mut memos: Vec<SweepMemo>,
 ) -> CompOut {
     let owners = Owners::new(paths, comp, local);
     let mut counts = vec![0u32; 3 * owners.candidates];
     for (k, sel) in sels.iter().enumerate() {
         owners.count(k, sel, |count| *count += 1, &mut counts);
     }
+    let mut responses = match memo {
+        Memo::Trail => Responses::Trail {
+            old: comp.iter().map(|&i| &paths[i].sweep_memo[..]).collect(),
+            new: (0..comp.len()).map(|_| (Vec::new(), 0)).collect(),
+        },
+        Memo::Seeded => Responses::Seeded(
+            comp.iter()
+                .zip(&sels)
+                .map(|(&i, sel)| (vec![0; paths[i].cands.len()], sel.clone()))
+                .collect(),
+        ),
+    };
     let (mut context, mut dp) = (Vec::new(), ScalarDp::default());
     let mut sweeps = 0;
     let mut dp_runs = 0u64;
@@ -99,30 +130,24 @@ fn descend_component(
         sweeps += 1;
         let mut changed = false;
         for (k, &i) in comp.iter().enumerate() {
-            let st = &paths[i];
             owners.count(k, &sels[k], |count| *count -= 1, &mut counts);
             owners.context_into(k, &counts, &mut context);
-            let memo = match &mut memos[k] {
-                Some(memo) if memo.0 == context => {
-                    dp_memo_hits += 1;
-                    memo
-                }
-                stale => {
-                    dp_runs += 1;
-                    let (key, sel) = stale.get_or_insert_with(Default::default);
-                    key.clone_from(&context);
-                    let pricing = Pricing {
-                        context: Some(&context),
-                        lambda,
-                        bans: None,
-                    };
-                    best_response(st, space, pricing, &mut dp, sel);
-                    stale.as_mut().expect("just refreshed")
-                }
-            };
-            if memo.1 != sels[k] {
+            let (response, hit) = responses.respond(k, &context, |sel| {
+                let pricing = Pricing {
+                    context: Some(&context),
+                    lambda,
+                    bans: None,
+                };
+                best_response(&paths[i], space, pricing, &mut dp, sel);
+            });
+            if hit {
+                dp_memo_hits += 1;
+            } else {
+                dp_runs += 1;
+            }
+            if *response != sels[k] {
                 changed = true;
-                sels[k].clone_from(&memo.1);
+                sels[k].clone_from(response);
             }
             owners.count(k, &sels[k], |count| *count += 1, &mut counts);
         }
@@ -132,10 +157,67 @@ fn descend_component(
     }
     CompOut {
         sels,
-        memos,
+        trails: match responses {
+            Responses::Trail { new, .. } => new,
+            Responses::Seeded(_) => Vec::new(),
+        },
         sweeps,
         dp_runs,
         dp_memo_hits,
+    }
+}
+
+/// A component's best responses during one descent, per member `k` in
+/// component order.
+enum Responses<'p> {
+    /// [`Memo::Trail`]: the member's trail from its last descent, borrowed
+    /// where it lives (`old[k]`), and what this descent adds to it — new
+    /// entries, and a bit per old entry it visited (`new[k]`).
+    Trail {
+        old: Vec<&'p [(Vec<u8>, Selection)]>,
+        new: Vec<(SweepMemo, u32)>,
+    },
+    /// [`Memo::Seeded`]: the member's one entry.
+    Seeded(Vec<(Vec<u8>, Selection)>),
+}
+
+impl Responses<'_> {
+    /// Member `k`'s best response to `context`, and whether the memo held
+    /// it. On a miss, `run` writes the DP's response into a fresh trail
+    /// entry, or over the member's seeded entry.
+    fn respond(
+        &mut self,
+        k: usize,
+        context: &[u8],
+        run: impl FnOnce(&mut Selection),
+    ) -> (&Selection, bool) {
+        let keyed = |entry: &(Vec<u8>, Selection)| entry.0 == context;
+        match self {
+            Responses::Trail { old, new } => {
+                let (old, (added, visited)) = (old[k], &mut new[k]);
+                if let Some(e) = old.iter().position(keyed) {
+                    *visited |= 1 << e;
+                    return (&old[e].1, true);
+                }
+                if let Some(e) = added.iter().position(keyed) {
+                    return (&added[e].1, true);
+                }
+                let mut sel = Selection::new();
+                run(&mut sel);
+                added.push((context.to_vec(), sel));
+                (&added[added.len() - 1].1, false)
+            }
+            Responses::Seeded(entries) => {
+                let (key, sel) = &mut entries[k];
+                if key[..] == *context {
+                    return (sel, true);
+                }
+                key.clear();
+                key.extend_from_slice(context);
+                run(sel);
+                (sel, false)
+            }
+        }
     }
 }
 

@@ -105,6 +105,7 @@ pub use whatif::{WhatIfReport, WhatIfSubscriber};
 use crate::shard::{self, Components};
 use crate::space::{CandidateId, CandidateSpace};
 use budget::EvictionTrail;
+use descent::Memo;
 use oic_cost::{ClassStats, CostParams, Org};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
@@ -112,13 +113,18 @@ use oic_workload::{mining, MiningPolicy};
 use pricing::{best_response, Pricing, QueryBasis};
 use state::{Dirty, PathState};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One path's selection: the chosen `(subpath, organization)` pieces.
 type Selection = Vec<(SubpathId, Org)>;
 
-/// A path's last best response: the sharing context (3-bit covered mask
-/// per rank) and the selection the DP produced for it.
-type SweepMemo = Option<(Vec<u8>, Selection)>;
+/// A path's best responses from its last λ = 0 descent, one entry per
+/// sharing context that descent visited (a 3-bit covered mask per rank),
+/// each with the selection the DP produced for it. An entry is a pure
+/// function of the path's installed cells, its context and λ, so reusing
+/// it while the path is clean is the cold replay's DP, not an
+/// approximation of it (DESIGN.md §5.11).
+type SweepMemo = Vec<(Vec<u8>, Selection)>;
 
 /// Stable handle of one path in the advisor, valid across epochs until the
 /// path is removed. Handles are never reused within one advisor.
@@ -266,6 +272,11 @@ impl<'a> WorkloadAdvisor<'a> {
 
     /// [`Self::add_path`] with the dense per-class rate vector prebuilt.
     pub fn add_path_dense(&mut self, path: Path, alphas: Vec<f64>) -> PathId {
+        self.add_shared_path(Arc::new(path), alphas)
+    }
+
+    /// [`Self::add_path_dense`] for a path the caller already shares.
+    fn add_shared_path(&mut self, path: Arc<Path>, alphas: Vec<f64>) -> PathId {
         assert_eq!(alphas.len(), self.schema.class_count());
         let id = PathId(self.next_id);
         self.next_id += 1;
@@ -282,7 +293,8 @@ impl<'a> WorkloadAdvisor<'a> {
     /// Removes a path, releasing its candidate references; candidates it
     /// alone exposed are freed from the space (their ids recycle) and can
     /// never be cited by a subsequent plan. Returns the removed path, or
-    /// `None` for an unknown/already-removed handle.
+    /// `None` for an unknown/already-removed handle; the path is copied
+    /// only when a live [`WorkloadPlan`] still shares it.
     pub fn remove_path(&mut self, id: PathId) -> Option<Path> {
         let i = self.find(id)?;
         let st = self.paths.remove(i);
@@ -291,7 +303,7 @@ impl<'a> WorkloadAdvisor<'a> {
             self.basis.remove(&st.signature);
         }
         self.mutations += 1;
-        Some(st.path)
+        Some(Arc::try_unwrap(st.path).unwrap_or_else(|shared| Path::clone(&shared)))
     }
 
     /// Updates one class's shared statistics, invalidating exactly the
@@ -427,7 +439,7 @@ impl<'a> WorkloadAdvisor<'a> {
 
     /// The path behind a handle.
     pub fn path(&self, id: PathId) -> Option<&Path> {
-        self.find(id).map(|i| &self.paths[i].path)
+        self.find(id).map(|i| &*self.paths[i].path)
     }
 
     /// The epoch-stable physical identity of a live path — equal for any
@@ -477,7 +489,7 @@ impl<'a> WorkloadAdvisor<'a> {
         adv.stats.clone_from(&self.stats);
         adv.maint.clone_from(&self.maint);
         for st in &self.paths {
-            adv.add_path_dense(st.path.clone(), st.alphas.clone());
+            adv.add_shared_path(Arc::clone(&st.path), st.alphas.clone());
         }
         adv.mutations = 0;
         adv
@@ -564,18 +576,16 @@ impl<'a> WorkloadAdvisor<'a> {
             .iter()
             .map(|st| st.standalone.as_ref().expect("phase 2 filled it").0.clone())
             .collect();
-        let outs = self.descend_components(&comps, 0.0, &selections, |i| {
-            self.paths[i].sweep_memo.clone()
-        });
+        let outs = self.descend_components(&comps, 0.0, Memo::Trail, &selections);
         let speculation_skips = (components - outs.len()) as u64;
         // An all-singleton (or empty) workload converges in one no-change
         // round.
         let mut sweeps = 1;
         let mut dp_memo_hits = 0u64;
         for (comp, out) in outs {
-            for ((&i, sel), memo) in comp.iter().zip(out.sels).zip(out.memos) {
+            for ((&i, sel), (added, visited)) in comp.iter().zip(out.sels).zip(out.trails) {
                 selections[i] = sel;
-                self.paths[i].sweep_memo = memo;
+                self.paths[i].retrace(added, visited);
             }
             sweeps = sweeps.max(out.sweeps);
             dp_runs += out.dp_runs;

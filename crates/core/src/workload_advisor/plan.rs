@@ -9,14 +9,17 @@ use crate::space::CandidateId;
 use crate::{Choice, IndexConfiguration};
 use oic_cost::Org;
 use oic_schema::{Path, Schema};
+use std::sync::Arc;
 
 /// One path's outcome in a [`WorkloadPlan`].
 #[derive(Debug, Clone)]
 pub struct PathOutcome {
     /// The advisor handle of the path.
     pub id: PathId,
-    /// The path.
-    pub path: Path,
+    /// The path — the advisor's own copy, shared, so a plan over N paths
+    /// holds N pointers rather than N copies of the workload. It stays
+    /// valid after the advisor drops the path.
+    pub path: Arc<Path>,
     /// The selected configuration.
     pub selection: IndexConfiguration,
     /// The path-specific query share of the selection's cost.
@@ -137,7 +140,7 @@ impl WorkloadAdvisor<'_> {
             let pairs = sel.iter().map(|&(sub, org)| (sub, Choice::Index(org)));
             PathOutcome {
                 id: st.id,
-                path: st.path.clone(),
+                path: Arc::clone(&st.path),
                 selection: IndexConfiguration::new(pairs.collect(), st.path.len())
                     .expect("DP selections concatenate to the full path"),
                 query_cost: ledger.query(i),

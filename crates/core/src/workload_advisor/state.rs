@@ -7,6 +7,7 @@ use super::{PathId, Selection, SweepMemo};
 use crate::space::CandidateId;
 use oic_cost::Org;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
+use std::sync::Arc;
 
 /// What a mutation moved under a path (DESIGN.md §5.11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +27,9 @@ pub(super) enum Dirty {
 #[derive(Debug)]
 pub(super) struct PathState {
     pub(super) id: PathId,
-    pub(super) path: Path,
+    /// The path, shared with every [`super::PathOutcome`] that reports it:
+    /// assembling a plan copies a pointer, not the path's steps.
+    pub(super) path: Arc<Path>,
     /// Epoch-stable physical identity (used by re-arrival diagnostics).
     pub(super) signature: PathSignature,
     /// Per-class query rates, dense by `ClassId`.
@@ -50,10 +53,13 @@ pub(super) struct PathState {
     /// Standalone optimum (selection + cost, maintenance unshared); `None`
     /// when stale.
     pub(super) standalone: Option<(Selection, f64)>,
-    /// Last best response: the sharing context (3-bit covered mask per
-    /// rank) and the selection the DP produced for it. Valid across epochs
-    /// while the path is clean — a sweep whose context matches is a memo
-    /// hit, not a DP run.
+    /// The trail of the path's last λ = 0 descent: every sharing context
+    /// (3-bit covered mask per rank) that descent visited, each with the
+    /// selection the DP produced for it — at most one entry per sweep.
+    /// Valid across epochs while the path is clean: a descent that
+    /// revisits any of these contexts is a memo hit, not a DP run. The
+    /// descent reads it in place; [`Self::retrace`] installs what it
+    /// visited, and [`Self::mark`] clears it.
     pub(super) sweep_memo: SweepMemo,
     /// Per-rank dominance prune mask (bit per organization; `0b111` = the
     /// whole rank is eliminated): cells provably absent from any best
@@ -72,7 +78,7 @@ impl PathState {
     pub(super) fn new(
         schema: &Schema,
         id: PathId,
-        path: Path,
+        path: Arc<Path>,
         alphas: Vec<f64>,
         cands: Vec<Option<CandidateId>>,
     ) -> Self {
@@ -85,7 +91,7 @@ impl PathState {
             cands,
             query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
             standalone: None,
-            sweep_memo: None,
+            sweep_memo: SweepMemo::new(),
             pruned: None,
             dirty_query: true,
             dirty_maint: true,
@@ -103,16 +109,32 @@ impl PathState {
     /// Invalidates exactly the cached artifacts `what` can move: query
     /// shares unless only maintenance rates moved, maintenance cells
     /// unless only the path's own query rates moved, the standalone
-    /// optimum and best-response memo always, and the dominance mask when
-    /// the admitted candidate set itself changed (otherwise the next
-    /// re-pricing of this dirty path refreshes it).
+    /// optimum and every entry of the best-response trail always, and the
+    /// dominance mask when the admitted candidate set itself changed
+    /// (otherwise the next re-pricing of this dirty path refreshes it).
     pub(super) fn mark(&mut self, what: Dirty) {
         self.dirty_query |= what != Dirty::Rates;
         self.dirty_maint |= what != Dirty::Queries;
         self.standalone = None;
-        self.sweep_memo = None;
+        self.sweep_memo.clear();
         if what == Dirty::Admission {
             self.pruned = None;
+        }
+    }
+
+    /// Replaces the trail with what the last λ = 0 descent visited: the
+    /// old entries whose bit `visited` sets, in trail order, then the
+    /// `added` ones, in visit order.
+    pub(super) fn retrace(&mut self, added: SweepMemo, visited: u32) {
+        let mut e = 0;
+        self.sweep_memo.retain(|_| {
+            e += 1;
+            visited >> (e - 1) & 1 == 1
+        });
+        if self.sweep_memo.is_empty() {
+            self.sweep_memo = added;
+        } else {
+            self.sweep_memo.extend(added);
         }
     }
 
@@ -158,17 +180,37 @@ mod tests {
             (Dirty::Queries, true, false, false),
             (Dirty::Admission, true, true, true),
         ] {
-            let mut st = PathState::new(&schema, PathId(0), path.clone(), vec![], cands.clone());
+            let path = Arc::new(path.clone());
+            let mut st = PathState::new(&schema, PathId(0), path, vec![], cands.clone());
             assert!(st.dirty_query && st.dirty_maint, "arrivals start unpriced");
             // What a completed reoptimize() leaves behind.
             (st.dirty_query, st.dirty_maint) = (false, false);
             st.standalone = Some((Vec::new(), 0.0));
-            st.sweep_memo = Some((vec![0; n], Vec::new()));
+            st.sweep_memo = vec![(vec![0; n], Vec::new()), (vec![1; n], Vec::new())];
             st.pruned = Some(vec![0; n]);
             st.mark(what);
             let stale = [st.dirty_query, st.dirty_maint, st.pruned.is_none()];
             assert_eq!(stale, [query, maint, mask], "{what:?}");
-            assert!(st.standalone.is_none() && st.sweep_memo.is_none());
+            assert!(st.standalone.is_none() && st.sweep_memo.is_empty());
         }
+    }
+
+    /// A retraced trail keeps the old entries the descent visited, in
+    /// trail order, then the ones it added.
+    #[test]
+    fn retrace_keeps_exactly_the_visited_contexts() {
+        let (schema, _) = fixtures::paper_schema();
+        let path = Arc::new(fixtures::paper_path_pe(&schema));
+        let mut st = PathState::new(&schema, PathId(0), path, vec![], vec![]);
+        let entry = |key: u8| (vec![key], Selection::new());
+        st.retrace(vec![entry(0), entry(1)], 0);
+        assert_eq!(st.sweep_memo, [entry(0), entry(1)], "adopted whole");
+        st.sweep_memo.push(entry(2));
+        st.retrace(vec![entry(3)], 0b101);
+        assert_eq!(st.sweep_memo, [entry(0), entry(2), entry(3)]);
+        st.retrace(Vec::new(), 0b110);
+        assert_eq!(st.sweep_memo, [entry(2), entry(3)]);
+        st.retrace(Vec::new(), 0);
+        assert!(st.sweep_memo.is_empty(), "nothing visited, nothing kept");
     }
 }

@@ -476,31 +476,55 @@ fn budgeted_plans_are_monotone_in_the_budget() {
 
 // ---- evolving-workload engine tests -----------------------------------
 
+/// A no-op epoch replays the last descent from its trails: no model
+/// rebuild, no pricing, no DP — at every lane count.
 #[test]
 fn clean_reoptimize_is_all_cache_hits() {
     let (schema, _) = fixtures::paper_schema();
-    let mut adv = two_path_advisor(&schema);
-    let first = adv.optimize();
-    assert_eq!(first.epoch, 1);
-    assert_eq!(first.repriced_paths, 2);
-    // No mutations: the second plan re-derives from caches alone.
-    let second = adv.reoptimize();
-    assert_eq!(second.epoch, 2);
-    assert_eq!(second.mutations, 0);
-    assert_eq!(second.repriced_paths, 0, "no model rebuilds");
-    assert_eq!(second.epoch_pricings, 0, "no maintenance pricings");
-    assert!(
-        second.dp_runs < first.dp_runs,
-        "standalone optima cached, sweep responses partly memoized: {} vs {}",
-        second.dp_runs,
-        first.dp_runs
-    );
-    // Every sweep selection is either a DP run or a memo hit.
-    assert_eq!(
-        second.dp_runs + second.dp_memo_hits,
-        2 * second.sweeps as u64
-    );
-    assert_eq!(second.total_cost.to_bits(), first.total_cost.to_bits());
+    for lanes in [1, 2, 8] {
+        let mut adv = two_path_advisor(&schema).with_threads(lanes);
+        let first = adv.optimize();
+        assert_eq!(first.epoch, 1);
+        assert_eq!(first.repriced_paths, 2);
+        assert!(first.dp_runs > 0);
+        // No mutations: the second plan re-derives from caches alone.
+        let second = adv.reoptimize();
+        assert_eq!(second.epoch, 2);
+        assert_eq!(second.mutations, 0);
+        assert_eq!(second.repriced_paths, 0, "no model rebuilds");
+        assert_eq!(second.epoch_pricings, 0, "no maintenance pricings");
+        assert_eq!(
+            second.dp_runs, 0,
+            "{lanes} lanes: every response is a trail hit"
+        );
+        // Every sweep selection is a memo hit.
+        assert_eq!(second.dp_memo_hits, 2 * second.sweeps as u64);
+        assert_eq!(second.total_cost.to_bits(), first.total_cost.to_bits());
+    }
+}
+
+/// A plan shares the advisor's paths instead of copying them, and a
+/// removed path outlives the advisor's reference through the plan.
+#[test]
+fn plans_share_the_advisors_paths() {
+    let (schema, _) = fixtures::paper_schema();
+    for lanes in [1, 2, 8] {
+        let mut adv = two_path_advisor(&schema).with_threads(lanes);
+        let plan = adv.optimize();
+        assert_eq!(plan.paths.len(), adv.paths.len());
+        for (outcome, st) in plan.paths.iter().zip(&adv.paths) {
+            assert_eq!(outcome.id, st.id);
+            assert!(Arc::ptr_eq(&outcome.path, &st.path), "{lanes} lanes");
+        }
+        let budgeted = adv.optimize_with_budget(0.5 * plan.size_pages);
+        for (outcome, st) in budgeted.plan.paths.iter().zip(&adv.paths) {
+            assert!(Arc::ptr_eq(&outcome.path, &st.path), "{lanes} lanes");
+        }
+        let (id, display) = (plan.paths[0].id, plan.paths[0].path.display().to_string());
+        let removed = adv.remove_path(id).expect("live handle");
+        assert_eq!(removed.display().to_string(), display);
+        assert_eq!(plan.paths[0].path.display().to_string(), display);
+    }
 }
 
 #[test]

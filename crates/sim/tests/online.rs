@@ -349,7 +349,7 @@ fn what_if_hypothetical_quote_matches_later_adoption_bitwise() {
         })
         .expect("some path owns its whole-path candidate alone");
     let victim = sole.id;
-    let path = sole.path.clone();
+    let path = oic_schema::Path::clone(&sole.path);
     let alphas = adv.query_rates(victim).expect("live").to_vec();
     adv.remove_path(victim).expect("live handle");
     adv.reoptimize();
