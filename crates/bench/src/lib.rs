@@ -1,10 +1,10 @@
 //! Shared helpers for the snapshot-writing benches in `benches/`.
 //!
-//! Several bench targets commit machine-readable results to the repository
-//! root (`BENCH_*.json`) so CI and reviewers can diff performance claims.
-//! They used to hand-assemble JSON strings with `write!`; this module gives
-//! them one tiny, dependency-free JSON value builder ([`Json`]) and one
-//! writer ([`write_repo_snapshot`]) so every snapshot is valid JSON by
+//! Both bench targets, `workload_scale_100k` and `candidate_mining`, commit
+//! machine-readable results to the repository root (`BENCH_*.json`) so CI
+//! and reviewers can diff performance claims. This module gives them one
+//! tiny, dependency-free JSON value builder ([`Json`]) and one writer
+//! ([`write_repo_snapshot`]) so every snapshot is valid JSON by
 //! construction and is written to the same place the same way.
 
 /// A JSON value with explicit float precision control (snapshots round

@@ -1,6 +1,6 @@
 //! One-call advisor API over the whole pipeline.
 
-use crate::select::{exhaustive, opt_ind_con, SelectionResult};
+use crate::select::{opt_ind_con, SelectionResult};
 use crate::{pc, CostMatrix};
 use oic_cost::{CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::{Path, Schema};
@@ -31,7 +31,6 @@ pub struct Advisor<'a> {
     ld: &'a LoadDistribution,
     params: CostParams,
     allow_no_index: bool,
-    verify_exhaustively: bool,
 }
 
 /// The advisor's output.
@@ -71,7 +70,6 @@ impl<'a> Advisor<'a> {
             ld,
             params: CostParams::default(),
             allow_no_index: false,
-            verify_exhaustively: false,
         }
     }
 
@@ -87,13 +85,6 @@ impl<'a> Advisor<'a> {
         self
     }
 
-    /// Cross-checks branch and bound against the exhaustive enumeration
-    /// (debug builds assert equality).
-    pub fn verify_exhaustively(mut self, yes: bool) -> Self {
-        self.verify_exhaustively = yes;
-        self
-    }
-
     /// Runs the full pipeline.
     pub fn recommend(&self) -> Recommendation {
         let model = CostModel::new(self.schema, self.path, self.chars, self.params);
@@ -103,15 +94,6 @@ impl<'a> Advisor<'a> {
             CostMatrix::build(&model, self.ld)
         };
         let selection = opt_ind_con(&matrix);
-        if self.verify_exhaustively {
-            let ex = exhaustive(&matrix);
-            debug_assert!(
-                (ex.cost - selection.cost).abs() < 1e-9,
-                "branch and bound disagrees with exhaustive: {} vs {}",
-                selection.cost,
-                ex.cost
-            );
-        }
         let whole_path: Vec<(Org, f64)> = Org::ALL
             .iter()
             .map(|&org| (org, pc::whole_path_cost(&model, self.ld, org)))
@@ -174,18 +156,34 @@ impl fmt::Display for Recommendation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Choice;
     use oic_cost::characteristics::example51;
     use oic_schema::fixtures;
-    use oic_workload::example51_load;
+    use oic_workload::{example51_load, Triplet};
+
+    fn fixture() -> (Schema, Path, PathCharacteristics) {
+        let (schema, _) = fixtures::paper_schema();
+        let (path, chars) = example51(&schema);
+        (schema, path, chars)
+    }
+
+    /// The optimum over indexes only, then with the no-index column.
+    fn both(
+        schema: &Schema,
+        path: &Path,
+        chars: &PathCharacteristics,
+        ld: &LoadDistribution,
+    ) -> (Recommendation, Recommendation) {
+        let advisor = Advisor::new(schema, path, chars, ld);
+        let indexed = advisor.recommend();
+        (indexed, advisor.allow_no_index(true).recommend())
+    }
 
     #[test]
     fn recommendation_is_self_consistent() {
-        let (schema, _) = fixtures::paper_schema();
-        let (path, chars) = example51(&schema);
+        let (schema, path, chars) = fixture();
         let ld = example51_load(&schema, &path);
-        let rec = Advisor::new(&schema, &path, &chars, &ld)
-            .verify_exhaustively(true)
-            .recommend();
+        let rec = Advisor::new(&schema, &path, &chars, &ld).recommend();
         assert!(rec.selection.cost > 0.0);
         assert!(rec.best_single_cost >= rec.selection.cost);
         assert!(rec.improvement_factor >= 1.0);
@@ -196,13 +194,39 @@ mod tests {
 
     #[test]
     fn no_index_option_flows_through() {
-        let (schema, _) = fixtures::paper_schema();
-        let (path, chars) = example51(&schema);
+        let (schema, path, chars) = fixture();
         let ld = example51_load(&schema, &path);
-        let a = Advisor::new(&schema, &path, &chars, &ld).recommend();
-        let b = Advisor::new(&schema, &path, &chars, &ld)
-            .allow_no_index(true)
-            .recommend();
+        let (a, b) = both(&schema, &path, &chars, &ld);
         assert!(b.selection.cost <= a.selection.cost + 1e-9);
+    }
+
+    #[test]
+    fn update_only_workload_drops_indexes() {
+        let (schema, path, chars) = fixture();
+        // No queries at all: any index is pure overhead.
+        let ld = LoadDistribution::uniform(&schema, &path, Triplet::new(0.0, 1.0, 1.0));
+        let (indexed, open) = both(&schema, &path, &chars, &ld);
+        assert!(indexed.selection.cost > 0.0);
+        assert_eq!(open.selection.cost, 0.0, "no queries → zero cost");
+        assert!(
+            open.selection
+                .best
+                .pairs()
+                .iter()
+                .all(|&(_, choice)| choice == Choice::NoIndex),
+            "every subpath goes unindexed: {}",
+            open.config_rendering
+        );
+    }
+
+    #[test]
+    fn query_only_workload_keeps_indexes() {
+        let (schema, path, chars) = fixture();
+        let ld = LoadDistribution::uniform(&schema, &path, Triplet::new(1.0, 0.0, 0.0));
+        let (indexed, open) = both(&schema, &path, &chars, &ld);
+        // Scans are far worse than any index: the extra column changes
+        // nothing.
+        assert_eq!(open.selection.cost, indexed.selection.cost);
+        assert_eq!(open.selection.best.pairs(), indexed.selection.best.pairs());
     }
 }

@@ -21,7 +21,8 @@
 //!    [`select::exhaustive`] is the brute-force baseline used for
 //!    verification and for the complexity experiment.
 //! 4. Section 6 extensions: a *no-index* choice per subpath
-//!    ([`extensions::noindex`]); the paper's other open question, index
+//!    ([`Advisor::allow_no_index`], a fourth matrix column that
+//!    `Opt_Ind_Con` may pick); the paper's other open question, index
 //!    configurations for n paths at once, is item 5.
 //! 5. Workload scale: [`space::CandidateSpace`] interns physical subpath
 //!    candidates across paths (refcounted, with class-keyed invalidation);
@@ -49,7 +50,6 @@
 
 mod advisor;
 mod config;
-pub mod extensions;
 pub mod fig6;
 mod matrix;
 pub mod migrate;

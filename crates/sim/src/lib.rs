@@ -16,8 +16,8 @@
 //! * [`validate`] — tabulates measured vs predicted costs per organization
 //!   and operation type;
 //! * [`workload_gen`] — synthetic N-path workloads (class trees, shared
-//!   prefixes, per-path query rates) for workload-scale validation and the
-//!   `scaling_dp_vs_bb` bench;
+//!   prefixes, per-path query rates) for workload-scale validation, the
+//!   scale benches and the whole-loop benchmark;
 //! * [`drift`] — epoch-batched workload churn (path arrivals/departures,
 //!   statistic drift, rate and query churn) driving the online
 //!   `WorkloadAdvisor`'s incremental re-optimization, for the

@@ -60,7 +60,6 @@ fn main() {
     // --- 5. Recommend. ---------------------------------------------------
     let rec = Advisor::new(&schema, &path, &chars, &ld)
         .with_params(CostParams::default())
-        .verify_exhaustively(true)
         .recommend();
     println!("{rec}");
 

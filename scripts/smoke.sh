@@ -23,21 +23,8 @@ run() {
 # configuration with a cost matrix.
 run quickstart "cost matrix"
 
-# design_advisor sweeps the query/update mix; the pure-update end must
-# recommend indexing nothing (the Section 6 no-index extension).
-run design_advisor "{(Person.owns.man.divs.name, —)}"
-
-# model_validation compares the analytic model against measured page
-# accesses and prints the Section 1 motivation factor. Its measured side is
-# the executor's page accounting, which no performance change may move:
-# the whole output must match the committed table byte for byte.
-echo "── cargo run --release --example model_validation"
-if ! diff -u examples/model_validation.expected \
-        <(cargo run --release --quiet --example model_validation); then
-    echo "FAIL: model_validation output differs from examples/model_validation.expected" >&2
-    exit 1
-fi
-echo "ok: output matches examples/model_validation.expected"
+# The paper example (the reproduction report) is not run here: the tier-1
+# test tests/paper.rs diffs its whole output against examples/paper.expected.
 
 # evolving_workload drives the online advisor through drift epochs and
 # asserts the incremental plan matches a cold rebuild exactly.

@@ -18,8 +18,13 @@ fn optimal_configuration_matches_the_paper() {
     let (schema, path, chars, ld) = setup();
     let rec = Advisor::new(&schema, &path, &chars, &ld)
         .with_params(CostParams::paper())
-        .verify_exhaustively(true)
         .recommend();
+    let model = CostModel::new(&schema, &path, &chars, CostParams::paper());
+    assert_eq!(
+        exhaustive(&CostMatrix::build(&model, &ld)).cost,
+        rec.selection.cost,
+        "branch and bound is exact"
+    );
 
     // “Procedure Opt_Ind_Con results into the optimal configuration
     //  {(Per.owns.man, NIX), (Comp.divs.name, MX)}.”
