@@ -201,6 +201,29 @@ mod tests {
     }
 
     #[test]
+    fn no_index_option_never_hurts() {
+        // The extra column only widens the search, so across a grid of
+        // uniform query/update/delete mixes the open optimum never costs
+        // more than the indexed one.
+        let (schema, path, chars) = fixture();
+        let rates = [0.0, 0.5, 1.0];
+        for &q in &rates {
+            for &u in &rates {
+                for &d in &rates {
+                    let ld = LoadDistribution::uniform(&schema, &path, Triplet::new(q, u, d));
+                    let (indexed, open) = both(&schema, &path, &chars, &ld);
+                    assert!(
+                        open.selection.cost <= indexed.selection.cost + 1e-9,
+                        "({q}, {u}, {d}): {} > {}",
+                        open.selection.cost,
+                        indexed.selection.cost
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn update_only_workload_drops_indexes() {
         let (schema, path, chars) = fixture();
         // No queries at all: any index is pure overhead.
