@@ -41,11 +41,11 @@ pub struct Recommendation {
     /// Whole-path cost per organization, `(org, cost)` — the baselines the
     /// paper compares against in Example 5.1.
     pub whole_path: Vec<(Org, f64)>,
-    /// The cheapest single-organization whole-path cost.
+    /// The cheapest single-organization whole-path cost. The paper's 2.7×
+    /// for Example 5.1 is against the whole-path NIX instead, read from
+    /// [`Self::whole_path`]: 4.21× under `CostParams::paper()`, see
+    /// `examples/paper.expected`.
     pub best_single_cost: f64,
-    /// `best_single_cost / selection.cost` — the paper reports 2.7 for
-    /// Example 5.1 against the whole-path NIX.
-    pub improvement_factor: f64,
     /// Estimated total index pages of the recommended configuration
     /// (unindexed subpaths contribute nothing).
     pub config_size_pages: f64,
@@ -102,7 +102,6 @@ impl<'a> Advisor<'a> {
             .iter()
             .map(|&(_, c)| c)
             .fold(f64::INFINITY, f64::min);
-        let improvement_factor = best_single_cost / selection.cost;
         let config_size_pages = selection
             .best
             .pairs()
@@ -118,7 +117,6 @@ impl<'a> Advisor<'a> {
             selection,
             whole_path,
             best_single_cost,
-            improvement_factor,
             config_size_pages,
         }
     }
@@ -138,9 +136,9 @@ impl fmt::Display for Recommendation {
         }
         writeln!(
             f,
-            "improvement over best single index: {:.2}x; \
+            "improvement over the cheapest whole-path index: {:.2}x; \
              evaluated {} of {} configurations ({} pruned)",
-            self.improvement_factor,
+            self.best_single_cost / self.selection.cost,
             self.selection.evaluated,
             self.selection.candidate_space,
             self.selection.pruned
@@ -186,10 +184,34 @@ mod tests {
         let rec = Advisor::new(&schema, &path, &chars, &ld).recommend();
         assert!(rec.selection.cost > 0.0);
         assert!(rec.best_single_cost >= rec.selection.cost);
-        assert!(rec.improvement_factor >= 1.0);
         assert!(rec.matrix_rendering.contains("NIX"));
         let display = rec.to_string();
         assert!(display.contains("optimal configuration"));
+    }
+
+    #[test]
+    fn improvement_is_stated_against_the_cheapest_whole_path_index() {
+        // Under the paper's parameters the cheapest whole-path index on
+        // Example 5.1 is MIX, not the NIX the paper's 2.7x is measured
+        // against: 43.60 / 39.78.
+        let (schema, path, chars) = fixture();
+        let ld = example51_load(&schema, &path);
+        let rec = Advisor::new(&schema, &path, &chars, &ld)
+            .with_params(CostParams::paper())
+            .recommend();
+        let cheapest = rec
+            .whole_path
+            .iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("three organizations");
+        assert_eq!(cheapest.0, Org::Mix);
+        assert_eq!(format!("{:.2}", cheapest.1), "43.60");
+        assert_eq!(format!("{:.2}", rec.selection.cost), "39.78");
+        assert!(
+            rec.to_string()
+                .contains("improvement over the cheapest whole-path index: 1.10x;"),
+            "{rec}"
+        );
     }
 
     #[test]
