@@ -169,7 +169,7 @@ fn no_second_engine_or_retired_switches() {
         let name = dir.file_name().and_then(|name| name.to_str());
         matches!(name, Some(".git" | "target")) || dir == at("benchmark")
     };
-    let excluded = ["CHANGES.md", "ROADMAP.md", "ISSUE.md", "ci.yml"];
+    let excluded = ["CHANGES.md", "ROADMAP.md", "ci.yml"];
     let files: Vec<PathBuf> = walk(root(), &skip)
         .into_iter()
         .filter(|file| {
