@@ -9,7 +9,7 @@
 //!
 //! * keys are opaque ordered byte strings (see `oic_storage::encode_key`);
 //! * an index *record* is a key plus a posting list of opaque entries,
-//!   held as the one byte run [`Layout::record_len`] prices and read in
+//!   held as the one byte run [`record_len`] prices and read in
 //!   place through visitors (DESIGN.md §5.9);
 //! * records longer than a page live in a dedicated overflow chain of
 //!   `⌈ln/p⌉` pages, and partial reads count only the pages actually
@@ -33,7 +33,9 @@ pub mod paged;
 mod slotted;
 mod tree;
 
-pub use layout::Layout;
+pub use layout::{
+    chain_pages, node_capacity, record_len, CHILD_PTR, ENTRY_OVERHEAD, NODE_HEADER, RECORD_OVERHEAD,
+};
 pub use node::LevelProfile;
 pub use paged::PagedBTree;
 pub use tree::BTreeIndex;

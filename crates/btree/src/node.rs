@@ -1,6 +1,6 @@
 //! Node arena and record representation.
 
-use crate::Layout;
+use crate::{ENTRY_OVERHEAD, RECORD_OVERHEAD};
 use oic_storage::PageId;
 
 pub(crate) type NodeId = usize;
@@ -8,10 +8,10 @@ pub(crate) type NodeId = usize;
 pub(crate) type Key = Vec<u8>;
 
 /// One index record: a key with its posting list of opaque entries, held
-/// as the byte run [`Layout::record_len`] prices. `body` is, per entry, an
-/// `entry_overhead`-byte big-endian length then the entry's bytes, so
-/// `ln = record_overhead + |key| + |body|` and entry `i` sits at the same
-/// byte offset it would have on a page.
+/// as the byte run [`record_len`](crate::record_len) prices. `body` is, per
+/// entry, an [`ENTRY_OVERHEAD`]-byte big-endian length then the entry's
+/// bytes, so `ln = RECORD_OVERHEAD + |key| + |body|` and entry `i` sits at
+/// the same byte offset it would have on a page.
 ///
 /// `width` is the length every entry shares, or 0 when lengths differ: the
 /// first push into an empty record sets it, a push or replacement of
@@ -37,8 +37,8 @@ impl Record {
     }
 
     /// `ln` — the stored length of the record.
-    pub fn len_bytes(&self, layout: &Layout) -> usize {
-        layout.record_overhead + self.key.len() + self.body.len()
+    pub fn len_bytes(&self) -> usize {
+        RECORD_OVERHEAD + self.key.len() + self.body.len()
     }
 
     /// Number of entries in the posting list.
@@ -49,18 +49,17 @@ impl Record {
     /// The posting list in order, each entry with the offset of its length
     /// prefix within the record (header and key first) — what maps an
     /// entry to its overflow-chain page.
-    pub fn entries(&self, layout: &Layout) -> Entries<'_> {
+    pub fn entries(&self) -> Entries<'_> {
         Entries {
             body: &self.body,
-            offset: layout.record_overhead + self.key.len(),
-            prefix: layout.entry_overhead,
+            offset: RECORD_OVERHEAD + self.key.len(),
             width: self.width as usize,
         }
     }
 
     /// Appends an entry.
-    pub fn push(&mut self, layout: &Layout, entry: &[u8]) {
-        push_entry(&mut self.body, layout.entry_overhead, entry);
+    pub fn push(&mut self, entry: &[u8]) {
+        push_entry(&mut self.body, entry);
         self.width = if self.count == 0 {
             u32::try_from(entry.len()).unwrap_or(0)
         } else {
@@ -79,9 +78,9 @@ impl Record {
     }
 
     /// Length of the entry whose prefix starts at body offset `at`.
-    fn entry_len(&self, w: usize, at: usize) -> usize {
+    fn entry_len(&self, at: usize) -> usize {
         match self.width {
-            0 => be_len(&self.body[at..at + w]),
+            0 => be_len(&self.body[at..at + ENTRY_OVERHEAD]),
             width => width as usize,
         }
     }
@@ -91,18 +90,17 @@ impl Record {
     /// Each maximal run of kept entries moves down in one copy.
     pub fn remove_where(
         &mut self,
-        layout: &Layout,
         mut pred: impl FnMut(&[u8]) -> bool,
         mut on_match: impl FnMut(usize),
     ) -> usize {
-        let w = layout.entry_overhead;
-        let base = layout.record_overhead + self.key.len();
+        let w = ENTRY_OVERHEAD;
+        let base = RECORD_OVERHEAD + self.key.len();
         // Kept bytes so far end at `write`; the current kept run starts at
         // `run`. A copy only lands below `read`, so `pred` sees every entry
         // where it was.
         let (mut read, mut write, mut run, mut removed) = (0, 0, 0, 0);
         while read < self.body.len() {
-            let end = read + w + self.entry_len(w, read);
+            let end = read + w + self.entry_len(read);
             if pred(&self.body[read + w..end]) {
                 on_match(base + read);
                 removed += 1;
@@ -129,28 +127,29 @@ impl Record {
 
     /// Overwrites the entry whose length prefix sits at record offset
     /// `offset` (as yielded by [`Record::entries`]).
-    pub fn replace_at(&mut self, layout: &Layout, offset: usize, entry: &[u8]) {
-        let w = layout.entry_overhead;
-        let at = offset - layout.record_overhead - self.key.len();
-        let old = self.entry_len(w, at);
+    pub fn replace_at(&mut self, offset: usize, entry: &[u8]) {
+        let w = ENTRY_OVERHEAD;
+        let at = offset - RECORD_OVERHEAD - self.key.len();
+        let old = self.entry_len(at);
         self.width = self.keep_width(entry.len());
-        self.body[at..at + w].copy_from_slice(&be_prefix(w, entry.len())[8 - w..]);
+        self.body[at..at + w].copy_from_slice(&be_prefix(entry.len())[8 - w..]);
         self.body
             .splice(at + w..at + w + old, entry.iter().copied());
     }
 }
 
-/// Appends `entry` behind its `w`-byte big-endian length.
-fn push_entry(body: &mut Vec<u8>, w: usize, entry: &[u8]) {
-    body.extend_from_slice(&be_prefix(w, entry.len())[8 - w..]);
+/// Appends `entry` behind its [`ENTRY_OVERHEAD`]-byte big-endian length.
+fn push_entry(body: &mut Vec<u8>, entry: &[u8]) {
+    body.extend_from_slice(&be_prefix(entry.len())[8 - ENTRY_OVERHEAD..]);
     body.extend_from_slice(entry);
 }
 
-/// `len` big-endian; its last `w` bytes are the length prefix.
-fn be_prefix(w: usize, len: usize) -> [u8; 8] {
+/// `len` big-endian; its last [`ENTRY_OVERHEAD`] bytes are the length
+/// prefix.
+fn be_prefix(len: usize) -> [u8; 8] {
     assert!(
-        (1..=8).contains(&w) && (w == 8 || len as u64 >> (8 * w) == 0),
-        "a {len}-byte entry does not fit a {w}-byte length prefix"
+        len as u64 >> (8 * ENTRY_OVERHEAD) == 0,
+        "a {len}-byte entry does not fit a {ENTRY_OVERHEAD}-byte length prefix"
     );
     (len as u64).to_be_bytes()
 }
@@ -163,7 +162,6 @@ fn be_len(prefix: &[u8]) -> usize {
 pub(crate) struct Entries<'a> {
     body: &'a [u8],
     offset: usize,
-    prefix: usize,
     /// The record's common entry length; 0 parses each prefix.
     width: usize,
 }
@@ -176,14 +174,14 @@ impl<'a> Iterator for Entries<'a> {
             return None;
         }
         let len = match self.width {
-            0 => be_len(&self.body[..self.prefix]),
+            0 => be_len(&self.body[..ENTRY_OVERHEAD]),
             width => width,
         };
-        let (entry, rest) = self.body.split_at(self.prefix + len);
+        let (entry, rest) = self.body.split_at(ENTRY_OVERHEAD + len);
         let at = self.offset;
         self.offset += entry.len();
         self.body = rest;
-        Some((at, &entry[self.prefix..]))
+        Some((at, &entry[ENTRY_OVERHEAD..]))
     }
 }
 
@@ -239,13 +237,13 @@ mod tests {
     use proptest::prelude::*;
 
     /// The reference reader: every entry by parsing its length prefix.
-    fn parsed(r: &Record, layout: &Layout) -> Vec<(usize, Vec<u8>)> {
-        let w = layout.entry_overhead;
+    fn parsed(r: &Record) -> Vec<(usize, Vec<u8>)> {
+        let w = ENTRY_OVERHEAD;
         let mut at = 0;
         let mut out = Vec::new();
         while at < r.body.len() {
             let len = be_len(&r.body[at..at + w]);
-            let off = layout.record_overhead + r.key.len() + at;
+            let off = RECORD_OVERHEAD + r.key.len() + at;
             out.push((off, r.body[at + w..at + w + len].to_vec()));
             at += w + len;
         }
@@ -253,27 +251,23 @@ mod tests {
     }
 
     /// The reference compaction: one parse and one copy per entry.
-    fn removed_per_entry(
-        r: &Record,
-        layout: &Layout,
-        pred: impl Fn(&[u8]) -> bool,
-    ) -> (Vec<u8>, usize, Vec<usize>) {
+    fn removed_per_entry(r: &Record, pred: impl Fn(&[u8]) -> bool) -> (Vec<u8>, usize, Vec<usize>) {
         let (mut body, mut offsets) = (Vec::new(), Vec::new());
-        for (off, e) in parsed(r, layout) {
+        for (off, e) in parsed(r) {
             if pred(&e) {
                 offsets.push(off);
             } else {
-                push_entry(&mut body, layout.entry_overhead, &e);
+                push_entry(&mut body, &e);
             }
         }
         (body, r.count() - offsets.len(), offsets)
     }
 
     /// A record of `lens.len()` entries, each tagged by its index.
-    fn record_of(layout: &Layout, lens: &[usize]) -> Record {
+    fn record_of(lens: &[usize]) -> Record {
         let mut r = Record::new(b"key");
         for (i, &len) in lens.iter().enumerate() {
-            r.push(layout, &vec![i as u8; len]);
+            r.push(&vec![i as u8; len]);
         }
         r
     }
@@ -294,63 +288,60 @@ mod tests {
         /// The width step reads exactly what prefix parsing reads, and
         /// `width` is set exactly when every length agrees.
         #[test]
-        fn width_step_matches_prefix_parse(lens in lens_strategy(), page in 0usize..2) {
-            let layout = Layout::for_page_size([256, 4096][page]);
-            let r = record_of(&layout, &lens);
+        fn width_step_matches_prefix_parse(lens in lens_strategy()) {
+            let r = record_of(&lens);
             let uniform = lens.windows(2).all(|w| w[0] == w[1]);
             let want = if uniform { lens.first().copied().unwrap_or(0) } else { 0 };
             prop_assert_eq!(r.width as usize, want);
             let got: Vec<(usize, Vec<u8>)> =
-                r.entries(&layout).map(|(off, e)| (off, e.to_vec())).collect();
-            prop_assert_eq!(got, parsed(&r, &layout));
+                r.entries().map(|(off, e)| (off, e.to_vec())).collect();
+            prop_assert_eq!(got, parsed(&r));
         }
 
         /// Run-wise compaction leaves the bytes, the count and the
         /// `on_match` offsets per-entry compaction leaves, and keeps `width`.
         #[test]
         fn runwise_removal_matches_per_entry(lens in lens_strategy(), mask in any::<u64>(), stride in 1u8..5) {
-            let layout = Layout::for_page_size(4096);
-            let mut r = record_of(&layout, &lens);
+            let mut r = record_of(&lens);
             let pred = |e: &[u8]| (mask >> (e[0] % 64)) & 1 == 1 && e[0] % stride == 0;
-            let (body, count, offsets) = removed_per_entry(&r, &layout, pred);
+            let (body, count, offsets) = removed_per_entry(&r, pred);
             let width = r.width;
             let mut got = Vec::new();
-            let removed = r.remove_where(&layout, pred, |off| got.push(off));
+            let removed = r.remove_where(pred, |off| got.push(off));
             prop_assert_eq!(removed, offsets.len());
             prop_assert_eq!(got, offsets);
             prop_assert_eq!(&r.body, &body);
             prop_assert_eq!(r.count(), count);
             prop_assert_eq!(r.width, width, "removals keep the width");
             let rest: Vec<(usize, Vec<u8>)> =
-                r.entries(&layout).map(|(off, e)| (off, e.to_vec())).collect();
-            prop_assert_eq!(rest, parsed(&r, &layout));
+                r.entries().map(|(off, e)| (off, e.to_vec())).collect();
+            prop_assert_eq!(rest, parsed(&r));
         }
     }
 
     #[test]
     fn width_follows_pushes_and_replacements() {
-        let layout = Layout::for_page_size(4096);
         let mut r = Record::new(b"k");
-        r.push(&layout, &[1; 12]);
-        r.push(&layout, &[2; 12]);
+        r.push(&[1; 12]);
+        r.push(&[2; 12]);
         assert_eq!(r.width, 12, "the first push sets it");
-        let (at, _) = r.entries(&layout).nth(1).expect("two entries");
-        r.replace_at(&layout, at, &[3; 12]);
+        let (at, _) = r.entries().nth(1).expect("two entries");
+        r.replace_at(at, &[3; 12]);
         assert_eq!(r.width, 12, "a same-length replacement keeps it");
-        r.replace_at(&layout, at, &[3; 9]);
+        r.replace_at(at, &[3; 9]);
         assert_eq!(r.width, 0, "a replacement of another length clears it");
-        r.replace_at(&layout, at, &[3; 12]);
+        r.replace_at(at, &[3; 12]);
         assert_eq!(r.width, 0, "only an empty record resets it");
-        assert_eq!(r.entries(&layout).count(), 2);
+        assert_eq!(r.entries().count(), 2);
 
-        let mut r = record_of(&layout, &[8, 8]);
-        r.push(&layout, &[9; 4]);
+        let mut r = record_of(&[8, 8]);
+        r.push(&[9; 4]);
         assert_eq!(r.width, 0, "a push of another length clears it");
-        assert_eq!(r.remove_where(&layout, |_| true, |_| {}), 3);
+        assert_eq!(r.remove_where(|_| true, |_| {}), 3);
         assert_eq!(r.width, 0, "removals keep it, even to empty");
-        r.push(&layout, &[5; 6]);
+        r.push(&[5; 6]);
         assert_eq!(r.width, 6, "a push into an empty record resets it");
-        let entries: Vec<&[u8]> = r.entries(&layout).map(|(_, e)| e).collect();
+        let entries: Vec<&[u8]> = r.entries().map(|(_, e)| e).collect();
         assert_eq!(entries, vec![&[5u8; 6][..]]);
     }
 
@@ -361,17 +352,16 @@ mod tests {
 
     #[test]
     fn record_size_and_offsets() {
-        let layout = Layout::for_page_size(4096);
         let mut r = Record::new(&[0; 9]);
-        r.push(&layout, &[1; 8]);
-        r.push(&layout, &[2; 16]);
-        assert_eq!(r.len_bytes(&layout), 8 + 9 + (8 + 2) + (16 + 2));
+        r.push(&[1; 8]);
+        r.push(&[2; 16]);
+        assert_eq!(r.len_bytes(), 8 + 9 + (8 + 2) + (16 + 2));
         assert_eq!(
-            r.len_bytes(&layout),
-            layout.record_len(9, [8usize, 16].into_iter()),
+            r.len_bytes(),
+            crate::record_len(9, [8usize, 16].into_iter()),
             "the record is the bytes the layout prices"
         );
-        let entries: Vec<_> = r.entries(&layout).collect();
+        let entries: Vec<_> = r.entries().collect();
         assert_eq!(
             entries,
             vec![(8 + 9, &[1u8; 8][..]), (8 + 9 + 10, &[2u8; 16][..])]
@@ -380,23 +370,19 @@ mod tests {
 
     #[test]
     fn record_edits_keep_order_and_length() {
-        let layout = Layout::for_page_size(4096);
         let mut r = Record::new(b"k");
         for e in [&b"a1"[..], b"b22", b"a333", b"c"] {
-            r.push(&layout, e);
+            r.push(e);
         }
         let mut offsets = Vec::new();
-        let removed = r.remove_where(&layout, |e| e[0] == b'a', |off| offsets.push(off));
+        let removed = r.remove_where(|e| e[0] == b'a', |off| offsets.push(off));
         assert_eq!((removed, r.count()), (2, 2));
         assert_eq!(offsets, vec![9, 9 + 4 + 5], "offsets are pre-removal");
-        let (at, _) = r.entries(&layout).nth(1).expect("two entries left");
-        r.replace_at(&layout, at, b"dd");
-        let left: Vec<&[u8]> = r.entries(&layout).map(|(_, e)| e).collect();
+        let (at, _) = r.entries().nth(1).expect("two entries left");
+        r.replace_at(at, b"dd");
+        let left: Vec<&[u8]> = r.entries().map(|(_, e)| e).collect();
         assert_eq!(left, vec![&b"b22"[..], b"dd"]);
-        assert_eq!(
-            r.len_bytes(&layout),
-            layout.record_len(1, [3usize, 2].into_iter())
-        );
+        assert_eq!(r.len_bytes(), crate::record_len(1, [3usize, 2].into_iter()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The B+-tree proper.
 
 use crate::node::{Leaf, Node, NodeId, Record};
-use crate::{Layout, LevelProfile};
+use crate::{chain_pages, node_capacity, LevelProfile, CHILD_PTR};
 use oic_storage::SimStore;
 
 /// A B+-tree index with chained leaves over a [`SimStore`].
@@ -11,7 +11,7 @@ use oic_storage::SimStore;
 /// access profile. All reads and writes are accounted against the store.
 #[derive(Debug)]
 pub struct BTreeIndex {
-    layout: Layout,
+    page_size: usize,
     nodes: Vec<Option<Node>>,
     root: NodeId,
     height: usize,
@@ -25,17 +25,13 @@ fn find(records: &[Record], key: &[u8]) -> Result<usize, usize> {
 }
 
 impl BTreeIndex {
-    /// Creates an empty tree (a single empty leaf).
-    pub fn new(store: &mut SimStore, layout: Layout) -> Self {
-        assert_eq!(
-            layout.page_size,
-            store.page_size(),
-            "layout and store must agree on the page size"
-        );
+    /// Creates an empty tree (a single empty leaf) sized to `store`'s
+    /// pages.
+    pub fn new(store: &mut SimStore) -> Self {
         let page = store.alloc();
         let root = 0;
         BTreeIndex {
-            layout,
+            page_size: store.page_size(),
             nodes: vec![Some(Node::Leaf(Leaf {
                 records: Vec::new(),
                 bytes: 0,
@@ -48,11 +44,6 @@ impl BTreeIndex {
             record_count: 0,
             entry_count: 0,
         }
-    }
-
-    /// The layout in force.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
     }
 
     /// `h_X` — number of levels including the leaf level.
@@ -171,7 +162,7 @@ impl BTreeIndex {
         for p in pages.iter().skip(1) {
             store.touch_read(*p);
         }
-        for (_, e) in records[pos].entries(&self.layout) {
+        for (_, e) in records[pos].entries() {
             visit(e);
         }
         true
@@ -194,10 +185,10 @@ impl BTreeIndex {
         // Offsets ascend, so the last page read (the descent read the
         // first) is the only one a match can land on again.
         let (mut hits, mut last) = (0, 0);
-        for (off, e) in records[pos].entries(&self.layout) {
+        for (off, e) in records[pos].entries() {
             if matches(e) {
                 hits += 1;
-                let pg = (off / self.layout.page_size).min(pages.len() - 1);
+                let pg = (off / self.page_size).min(pages.len() - 1);
                 if pg > last {
                     last = pg;
                     store.touch_read(pages[pg]);
@@ -223,7 +214,7 @@ impl BTreeIndex {
     /// Inserts one posting entry under `key`, creating the record if absent.
     pub fn insert_entry(&mut self, store: &mut SimStore, key: &[u8], entry: Vec<u8>) {
         let (path, leaf) = self.descend_path(store, key);
-        let layout = self.layout;
+        let page_size = self.page_size;
         let Leaf {
             records,
             bytes,
@@ -232,19 +223,19 @@ impl BTreeIndex {
         } = self.leaf_mut(leaf);
         let found = find(records, key);
         // A new record adds its header and key to the leaf as well.
-        let old_len = found.map_or(0, |pos| records[pos].len_bytes(&layout));
+        let old_len = found.map_or(0, |pos| records[pos].len_bytes());
         let pos = found.unwrap_or_else(|pos| {
             records.insert(pos, Record::new(key));
             pos
         });
-        records[pos].push(&layout, &entry);
-        let new_len = records[pos].len_bytes(&layout);
+        records[pos].push(&entry);
+        let new_len = records[pos].len_bytes();
         *bytes += new_len - old_len;
         if found.is_ok() && pages.len() > 1 {
             // Oversized record: the append lands on the tail page(s).
-            let first_dirty = ((old_len.saturating_sub(1)) / layout.page_size).min(pages.len() - 1);
+            let first_dirty = ((old_len.saturating_sub(1)) / page_size).min(pages.len() - 1);
             store.touch_write(pages[first_dirty]);
-            let need = layout.chain_pages(new_len).max(1);
+            let need = chain_pages(page_size, new_len).max(1);
             while pages.len() < need {
                 let p = store.alloc();
                 store.touch_write(p);
@@ -271,7 +262,7 @@ impl BTreeIndex {
         mut pred: impl FnMut(&[u8]) -> bool,
     ) -> usize {
         let (path, leaf) = self.descend_path(store, key);
-        let layout = self.layout;
+        let page_size = self.page_size;
         let Leaf {
             records,
             bytes,
@@ -281,12 +272,12 @@ impl BTreeIndex {
         let Ok(pos) = find(records, key) else {
             return 0;
         };
-        let old_len = records[pos].len_bytes(&layout);
+        let old_len = records[pos].len_bytes();
         // Account each page holding a matched entry once, in chain order
         // (offsets ascend; page 0 is covered by the descent read).
         let mut dirty = None;
-        let removed = records[pos].remove_where(&layout, &mut pred, |off| {
-            let pg = (off / layout.page_size).min(pages.len() - 1);
+        let removed = records[pos].remove_where(&mut pred, |off| {
+            let pg = (off / page_size).min(pages.len() - 1);
             if dirty != Some(pg) {
                 dirty = Some(pg);
                 if pg > 0 {
@@ -304,9 +295,9 @@ impl BTreeIndex {
             records.remove(pos);
         } else {
             // Shrink the chain if the record no longer needs all pages.
-            let new_len = records[pos].len_bytes(&layout);
+            let new_len = records[pos].len_bytes();
             *bytes -= old_len - new_len;
-            let need = layout.chain_pages(new_len).max(1);
+            let need = chain_pages(page_size, new_len).max(1);
             while pages.len() > need {
                 let p = pages.pop().expect("checked above");
                 store.free(p);
@@ -325,7 +316,6 @@ impl BTreeIndex {
     /// deleted”). Returns the number of entries the record held.
     pub fn remove_record(&mut self, store: &mut SimStore, key: &[u8]) -> Option<usize> {
         let (path, leaf) = self.descend_path(store, key);
-        let layout = self.layout;
         let Leaf {
             records,
             bytes,
@@ -337,7 +327,7 @@ impl BTreeIndex {
             store.touch_write(*p);
         }
         let rec = records.remove(pos);
-        *bytes -= rec.len_bytes(&layout);
+        *bytes -= rec.len_bytes();
         // Oversized chains shrink back to a single page.
         while pages.len() > 1 {
             let p = pages.pop().expect("len checked");
@@ -365,24 +355,24 @@ impl BTreeIndex {
         new_entry: Vec<u8>,
     ) -> bool {
         let leaf = self.descend(Some(store), key, |_, _| {});
-        let layout = self.layout;
+        let page_size = self.page_size;
         let Leaf { records, pages, .. } = self.leaf_mut(leaf);
         let Ok(pos) = find(records, key) else {
             return false;
         };
         let rec = &mut records[pos];
-        let Some((off, old)) = rec.entries(&layout).find(|(_, e)| pred(e)) else {
+        let Some((off, old)) = rec.entries().find(|(_, e)| pred(e)) else {
             return false;
         };
         if old.len() != new_entry.len() {
             return false;
         }
-        let pg = (off / layout.page_size).min(pages.len() - 1);
+        let pg = (off / page_size).min(pages.len() - 1);
         if pg > 0 {
             store.touch_read(pages[pg]);
         }
         store.touch_write(pages[pg]);
-        rec.replace_at(&layout, off, &new_entry);
+        rec.replace_at(off, &new_entry);
         true
     }
 
@@ -394,14 +384,14 @@ impl BTreeIndex {
         mut path: Vec<(NodeId, usize)>,
         leaf: NodeId,
     ) {
-        let layout = self.layout;
+        let page_size = self.page_size;
         let Leaf { records, bytes, .. } = self.leaf_mut(leaf);
         if records.len() == 1 {
             // A single record may legitimately exceed the page: it owns an
             // overflow chain instead of splitting.
             return self.ensure_chain(store, leaf);
         }
-        if *bytes <= layout.node_capacity() {
+        if *bytes <= node_capacity(page_size) {
             return;
         }
         // Split the leaf: move the upper half (by cumulative size) out.
@@ -409,14 +399,14 @@ impl BTreeIndex {
         let mut acc = 0usize;
         let mut cut = records.len() - 1;
         for (i, r) in records.iter().enumerate() {
-            acc += r.len_bytes(&layout);
+            acc += r.len_bytes();
             if acc * 2 >= total && i + 1 < records.len() {
                 cut = i + 1;
                 break;
             }
         }
         let right_records = records.split_off(cut);
-        let right_bytes = right_records.iter().map(|r| r.len_bytes(&layout)).sum();
+        let right_bytes = right_records.iter().map(|r| r.len_bytes()).sum();
         *bytes -= right_bytes;
         let sep = right_records[0].key.clone();
         let page = store.alloc();
@@ -444,7 +434,7 @@ impl BTreeIndex {
         // side again (re-descending without accounting for its path).
         for half in [leaf, right_id] {
             let Leaf { records, bytes, .. } = self.leaf(half);
-            if records.len() > 1 && *bytes > layout.node_capacity() {
+            if records.len() > 1 && *bytes > node_capacity(page_size) {
                 let key = records[0].key.clone();
                 let mut path = Vec::with_capacity(self.height - 1);
                 let found = self.descend(None, &key, |node, idx| path.push((node, idx)));
@@ -455,10 +445,10 @@ impl BTreeIndex {
     }
 
     fn ensure_chain(&mut self, store: &mut SimStore, leaf: NodeId) {
-        let layout = self.layout;
+        let page_size = self.page_size;
         let Leaf { records, pages, .. } = self.leaf_mut(leaf);
         let need = match records.as_slice() {
-            [only] => layout.chain_pages(only.len_bytes(&layout)).max(1),
+            [only] => chain_pages(page_size, only.len_bytes()).max(1),
             _ => 1,
         };
         while pages.len() < need {
@@ -480,7 +470,7 @@ impl BTreeIndex {
         sep: Vec<u8>,
         right: NodeId,
     ) {
-        let layout = self.layout;
+        let page_size = self.page_size;
         match path.pop() {
             None => {
                 // Grow a new root.
@@ -508,8 +498,8 @@ impl BTreeIndex {
                 store.touch_write(*page);
                 // Split the internal node if its serialized size overflows.
                 let size: usize =
-                    keys.iter().map(Vec::len).sum::<usize>() + children.len() * layout.child_ptr;
-                if size > layout.node_capacity() {
+                    keys.iter().map(Vec::len).sum::<usize>() + children.len() * CHILD_PTR;
+                if size > node_capacity(page_size) {
                     let mid = keys.len() / 2;
                     let promoted = keys[mid].clone();
                     let right_keys = keys.split_off(mid + 1);
@@ -637,7 +627,7 @@ impl BTreeIndex {
     pub fn iter_records(&self) -> impl Iterator<Item = (&[u8], impl Iterator<Item = &[u8]>)> {
         self.leaves()
             .flat_map(|leaf| &leaf.records)
-            .map(|r| (r.key.as_slice(), r.entries(&self.layout).map(|(_, e)| e)))
+            .map(|r| (r.key.as_slice(), r.entries().map(|(_, e)| e)))
     }
 
     /// The leaves in chain order, leftmost first.
@@ -738,8 +728,8 @@ impl BTreeIndex {
             }) => {
                 let mut total = 0;
                 for r in records {
-                    total += r.len_bytes(&self.layout);
-                    if r.entries(&self.layout).count() != r.count() {
+                    total += r.len_bytes();
+                    if r.entries().count() != r.count() {
                         return Err("record entry count disagrees with its bytes".into());
                     }
                     if let Some(lo) = low {
@@ -757,19 +747,16 @@ impl BTreeIndex {
                     return Err(format!("leaf byte total {bytes} != recomputed {total}"));
                 }
                 if records.len() == 1 {
-                    let need = self
-                        .layout
-                        .chain_pages(records[0].len_bytes(&self.layout))
-                        .max(1);
+                    let need = chain_pages(self.page_size, records[0].len_bytes()).max(1);
                     if pages.len() != need {
                         return Err(format!("chain pages {} != required {}", pages.len(), need));
                     }
                 } else if pages.len() != 1 {
                     return Err("multi-record leaf must own exactly one page".into());
-                } else if total > self.layout.node_capacity() {
+                } else if total > node_capacity(self.page_size) {
                     return Err(format!(
                         "multi-record leaf holds {total} bytes > capacity {}",
-                        self.layout.node_capacity()
+                        node_capacity(self.page_size)
                     ));
                 }
                 Ok(())
@@ -794,7 +781,7 @@ mod tests {
 
     fn small_tree(page: usize) -> (SimStore, BTreeIndex) {
         let mut store = SimStore::new(page);
-        let t = BTreeIndex::new(&mut store, Layout::for_page_size(page));
+        let t = BTreeIndex::new(&mut store);
         (store, t)
     }
 

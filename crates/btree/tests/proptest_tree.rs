@@ -12,7 +12,7 @@
 //!   `touch_write` / `alloc` / `free` — which page, or in which order —
 //!   shows up here before it shows up in a model-validation number.
 
-use oic_btree::{BTreeIndex, Layout};
+use oic_btree::{chain_pages, record_len, BTreeIndex};
 use oic_storage::{AccessStats, OpStats, SimStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -208,7 +208,7 @@ proptest! {
     fn tree_matches_model(ops in prop::collection::vec(op_strategy(), 1..200),
                           page_size in prop::sample::select(vec![128usize, 256, 1024])) {
         let mut store = SimStore::new(page_size);
-        let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(page_size));
+        let mut tree = BTreeIndex::new(&mut store);
         let mut model = Model::new();
         for op in &ops {
             apply(&mut tree, &mut store, &mut model, op)?;
@@ -220,7 +220,7 @@ proptest! {
     #[test]
     fn mass_delete_releases_pages(n in 1usize..300) {
         let mut store = SimStore::new(256);
-        let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(256));
+        let mut tree = BTreeIndex::new(&mut store);
         for i in 0..n {
             tree.insert_entry(&mut store, &key(i as u16), vec![0u8; 8]);
         }
@@ -320,7 +320,7 @@ struct Golden {
 
 fn run_golden(page_size: usize, seed: u64) -> Golden {
     let mut store = SimStore::new(page_size);
-    let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(page_size));
+    let mut tree = BTreeIndex::new(&mut store);
     let mut model = Model::new();
     let mut rng = SplitMix(seed);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -331,8 +331,7 @@ fn run_golden(page_size: usize, seed: u64) -> Golden {
         // A record longer than a page is alone in its leaf and owns a chain.
         let chain = match &op {
             Op::ReadMatching(k, _) => model.get(&key(*k)).map_or(0, |list| {
-                let layout = tree.layout();
-                layout.chain_pages(layout.record_len(2, list.iter().map(Vec::len))) as u64
+                chain_pages(page_size, record_len(2, list.iter().map(Vec::len))) as u64
             }),
             _ => 0,
         };

@@ -83,14 +83,6 @@ impl IndexConfiguration {
         self.pairs.len()
     }
 
-    /// The split points: ending positions of all but the last subpath.
-    pub fn cut_points(&self) -> Vec<usize> {
-        self.pairs[..self.pairs.len() - 1]
-            .iter()
-            .map(|(s, _)| s.end)
-            .collect()
-    }
-
     /// Renders against a schema/path for human-readable reports, e.g.
     /// `{(Person.owns.man, NIX), (Company.divs.name, MX)}`.
     pub fn render(&self, schema: &oic_schema::Schema, path: &oic_schema::Path) -> String {
@@ -139,7 +131,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.degree(), 2);
-        assert_eq!(c.cut_points(), vec![2]);
+        assert_eq!(c.pairs()[0].0.end, 2);
     }
 
     #[test]
@@ -169,7 +161,6 @@ mod tests {
         let c = IndexConfiguration::whole_path(Org::Nix, 5);
         assert_eq!(c.degree(), 1);
         assert_eq!(c.pairs()[0].0, sid(1, 5));
-        assert!(c.cut_points().is_empty());
     }
 
     #[test]

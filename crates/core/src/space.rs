@@ -145,7 +145,7 @@ pub struct CandidateSpace {
     maint: Vec<[f64; 3]>,
     /// Memoized footprint in pages per `(candidate, org)`; `NaN` =
     /// unpriced. Sizes share the maintenance dependency set
-    /// (`oic_cost::invalidation::size_dependencies`), so
+    /// (`oic_cost::invalidation::maintenance_dependencies`), so
     /// [`CandidateSpace::invalidate_class`] clears both planes together —
     /// drift invalidation comes for free.
     size: Vec<[f64; 3]>,
@@ -278,7 +278,7 @@ impl CandidateSpace {
     /// live candidate whose dependency set contains `class` — exactly the
     /// values a statistics or update-rate change for that class can move
     /// (the `oic_cost::invalidation` contract; sizes share the maintenance
-    /// dependency set, see `oic_cost::invalidation::size_dependencies`).
+    /// dependency set, see `oic_cost::invalidation::maintenance_dependencies`).
     /// Returns the number of candidates invalidated.
     pub fn invalidate_class(&mut self, class: ClassId) -> usize {
         let mut touched = 0;
@@ -322,26 +322,10 @@ impl CandidateSpace {
         self.slots.get(id.index()).is_some_and(|slot| slot.refs > 0)
     }
 
-    /// Number of owning references a live candidate holds (0 if freed).
-    pub fn ref_count(&self, id: CandidateId) -> u32 {
-        self.slots[id.index()].refs
-    }
-
     /// The step sequence of a live candidate.
     pub fn steps(&self, id: CandidateId) -> &[CandidateStep] {
         debug_assert!(self.is_live(id), "steps of a dead candidate");
         &self.slots[id.index()].steps
-    }
-
-    /// Whether a candidate is embedded (more steps follow it in its owning
-    /// paths) or terminal.
-    pub fn is_embedded(&self, id: CandidateId) -> bool {
-        self.slots[id.index()].embedded
-    }
-
-    /// The maintenance dependency class set of a live candidate (sorted).
-    pub fn dependencies(&self, id: CandidateId) -> &[ClassId] {
-        &self.slots[id.index()].deps
     }
 
     /// The memoized maintenance price of `(id, org)`, computing it with
@@ -436,7 +420,7 @@ mod tests {
         let b = space.intern_path(&schema, &pexa);
         assert_eq!(a, b);
         assert_eq!(space.len(), SubpathId::count(4));
-        assert!(a.iter().all(|&id| space.ref_count(id) == 2));
+        assert!(a.iter().all(|&id| space.slots[id.index()].refs == 2));
         // Ids are dense, first-seen ordered.
         assert_eq!(a[0], CandidateId(0));
         assert!(a.iter().all(|id| id.index() < space.len()));
@@ -458,8 +442,8 @@ mod tests {
         let r11 = SubpathId { start: 1, end: 1 }.rank(3);
         assert_eq!(a[SubpathId { start: 1, end: 1 }.rank(4)], b[r11]);
         // Shared candidates carry two references, private ones a single one.
-        assert_eq!(space.ref_count(b[r11]), 2);
-        assert_eq!(space.ref_count(*b.last().unwrap()), 1);
+        assert_eq!(space.slots[b[r11].index()].refs, 2);
+        assert_eq!(space.slots[b.last().unwrap().index()].refs, 1);
     }
 
     #[test]
@@ -478,13 +462,19 @@ mod tests {
         let embedded = ids[SubpathId { start: 1, end: 1 }.rank(3)];
         assert_eq!(space.steps(terminal), space.steps(embedded), "same steps");
         assert_ne!(terminal, embedded, "different roles, different identity");
-        assert!(!space.is_embedded(terminal));
-        assert!(space.is_embedded(embedded));
+        assert!(!space.slots[terminal.index()].embedded);
+        assert!(space.slots[embedded.index()].embedded);
         // The embedded role depends on the successor (Vehicle) hierarchy;
         // the terminal role sees Person only.
         let veh = schema.class_by_name("Vehicle").unwrap();
-        assert!(space.dependencies(embedded).binary_search(&veh).is_ok());
-        assert!(space.dependencies(terminal).binary_search(&veh).is_err());
+        assert!(space.slots[embedded.index()]
+            .deps
+            .binary_search(&veh)
+            .is_ok());
+        assert!(space.slots[terminal.index()]
+            .deps
+            .binary_search(&veh)
+            .is_err());
         // Each role keeps its own maintenance memo.
         assert_eq!(space.maintenance_cost(terminal, Org::Mx, || 1.0), 1.0);
         assert_eq!(space.maintenance_cost(embedded, Org::Mx, || 2.0), 2.0);
@@ -567,7 +557,7 @@ mod tests {
         // prefix, whose memo survives.
         space.release_path(&a);
         assert!(space.is_live(shared));
-        assert_eq!(space.ref_count(shared), 1);
+        assert_eq!(space.slots[shared.index()].refs, 1);
         assert_eq!(space.priced_maintenance(shared, Org::Nix), Some(7.0));
         assert_eq!(space.len(), live_before - (a.len() - 3));
 

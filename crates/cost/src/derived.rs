@@ -93,16 +93,10 @@ impl<'a> Derived<'a> {
         self.sum_k[l - 1]
     }
 
-    /// `noid_{l,x}` — oids of class `(l,x)` qualifying per value of the
-    /// ending attribute `A_n` (equality predicate):
-    /// `k_{l,x} · Π_{i=l+1..n} Σ_j k_{i,j}`.
-    pub fn noid(&self, l: usize, x: usize) -> f64 {
-        self.k(l, x) * self.noid_plus(l + 1)
-    }
-
     /// `noid⁺_l = Σ_x noid_{l,x}` — qualifying oids over the whole hierarchy
-    /// at position `l`; `noid⁺_{n+1} = 1` by the equality-predicate
-    /// convention (Section 3.1).
+    /// at position `l` per value of the ending attribute `A_n`, where
+    /// `noid_{l,x} = k_{l,x} · noid⁺_{l+1}`; `noid⁺_{n+1} = 1` by the
+    /// equality-predicate convention (Section 3.1).
     pub fn noid_plus(&self, l: usize) -> f64 {
         if l > self.n() {
             1.0
@@ -220,10 +214,6 @@ mod tests {
         assert_eq!(d.noid_plus(2), 56.0);
         assert_eq!(d.noid_plus(1), 560.0);
         assert_eq!(d.noid_plus(5), 1.0, "n+1 convention");
-        // Per-class noid at position 2: Veh 6*4*1=24, Bus/Truck 16 each.
-        assert_eq!(d.noid(2, 0), 24.0);
-        assert_eq!(d.noid(2, 1), 16.0);
-        assert_eq!(d.noid(2, 2), 16.0);
     }
 
     #[test]

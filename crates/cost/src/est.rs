@@ -139,11 +139,11 @@ mod tests {
     #[test]
     fn estimate_matches_real_tree_shape() {
         // Cross-check against the actual oic-btree structure.
-        use oic_btree::{BTreeIndex, Layout};
+        use oic_btree::BTreeIndex;
         use oic_storage::SimStore;
         let page = 512usize;
         let mut store = SimStore::new(page);
-        let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(page));
+        let mut tree = BTreeIndex::new(&mut store);
         let d = 2_000u64;
         for i in 0..d {
             // 9-byte keys, one 9-byte entry: ln = 8 + 9 + (9+2) = 28.

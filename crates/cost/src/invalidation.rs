@@ -35,6 +35,16 @@ use oic_schema::{ClassId, Path, Schema, SubpathId};
 /// embedded (`sub.end < path.len()`) — the hierarchy of the successor class
 /// whose deletions the boundary-`CMD` term charges to this subpath.
 ///
+/// The same set bounds the **size** (footprint in pages, see
+/// [`crate::size`]) of that index: the size reads the per-class
+/// `n`/`d`/`nin` of the step hierarchies plus — through the `d_union`
+/// domain clamp on the ending position (a mid-path reference attribute's
+/// key domain is the successor population) — the successor hierarchy when
+/// the subpath is embedded. Engines that memoize sizes beside maintenance
+/// prices therefore reuse this invalidation wiring verbatim: any drift
+/// that can move a size already clears the matching maintenance cell. The
+/// perturbation tests below pin both halves.
+///
 /// Sorted and deduplicated; probe with `binary_search`.
 pub fn maintenance_dependencies(schema: &Schema, path: &Path, sub: SubpathId) -> Vec<ClassId> {
     let mut deps: Vec<ClassId> = (sub.start..=sub.end)
@@ -51,22 +61,6 @@ pub fn maintenance_dependencies(schema: &Schema, path: &Path, sub: SubpathId) ->
     deps.sort_unstable();
     deps.dedup();
     deps
-}
-
-/// Classes whose statistics affect the **size** (footprint in pages, see
-/// [`crate::size`]) of an index allocated on subpath `sub` of `path`.
-///
-/// The size reads the per-class `n`/`d`/`nin` of the subpath's step
-/// hierarchies plus — through the `d_union` domain clamp on the ending
-/// position (a mid-path reference attribute's key domain is the successor
-/// population) — the successor hierarchy when the subpath is embedded.
-/// That is **exactly** [`maintenance_dependencies`]: engines that memoize
-/// sizes beside maintenance prices reuse the maintenance invalidation
-/// wiring verbatim — any drift that can move a size already clears the
-/// matching maintenance cell, so one dependency set per candidate covers
-/// both planes. The perturbation test below pins the contract.
-pub fn size_dependencies(schema: &Schema, path: &Path, sub: SubpathId) -> Vec<ClassId> {
-    maintenance_dependencies(schema, path, sub)
 }
 
 /// Classes whose statistics affect the **query** share of any subpath of
@@ -186,22 +180,16 @@ mod tests {
     }
 
     /// The size half of the contract: an index footprint is blind to every
-    /// class outside [`size_dependencies`] (bit-identical under drift) and
-    /// moves when a dependency — including the embedded boundary clamp —
-    /// drifts. Together with `size_dependencies == maintenance_dependencies`
-    /// this is what lets the candidate-space memo clear its size plane with
-    /// the maintenance invalidation for free.
+    /// class outside [`maintenance_dependencies`] (bit-identical under
+    /// drift) and moves when a dependency — including the embedded boundary
+    /// clamp — drifts. This is what lets the candidate-space memo clear its
+    /// size plane with the maintenance invalidation for free.
     #[test]
     fn size_outputs_follow_the_maintenance_dependency_set() {
         let (schema, _) = fixtures::paper_schema();
         let (path, base) = example51(&schema);
         let params = CostParams::default();
         let s12 = sub(1, 2); // embedded Per.owns.man; boundary = Company
-        assert_eq!(
-            size_dependencies(&schema, &path, s12),
-            maintenance_dependencies(&schema, &path, s12),
-            "one dependency set covers both memo planes"
-        );
         let probe = |chars: &crate::PathCharacteristics| {
             let m = CostModel::new(&schema, &path, chars, params);
             crate::Org::ALL

@@ -17,7 +17,7 @@
 
 use crate::derived::Derived;
 use crate::est::{estimate_btree, IndexEst};
-use crate::primitives::{cml, cmt, crl, crr, crt};
+use crate::primitives::{cml, cmt, crr, crt};
 use crate::yao::npa;
 use crate::{
     CostParams, Org, PathCharacteristics, CLASS_DIR_LEN, ENTRY_OVERHEAD, KEY_LEN, NUMCHILD_LEN,
@@ -43,10 +43,6 @@ pub struct CostModel<'a> {
     path: &'a Path,
     chars: &'a PathCharacteristics,
     params: CostParams,
-    /// Number of ending-attribute values matched per query: 1 for the
-    /// paper's equality predicates, `>1` for range predicates (“the
-    /// extension to range predicates is straightforward”, Section 3).
-    matched_values: f64,
     /// Memoized Table-2 derived quantities.
     derived: Derived<'a>,
     /// Cached MX estimate per `(position, hierarchy class)`.
@@ -90,10 +86,10 @@ struct ClassTerms {
     mix_cmt: OnceLock<f64>,
 }
 
-/// NIX physical statistics for one subpath (primary + auxiliary index);
-/// exposed for tests, examples and EXPERIMENTS.md tables.
+/// NIX physical statistics for one subpath (primary + auxiliary index),
+/// computed once per subpath rank at construction.
 #[derive(Debug, Clone)]
-pub struct NixStats {
+pub(crate) struct NixStats {
     /// Primary-index estimate (keyed by values of the subpath's ending
     /// attribute).
     pub primary: IndexEst,
@@ -119,20 +115,24 @@ impl<'a> CostModel<'a> {
             chars.len(),
             "characteristics must cover every path position"
         );
+        let n = path.len();
         let mut model = CostModel {
             schema,
             path,
             chars,
             params,
-            matched_values: 1.0,
             derived: Derived::new(chars),
             mx_ests: Vec::new(),
             mix_ests: Vec::new(),
             nix_cache: Vec::new(),
-            terms: Self::blank_terms(chars),
-            nix_walks: Self::blank_walks(path.len()),
+            terms: (1..=n)
+                .map(|l| LeafTerms {
+                    mix_crt_full: OnceLock::new(),
+                    classes: vec![ClassTerms::default(); chars.nc(l)],
+                })
+                .collect(),
+            nix_walks: (0..SubpathId::count(n)).map(|_| OnceLock::new()).collect(),
         };
-        let n = path.len();
         model.mx_ests = (1..=n)
             .map(|l| {
                 (0..chars.nc(l))
@@ -147,35 +147,9 @@ impl<'a> CostModel<'a> {
         model
     }
 
-    /// Switches the model to range predicates matching `m` ending-attribute
-    /// values per query (Section 3's “straightforward” extension: every
-    /// probe count along the path scales by the number of matched values,
-    /// with Yao absorbing the page-level sublinearity).
-    pub fn with_matched_values(mut self, m: f64) -> Self {
-        assert!(m >= 1.0, "a predicate matches at least one value");
-        self.matched_values = m;
-        // Every memoized retrieval term was priced at the old probe counts.
-        self.terms = Self::blank_terms(self.chars);
-        self.nix_walks = Self::blank_walks(self.n());
-        self
-    }
-
-    fn blank_walks(n: usize) -> Vec<OnceLock<Box<[f64]>>> {
-        (0..SubpathId::count(n)).map(|_| OnceLock::new()).collect()
-    }
-
-    fn blank_terms(chars: &PathCharacteristics) -> Vec<LeafTerms> {
-        (1..=chars.len())
-            .map(|l| LeafTerms {
-                mix_crt_full: OnceLock::new(),
-                classes: vec![ClassTerms::default(); chars.nc(l)],
-            })
-            .collect()
-    }
-
-    /// Probe count at position `l`, scaled for range predicates.
+    /// Probe count at position `l`.
     fn probe(&self, l: usize) -> f64 {
-        self.derived().probe_count(l) * self.matched_values
+        self.derived().probe_count(l)
     }
 
     /// The bound schema.
@@ -432,12 +406,6 @@ impl<'a> CostModel<'a> {
             }
         }
         RECORD_OVERHEAD + self.key_len_at(sub.end) + classes * CLASS_DIR_LEN + body
-    }
-
-    /// Physical statistics of a NIX allocated on `sub` (cached per rank;
-    /// this clones the cached value — internal callers borrow the cache).
-    pub fn nix_stats(&self, sub: SubpathId) -> NixStats {
-        self.nix(sub).clone()
     }
 
     /// Cached NIX statistics for `sub`.
@@ -801,28 +769,6 @@ impl<'a> CostModel<'a> {
         }
         total
     }
-
-    /// `CRL` of the primary structure of `org` on `sub` — convenience for
-    /// tests comparing against the paper's single-record formulas.
-    pub fn single_record_retrieval(&self, org: Org, sub: SubpathId) -> f64 {
-        match org {
-            Org::Mx => {
-                let est = self.est_mx(sub.end, 0);
-                let pr = est.pr_full(&self.params);
-                crl(est, &self.params, pr)
-            }
-            Org::Mix => {
-                let est = self.est_mix(sub.end);
-                let pr = est.pr_full(&self.params);
-                crl(est, &self.params, pr)
-            }
-            Org::Nix => {
-                let stats = self.nix(sub);
-                let pr = stats.primary.pr_full(&self.params);
-                crl(&stats.primary, &self.params, pr)
-            }
-        }
-    }
 }
 
 /// Which part of a NIX primary record a retrieval touches.
@@ -927,7 +873,7 @@ mod tests {
         // inherited index — it has no auxiliary index.
         let f = fixture();
         let m = CostModel::new(&f.schema, &f.path, &f.chars, CostParams::default());
-        let stats = m.nix_stats(sub(2, 2));
+        let stats = m.nix(sub(2, 2));
         assert!(stats.auxiliary.is_none());
         assert_eq!(stats.n_az, 0.0);
     }
@@ -936,8 +882,11 @@ mod tests {
     fn nix_aux_exists_for_multi_position_subpaths() {
         let f = fixture();
         let m = CostModel::new(&f.schema, &f.path, &f.chars, CostParams::default());
-        let stats = m.nix_stats(sub(1, 3));
-        let aux = stats.auxiliary.expect("positions 2..3 have parents");
+        let stats = m.nix(sub(1, 3));
+        let aux = stats
+            .auxiliary
+            .as_ref()
+            .expect("positions 2..3 have parents");
         // Tuples: 20 000 vehicles + 1 000 companies.
         assert_eq!(aux.distinct_keys, 21_000.0);
         assert_eq!(stats.n_az, 4.0, "Veh, Bus, Truck, Comp class records");
@@ -1020,7 +969,7 @@ mod tests {
         // per-query page count low.
         let f = fixture();
         let m = CostModel::new(&f.schema, &f.path, &f.chars, CostParams::default());
-        let stats = m.nix_stats(sub(1, 4));
+        let stats = m.nix(sub(1, 4));
         assert!(
             stats.primary.record_len > 4096.0,
             "ln = {}",
@@ -1202,7 +1151,6 @@ mod tests {
             page in proptest::sample::select(vec![256.0, 1024.0, 4096.0]),
             nix_section_rewrites in proptest::prelude::any::<bool>(),
             atomic_end in proptest::prelude::any::<bool>(),
-            matched in proptest::sample::select(vec![1.0, 12.5]),
         ) {
             let (schema, path) = chain(&shape, atomic_end);
             let chars = PathCharacteristics::build(&schema, &path, |c| {
@@ -1210,7 +1158,7 @@ mod tests {
                 crate::ClassStats::new(n.round(), (n * d).round().max(1.0), nin)
             });
             let params = CostParams { nix_section_rewrites, ..CostParams::with_page_size(page) };
-            let m = CostModel::new(&schema, &path, &chars, params).with_matched_values(matched);
+            let m = CostModel::new(&schema, &path, &chars, params);
             assert_matches_from_scratch(&m);
             // Second read: every term now comes out of the memo.
             assert_matches_from_scratch(&m);
@@ -1233,55 +1181,6 @@ mod tests {
                 assert_eq!(!m.nix(sub).primary.in_page(&m.params), spanning, "S{sub}");
             }
             assert_matches_from_scratch(&m);
-        }
-    }
-
-    #[test]
-    fn with_matched_values_invalidates_the_leaf_term_memo() {
-        let f = fixture();
-        let params = CostParams::paper();
-        let eq = CostModel::new(&f.schema, &f.path, &f.chars, params);
-        let full = sub(1, 4);
-        // Fill the memos at m = 1 — every MX/MIX leaf term and every NIX
-        // walk — then widen the predicate.
-        let at_one = Org::ALL.map(|org| eq.retrieval(org, full, 1, 0));
-        for ids in f.path.subpath_ids() {
-            eq.retrieval_traversal(Org::Nix, ids);
-            assert!(eq.nix_walks[ids.rank(4)].get().is_some(), "S{ids}");
-        }
-        let widened = eq.with_matched_values(20.0);
-        let fresh = CostModel::new(&f.schema, &f.path, &f.chars, params).with_matched_values(20.0);
-        for org in Org::ALL {
-            assert!(
-                widened.retrieval(org, full, 1, 0) > at_one[org.index()],
-                "{org}"
-            );
-            for ids in f.path.subpath_ids() {
-                assert_eq!(
-                    widened.retrieval_traversal(org, ids).to_bits(),
-                    fresh.retrieval_traversal(org, ids).to_bits()
-                );
-                for l in ids.start..=ids.end {
-                    for x in 0..f.chars.nc(l) {
-                        assert_eq!(
-                            widened.retrieval(org, ids, l, x).to_bits(),
-                            fresh.retrieval(org, ids, l, x).to_bits(),
-                            "{org} S{ids} ({l},{x})"
-                        );
-                    }
-                }
-            }
-        }
-        assert_matches_from_scratch(&widened);
-    }
-
-    #[test]
-    fn single_record_retrieval_matches_crl_shape() {
-        let f = fixture();
-        let m = CostModel::new(&f.schema, &f.path, &f.chars, CostParams::default());
-        for org in Org::ALL {
-            let v = m.single_record_retrieval(org, sub(1, 4));
-            assert!(v >= 1.0 && v.is_finite());
         }
     }
 }

@@ -1,22 +1,23 @@
 //! Physical parameters of the cost model.
 //!
-//! The byte lengths the estimator prices records with are constants: they
-//! mirror `oic_btree::Layout` and `oic_storage::encode_key`, and
-//! `tests/estimator_vs_real_tree.rs` pins them to both (DESIGN.md §5.9).
+//! The byte lengths the estimator prices records with are constants: the
+//! node and record headers are `oic_btree`'s own, and the key lengths
+//! mirror `oic_storage::encode_key`, which `tests/estimator_vs_real_tree.rs`
+//! pins them to (DESIGN.md §5.9).
 
 /// Encoded oid length (1 tag + 8 payload, matching `oic_storage::encode_key`).
 pub const OID_LEN: f64 = 9.0;
-/// Pointer length (page/record addresses inside index records; mirrors
-/// `oic_btree::Layout::child_ptr`).
-pub const PTR_LEN: f64 = 8.0;
+/// Pointer length (page/record addresses inside index records; the
+/// B-tree's child pointer).
+pub const PTR_LEN: f64 = oic_btree::CHILD_PTR as f64;
 /// Encoded atomic key length (fixed-width domains; tag byte included).
 pub const KEY_LEN: f64 = 9.0;
 /// Per-posting-entry overhead in an index record.
-pub const ENTRY_OVERHEAD: f64 = 2.0;
+pub const ENTRY_OVERHEAD: f64 = oic_btree::ENTRY_OVERHEAD as f64;
 /// Per-record header in a leaf.
-pub const RECORD_OVERHEAD: f64 = 8.0;
-/// Node header (mirrors `oic_btree::Layout::node_header`).
-pub const NODE_HEADER: f64 = 16.0;
+pub const RECORD_OVERHEAD: f64 = oic_btree::RECORD_OVERHEAD as f64;
+/// Node header.
+pub const NODE_HEADER: f64 = oic_btree::NODE_HEADER as f64;
 /// Per-class directory slot in MIX/NIX records (class tag + offset).
 pub const CLASS_DIR_LEN: f64 = 8.0;
 /// `numchild` counter per NIX primary entry under a multi-valued step.
@@ -65,8 +66,8 @@ impl CostParams {
         }
     }
 
-    /// The parameterization used for the paper-reproduction experiments
-    /// (EXPERIMENTS.md). The companion report \[7\] with the original
+    /// The parameterization used for the paper-reproduction report
+    /// (`examples/paper.rs`). The companion report \[7\] with the original
     /// physical constants is unavailable; a 1024-byte page (a common 1994
     /// value) is the point at which Example 5.1 reproduces the paper's
     /// optimal configuration `{(Per.owns.man, NIX), (Comp.divs.name, MX)}`
@@ -74,7 +75,7 @@ impl CostParams {
     /// (paper: 2.7; at 4 KB pages the factor is 2.7 with a NIX suffix).
     /// The *structure* — a two-way split after `man` with NIX on the
     /// query-heavy prefix — is stable across 1–8 KB pages; see the
-    /// page-size ablation bench.
+    /// page-size sweep in `examples/paper.rs`.
     pub fn paper() -> Self {
         CostParams::with_page_size(1024.0)
     }

@@ -21,10 +21,11 @@
 //! it reads only the statistics of the hierarchies inside the subpath plus
 //! (through the `d_union` domain clamp on the ending position) the
 //! population of the successor hierarchy when the subpath is embedded —
-//! exactly [`crate::invalidation::size_dependencies`], which coincides with
-//! the maintenance dependency set. Engines that memoize sizes can therefore
-//! reuse the maintenance invalidation wiring verbatim: any drift that can
-//! move a size already invalidates the matching maintenance cell.
+//! exactly the maintenance dependency set,
+//! [`crate::invalidation::maintenance_dependencies`]. Engines that memoize
+//! sizes can therefore reuse the maintenance invalidation wiring verbatim:
+//! any drift that can move a size already invalidates the matching
+//! maintenance cell.
 
 use crate::est::IndexEst;
 use crate::model::CostModel;
@@ -105,7 +106,7 @@ mod tests {
         let (path, chars) = example51(&schema);
         let m = CostModel::new(&schema, &path, &chars, CostParams::default());
         let s44 = sub(4, 4);
-        let nix = m.nix_stats(s44);
+        let nix = m.nix(s44);
         assert!(nix.auxiliary.is_none());
         assert_eq!(
             index_size_pages(&m, s44, Org::Nix),
@@ -124,7 +125,7 @@ mod tests {
             PathCharacteristics::build(&schema, &path, |_| ClassStats::new(10_000.0, 100.0, 2.0));
         let small = CostParams::with_page_size(256.0);
         let m = CostModel::new(&schema, &path, &chars, small);
-        let est = m.nix_stats(sub(1, 3)).primary;
+        let est = &m.nix(sub(1, 3)).primary;
         assert!(est.record_len > 256.0, "spanning record expected");
         assert!(
             index_size_pages(&m, sub(1, 3), Org::Nix) >= est.leaf_pages,

@@ -1,14 +1,12 @@
 //! The B+-tree estimator against the real `oic-btree` structure, across
 //! random shapes: heights within one level, leaf pages within a factor two
 //! (real splits leave pages part-filled; the estimator packs them). The
-//! estimator's byte lengths are checked against the layout and the key
-//! encoding they copy.
+//! estimator's key lengths are checked against the key encoding they copy,
+//! and its node capacity against the tree's.
 
-use oic_btree::{BTreeIndex, Layout};
+use oic_btree::BTreeIndex;
 use oic_cost::est::estimate_btree;
-use oic_cost::{
-    CostParams, ENTRY_OVERHEAD, KEY_LEN, NODE_HEADER, OID_LEN, PTR_LEN, RECORD_OVERHEAD,
-};
+use oic_cost::{CostParams, ENTRY_OVERHEAD, KEY_LEN, OID_LEN, RECORD_OVERHEAD};
 use oic_schema::ClassId;
 use oic_storage::{encode_key, Oid, SimStore, Value};
 use proptest::prelude::*;
@@ -16,14 +14,9 @@ use proptest::prelude::*;
 #[test]
 fn byte_constants_match_the_layout_and_the_key_encoding() {
     for page_size in [512usize, 1024, 4096] {
-        let layout = Layout::for_page_size(page_size);
-        assert_eq!(NODE_HEADER, layout.node_header as f64);
-        assert_eq!(RECORD_OVERHEAD, layout.record_overhead as f64);
-        assert_eq!(ENTRY_OVERHEAD, layout.entry_overhead as f64);
-        assert_eq!(PTR_LEN, layout.child_ptr as f64);
         assert_eq!(
             CostParams::with_page_size(page_size as f64).node_capacity(),
-            layout.node_capacity() as f64
+            oic_btree::node_capacity(page_size) as f64
         );
     }
     let oid = Oid::new(ClassId(3), 42);
@@ -44,7 +37,7 @@ proptest! {
         page_size in prop::sample::select(vec![512usize, 1024, 4096]),
     ) {
         let mut store = SimStore::new(page_size);
-        let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(page_size));
+        let mut tree = BTreeIndex::new(&mut store);
         for i in 0..keys {
             let mut k = vec![1u8];
             k.extend_from_slice(&i.to_be_bytes());
@@ -81,7 +74,7 @@ proptest! {
     ) {
         let page_size = 512usize;
         let mut store = SimStore::new(page_size);
-        let mut tree = BTreeIndex::new(&mut store, Layout::for_page_size(page_size));
+        let mut tree = BTreeIndex::new(&mut store);
         for i in 0..keys {
             let mut k = vec![1u8];
             k.extend_from_slice(&i.to_be_bytes());

@@ -3,7 +3,7 @@
 //! 1989). A SIX, the simple index on one class, is the IIX over `[class]`.
 
 use crate::traits::{entry_to_oid, selecting, tree_pages};
-use oic_btree::{BTreeIndex, Layout};
+use oic_btree::BTreeIndex;
 use oic_schema::ClassId;
 use oic_storage::{encode_key, Object, Oid, SimStore, Value};
 
@@ -26,7 +26,7 @@ impl InheritedIndex {
         InheritedIndex {
             classes: classes.to_vec(),
             attr: attr.to_string(),
-            tree: BTreeIndex::new(store, Layout::for_page_size(store.page_size())),
+            tree: BTreeIndex::new(store),
         }
     }
 

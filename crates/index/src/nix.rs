@@ -17,7 +17,7 @@
 
 use crate::traits::{entry_to_oid, normalize, selecting, tree_pages};
 use crate::{PathIndex, Segment};
-use oic_btree::{BTreeIndex, Layout};
+use oic_btree::BTreeIndex;
 use oic_schema::{ClassId, Path, Schema, SubpathId};
 use oic_storage::{encode_key, Object, ObjectStore, Oid, SimStore, Value};
 
@@ -77,11 +77,10 @@ pub struct NestedInheritedIndex {
 impl NestedInheritedIndex {
     /// Creates an empty NIX on subpath `sub` of `path`.
     pub fn new(schema: &Schema, path: &Path, sub: SubpathId, store: &mut SimStore) -> Self {
-        let layout = Layout::for_page_size(store.page_size());
         NestedInheritedIndex {
             segment: Segment::new(schema, path, sub),
-            primary: BTreeIndex::new(store, layout),
-            aux: BTreeIndex::new(store, layout),
+            primary: BTreeIndex::new(store),
+            aux: BTreeIndex::new(store),
         }
     }
 

@@ -108,17 +108,6 @@ impl Segment {
     pub fn is_boundary(&self, class: ClassId) -> bool {
         self.boundary.contains(&class)
     }
-
-    /// Human-readable rendering.
-    pub fn describe(&self, schema: &Schema) -> String {
-        let mut s = String::new();
-        s.push_str(schema.class_name(self.steps[0].class));
-        for st in &self.steps {
-            s.push('.');
-            s.push_str(&st.attr_name);
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +128,6 @@ mod tests {
         assert_eq!(seg.hierarchy(1).len(), 3);
         assert_eq!(seg.local_of(c.bus), Some(1));
         assert_eq!(seg.local_of(c.division), None);
-        assert_eq!(seg.describe(&schema), "Person.owns.man");
     }
 
     #[test]

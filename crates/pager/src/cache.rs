@@ -1,21 +1,18 @@
-//! The LRU page cache: bounded frames with pin counts and dirty bits.
+//! The LRU page cache: bounded frames with dirty bits.
 //!
 //! The cache holds page images between the B-tree above and the
 //! backing file below. Policy:
 //!
 //! * **LRU** — every `get` stamps the frame with a monotonically
-//!   increasing tick; eviction takes the smallest stamp among unpinned
-//!   frames (capacities are tens-to-hundreds of frames, so the O(cap)
+//!   increasing tick; the eviction victim is the frame with the smallest
+//!   stamp (capacities are tens-to-hundreds of frames, so the O(cap)
 //!   victim scan is cheaper than maintaining an intrusive list);
-//! * **pin/unpin** — pinned frames are never evicted; when every frame is
-//!   pinned an insert fails with [`StoreError::AllPinned`] instead of
-//!   blocking (there is no other thread to make progress — see DESIGN.md
-//!   §5.13: the cache is `&mut`-owned, never shared);
 //! * **write-back** — dirty frames are not flushed on write; the pager
 //!   writes them back exactly once, on eviction or commit, clearing the
-//!   dirty bit.
+//!   dirty bit. The cache never evicts on its own: the pager asks for the
+//!   [`PageCache::lru`] victim, writes it back, and only then
+//!   [`PageCache::take`]s it, so a failed write-back loses nothing.
 
-use oic_storage::paged::StoreError;
 use std::collections::HashMap;
 
 /// One cached page.
@@ -25,8 +22,6 @@ pub struct Frame {
     pub data: Vec<u8>,
     /// Modified since the last write-back/commit.
     pub dirty: bool,
-    /// Pin count; evictable only at zero.
-    pub pins: u32,
     stamp: u64,
 }
 
@@ -73,87 +68,40 @@ impl PageCache {
         })
     }
 
+    /// A resident frame, without refreshing its LRU stamp.
+    pub fn peek(&self, id: u64) -> Option<&Frame> {
+        self.frames.get(&id)
+    }
+
     /// Whether a frame is resident (no LRU refresh).
     pub fn contains(&self, id: u64) -> bool {
         self.frames.contains_key(&id)
     }
 
-    /// Inserts (or replaces) a frame and returns the evicted victim
-    /// `(id, frame)` if the cache was full, for the pager to write back
-    /// if dirty. Room is made *before* the insert, so a failed one
-    /// ([`StoreError::AllPinned`]) leaves no trace.
-    pub fn insert(
-        &mut self,
-        id: u64,
-        data: Vec<u8>,
-        dirty: bool,
-    ) -> Result<Option<(u64, Frame)>, StoreError> {
-        let pins = self.frames.get(&id).map(|f| f.pins);
-        let victim = match pins {
-            Some(_) => None, // replacing a resident frame evicts nothing
-            None => self.make_room()?,
-        };
+    /// Inserts (or replaces) a frame. It never evicts: the caller makes
+    /// room first, so the cache may exceed its capacity only while a
+    /// write-back that would make room is failing.
+    pub fn insert(&mut self, id: u64, data: Vec<u8>, dirty: bool) {
         self.tick += 1;
         let frame = Frame {
             data,
             dirty,
-            pins: pins.unwrap_or(0),
             stamp: self.tick,
         };
         self.frames.insert(id, frame);
-        Ok(victim)
     }
 
-    /// Evicts the least-recently-used unpinned frame if the cache is
-    /// full, so the next insert of a new id fits. The pager calls this
-    /// ahead of a miss to read the page straight into the victim's
-    /// buffer.
-    pub fn make_room(&mut self) -> Result<Option<(u64, Frame)>, StoreError> {
-        if self.frames.len() < self.capacity {
-            return Ok(None);
-        }
-        self.evict_lru().map(Some)
-    }
-
-    fn evict_lru(&mut self) -> Result<(u64, Frame), StoreError> {
-        let victim = self
-            .frames
+    /// The least-recently-used frame, the next eviction victim.
+    pub fn lru(&self) -> Option<(u64, &Frame)> {
+        self.frames
             .iter()
-            .filter(|(_, f)| f.pins == 0)
             .min_by_key(|(_, f)| f.stamp)
-            .map(|(&vid, _)| vid)
-            .ok_or(StoreError::AllPinned)?;
-        Ok(self
-            .frames
-            .remove_entry(&victim)
-            .expect("victim is resident"))
+            .map(|(&id, f)| (id, f))
     }
 
-    /// Removes a frame without write-back (page freed or discarded).
+    /// Removes a frame without write-back (evicted, freed or discarded).
     pub fn take(&mut self, id: u64) -> Option<Frame> {
         self.frames.remove(&id)
-    }
-
-    /// Pins a resident frame (counted; unpin as many times as pinned).
-    pub fn pin(&mut self, id: u64) -> bool {
-        match self.frames.get_mut(&id) {
-            Some(f) => {
-                f.pins += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Unpins a resident frame; `false` if absent or not pinned.
-    pub fn unpin(&mut self, id: u64) -> bool {
-        match self.frames.get_mut(&id) {
-            Some(f) if f.pins > 0 => {
-                f.pins -= 1;
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Ids of dirty frames, sorted (deterministic flush order).
@@ -168,15 +116,10 @@ impl PageCache {
         ids
     }
 
-    /// Shrinks (or grows) the capacity, returning evicted `(id, frame)`
-    /// victims in eviction order. Fails if pins block the shrink.
-    pub fn set_capacity(&mut self, capacity: usize) -> Result<Vec<(u64, Frame)>, StoreError> {
+    /// Shrinks (or grows) the capacity. Frames above it stay until the
+    /// pager evicts them.
+    pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.frames.len() > self.capacity {
-            out.push(self.evict_lru()?);
-        }
-        Ok(out)
     }
 }
 
@@ -191,55 +134,26 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = PageCache::new(2);
-        assert!(c.insert(1, page(1), false).unwrap().is_none());
-        assert!(c.insert(2, page(2), false).unwrap().is_none());
+        c.insert(1, page(1), false);
+        c.insert(2, page(2), false);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get(1).is_some());
-        let (vid, _) = c.insert(3, page(3), false).unwrap().expect("eviction");
-        assert_eq!(vid, 2);
+        assert_eq!(c.lru().map(|(id, _)| id), Some(2));
+        // A peek does not refresh: 2 stays the victim.
+        assert!(c.peek(2).is_some());
+        assert_eq!(c.lru().map(|(id, _)| id), Some(2));
+        c.take(2);
+        c.insert(3, page(3), false);
         assert!(c.contains(1) && c.contains(3) && !c.contains(2));
-    }
-
-    #[test]
-    fn pin_prevents_eviction_and_unpin_restores_it() {
-        let mut c = PageCache::new(2);
-        c.insert(1, page(1), false).unwrap();
-        c.insert(2, page(2), false).unwrap();
-        assert!(c.pin(1));
-        // 1 is LRU but pinned: 2 must be the victim.
-        let (vid, _) = c.insert(3, page(3), false).unwrap().expect("eviction");
-        assert_eq!(vid, 2, "pinned frame survives despite being LRU");
-        assert!(c.unpin(1));
-        let (vid, _) = c.insert(4, page(4), false).unwrap().expect("eviction");
-        assert_eq!(vid, 1, "after unpin the frame is evictable again");
-    }
-
-    #[test]
-    fn all_pinned_insert_errors_instead_of_deadlocking() {
-        let mut c = PageCache::new(2);
-        c.insert(1, page(1), false).unwrap();
-        c.insert(2, page(2), false).unwrap();
-        assert!(c.pin(1) && c.pin(2));
-        let err = c.insert(3, page(3), false).unwrap_err();
-        assert!(matches!(err, StoreError::AllPinned));
-        assert!(
-            !c.contains(3) && c.len() == 2,
-            "failed insert leaves no trace"
-        );
-        // Double pins need double unpins.
-        assert!(c.pin(1));
-        assert!(c.unpin(1));
-        assert!(c.insert(3, page(3), false).is_err(), "still pinned once");
-        assert!(c.unpin(1));
-        assert!(c.insert(3, page(3), false).unwrap().is_some());
+        assert_eq!(c.lru().map(|(id, _)| id), Some(1));
     }
 
     #[test]
     fn dirty_ids_sorted_and_take_discards() {
         let mut c = PageCache::new(8);
-        c.insert(5, page(5), true).unwrap();
-        c.insert(2, page(2), false).unwrap();
-        c.insert(9, page(9), true).unwrap();
+        c.insert(5, page(5), true);
+        c.insert(2, page(2), false);
+        c.insert(9, page(9), true);
         assert_eq!(c.dirty_ids(), vec![5, 9]);
         let f = c.take(5).unwrap();
         assert!(f.dirty);
@@ -248,27 +162,20 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_preserves_pins() {
-        let mut c = PageCache::new(2);
-        c.insert(1, page(1), false).unwrap();
-        c.pin(1);
-        // Overwriting the frame (a write_page of a resident page) must not
-        // lose the pin.
-        c.insert(1, page(9), true).unwrap();
-        c.insert(2, page(2), false).unwrap();
-        let (vid, _) = c.insert(3, page(3), false).unwrap().expect("eviction");
-        assert_eq!(vid, 2, "page 1 still pinned after reinsert");
-    }
-
-    #[test]
     fn set_capacity_evicts_down() {
         let mut c = PageCache::new(4);
         for i in 1..=4 {
-            c.insert(i, page(i as u8), i % 2 == 0).unwrap();
+            c.insert(i, page(i as u8), i % 2 == 0);
         }
         c.get(1); // freshen 1: victims should be 2 then 3
-        let evicted = c.set_capacity(2).unwrap();
-        let ids: Vec<u64> = evicted.iter().map(|(id, _)| *id).collect();
+        c.set_capacity(2);
+        assert_eq!(c.capacity(), 2);
+        let mut ids = Vec::new();
+        while c.len() > c.capacity() {
+            let (id, _) = c.lru().expect("over capacity");
+            ids.push(id);
+            c.take(id);
+        }
         assert_eq!(ids, vec![2, 3]);
         assert!(c.contains(1) && c.contains(4));
     }

@@ -179,11 +179,6 @@ impl FaultClock {
         *self.tripped.borrow()
     }
 
-    /// Writes survived so far would exceed the budget on the next write.
-    pub fn exhausted(&self) -> bool {
-        *self.remaining.borrow() == 0
-    }
-
     fn injected() -> io::Error {
         io::Error::other("injected write fault")
     }

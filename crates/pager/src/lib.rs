@@ -9,10 +9,10 @@
 //!   allocation state and an application meta blob, a freelist chained
 //!   through the free pages themselves, and crash-atomic commits via an
 //!   undo journal;
-//! * [`PageCache`] — the bounded LRU frame cache with pin/unpin, dirty
-//!   tracking, and write-back eviction that sits between the pager and
-//!   its file; `page` / `page_mut` lend its frames, and a miss reads the
-//!   file straight into the frame it evicted;
+//! * [`PageCache`] — the bounded LRU frame cache with dirty tracking and
+//!   write-back eviction that sits between the pager and its file;
+//!   `page` / `page_mut` lend its frames, and a miss reads the file
+//!   straight into the frame it evicted;
 //! * [`DiskFile`] / [`MemFile`] / [`FaultFile`] — the backing files: a
 //!   real file, shared in-RAM bytes (reopenable across a simulated
 //!   crash), and a write-budget wrapper that tears the fatal write;

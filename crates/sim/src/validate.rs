@@ -193,15 +193,16 @@ pub fn naive_vs_indexed(
     );
     let mut naive_total = 0u64;
     for v in &picks {
-        db2.store.begin_op();
-        let _ = naive.lookup(
-            &db2.store,
-            &db2.heap,
-            std::slice::from_ref(v),
-            target,
-            false,
-        );
-        naive_total += db2.store.end_op().distinct_total();
+        let (_, op) = db2.store.measure(|| {
+            naive.lookup(
+                &db2.store,
+                &db2.heap,
+                std::slice::from_ref(v),
+                target,
+                false,
+            )
+        });
+        naive_total += op.distinct_total();
     }
     let naive_mean = naive_total as f64 / picks.len().max(1) as f64;
     (naive_mean, idx_mean)

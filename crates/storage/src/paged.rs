@@ -41,8 +41,6 @@ pub enum StoreError {
     Io(std::io::Error),
     /// On-disk state failed validation (bad magic, checksum, freelist).
     Corrupt(String),
-    /// The page cache cannot make room: every frame is pinned.
-    AllPinned,
     /// The page id is not a live, readable data page.
     BadPage(PageId),
     /// A request violated a size or argument contract.
@@ -54,7 +52,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
-            StoreError::AllPinned => write!(f, "page cache exhausted: all frames pinned"),
             StoreError::BadPage(p) => write!(f, "not a live data page: {p}"),
             StoreError::Invalid(m) => write!(f, "invalid request: {m}"),
         }
@@ -127,12 +124,6 @@ impl IoStats {
             journal_writes: self.journal_writes - earlier.journal_writes,
             evictions: self.evictions - earlier.evictions,
         }
-    }
-
-    /// Cache misses: logical reads that went to the backing file.
-    #[inline]
-    pub fn cache_misses(&self) -> u64 {
-        self.logical_reads - self.cache_hits
     }
 
     /// Fraction of logical reads served by the cache (1.0 when idle).
@@ -396,7 +387,6 @@ mod tests {
         assert_eq!(d.logical_reads, 2);
         assert_eq!(d.cache_hits, 2);
         assert_eq!(d.logical_writes, 0);
-        assert_eq!(d.cache_misses(), 0);
         assert_eq!(d.hit_rate(), 1.0);
         s.reset_io_stats();
         assert_eq!(s.io_stats(), IoStats::default());
@@ -450,6 +440,8 @@ mod tests {
         let e = StoreError::from(std::io::Error::other("boom"));
         assert!(e.to_string().contains("boom"));
         assert!(e.source().is_some());
-        assert!(StoreError::AllPinned.to_string().contains("pinned"));
+        assert!(StoreError::Corrupt("bad magic".into())
+            .to_string()
+            .contains("bad magic"));
     }
 }

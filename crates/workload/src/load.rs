@@ -85,11 +85,6 @@ impl LoadDistribution {
         self.positions[l - 1][x].0
     }
 
-    /// Mutable triplet access (for sweep construction).
-    pub fn triplet_mut(&mut self, l: usize, x: usize) -> &mut Triplet {
-        &mut self.positions[l - 1][x].1
-    }
-
     /// Total query mass strictly upstream of position `s`.
     pub fn upstream_query_mass(&self, s: usize) -> f64 {
         self.positions[..s - 1]
@@ -102,11 +97,6 @@ impl LoadDistribution {
     /// Total deletion mass at position `l`.
     pub fn delete_mass_at(&self, l: usize) -> f64 {
         self.positions[l - 1].iter().map(|(_, t)| t.delete).sum()
-    }
-
-    /// Total query mass across the whole scope.
-    pub fn total_query_mass(&self) -> f64 {
-        self.positions.iter().flatten().map(|(_, t)| t.query).sum()
     }
 
     /// The query share of this distribution: same `α` everywhere, `β = γ =
@@ -187,7 +177,7 @@ mod tests {
         // Upstream of Comp: Per 0.3 + Veh 0.3 + Bus 0.05 + Truck 0.
         assert!((ld.upstream_query_mass(3) - 0.65).abs() < 1e-12);
         assert!((ld.delete_mass_at(2) - 0.15).abs() < 1e-12);
-        assert!((ld.total_query_mass() - 0.95).abs() < 1e-12);
+        assert!((ld.upstream_query_mass(ld.len() + 1) - 0.95).abs() < 1e-12);
     }
 
     #[test]
@@ -214,16 +204,5 @@ mod tests {
                 assert_eq!(q.class(l, x), ld.class(l, x));
             }
         }
-        assert_eq!(q.total_query_mass(), ld.total_query_mass());
-        assert_eq!(m.total_query_mass(), 0.0);
-    }
-
-    #[test]
-    fn triplet_mut_updates() {
-        let (schema, _) = fixtures::paper_schema();
-        let path = fixtures::paper_path_pe(&schema);
-        let mut ld = LoadDistribution::uniform(&schema, &path, Triplet::default());
-        ld.triplet_mut(1, 0).query = 2.0;
-        assert_eq!(ld.triplet(1, 0).query, 2.0);
     }
 }

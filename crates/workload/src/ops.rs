@@ -93,38 +93,6 @@ pub fn sample_ops(ld: &LoadDistribution, count: usize, seed: u64) -> Vec<OpKind>
     out
 }
 
-/// Exact per-frequency expansion: one operation per `unit` of frequency
-/// mass, round-robin across classes — useful for deterministic cost
-/// accounting without sampling noise. Returns operations in a fixed order.
-pub fn exact_mix(ld: &LoadDistribution, scale: f64) -> Vec<OpKind> {
-    let mut out = Vec::new();
-    for l in 1..=ld.len() {
-        for x in 0..ld.nc(l) {
-            let t = ld.triplet(l, x);
-            let reps = |f: f64| (f * scale).round().max(0.0) as usize;
-            for _ in 0..reps(t.query) {
-                out.push(OpKind::Query {
-                    position: l,
-                    class: x,
-                });
-            }
-            for _ in 0..reps(t.insert) {
-                out.push(OpKind::Insert {
-                    position: l,
-                    class: x,
-                });
-            }
-            for _ in 0..reps(t.delete) {
-                out.push(OpKind::Delete {
-                    position: l,
-                    class: x,
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,29 +131,6 @@ mod tests {
             position: 2,
             class: 2
         }));
-    }
-
-    #[test]
-    fn exact_mix_counts() {
-        let ld = ld();
-        let ops = exact_mix(&ld, 20.0);
-        // Per: 0.3*20 = 6 queries, 2 inserts, 2 deletes.
-        let per_q = ops
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    OpKind::Query {
-                        position: 1,
-                        class: 0
-                    }
-                )
-            })
-            .count();
-        assert_eq!(per_q, 6);
-        let total: usize = ops.len();
-        // Total mass 1.95 * 20 = 39.
-        assert_eq!(total, 39);
     }
 
     #[test]

@@ -215,6 +215,31 @@ fn no_second_engine_or_retired_switches() {
         ],
         Reach::All,
     );
+    let maintained: Vec<PathBuf> = files
+        .iter()
+        .filter(|file| {
+            ["crates", "src", "tests", "examples", "scripts"]
+                .iter()
+                .any(|dir| file.starts_with(at(dir)))
+                || [at("README.md"), at("DESIGN.md")].contains(file)
+        })
+        .cloned()
+        .collect();
+    forbid(
+        "The B-tree layout is four `oic_btree` constants and the page size of the \
+         tree's store, the page cache has no pins, and the cost model prices \
+         equality predicates only: the layout struct's constructor, the pin \
+         calls and their error, and the range-predicate switch must not come \
+         back in the code or the maintained docs.",
+        &maintained,
+        &[
+            "for_page_size",
+            "fn pin(",
+            "AllPinned",
+            "with_matched_values",
+        ],
+        Reach::All,
+    );
 }
 
 #[test]
