@@ -1,5 +1,8 @@
-//! Candidate-sharing components of the advisor's live paths, rebuilt from
-//! their candidate slices on every call over dense tables.
+//! Candidate-sharing components of the advisor's live paths, built from
+//! their candidate slices over dense tables. The advisor builds them once
+//! per membership: it keeps the result until a path arrives, departs or
+//! changes its admitted candidates, and rebuilds from scratch then — no
+//! incremental index.
 //!
 //! Two paths land in the same component iff they are connected by a chain
 //! of shared physical candidates. Paths in different components share no
@@ -31,7 +34,9 @@ pub(crate) struct Components {
 /// candidates, in advisor storage order; every id below `slots`). A
 /// union-find over the path indices links each path to the first holder
 /// of each of its candidates, the smaller index always the root, so a
-/// root is its component's first member.
+/// root is its component's first member. Only earlier paths are linked
+/// before a path's own turn, so its root is itself until its first link,
+/// and is carried through its candidates instead of looked up again.
 pub(crate) fn components(live: &[&[CandidateId]], slots: usize) -> Components {
     fn root(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -44,12 +49,14 @@ pub(crate) fn components(live: &[&[CandidateId]], slots: usize) -> Components {
     let mut parent: Vec<u32> = (0..live.len() as u32).collect();
     let mut holder = vec![NONE; slots];
     for (p, cands) in live.iter().enumerate() {
+        let mut own = p as u32;
         for cand in cands.iter() {
             match holder[cand.index()] {
                 NONE => holder[cand.index()] = p as u32,
                 first => {
-                    let (a, b) = (root(&mut parent, first), root(&mut parent, p as u32));
-                    parent[a.max(b) as usize] = a.min(b);
+                    let other = root(&mut parent, first);
+                    parent[other.max(own) as usize] = other.min(own);
+                    own = other.min(own);
                 }
             }
         }

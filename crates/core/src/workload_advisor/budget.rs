@@ -1,13 +1,12 @@
 //! Selection under a shared page budget (DESIGN.md §5.12): λ-priced
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
-use super::descent::{Memo, MAX_SWEEPS};
+use super::descent::{Memo, Shards, MAX_SWEEPS};
 use super::ledger::{self, pair_at, slot, Enclosure, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
 };
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
-use crate::shard::Components;
 
 /// One eviction trial's outcome: the re-selected owners of the banned
 /// index, ascending by path index (a path never repeats a class, so its
@@ -203,10 +202,10 @@ impl WorkloadAdvisor<'_> {
     /// path's starting memo is its context-free response instead (no
     /// context prices like the all-zero one), so a path whose sharing
     /// context did not move — every path, in the confirming no-change
-    /// round — is a memo hit. `comps` are the advisor's current
+    /// round — is a memo hit. `shards` are the advisor's current
     /// [`Self::components`]; singletons keep their context-free response,
     /// which no other path can ever perturb.
-    fn lambda_sweep(&self, lambda: f64, comps: &Components) -> Vec<Selection> {
+    fn lambda_sweep(&self, lambda: f64, shards: &Shards) -> Vec<Selection> {
         let pricing = Pricing {
             lambda,
             ..Pricing::default()
@@ -216,10 +215,10 @@ impl WorkloadAdvisor<'_> {
             best_response(st, &self.space, pricing, dp, &mut sel);
             sel
         });
-        let outs = self.descend_components(comps, lambda, Memo::Seeded, &selections);
+        let outs = self.descend_components(shards, lambda, Memo::Seeded(&selections));
         for (comp, out) in outs {
-            for (&i, sel) in comp.iter().zip(out.sels) {
-                selections[i] = sel;
+            for (k, sel) in out.changed {
+                selections[comp[k]] = sel;
             }
         }
         selections
@@ -670,14 +669,14 @@ impl WorkloadAdvisor<'_> {
         }
 
         // Both search directions work per candidate-sharing component.
-        let comps = self.components();
+        let shards = self.components();
         // Bracket λ: grow until the sweep fits the budget.
         let mut lambda_sweeps = 0usize;
         let mut lo = 0.0f64;
         let mut hi = (unconstrained_cost / unconstrained_size.max(1e-12)).max(1e-9);
         let mut found = Incumbents::default();
         let probe = |advisor: &Self, l: f64, found: &mut Incumbents| -> f64 {
-            let sel = advisor.lambda_sweep(l, &comps);
+            let sel = advisor.lambda_sweep(l, &shards);
             let (cost, size) = advisor.ledger(&sel).totals();
             found.offer(budget_pages, (sel, cost, size, l));
             size
@@ -754,7 +753,7 @@ impl WorkloadAdvisor<'_> {
         } else {
             0
         };
-        let assembled = self.assemble_plan(&selections, unconstrained.independent_cost);
+        let assembled = self.assemble_plan(Some(&selections), unconstrained.independent_cost);
         // The real epoch work happened inside the inner reoptimize(): its
         // telemetry carries over instead of reporting the budgeted epoch as
         // free (the λ sweeps and evictions are read-only w.r.t. the memos

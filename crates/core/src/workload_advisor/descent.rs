@@ -7,35 +7,45 @@ use super::{Selection, SweepMemo, WorkloadAdvisor};
 use crate::select::ScalarDp;
 use crate::shard::{Components, NONE};
 use crate::space::CandidateSpace;
+use oic_exec::Executor;
 
 /// Maximum coordinate-descent rounds; the objective is monotone, so this is
 /// a safety net, not a tuning knob (workloads converge in 2–3 sweeps).
 pub(super) const MAX_SWEEPS: usize = 8;
 
-/// Where a descent finds its members' earlier best responses.
+/// Where a descent finds its members' seeds and earlier best responses.
 #[derive(Clone, Copy)]
-pub(super) enum Memo {
+pub(super) enum Memo<'s> {
     /// The unconstrained (λ = 0) descent of [`WorkloadAdvisor::reoptimize`]:
-    /// each member's [`SweepMemo`] trail, read in place from its path
-    /// state. The descent hands back, per member, the entries it added and
-    /// which old ones it visited, for [`PathState::retrace`].
+    /// each member starts from its standalone optimum and finds its
+    /// [`SweepMemo`] trail, both read in place from its path state. The
+    /// descent hands back, per member, the entries it added and which old
+    /// ones it visited, for [`PathState::retrace`], and the converged
+    /// selections that differ from the path's current one.
     Trail,
-    /// A λ-priced sweep of the budget search: one entry per member, seeded
-    /// with its context-free response and overwritten in place on a miss.
-    /// The advisor's trails hold λ = 0 responses and are not read.
-    Seeded,
+    /// A λ-priced sweep of the budget search from these per-path seeds,
+    /// each path's context-free response: a member's seed fills its one
+    /// memo entry, which a miss overwrites. The advisor's trails hold
+    /// λ = 0 responses and are not read. The descent hands back the
+    /// converged selections that differ from the seeds.
+    Seeded(&'s [Selection]),
 }
 
 /// One component's buffered descent output, computed read-only on a worker
 /// and installed into the advisor (selections, trails, work counters) by
 /// the caller in component order — see [`descend_component`].
 pub(super) struct CompOut {
-    /// Converged selection per member, in component order.
-    pub(super) sels: Vec<Selection>,
-    /// Under [`Memo::Trail`], per member in component order: the trail
-    /// entries this descent added, and a bit per entry of the old trail
-    /// that it visited. Empty under [`Memo::Seeded`].
-    pub(super) trails: Vec<(SweepMemo, u32)>,
+    /// `(member, converged selection)` of each member whose converged
+    /// selection differs from its base — under [`Memo::Trail`] the path's
+    /// current selection, under [`Memo::Seeded`] its seed — members
+    /// ascending by their position in the component.
+    pub(super) changed: Vec<(usize, Selection)>,
+    /// Under [`Memo::Trail`], `(member, added, visited)` of each member
+    /// whose trail this descent moved — the entries it added, and a bit
+    /// per entry of the old trail that it visited — members ascending. A
+    /// member that revisited its whole trail and added nothing is left
+    /// out: its trail stays as it is. Empty under [`Memo::Seeded`].
+    pub(super) trails: Vec<(usize, SweepMemo, u32)>,
     /// Sweeps this component ran until convergence.
     pub(super) sweeps: usize,
     /// Context-keyed DP invocations inside this component.
@@ -48,35 +58,56 @@ pub(super) struct CompOut {
 // descent — fits the visited-bit mask.
 const _: () = assert!(MAX_SWEEPS <= u32::BITS as usize);
 
-impl WorkloadAdvisor<'_> {
-    /// Descends every multi-path component of `comps` under `cost +
-    /// λ·size` pricing, from the per-path `selections`, finding earlier
-    /// best responses where `memo` says. Components fan out over the
-    /// executor weighted by member count; each job comes back with its
-    /// members, in component order, for the caller to install.
-    pub(super) fn descend_components<'c>(
-        &self,
-        comps: &'c Components,
-        lambda: f64,
-        memo: Memo,
-        selections: &[Selection],
-    ) -> Vec<(&'c [usize], CompOut)> {
-        let jobs: Vec<&'c [usize]> = comps
+/// The candidate-sharing components of the live paths and, for each
+/// multi-path one, its members' cells numbered within it: functions of
+/// membership alone, so the advisor builds them together and keeps them
+/// while membership holds.
+#[derive(Debug, PartialEq)]
+pub(super) struct Shards {
+    /// The components, from [`crate::shard::components`].
+    pub(super) comps: Components,
+    /// Per multi-path component, in component order, its [`Owners`].
+    owners: Vec<Owners>,
+}
+
+impl Shards {
+    /// Numbers the cells of every multi-path component of `comps`, a
+    /// partition of `paths`, one component per job on `exec`.
+    pub(super) fn new(paths: &[PathState], comps: Components, exec: &Executor) -> Self {
+        let multi: Vec<&[usize]> = comps
             .groups
             .iter()
             .filter(|c| c.len() > 1)
             .map(Vec::as_slice)
             .collect();
+        let number = |_, comp: &&[usize]| Owners::new(paths, comp, &comps.local);
+        let owners = exec.par_map_chunked(&multi, |comp| comp.len(), number);
+        Shards { comps, owners }
+    }
+}
+
+impl WorkloadAdvisor<'_> {
+    /// Descends every multi-path component of `shards` under `cost +
+    /// λ·size` pricing, finding seeds and earlier best responses where
+    /// `memo` says. Components fan out over the executor weighted by
+    /// member count; each job comes back with its members, in component
+    /// order, for the caller to install.
+    pub(super) fn descend_components<'c>(
+        &self,
+        shards: &'c Shards,
+        lambda: f64,
+        memo: Memo<'_>,
+    ) -> Vec<(&'c [usize], CompOut)> {
+        let multi = shards.comps.groups.iter().filter(|c| c.len() > 1);
+        let jobs: Vec<(&'c [usize], &'c Owners)> =
+            multi.map(Vec::as_slice).zip(&shards.owners).collect();
         let (paths, space) = (&self.paths, &self.space);
         let outs = self.exec.par_map_chunked(
             &jobs,
-            |comp| comp.len(),
-            |_, comp| {
-                let seeds = comp.iter().map(|&i| selections[i].clone()).collect();
-                descend_component(paths, space, comp, &comps.local, lambda, memo, seeds)
-            },
+            |(comp, _)| comp.len(),
+            |_, &(comp, owners)| descend_component(paths, space, comp, owners, lambda, memo),
         );
-        jobs.into_iter().zip(outs).collect()
+        jobs.into_iter().map(|(comp, _)| comp).zip(outs).collect()
     }
 }
 
@@ -86,41 +117,52 @@ impl WorkloadAdvisor<'_> {
 /// so ownership counted over the members alone is the **exact** sharing
 /// context, for every λ. Sequential Gauss–Seidel in ascending member
 /// order; a member whose context its memo holds is a hit, not a DP.
-/// Read-only against the advisor (runs on pool workers); selections, new
-/// trail entries and work counters are buffered in the output and
-/// installed by the caller in component order.
+/// Read-only against the advisor (runs on pool workers); moved
+/// selections, new trail entries and work counters are buffered in the
+/// output and installed by the caller in component order.
 ///
 /// Ownership is dense: the component's candidates carry their numbers
-/// within it (`local`, from [`crate::shard::components`]), the owners of each
+/// within it (`owners`, kept in [`Shards`]), the owners of each
 /// `(candidate, organization)` are counted in a flat vector, and a
 /// member's context is written into one reused buffer and compared with
 /// its memo entries in place. A DP runs on the component's own tables,
-/// straight into the memo entry it fills.
+/// straight into the trail entry it fills, or into a spare buffer that
+/// replaces a seeded entry. No selection is copied but the converged ones
+/// that moved (and, under [`Memo::Seeded`], each seed into its entry).
 fn descend_component(
     paths: &[PathState],
     space: &CandidateSpace,
     comp: &[usize],
-    local: &[u32],
+    owners: &Owners,
     lambda: f64,
-    memo: Memo,
-    mut sels: Vec<Selection>,
+    memo: Memo<'_>,
 ) -> CompOut {
-    let owners = Owners::new(paths, comp, local);
+    let seeds: Vec<&Selection> = comp
+        .iter()
+        .map(|&i| match memo {
+            Memo::Trail => &paths[i].standalone.as_ref().expect("phase 2 filled it").0,
+            Memo::Seeded(seeds) => &seeds[i],
+        })
+        .collect();
     let mut counts = vec![0u32; 3 * owners.candidates];
-    for (k, sel) in sels.iter().enumerate() {
+    for (k, sel) in seeds.iter().enumerate() {
         owners.count(k, sel, |count| *count += 1, &mut counts);
     }
     let mut responses = match memo {
         Memo::Trail => Responses::Trail {
-            old: comp.iter().map(|&i| &paths[i].sweep_memo[..]).collect(),
+            old: comp.iter().map(|&i| &paths[i].sweep_memo).collect(),
             new: (0..comp.len()).map(|_| (Vec::new(), 0)).collect(),
+            at: vec![At::Seed; comp.len()],
+            seeds,
         },
-        Memo::Seeded => Responses::Seeded(
-            comp.iter()
-                .zip(&sels)
+        Memo::Seeded(_) => Responses::Seeded {
+            entries: comp
+                .iter()
+                .zip(seeds)
                 .map(|(&i, sel)| (vec![0; paths[i].cands.len()], sel.clone()))
                 .collect(),
-        ),
+            spare: Selection::new(),
+        },
     };
     let (mut context, mut dp) = (Vec::new(), ScalarDp::default());
     let mut sweeps = 0;
@@ -130,9 +172,9 @@ fn descend_component(
         sweeps += 1;
         let mut changed = false;
         for (k, &i) in comp.iter().enumerate() {
-            owners.count(k, &sels[k], |count| *count -= 1, &mut counts);
+            owners.count(k, responses.current(k), |count| *count -= 1, &mut counts);
             owners.context_into(k, &counts, &mut context);
-            let (response, hit) = responses.respond(k, &context, |sel| {
+            let (now, hit, moved) = responses.respond(k, &context, |sel| {
                 let pricing = Pricing {
                     context: Some(&context),
                     lambda,
@@ -145,21 +187,34 @@ fn descend_component(
             } else {
                 dp_runs += 1;
             }
-            if *response != sels[k] {
-                changed = true;
-                sels[k].clone_from(response);
-            }
-            owners.count(k, &sels[k], |count| *count += 1, &mut counts);
+            changed |= moved;
+            owners.count(k, now, |count| *count += 1, &mut counts);
         }
         if !changed {
             break;
         }
     }
+    let base = |k: usize| match memo {
+        Memo::Trail => &paths[comp[k]].selection,
+        Memo::Seeded(seeds) => &seeds[comp[k]],
+    };
+    let moved = (0..comp.len()).filter(|&k| responses.current(k) != base(k));
     CompOut {
-        sels,
+        changed: moved.map(|k| (k, responses.current(k).clone())).collect(),
         trails: match responses {
-            Responses::Trail { new, .. } => new,
-            Responses::Seeded(_) => Vec::new(),
+            Responses::Trail { old, new, .. } => {
+                // Every bit of a trail of `len ≥ 1` entries.
+                let whole = |len: usize| u32::MAX >> (u32::BITS as usize - len);
+                let moved = new.into_iter().enumerate();
+                let moved = moved.filter(|(k, (added, visited))| {
+                    let len = old[*k].len();
+                    !added.is_empty() || (len > 0 && *visited != whole(len))
+                });
+                moved
+                    .map(|(k, (added, visited))| (k, added, visited))
+                    .collect()
+            }
+            Responses::Seeded { .. } => Vec::new(),
         },
         sweeps,
         dp_runs,
@@ -167,55 +222,115 @@ fn descend_component(
     }
 }
 
+/// Where a member's current selection lives under [`Memo::Trail`]: its
+/// seed, an entry of its old trail, or one this descent added.
+#[derive(Clone, Copy, PartialEq)]
+enum At {
+    Seed,
+    Old(usize),
+    Added(usize),
+}
+
+impl At {
+    /// The selection this points at, among a member's seed, old trail
+    /// and added entries.
+    fn of<'a>(
+        self,
+        seed: &'a Selection,
+        old: &'a SweepMemo,
+        added: &'a SweepMemo,
+    ) -> &'a Selection {
+        match self {
+            At::Seed => seed,
+            At::Old(e) => &old[e].1,
+            At::Added(e) => &added[e].1,
+        }
+    }
+}
+
 /// A component's best responses during one descent, per member `k` in
 /// component order.
 enum Responses<'p> {
     /// [`Memo::Trail`]: the member's trail from its last descent, borrowed
-    /// where it lives (`old[k]`), and what this descent adds to it — new
-    /// entries, and a bit per old entry it visited (`new[k]`).
+    /// where it lives (`old[k]`), what this descent adds to it — new
+    /// entries, and a bit per old entry it visited (`new[k]`) — and where
+    /// its current selection lives (`at[k]`, over `seeds[k]` and both).
     Trail {
-        old: Vec<&'p [(Vec<u8>, Selection)]>,
+        old: Vec<&'p SweepMemo>,
         new: Vec<(SweepMemo, u32)>,
+        at: Vec<At>,
+        seeds: Vec<&'p Selection>,
     },
-    /// [`Memo::Seeded`]: the member's one entry.
-    Seeded(Vec<(Vec<u8>, Selection)>),
+    /// [`Memo::Seeded`]: the member's one entry, whose selection is its
+    /// current one, and a buffer a DP writes into before it replaces it.
+    Seeded {
+        entries: Vec<(Vec<u8>, Selection)>,
+        spare: Selection,
+    },
 }
 
 impl Responses<'_> {
-    /// Member `k`'s best response to `context`, and whether the memo held
-    /// it. On a miss, `run` writes the DP's response into a fresh trail
-    /// entry, or over the member's seeded entry.
+    /// Member `k`'s current selection.
+    fn current(&self, k: usize) -> &Selection {
+        match self {
+            Responses::Trail {
+                old,
+                new,
+                at,
+                seeds,
+            } => at[k].of(seeds[k], old[k], &new[k].0),
+            Responses::Seeded { entries, .. } => &entries[k].1,
+        }
+    }
+
+    /// Makes member `k`'s best response to `context` its current
+    /// selection; returns it, whether the memo held it and whether the
+    /// selection moved. On a miss, `run` writes the DP's response into a
+    /// fresh trail entry, or into the spare buffer that then replaces the
+    /// member's seeded entry.
     fn respond(
         &mut self,
         k: usize,
         context: &[u8],
         run: impl FnOnce(&mut Selection),
-    ) -> (&Selection, bool) {
+    ) -> (&Selection, bool, bool) {
         let keyed = |entry: &(Vec<u8>, Selection)| entry.0 == context;
         match self {
-            Responses::Trail { old, new } => {
+            Responses::Trail {
+                old,
+                new,
+                at,
+                seeds,
+            } => {
                 let (old, (added, visited)) = (old[k], &mut new[k]);
-                if let Some(e) = old.iter().position(keyed) {
+                let (next, hit) = if let Some(e) = old.iter().position(keyed) {
                     *visited |= 1 << e;
-                    return (&old[e].1, true);
-                }
-                if let Some(e) = added.iter().position(keyed) {
-                    return (&added[e].1, true);
-                }
-                let mut sel = Selection::new();
-                run(&mut sel);
-                added.push((context.to_vec(), sel));
-                (&added[added.len() - 1].1, false)
+                    (At::Old(e), true)
+                } else if let Some(e) = added.iter().position(keyed) {
+                    (At::Added(e), true)
+                } else {
+                    let mut sel = Selection::new();
+                    run(&mut sel);
+                    added.push((context.to_vec(), sel));
+                    (At::Added(added.len() - 1), false)
+                };
+                let before = std::mem::replace(&mut at[k], next);
+                let of = |at: At| at.of(seeds[k], old, added);
+                (of(next), hit, next != before && of(next) != of(before))
             }
-            Responses::Seeded(entries) => {
+            Responses::Seeded { entries, spare } => {
                 let (key, sel) = &mut entries[k];
                 if key[..] == *context {
-                    return (sel, true);
+                    return (sel, true, false);
                 }
                 key.clear();
                 key.extend_from_slice(context);
-                run(sel);
-                (sel, false)
+                run(spare);
+                let moved = spare != sel;
+                if moved {
+                    std::mem::swap(spare, sel);
+                }
+                (sel, false, moved)
             }
         }
     }
@@ -225,6 +340,7 @@ impl Responses<'_> {
 /// candidate number per rank ([`NONE`] for a mined-out rank) is
 /// `slots[first[k]..first[k + 1]]`, so `3·slot + org` addresses the owner
 /// count of each of its cells.
+#[derive(Debug, PartialEq)]
 struct Owners {
     slots: Vec<u32>,
     first: Vec<usize>,

@@ -102,10 +102,10 @@ pub use plan::{PathOutcome, SharedIndexOutcome, WorkloadPlan};
 pub(crate) use whatif::AdoptedPath;
 pub use whatif::{WhatIfReport, WhatIfSubscriber};
 
-use crate::shard::{self, Components};
+use crate::shard;
 use crate::space::{CandidateId, CandidateSpace};
 use budget::EvictionTrail;
-use descent::Memo;
+use descent::{Memo, Shards};
 use oic_cost::{ClassStats, CostParams, Org};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
@@ -183,6 +183,12 @@ pub struct WorkloadAdvisor<'a> {
     /// the next [`Self::reoptimize`] that sees a mutation or re-prices a
     /// path.
     trail: Option<EvictionTrail>,
+    /// The candidate-sharing components of the live paths, with their
+    /// members' cells numbered for the descent, built on first use and
+    /// kept while membership holds: dropped only by `add_path`,
+    /// `remove_path` and a re-mining that moved a path's admitted set —
+    /// nothing else changes a path's candidates or the paths' order.
+    components: Option<Arc<Shards>>,
 }
 
 impl<'a> WorkloadAdvisor<'a> {
@@ -206,6 +212,7 @@ impl<'a> WorkloadAdvisor<'a> {
             basis: HashMap::new(),
             mining: MiningPolicy::default(),
             trail: None,
+            components: None,
         }
     }
 
@@ -286,6 +293,7 @@ impl<'a> WorkloadAdvisor<'a> {
             .intern_path_admitted(self.schema, &path, &admitted);
         let st = PathState::new(self.schema, id, path, alphas, cands);
         self.paths.push(st);
+        self.components = None;
         self.mutations += 1;
         id
     }
@@ -299,6 +307,7 @@ impl<'a> WorkloadAdvisor<'a> {
         let i = self.find(id)?;
         let st = self.paths.remove(i);
         self.space.release_path(&st.live_cands);
+        self.components = None;
         if !self.paths.iter().any(|p| p.signature == st.signature) {
             self.basis.remove(&st.signature);
         }
@@ -421,6 +430,7 @@ impl<'a> WorkloadAdvisor<'a> {
             .space
             .intern_path_admitted(self.schema, &self.paths[i].path, &admitted);
         self.paths[i].admit(cands);
+        self.components = None;
     }
 
     // ---- introspection ----------------------------------------------------
@@ -554,7 +564,7 @@ impl<'a> WorkloadAdvisor<'a> {
             (sel, cost)
         });
         for (result, &i) in results.into_iter().zip(&stale) {
-            self.paths[i].standalone = Some(result);
+            self.paths[i].reseed(result);
         }
         let independent_cost: f64 = self
             .paths
@@ -562,7 +572,8 @@ impl<'a> WorkloadAdvisor<'a> {
             .map(|st| st.standalone.as_ref().expect("phase 2 filled it").1)
             .sum();
 
-        let comps = self.components();
+        let shards = self.components();
+        let comps = &shards.comps;
         let components = comps.groups.len();
         let largest_component = comps.groups.iter().map(Vec::len).max().unwrap_or(0);
 
@@ -570,28 +581,33 @@ impl<'a> WorkloadAdvisor<'a> {
         // component (DESIGN.md §5.15): components share no candidate, so
         // the descent decomposes exactly. A singleton's context is
         // permanently all-zero — its standalone seed *is* the fixed point —
-        // so only multi-path components run.
-        let mut selections: Vec<Selection> = self
-            .paths
-            .iter()
-            .map(|st| st.standalone.as_ref().expect("phase 2 filled it").0.clone())
-            .collect();
-        let outs = self.descend_components(&comps, 0.0, Memo::Trail, &selections);
+        // so only multi-path components run. Each path keeps its current
+        // selection and outcome; only the ones that moved are rebuilt.
+        for group in comps.groups.iter().filter(|g| g.len() == 1) {
+            let st = &mut self.paths[group[0]];
+            let seed = &st.standalone.as_ref().expect("phase 2 filled it").0;
+            if st.selection != *seed {
+                st.select(seed.clone());
+            }
+        }
+        let outs = self.descend_components(&shards, 0.0, Memo::Trail);
         let speculation_skips = (components - outs.len()) as u64;
         // An all-singleton (or empty) workload converges in one no-change
         // round.
         let mut sweeps = 1;
         let mut dp_memo_hits = 0u64;
         for (comp, out) in outs {
-            for ((&i, sel), (added, visited)) in comp.iter().zip(out.sels).zip(out.trails) {
-                selections[i] = sel;
-                self.paths[i].retrace(added, visited);
+            for (k, sel) in out.changed {
+                self.paths[comp[k]].select(sel);
+            }
+            for (k, added, visited) in out.trails {
+                self.paths[comp[k]].retrace(added, visited);
             }
             sweeps = sweeps.max(out.sweeps);
             dp_runs += out.dp_runs;
             dp_memo_hits += out.dp_memo_hits;
         }
-        let mut plan = self.assemble_plan(&selections, independent_cost);
+        let mut plan = self.assemble_plan(None, independent_cost);
         debug_assert!(
             plan.total_cost <= independent_cost + 1e-6 * independent_cost.abs().max(1.0),
             "sharing can only reduce the objective: {} vs {independent_cost}",
@@ -618,10 +634,16 @@ impl<'a> WorkloadAdvisor<'a> {
     }
 
     /// The candidate-sharing components of the live paths (indices into
-    /// the path list, grouped in first-member order), rebuilt from their
-    /// live candidates.
-    fn components(&self) -> Components {
-        let live: Vec<&[CandidateId]> = self.paths.iter().map(|st| &st.live_cands[..]).collect();
-        shard::components(&live, self.space.slot_count())
+    /// the path list, grouped in first-member order) with their members'
+    /// cells numbered: the cached ones, or built from the live candidates
+    /// when membership moved since.
+    fn components(&mut self) -> Arc<Shards> {
+        let (paths, space, exec) = (&self.paths, &self.space, &self.exec);
+        let shards = self.components.get_or_insert_with(|| {
+            let live: Vec<&[CandidateId]> = paths.iter().map(|st| &st.live_cands[..]).collect();
+            let comps = shard::components(&live, space.slot_count());
+            Arc::new(Shards::new(paths, comps, exec))
+        });
+        Arc::clone(shards)
     }
 }

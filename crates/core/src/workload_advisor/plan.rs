@@ -6,7 +6,7 @@ use super::ledger::{self, Ledger};
 use super::pricing::installed;
 use super::{PathId, Selection, WorkloadAdvisor};
 use crate::space::CandidateId;
-use crate::{Choice, IndexConfiguration};
+use crate::IndexConfiguration;
 use oic_cost::Org;
 use oic_schema::{Path, Schema};
 use std::sync::Arc;
@@ -124,46 +124,62 @@ impl WorkloadAdvisor<'_> {
         Ledger::new(&self.space, pieces.map(|(st, sel)| st.pieces(sel)))
     }
 
-    /// Assembles a [`WorkloadPlan`] from per-path selections: query shares
-    /// per path, each distinct physical index's maintenance **and
-    /// footprint** exactly once. Epoch telemetry fields are zeroed; the
-    /// caller fills them. Used by [`Self::reoptimize`] and by the budgeted
-    /// selection, whose constrained selections price identically.
+    /// Assembles a [`WorkloadPlan`] from per-path selections — `None`
+    /// for each path's current one, whose kept outcome the plan copies
+    /// (debug builds check each against a fresh build): query shares per
+    /// path, each distinct physical index's maintenance **and footprint**
+    /// exactly once. Epoch telemetry fields are zeroed;
+    /// the caller fills them. Used by [`Self::reoptimize`] and by the
+    /// budgeted selection, whose constrained selections price identically.
     pub(super) fn assemble_plan(
         &self,
-        selections: &[Selection],
+        selections: Option<&[Selection]>,
         independent_cost: f64,
     ) -> WorkloadPlan {
-        let ledger = self.ledger(selections);
-        let paths = self.paths.iter().zip(selections);
-        let outcomes = paths.clone().enumerate().map(|(i, (st, sel))| {
-            let pairs = sel.iter().map(|&(sub, org)| (sub, Choice::Index(org)));
-            PathOutcome {
-                id: st.id,
-                path: Arc::clone(&st.path),
-                selection: IndexConfiguration::new(pairs.collect(), st.path.len())
-                    .expect("DP selections concatenate to the full path"),
-                query_cost: ledger.query(i),
-                standalone_cost: st.standalone.as_ref().expect("phase 2 filled it").1,
-            }
+        let sel = |i: usize| selections.map_or(&self.paths[i].selection, |s| &s[i]);
+        let paths = self.paths.iter().enumerate();
+        let ledger = Ledger::new(&self.space, paths.clone().map(|(i, st)| st.pieces(sel(i))));
+        debug_assert!(
+            selections.is_some()
+                || self.paths.iter().all(|st| {
+                    let fresh = st.outcome_for(&st.selection);
+                    st.outcome.as_ref().is_some_and(|kept| {
+                        kept.selection.pairs() == fresh.selection.pairs()
+                            && kept.query_cost.to_bits() == fresh.query_cost.to_bits()
+                            && kept.standalone_cost.to_bits() == fresh.standalone_cost.to_bits()
+                    })
+                }),
+            "every kept outcome is the one a fresh build gives"
+        );
+        let current = |i: usize| selections.map_or(true, |s| s[i] == self.paths[i].selection);
+        let outcomes = paths.clone().map(|(i, st)| match &st.outcome {
+            Some(kept) if current(i) => kept.clone(),
+            _ => st.outcome_for(sel(i)),
         });
-        let owners = ledger::owners(&self.space, paths.map(|(st, sel)| st.pieces(sel)));
-        let mut shared: Vec<SharedIndexOutcome> = owners
-            .into_iter()
-            .enumerate()
-            .filter(|(_, own)| own.len() >= 2)
-            .map(|(slot, owners)| {
-                let (candidate, org) = ledger::pair_at(slot);
-                let maintenance = installed(&self.space, (candidate, org)).0;
-                SharedIndexOutcome {
-                    candidate,
-                    org,
-                    saving: maintenance * (owners.len() - 1) as f64,
-                    owners,
-                    maintenance,
-                }
-            })
-            .collect();
+        // The shared indexes' owners, ascending by slot and then by path:
+        // only the pieces the ledger counts twice or more are listed.
+        let mut held: Vec<(usize, usize)> = Vec::new();
+        for (i, st) in paths {
+            let pieces = st.pieces(sel(i)).map(|(pair, _)| pair);
+            let shared = pieces.filter(|&pair| ledger.owners(pair) >= 2);
+            held.extend(shared.map(|pair| (ledger::slot(pair), i)));
+        }
+        held.sort_unstable();
+        let mut shared: Vec<SharedIndexOutcome> = Vec::new();
+        let mut rest = &held[..];
+        while let Some(&(slot, _)) = rest.first() {
+            let (run, after) = rest.split_at(rest.partition_point(|held| held.0 == slot));
+            let (candidate, org) = ledger::pair_at(slot);
+            let maintenance = installed(&self.space, (candidate, org)).0;
+            shared.push(SharedIndexOutcome {
+                candidate,
+                org,
+                owners: run.iter().map(|&(_, i)| i).collect(),
+                maintenance,
+                saving: maintenance * (run.len() - 1) as f64,
+            });
+            rest = after;
+        }
         // Candidate ids depend on interning history (recycled slots), so a
         // warm advisor and its cold rebuild may disagree on them; order by
         // history-independent keys to keep plans comparable.

@@ -2,9 +2,10 @@
 //! invalidates it — [`PathState::mark`], the path columns of the DESIGN.md
 //! §5.11 invalidation matrix.
 
-use super::ledger::Pair;
-use super::{PathId, Selection, SweepMemo};
+use super::ledger::{self, Pair};
+use super::{PathId, PathOutcome, Selection, SweepMemo};
 use crate::space::CandidateId;
+use crate::{Choice, IndexConfiguration};
 use oic_cost::Org;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use std::sync::Arc;
@@ -53,6 +54,16 @@ pub(super) struct PathState {
     /// Standalone optimum (selection + cost, maintenance unshared); `None`
     /// when stale.
     pub(super) standalone: Option<(Selection, f64)>,
+    /// The path's current λ = 0 selection, the last plan's. Overwritten
+    /// through [`Self::select`], only when a descent (or, for a path
+    /// sharing nothing, a recomputed standalone seed) moved it.
+    pub(super) selection: Selection,
+    /// The path's outcome under `selection`, a function of it, the query
+    /// shares and the standalone optimum: [`Self::select`] rebuilds it, and
+    /// [`Self::reseed`] re-reads its two costs — shares and optimum move
+    /// only under a [`Self::mark`], which forces a re-seeding. `None`
+    /// before the path's first plan.
+    pub(super) outcome: Option<PathOutcome>,
     /// The trail of the path's last λ = 0 descent: every sharing context
     /// (3-bit covered mask per rank) that descent visited, each with the
     /// selection the DP produced for it — at most one entry per sweep.
@@ -91,6 +102,8 @@ impl PathState {
             cands,
             query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
             standalone: None,
+            selection: Selection::new(),
+            outcome: None,
             sweep_memo: SweepMemo::new(),
             pruned: None,
             dirty_query: true,
@@ -112,6 +125,9 @@ impl PathState {
     /// optimum and every entry of the best-response trail always, and the
     /// dominance mask when the admitted candidate set itself changed
     /// (otherwise the next re-pricing of this dirty path refreshes it).
+    /// The current selection and its outcome stay: the next re-seeding
+    /// re-reads the outcome's costs, and the next descent overwrites the
+    /// selection if it moved.
     pub(super) fn mark(&mut self, what: Dirty) {
         self.dirty_query |= what != Dirty::Rates;
         self.dirty_maint |= what != Dirty::Queries;
@@ -120,6 +136,45 @@ impl PathState {
         if what == Dirty::Admission {
             self.pruned = None;
         }
+    }
+
+    /// Installs a recomputed standalone optimum; the kept outcome, if
+    /// any, re-reads its two costs (the query shares moved with it).
+    pub(super) fn reseed(&mut self, standalone: (Selection, f64)) {
+        self.standalone = Some(standalone);
+        if let Some(mut kept) = self.outcome.take() {
+            (kept.query_cost, kept.standalone_cost) = self.costs(&self.selection);
+            self.outcome = Some(kept);
+        }
+    }
+
+    /// Adopts `sel` as the current selection and rebuilds its outcome;
+    /// the standalone optimum must be current.
+    pub(super) fn select(&mut self, sel: Selection) {
+        self.selection = sel;
+        self.outcome = Some(self.outcome_for(&self.selection));
+    }
+
+    /// The path's outcome under `sel`.
+    pub(super) fn outcome_for(&self, sel: &Selection) -> PathOutcome {
+        let pairs = sel.iter().map(|&(sub, org)| (sub, Choice::Index(org)));
+        let (query_cost, standalone_cost) = self.costs(sel);
+        PathOutcome {
+            id: self.id,
+            path: Arc::clone(&self.path),
+            selection: IndexConfiguration::new(pairs.collect(), self.path.len())
+                .expect("DP selections concatenate to the full path"),
+            query_cost,
+            standalone_cost,
+        }
+    }
+
+    /// `(query cost, standalone cost)` under `sel`: the query subtotal is
+    /// the ledger's ([`ledger::subtotal`] over the same pieces), bit for
+    /// bit.
+    fn costs(&self, sel: &Selection) -> (f64, f64) {
+        let query = ledger::subtotal(self.pieces(sel).map(|(_, share)| share));
+        (query, self.standalone.as_ref().expect("re-seeded").1)
     }
 
     /// Replaces the trail with what the last λ = 0 descent visited: the
@@ -167,7 +222,8 @@ mod tests {
     /// DESIGN.md §5.11, path columns: each mutation kind clears exactly
     /// these layers of a clean path — (query shares, maintenance cells,
     /// dominance mask); the standalone optimum and the best-response memo
-    /// always go.
+    /// always go, and the current selection and its outcome stay until a
+    /// new selection replaces them.
     #[test]
     fn each_dirty_kind_clears_exactly_its_memo_layers() {
         let (schema, _) = fixtures::paper_schema();
@@ -186,12 +242,20 @@ mod tests {
             // What a completed reoptimize() leaves behind.
             (st.dirty_query, st.dirty_maint) = (false, false);
             st.standalone = Some((Vec::new(), 0.0));
+            let whole = SubpathId {
+                start: 1,
+                end: st.path.len(),
+            };
+            st.select(vec![(whole, Org::Nix)]);
             st.sweep_memo = vec![(vec![0; n], Vec::new()), (vec![1; n], Vec::new())];
             st.pruned = Some(vec![0; n]);
             st.mark(what);
             let stale = [st.dirty_query, st.dirty_maint, st.pruned.is_none()];
             assert_eq!(stale, [query, maint, mask], "{what:?}");
             assert!(st.standalone.is_none() && st.sweep_memo.is_empty());
+            assert_eq!(st.selection, [(whole, Org::Nix)], "{what:?}");
+            let kept = st.outcome.as_ref().expect("select built it");
+            assert_eq!(kept.selection.pairs(), [(whole, Choice::Index(Org::Nix))]);
         }
     }
 

@@ -860,3 +860,135 @@ fn eviction_trials_respond_as_without_prune_masks() {
     );
     assert!(responses > uncoverable, "{responses} {uncoverable}");
 }
+
+/// An epoch whose mutations only move statistics, rates or query rates
+/// reuses the cached components: same `Arc`, no rebuild.
+#[test]
+fn an_epoch_without_membership_moves_reuses_the_components() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut adv = two_path_advisor(&schema);
+    adv.add_path(
+        Path::parse(&schema, "Company", &["divs", "name"]).unwrap(),
+        |_| 0.1,
+    );
+    adv.optimize();
+    let cached = Arc::clone(adv.components.as_ref().expect("filled by optimize"));
+    let vehicle = schema.class_by_name("Vehicle").unwrap();
+    assert!(adv.update_stats(vehicle, ClassStats::new(40_000.0, 9_000.0, 2.0)));
+    assert!(adv.update_rates(vehicle, (0.4, 0.02)));
+    let first = adv.path_ids().next().unwrap();
+    assert!(adv.update_query_rates(first, |_| 0.05));
+    let plan = adv.reoptimize();
+    assert_eq!(plan.mutations, 3);
+    assert!(plan.repriced_paths > 0);
+    let kept = adv.components.as_ref().expect("still cached");
+    assert!(
+        Arc::ptr_eq(kept, &cached),
+        "no rebuild without a membership move"
+    );
+    // The budgeted search reads the same cache.
+    adv.optimize_with_budget(0.5 * plan.size_pages);
+    let kept = adv.components.as_ref().expect("still cached");
+    assert!(Arc::ptr_eq(kept, &cached));
+}
+
+/// Through seeded arrivals, departures, re-minings and price churn, the
+/// cached components, and their members' cells numbered for the descent,
+/// always equal a fresh `shard::components` build over the live
+/// candidates, and the cache is dropped exactly when some path arrived,
+/// departed or changed its admitted candidates.
+#[test]
+fn the_component_cache_equals_a_fresh_build_through_churn() {
+    let (schema, _) = fixtures::paper_schema();
+    let pool: Vec<Path> = [
+        ("Person", &["owns", "man", "divs", "name"][..]),
+        ("Person", &["owns", "man", "name"]),
+        ("Person", &["owns", "color"]),
+        ("Vehicle", &["man", "divs", "name"]),
+        ("Vehicle", &["man", "location"]),
+        ("Company", &["divs", "name"]),
+        ("Company", &["divs", "function"]),
+        ("Person", &["name"]),
+    ]
+    .iter()
+    .map(|(root, attrs)| Path::parse(&schema, root, attrs).unwrap())
+    .collect();
+    let classes: Vec<ClassId> = schema.class_ids().collect();
+    let mut seed = 0xC0_CAC4E_u64;
+    let mut next = move |below: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed % below
+    };
+    let policy = MiningPolicy {
+        min_support: 0.9,
+        ..MiningPolicy::default()
+    };
+    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+        .with_stats(fig7_stats(&schema))
+        .with_maintenance(|_| (0.1, 0.1))
+        .with_mining(policy);
+    let live = |adv: &WorkloadAdvisor<'_>| -> Vec<(PathId, Vec<CandidateId>)> {
+        let live = adv.paths.iter();
+        live.map(|st| (st.id, st.live_cands.clone())).collect()
+    };
+    let (mut kept, mut dropped, mut remined) = (0, 0, 0);
+    for step in 0..300 {
+        let before = (live(&adv), adv.components.clone());
+        let ids: Vec<PathId> = adv.path_ids().collect();
+        let alphas: Vec<f64> = classes.iter().map(|_| next(11) as f64 / 10.0).collect();
+        let pick = |k: u64| ids[k as usize % ids.len().max(1)];
+        match next(6) {
+            0..=1 if ids.len() < 12 => {
+                let path = pool[next(pool.len() as u64) as usize].clone();
+                adv.add_path(path, |c| alphas[c.index()]);
+            }
+            0..=2 if !ids.is_empty() => {
+                adv.remove_path(pick(next(64)));
+            }
+            3 if !ids.is_empty() => {
+                adv.update_query_rates(pick(next(64)), |c| alphas[c.index()]);
+            }
+            4 => {
+                let class = classes[next(classes.len() as u64) as usize];
+                let n = 1_000.0 * (1 + next(50)) as f64;
+                adv.update_stats(class, ClassStats::new(n, n / 4.0, 1.0));
+            }
+            _ => {
+                let class = classes[next(classes.len() as u64) as usize];
+                adv.update_rates(class, (next(5) as f64 / 10.0, next(5) as f64 / 10.0));
+            }
+        }
+        let after = live(&adv);
+        let same_paths = before.0.iter().map(|p| p.0).eq(after.iter().map(|p| p.0));
+        if before.0 == after {
+            let same = match (&before.1, &adv.components) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            assert!(same, "step {step}: membership held, the cache must stay");
+            kept += usize::from(before.1.is_some());
+        } else {
+            assert!(adv.components.is_none(), "step {step}: membership moved");
+            dropped += 1;
+            remined += usize::from(same_paths);
+        }
+        if next(3) == 0 {
+            adv.reoptimize();
+        } else {
+            adv.components();
+        }
+        let cands: Vec<&[CandidateId]> = adv.paths.iter().map(|st| &st.live_cands[..]).collect();
+        let fresh = shard::components(&cands, adv.space.slot_count());
+        let cached = adv.components.as_deref().expect("filled above");
+        let fresh = Shards::new(&adv.paths, fresh, adv.executor());
+        assert_eq!(*cached, fresh, "step {step}");
+    }
+    // Every door was exercised: kept caches, arrivals and departures, and
+    // re-minings that moved an admitted set.
+    assert!(
+        kept > 50 && dropped > 50 && remined > 0,
+        "{kept} {dropped} {remined}"
+    );
+}

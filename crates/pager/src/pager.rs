@@ -448,7 +448,8 @@ impl<F: RawFile> PageStore for Pager<F> {
     }
 
     fn alloc(&mut self) -> Result<PageId, StoreError> {
-        let id = if self.free_head != 0 {
+        let recycled = self.free_head != 0;
+        let id = if recycled {
             let id = self.free_head;
             self.free_head = self.read_next_free(id)?;
             self.free_count -= 1;
@@ -460,7 +461,18 @@ impl<F: RawFile> PageStore for Pager<F> {
             id
         };
         // A fresh page reads as zeroes and never leaks its previous life.
-        self.store_frame(id, vec![0u8; self.page_size], true)?;
+        if let Err(e) = self.store_frame(id, vec![0u8; self.page_size], true) {
+            // Making room failed, so no caller holds the page: hand it
+            // back to where it came from (its link image is untouched).
+            if recycled {
+                self.free_head = id;
+                self.free_count += 1;
+                self.free_set.insert(id);
+            } else {
+                self.page_count -= 1;
+            }
+            return Err(e);
+        }
         Ok(PageId(id))
     }
 

@@ -130,3 +130,33 @@ fn a_failed_commit_write_leaves_the_frame_dirty_for_the_next_commit() {
     drop(p);
     assert_eq!(first_byte(&mut disk.open(), 1), 0xAA);
 }
+
+#[test]
+fn a_failed_eviction_during_alloc_consumes_no_page() {
+    let disk = Disk::new();
+    let mut p = disk.open();
+    // Two fresh, dirty frames fill the cache: a third page needs room.
+    p.alloc().expect("alloc");
+    p.alloc().expect("alloc");
+    disk.outage.set(1);
+    assert!(matches!(p.alloc(), Err(StoreError::Io(_))));
+    assert_eq!(p.live_pages(), 2, "the failed alloc took no page");
+    assert_eq!(p.page_count(), 3, "header and two pages");
+    assert_eq!(p.alloc().expect("alloc"), PageId(3), "the page is reissued");
+    assert_eq!(p.live_pages(), 3);
+
+    // A recycled page: page 1 is free and evicted, pages 2 and 3 are
+    // dirty frames, so reissuing page 1 needs room again.
+    p.commit().expect("commit");
+    p.free(PageId(1)).expect("free");
+    p.page_mut(PageId(2)).expect("page_mut").fill(2);
+    p.page_mut(PageId(3)).expect("page_mut").fill(3);
+    disk.outage.set(1);
+    assert!(matches!(p.alloc(), Err(StoreError::Io(_))));
+    assert_eq!(p.live_pages(), 2, "the failed alloc took no page");
+    assert_eq!(p.verify_freelist().expect("freelist"), vec![PageId(1)]);
+    assert_eq!(p.alloc().expect("alloc"), PageId(1), "the page is reissued");
+    assert_eq!(first_byte(&mut p, 1), 0, "fresh pages read zero");
+    assert_eq!(p.live_pages(), 3);
+    assert!(p.verify_freelist().expect("freelist").is_empty());
+}

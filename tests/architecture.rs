@@ -505,6 +505,39 @@ fn sweep_memos_read_in_place_and_plans_share_paths() {
 }
 
 #[test]
+fn one_component_build_in_oic_core() {
+    // Test modules may build components to check the cache against: the
+    // `tests.rs` files, and each file's inline `mod tests` block. (A
+    // `#[cfg(test)] mod tests;` declaration ends no library code, so
+    // `Reach::AboveTests` would stop too early in `mod.rs`.)
+    let mut sites = Vec::new();
+    for file in tree(["crates/core/src"]) {
+        if file.file_name().is_some_and(|name| name == "tests.rs") {
+            continue;
+        }
+        let source = text(&file);
+        let mut numbered = source.lines().enumerate().peekable();
+        while let Some((n, line)) = numbered.next() {
+            let next = numbered.peek().map_or("", |(_, next)| *next);
+            if line.starts_with("#[cfg(test)]") && next.starts_with("mod tests {") {
+                break;
+            }
+            if line.contains("shard::components(") {
+                sites.push(format!("{}:{}: {}", shown(&file), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        sites.len() == 1,
+        "The candidate-sharing components are built in one place, the advisor's \
+         cache fill, and kept while membership holds: a second build site would \
+         bring back a rebuild on every call. Found {} sites:\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}
+
+#[test]
 fn one_key_vector_per_interned_path() {
     forbid(
         "Interning probes borrowed slices of one key vector per path: a \
