@@ -231,6 +231,11 @@ impl<'a> Ledger<'a> {
         (cost, self.sizes.iter().sum::<f64>())
     }
 
+    /// Path `i`'s query subtotal.
+    pub(crate) fn query(&self, i: usize) -> f64 {
+        self.query[i]
+    }
+
     /// How many registered selections cite `pair`.
     pub(crate) fn owners(&self, pair: Pair) -> u32 {
         self.owned.count(pair)

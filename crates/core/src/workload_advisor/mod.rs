@@ -564,7 +564,7 @@ impl<'a> WorkloadAdvisor<'a> {
             (sel, cost)
         });
         for (result, &i) in results.into_iter().zip(&stale) {
-            self.paths[i].reseed(result);
+            self.paths[i].standalone = Some(result);
         }
         let independent_cost: f64 = self
             .paths
@@ -582,12 +582,12 @@ impl<'a> WorkloadAdvisor<'a> {
         // the descent decomposes exactly. A singleton's context is
         // permanently all-zero — its standalone seed *is* the fixed point —
         // so only multi-path components run. Each path keeps its current
-        // selection and outcome; only the ones that moved are rebuilt.
+        // selection; only the ones that moved are overwritten.
         for group in comps.groups.iter().filter(|g| g.len() == 1) {
             let st = &mut self.paths[group[0]];
             let seed = &st.standalone.as_ref().expect("phase 2 filled it").0;
             if st.selection != *seed {
-                st.select(seed.clone());
+                st.selection.clone_from(seed);
             }
         }
         let outs = self.descend_components(&shards, 0.0, Memo::Trail);
@@ -598,7 +598,7 @@ impl<'a> WorkloadAdvisor<'a> {
         let mut dp_memo_hits = 0u64;
         for (comp, out) in outs {
             for (k, sel) in out.changed {
-                self.paths[comp[k]].select(sel);
+                self.paths[comp[k]].selection = sel;
             }
             for (k, added, visited) in out.trails {
                 self.paths[comp[k]].retrace(added, visited);

@@ -6,7 +6,7 @@ use super::ledger::{self, Ledger};
 use super::pricing::installed;
 use super::{PathId, Selection, WorkloadAdvisor};
 use crate::space::CandidateId;
-use crate::IndexConfiguration;
+use crate::{Choice, IndexConfiguration};
 use oic_cost::Org;
 use oic_schema::{Path, Schema};
 use std::sync::Arc;
@@ -125,12 +125,11 @@ impl WorkloadAdvisor<'_> {
     }
 
     /// Assembles a [`WorkloadPlan`] from per-path selections — `None`
-    /// for each path's current one, whose kept outcome the plan copies
-    /// (debug builds check each against a fresh build): query shares per
-    /// path, each distinct physical index's maintenance **and footprint**
-    /// exactly once. Epoch telemetry fields are zeroed;
-    /// the caller fills them. Used by [`Self::reoptimize`] and by the
-    /// budgeted selection, whose constrained selections price identically.
+    /// for each path's current one: query shares per path, each distinct
+    /// physical index's maintenance **and footprint** exactly once. Epoch
+    /// telemetry fields are zeroed; the caller fills them. Used by
+    /// [`Self::reoptimize`] and by the budgeted selection, whose
+    /// constrained selections price identically.
     pub(super) fn assemble_plan(
         &self,
         selections: Option<&[Selection]>,
@@ -139,22 +138,16 @@ impl WorkloadAdvisor<'_> {
         let sel = |i: usize| selections.map_or(&self.paths[i].selection, |s| &s[i]);
         let paths = self.paths.iter().enumerate();
         let ledger = Ledger::new(&self.space, paths.clone().map(|(i, st)| st.pieces(sel(i))));
-        debug_assert!(
-            selections.is_some()
-                || self.paths.iter().all(|st| {
-                    let fresh = st.outcome_for(&st.selection);
-                    st.outcome.as_ref().is_some_and(|kept| {
-                        kept.selection.pairs() == fresh.selection.pairs()
-                            && kept.query_cost.to_bits() == fresh.query_cost.to_bits()
-                            && kept.standalone_cost.to_bits() == fresh.standalone_cost.to_bits()
-                    })
-                }),
-            "every kept outcome is the one a fresh build gives"
-        );
-        let current = |i: usize| selections.map_or(true, |s| s[i] == self.paths[i].selection);
-        let outcomes = paths.clone().map(|(i, st)| match &st.outcome {
-            Some(kept) if current(i) => kept.clone(),
-            _ => st.outcome_for(sel(i)),
+        let outcomes = paths.clone().map(|(i, st)| {
+            let pairs = sel(i).iter().map(|&(sub, org)| (sub, Choice::Index(org)));
+            PathOutcome {
+                id: st.id,
+                path: Arc::clone(&st.path),
+                selection: IndexConfiguration::new(pairs.collect(), st.path.len())
+                    .expect("DP selections concatenate to the full path"),
+                query_cost: ledger.query(i),
+                standalone_cost: st.standalone.as_ref().expect("phase 2 filled it").1,
+            }
         });
         // The shared indexes' owners, ascending by slot and then by path:
         // only the pieces the ledger counts twice or more are listed.

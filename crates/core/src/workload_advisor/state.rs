@@ -2,10 +2,9 @@
 //! invalidates it — [`PathState::mark`], the path columns of the DESIGN.md
 //! §5.11 invalidation matrix.
 
-use super::ledger::{self, Pair};
-use super::{PathId, PathOutcome, Selection, SweepMemo};
+use super::ledger::Pair;
+use super::{PathId, Selection, SweepMemo};
 use crate::space::CandidateId;
-use crate::{Choice, IndexConfiguration};
 use oic_cost::Org;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use std::sync::Arc;
@@ -54,16 +53,12 @@ pub(super) struct PathState {
     /// Standalone optimum (selection + cost, maintenance unshared); `None`
     /// when stale.
     pub(super) standalone: Option<(Selection, f64)>,
-    /// The path's current λ = 0 selection, the last plan's. Overwritten
-    /// through [`Self::select`], only when a descent (or, for a path
-    /// sharing nothing, a recomputed standalone seed) moved it.
+    /// The path's current λ = 0 selection, the last plan's: the base the
+    /// next descent compares against. Overwritten only when a descent
+    /// (or, for a path sharing nothing, a recomputed standalone seed)
+    /// moved it; emptied by [`Self::admit`], since it may cite a rank the
+    /// new admitted set dropped.
     pub(super) selection: Selection,
-    /// The path's outcome under `selection`, a function of it, the query
-    /// shares and the standalone optimum: [`Self::select`] rebuilds it, and
-    /// [`Self::reseed`] re-reads its two costs — shares and optimum move
-    /// only under a [`Self::mark`], which forces a re-seeding. `None`
-    /// before the path's first plan.
-    pub(super) outcome: Option<PathOutcome>,
     /// The trail of the path's last λ = 0 descent: every sharing context
     /// (3-bit covered mask per rank) that descent visited, each with the
     /// selection the DP produced for it — at most one entry per sweep.
@@ -103,7 +98,6 @@ impl PathState {
             query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
             standalone: None,
             selection: Selection::new(),
-            outcome: None,
             sweep_memo: SweepMemo::new(),
             pruned: None,
             dirty_query: true,
@@ -112,10 +106,12 @@ impl PathState {
         }
     }
 
-    /// Adopts a re-interned candidate set.
+    /// Adopts a re-interned candidate set. The current selection goes
+    /// with the old set: no selection may cite a mined-out rank.
     pub(super) fn admit(&mut self, cands: Vec<Option<CandidateId>>) {
         self.live_cands = cands.iter().flatten().copied().collect();
         self.cands = cands;
+        self.selection.clear();
         self.mark(Dirty::Admission);
     }
 
@@ -125,9 +121,8 @@ impl PathState {
     /// optimum and every entry of the best-response trail always, and the
     /// dominance mask when the admitted candidate set itself changed
     /// (otherwise the next re-pricing of this dirty path refreshes it).
-    /// The current selection and its outcome stay: the next re-seeding
-    /// re-reads the outcome's costs, and the next descent overwrites the
-    /// selection if it moved.
+    /// The current selection stays: the next descent overwrites it if it
+    /// moved.
     pub(super) fn mark(&mut self, what: Dirty) {
         self.dirty_query |= what != Dirty::Rates;
         self.dirty_maint |= what != Dirty::Queries;
@@ -136,45 +131,6 @@ impl PathState {
         if what == Dirty::Admission {
             self.pruned = None;
         }
-    }
-
-    /// Installs a recomputed standalone optimum; the kept outcome, if
-    /// any, re-reads its two costs (the query shares moved with it).
-    pub(super) fn reseed(&mut self, standalone: (Selection, f64)) {
-        self.standalone = Some(standalone);
-        if let Some(mut kept) = self.outcome.take() {
-            (kept.query_cost, kept.standalone_cost) = self.costs(&self.selection);
-            self.outcome = Some(kept);
-        }
-    }
-
-    /// Adopts `sel` as the current selection and rebuilds its outcome;
-    /// the standalone optimum must be current.
-    pub(super) fn select(&mut self, sel: Selection) {
-        self.selection = sel;
-        self.outcome = Some(self.outcome_for(&self.selection));
-    }
-
-    /// The path's outcome under `sel`.
-    pub(super) fn outcome_for(&self, sel: &Selection) -> PathOutcome {
-        let pairs = sel.iter().map(|&(sub, org)| (sub, Choice::Index(org)));
-        let (query_cost, standalone_cost) = self.costs(sel);
-        PathOutcome {
-            id: self.id,
-            path: Arc::clone(&self.path),
-            selection: IndexConfiguration::new(pairs.collect(), self.path.len())
-                .expect("DP selections concatenate to the full path"),
-            query_cost,
-            standalone_cost,
-        }
-    }
-
-    /// `(query cost, standalone cost)` under `sel`: the query subtotal is
-    /// the ledger's ([`ledger::subtotal`] over the same pieces), bit for
-    /// bit.
-    fn costs(&self, sel: &Selection) -> (f64, f64) {
-        let query = ledger::subtotal(self.pieces(sel).map(|(_, share)| share));
-        (query, self.standalone.as_ref().expect("re-seeded").1)
     }
 
     /// Replaces the trail with what the last λ = 0 descent visited: the
@@ -222,8 +178,8 @@ mod tests {
     /// DESIGN.md §5.11, path columns: each mutation kind clears exactly
     /// these layers of a clean path — (query shares, maintenance cells,
     /// dominance mask); the standalone optimum and the best-response memo
-    /// always go, and the current selection and its outcome stay until a
-    /// new selection replaces them.
+    /// always go, and the current selection stays until a new selection
+    /// replaces it.
     #[test]
     fn each_dirty_kind_clears_exactly_its_memo_layers() {
         let (schema, _) = fixtures::paper_schema();
@@ -246,7 +202,7 @@ mod tests {
                 start: 1,
                 end: st.path.len(),
             };
-            st.select(vec![(whole, Org::Nix)]);
+            st.selection = vec![(whole, Org::Nix)];
             st.sweep_memo = vec![(vec![0; n], Vec::new()), (vec![1; n], Vec::new())];
             st.pruned = Some(vec![0; n]);
             st.mark(what);
@@ -254,9 +210,27 @@ mod tests {
             assert_eq!(stale, [query, maint, mask], "{what:?}");
             assert!(st.standalone.is_none() && st.sweep_memo.is_empty());
             assert_eq!(st.selection, [(whole, Org::Nix)], "{what:?}");
-            let kept = st.outcome.as_ref().expect("select built it");
-            assert_eq!(kept.selection.pairs(), [(whole, Choice::Index(Org::Nix))]);
         }
+    }
+
+    /// A re-admission empties the current selection: the new admitted set
+    /// may have dropped a rank it cites.
+    #[test]
+    fn admit_forgets_the_current_selection() {
+        let (schema, _) = fixtures::paper_schema();
+        let path = Arc::new(fixtures::paper_path_pe(&schema));
+        let n = SubpathId::count(path.len());
+        let cands: Vec<_> = (0..n as u32).map(|c| Some(CandidateId(c))).collect();
+        let mut st = PathState::new(&schema, PathId(0), path, vec![], cands.clone());
+        let whole = SubpathId {
+            start: 1,
+            end: st.path.len(),
+        };
+        st.selection = vec![(whole, Org::Nix)];
+        let mut fewer = cands;
+        fewer[whole.rank(st.path.len())] = None;
+        st.admit(fewer);
+        assert!(st.selection.is_empty() && st.pruned.is_none());
     }
 
     /// A retraced trail keeps the old entries the descent visited, in

@@ -524,6 +524,84 @@ fn plans_share_the_advisors_paths() {
         let removed = adv.remove_path(id).expect("live handle");
         assert_eq!(removed.display().to_string(), display);
         assert_eq!(plan.paths[0].path.display().to_string(), display);
+        // With no live plan the advisor holds the only reference to each
+        // path, so a removal hands the path back without copying it.
+        drop((plan, budgeted));
+        adv.optimize();
+        for st in &adv.paths {
+            assert_eq!(Arc::strong_count(&st.path), 1, "{lanes} lanes");
+        }
+        let last = adv.path_ids().next().expect("one path left");
+        assert!(adv.remove_path(last).is_some());
+    }
+}
+
+/// A query-rate update that mines out a span the current plan selects,
+/// then a reoptimize: the plan is a cold rebuild's and cites no mined-out
+/// span. Masses grow along a path, so starving the root class drops every
+/// span that starts at position 1 and is neither a singleton nor the
+/// whole path — here Example 5.1's `(Person.owns.man, NIX)`.
+#[test]
+fn mining_out_a_selected_span_replans_as_a_cold_rebuild() {
+    let (schema, _) = fixtures::paper_schema();
+    let person = schema.class_by_name("Person").unwrap();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let n = pexa.len();
+    let interior = |sub: SubpathId| sub.start == 1 && 1 < sub.end && sub.end < n;
+    let cites_interior = |plan: &WorkloadPlan| {
+        let pairs = plan.paths[0].selection.pairs();
+        pairs.iter().any(|&(sub, _)| interior(sub))
+    };
+    // Example 5.1's per-class (query, insert, delete) rates.
+    let rates = |c: ClassId| match schema.class_name(c) {
+        "Person" => (0.3, 0.1, 0.1),
+        "Vehicle" => (0.3, 0.0, 0.05),
+        "Bus" => (0.05, 0.05, 0.1),
+        "Truck" => (0.0, 0.1, 0.0),
+        "Company" => (0.1, 0.1, 0.1),
+        "Division" => (0.2, 0.2, 0.1),
+        _ => (0.0, 0.0, 0.0),
+    };
+    let queries = |root: f64| move |c: ClassId| if c == person { root } else { rates(c).0 };
+    let policy = MiningPolicy {
+        min_support: 0.25,
+        ..MiningPolicy::default()
+    };
+    let build = |root: f64, lanes: usize| {
+        let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+            .with_stats(fig7_stats(&schema))
+            .with_maintenance(|c| (rates(c).1, rates(c).2))
+            .with_mining(policy)
+            .with_threads(lanes);
+        adv.add_path(pexa.clone(), queries(root));
+        adv.add_path(fixtures::paper_path_pe(&schema), queries(0.3));
+        adv
+    };
+    for lanes in [1, 2, 8] {
+        let mut warm = build(0.3, lanes);
+        let first = warm.optimize();
+        assert!(
+            cites_interior(&first),
+            "{lanes} lanes: {:?}",
+            first.paths[0].selection
+        );
+        let id = first.paths[0].id;
+        assert!(warm.update_query_rates(id, queries(0.0)));
+        assert!(
+            warm.components.is_none(),
+            "{lanes} lanes: the verdict moved"
+        );
+        let plan = warm.reoptimize();
+        assert!(
+            !cites_interior(&plan),
+            "{lanes} lanes: {:?}",
+            plan.paths[0].selection
+        );
+        let cold = build(0.0, lanes).optimize();
+        assert_eq!(plan.total_cost.to_bits(), cold.total_cost.to_bits());
+        for (w, c) in plan.paths.iter().zip(&cold.paths) {
+            assert_eq!(w.selection.pairs(), c.selection.pairs(), "{lanes} lanes");
+        }
     }
 }
 
