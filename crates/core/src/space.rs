@@ -6,45 +6,55 @@
 //! see [`CandidateSpace`]) denote the same physical index opportunity — an
 //! index built for one serves the other. The space interns each distinct
 //! identity once, hands out dense [`CandidateId`]s (plain `u32` ranks into
-//! the arena), and memoizes the maintenance price of each `(candidate,
-//! organization)` pair so a physical index shared by many paths is priced
+//! the arena), and memoizes one priced cell per `(candidate,
+//! organization)` pair — its maintenance price and its footprint in pages,
+//! priced together — so a physical index shared by many paths is priced
 //! exactly once per epoch, no matter how many selections consult it.
 //!
-//! Three epoch-mutation facilities support the online
-//! [`WorkloadAdvisor`](crate::WorkloadAdvisor):
+//! The space belongs to a [`WorkloadAdvisor`](crate::WorkloadAdvisor),
+//! and only the advisor writes it: outside this crate it is read-only.
+//! Three epoch-mutation facilities serve the advisor:
 //!
-//! * **Reference counting** — [`CandidateSpace::intern_path`] acquires one
-//!   reference per owning path and [`CandidateSpace::release_path`] drops
-//!   them; when the last owner departs the candidate is freed (its memo
-//!   cleared, its id recycled), so the space tracks the *live* workload
-//!   rather than everything ever seen.
+//! * **Reference counting** — interning a path acquires one reference per
+//!   subpath and releasing the path drops them; when the last owner
+//!   departs the candidate is freed (its cell cleared, its id recycled),
+//!   so the space tracks the *live* workload rather than everything ever
+//!   seen.
 //! * **Class invalidation** — each candidate records the dependency class
-//!   set of its maintenance price (computed by
+//!   set of its cell (computed by
 //!   [`oic_cost::invalidation::maintenance_dependencies`]: the step
 //!   hierarchies plus, for embedded candidates, the successor hierarchy).
-//!   [`CandidateSpace::invalidate_class`] clears exactly the memo rows that
-//!   a statistics or update-rate change for one class can move.
+//!   A statistics or update-rate change for one class clears exactly the
+//!   cells it can move.
 //! * **Pricing telemetry** — [`CandidateSpace::maintenance_pricings`]
-//!   counts actual computations (memo misses), the never-price-twice
-//!   witness the workload tests and benches audit.
+//!   counts the cells actually priced, the never-price-twice witness the
+//!   workload tests and benches audit.
 //!
-//! The priced-once invariant, pinned:
+//! The priced-once invariant, pinned through the advisor:
 //!
 //! ```
-//! use oic_core::CandidateSpace;
-//! use oic_cost::Org;
+//! use oic_core::WorkloadAdvisor;
+//! use oic_cost::{CostParams, Org};
 //! use oic_schema::fixtures;
 //!
 //! let (schema, _) = fixtures::paper_schema();
-//! let pexa = fixtures::paper_path_pexa(&schema);
-//! let mut space = CandidateSpace::new();
-//! let ids = space.intern_path(&schema, &pexa);
-//! // Two requests for the same (candidate, organization): the second is a
-//! // memo hit — the pricing closure never runs again.
-//! let first = space.maintenance_cost(ids[0], Org::Mx, || 42.0);
-//! let second = space.maintenance_cost(ids[0], Org::Mx, || unreachable!());
-//! assert_eq!((first, second), (42.0, 42.0));
-//! assert_eq!(space.maintenance_pricings(), 1);
+//! let pe = fixtures::paper_path_pe(&schema);
+//! let mut adv = WorkloadAdvisor::new(&schema, CostParams::default());
+//! adv.add_path(fixtures::paper_path_pexa(&schema), |_| 0.1); // 10 subpaths
+//! adv.add_path(pe.clone(), |_| 0.1); // 6 subpaths, 3 of them shared
+//! let plan = adv.optimize();
+//! let space = adv.candidate_space();
+//! assert_eq!(space.len(), 13);
+//! // One priced cell per live (candidate, organization), and no more.
+//! assert_eq!(space.maintenance_pricings(), 3 * 13);
+//! assert_eq!(plan.maintenance_pricings, 3 * 13);
+//! // Per.owns.man, embedded in both paths, holds one (maintenance, size).
+//! let owns_man: Vec<_> = pe.steps()[..2].iter().map(|s| s.key()).collect();
+//! let shared = space.find(&owns_man, true).expect("live");
+//! let (maintenance, size) = space.priced(shared, Org::Nix).expect("priced");
+//! assert!(maintenance >= 0.0 && size > 0.0);
+//! // A re-optimization with nothing changed prices nothing.
+//! assert_eq!(adv.reoptimize().epoch_pricings, 0);
 //! ```
 
 use oic_cost::Org;
@@ -134,44 +144,43 @@ struct Slot {
 /// legally end on a reference attribute, so one path's terminal subpath
 /// can spell the same steps as another path's embedded one — those are
 /// distinct physical pricing contexts and get distinct ids.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CandidateSpace {
     /// Arena slots; freed slots stay in place (refs = 0) until recycled.
     slots: Vec<Slot>,
     /// Reverse lookup used at interning time, one map per role (indexed by
     /// `embedded`); freed candidates are removed.
     lookup: [StepMap; 2],
-    /// Memoized maintenance price per `(candidate, org)`; `NaN` = unpriced.
-    maint: Vec<[f64; 3]>,
-    /// Memoized footprint in pages per `(candidate, org)`; `NaN` =
-    /// unpriced. Sizes share the maintenance dependency set
-    /// (`oic_cost::invalidation::maintenance_dependencies`), so
-    /// [`CandidateSpace::invalidate_class`] clears both planes together —
-    /// drift invalidation comes for free.
-    size: Vec<[f64; 3]>,
+    /// The priced cell per `(candidate, org)`: its `(maintenance, size in
+    /// pages)`, `None` = unpriced. Both values read the candidate's
+    /// dependency set (`oic_cost::invalidation::maintenance_dependencies`),
+    /// so a cell is priced, invalidated and freed as one.
+    cells: Vec<[Option<(f64, f64)>; 3]>,
     /// Recycled ids of freed slots.
     free: Vec<CandidateId>,
-    /// How many times a maintenance price was actually computed (not read
-    /// from the memo) — the never-price-twice witness. Monotone across
-    /// epochs; invalidation makes re-pricing legitimate, so compare deltas
-    /// per epoch, not absolutes, in evolving workloads.
+    /// How many cells were priced — the never-price-twice witness.
+    /// Monotone across epochs; invalidation makes re-pricing legitimate,
+    /// so compare deltas per epoch, not absolutes, in evolving workloads.
     pricings: u64,
-    /// How many times a size was actually computed — the count-once witness
-    /// for the footprint plane.
-    size_pricings: u64,
 }
 
 impl CandidateSpace {
     /// New, empty space.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        CandidateSpace {
+            slots: Vec::new(),
+            lookup: Default::default(),
+            cells: Vec::new(),
+            free: Vec::new(),
+            pricings: 0,
+        }
     }
 
     /// Interns one step sequence in its role (`embedded` = more steps
     /// follow in the owning path) with its maintenance dependency class
     /// set, **acquiring one reference**: the existing id if this `(steps,
     /// embedded)` pair is live, a recycled or fresh id otherwise.
-    pub fn intern(
+    fn intern(
         &mut self,
         steps: &[CandidateStep],
         embedded: bool,
@@ -191,15 +200,13 @@ impl CandidateSpace {
         let id = match self.free.pop() {
             Some(id) => {
                 self.slots[id.index()] = slot;
-                self.maint[id.index()] = [f64::NAN; 3];
-                self.size[id.index()] = [f64::NAN; 3];
+                self.cells[id.index()] = [None; 3];
                 id
             }
             None => {
                 let id = CandidateId(self.slots.len() as u32);
                 self.slots.push(slot);
-                self.maint.push([f64::NAN; 3]);
-                self.size.push([f64::NAN; 3]);
+                self.cells.push([None; 3]);
                 id
             }
         };
@@ -207,29 +214,20 @@ impl CandidateSpace {
         id
     }
 
-    /// Interns every subpath of `path`, returning one candidate id per
-    /// subpath, indexed by [`SubpathId::rank`], and acquiring one reference
-    /// each (a path never exposes the same candidate twice: a class appears
-    /// at most once along a path). Subpaths ending before the path's last
-    /// position intern as embedded. Pass the resulting ids back to
+    /// Interns the subpaths of `path` with `admitted[rank] == true`, in
+    /// rank order, returning one candidate id per subpath (indexed by
+    /// [`SubpathId::rank`], `None` for a mined-out rank) and acquiring one
+    /// reference each (a path never exposes the same candidate twice: a
+    /// class appears at most once along a path). Subpaths ending before
+    /// the path's last position intern as embedded. A mined-out rank holds
+    /// no reference and occupies no slot: the space, its cells and the
+    /// component builder never see it. Pass the ids back to
     /// [`CandidateSpace::release_path`] when the path departs.
-    pub fn intern_path(&mut self, schema: &Schema, path: &Path) -> Vec<CandidateId> {
-        let admitted = vec![true; SubpathId::count(path.len())];
-        let ids = self.intern_path_admitted(schema, path, &admitted);
-        ids.into_iter().map(|id| id.expect("admitted")).collect()
-    }
-
-    /// [`CandidateSpace::intern_path`] under a mined admission verdict:
-    /// only ranks with `admitted[rank] == true` are interned (in the same
-    /// rank order, so the interning history — and thus every recycled id —
-    /// matches `intern_path` bitwise when everything is admitted). A
-    /// mined-out rank holds no reference and occupies no slot: the space,
-    /// the maintenance memo and the component builder never see it.
     ///
     /// Every subpath probes a borrowed slice of one key vector per path,
     /// so a rank whose candidate is live allocates nothing; a miss
     /// allocates its slot's identity and lookup key.
-    pub fn intern_path_admitted(
+    pub(crate) fn intern_path_admitted(
         &mut self,
         schema: &Schema,
         path: &Path,
@@ -252,13 +250,13 @@ impl CandidateSpace {
     }
 
     /// Releases one reference per id (the inverse of
-    /// [`CandidateSpace::intern_path`]). A candidate whose last reference
-    /// drops is freed: its memo is cleared, its identity leaves the lookup,
-    /// and its id is recycled for future internings.
+    /// [`CandidateSpace::intern_path_admitted`]). A candidate whose last
+    /// reference drops is freed: its cells are cleared, its identity
+    /// leaves the lookup, and its id is recycled for future internings.
     ///
     /// # Panics
     /// Panics if an id is not live (double release).
-    pub fn release_path(&mut self, ids: &[CandidateId]) {
+    pub(crate) fn release_path(&mut self, ids: &[CandidateId]) {
         for &id in ids {
             let slot = &mut self.slots[id.index()];
             assert!(slot.refs > 0, "release of a dead candidate {id:?}");
@@ -267,25 +265,22 @@ impl CandidateSpace {
                 let steps = std::mem::take(&mut slot.steps);
                 slot.deps = Box::default();
                 self.lookup[usize::from(slot.embedded)].remove(&*steps);
-                self.maint[id.index()] = [f64::NAN; 3];
-                self.size[id.index()] = [f64::NAN; 3];
+                self.cells[id.index()] = [None; 3];
                 self.free.push(id);
             }
         }
     }
 
-    /// Clears the memoized maintenance prices **and footprints** of every
-    /// live candidate whose dependency set contains `class` — exactly the
-    /// values a statistics or update-rate change for that class can move
-    /// (the `oic_cost::invalidation` contract; sizes share the maintenance
-    /// dependency set, see `oic_cost::invalidation::maintenance_dependencies`).
-    /// Returns the number of candidates invalidated.
-    pub fn invalidate_class(&mut self, class: ClassId) -> usize {
+    /// Clears the priced cells of every live candidate whose dependency
+    /// set contains `class` — exactly the prices and footprints a
+    /// statistics or update-rate change for that class can move (the
+    /// `oic_cost::invalidation` contract). Returns the number of candidates
+    /// invalidated.
+    pub(crate) fn invalidate_class(&mut self, class: ClassId) -> usize {
         let mut touched = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (slot, cells) in self.slots.iter().zip(&mut self.cells) {
             if slot.refs > 0 && slot.deps.binary_search(&class).is_ok() {
-                self.maint[i] = [f64::NAN; 3];
-                self.size[i] = [f64::NAN; 3];
+                *cells = [None; 3];
                 touched += 1;
             }
         }
@@ -293,10 +288,10 @@ impl CandidateSpace {
     }
 
     /// Read-only lookup: the live candidate spelling `steps` in `embedded`
-    /// role, if any path currently exposes it. Unlike
-    /// [`CandidateSpace::intern`] this acquires **no** reference — it is
-    /// the what-if API's resolution primitive, safe to call without ever
-    /// releasing. It allocates nothing.
+    /// role, if any path currently exposes it. Unlike interning this
+    /// acquires **no** reference — it is the what-if API's resolution
+    /// primitive, safe to call without ever releasing. It allocates
+    /// nothing.
     pub fn find(&self, steps: &[CandidateStep], embedded: bool) -> Option<CandidateId> {
         self.lookup[usize::from(embedded)].get(steps).copied()
     }
@@ -328,69 +323,33 @@ impl CandidateSpace {
         &self.slots[id.index()].steps
     }
 
-    /// The memoized maintenance price of `(id, org)`, computing it with
-    /// `price` on first request only. Subsequent calls — from the same path
-    /// or any other path sharing the candidate — return the memo until
-    /// [`CandidateSpace::invalidate_class`] clears it.
-    pub fn maintenance_cost(
-        &mut self,
-        id: CandidateId,
-        org: Org,
-        price: impl FnOnce() -> f64,
-    ) -> f64 {
-        let cell = &mut self.maint[id.index()][org.index()];
-        if cell.is_nan() {
-            *cell = price();
-            self.pricings += 1;
-        }
-        *cell
+    /// The priced cell of `(id, org)` — its `(maintenance, size in pages)`
+    /// — if it was priced and not invalidated or freed since.
+    pub fn priced(&self, id: CandidateId, org: Org) -> Option<(f64, f64)> {
+        self.cells[id.index()][org.index()]
     }
 
-    /// The already-memoized maintenance price, if `(id, org)` was priced
-    /// (and not invalidated or freed since).
-    pub fn priced_maintenance(&self, id: CandidateId, org: Org) -> Option<f64> {
-        let v = self.maint[id.index()][org.index()];
-        (!v.is_nan()).then_some(v)
+    /// Installs the price of an unpriced cell, `(maintenance, size in
+    /// pages)`: the one writer. It stays until a dependency class is
+    /// invalidated or the candidate is freed.
+    pub(crate) fn install(&mut self, id: CandidateId, org: Org, cell: (f64, f64)) {
+        let slot = &mut self.cells[id.index()][org.index()];
+        debug_assert!(slot.is_none(), "cell ({id:?}, {org}) priced twice");
+        *slot = Some(cell);
+        self.pricings += 1;
     }
 
-    /// Number of maintenance prices actually computed, cumulatively. Within
-    /// one epoch (no invalidation) at most one pricing happens per live
-    /// `(candidate, org)` pair — by construction a shared physical subpath
-    /// is never priced twice for the same statistics.
+    /// Number of cells priced, cumulatively. Within one epoch (no
+    /// invalidation) at most one pricing happens per live `(candidate,
+    /// org)` pair — by construction a shared physical subpath is never
+    /// priced twice for the same statistics.
     pub fn maintenance_pricings(&self) -> u64 {
         self.pricings
-    }
-
-    /// The memoized footprint in pages of `(id, org)`, computing it with
-    /// `price` on first request only — the size plane's analogue of
-    /// [`CandidateSpace::maintenance_cost`]. Sizes are invalidated together
-    /// with maintenance (shared dependency set), so a memoized footprint is
-    /// exactly as fresh as the memoized maintenance price beside it.
-    pub fn size_cost(&mut self, id: CandidateId, org: Org, price: impl FnOnce() -> f64) -> f64 {
-        let cell = &mut self.size[id.index()][org.index()];
-        if cell.is_nan() {
-            *cell = price();
-            self.size_pricings += 1;
-        }
-        *cell
-    }
-
-    /// The already-memoized footprint, if `(id, org)` was sized (and not
-    /// invalidated or freed since).
-    pub fn priced_size(&self, id: CandidateId, org: Org) -> Option<f64> {
-        let v = self.size[id.index()][org.index()];
-        (!v.is_nan()).then_some(v)
-    }
-
-    /// Number of footprints actually computed, cumulatively — the
-    /// count-once witness for the size plane.
-    pub fn size_pricings(&self) -> u64 {
-        self.size_pricings
     }
 }
 
 // The parallel advisor stages read the space from worker threads
-// (`priced_maintenance`/`priced_size`/`steps` against a frozen `&self`)
+// (`priced`/`steps` against a frozen `&self`)
 // while all writes stay on the sequential merge path (DESIGN.md §5.13).
 // Keep the read side shareable: a lazy `Cell`-style memo here would fail
 // right at this contract instead of deep inside `oic_core`'s fan-out.
@@ -404,6 +363,17 @@ const _: () = {
 };
 
 #[cfg(test)]
+impl CandidateSpace {
+    /// Interns every subpath of `path` (nothing mined out), one id per
+    /// rank.
+    pub(crate) fn intern_all(&mut self, schema: &Schema, path: &Path) -> Vec<CandidateId> {
+        let admitted = vec![true; SubpathId::count(path.len())];
+        let ids = self.intern_path_admitted(schema, path, &admitted);
+        ids.into_iter().map(|id| id.expect("admitted")).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use oic_schema::fixtures;
@@ -413,11 +383,11 @@ mod tests {
         let (schema, _) = fixtures::paper_schema();
         let pexa = fixtures::paper_path_pexa(&schema);
         let mut space = CandidateSpace::new();
-        let a = space.intern_path(&schema, &pexa);
+        let a = space.intern_all(&schema, &pexa);
         assert_eq!(a.len(), SubpathId::count(4));
         assert_eq!(space.len(), SubpathId::count(4), "all subpaths distinct");
         // Re-interning the same path adds nothing (but acquires references).
-        let b = space.intern_path(&schema, &pexa);
+        let b = space.intern_all(&schema, &pexa);
         assert_eq!(a, b);
         assert_eq!(space.len(), SubpathId::count(4));
         assert!(a.iter().all(|&id| space.slots[id.index()].refs == 2));
@@ -432,9 +402,9 @@ mod tests {
         let pexa = fixtures::paper_path_pexa(&schema);
         let pe = fixtures::paper_path_pe(&schema);
         let mut space = CandidateSpace::new();
-        let a = space.intern_path(&schema, &pexa);
+        let a = space.intern_all(&schema, &pexa);
         let before = space.len();
-        let b = space.intern_path(&schema, &pe);
+        let b = space.intern_all(&schema, &pe);
         // Pe = Per.owns.man.name shares Per.owns, man and Per.owns.man with
         // Pexa; its other three subpaths (ending in Company.name) are new.
         let shared = b.iter().filter(|id| id.index() < before).count();
@@ -457,8 +427,8 @@ mod tests {
         let owns = Path::parse(&schema, "Person", &["owns"]).unwrap();
         let pe = fixtures::paper_path_pe(&schema);
         let mut space = CandidateSpace::new();
-        let terminal = space.intern_path(&schema, &owns)[0];
-        let ids = space.intern_path(&schema, &pe);
+        let terminal = space.intern_all(&schema, &owns)[0];
+        let ids = space.intern_all(&schema, &pe);
         let embedded = ids[SubpathId { start: 1, end: 1 }.rank(3)];
         assert_eq!(space.steps(terminal), space.steps(embedded), "same steps");
         assert_ne!(terminal, embedded, "different roles, different identity");
@@ -475,11 +445,11 @@ mod tests {
             .deps
             .binary_search(&veh)
             .is_err());
-        // Each role keeps its own maintenance memo.
-        assert_eq!(space.maintenance_cost(terminal, Org::Mx, || 1.0), 1.0);
-        assert_eq!(space.maintenance_cost(embedded, Org::Mx, || 2.0), 2.0);
-        assert_eq!(space.priced_maintenance(terminal, Org::Mx), Some(1.0));
-        assert_eq!(space.priced_maintenance(embedded, Org::Mx), Some(2.0));
+        // Each role keeps its own cell.
+        space.install(terminal, Org::Mx, (1.0, 10.0));
+        space.install(embedded, Org::Mx, (2.0, 20.0));
+        assert_eq!(space.priced(terminal, Org::Mx), Some((1.0, 10.0)));
+        assert_eq!(space.priced(embedded, Org::Mx), Some((2.0, 20.0)));
     }
 
     #[test]
@@ -487,56 +457,54 @@ mod tests {
         let (schema, _) = fixtures::paper_schema();
         let pexa = fixtures::paper_path_pexa(&schema);
         let mut space = CandidateSpace::new();
-        let ids = space.intern_path(&schema, &pexa);
+        let ids = space.intern_all(&schema, &pexa);
         let id = ids[0];
-        let mut calls = 0;
-        let first = space.maintenance_cost(id, Org::Mx, || {
-            calls += 1;
-            42.0
-        });
-        let second = space.maintenance_cost(id, Org::Mx, || {
-            calls += 1;
-            99.0
-        });
-        assert_eq!(first, 42.0);
-        assert_eq!(second, 42.0, "memo wins; the second closure never runs");
-        assert_eq!(calls, 1);
-        assert_eq!(space.maintenance_pricings(), 1);
-        assert_eq!(space.priced_maintenance(id, Org::Mx), Some(42.0));
-        assert_eq!(space.priced_maintenance(id, Org::Nix), None);
+        assert_eq!(space.priced(id, Org::Mx), None, "unpriced before install");
+        space.install(id, Org::Mx, (42.0, 7.0));
+        assert_eq!(space.priced(id, Org::Mx), Some((42.0, 7.0)));
+        assert_eq!(space.maintenance_pricings(), 1, "a probe prices nothing");
+        assert_eq!(space.priced(id, Org::Nix), None, "per organization");
     }
 
     #[test]
-    fn size_plane_memoizes_and_invalidates_with_maintenance() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "priced twice")]
+    fn a_priced_cell_is_never_installed_again() {
         let (schema, _) = fixtures::paper_schema();
         let pexa = fixtures::paper_path_pexa(&schema);
         let mut space = CandidateSpace::new();
-        let ids = space.intern_path(&schema, &pexa);
+        let id = space.intern_all(&schema, &pexa)[0];
+        space.install(id, Org::Mx, (42.0, 7.0));
+        space.install(id, Org::Mx, (99.0, 7.0));
+    }
+
+    #[test]
+    fn a_cell_prices_and_invalidates_maintenance_and_size_as_one() {
+        let (schema, _) = fixtures::paper_schema();
+        let pexa = fixtures::paper_path_pexa(&schema);
+        let mut space = CandidateSpace::new();
+        let ids = space.intern_all(&schema, &pexa);
         let id = ids[SubpathId { start: 1, end: 2 }.rank(4)];
-        // Memoized like maintenance: the second closure never runs.
-        assert_eq!(space.size_cost(id, Org::Nix, || 500.0), 500.0);
-        assert_eq!(space.size_cost(id, Org::Nix, || unreachable!()), 500.0);
-        assert_eq!(space.size_pricings(), 1);
-        assert_eq!(space.priced_size(id, Org::Nix), Some(500.0));
-        assert_eq!(space.priced_size(id, Org::Mx), None);
-        space.maintenance_cost(id, Org::Nix, || 7.0);
-        // Invalidating a dependency class clears both planes together…
+        space.install(id, Org::Nix, (7.0, 500.0));
+        assert_eq!(space.priced(id, Org::Nix), Some((7.0, 500.0)));
+        assert_eq!(space.priced(id, Org::Mx), None);
+        // Invalidating a dependency class clears the whole cell…
         let person = schema.class_by_name("Person").unwrap();
         space.invalidate_class(person);
-        assert_eq!(space.priced_size(id, Org::Nix), None);
-        assert_eq!(space.priced_maintenance(id, Org::Nix), None);
-        // …and an out-of-dependency class clears neither.
-        space.size_cost(id, Org::Nix, || 501.0);
+        assert_eq!(space.priced(id, Org::Nix), None);
+        // …and an out-of-dependency class clears nothing.
+        space.install(id, Org::Nix, (7.5, 501.0));
         let division = schema.class_by_name("Division").unwrap();
         space.invalidate_class(division);
-        assert_eq!(space.priced_size(id, Org::Nix), Some(501.0));
-        // Freeing the candidate drops the footprint with everything else.
+        assert_eq!(space.priced(id, Org::Nix), Some((7.5, 501.0)));
+        assert_eq!(space.maintenance_pricings(), 2, "one count per install");
+        // Freeing the candidate drops its cells with everything else.
         space.release_path(&ids);
         assert!(space.is_empty());
-        let again = space.intern_path(&schema, &pexa);
+        let again = space.intern_all(&schema, &pexa);
         for &id in &again {
             for org in Org::ALL {
-                assert_eq!(space.priced_size(id, org), None, "stale size leaked");
+                assert_eq!(space.priced(id, org), None, "stale cell leaked");
             }
         }
     }
@@ -547,10 +515,10 @@ mod tests {
         let pexa = fixtures::paper_path_pexa(&schema);
         let pe = fixtures::paper_path_pe(&schema);
         let mut space = CandidateSpace::new();
-        let a = space.intern_path(&schema, &pexa);
-        let b = space.intern_path(&schema, &pe);
+        let a = space.intern_all(&schema, &pexa);
+        let b = space.intern_all(&schema, &pe);
         let shared = b[SubpathId { start: 1, end: 2 }.rank(3)]; // Per.owns.man
-        space.maintenance_cost(shared, Org::Nix, || 7.0);
+        space.install(shared, Org::Nix, (7.0, 1.0));
         let live_before = space.len();
 
         // Dropping Pexa keeps Pe's candidates alive — including the shared
@@ -558,14 +526,14 @@ mod tests {
         space.release_path(&a);
         assert!(space.is_live(shared));
         assert_eq!(space.slots[shared.index()].refs, 1);
-        assert_eq!(space.priced_maintenance(shared, Org::Nix), Some(7.0));
+        assert_eq!(space.priced(shared, Org::Nix), Some((7.0, 1.0)));
         assert_eq!(space.len(), live_before - (a.len() - 3));
 
         // Dropping Pe frees everything: refcounts hit zero, memos clear.
         space.release_path(&b);
         assert!(!space.is_live(shared));
         assert!(space.is_empty());
-        assert_eq!(space.priced_maintenance(shared, Org::Nix), None);
+        assert_eq!(space.priced(shared, Org::Nix), None);
     }
 
     #[test]
@@ -574,20 +542,20 @@ mod tests {
         let owns = Path::parse(&schema, "Person", &["owns"]).unwrap();
         let pe = fixtures::paper_path_pe(&schema);
         let mut space = CandidateSpace::new();
-        let a = space.intern_path(&schema, &owns);
-        space.maintenance_cost(a[0], Org::Mx, || 123.0);
+        let a = space.intern_all(&schema, &owns);
+        space.install(a[0], Org::Mx, (123.0, 1.0));
         space.release_path(&a);
         assert!(space.is_empty());
         // The next interning recycles the freed slot: same dense index, but
-        // a fresh identity whose memo must NOT see the stale 123.0.
-        let b = space.intern_path(&schema, &pe);
+        // a fresh identity whose cell must NOT see the stale 123.0.
+        let b = space.intern_all(&schema, &pe);
         assert!(b.contains(&a[0]), "freed id recycled");
         for &id in &b {
-            assert_eq!(space.priced_maintenance(id, Org::Mx), None);
+            assert_eq!(space.priced(id, Org::Mx), None);
         }
         // Re-interning the departed path now yields a *different* id for
         // the same steps — identity is live-set-relative…
-        let c = space.intern_path(&schema, &owns);
+        let c = space.intern_all(&schema, &owns);
         assert!(space.is_live(c[0]));
         // …and the arena stays dense: no slot is wasted.
         assert_eq!(space.len(), SubpathId::count(3) + 1);
@@ -598,10 +566,10 @@ mod tests {
         let (schema, _) = fixtures::paper_schema();
         let pexa = fixtures::paper_path_pexa(&schema); // Per.owns.man.divs.name
         let mut space = CandidateSpace::new();
-        let ids = space.intern_path(&schema, &pexa);
+        let ids = space.intern_all(&schema, &pexa);
         let n = 4;
         for (r, &id) in ids.iter().enumerate() {
-            space.maintenance_cost(id, Org::Mx, || r as f64);
+            space.install(id, Org::Mx, (r as f64, r as f64));
         }
         let division = schema.class_by_name("Division").unwrap();
         // Division appears at position 4 only: the dependent candidates are
@@ -614,9 +582,9 @@ mod tests {
             let dependent = sub.end >= 3;
             if dependent {
                 expect += 1;
-                assert_eq!(space.priced_maintenance(id, Org::Mx), None, "{sub}");
+                assert_eq!(space.priced(id, Org::Mx), None, "{sub}");
             } else {
-                assert!(space.priced_maintenance(id, Org::Mx).is_some(), "{sub}");
+                assert!(space.priced(id, Org::Mx).is_some(), "{sub}");
             }
         }
         assert_eq!(touched, expect);
@@ -658,12 +626,12 @@ mod tests {
         };
         // Drifting Division does not move the price of Per.owns.man…
         assert_eq!(price(1.0).to_bits(), price(5.0).to_bits());
-        // …which is why invalidate_class(Division) may skip its memo row.
+        // …which is why invalidate_class(Division) may skip its cells.
         let mut space = CandidateSpace::new();
-        let ids = space.intern_path(&schema, &pexa);
+        let ids = space.intern_all(&schema, &pexa);
         let id = ids[sub.rank(4)];
-        space.maintenance_cost(id, Org::Nix, || price(1.0));
+        space.install(id, Org::Nix, (price(1.0), 0.0));
         space.invalidate_class(division);
-        assert_eq!(space.priced_maintenance(id, Org::Nix), Some(price(5.0)));
+        assert_eq!(space.priced(id, Org::Nix), Some((price(5.0), 0.0)));
     }
 }

@@ -440,8 +440,8 @@ mod tests {
     fn incremental_ledger_equals_one_built_from_scratch() {
         let (schema, _) = fixtures::paper_schema();
         let mut space = CandidateSpace::new();
-        let mut cands = space.intern_path(&schema, &fixtures::paper_path_pexa(&schema));
-        cands.extend(space.intern_path(&schema, &fixtures::paper_path_pe(&schema)));
+        let mut cands = space.intern_all(&schema, &fixtures::paper_path_pexa(&schema));
+        cands.extend(space.intern_all(&schema, &fixtures::paper_path_pe(&schema)));
         let mut seed = 0x1ED6E4_u64;
         let mut next = move |below: u64| {
             seed ^= seed << 13;
@@ -454,8 +454,10 @@ mod tests {
         let price = |k: u64, step: f64| if k == 0 { -0.0 } else { (k - 1) as f64 * step };
         for &cand in &cands {
             for org in Org::ALL {
-                space.maintenance_cost(cand, org, || price(next(5), 0.3));
-                space.size_cost(cand, org, || price(next(4), 7.0));
+                // A shared prefix appears twice in `cands`: price it once.
+                if space.priced(cand, org).is_none() {
+                    space.install(cand, org, (price(next(5), 0.3), price(next(4), 7.0)));
+                }
             }
         }
         // A selection of up to four distinct indexes; empty = a path that

@@ -34,10 +34,10 @@
 //!
 //! * the **interned candidate space**: refcounted per owning path, so a
 //!   departing path frees exactly the candidates it alone exposed;
-//! * the **maintenance memo** per `(candidate, organization)`: a class
-//!   mutation invalidates only the candidates whose dependency set (step
-//!   hierarchies + embedded boundary, per `oic_cost::invalidation`)
-//!   contains that class;
+//! * the **priced cell** per `(candidate, organization)`, its maintenance
+//!   and size: a class mutation invalidates only the candidates whose
+//!   dependency set (step hierarchies + embedded boundary, per
+//!   `oic_cost::invalidation`) contains that class;
 //! * the **per-path artifacts**: query-share vectors, standalone optima and
 //!   last best-response selections, invalidated only for paths whose scope
 //!   contains a mutated class (or whose own query rates changed).
@@ -66,9 +66,9 @@
 //! [rebuilt](WorkloadAdvisor::rebuild) advisor (the anchor invariant,
 //! property-tested in `oic-sim/tests/evolving.rs`).
 //!
-//! **Invariant:** epoch mutations must go through the advisor API. Editing
-//! a [`CandidateSpace`] directly bypasses the invalidation bookkeeping and
-//! can leave stale maintenance prices in the memo.
+//! **Invariant:** epoch mutations go through the advisor API. The
+//! [`CandidateSpace`]'s mutators are private to this crate, so no caller
+//! can bypass the invalidation bookkeeping and leave a stale price in it.
 //!
 //! # Parallel engine
 //!
@@ -158,7 +158,7 @@ pub struct WorkloadAdvisor<'a> {
     maint: Vec<(f64, f64)>,
     /// Live paths in insertion order (removal preserves relative order).
     paths: Vec<PathState>,
-    /// Shared candidate arena + maintenance memo.
+    /// Shared candidate arena + its priced cells.
     space: CandidateSpace,
     next_id: u32,
     /// Completed re-optimizations.
@@ -458,8 +458,8 @@ impl<'a> WorkloadAdvisor<'a> {
         self.find(id).map(|i| &self.paths[i].signature)
     }
 
-    /// The shared candidate space (read-only: epoch mutations must go
-    /// through the advisor API so invalidation stays sound).
+    /// The shared candidate space, read-only: epoch mutations go through
+    /// the advisor API, so invalidation stays sound.
     pub fn candidate_space(&self) -> &CandidateSpace {
         &self.space
     }
@@ -524,8 +524,8 @@ impl<'a> WorkloadAdvisor<'a> {
     /// Three phases, each skipping clean work:
     ///
     /// 1. **Re-price** — rebuild the cost model for dirty paths only; the
-    ///    maintenance memo turns shared-candidate pricing into hits except
-    ///    for invalidated cells.
+    ///    space's priced cells turn shared-candidate pricing into hits
+    ///    except for invalidated cells.
     /// 2. **Standalone** — recompute the per-path unshared optimum where
     ///    stale (it seeds the sweeps and prices `independent_cost`).
     /// 3. **Sweeps** — coordinate descent over all paths from the

@@ -19,9 +19,7 @@ use std::collections::HashMap;
 /// The installed `(maintenance, footprint)` prices of a live cell — what
 /// phase 1 priced for every admitted rank of every path.
 pub(super) fn installed(space: &CandidateSpace, (cand, org): Pair) -> (f64, f64) {
-    let priced = |plane: Option<f64>| plane.expect("cell priced during reprice");
-    let maintenance = priced(space.priced_maintenance(cand, org));
-    (maintenance, priced(space.priced_size(cand, org)))
+    space.priced(cand, org).expect("cell priced during reprice")
 }
 
 /// One dirty path's re-pricing output, computed read-only by its
@@ -161,11 +159,9 @@ impl WorkloadAdvisor<'_> {
             .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
             .collect();
 
-        // Claim pass, in path order: an unpriced `(candidate, org)` goes to
-        // the first dirty path that exposes it — the cells a sequential
-        // first-owner walk would price, each exactly once. (A cell's
-        // maintenance and footprint are invalidated together and priced
-        // together.)
+        // Claim pass, in path order: an unpriced `(candidate, org)` cell
+        // goes to the first dirty path that exposes it — the cells a
+        // sequential first-owner walk would price, each exactly once.
         let mut claimed = vec![[false; 3]; self.space.slot_count()];
         let claims: Vec<Vec<(usize, CandidateId, Org)>> = dirty
             .iter()
@@ -177,10 +173,7 @@ impl WorkloadAdvisor<'_> {
                     };
                     for org in Org::ALL {
                         let taken = &mut claimed[cand.index()][org.index()];
-                        if !*taken
-                            && (self.space.priced_maintenance(cand, org).is_none()
-                                || self.space.priced_size(cand, org).is_none())
-                        {
+                        if !*taken && self.space.priced(cand, org).is_none() {
                             *taken = true;
                             mine.push((r, cand, org));
                         }
@@ -221,13 +214,8 @@ impl WorkloadAdvisor<'_> {
         }
         for ((out, &i), mine) in priced.into_iter().zip(&dirty).zip(&claims) {
             let (shares, cells) = out.expect("every dirty path belongs to one job");
-            for (&(_, cand, org), (m, s)) in mine.iter().zip(cells) {
-                debug_assert!(
-                    self.space.priced_maintenance(cand, org).is_none(),
-                    "cell ({cand:?}, {org}) priced twice"
-                );
-                self.space.maintenance_cost(cand, org, || m);
-                self.space.size_cost(cand, org, || s);
+            for (&(_, cand, org), cell) in mine.iter().zip(cells) {
+                self.space.install(cand, org, cell);
             }
             let st = &mut self.paths[i];
             if let Some(q) = shares {
@@ -306,9 +294,9 @@ impl WorkloadAdvisor<'_> {
                 continue;
             }
             let st = &self.paths[i];
-            // A mined-out rank prices at ∞ in both planes: it can neither
-            // be struck nor serve as a dominator or replacement (singleton
-            // ranks — the replacement pool — are always admitted).
+            // A mined-out rank prices its maintenance and size at ∞: it can
+            // neither be struck nor serve as a dominator or replacement
+            // (singleton ranks — the replacement pool — are always admitted).
             let (maint, sizes): (Vec<[f64; 3]>, Vec<[f64; 3]>) = st
                 .cands
                 .iter()
@@ -511,6 +499,11 @@ impl<'a> Cells<'a> {
 /// The scalar best response of `st` under `pricing` (which bans nothing):
 /// [`ScalarDp`] over the path's [`Cells`] on the caller's tables, the
 /// selection written over `out`. Returns its cost.
+///
+/// When no tiling has a finite cost — an infinite or overflowing rate or
+/// statistic makes every one `+∞` or NaN — they all tie, and the path's
+/// singletons (always admitted) under the first organization stand in,
+/// at `+∞`.
 pub(super) fn best_response(
     st: &PathState,
     space: &CandidateSpace,
@@ -521,9 +514,15 @@ pub(super) fn best_response(
     debug_assert!(pricing.bans.is_none(), "a ban can leave a path uncoverable");
     let mut no_bans = Vec::new();
     let cells = Cells::new(st, space, pricing, &mut no_bans);
-    let (cost, _) = dp.run(st.path.len(), |sub| cells.piece(sub).map(|cell| cell.0));
-    dp.pieces_into(out, |sub, o| (sub, Org::ALL[o]));
-    cost
+    let n = st.path.len();
+    let (cost, _) = dp.run(n, |sub| cells.piece(sub).map(|cell| cell.0));
+    if cost.is_finite() {
+        dp.pieces_into(out, |sub, o| (sub, Org::ALL[o]));
+        return cost;
+    }
+    out.clear();
+    out.extend((1..=n).map(|l| (SubpathId { start: l, end: l }, Org::ALL[0])));
+    f64::INFINITY
 }
 
 impl WorkloadAdvisor<'_> {

@@ -711,7 +711,7 @@ fn removing_the_last_owner_frees_candidates_and_plans_cite_live_ids() {
         let Choice::Index(org) = choice else {
             unreachable!()
         };
-        assert!(adv.candidate_space().priced_maintenance(*id, org).is_some());
+        assert!(adv.candidate_space().priced(*id, org).is_some());
     }
     // Removing the last path yields an empty plan, an empty space.
     let pe_id = adv.path_ids().next().unwrap();
@@ -1069,4 +1069,49 @@ fn the_component_cache_equals_a_fresh_build_through_churn() {
         kept > 50 && dropped > 50 && remined > 0,
         "{kept} {dropped} {remined}"
     );
+}
+
+/// An infinite or overflowing rate or statistic leaves no tiling of
+/// Example 5.1's path with a finite cost. Every door it can come through
+/// still yields a plan, and a budgeted solve on the same advisor returns
+/// too — for the path alone, and beside a second path sharing its prefix
+/// (a component the descent runs on).
+#[test]
+fn infinite_or_overflowing_inputs_still_plan() {
+    let (schema, _) = fixtures::paper_schema();
+    let pexa = fixtures::paper_path_pexa(&schema);
+    let first = pexa.steps()[0].class;
+    let doors = [
+        "update_rates",
+        "update_query_rates",
+        "update_stats",
+        "with_maintenance",
+    ];
+    for shared in [false, true] {
+        for huge in [f64::INFINITY, 1e308] {
+            for door in doors {
+                let ctx = format!("{door}({huge:e}), shared prefix: {shared}");
+                let hostile = |c| door == "with_maintenance" && c == first;
+                let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
+                    .with_stats(|_| ClassStats::new(10_000.0, 1_000.0, 1.0))
+                    .with_maintenance(|c| if hostile(c) { (huge, 0.1) } else { (0.1, 0.1) });
+                let id = adv.add_path(pexa.clone(), |_| 0.2);
+                if shared {
+                    adv.add_path(fixtures::paper_path_pe(&schema), |_| 0.2);
+                }
+                let pages = adv.optimize().size_pages;
+                let mutated = match door {
+                    "update_rates" => adv.update_rates(first, (huge, 0.1)),
+                    "update_query_rates" => adv.update_query_rates(id, |_| huge),
+                    "update_stats" => adv.update_stats(first, ClassStats::new(huge, 1.0, 1.0)),
+                    _ => true, // hostile from the first solve on
+                };
+                assert!(mutated, "{ctx}");
+                let paths = 1 + usize::from(shared);
+                assert_eq!(adv.reoptimize().paths.len(), paths, "{ctx}");
+                let budgeted = adv.optimize_with_budget(pages / 2.0);
+                assert_eq!(budgeted.plan.paths.len(), paths, "{ctx}");
+            }
+        }
+    }
 }

@@ -116,8 +116,7 @@ impl WorkloadAdvisor<'_> {
         let mut m = [0.0; 3];
         let mut s = [0.0; 3];
         for org in Org::ALL {
-            m[org.index()] = self.space.priced_maintenance(id, org)?;
-            s[org.index()] = self.space.priced_size(id, org)?;
+            (m[org.index()], s[org.index()]) = self.space.priced(id, org)?;
         }
         Some((m, s))
     }

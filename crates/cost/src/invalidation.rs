@@ -182,8 +182,8 @@ mod tests {
     /// The size half of the contract: an index footprint is blind to every
     /// class outside [`maintenance_dependencies`] (bit-identical under
     /// drift) and moves when a dependency — including the embedded boundary
-    /// clamp — drifts. This is what lets the candidate-space memo clear its
-    /// size plane with the maintenance invalidation for free.
+    /// clamp — drifts. This is what lets the candidate space keep a cell's
+    /// size beside its maintenance price and clear both as one.
     #[test]
     fn size_outputs_follow_the_maintenance_dependency_set() {
         let (schema, _) = fixtures::paper_schema();

@@ -157,14 +157,14 @@ impl<'a> DriftSim<'a> {
         });
     }
 
-    /// One traffic-mode epoch: the same deterministic churn stream as
-    /// [`DriftSim::step`] (identical RNG consumption, so a same-seed oracle
-    /// run stays in lockstep), except that **rate and query drift never
-    /// touch the advisor** — they update the shadow ground truth, which is
-    /// then emitted as `ticks` stationary capture windows into `tuner`.
-    /// Structural churn (arrivals, departures, statistics drift) still goes
-    /// through the advisor's mutation API: a real system knows its schema
-    /// and path registry, it is the *rates* that must be estimated.
+    /// One traffic-mode epoch: the churn stream of [`DriftSim::step`] —
+    /// the same routine, so a same-seed oracle run stays in lockstep —
+    /// except that **rate and query drift never touch the advisor**: they
+    /// update the shadow ground truth, which is then emitted as `ticks`
+    /// stationary capture windows into `tuner`. Structural churn
+    /// (arrivals, departures, statistics drift) still goes through the
+    /// advisor's mutation API: a real system knows its schema and path
+    /// registry, it is the *rates* that must be estimated.
     ///
     /// Returns the epoch's churn and the re-optimized plan, if any: the
     /// tuner's (if its policy tripped), else a structural `reoptimize()`
@@ -177,78 +177,8 @@ impl<'a> DriftSim<'a> {
     ) -> (EpochChurn, Option<WorkloadPlan>) {
         assert!(self.traffic.is_some(), "call enable_traffic first");
         assert!(ticks > 0, "an epoch must emit at least one window");
-        let w = self.workload;
-        let class_count = w.schema.class_count();
-        let mut churn = EpochChurn::default();
-
-        // Phase 1: churn, consuming the RNG exactly like `step`.
-        for _ in 0..self.spec.departures {
-            let ids: Vec<_> = advisor.path_ids().collect();
-            if ids.len() <= 1 {
-                break;
-            }
-            let victim = ids[self.rng.gen_range(0..ids.len())];
-            advisor.remove_path(victim).expect("live handle");
-            let key = victim.raw() as u64;
-            tuner.untrack(PathKey(key));
-            let traffic = self.traffic.as_mut().expect("traffic mode");
-            traffic.true_queries.remove(&key);
-            churn.departed += 1;
-        }
-        for _ in 0..self.spec.arrivals {
-            let path = random_walk(&w.schema, w.root, &w.children, &mut self.rng);
-            let alphas = random_query_rates(class_count, &mut self.rng);
-            let id = advisor.add_path_dense(path, alphas.clone());
-            let key = id.raw() as u64;
-            tuner.track(PathKey(key), id);
-            let traffic = self.traffic.as_mut().expect("traffic mode");
-            traffic.true_queries.insert(key, alphas);
-            churn.arrived += 1;
-        }
-        for _ in 0..self.spec.stat_drifts {
-            let class = ClassId(self.rng.gen_range(0..class_count) as u32);
-            let old = self.stats[class.index()];
-            let scale = self.rng.gen_range(500..2000) as f64 / 1000.0;
-            let new = ClassStats::new(
-                (old.n * scale).max(1.0).round(),
-                (old.d * scale).max(1.0).round(),
-                old.nin,
-            );
-            self.stats[class.index()] = new;
-            if advisor.update_stats(class, new) {
-                churn.stats_changed += 1;
-            }
-        }
-        for _ in 0..self.spec.rate_drifts {
-            let class = ClassId(self.rng.gen_range(0..class_count) as u32);
-            let rates = (
-                self.rng.gen_range(0..200) as f64 / 1000.0,
-                self.rng.gen_range(0..200) as f64 / 1000.0,
-            );
-            let traffic = self.traffic.as_mut().expect("traffic mode");
-            let slot = &mut traffic.true_maint[class.index()];
-            if *slot != rates {
-                *slot = rates;
-                churn.rates_changed += 1;
-            }
-        }
-        for _ in 0..self.spec.query_drifts {
-            let ids: Vec<_> = advisor.path_ids().collect();
-            if ids.is_empty() {
-                break;
-            }
-            let target = ids[self.rng.gen_range(0..ids.len())];
-            let alphas = random_query_rates(class_count, &mut self.rng);
-            let traffic = self.traffic.as_mut().expect("traffic mode");
-            let slot = traffic
-                .true_queries
-                .get_mut(&(target.raw() as u64))
-                .expect("live path has a shadow");
-            if *slot != alphas {
-                *slot = alphas;
-                churn.queries_changed += 1;
-            }
-        }
+        // Phase 1: churn.
+        let churn = self.churn(advisor, Some(&mut *tuner));
 
         // Phase 2: emit `ticks` stationary windows of the (new) ground
         // truth. One weighted event per live signal per tick — the fluid
@@ -298,8 +228,21 @@ impl<'a> DriftSim<'a> {
     /// Applies one epoch of churn to `advisor` through its mutation API.
     /// The advisor must be bound to `self`'s workload schema.
     pub fn step(&mut self, advisor: &mut WorkloadAdvisor<'_>) -> EpochChurn {
+        self.churn(advisor, None)
+    }
+
+    /// The one churn stream: departures, arrivals, statistics, rate and
+    /// query drift, drawn in that order. With a `tuner` (traffic mode),
+    /// the tuner tracks every arrival and departure, and rate and query
+    /// drift go to the shadow ground truth instead of the advisor.
+    fn churn(
+        &mut self,
+        advisor: &mut WorkloadAdvisor<'_>,
+        tuner: Option<&mut OnlineTuner>,
+    ) -> EpochChurn {
         let w = self.workload;
         let class_count = w.schema.class_count();
+        let mut shadow = tuner.map(|tuner| (self.traffic.as_mut().expect("traffic mode"), tuner));
         let mut churn = EpochChurn::default();
 
         // Departures first (a production queue drains before it refills —
@@ -311,12 +254,23 @@ impl<'a> DriftSim<'a> {
             }
             let victim = ids[self.rng.gen_range(0..ids.len())];
             advisor.remove_path(victim).expect("live handle");
+            if let Some((traffic, tuner)) = &mut shadow {
+                let key = victim.raw() as u64;
+                tuner.untrack(PathKey(key));
+                traffic.true_queries.remove(&key);
+            }
             churn.departed += 1;
         }
         for _ in 0..self.spec.arrivals {
             let path = random_walk(&w.schema, w.root, &w.children, &mut self.rng);
             let alphas = random_query_rates(class_count, &mut self.rng);
-            advisor.add_path_dense(path, alphas);
+            let id = advisor.add_path_dense(path, alphas);
+            if let Some((traffic, tuner)) = &mut shadow {
+                let key = id.raw() as u64;
+                tuner.track(PathKey(key), id);
+                let alphas = advisor.query_rates(id).expect("live path").to_vec();
+                traffic.true_queries.insert(key, alphas);
+            }
             churn.arrived += 1;
         }
         for _ in 0..self.spec.stat_drifts {
@@ -339,9 +293,11 @@ impl<'a> DriftSim<'a> {
                 self.rng.gen_range(0..200) as f64 / 1000.0,
                 self.rng.gen_range(0..200) as f64 / 1000.0,
             );
-            if advisor.update_rates(class, rates) {
-                churn.rates_changed += 1;
-            }
+            let moved = match &mut shadow {
+                Some((traffic, _)) => overwrite(&mut traffic.true_maint[class.index()], rates),
+                None => advisor.update_rates(class, rates),
+            };
+            churn.rates_changed += usize::from(moved);
         }
         for _ in 0..self.spec.query_drifts {
             let ids: Vec<_> = advisor.path_ids().collect();
@@ -350,12 +306,28 @@ impl<'a> DriftSim<'a> {
             }
             let target = ids[self.rng.gen_range(0..ids.len())];
             let alphas = random_query_rates(class_count, &mut self.rng);
-            if advisor.update_query_rates(target, move |c| alphas[c.index()]) {
-                churn.queries_changed += 1;
-            }
+            let moved = match &mut shadow {
+                Some((traffic, _)) => {
+                    let key = target.raw() as u64;
+                    let slot = traffic.true_queries.get_mut(&key);
+                    overwrite(slot.expect("live path has a shadow"), alphas)
+                }
+                None => advisor.update_query_rates(target, move |c| alphas[c.index()]),
+            };
+            churn.queries_changed += usize::from(moved);
         }
         churn
     }
+}
+
+/// Writes `new` over `slot` unless the two are equal, as the advisor's
+/// mutators do; returns whether it moved.
+fn overwrite<T: PartialEq>(slot: &mut T, new: T) -> bool {
+    let moved = *slot != new;
+    if moved {
+        *slot = new;
+    }
+    moved
 }
 
 #[cfg(test)]

@@ -92,10 +92,8 @@ proptest! {
             let space = adv.candidate_space();
             for s in &warm.shared {
                 prop_assert!(space.is_live(s.candidate));
-                prop_assert_eq!(
-                    space.priced_maintenance(s.candidate, s.org),
-                    Some(s.maintenance)
-                );
+                let priced = space.priced(s.candidate, s.org);
+                prop_assert_eq!(priced.map(|(m, _)| m), Some(s.maintenance));
             }
             for p in &warm.paths {
                 for &(_, choice) in p.selection.pairs() {

@@ -285,13 +285,9 @@ fn what_if_reproduces_adopted_pricing_bitwise() {
             let id = report.candidate.expect("adopted ⇒ live candidate");
             for o in oic_cost::Org::ALL {
                 assert_eq!(
-                    adv.candidate_space().priced_maintenance(id, o),
-                    Some(report.maintenance[o.index()]),
+                    adv.candidate_space().priced(id, o),
+                    Some((report.maintenance[o.index()], report.size_pages[o.index()])),
                     "memo bits for {o:?}"
-                );
-                assert_eq!(
-                    adv.candidate_space().priced_size(id, o),
-                    Some(report.size_pages[o.index()]),
                 );
             }
             let me = report

@@ -20,9 +20,9 @@ use proptest::prelude::*;
 /// Thread counts under test: the sequential engine and two pool shapes.
 const LANES: [usize; 3] = [1, 2, 8];
 
-/// One memo cell: candidate, organization column, maintenance bits and
-/// footprint bits (`None` = unpriced).
-type MemoCell = (CandidateId, usize, Option<u64>, Option<u64>);
+/// One memo cell: candidate, organization column, and the bits of its
+/// maintenance and footprint (`None` = unpriced).
+type MemoCell = (CandidateId, usize, Option<(u64, u64)>);
 
 /// Every `(candidate, organization)` memo cell the advisor's live paths
 /// expose, each once, in candidate order.
@@ -40,8 +40,9 @@ fn memo_cells(adv: &WorkloadAdvisor<'_>) -> Vec<MemoCell> {
                 cells.push((
                     cand,
                     org.index(),
-                    space.priced_maintenance(cand, org).map(f64::to_bits),
-                    space.priced_size(cand, org).map(f64::to_bits),
+                    space
+                        .priced(cand, org)
+                        .map(|(m, s)| (m.to_bits(), s.to_bits())),
                 ));
             }
         }
@@ -146,9 +147,9 @@ proptest! {
                 let plan = adv.reoptimize();
                 prop_assert_eq!(plan.epoch_pricings, unpriced, "epoch {}, {} lanes", epoch, lanes);
                 prop_assert_eq!(plan.maintenance_pricings, before + unpriced);
-                prop_assert_eq!(adv.candidate_space().size_pricings(), plan.maintenance_pricings);
+                prop_assert_eq!(adv.candidate_space().maintenance_pricings(), plan.maintenance_pricings);
                 let cells = memo_cells(&adv);
-                prop_assert!(cells.iter().all(|c| c.2.is_some() && c.3.is_some()));
+                prop_assert!(cells.iter().all(|c| c.2.is_some()));
                 run.push((plan, cells));
             }
             // Cold, every live cell is priced; churn re-prices some.

@@ -99,18 +99,26 @@ fn text(path: &Path) -> String {
 enum Reach {
     /// The whole file.
     All,
-    /// The lines above the first that starts with `#[cfg(test)]`: a test
-    /// module may use what the library part may not.
+    /// The library part: the lines above the first `#[cfg(test)]` that
+    /// opens an inline item, such as `mod tests { … }` — a test module may
+    /// use what the library part may not. A `#[cfg(test)]` over an
+    /// out-of-line `mod tests;` declaration ends nothing: the scan steps
+    /// over it.
     AboveTests,
 }
 
 /// The lines of `source` that a scan with `reach` reads, numbered from 1.
 fn lines(source: &str, reach: Reach) -> impl Iterator<Item = (usize, &str)> {
-    source
-        .lines()
+    let all: Vec<&str> = source.lines().collect();
+    let declaration =
+        |line: Option<&&str>| line.is_some_and(|l| l.starts_with("mod ") && l.ends_with(';'));
+    let tests = |i: usize| all[i].starts_with("#[cfg(test)]") && !declaration(all.get(i + 1));
+    let end = (0..all.len()).find(|&i| reach == Reach::AboveTests && tests(i));
+    let end = end.unwrap_or(all.len());
+    all.into_iter()
         .enumerate()
+        .take(end)
         .map(|(i, line)| (i + 1, line))
-        .take_while(move |(_, line)| reach == Reach::All || !line.starts_with("#[cfg(test)]"))
 }
 
 /// Every line of `files` within `reach` that contains one of `literals`,
@@ -507,26 +515,12 @@ fn sweep_memos_read_in_place_and_plans_share_paths() {
 #[test]
 fn one_component_build_in_oic_core() {
     // Test modules may build components to check the cache against: the
-    // `tests.rs` files, and each file's inline `mod tests` block. (A
-    // `#[cfg(test)] mod tests;` declaration ends no library code, so
-    // `Reach::AboveTests` would stop too early in `mod.rs`.)
-    let mut sites = Vec::new();
-    for file in tree(["crates/core/src"]) {
-        if file.file_name().is_some_and(|name| name == "tests.rs") {
-            continue;
-        }
-        let source = text(&file);
-        let mut numbered = source.lines().enumerate().peekable();
-        while let Some((n, line)) = numbered.next() {
-            let next = numbered.peek().map_or("", |(_, next)| *next);
-            if line.starts_with("#[cfg(test)]") && next.starts_with("mod tests {") {
-                break;
-            }
-            if line.contains("shard::components(") {
-                sites.push(format!("{}:{}: {}", shown(&file), n + 1, line.trim()));
-            }
-        }
-    }
+    // `tests.rs` files, and each file's inline test module.
+    let files: Vec<PathBuf> = tree(["crates/core/src"])
+        .into_iter()
+        .filter(|file| !file.ends_with("tests.rs"))
+        .collect();
+    let sites = hits(&files, &["shard::components("], Reach::AboveTests);
     assert!(
         sites.len() == 1,
         "The candidate-sharing components are built in one place, the advisor's \

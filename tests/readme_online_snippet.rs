@@ -2,7 +2,7 @@
 //! true: traffic observed through the capture layer re-tunes the advisor
 //! via the ordinary mutation API, the drift policy trips on a 10× rate
 //! shift, the observed rates end up adopted, and `what_if` quotes a live
-//! spelling from the adopted memos.
+//! spelling from the space's priced cells.
 
 use oo_index_config::prelude::*;
 
@@ -39,14 +39,17 @@ fn readme_online_snippet() {
 
     // What-if: price a candidate without adopting anything.
     let report = advisor.what_if(&plan.paths[0].path, SubpathId { start: 1, end: 4 });
-    assert!(report.adopted); // live spelling: quoted bitwise from the plan's memos
+    assert!(report.adopted); // live spelling: quoted bitwise from the priced cells
 
-    // Beyond the snippet: the quote really is the memo, bit for bit.
+    // Beyond the snippet: the quote really is the priced cell, bit for bit.
     let cand = report.candidate.expect("adopted implies live");
     for org in Org::ALL {
         assert_eq!(
-            advisor.candidate_space().priced_maintenance(cand, org),
-            Some(report.maintenance[org.index()])
+            advisor.candidate_space().priced(cand, org),
+            Some((
+                report.maintenance[org.index()],
+                report.size_pages[org.index()]
+            ))
         );
     }
     // And the stationary signals were left exactly as declared: the query
