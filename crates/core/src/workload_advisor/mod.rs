@@ -158,6 +158,9 @@ pub struct WorkloadAdvisor<'a> {
     maint: Vec<(f64, f64)>,
     /// Live paths in insertion order (removal preserves relative order).
     paths: Vec<PathState>,
+    /// Cells struck by the live paths' prune masks: the sum of their
+    /// `struck` counts, kept by `refresh_masks` and `remove_path`.
+    struck: u64,
     /// Shared candidate arena + its priced cells.
     space: CandidateSpace,
     next_id: u32,
@@ -204,6 +207,7 @@ impl<'a> WorkloadAdvisor<'a> {
             stats: vec![ClassStats::new(1.0, 1.0, 1.0); nc],
             maint: vec![(0.0, 0.0); nc],
             paths: Vec::new(),
+            struck: 0,
             space: CandidateSpace::new(),
             next_id: 0,
             epoch: 0,
@@ -306,6 +310,7 @@ impl<'a> WorkloadAdvisor<'a> {
     pub fn remove_path(&mut self, id: PathId) -> Option<Path> {
         let i = self.find(id)?;
         let st = self.paths.remove(i);
+        self.struck -= st.struck;
         self.space.release_path(&st.live_cands);
         self.components = None;
         if !self.paths.iter().any(|p| p.signature == st.signature) {

@@ -281,18 +281,22 @@ impl WorkloadAdvisor<'_> {
         (built, repriced)
     }
 
-    /// Dominance pruning: refreshes the per-rank prune masks of the paths
-    /// re-priced this epoch (`dirty`, ascending), or that never had one,
-    /// and returns the cells struck across the workload. Masks read the
-    /// **installed** maintenance and size prices — exactly the values the
-    /// best responses and the λ sweeps are priced from — so the strict
-    /// dominance argument (DESIGN.md §5.15) holds bitwise, at λ = 0 and
-    /// under every λ-priced sweep.
+    /// Dominance pruning: rebuilds the per-rank prune masks of the paths
+    /// re-priced this epoch (`dirty`, ascending) — every path without a
+    /// mask is among them, since only arrival and re-admission drop one —
+    /// and returns the cells struck across the workload, a running total
+    /// corrected by each rebuilt mask's count: O(dirty), not O(paths).
+    /// Masks read the **installed** maintenance and size prices — exactly
+    /// the values the best responses and the λ sweeps are priced from — so
+    /// the strict dominance argument (DESIGN.md §5.15) holds bitwise, at
+    /// λ = 0 and under every λ-priced sweep.
     pub(super) fn refresh_masks(&mut self, dirty: &[usize]) -> u64 {
-        for i in 0..self.paths.len() {
-            if self.paths[i].pruned.is_some() && dirty.binary_search(&i).is_err() {
-                continue;
-            }
+        debug_assert!(
+            (0..self.paths.len())
+                .all(|i| self.paths[i].pruned.is_some() || dirty.binary_search(&i).is_ok()),
+            "a path without a mask was not re-priced"
+        );
+        for &i in dirty {
             let st = &self.paths[i];
             // A mined-out rank prices its maintenance and size at ∞: it can
             // neither be struck nor serve as a dominator or replacement
@@ -313,13 +317,12 @@ impl WorkloadAdvisor<'_> {
                     *m = 0;
                 }
             }
-            self.paths[i].pruned = Some(mask);
+            let struck = mask.iter().map(|b| u64::from(b.count_ones())).sum();
+            let st = &mut self.paths[i];
+            self.struck = self.struck - st.struck + struck;
+            (st.pruned, st.struck) = (Some(mask), struck);
         }
-        let struck = |st: &PathState| {
-            let mask = st.pruned.as_deref().expect("refreshed above");
-            mask.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
-        };
-        self.paths.iter().map(struck).sum()
+        self.struck
     }
 }
 

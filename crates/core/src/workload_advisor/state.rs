@@ -73,6 +73,10 @@ pub(super) struct PathState {
     /// size-aware, so it holds for every `cost + λ·size` pricing the
     /// budgeted search runs (DESIGN.md §5.15/§5.17). `None` when stale.
     pub(super) pruned: Option<Vec<u8>>,
+    /// Cells struck by the last mask built for this path (0 before the
+    /// first). It outlives the mask it counts, so a rebuild or a departure
+    /// corrects the advisor's running total without re-summing any mask.
+    pub(super) struck: u64,
     /// Query shares stale (class statistics in scope, or own rates, moved).
     pub(super) dirty_query: bool,
     /// Maintenance prices of this path's candidates possibly unpriced.
@@ -100,6 +104,7 @@ impl PathState {
             selection: Selection::new(),
             sweep_memo: SweepMemo::new(),
             pruned: None,
+            struck: 0,
             dirty_query: true,
             dirty_maint: true,
             path,

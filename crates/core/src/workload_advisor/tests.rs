@@ -970,6 +970,98 @@ fn an_epoch_without_membership_moves_reuses_the_components() {
     assert!(Arc::ptr_eq(kept, &cached));
 }
 
+/// Seeded churn on the paper schema: arrivals from a fixed pool (at most
+/// 12 live paths), departures, query-rate updates that re-mine under a
+/// gating policy, and statistics and rate updates.
+struct Churn<'s> {
+    schema: &'s Schema,
+    pool: Vec<Path>,
+    classes: Vec<ClassId>,
+    seed: u64,
+}
+
+impl<'s> Churn<'s> {
+    fn new(schema: &'s Schema) -> Self {
+        let pool = [
+            ("Person", &["owns", "man", "divs", "name"][..]),
+            ("Person", &["owns", "man", "name"]),
+            ("Person", &["owns", "color"]),
+            ("Vehicle", &["man", "divs", "name"]),
+            ("Vehicle", &["man", "location"]),
+            ("Company", &["divs", "name"]),
+            ("Company", &["divs", "function"]),
+            ("Person", &["name"]),
+        ]
+        .iter()
+        .map(|(root, attrs)| Path::parse(schema, root, attrs).unwrap())
+        .collect();
+        let classes = schema.class_ids().collect();
+        Churn {
+            schema,
+            pool,
+            classes,
+            seed: 0xC0_CAC4E,
+        }
+    }
+
+    /// The next xorshift draw, below `below`.
+    fn next(&mut self, below: u64) -> u64 {
+        self.seed ^= self.seed << 13;
+        self.seed ^= self.seed >> 7;
+        self.seed ^= self.seed << 17;
+        self.seed % below
+    }
+
+    /// A seeded class of the schema.
+    fn class(&mut self) -> ClassId {
+        let k = self.next(self.classes.len() as u64) as usize;
+        self.classes[k]
+    }
+
+    /// An empty advisor under a policy that mines some ranks out.
+    fn advisor(&self) -> WorkloadAdvisor<'s> {
+        let policy = MiningPolicy {
+            min_support: 0.9,
+            ..MiningPolicy::default()
+        };
+        WorkloadAdvisor::new(self.schema, CostParams::default())
+            .with_stats(fig7_stats(self.schema))
+            .with_maintenance(|_| (0.1, 0.1))
+            .with_mining(policy)
+    }
+
+    /// Applies one seeded mutation to `adv`.
+    fn step(&mut self, adv: &mut WorkloadAdvisor<'_>) {
+        let ids: Vec<PathId> = adv.path_ids().collect();
+        let alphas: Vec<f64> = (0..self.classes.len())
+            .map(|_| self.next(11) as f64 / 10.0)
+            .collect();
+        let pick = |k: u64| ids[k as usize % ids.len().max(1)];
+        match self.next(6) {
+            0..=1 if ids.len() < 12 => {
+                let k = self.next(self.pool.len() as u64) as usize;
+                adv.add_path(self.pool[k].clone(), |c| alphas[c.index()]);
+            }
+            0..=2 if !ids.is_empty() => {
+                adv.remove_path(pick(self.next(64)));
+            }
+            3 if !ids.is_empty() => {
+                adv.update_query_rates(pick(self.next(64)), |c| alphas[c.index()]);
+            }
+            4 => {
+                let class = self.class();
+                let n = 1_000.0 * (1 + self.next(50)) as f64;
+                adv.update_stats(class, ClassStats::new(n, n / 4.0, 1.0));
+            }
+            _ => {
+                let class = self.class();
+                let rates = (self.next(5) as f64 / 10.0, self.next(5) as f64 / 10.0);
+                adv.update_rates(class, rates);
+            }
+        }
+    }
+}
+
 /// Through seeded arrivals, departures, re-minings and price churn, the
 /// cached components, and their members' cells numbered for the descent,
 /// always equal a fresh `shard::components` build over the live
@@ -978,35 +1070,8 @@ fn an_epoch_without_membership_moves_reuses_the_components() {
 #[test]
 fn the_component_cache_equals_a_fresh_build_through_churn() {
     let (schema, _) = fixtures::paper_schema();
-    let pool: Vec<Path> = [
-        ("Person", &["owns", "man", "divs", "name"][..]),
-        ("Person", &["owns", "man", "name"]),
-        ("Person", &["owns", "color"]),
-        ("Vehicle", &["man", "divs", "name"]),
-        ("Vehicle", &["man", "location"]),
-        ("Company", &["divs", "name"]),
-        ("Company", &["divs", "function"]),
-        ("Person", &["name"]),
-    ]
-    .iter()
-    .map(|(root, attrs)| Path::parse(&schema, root, attrs).unwrap())
-    .collect();
-    let classes: Vec<ClassId> = schema.class_ids().collect();
-    let mut seed = 0xC0_CAC4E_u64;
-    let mut next = move |below: u64| {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed % below
-    };
-    let policy = MiningPolicy {
-        min_support: 0.9,
-        ..MiningPolicy::default()
-    };
-    let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
-        .with_stats(fig7_stats(&schema))
-        .with_maintenance(|_| (0.1, 0.1))
-        .with_mining(policy);
+    let mut churn = Churn::new(&schema);
+    let mut adv = churn.advisor();
     let live = |adv: &WorkloadAdvisor<'_>| -> Vec<(PathId, Vec<CandidateId>)> {
         let live = adv.paths.iter();
         live.map(|st| (st.id, st.live_cands.clone())).collect()
@@ -1014,30 +1079,7 @@ fn the_component_cache_equals_a_fresh_build_through_churn() {
     let (mut kept, mut dropped, mut remined) = (0, 0, 0);
     for step in 0..300 {
         let before = (live(&adv), adv.components.clone());
-        let ids: Vec<PathId> = adv.path_ids().collect();
-        let alphas: Vec<f64> = classes.iter().map(|_| next(11) as f64 / 10.0).collect();
-        let pick = |k: u64| ids[k as usize % ids.len().max(1)];
-        match next(6) {
-            0..=1 if ids.len() < 12 => {
-                let path = pool[next(pool.len() as u64) as usize].clone();
-                adv.add_path(path, |c| alphas[c.index()]);
-            }
-            0..=2 if !ids.is_empty() => {
-                adv.remove_path(pick(next(64)));
-            }
-            3 if !ids.is_empty() => {
-                adv.update_query_rates(pick(next(64)), |c| alphas[c.index()]);
-            }
-            4 => {
-                let class = classes[next(classes.len() as u64) as usize];
-                let n = 1_000.0 * (1 + next(50)) as f64;
-                adv.update_stats(class, ClassStats::new(n, n / 4.0, 1.0));
-            }
-            _ => {
-                let class = classes[next(classes.len() as u64) as usize];
-                adv.update_rates(class, (next(5) as f64 / 10.0, next(5) as f64 / 10.0));
-            }
-        }
+        churn.step(&mut adv);
         let after = live(&adv);
         let same_paths = before.0.iter().map(|p| p.0).eq(after.iter().map(|p| p.0));
         if before.0 == after {
@@ -1052,7 +1094,7 @@ fn the_component_cache_equals_a_fresh_build_through_churn() {
             dropped += 1;
             remined += usize::from(same_paths);
         }
-        if next(3) == 0 {
+        if churn.next(3) == 0 {
             adv.reoptimize();
         } else {
             adv.components();
@@ -1069,6 +1111,37 @@ fn the_component_cache_equals_a_fresh_build_through_churn() {
         kept > 50 && dropped > 50 && remined > 0,
         "{kept} {dropped} {remined}"
     );
+}
+
+/// Through the same seeded churn, the running count of struck cells that
+/// `candidates_pruned` reports equals a from-scratch popcount of the live
+/// paths' masks after every epoch, and each path's kept count equals its
+/// own mask's — so the total is only ever corrected, never re-summed.
+#[test]
+fn the_struck_cell_total_equals_a_fresh_popcount_through_churn() {
+    let (schema, _) = fixtures::paper_schema();
+    let mut churn = Churn::new(&schema);
+    let mut adv = churn.advisor();
+    let (mut last, mut rose, mut fell) = (0, 0, 0);
+    for step in 0..300 {
+        churn.step(&mut adv);
+        if churn.next(3) != 0 {
+            continue;
+        }
+        let plan = adv.reoptimize();
+        let mut fresh = 0;
+        for st in &adv.paths {
+            let mask = st.pruned.as_deref().expect("every live path has a mask");
+            let count: u64 = mask.iter().map(|b| u64::from(b.count_ones())).sum();
+            assert_eq!(st.struck, count, "step {step}: path {:?}", st.id);
+            fresh += count;
+        }
+        assert_eq!(plan.candidates_pruned, fresh, "step {step}");
+        rose += usize::from(fresh > last);
+        fell += usize::from(fresh < last);
+        last = fresh;
+    }
+    assert!(rose > 10 && fell > 10, "{rose} rises, {fell} falls");
 }
 
 /// An infinite or overflowing rate or statistic leaves no tiling of

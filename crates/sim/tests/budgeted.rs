@@ -9,10 +9,9 @@
 //!   principles (an independent implementation of the accounting);
 //! * a feasible plan never exceeds its budget;
 //! * no feasible exhaustive combination cost-dominates the plan (strictly
-//!   cheaper while no larger), and the plan stays within the Lagrangian
-//!   duality-gap bound (1.5×) of the exhaustive feasible optimum even on
-//!   these tiny adversarial instances, where relaxation gaps are at their
-//!   proportionally worst;
+//!   cheaper while no larger), and the plan *is* the exhaustive feasible
+//!   optimum, to 1e-9 relative, on every instance but one recorded gap
+//!   (`MEASURED_GAPS`), held at its measured ratio;
 //! * an infinite budget reproduces `optimize()` bit-identically.
 //!
 //! The same tables are the independent oracle of the *unconstrained*
@@ -227,6 +226,17 @@ impl Ground {
     }
 }
 
+/// The one feasible budgeted solve of
+/// [`budgeted_plans_match_the_exhaustive_feasible_optimum`] that misses the
+/// exhaustive optimum: `(seed, budget fraction, cost / optimum)`, measured
+/// at 1.055066040. Its bound is the measured ratio plus [`GAP_MARGIN`]; every
+/// other feasible solve must reach the optimum to 1e-9 relative. Without
+/// the eviction descent's incumbent, seed 3 at 35 % reads 1.198 and fails.
+const MEASURED_GAPS: [(u64, f64, f64); 1] = [(1994, 0.9, 1.055_066)];
+/// Slack above a recorded gap: the sixth decimal's rounding plus float
+/// noise, far below any lost optimum.
+const GAP_MARGIN: f64 = 1e-5;
+
 fn small_workload(seed: u64) -> SynthWorkload {
     synth_workload(&WorkloadSpec {
         paths: 3,
@@ -291,12 +301,18 @@ fn budgeted_plans_match_the_exhaustive_feasible_optimum() {
                             b.plan.total_cost, b.plan.size_pages
                         );
                     }
-                    // …and within the Lagrangian duality-gap bound of the
-                    // exhaustive feasible optimum.
+                    // …and the exhaustive feasible optimum itself, or
+                    // within the recorded gap of it.
+                    let bound = MEASURED_GAPS
+                        .iter()
+                        .find(|&&(s, f, _)| s == seed && f == frac)
+                        .map_or(1.0 + 1e-9, |&(_, _, ratio)| ratio + GAP_MARGIN);
                     assert!(
-                        b.plan.total_cost <= 1.5 * opt_cost + 1e-6 * scale,
-                        "seed {seed} frac {frac}: plan {} vs exhaustive optimum {opt_cost}",
-                        b.plan.total_cost
+                        b.plan.total_cost <= bound * opt_cost,
+                        "seed {seed} frac {frac}: plan {} vs exhaustive optimum {opt_cost} \
+                         (ratio {:.9}, bound {bound})",
+                        b.plan.total_cost,
+                        b.plan.total_cost / opt_cost
                     );
                 }
                 (false, None) => {} // both sides agree the budget is impossible
@@ -340,8 +356,8 @@ fn infinite_budget_reproduces_optimize_bit_identically() {
 
 /// Half the storage for a modest time premium: on an update-significant
 /// mix (the generator's update rates ×5, query rates ×0.5), a budget of
-/// 50 % of the unconstrained footprint is feasible and costs at most
-/// 1.25× the unconstrained optimum.
+/// 50 % of the unconstrained footprint is feasible and costs 1.109767× the
+/// unconstrained optimum (measured), held to ± [`HALF_MARGIN`].
 #[test]
 fn half_the_footprint_costs_at_most_a_quarter_more_on_a_balanced_mix() {
     let w = synth_workload(&WorkloadSpec {
@@ -368,15 +384,20 @@ fn half_the_footprint_costs_at_most_a_quarter_more_on_a_balanced_mix() {
         "{} pages over budget {budget}",
         b.plan.size_pages
     );
+    // Above the band the search lost quality; below it, it found a cheaper
+    // plan or the accounting moved: either way re-measure on purpose.
+    let ratio = b.plan.total_cost / c0;
     assert!(
-        b.plan.total_cost <= 1.25 * c0,
-        "50% budget: cost {} vs 1.25 × {c0}",
+        (ratio - HALF_RATIO).abs() <= HALF_MARGIN,
+        "50% budget: cost {} is {ratio:.6}× the unconstrained {c0}, recorded {HALF_RATIO} ± {HALF_MARGIN}",
         b.plan.total_cost
     );
-    // The budget search explores harder than the unconstrained descent and
-    // may undercut it slightly; far below would be an accounting bug.
-    assert!(b.plan.total_cost >= 0.95 * c0);
 }
+
+/// The 50 %-budget cost over the unconstrained optimum on the balanced mix,
+/// as measured (1.109766887), and the band held around it.
+const HALF_RATIO: f64 = 1.109_767;
+const HALF_MARGIN: f64 = 1e-3;
 
 // ---- the unconstrained engine against the same tables (DESIGN.md §5.15) ---
 

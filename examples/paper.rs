@@ -14,7 +14,7 @@
 //!    index structures, and the Section 1 motivation.
 //!
 //! The report has no timing column, so its bytes are a pure function of
-//! the code: `tests/paper.rs` diffs them against `examples/paper.expected`.
+//! the code: `tests/reports.rs` diffs them against `examples/paper.expected`.
 //! The measured side of block 5 is the executor's page accounting, which
 //! no performance change may move.
 //!

@@ -25,7 +25,8 @@
 //!   digest);
 //! * the 25 / 50 / 75 % budgeted plans on both trees, and each plan's
 //!   search outcome (λ, sweeps, repairs, evictions, feasibility and the
-//!   unconstrained cost and footprint);
+//!   unconstrained cost and footprint); the stages of `GOLDEN_COSTS` also
+//!   assert their plan cost;
 //! * the online loop on the 48-path tree: twelve `DriftSim` traffic
 //!   epochs through an `OnlineTuner`, each epoch's churn, tuner firings,
 //!   estimator fingerprint and plan, and the `MigrationPlanner` retargeted
@@ -264,6 +265,12 @@ fn plan_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)> {
     ]
 }
 
+/// Budget stages whose plan cost is also asserted beside the digest, so a
+/// move names the cost: `tree250/seed11/budget75` is the one golden budget
+/// stage the eviction descent wins (without its incumbent it costs
+/// 2212.16).
+const GOLDEN_COSTS: [(&str, f64); 1] = [("tree250/seed11/budget75", 2144.997348167531)];
+
 /// The budgeted plans at each fraction of the unconstrained footprint, on
 /// one advisor (each solve warm from the previous one), and beside each
 /// plan its work digest and the search that found it: the winning λ, the
@@ -277,6 +284,9 @@ fn budget_stages(name: &str, w: &SynthWorkload, seed: u64) -> Vec<(String, u64)>
         .flat_map(|f| {
             let b = adv.optimize_with_budget(f * size);
             let stage = format!("{name}/seed{seed}/budget{}", (f * 100.0) as u32);
+            if let Some(&(_, cost)) = GOLDEN_COSTS.iter().find(|(s, _)| *s == stage) {
+                assert_eq!(b.plan.total_cost, cost, "stage `{stage}`: plan cost moved");
+            }
             let plan = Digest::new().plan(&b.plan).word(b.feasible as u64).0;
             let work = Digest::new().work(&b.plan).0;
             let search = Digest::new()
