@@ -6,6 +6,7 @@ use super::ledger::{self, pair_at, slot, Enclosure, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
 };
+use super::state::PathState;
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
 
 /// One eviction trial's outcome: the re-selected owners of the banned
@@ -135,12 +136,12 @@ pub(super) struct EvictionTrail {
     /// budget below that step's footprint is reachable.
     dead_end: bool,
     /// The re-selection of each trial whose inputs are still those of the
-    /// walk's current end: its owners' selections, and the ownership
-    /// counts and bans over its owners' candidates. An eviction moves them
-    /// only for the trials with an owner among the evicted index's owners,
-    /// or holding a candidate those owners left or took up; it drops
-    /// exactly those, and every other trial keeps its re-selection for the
-    /// next round. By [`ledger::slot`]; `None` where no trial is kept.
+    /// walk's current end: its owners' selections, the bans over their
+    /// candidates, and whether a path outside them holds each of their
+    /// cells. An eviction drops the trials whose inputs it may have moved
+    /// ([`WorkloadAdvisor::drop_disturbed_trials`]), and every other trial
+    /// keeps its re-selection for the next round. By [`ledger::slot`];
+    /// `None` where no trial is kept.
     trials: Vec<Option<Reselection>>,
 }
 
@@ -191,6 +192,74 @@ impl Incumbents {
         } else if self.best.is_none() && self.leanest.as_ref().map_or(true, leaner) {
             self.leanest = Some(found);
         }
+    }
+}
+
+/// What every round of one eviction walk reads, kept across its rounds:
+/// the [`Ledger`] of the current selections, which every trial forks, who
+/// owns which index, and the owned indexes ascending. An adopted eviction
+/// moves them by its re-selected owners alone ([`Round::adopt`]): the
+/// ledger's fold is order-independent, so its totals stay bit-equal to a
+/// ledger built from scratch on the same selections.
+struct Round<'a> {
+    ledger: Ledger<'a>,
+    /// The owning paths of each index, ascending, by [`ledger::slot`].
+    owners: Vec<Vec<usize>>,
+    /// The indexes with an owner, ascending.
+    pairs: Vec<Pair>,
+}
+
+impl<'a> Round<'a> {
+    fn new(advisor: &'a WorkloadAdvisor<'_>, selections: &[Selection]) -> Self {
+        let paths = advisor.paths.iter().zip(selections);
+        let owners = ledger::owners(&advisor.space, paths.map(|(st, sel)| st.pieces(sel)));
+        let owned = (0..owners.len()).filter(|&s| !owners[s].is_empty());
+        Round {
+            ledger: advisor.ledger(selections),
+            pairs: owned.map(pair_at).collect(),
+            owners,
+        }
+    }
+
+    /// Re-selects `changed` in the round and in `selections`; `moved` is
+    /// what it does to the holder counts ([`Overlay::moved`]).
+    fn adopt(
+        &mut self,
+        paths: &[PathState],
+        selections: &mut [Selection],
+        changed: &[(usize, Selection)],
+        moved: &[(Pair, u32, u32)],
+    ) {
+        for (i, sel) in changed {
+            let (st, old) = (&paths[*i], &mut selections[*i]);
+            self.ledger.remove(*i, st.pieces(old));
+            for (pair, _) in st.pieces(old) {
+                self.owners[slot(pair)].retain(|j| j != i);
+            }
+            for (pair, _) in st.pieces(sel) {
+                let owners = &mut self.owners[slot(pair)];
+                owners.insert(owners.partition_point(|j| j < i), *i);
+            }
+            self.ledger.insert(*i, st.pieces(sel));
+            old.clone_from(sel);
+        }
+        for &(pair, old, new) in moved {
+            let at = self.pairs.partition_point(|&p| slot(p) < slot(pair));
+            if old == 0 {
+                self.pairs.insert(at, pair);
+            } else if new == 0 {
+                self.pairs.remove(at);
+            }
+        }
+    }
+
+    /// Whether the round is the one built from scratch on `selections`,
+    /// totals bit for bit — the debug check of every adoption.
+    fn matches(&self, advisor: &WorkloadAdvisor<'_>, selections: &[Selection]) -> bool {
+        let fresh = Round::new(advisor, selections);
+        let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+        bits(self.ledger.totals()) == bits(fresh.ledger.totals())
+            && (&self.owners, &self.pairs) == (&fresh.owners, &fresh.pairs)
     }
 }
 
@@ -298,8 +367,8 @@ impl WorkloadAdvisor<'_> {
     /// coordinated move exactly.
     ///
     /// Work is proportional to what an eviction changes (DESIGN.md
-    /// §5.12): a round builds once what its trials share — the ledger of
-    /// its selections, which every trial forks, and who owns which index —
+    /// §5.12): the walk builds once what its rounds share — the [`Round`]
+    /// every trial forks — and moves it by each adopted eviction alone,
     /// runs only the trials whose inputs the previous eviction moved, and
     /// re-derives every other trial's totals from its kept re-selection.
     fn evict_to_budget(
@@ -319,29 +388,27 @@ impl WorkloadAdvisor<'_> {
         trail
             .trials
             .resize_with(ledger::slots(&self.space), || None);
+        let mut round = Round::new(self, &selections);
+        let mut least_moved = vec![u32::MAX; self.space.slot_count()];
         while !trail.dead_end {
-            let round = self.ledger(&selections);
-            let paths = self.paths.iter().zip(&selections);
-            let owners = ledger::owners(&self.space, paths.map(|(st, sel)| st.pieces(sel)));
             debug_assert!(
-                round.totals().1 > budget_pages,
+                round.ledger.totals().1 > budget_pages,
                 "the walk stops at the first fit"
             );
-            let slots = (0..owners.len()).filter(|&s| !owners[s].is_empty());
-            let pairs: Vec<Pair> = slots.map(pair_at).collect();
             // Each trial is read-only given the round's selections, so the
             // fan-out is free of coordination; the selection walks the
             // ascending pair order, which keeps the chosen eviction — and
             // the whole descent — bit-identical to the sequential engine.
-            let fresh: Vec<Pair> = pairs
+            let fresh: Vec<Pair> = round
+                .pairs
                 .iter()
                 .copied()
                 .filter(|&pair| trail.trials[slot(pair)].is_none())
                 .collect();
             trials_run += fresh.len() as u64;
             let trial_of = |_: usize, &pair: &Pair| {
-                let owners = &owners[slot(pair)];
-                self.eviction_trial(&round, owners, &selections, &trail.banned, pair)
+                let owners = &round.owners[slot(pair)];
+                self.eviction_trial(&round.ledger, owners, &selections, &trail.banned, pair)
             };
             // A kept trial IS the trial of this round, bit for bit: debug
             // builds run every one of them again.
@@ -356,7 +423,7 @@ impl WorkloadAdvisor<'_> {
                 trail.trials[slot(pair)] = Some(outcome);
             }
             let Some((pair, cost, size)) =
-                self.cheapest_eviction(&round, &selections, &pairs, &trail.trials)
+                self.cheapest_eviction(&round.ledger, &selections, &round.pairs, &trail.trials)
             else {
                 trail.dead_end = true; // nothing left to evict
                 break;
@@ -365,10 +432,15 @@ impl WorkloadAdvisor<'_> {
                 .take()
                 .flatten()
                 .expect("the adopted trial re-selected its owners");
-            self.drop_disturbed_trials(&mut trail.trials, &owners, &selections, &changed);
-            for (i, sel) in &changed {
-                selections[*i].clone_from(sel);
-            }
+            let mut overlay = round.ledger.overlay();
+            self.apply_trial(&mut overlay, &selections, &changed);
+            let moved: Vec<(Pair, u32, u32)> = overlay.moved().collect();
+            self.drop_disturbed_trials(&mut trail.trials, &round, &moved, &mut least_moved);
+            round.adopt(&self.paths, &mut selections, &changed, &moved);
+            debug_assert!(
+                round.matches(self, &selections),
+                "the kept round diverged from one built from scratch"
+            );
             trail.banned[pair.0.index()] |= 1 << pair.1.index();
             trail.steps.push(TrailStep {
                 changed,
@@ -477,11 +549,15 @@ impl WorkloadAdvisor<'_> {
                 };
                 self.apply_trial(&mut overlay, selections, changed);
                 let (cost, size) = overlay.totals();
-                let mut applied = selections.to_vec();
-                for (i, sel) in changed {
-                    applied[*i].clone_from(sel);
-                }
-                let (c, s) = self.ledger(&applied).totals();
+                let applied = self.paths.iter().zip(selections).enumerate();
+                let (c, s) = Ledger::new(
+                    &self.space,
+                    applied.map(|(i, (st, sel))| {
+                        let new = changed.iter().find(|(j, _)| *j == i);
+                        st.pieces(new.map_or(sel, |(_, new)| new))
+                    }),
+                )
+                .totals();
                 assert_eq!(
                     (cost.to_bits(), size.to_bits()),
                     (c.to_bits(), s.to_bits()),
@@ -507,40 +583,50 @@ impl WorkloadAdvisor<'_> {
     }
 
     /// Drops the kept trials an adopted eviction disturbed. The eviction
-    /// re-selects the evicted index's owners (`changed`, from the round's
-    /// `selections`) and bans the index. A trial reads its owners'
-    /// selections, the bans over their candidates and whether some other
-    /// path holds each of their cells ([`Self::eviction_trial`]), so it
-    /// stays valid unless one of its owners — under the round's `owners` —
-    /// holds a candidate of an old or new selection in `changed`. That
-    /// covers the re-selected owners themselves, and the new ban: each
-    /// held the evicted index in its old selection. It also covers a trial
-    /// whose index gains or loses an owner: every owner holds the index's
-    /// own candidate.
+    /// re-selects the evicted index's owners and bans the index; `moved`
+    /// holds each cell whose holder count that moves, with its counts
+    /// before and after ([`Overlay::moved`]). A trial reads its
+    /// owners' selections, the bans over their candidates and, per cell on
+    /// their candidates, whether a path outside them holds it
+    /// ([`Self::eviction_trial`]). It is dropped when a cell on an owner's
+    /// candidates moved with `min(old, new) ≤ |owners|`, and every other
+    /// trial reads what it read before (DESIGN.md §5.12):
+    /// - no owner moved: a re-selected path held the evicted index, whose
+    ///   count falls to 0;
+    /// - no ban moved over the owners' candidates, by the same cell;
+    /// - the trial's own index gains an owner only from a count of
+    ///   `|owners|`, and loses one only to a moved owner;
+    /// - with the owners fixed, `h ≤ |owners|` of a cell's holders are
+    ///   owners, and "held outside them" is `count > h`, which flips only
+    ///   when the count crosses `h`.
+    ///
+    /// `least_moved` is scratch per candidate, all `u32::MAX` on entry and
+    /// on return.
     fn drop_disturbed_trials(
         &self,
         trials: &mut [Option<Reselection>],
-        owners: &[Vec<usize>],
-        selections: &[Selection],
-        changed: &[(usize, Selection)],
+        round: &Round<'_>,
+        moved: &[(Pair, u32, u32)],
+        least_moved: &mut [u32],
     ) {
-        let mut touched = vec![false; self.space.slot_count()];
-        for (i, sel) in changed {
-            let st = &self.paths[*i];
-            let old = st.pieces(&selections[*i]);
-            for ((cand, _), _) in old.chain(st.pieces(sel)) {
-                touched[cand.index()] = true;
-            }
+        for &((cand, _), old, new) in moved {
+            let least = &mut least_moved[cand.index()];
+            *least = (*least).min(old.min(new));
         }
-        let disturbed: Vec<bool> = self
-            .paths
-            .iter()
-            .map(|st| st.cands.iter().flatten().any(|cand| touched[cand.index()]))
-            .collect();
-        for (kept, owners) in trials.iter_mut().zip(owners) {
-            if owners.iter().any(|&i| disturbed[i]) {
+        for &pair in &round.pairs {
+            let kept = &mut trials[slot(pair)];
+            let owners = &round.owners[slot(pair)];
+            let reach = owners.len() as u32;
+            let disturbed = |&i: &usize| {
+                let cands = &self.paths[i].live_cands;
+                cands.iter().any(|c| least_moved[c.index()] <= reach)
+            };
+            if kept.is_some() && owners.iter().any(disturbed) {
                 *kept = None;
             }
+        }
+        for &((cand, _), ..) in moved {
+            least_moved[cand.index()] = u32::MAX;
         }
     }
 

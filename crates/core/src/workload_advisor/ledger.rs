@@ -339,15 +339,23 @@ impl Overlay<'_> {
         context_by(cands, covered, out);
     }
 
+    /// The indexes whose holder count the swaps move, with the count
+    /// before and after.
+    pub(crate) fn moved(&self) -> impl Iterator<Item = (Pair, u32, u32)> + '_ {
+        let moved = self.delta.iter().filter(|&&(_, change)| change != 0);
+        moved.map(|&(pair, change)| {
+            let before = self.base.owned.count(pair);
+            (pair, before, (before as isize + change) as u32)
+        })
+    }
+
     /// The indexes whose ownership the swaps move across zero, as `(the
     /// base owned it, its installed (maintenance, size))`.
     fn crossings(&self) -> impl Iterator<Item = (bool, (f64, f64))> + '_ {
-        let base = self.base;
-        self.delta.iter().filter_map(move |&(pair, change)| {
-            let before = base.owned.count(pair) as isize;
-            let crosses = (before > 0) != (before + change > 0);
-            crosses.then(|| (before > 0, installed(base.space, pair)))
-        })
+        let crosses = self
+            .moved()
+            .filter(|&(_, before, after)| (before > 0) != (after > 0));
+        crosses.map(|(pair, before, _)| (before > 0, installed(self.base.space, pair)))
     }
 
     /// A certified enclosure of [`Self::totals`], at a cost proportional

@@ -167,6 +167,54 @@ fn no_environment_reads_in_the_library() {
     );
 }
 
+/// The panic sites the library may hold, at most: the count of this tree.
+/// Lower it when sites go; it may not rise.
+const PANIC_SITES: usize = 159;
+
+/// Whether `line` holds a panic site: `assert!`, `assert_eq!` or
+/// `assert_ne!` (not their `debug_` forms), `panic!`, `unreachable!`, or an
+/// `unwrap(` or `expect(` call.
+fn panics(line: &str) -> bool {
+    let asserts = line.match_indices("assert").any(|(at, word)| {
+        let after = &line[at + word.len()..];
+        let bang = ["!", "_eq!", "_ne!"]
+            .iter()
+            .any(|tail| after.starts_with(tail));
+        bang && !line[..at].ends_with("debug_")
+    });
+    let calls = ["panic!", "unreachable!", "unwrap(", "expect("];
+    asserts || calls.iter().any(|call| line.contains(call))
+}
+
+#[test]
+fn library_panic_sites_do_not_rise() {
+    // One site per line, comment lines skipped, over the library part of
+    // every source file of a library crate and of the facade but the
+    // test-only `tests.rs` and `testutil.rs`.
+    let dirs = crate_dirs("src");
+    let files: Vec<PathBuf> = tree(dirs.iter().map(String::as_str).chain(["src"]))
+        .into_iter()
+        .filter(|file| file.extension().is_some_and(|ext| ext == "rs"))
+        .filter(|file| !file.ends_with("tests.rs") && !file.ends_with("testutil.rs"))
+        .collect();
+    let mut sites = Vec::new();
+    for file in &files {
+        let source = text(file);
+        for (n, line) in lines(&source, Reach::AboveTests) {
+            if !line.trim_start().starts_with("//") && panics(line) {
+                sites.push(format!("{}:{n}: {}", shown(file), line.trim()));
+            }
+        }
+    }
+    assert!(
+        sites.len() <= PANIC_SITES,
+        "Every public door is to become total (ROADMAP item 13), so the library's \
+         panic sites may fall but not rise: {} found, {PANIC_SITES} allowed:\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}
+
 #[test]
 fn no_second_engine_or_retired_switches() {
     // The whole tree, as far as `grep -r` reaches: hidden directories
