@@ -2,7 +2,7 @@
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
 use super::descent::{Memo, Shards, MAX_SWEEPS};
-use super::ledger::{self, pair_at, slot, Enclosure, Ledger, Overlay, Pair};
+use super::ledger::{self, pair_at, slot, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
 };
@@ -370,7 +370,7 @@ impl WorkloadAdvisor<'_> {
     /// §5.12): the walk builds once what its rounds share — the [`Round`]
     /// every trial forks — and moves it by each adopted eviction alone,
     /// runs only the trials whose inputs the previous eviction moved, and
-    /// re-derives every other trial's totals from its kept re-selection.
+    /// prices every trial by the terms its kept re-selection changes.
     fn evict_to_budget(
         &self,
         trail: &mut EvictionTrail,
@@ -422,7 +422,7 @@ impl WorkloadAdvisor<'_> {
             for (pair, outcome) in fresh.into_iter().zip(outcomes) {
                 trail.trials[slot(pair)] = Some(outcome);
             }
-            let Some((pair, cost, size)) =
+            let Some(pair) =
                 self.cheapest_eviction(&round.ledger, &selections, &round.pairs, &trail.trials)
             else {
                 trail.dead_end = true; // nothing left to evict
@@ -442,6 +442,7 @@ impl WorkloadAdvisor<'_> {
                 "the kept round diverged from one built from scratch"
             );
             trail.banned[pair.0.index()] |= 1 << pair.1.index();
+            let (cost, size) = round.ledger.totals();
             trail.steps.push(TrailStep {
                 changed,
                 cost,
@@ -455,131 +456,76 @@ impl WorkloadAdvisor<'_> {
     }
 
     /// The round's eviction: among the trials of `pairs` (ascending, each
-    /// with its trial in `trials`, by [`ledger::slot`]), the one
-    /// that frees pages at the least regret per page freed, ties to the
-    /// leaner, then to the earlier pair — with its exact `(cost, size)`.
-    /// `None` when no trial frees a page.
+    /// with its trial in `trials`, by [`ledger::slot`]), the one that
+    /// frees pages at the least regret per page freed, ties to the one
+    /// that frees more, then to the earlier pair. `None` when no trial
+    /// frees a page.
     ///
-    /// Each trial's totals are enclosed first, from the round's totals and
-    /// the trial's few changed operands ([`ledger::Overlay::enclosure`]),
-    /// and folded exactly only where the enclosure cannot rule the trial
-    /// out (DESIGN.md §5.12): where its "frees pages" test is ambiguous,
-    /// and where its regret interval reaches the least certain upper bound
-    /// on the winner's regret. A trial skipped for its regret lies
-    /// strictly above a trial whose regret bounds the winner's, so it can
-    /// neither win nor tie, and the exact selection over the folded trials
-    /// in pair order picks what it would pick over all of them.
+    /// A configuration's cost and footprint are sums of per-index and
+    /// per-path terms, so a trial is priced by the terms it changes
+    /// ([`Overlay::delta`]): `Δcost / −Δsize` over the trials with `Δsize`
+    /// below `−stol` (DESIGN.md §5.12).
     fn cheapest_eviction(
         &self,
         round: &Ledger<'_>,
         selections: &[Selection],
         pairs: &[Pair],
         trials: &[Option<Reselection>],
-    ) -> Option<(Pair, f64, f64)> {
-        let trial = |pair: &Pair| {
-            let kept = trials[slot(*pair)].as_ref();
-            kept.expect("every round index has its trial").as_deref()
-        };
-        let scale = round.scale();
-        let (cost0, size0) = scale.totals;
-        // A trial frees pages when its size ends below `frees`.
-        let frees = size0 - 1e-9 * size0.abs().max(1.0);
-        let regret = |cost: f64, size: f64| (cost - cost0) / (size0 - size);
+    ) -> Option<Pair> {
+        let (cost0, size0) = round.totals();
+        // A trial frees pages when its footprint falls by more than this.
+        let stol = 1e-9 * size0.abs().max(1.0);
         let mut overlay = round.overlay();
-        // (position in `pairs`, cost, size) of each folded trial.
-        let mut folded: Vec<(usize, f64, f64)> = Vec::new();
-        // (position in `pairs`, regret lower bound) of each trial that
-        // frees pages for certain.
-        let mut certain: Vec<(usize, f64)> = Vec::new();
-        let mut bound = f64::INFINITY;
-        for (k, pair) in pairs.iter().enumerate() {
-            let Some(changed) = trial(pair) else {
+        // (regret per page, Δsize, evicted index)
+        let mut best: Option<(f64, f64, Pair)> = None;
+        for &pair in pairs {
+            let kept = trials[slot(pair)].as_ref();
+            let Some(changed) = kept.expect("every round index has its trial") else {
                 continue; // the ban left some owner uncoverable
             };
             self.apply_trial(&mut overlay, selections, changed);
-            let enclosure = overlay.enclosure(&scale);
-            match frees_pages(&enclosure, frees) {
-                Some(false) => {}
-                Some(true) => {
-                    let (lo, hi) = regret_bounds(&enclosure, cost0, size0);
-                    bound = bound.min(hi);
-                    certain.push((k, lo));
-                }
-                None => {
-                    let (cost, size) = overlay.totals();
-                    if size < frees {
-                        bound = bound.min(regret(cost, size));
-                    }
-                    folded.push((k, cost, size));
+            let (cost, size) = overlay.delta();
+            debug_assert!(
+                self.delta_matches(selections, changed, (cost, size), (cost0, size0)),
+                "a trial's delta diverged from a from-scratch ledger's"
+            );
+            if size < -stol {
+                let regret = cost / -size;
+                let better = best.map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.1));
+                if better {
+                    best = Some((regret, size, pair));
                 }
             }
         }
-        for (k, lo) in certain {
-            if lo <= bound {
-                let changed = trial(&pairs[k]).expect("a kept trial");
-                self.apply_trial(&mut overlay, selections, changed);
-                let (cost, size) = overlay.totals();
-                folded.push((k, cost, size));
-            }
-        }
-        folded.sort_unstable_by_key(|&(k, ..)| k);
-        // (regret per page, evicted index, cost, size)
-        let mut best: Option<(f64, Pair, f64, f64)> = None;
-        for &(k, cost, size) in &folded {
-            if size >= frees {
-                continue; // evicting this index frees nothing
-            }
-            let regret = regret(cost, size);
-            let better = best
-                .as_ref()
-                .map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.3));
-            if better {
-                best = Some((regret, pairs[k], cost, size));
-            }
-        }
-        if cfg!(debug_assertions) {
-            // Debug builds fold every trial: the incremental totals ARE
-            // the ledger totals of the applied trial, bit for bit, inside
-            // their enclosure, and a trial left unfolded frees nothing or
-            // regrets strictly more than the adopted one.
-            let adopted = best.map(|b| b.0);
-            for (k, pair) in pairs.iter().enumerate() {
-                let Some(changed) = trial(pair) else {
-                    continue;
-                };
-                self.apply_trial(&mut overlay, selections, changed);
-                let (cost, size) = overlay.totals();
-                let applied = self.paths.iter().zip(selections).enumerate();
-                let (c, s) = Ledger::new(
-                    &self.space,
-                    applied.map(|(i, (st, sel))| {
-                        let new = changed.iter().find(|(j, _)| *j == i);
-                        st.pieces(new.map_or(sel, |(_, new)| new))
-                    }),
-                )
-                .totals();
-                assert_eq!(
-                    (cost.to_bits(), size.to_bits()),
-                    (c.to_bits(), s.to_bits()),
-                    "incremental trial totals diverged from a from-scratch ledger"
-                );
-                // A non-finite enclosure claims nothing: `frees_pages`
-                // sends its trial to the exact fold.
-                let Enclosure { cost: c, size: s } = overlay.enclosure(&scale);
-                let claims = [c.0, c.1, s.0, s.1].iter().all(|x| x.is_finite());
-                assert!(
-                    !claims || ((cost - c.0).abs() <= c.1 && (size - s.0).abs() <= s.1),
-                    "trial totals ({cost}, {size}) outside their enclosure {c:?} {s:?}"
-                );
-                if folded.binary_search_by_key(&k, |&(k, ..)| k).is_err() {
-                    assert!(
-                        size >= frees || adopted.is_some_and(|r| regret(cost, size) > r),
-                        "an unfolded trial could have won or tied"
-                    );
-                }
-            }
-        }
-        best.map(|(_, pair, cost, size)| (pair, cost, size))
+        best.map(|(.., pair)| pair)
+    }
+
+    /// Whether a trial's `delta` is the totals of a ledger built from
+    /// scratch on the applied trial minus the round's `totals`, within
+    /// 1e-9 of the larger total (the two folds round; the delta is exact
+    /// up to its few operands). Non-finite totals have no difference to
+    /// compare. The debug check of every trial.
+    fn delta_matches(
+        &self,
+        selections: &[Selection],
+        changed: &[(usize, Selection)],
+        delta: (f64, f64),
+        totals: (f64, f64),
+    ) -> bool {
+        let applied = self.paths.iter().zip(selections).enumerate();
+        let fresh = Ledger::new(
+            &self.space,
+            applied.map(|(i, (st, sel))| {
+                let new = changed.iter().find(|(j, _)| *j == i);
+                st.pieces(new.map_or(sel, |(_, new)| new))
+            }),
+        )
+        .totals();
+        let near = |delta: f64, to: f64, from: f64| {
+            let scale = to.abs().max(from.abs()).max(1.0);
+            !(to - from).is_finite() || (delta - (to - from)).abs() <= 1e-9 * scale
+        };
+        near(delta.0, fresh.0, totals.0) && near(delta.1, fresh.1, totals.1)
     }
 
     /// Drops the kept trials an adopted eviction disturbed. The eviction
@@ -677,8 +623,7 @@ impl WorkloadAdvisor<'_> {
     }
 
     /// The round's selections with `changed` substituted, on `overlay`
-    /// (cleared first): its [`Overlay::totals`] are bit-identical to the
-    /// totals of a ledger built on the applied trial.
+    /// (cleared first).
     fn apply_trial(
         &self,
         overlay: &mut Overlay<'_>,
@@ -878,37 +823,4 @@ impl WorkloadAdvisor<'_> {
             unconstrained_size,
         }
     }
-}
-
-/// Whether a trial whose totals lie in `enclosure` frees pages — its
-/// size ends below `frees` — for certain (`Some`), or `None` when the
-/// enclosure cannot tell (or is not finite) and only the exact fold can.
-fn frees_pages(enclosure: &Enclosure, frees: f64) -> Option<bool> {
-    let ((cost, cost_radius), (size, radius)) = (enclosure.cost, enclosure.size);
-    let (lo, hi) = (size - radius, size + radius);
-    if !(cost.is_finite() && cost_radius.is_finite() && lo.is_finite() && hi.is_finite()) {
-        None
-    } else if lo >= frees {
-        Some(false)
-    } else if hi < frees {
-        Some(true)
-    } else {
-        None
-    }
-}
-
-/// An outward-padded enclosure of the regret `(cost - cost0) / (size0 -
-/// size)` the walk computes for a trial whose totals lie in `enclosure`
-/// and which frees pages for certain (so every size in it is below
-/// `size0`). Rounding is monotone, so the quotient of the interval's
-/// corners, each computed as the walk computes the regret, already
-/// encloses the walk's value; the padding is a margin on top.
-fn regret_bounds(enclosure: &Enclosure, cost0: f64, size0: f64) -> (f64, f64) {
-    let ((cost, cost_radius), (size, radius)) = (enclosure.cost, enclosure.size);
-    let (gain_lo, gain_hi) = (cost - cost_radius - cost0, cost + cost_radius - cost0);
-    let (freed_lo, freed_hi) = (size0 - (size + radius), size0 - (size - radius));
-    let lo = gain_lo / if gain_lo >= 0.0 { freed_hi } else { freed_lo };
-    let hi = gain_hi / if gain_hi >= 0.0 { freed_lo } else { freed_hi };
-    let pad = |x: f64| 4.0 * f64::EPSILON * x.abs() + f64::MIN_POSITIVE;
-    (lo - pad(lo), hi + pad(hi))
 }

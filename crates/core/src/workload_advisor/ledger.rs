@@ -71,38 +71,6 @@ pub(crate) fn remove_sorted(sorted: &mut Vec<f64>, value: f64) {
     sorted.remove(at);
 }
 
-/// `base` without one copy of each `removed` value and with the `added`
-/// ones, in `total_cmp` order — the operand a ledger built from scratch
-/// would sort — as the runs of `base` between the few changes, so a sum
-/// folds each run in one tight loop and nothing is copied. All three are
-/// sorted, and `removed` is a sub-multiset of `base`. Values equal under
-/// `total_cmp` are equal bit for bit, so which copy goes first cannot
-/// move a sum.
-fn merged<'a>(
-    base: &'a [f64],
-    removed: &'a [f64],
-    added: &'a [f64],
-) -> impl Iterator<Item = f64> + 'a {
-    let at = |from: usize, v: &f64| from + base[from..].partition_point(|x| x.total_cmp(v).is_lt());
-    let mut runs = Vec::with_capacity(2 * (removed.len() + added.len()) + 1);
-    let (mut from, mut removed) = (0, removed.iter().peekable());
-    for next in added.iter().map(Some).chain([None]) {
-        let before_next = |r: &&f64| next.map_or(true, |v| r.total_cmp(v).is_lt());
-        while let Some(r) = removed.next_if(before_next) {
-            let cut = at(from, r);
-            runs.push(&base[from..cut]);
-            from = cut + 1;
-        }
-        if let Some(v) = next {
-            let cut = at(from, v);
-            runs.extend([&base[from..cut], std::slice::from_ref(v)]);
-            from = cut;
-        }
-    }
-    runs.push(&base[from..]);
-    runs.into_iter().flatten().copied()
-}
-
 /// The 3-bit-per-rank mask of a path's `(candidate, org)` cells that some
 /// *other* path covers — the sharing context a best response depends on —
 /// once the path's own selection is withdrawn, written over `out`. A
@@ -252,18 +220,6 @@ impl<'a> Ledger<'a> {
         context_by(cands, |pair| self.owned.count(pair) > 0, out);
     }
 
-    /// What every overlay's [`Overlay::enclosure`] reads of this ledger:
-    /// its totals, and per coordinate the number and absolute sum of the
-    /// operands the fold adds.
-    pub(crate) fn scale(&self) -> Scale {
-        let abs = |values: &[f64]| values.iter().map(|v| v.abs()).sum::<f64>();
-        Scale {
-            totals: self.totals(),
-            terms: (self.query.len() + self.maint.len(), self.sizes.len()),
-            magnitude: (abs(&self.query) + abs(&self.maint), abs(&self.sizes)),
-        }
-    }
-
     /// An empty overlay on this ledger.
     pub(crate) fn overlay(&self) -> Overlay<'_> {
         Overlay {
@@ -272,24 +228,6 @@ impl<'a> Ledger<'a> {
             swapped: Vec::new(),
         }
     }
-}
-
-/// A ledger's totals with the size of the folds behind them — see
-/// [`Ledger::scale`].
-pub(crate) struct Scale {
-    /// `(cost, size)`, as [`Ledger::totals`].
-    pub(crate) totals: (f64, f64),
-    /// Operands the cost and the size fold add.
-    terms: (usize, usize),
-    /// Absolute sum of those operands, per fold.
-    magnitude: (f64, f64),
-}
-
-/// `(estimate, radius)` per coordinate: the exact totals lie within
-/// `radius` of `estimate` — see [`Overlay::enclosure`].
-pub(crate) struct Enclosure {
-    pub(crate) cost: (f64, f64),
-    pub(crate) size: (f64, f64),
 }
 
 /// A few paths re-selected on top of a [`Ledger`] that stays untouched:
@@ -358,76 +296,23 @@ impl Overlay<'_> {
         crosses.map(|(pair, before, _)| (before > 0, installed(self.base.space, pair)))
     }
 
-    /// A certified enclosure of [`Self::totals`], at a cost proportional
-    /// to the swaps: the base's totals with the few changed operands
-    /// applied — swapped subtotals out and in, dropped and added indexes'
-    /// prices — and a radius from the recursive-summation bound. Each
-    /// fold adds at most `N + k` operands (`N` the base's, `k` the changed
-    /// ones) of absolute sum at most `S + C` (the base's sum plus the
-    /// changed ones'), so it lies within `γ_{N+k}·(S + C)` of the real sum
-    /// of its operands; the base's totals lie within `γ_N·S` of theirs; and
-    /// the estimate adds `k` terms to them. With `γ_m ≤ m·ε` (ε =
-    /// `f64::EPSILON`, twice the unit roundoff) the three errors sum to
-    /// less than `4·(N + k + 16)·ε·(2S + C + |estimate|)`, the radius.
-    pub(crate) fn enclosure(&self, scale: &Scale) -> Enclosure {
-        let base = self.base;
-        // (estimate, changed operands, their absolute sum) per coordinate.
-        let mut cost = (scale.totals.0, 0usize, 0.0f64);
-        let mut size = (scale.totals.1, 0usize, 0.0f64);
-        let apply = |(sum, k, abs): &mut (f64, usize, f64), value: f64, sign: f64| {
-            *sum += sign * value;
-            *k += 1;
-            *abs += value.abs();
-        };
-        for &(i, query) in &self.swapped {
-            apply(&mut cost, query, 1.0);
-            apply(&mut cost, base.query[i], -1.0);
-        }
+    /// What the swaps change in the base's `(cost, size)`, from the
+    /// operands they change alone: each swapped path's new query subtotal
+    /// minus the base's, then the maintenance and pages of each index
+    /// whose ownership crosses zero — added when it gains its first owner,
+    /// taken away when it loses its last — in the overlay's fixed order.
+    pub(crate) fn delta(&self) -> (f64, f64) {
+        let swapped = self
+            .swapped
+            .iter()
+            .map(|&(i, query)| query - self.base.query[i]);
+        let (mut cost, mut size) = (swapped.sum::<f64>(), 0.0);
         for (dropped, (maintenance, pages)) in self.crossings() {
             let sign = if dropped { -1.0 } else { 1.0 };
-            apply(&mut cost, maintenance, sign);
-            apply(&mut size, pages, sign);
+            cost += sign * maintenance;
+            size += sign * pages;
         }
-        let radius = |(sum, k, abs): (f64, usize, f64), terms: usize, magnitude: f64| {
-            let bound = 2.0 * magnitude + abs + sum.abs();
-            4.0 * (terms + k + 16) as f64 * f64::EPSILON * bound
-        };
-        Enclosure {
-            cost: (cost.0, radius(cost, scale.terms.0, scale.magnitude.0)),
-            size: (size.0, radius(size, scale.terms.1, scale.magnitude.1)),
-        }
-    }
-
-    /// The `(cost, size)` of the base selections with the swaps applied —
-    /// bit-identical to [`Ledger::totals`] of a ledger built on them: the
-    /// swapped paths' subtotals replace the base's in the query fold, and
-    /// the base's sorted operands are [`merged`] with the few indexes
-    /// whose last owner left (dropped) and the newly owned ones (added),
-    /// without copying them.
-    pub(crate) fn totals(&self) -> (f64, f64) {
-        let base = self.base;
-        // `[maintenance, size]` of the indexes dropped and added.
-        let (mut removed, mut added) = ([vec![], vec![]], [vec![], vec![]]);
-        for (dropped, (maintenance, size)) in self.crossings() {
-            let into = if dropped { &mut removed } else { &mut added };
-            into[0].push(maintenance);
-            into[1].push(size);
-        }
-        for values in removed.iter_mut().chain(&mut added) {
-            values.sort_unstable_by(f64::total_cmp);
-        }
-        // The base's subtotals with the swapped ones in, run by run.
-        let mut runs = Vec::with_capacity(2 * self.swapped.len() + 1);
-        let mut from = 0;
-        for (i, query) in &self.swapped {
-            runs.extend([&base.query[from..*i], std::slice::from_ref(query)]);
-            from = i + 1;
-        }
-        runs.push(&base.query[from..]);
-        let query = runs.into_iter().flatten().copied();
-        let maint = merged(&base.maint, &removed[0], &added[0]);
-        let size = merged(&base.sizes, &removed[1], &added[1]).sum::<f64>();
-        (objective(query, maint), size)
+        (cost, size)
     }
 }
 
@@ -438,10 +323,11 @@ mod tests {
 
     /// A random add/remove/swap sequence of selections ends bit-equal —
     /// cost, size, every context key — to a ledger built from scratch on
-    /// the final selections; so does an overlay that reaches them on top
-    /// of the untouched start, and each overlay's totals lie within its
-    /// enclosure. Prices are drawn from a handful of values
-    /// including both signed zeros, so the overlay's merged fold meets
+    /// the final selections. An overlay that reaches them on top of the
+    /// untouched start moves exactly the holder counts that differ, gives
+    /// every path the same context, and its delta is the fresh totals
+    /// minus the start's. Prices are drawn from a handful of values
+    /// including both signed zeros, so the sorted operands hold
     /// duplicates, `-0.0` beside `0.0`, and a value one index drops while
     /// another adds it.
     #[test]
@@ -487,12 +373,10 @@ mod tests {
         let scratch =
             |sels: &[Vec<(Pair, f64)>]| Ledger::new(&space, sels.iter().map(|s| s.iter().copied()));
         let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
-        // Every overlay's exact totals lie within its enclosure's radius.
-        let enclosed = |overlay: &Overlay<'_>, base: &Ledger<'_>| {
-            let (cost, size) = overlay.totals();
-            let Enclosure { cost: c, size: s } = overlay.enclosure(&base.scale());
-            assert!((cost - c.0).abs() <= c.1, "cost {cost} vs {c:?}");
-            assert!((size - s.0).abs() <= s.1, "size {size} vs {s:?}");
+        // The delta is the change between the two folds, up to their
+        // rounding: 1e-9 of the larger total.
+        let near = |delta: f64, to: f64, from: f64| {
+            (delta - (to - from)).abs() <= 1e-9 * to.abs().max(from.abs()).max(1.0)
         };
         let mut context = Vec::new();
         for _ in 0..40 {
@@ -513,9 +397,23 @@ mod tests {
                 overlay.remove(start[i].iter().copied());
                 overlay.insert(i, sels[i].iter().copied());
             }
-            assert_eq!(bits(overlay.totals()), bits(fresh));
-            assert_eq!(bits(base.totals()), bits(scratch(&start).totals()));
-            enclosed(&overlay, &base);
+            let ((cost, size), (cost0, size0)) = (overlay.delta(), base.totals());
+            assert!(
+                near(cost, fresh.0, cost0),
+                "cost {cost} vs {fresh:?} - {cost0}"
+            );
+            assert!(
+                near(size, fresh.1, size0),
+                "size {size} vs {fresh:?} - {size0}"
+            );
+            // `moved`: every index whose holder count differs, once.
+            let end = scratch(&sels);
+            for (pair, before, after) in overlay.moved() {
+                assert_eq!((before, after), (base.owners(pair), end.owners(pair)));
+            }
+            let differ = (0..super::slots(&space)).map(pair_at);
+            let differ = differ.filter(|&pair| base.owners(pair) != end.owners(pair));
+            assert_eq!(overlay.moved().count(), differ.count());
             // Each path's sharing context: every index but its own.
             for i in 0..6 {
                 ledger.remove(i, sels[i].iter().copied());
@@ -532,27 +430,5 @@ mod tests {
                 overlay.insert(i, sels[i].iter().copied());
             }
         }
-    }
-
-    /// The overlay's operand merge is the sorted multiset difference and
-    /// union, bit for bit: duplicates, both signed zeros, a value removed
-    /// and added back, and additions before, between and after the base.
-    #[test]
-    fn merged_operands_are_the_sorted_multiset() {
-        let base = [-0.0, -0.0, 0.0, 1.0, 1.0, 2.0, 5.0];
-        let removed = [-0.0, 1.0, 5.0];
-        let added = [-1.0, -0.0, 0.0, 1.0, 3.0, 9.0];
-        let got: Vec<u64> = merged(&base, &removed, &added).map(f64::to_bits).collect();
-        let want = [-1.0, -0.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 9.0];
-        assert_eq!(got, want.map(f64::to_bits));
-        let all: Vec<f64> = merged(&base, &[], &[]).collect();
-        assert_eq!(
-            all.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            base.map(f64::to_bits)
-        );
-        assert_eq!(
-            merged(&[], &[], &[-0.0]).sum::<f64>().to_bits(),
-            (-0.0f64).to_bits()
-        );
     }
 }

@@ -1148,7 +1148,8 @@ fn the_struck_cell_total_equals_a_fresh_popcount_through_churn() {
 /// Example 5.1's path with a finite cost. Every door it can come through
 /// still yields a plan, and a budgeted solve on the same advisor returns
 /// too — for the path alone, and beside a second path sharing its prefix
-/// (a component the descent runs on).
+/// (a component the descent runs on). So do NaN, negative, −∞ and zero
+/// values through the same doors, and their budgeted solves fit.
 #[test]
 fn infinite_or_overflowing_inputs_still_plan() {
     let (schema, _) = fixtures::paper_schema();
@@ -1160,23 +1161,27 @@ fn infinite_or_overflowing_inputs_still_plan() {
         "update_stats",
         "with_maintenance",
     ];
+    let (overflowing, other) = (
+        [f64::INFINITY, 1e308],
+        [f64::NAN, -1.0, f64::NEG_INFINITY, 0.0],
+    );
     for shared in [false, true] {
-        for huge in [f64::INFINITY, 1e308] {
+        for hostile in overflowing.into_iter().chain(other) {
             for door in doors {
-                let ctx = format!("{door}({huge:e}), shared prefix: {shared}");
-                let hostile = |c| door == "with_maintenance" && c == first;
+                let ctx = format!("{door}({hostile:e}), shared prefix: {shared}");
+                let at = |c| door == "with_maintenance" && c == first;
                 let mut adv = WorkloadAdvisor::new(&schema, CostParams::default())
                     .with_stats(|_| ClassStats::new(10_000.0, 1_000.0, 1.0))
-                    .with_maintenance(|c| if hostile(c) { (huge, 0.1) } else { (0.1, 0.1) });
+                    .with_maintenance(|c| if at(c) { (hostile, 0.1) } else { (0.1, 0.1) });
                 let id = adv.add_path(pexa.clone(), |_| 0.2);
                 if shared {
                     adv.add_path(fixtures::paper_path_pe(&schema), |_| 0.2);
                 }
                 let pages = adv.optimize().size_pages;
                 let mutated = match door {
-                    "update_rates" => adv.update_rates(first, (huge, 0.1)),
-                    "update_query_rates" => adv.update_query_rates(id, |_| huge),
-                    "update_stats" => adv.update_stats(first, ClassStats::new(huge, 1.0, 1.0)),
+                    "update_rates" => adv.update_rates(first, (hostile, 0.1)),
+                    "update_query_rates" => adv.update_query_rates(id, |_| hostile),
+                    "update_stats" => adv.update_stats(first, ClassStats::new(hostile, 1.0, 1.0)),
                     _ => true, // hostile from the first solve on
                 };
                 assert!(mutated, "{ctx}");
@@ -1184,6 +1189,9 @@ fn infinite_or_overflowing_inputs_still_plan() {
                 assert_eq!(adv.reoptimize().paths.len(), paths, "{ctx}");
                 let budgeted = adv.optimize_with_budget(pages / 2.0);
                 assert_eq!(budgeted.plan.paths.len(), paths, "{ctx}");
+                if !overflowing.contains(&hostile) {
+                    assert!(budgeted.feasible, "{ctx}");
+                }
             }
         }
     }

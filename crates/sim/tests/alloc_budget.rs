@@ -498,11 +498,15 @@ fn a_clean_epoch_allocates_per_path_not_per_step() {
 /// Per round, in a release build: 521.8 when every round rebuilt its
 /// ledger and its owner table (one list per owned index) and the walk ran
 /// 3 960 trials; 131.2 with one round kept across the walk and 1 185
-/// trials; 313.1 with those trials but the round rebuilt every round. A
-/// debug build re-runs every kept trial, re-folds every trial from scratch
-/// and builds the round afresh to check it: 38 966.0 per round when each
-/// re-fold copied every selection, 5 172.4 now, 5 354.3 with the round
-/// also rebuilt every round. Both ceilings fail that rebuild.
+/// trials; 313.1 with those trials but the round rebuilt every round;
+/// 118.8 now that a trial is priced by the terms it changes, with no
+/// exact re-fold of its totals (300.7 with the round rebuilt every round).
+/// A debug build re-runs every kept trial, re-prices every trial from
+/// scratch and builds the round afresh to check it: 38 966.0 per round
+/// when each re-fold copied every selection, 5 172.4 with the exact trial
+/// re-folds, 4 215.2 now, 4 397.1 with the round also rebuilt every round.
+/// Each ceiling is the measured value plus the margin it had before (18.8
+/// and 127.6), and both fail that rebuild.
 #[test]
 fn an_eviction_round_allocates_per_trial_not_per_index() {
     let w = synth_workload(&WorkloadSpec {
@@ -523,9 +527,9 @@ fn an_eviction_round_allocates_per_trial_not_per_index() {
     served.assert_same_plan(&cold, "served from the trail");
     let per_round = walked.saturating_sub(replayed) as f64 / cold.evictions as f64;
     let ceiling = if cfg!(debug_assertions) {
-        5_300.0
+        4_343.0
     } else {
-        150.0
+        138.0
     };
     assert!(
         per_round <= ceiling,

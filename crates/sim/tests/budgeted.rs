@@ -727,15 +727,18 @@ fn every_mutator_drops_the_recorded_descent() {
 
 /// Seeded 8–64-path workloads under binding budgets. In debug builds every
 /// eviction trial of every round — run fresh or kept from the previous
-/// round — has its incrementally derived `(cost, size)` compared
-/// `to_bits()` against the totals of a ledger built from scratch on the
-/// applied trial, and every kept trial is run again and compared with the
-/// re-selection it kept (two `debug_assert`s inside the descent, the
-/// adopted trial included). So this test fails on the first trial whose
-/// totals drift by one ulp, and on the first kept trial an eviction
-/// disturbed without dropping it.
+/// round — has the `(Δcost, Δsize)` it is priced by, summed from the few
+/// terms it changes, compared with the totals of a ledger built from
+/// scratch on the applied trial minus the round's totals, to 1e-9 of the
+/// larger total; every kept trial is run again and compared with the
+/// re-selection it kept; and the round an adopted eviction moves is
+/// compared `to_bits()` with one built from scratch (three `debug_assert`s
+/// inside the descent, the adopted trial included). So this test fails on
+/// the first trial priced by a term it does not change or missing one it
+/// does, on the first kept trial an eviction disturbed without dropping
+/// it, and on the first trail step whose totals drift by one ulp.
 #[test]
-fn incremental_trial_totals_equal_full_repricing() {
+fn trial_deltas_match_full_repricing() {
     let params = CostParams::default();
     let mut trials = 0;
     for (paths, seed) in [(8usize, 3u64), (16, 11), (32, 42), (64, 77)] {
