@@ -73,6 +73,16 @@ impl IndexConfiguration {
         }
     }
 
+    /// Every position its own subpath, each under `choice`: degree
+    /// `path_len`.
+    pub(crate) fn singletons(choice: Choice, path_len: usize) -> Self {
+        IndexConfiguration {
+            pairs: (1..=path_len)
+                .map(|l| (SubpathId { start: l, end: l }, choice))
+                .collect(),
+        }
+    }
+
     /// The `(subpath, choice)` pairs in path order.
     pub fn pairs(&self) -> &[(SubpathId, Choice)] {
         &self.pairs

@@ -86,6 +86,11 @@ pub struct SelectionResult {
 /// minimum cost already reaches `PC_min` is abandoned together with every
 /// configuration containing it; a piece that completes the path is always
 /// evaluated against `PC_min` (computing its total *is* the evaluation).
+///
+/// When no configuration has a finite cost — an infinite or overflowing
+/// rate makes every one `+∞` or NaN — none wins, and the path's singletons
+/// under the first column stand in, at `+∞` (what the workload advisor's
+/// best response returns there).
 pub fn opt_ind_con(matrix: &CostMatrix) -> SelectionResult {
     search(matrix, |_| ())
 }
@@ -108,10 +113,8 @@ pub(crate) fn search(
         sink,
     };
     state.descend(1, 0.0, &mut Vec::new());
-    let best = IndexConfiguration::new(state.best, n)
-        .expect("search always finds a covering configuration");
     SelectionResult {
-        best,
+        best: covering_or_singletons(state.best, n),
         cost: state.best_cost,
         evaluated: state.evaluated,
         pruned: state.pruned,
@@ -164,7 +167,9 @@ pub(crate) fn search(
 ///
 /// A thin wrapper: the recurrence is `ScalarDp::run`, which reads each
 /// piece through a closure — here the matrix's cell — so the workload
-/// advisor runs the same recurrence over cells it prices in place.
+/// advisor runs the same recurrence over cells it prices in place. When
+/// no configuration has a finite cost, it answers like [`opt_ind_con`]:
+/// the singletons under the first column, at `+∞`.
 pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
     let n = matrix.path_len();
     let mut dp = ScalarDp::default();
@@ -173,16 +178,25 @@ pub fn opt_ind_con_dp(matrix: &CostMatrix) -> SelectionResult {
     } else {
         dp.run(n, |sub| INDEXES.map(|c| matrix.choice_cost(sub, c)))
     };
-    debug_assert!(cost.is_finite(), "matrix rows must cover the path");
     let mut pairs = Vec::new();
-    dp.pieces_into(&mut pairs, |sub, c| (sub, CHOICES[c]));
+    if cost.is_finite() {
+        dp.pieces_into(&mut pairs, |sub, c| (sub, CHOICES[c]));
+    }
     SelectionResult {
-        best: IndexConfiguration::new(pairs, n).expect("DP pieces concatenate to the full path"),
+        best: covering_or_singletons(pairs, n),
         cost,
         evaluated,
         pruned: 0,
         candidate_space: candidate_space_size(n),
     }
+}
+
+/// `pairs` as a configuration of a path of `n` positions — or, when they
+/// do not cover it, which happens only when no configuration won, the
+/// path's singletons under the first column.
+fn covering_or_singletons(pairs: Vec<(SubpathId, Choice)>, n: usize) -> IndexConfiguration {
+    IndexConfiguration::new(pairs, n)
+        .unwrap_or_else(|_| IndexConfiguration::singletons(CHOICES[0], n))
 }
 
 /// The scalar recurrence of [`opt_ind_con_dp`] over reusable tables: a
@@ -666,7 +680,8 @@ impl<S: FnMut(&dyn Fn() -> TraceEvent)> Search<'_, S> {
 
 /// Exhaustive baseline: enumerates all `2^(n-1)` recombinations, evaluating
 /// each with the per-row minima. Used to verify branch and bound and for the
-/// Section 5 complexity experiment.
+/// Section 5 complexity experiment. When no recombination has a finite
+/// cost, it answers like [`opt_ind_con`].
 pub fn exhaustive(matrix: &CostMatrix) -> SelectionResult {
     let n = matrix.path_len();
     let total = 1u64 << (n - 1);
@@ -693,7 +708,7 @@ pub fn exhaustive(matrix: &CostMatrix) -> SelectionResult {
         }
     }
     SelectionResult {
-        best: IndexConfiguration::new(best, n).expect("masks cover the path"),
+        best: covering_or_singletons(best, n),
         cost: best_cost,
         evaluated: total,
         pruned: 0,

@@ -4,7 +4,8 @@
 use super::descent::{Memo, Shards, MAX_SWEEPS};
 use super::ledger::{self, pair_at, slot, Ledger, Overlay, Pair};
 use super::pricing::{
-    best_response, frontier_response, to_selection, true_marginal, Bans, FrontierTables, Pricing,
+    best_response, frontier_response, to_selection, true_marginal, Bans, FoldedRows,
+    FrontierTables, Pricing, Source,
 };
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
@@ -12,9 +13,20 @@ use super::{Selection, WorkloadAdvisor, WorkloadPlan};
 /// One eviction trial's outcome: the re-selected owners of the banned
 /// index, ascending by path index (a path never repeats a class, so its
 /// ranks are distinct candidates and it owns an index at most once) —
-/// everything a trial changes. `None` when the ban left some owner
-/// uncoverable.
-type Reselection = Option<Vec<(usize, Selection)>>;
+/// everything a trial changes — and what that changes in the round's
+/// `(cost, size)` ([`Overlay::delta`]). `None` when the ban left some
+/// owner uncoverable.
+type Reselection = Option<(Vec<(usize, Selection)>, (f64, f64))>;
+
+/// Whether two trial outcomes are the same, their deltas bit for bit (a
+/// NaN delta under hostile rates equals itself).
+fn same_trial(a: &Reselection, b: &Reselection) -> bool {
+    let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+    match (a, b) {
+        (Some((a, da)), Some((b, db))) => a == b && bits(*da) == bits(*db),
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
 
 /// A [`WorkloadPlan`] selected under a shared page budget, with the
 /// telemetry of the search that found it: λ-priced sweeps (bracketing +
@@ -135,13 +147,13 @@ pub(super) struct EvictionTrail {
     /// The walk found no eviction that frees a page at the last step: no
     /// budget below that step's footprint is reachable.
     dead_end: bool,
-    /// The re-selection of each trial whose inputs are still those of the
+    /// The outcome of each trial whose inputs are still those of the
     /// walk's current end: its owners' selections, the bans over their
     /// candidates, and whether a path outside them holds each of their
     /// cells. An eviction drops the trials whose inputs it may have moved
     /// ([`WorkloadAdvisor::drop_disturbed_trials`]), and every other trial
-    /// keeps its re-selection for the next round. By [`ledger::slot`];
-    /// `None` where no trial is kept.
+    /// keeps its re-selection and its delta for the next round. By
+    /// [`ledger::slot`]; `None` where no trial is kept.
     trials: Vec<Option<Reselection>>,
 }
 
@@ -273,18 +285,26 @@ impl WorkloadAdvisor<'_> {
     /// context did not move — every path, in the confirming no-change
     /// round — is a memo hit. `shards` are the advisor's current
     /// [`Self::components`]; singletons keep their context-free response,
-    /// which no other path can ever perturb.
-    fn lambda_sweep(&self, lambda: f64, shards: &Shards) -> Vec<Selection> {
+    /// which no other path can ever perturb. Every DP reads the solve's
+    /// folded `rows`.
+    fn lambda_sweep(&self, lambda: f64, shards: &Shards, rows: &FoldedRows) -> Vec<Selection> {
         let pricing = Pricing {
             lambda,
             ..Pricing::default()
         };
-        let mut selections: Vec<Selection> = self.par_map_dp(&self.paths, |dp, st| {
+        let paths: Vec<usize> = (0..self.paths.len()).collect();
+        let mut selections: Vec<Selection> = self.par_map_dp(&paths, |dp, &i| {
             let mut sel = Selection::new();
-            best_response(st, &self.space, pricing, dp, &mut sel);
+            best_response(
+                &self.paths[i],
+                Source::Row(rows.row(i)),
+                pricing,
+                dp,
+                &mut sel,
+            );
             sel
         });
-        let outs = self.descend_components(shards, lambda, Memo::Seeded(&selections));
+        let outs = self.descend_components(shards, lambda, Memo::Seeded(&selections, rows));
         for (comp, out) in outs {
             for (k, sel) in out.changed {
                 selections[comp[k]] = sel;
@@ -300,8 +320,8 @@ impl WorkloadAdvisor<'_> {
     /// no maintenance and no pages. Each adoption strictly lowers the total
     /// cost while preserving feasibility, so the pass closes (part of) the
     /// duality gap the λ discretization leaves open. Returns the number of
-    /// adoptions.
-    fn repair(&self, selections: &mut [Selection], budget_pages: f64) -> usize {
+    /// adoptions. Its DPs read the solve's folded `rows`.
+    fn repair(&self, selections: &mut [Selection], budget_pages: f64, rows: &FoldedRows) -> usize {
         let mut ledger = self.ledger(selections);
         let mut repairs = 0;
         let (mut context, mut tables, mut point) = (Vec::new(), FrontierTables::default(), vec![]);
@@ -323,8 +343,8 @@ impl WorkloadAdvisor<'_> {
                 // and an ∞ old price would turn the guard into an
                 // unconditional adoption.
                 let (old_cost, old_size) = true_marginal(st, &self.space, &context, sel);
-                let fits =
-                    frontier_response(st, &self.space, pricing, slack, &mut tables, &mut point);
+                let row = Source::Row(rows.row(i));
+                let fits = frontier_response(st, row, pricing, slack, &mut tables, &mut point);
                 if let Some((cost, size)) = fits {
                     let tol = 1e-9 * old_cost.abs().max(1.0);
                     let stol = 1e-9 * old_size.abs().max(1.0);
@@ -370,7 +390,8 @@ impl WorkloadAdvisor<'_> {
     /// §5.12): the walk builds once what its rounds share — the [`Round`]
     /// every trial forks — and moves it by each adopted eviction alone,
     /// runs only the trials whose inputs the previous eviction moved, and
-    /// prices every trial by the terms its kept re-selection changes.
+    /// prices every trial once, by the terms its re-selection changes: a
+    /// kept trial keeps its price.
     fn evict_to_budget(
         &self,
         trail: &mut EvictionTrail,
@@ -410,25 +431,34 @@ impl WorkloadAdvisor<'_> {
                 let owners = &round.owners[slot(pair)];
                 self.eviction_trial(&round.ledger, owners, &selections, &trail.banned, pair)
             };
-            // A kept trial IS the trial of this round, bit for bit: debug
-            // builds run every one of them again.
+            // A kept trial IS the trial of this round, delta included, bit
+            // for bit: debug builds run every one of them again.
             debug_assert!(
                 trail.trials.iter().enumerate().all(|(s, kept)| kept
                     .as_ref()
-                    .map_or(true, |kept| *kept == trial_of(0, &pair_at(s)))),
+                    .map_or(true, |kept| same_trial(kept, &trial_of(0, &pair_at(s))))),
                 "a kept eviction trial diverged from a fresh run"
             );
             let outcomes: Vec<Reselection> = self.exec.par_map(&fresh, trial_of);
             for (pair, outcome) in fresh.into_iter().zip(outcomes) {
                 trail.trials[slot(pair)] = Some(outcome);
             }
-            let Some(pair) =
-                self.cheapest_eviction(&round.ledger, &selections, &round.pairs, &trail.trials)
-            else {
+            let totals = round.ledger.totals();
+            debug_assert!(
+                round.pairs.iter().all(|&pair| {
+                    let kept = trail.trials[slot(pair)].as_ref();
+                    kept.and_then(Option::as_ref)
+                        .map_or(true, |(changed, delta)| {
+                            self.delta_matches(&selections, changed, *delta, totals)
+                        })
+                }),
+                "a trial's delta diverged from a from-scratch ledger's"
+            );
+            let Some(pair) = cheapest_eviction(totals.1, &round.pairs, &trail.trials) else {
                 trail.dead_end = true; // nothing left to evict
                 break;
             };
-            let changed = trail.trials[slot(pair)]
+            let (changed, _) = trail.trials[slot(pair)]
                 .take()
                 .flatten()
                 .expect("the adopted trial re-selected its owners");
@@ -453,51 +483,6 @@ impl WorkloadAdvisor<'_> {
             }
         }
         (trail.steps.len(), trials_run)
-    }
-
-    /// The round's eviction: among the trials of `pairs` (ascending, each
-    /// with its trial in `trials`, by [`ledger::slot`]), the one that
-    /// frees pages at the least regret per page freed, ties to the one
-    /// that frees more, then to the earlier pair. `None` when no trial
-    /// frees a page.
-    ///
-    /// A configuration's cost and footprint are sums of per-index and
-    /// per-path terms, so a trial is priced by the terms it changes
-    /// ([`Overlay::delta`]): `Δcost / −Δsize` over the trials with `Δsize`
-    /// below `−stol` (DESIGN.md §5.12).
-    fn cheapest_eviction(
-        &self,
-        round: &Ledger<'_>,
-        selections: &[Selection],
-        pairs: &[Pair],
-        trials: &[Option<Reselection>],
-    ) -> Option<Pair> {
-        let (cost0, size0) = round.totals();
-        // A trial frees pages when its footprint falls by more than this.
-        let stol = 1e-9 * size0.abs().max(1.0);
-        let mut overlay = round.overlay();
-        // (regret per page, Δsize, evicted index)
-        let mut best: Option<(f64, f64, Pair)> = None;
-        for &pair in pairs {
-            let kept = trials[slot(pair)].as_ref();
-            let Some(changed) = kept.expect("every round index has its trial") else {
-                continue; // the ban left some owner uncoverable
-            };
-            self.apply_trial(&mut overlay, selections, changed);
-            let (cost, size) = overlay.delta();
-            debug_assert!(
-                self.delta_matches(selections, changed, (cost, size), (cost0, size0)),
-                "a trial's delta diverged from a from-scratch ledger's"
-            );
-            if size < -stol {
-                let regret = cost / -size;
-                let better = best.map_or(true, |b| regret < b.0 || (regret == b.0 && size < b.1));
-                if better {
-                    best = Some((regret, size, pair));
-                }
-            }
-        }
-        best.map(|(.., pair)| pair)
     }
 
     /// Whether a trial's `delta` is the totals of a ledger built from
@@ -579,11 +564,12 @@ impl WorkloadAdvisor<'_> {
     /// One eviction trial: ban `pair` on top of `banned` and let all of
     /// its `owners` re-select without it, one after the other, each
     /// under the sharing context the earlier ones left. Returns the
-    /// re-selected owners, or `None` when the ban leaves some owner
-    /// uncoverable. Read-only (runs on pool workers during the parallel
-    /// descent), and it touches nothing but the owners, on an overlay of
-    /// the `round`'s ledger; its context buffer and frontier tables are
-    /// its own.
+    /// re-selected owners and their delta — from the overlay that holds
+    /// them, in [`Self::apply_trial`]'s order — or `None` when the ban
+    /// leaves some owner uncoverable. Read-only (runs on pool workers
+    /// during the parallel descent), and it touches nothing but the
+    /// owners, on an overlay of the `round`'s ledger; its context buffer
+    /// and frontier tables are its own.
     fn eviction_trial(
         &self,
         round: &Ledger<'_>,
@@ -615,15 +601,16 @@ impl WorkloadAdvisor<'_> {
             // bias while evicting pages.
             let mut sel = Selection::new();
             let inf = f64::INFINITY;
-            frontier_response(st, &self.space, pricing, inf, &mut tables, &mut sel)?;
+            let space = Source::Space(&self.space);
+            frontier_response(st, space, pricing, inf, &mut tables, &mut sel)?;
             overlay.insert(i, st.pieces(&sel));
             changed.push((i, sel));
         }
-        Some(changed)
+        Some((changed, overlay.delta()))
     }
 
     /// The round's selections with `changed` substituted, on `overlay`
-    /// (cleared first).
+    /// (cleared first): what the adopted trial moves.
     fn apply_trial(
         &self,
         overlay: &mut Overlay<'_>,
@@ -702,15 +689,17 @@ impl WorkloadAdvisor<'_> {
             };
         }
 
-        // Both search directions work per candidate-sharing component.
+        // Both search directions work per candidate-sharing component;
+        // the λ search and the repair read every path's folded row.
         let shards = self.components();
+        let rows = FoldedRows::new(&self.paths, &self.space);
         // Bracket λ: grow until the sweep fits the budget.
         let mut lambda_sweeps = 0usize;
         let mut lo = 0.0f64;
         let mut hi = (unconstrained_cost / unconstrained_size.max(1e-12)).max(1e-9);
         let mut found = Incumbents::default();
         let probe = |advisor: &Self, l: f64, found: &mut Incumbents| -> f64 {
-            let sel = advisor.lambda_sweep(l, &shards);
+            let sel = advisor.lambda_sweep(l, &shards, &rows);
             let (cost, size) = advisor.ledger(&sel).totals();
             found.offer(budget_pages, (sel, cost, size, l));
             size
@@ -783,7 +772,7 @@ impl WorkloadAdvisor<'_> {
             .or(found.leanest)
             .expect("at least one probe ran");
         let repairs = if feasible {
-            self.repair(&mut selections, budget_pages)
+            self.repair(&mut selections, budget_pages, &rows)
         } else {
             0
         };
@@ -823,4 +812,35 @@ impl WorkloadAdvisor<'_> {
             unconstrained_size,
         }
     }
+}
+
+/// The round's eviction: among the trials of `pairs` (ascending, each
+/// with its trial in `trials`, by [`ledger::slot`]), the one that frees
+/// pages at the least regret per page freed, ties to the one that frees
+/// more, then to the earlier pair. `None` when no trial frees a page.
+///
+/// A configuration's cost and footprint are sums of per-index and
+/// per-path terms, so a trial is priced by the terms it changes — its
+/// delta, kept with it: `Δcost / −Δsize` over the trials with `Δsize`
+/// below `−stol`, where `size0` is the round's footprint (DESIGN.md
+/// §5.12).
+fn cheapest_eviction(size0: f64, pairs: &[Pair], trials: &[Option<Reselection>]) -> Option<Pair> {
+    // A trial frees pages when its footprint falls by more than this.
+    let stol = 1e-9 * size0.abs().max(1.0);
+    // (regret per page, Δsize, evicted index)
+    let mut best: Option<(f64, f64, Pair)> = None;
+    for &pair in pairs {
+        let kept = trials[slot(pair)].as_ref();
+        let Some((_, (cost, size))) = kept.expect("every round index has its trial") else {
+            continue; // the ban left some owner uncoverable
+        };
+        if *size < -stol {
+            let regret = cost / -size;
+            let better = best.map_or(true, |b| regret < b.0 || (regret == b.0 && *size < b.1));
+            if better {
+                best = Some((regret, *size, pair));
+            }
+        }
+    }
+    best.map(|(.., pair)| pair)
 }

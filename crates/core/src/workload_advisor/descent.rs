@@ -1,7 +1,7 @@
 //! The engine's only descent loop: per-component Gauss–Seidel best
 //! responses under `cost + λ·size` pricing (DESIGN.md §5.15).
 
-use super::pricing::{best_response, Pricing};
+use super::pricing::{best_response, FoldedRows, Pricing, Source};
 use super::state::PathState;
 use super::{Selection, SweepMemo, WorkloadAdvisor};
 use crate::select::ScalarDp;
@@ -26,9 +26,10 @@ pub(super) enum Memo<'s> {
     /// A λ-priced sweep of the budget search from these per-path seeds,
     /// each path's context-free response: a member's seed fills its one
     /// memo entry, which a miss overwrites. The advisor's trails hold
-    /// λ = 0 responses and are not read. The descent hands back the
-    /// converged selections that differ from the seeds.
-    Seeded(&'s [Selection]),
+    /// λ = 0 responses and are not read, and every DP reads the solve's
+    /// folded rows. The descent hands back the converged selections that
+    /// differ from the seeds.
+    Seeded(&'s [Selection], &'s FoldedRows),
 }
 
 /// One component's buffered descent output, computed read-only on a worker
@@ -127,8 +128,10 @@ impl WorkloadAdvisor<'_> {
 /// member's context is written into one reused buffer and compared with
 /// its memo entries in place. A DP runs on the component's own tables,
 /// straight into the trail entry it fills, or into a spare buffer that
-/// replaces a seeded entry. No selection is copied but the converged ones
-/// that moved (and, under [`Memo::Seeded`], each seed into its entry).
+/// replaces a seeded entry's selection. No selection is copied but, under
+/// [`Memo::Trail`], the converged ones that moved: under [`Memo::Seeded`]
+/// an entry reads its seed in place until a DP moves it, and a moved
+/// selection is handed back, not copied.
 fn descend_component(
     paths: &[PathState],
     space: &CandidateSpace,
@@ -141,7 +144,7 @@ fn descend_component(
         .iter()
         .map(|&i| match memo {
             Memo::Trail => &paths[i].standalone.as_ref().expect("phase 2 filled it").0,
-            Memo::Seeded(seeds) => &seeds[i],
+            Memo::Seeded(seeds, _) => &seeds[i],
         })
         .collect();
     let mut counts = vec![0u32; 3 * owners.candidates];
@@ -155,12 +158,11 @@ fn descend_component(
             at: vec![At::Seed; comp.len()],
             seeds,
         },
-        Memo::Seeded(_) => Responses::Seeded {
-            entries: comp
-                .iter()
-                .zip(seeds)
-                .map(|(&i, sel)| (vec![0; paths[i].cands.len()], sel.clone()))
-                .collect(),
+        Memo::Seeded(..) => Responses::Seeded {
+            keys: vec![0; owners.slots.len()],
+            first: &owners.first,
+            moved: vec![None; comp.len()],
+            seeds,
             spare: Selection::new(),
         },
     };
@@ -180,7 +182,11 @@ fn descend_component(
                     lambda,
                     bans: None,
                 };
-                best_response(&paths[i], space, pricing, &mut dp, sel);
+                let source = match memo {
+                    Memo::Trail => Source::Space(space),
+                    Memo::Seeded(_, rows) => Source::Row(rows.row(i)),
+                };
+                best_response(&paths[i], source, pricing, &mut dp, sel);
             });
             if hit {
                 dp_memo_hits += 1;
@@ -194,13 +200,17 @@ fn descend_component(
             break;
         }
     }
-    let base = |k: usize| match memo {
-        Memo::Trail => &paths[comp[k]].selection,
-        Memo::Seeded(seeds) => &seeds[comp[k]],
+    let changed = if let Responses::Seeded { seeds, moved, .. } = &mut responses {
+        let moved = moved.iter_mut().map(Option::take).enumerate();
+        let differs =
+            |(k, sel): (usize, Option<Selection>)| Some((k, sel.filter(|sel| sel != seeds[k])?));
+        moved.filter_map(differs).collect()
+    } else {
+        let moved = (0..comp.len()).filter(|&k| *responses.current(k) != paths[comp[k]].selection);
+        moved.map(|k| (k, responses.current(k).clone())).collect()
     };
-    let moved = (0..comp.len()).filter(|&k| responses.current(k) != base(k));
     CompOut {
-        changed: moved.map(|k| (k, responses.current(k).clone())).collect(),
+        changed,
         trails: match responses {
             Responses::Trail { old, new, .. } => {
                 // Every bit of a trail of `len ≥ 1` entries.
@@ -261,10 +271,17 @@ enum Responses<'p> {
         at: Vec<At>,
         seeds: Vec<&'p Selection>,
     },
-    /// [`Memo::Seeded`]: the member's one entry, whose selection is its
-    /// current one, and a buffer a DP writes into before it replaces it.
+    /// [`Memo::Seeded`]: the member's one entry — keyed by
+    /// `keys[first[k]..first[k + 1]]`, in [`Owners`]' rank numbering, all
+    /// zero at first (the seed is the context-free response) — whose
+    /// selection is `moved[k]` once a DP moved it and `seeds[k]` until
+    /// then, and a buffer a DP writes into before it replaces the moved
+    /// one.
     Seeded {
-        entries: Vec<(Vec<u8>, Selection)>,
+        keys: Vec<u8>,
+        first: &'p [usize],
+        seeds: Vec<&'p Selection>,
+        moved: Vec<Option<Selection>>,
         spare: Selection,
     },
 }
@@ -279,7 +296,7 @@ impl Responses<'_> {
                 at,
                 seeds,
             } => at[k].of(seeds[k], old[k], &new[k].0),
-            Responses::Seeded { entries, .. } => &entries[k].1,
+            Responses::Seeded { seeds, moved, .. } => moved[k].as_ref().unwrap_or(seeds[k]),
         }
     }
 
@@ -287,7 +304,7 @@ impl Responses<'_> {
     /// selection; returns it, whether the memo held it and whether the
     /// selection moved. On a miss, `run` writes the DP's response into a
     /// fresh trail entry, or into the spare buffer that then replaces the
-    /// member's seeded entry.
+    /// member's seeded entry's selection.
     fn respond(
         &mut self,
         k: usize,
@@ -318,19 +335,27 @@ impl Responses<'_> {
                 let of = |at: At| at.of(seeds[k], old, added);
                 (of(next), hit, next != before && of(next) != of(before))
             }
-            Responses::Seeded { entries, spare } => {
-                let (key, sel) = &mut entries[k];
-                if key[..] == *context {
-                    return (sel, true, false);
+            Responses::Seeded {
+                keys,
+                first,
+                seeds,
+                moved,
+                spare,
+            } => {
+                let (key, now) = (&mut keys[first[k]..first[k + 1]], &mut moved[k]);
+                if *key == *context {
+                    return (now.as_ref().unwrap_or(seeds[k]), true, false);
                 }
-                key.clear();
-                key.extend_from_slice(context);
+                key.copy_from_slice(context);
                 run(spare);
-                let moved = spare != sel;
-                if moved {
-                    std::mem::swap(spare, sel);
+                let differs = spare != now.as_ref().unwrap_or(seeds[k]);
+                if differs {
+                    match now {
+                        Some(sel) => std::mem::swap(spare, sel),
+                        None => *now = Some(std::mem::take(spare)),
+                    }
                 }
-                (sel, false, moved)
+                (now.as_ref().unwrap_or(seeds[k]), false, differs)
             }
         }
     }

@@ -110,7 +110,7 @@ use oic_cost::{ClassStats, CostParams, Org};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{mining, MiningPolicy};
-use pricing::{best_response, Pricing, QueryBasis};
+use pricing::{best_response, Pricing, QueryBasis, Source};
 use state::{Dirty, PathState};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -565,7 +565,8 @@ impl<'a> WorkloadAdvisor<'a> {
         dp_runs += stale.len() as u64;
         let results = self.par_map_dp(&stale, |dp, &i| {
             let (st, mut sel) = (&self.paths[i], Selection::new());
-            let cost = best_response(st, &self.space, Pricing::default(), dp, &mut sel);
+            let space = Source::Space(&self.space);
+            let cost = best_response(st, space, Pricing::default(), dp, &mut sel);
             (sel, cost)
         });
         for (result, &i) in results.into_iter().zip(&stale) {

@@ -3,7 +3,8 @@
 //! signature's query basis, its members' claimed cells — every query
 //! share a basis replay), dominance masks, and [`Cells`], the one cell
 //! rule every advisor DP reads its pieces through, with the two in-place
-//! kernels over it ([`best_response`], [`frontier_response`]).
+//! kernels over it ([`best_response`], [`frontier_response`]) and its
+//! per-solve memo for the budget search ([`FoldedRows`]).
 
 use super::ledger::Pair;
 use super::state::PathState;
@@ -436,6 +437,13 @@ pub(super) struct Cells<'a> {
     ban_in_path: bool,
 }
 
+/// A path's cells as the in-place kernels read them.
+pub(super) trait Pieces {
+    /// The `(cost, size)` of piece `sub` under each organization, in
+    /// [`Org::ALL`] order.
+    fn piece(&self, sub: SubpathId) -> [(f64, f64); 3];
+}
+
 impl<'a> Cells<'a> {
     /// `st`'s cells under `pricing`; the per-rank ban masks are written
     /// over the caller's `banned` buffer.
@@ -460,12 +468,13 @@ impl<'a> Cells<'a> {
             ban_in_path,
         }
     }
+}
 
-    /// The `(cost, size)` of piece `sub` under each organization, in
-    /// [`Org::ALL`] order: `query + maintenance + λ·size`. A mined-out
-    /// rank is absent from the candidate space and a banned cell
-    /// unselectable: `INFINITY`, no pages.
-    pub(super) fn piece(&self, sub: SubpathId) -> [(f64, f64); 3] {
+impl Pieces for Cells<'_> {
+    /// `query + maintenance + λ·size`. A mined-out rank is absent from the
+    /// candidate space and a banned cell unselectable: `INFINITY`, no
+    /// pages.
+    fn piece(&self, sub: SubpathId) -> [(f64, f64); 3] {
         let st = self.st;
         let r = sub.rank(st.path.len());
         let Some(cand) = st.cands[r] else {
@@ -499,9 +508,136 @@ impl<'a> Cells<'a> {
     }
 }
 
+/// One rank of a path's folded row: [`Cells`]' ban-free rule with
+/// everything but the sharing context and λ already applied. Per
+/// organization, the piece costs `covered + λ·0.0` at no pages when
+/// another path holds the cell, and `uncovered + λ·size` at `size` pages
+/// when none does — the rule's own operations on the same operands, so
+/// the same bits (DESIGN.md §5.12).
+#[derive(Clone, Copy)]
+pub(super) struct Folded {
+    /// `query + 0.0`.
+    covered: [f64; 3],
+    /// `query + maintenance`; `query + ∞` for a struck cell.
+    uncovered: [f64; 3],
+    /// The cell's pages; 0 when it is struck.
+    size: [f64; 3],
+}
+
+impl Folded {
+    /// A mined-out rank: `∞` whether covered or not, at no pages. Its
+    /// piece reads `∞ + λ·0.0`, the rule's `∞` — NaN at λ = +∞, which both
+    /// kernels skip exactly as they skip `∞` (neither is below a total,
+    /// and neither is finite).
+    const ABSENT: Folded = Folded {
+        covered: [f64::INFINITY; 3],
+        uncovered: [f64::INFINITY; 3],
+        size: [0.0; 3],
+    };
+}
+
+/// Every path's cells under the installed prices, query shares and prune
+/// masks, folded per rank ([`Folded`]): one row per path, built once per
+/// budgeted solve — after its `reoptimize()`, which nothing in the solve
+/// moves — for the λ sweeps and the repair pass, which price every path
+/// at every probe and ban nothing. The eviction trials ban, and keep
+/// [`Cells`].
+pub(super) struct FoldedRows {
+    folded: Vec<Folded>,
+    /// Path `i`'s row is `folded[first[i]..first[i + 1]]`.
+    first: Vec<usize>,
+}
+
+impl FoldedRows {
+    /// Folds every rank of every path of `paths`, all priced.
+    pub(super) fn new(paths: &[PathState], space: &CandidateSpace) -> Self {
+        let ranks = paths.iter().map(|st| st.cands.len()).sum();
+        let (mut folded, mut first) = (
+            Vec::with_capacity(ranks),
+            Vec::with_capacity(paths.len() + 1),
+        );
+        first.push(0);
+        for st in paths {
+            for (r, (&cand, query)) in st.cands.iter().zip(&st.query_costs).enumerate() {
+                let Some(cand) = cand else {
+                    folded.push(Folded::ABSENT);
+                    continue;
+                };
+                let cut = st.pruned.as_deref().map_or(0, |p| p[r]);
+                let cell = |o: usize| {
+                    if cut & 1 << o != 0 {
+                        (f64::INFINITY, 0.0)
+                    } else {
+                        installed(space, (cand, Org::ALL[o]))
+                    }
+                };
+                let cells = [0, 1, 2].map(cell);
+                folded.push(Folded {
+                    covered: [0, 1, 2].map(|o| query[o] + 0.0),
+                    uncovered: [0, 1, 2].map(|o| query[o] + cells[o].0),
+                    size: cells.map(|cell| cell.1),
+                });
+            }
+            first.push(folded.len());
+        }
+        FoldedRows { folded, first }
+    }
+
+    /// Path `i`'s row.
+    pub(super) fn row(&self, i: usize) -> &[Folded] {
+        &self.folded[self.first[i]..self.first[i + 1]]
+    }
+}
+
+/// A path's folded row under a ban-free [`Pricing`].
+pub(super) struct RowCells<'a> {
+    row: &'a [Folded],
+    n: usize,
+    context: Option<&'a [u8]>,
+    lambda: f64,
+}
+
+impl<'a> RowCells<'a> {
+    /// The row of a path of `n` positions under `pricing`.
+    pub(super) fn new(row: &'a [Folded], n: usize, pricing: Pricing<'a>) -> Self {
+        debug_assert!(pricing.bans.is_none(), "a folded row bans nothing");
+        RowCells {
+            row,
+            n,
+            context: pricing.context,
+            lambda: pricing.lambda,
+        }
+    }
+}
+
+impl Pieces for RowCells<'_> {
+    fn piece(&self, sub: SubpathId) -> [(f64, f64); 3] {
+        let r = sub.rank(self.n);
+        let (cell, covered) = (&self.row[r], self.context.map_or(0, |ctx| ctx[r]));
+        [0, 1, 2].map(|o| {
+            if covered & 1 << o != 0 {
+                (cell.covered[o] + self.lambda * 0.0, 0.0)
+            } else {
+                (cell.uncovered[o] + self.lambda * cell.size[o], cell.size[o])
+            }
+        })
+    }
+}
+
+/// Where a kernel reads a path's cells: the cell rule over the candidate
+/// space, or the path's row of a solve's [`FoldedRows`] — which serves
+/// ban-free pricings only.
+#[derive(Clone, Copy)]
+pub(super) enum Source<'a> {
+    /// [`Cells`] over this space.
+    Space(&'a CandidateSpace),
+    /// This folded row ([`RowCells`]).
+    Row(&'a [Folded]),
+}
+
 /// The scalar best response of `st` under `pricing` (which bans nothing):
-/// [`ScalarDp`] over the path's [`Cells`] on the caller's tables, the
-/// selection written over `out`. Returns its cost.
+/// [`ScalarDp`] over the path's cells, read from `source`, on the
+/// caller's tables, the selection written over `out`. Returns its cost.
 ///
 /// When no tiling has a finite cost — an infinite or overflowing rate or
 /// statistic makes every one `+∞` or NaN — they all tie, and the path's
@@ -509,16 +645,17 @@ impl<'a> Cells<'a> {
 /// at `+∞`.
 pub(super) fn best_response(
     st: &PathState,
-    space: &CandidateSpace,
+    source: Source<'_>,
     pricing: Pricing<'_>,
     dp: &mut ScalarDp,
     out: &mut Selection,
 ) -> f64 {
     debug_assert!(pricing.bans.is_none(), "a ban can leave a path uncoverable");
-    let mut no_bans = Vec::new();
-    let cells = Cells::new(st, space, pricing, &mut no_bans);
     let n = st.path.len();
-    let (cost, _) = dp.run(n, |sub| cells.piece(sub).map(|cell| cell.0));
+    let cost = match source {
+        Source::Space(space) => scalar(n, &Cells::new(st, space, pricing, &mut Vec::new()), dp),
+        Source::Row(row) => scalar(n, &RowCells::new(row, n, pricing), dp),
+    };
     if cost.is_finite() {
         dp.pieces_into(out, |sub, o| (sub, Org::ALL[o]));
         return cost;
@@ -526,6 +663,11 @@ pub(super) fn best_response(
     out.clear();
     out.extend((1..=n).map(|l| (SubpathId { start: l, end: l }, Org::ALL[0])));
     f64::INFINITY
+}
+
+/// [`ScalarDp`] over `cells`: the optimum's cost.
+fn scalar(n: usize, cells: &impl Pieces, dp: &mut ScalarDp) -> f64 {
+    dp.run(n, |sub| cells.piece(sub).map(|cell| cell.0)).0
 }
 
 impl WorkloadAdvisor<'_> {
@@ -564,21 +706,29 @@ pub(super) struct FrontierTables {
 }
 
 /// The cheapest point of `st`'s `(cost, size)` frontier under `pricing`
-/// that fits `budget_pages` ([`frontier_point`] over the path's
-/// [`Cells`]), its selection written over `out`; `None` when no point
-/// fits — at `f64::INFINITY`, when a ban left the path uncoverable.
+/// that fits `budget_pages` ([`frontier_point`] over the path's cells,
+/// read from `source`), its selection written over `out`; `None` when no
+/// point fits — at `f64::INFINITY`, when a ban left the path uncoverable.
 pub(super) fn frontier_response(
     st: &PathState,
-    space: &CandidateSpace,
+    source: Source<'_>,
     pricing: Pricing<'_>,
     budget_pages: f64,
     tables: &mut FrontierTables,
     out: &mut Selection,
 ) -> Option<(f64, f64)> {
     let FrontierTables { labels, banned } = tables;
-    let cells = Cells::new(st, space, pricing, banned);
-    let piece = |sub| cells.piece(sub);
-    let label = frontier_point(labels, st.path.len(), piece, budget_pages)?;
+    let n = st.path.len();
+    let label = match source {
+        Source::Space(space) => {
+            let cells = Cells::new(st, space, pricing, banned);
+            frontier_point(labels, n, |sub| cells.piece(sub), budget_pages)
+        }
+        Source::Row(row) => {
+            let cells = RowCells::new(row, n, pricing);
+            frontier_point(labels, n, |sub| cells.piece(sub), budget_pages)
+        }
+    }?;
     labels.pieces_into(&label, out, |sub, o| (sub, Org::ALL[o]));
     Some((label.cost, label.size))
 }

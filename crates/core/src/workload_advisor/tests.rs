@@ -297,11 +297,20 @@ fn cost_ratio_of_two_zero_costs_is_one() {
 /// configuration, and is `None` exactly when nothing covers the path; at
 /// a finite budget it is `within_budget`'s point. The kernels' tables
 /// are reused across every case.
+///
+/// Every ban-free case also folds the paths' rows ([`pricing::FoldedRows`])
+/// and runs both kernels over them at λ ∈ {0, 1e-3, 1e6, +∞}: each piece
+/// is the cell rule's bit for bit (a mined-out rank's `∞` reads NaN at
+/// λ = +∞, non-finite either way), and each response's cost and size bits
+/// and selection are the cell rule's.
 #[test]
 fn in_place_kernels_match_the_oracles_on_their_cells() {
     use crate::select::{exhaustive, exhaustive_frontier, frontier_dp, opt_ind_con_dp, ScalarDp};
     use ledger::Pair;
-    use pricing::{best_response, frontier_response, Bans, Cells, FrontierTables, Pricing};
+    use pricing::{
+        best_response, frontier_response, Bans, Cells, FoldedRows, FrontierTables, Pieces, Pricing,
+        RowCells, Source,
+    };
 
     let (schema, _) = fixtures::paper_schema();
     let mut adv = two_path_advisor(&schema);
@@ -323,6 +332,7 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
     };
     let (mut dp, mut tables, mut sel) = (ScalarDp::default(), FrontierTables::default(), vec![]);
     let (mut banned_cases, mut uncoverable, mut struck) = (0, 0, 0);
+    let (mut row_sel, mut row_responses) = (vec![], 0);
     for case in 0..800 {
         let i = case % adv.paths.len();
         let n = adv.paths[i].path.len();
@@ -389,21 +399,15 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
             .collect();
         let m = CostMatrix::from_values_with_sizes(n, &values);
         let ctx = format!("case {case}: path {i}, λ {lambda}, bans {banning}");
+        let space = Source::Space(&adv.space);
         if !banning {
-            let cost = best_response(st, &adv.space, pricing, &mut dp, &mut sel);
+            let cost = best_response(st, space, pricing, &mut dp, &mut sel);
             assert_eq!(cost.to_bits(), exhaustive(&m).cost.to_bits(), "{ctx}");
             assert_eq!(pieces(&sel), opt_ind_con_dp(&m).best.pairs(), "{ctx}");
         }
         let oracle = exhaustive_frontier(&m);
         let frontier = frontier_dp(&m);
-        let first = frontier_response(
-            st,
-            &adv.space,
-            pricing,
-            f64::INFINITY,
-            &mut tables,
-            &mut sel,
-        );
+        let first = frontier_response(st, space, pricing, f64::INFINITY, &mut tables, &mut sel);
         assert_eq!(first.map(bits), oracle.first().copied().map(bits), "{ctx}");
         uncoverable += usize::from(first.is_none());
         if first.is_some() {
@@ -411,7 +415,7 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
         }
         let knee = oracle.get(rng(oracle.len().max(1))).map_or(0.0, |p| p.1);
         let budget = knee + [0.0, 0.5, -0.5][rng(3)];
-        let fit = frontier_response(st, &adv.space, pricing, budget, &mut tables, &mut sel);
+        let fit = frontier_response(st, space, pricing, budget, &mut tables, &mut sel);
         let want = frontier.within_budget(budget);
         assert_eq!(
             fit.map(bits),
@@ -421,10 +425,48 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
         if let Some(p) = want {
             assert_eq!(pieces(&sel), p.config.pairs(), "{ctx}, budget {budget}");
         }
+        if banning {
+            continue;
+        }
+        let rows = FoldedRows::new(&adv.paths, &adv.space);
+        let row = rows.row(i);
+        for lambda in [0.0, 1e-3, 1e6, f64::INFINITY] {
+            let ctx = format!("{ctx}, folded row at λ {lambda}");
+            let pricing = Pricing { lambda, ..pricing };
+            let (mut no_bans, folded) = (Vec::new(), RowCells::new(row, n, pricing));
+            let cells = Cells::new(st, &adv.space, pricing, &mut no_bans);
+            for r in 0..st.cands.len() {
+                let sub = SubpathId::from_rank(n, r);
+                // A mined-out rank's `∞` reads NaN at λ = +∞.
+                let absent = st.cands[r].is_none() && lambda.is_infinite();
+                for (want, got) in cells.piece(sub).iter().zip(&folded.piece(sub)) {
+                    let cost = want.0.to_bits() == got.0.to_bits() || absent && got.0.is_nan();
+                    assert!(
+                        cost && want.1.to_bits() == got.1.to_bits(),
+                        "{ctx}, rank {r}"
+                    );
+                }
+            }
+            let want = best_response(st, space, pricing, &mut dp, &mut sel);
+            let got = best_response(st, Source::Row(row), pricing, &mut dp, &mut row_sel);
+            assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
+            assert_eq!(row_sel, sel, "{ctx}");
+            for budget in [f64::INFINITY, budget] {
+                let want = frontier_response(st, space, pricing, budget, &mut tables, &mut sel);
+                let row = Source::Row(row);
+                let got = frontier_response(st, row, pricing, budget, &mut tables, &mut row_sel);
+                assert_eq!(got.map(bits), want.map(bits), "{ctx}, budget {budget}");
+                if want.is_some() {
+                    assert_eq!(row_sel, sel, "{ctx}, budget {budget}");
+                }
+                row_responses += usize::from(want.is_some());
+            }
+        }
     }
     assert!(
-        banned_cases > 0 && uncoverable > 0 && struck > 0,
-        "{banned_cases} banned, {uncoverable} uncoverable, {struck} struck"
+        banned_cases > 0 && uncoverable > 0 && struck > 0 && row_responses > 0,
+        "{banned_cases} banned, {uncoverable} uncoverable, {struck} struck, \
+         {row_responses} row responses"
     );
 }
 
@@ -813,7 +855,7 @@ fn price_plan_pairs_paths_by_id() {
 #[test]
 fn eviction_trials_respond_as_without_prune_masks() {
     use ledger::Pair;
-    use pricing::{frontier_response, to_selection, Bans, FrontierTables, Pricing};
+    use pricing::{frontier_response, to_selection, Bans, FrontierTables, Pricing, Source};
 
     let (schema, _) = fixtures::paper_schema();
     let spellings: [(&str, &[&str]); 5] = [
@@ -859,7 +901,8 @@ fn eviction_trials_respond_as_without_prune_masks() {
                 };
                 let mut sel = Selection::new();
                 let inf = f64::INFINITY;
-                let point = frontier_response(st, &adv.space, pricing, inf, &mut tables, &mut sel);
+                let space = Source::Space(&adv.space);
+                let point = frontier_response(st, space, pricing, inf, &mut tables, &mut sel);
                 let Some((cost, size)) = point else {
                     responses.push(None);
                     break;

@@ -731,7 +731,8 @@ fn every_mutator_drops_the_recorded_descent() {
 /// terms it changes, compared with the totals of a ledger built from
 /// scratch on the applied trial minus the round's totals, to 1e-9 of the
 /// larger total; every kept trial is run again and compared with the
-/// re-selection it kept; and the round an adopted eviction moves is
+/// re-selection and the delta it kept (the delta `to_bits()`: a kept
+/// trial keeps its price); and the round an adopted eviction moves is
 /// compared `to_bits()` with one built from scratch (three `debug_assert`s
 /// inside the descent, the adopted trial included). So this test fails on
 /// the first trial priced by a term it does not change or missing one it

@@ -167,3 +167,62 @@ fn example51_cost_matrix_has_ten_rows_and_positive_cells() {
     assert!(rendering.contains("Person.owns.man.divs.name"));
     assert!(rendering.lines().count() >= 11);
 }
+
+/// ROADMAP item 13's single-path door: Example 5.1's path under a uniform
+/// load with one of the query, insert and delete rates hostile. An
+/// infinite or overflowing rate leaves no configuration with a finite
+/// cost, and every selection procedure — `Advisor::recommend`,
+/// `opt_ind_con`, `opt_ind_con_dp` and `exhaustive` — answers with the
+/// path's singletons under the first column at `+∞`, as the workload
+/// advisor's best response does. With the no-index column, only an
+/// overflowing query rate does that: the column pays no maintenance. NaN,
+/// negative, −∞ and zero rates plan too, each procedure to a
+/// configuration of the whole path.
+#[test]
+fn hostile_rates_still_recommend_on_the_single_path_door() {
+    let (schema, path, chars, _) = setup();
+    let model = CostModel::new(&schema, &path, &chars, CostParams::paper());
+    let n = path.len();
+    let singletons: Vec<(SubpathId, Choice)> = (1..=n)
+        .map(|l| (SubpathId { start: l, end: l }, Choice::Index(Org::ALL[0])))
+        .collect();
+    let (overflowing, other) = (
+        [f64::INFINITY, 1e308],
+        [f64::NAN, -1.0, f64::NEG_INFINITY, 0.0],
+    );
+    for hostile in overflowing.into_iter().chain(other) {
+        for slot in 0..3 {
+            let mut rates = [0.2, 0.1, 0.1];
+            rates[slot] = hostile;
+            let ctx = format!("rate {slot} = {hostile:e}");
+            let t = Triplet::new(rates[0], rates[1], rates[2]);
+            let ld = LoadDistribution::uniform(&schema, &path, t);
+            let matrix = CostMatrix::build(&model, &ld);
+            let mut results = vec![
+                opt_ind_con(&matrix),
+                opt_ind_con_dp(&matrix),
+                exhaustive(&matrix),
+            ];
+            for no_index in [false, true] {
+                let rec = Advisor::new(&schema, &path, &chars, &ld)
+                    .with_params(CostParams::paper())
+                    .allow_no_index(no_index)
+                    .recommend();
+                results.push(rec.selection);
+            }
+            for (k, result) in results.iter().enumerate() {
+                let pairs = result.best.pairs();
+                assert_eq!(pairs.last().map(|p| p.0.end), Some(n), "{ctx}, #{k}");
+                // The no-index column (the last result) pays no
+                // maintenance, so only a hostile query rate overflows it.
+                let indexed = k < 4 || slot == 0;
+                if overflowing.contains(&hostile) && indexed {
+                    assert_eq!(result.cost, f64::INFINITY, "{ctx}, #{k}");
+                }
+                if result.cost == f64::INFINITY {
+                    assert_eq!(pairs, &singletons[..], "{ctx}, #{k}");
+                }
+            }
+        }
+    }
+}
