@@ -311,9 +311,11 @@ pub struct FrontierPoint {
 #[derive(Debug, Clone)]
 pub struct FrontierResult {
     /// Pareto-optimal points, cost strictly ascending / size strictly
-    /// descending. Never empty for a matrix whose rows cover the path: the
-    /// first point is the unconstrained cost optimum, the last the
-    /// smallest-footprint configuration worth considering.
+    /// descending. Never empty: the first point is the unconstrained cost
+    /// optimum, the last the smallest-footprint configuration worth
+    /// considering. When no configuration has a finite cost, the one point
+    /// is [`opt_ind_con`]'s stand-in: the path's singletons under the first
+    /// column, at `+∞`.
     pub points: Vec<FrontierPoint>,
     /// Pieces priced — one per `(start, end, choice)` with a reachable
     /// prefix; equals [`opt_ind_con_dp`]'s transition count.
@@ -329,7 +331,7 @@ pub struct FrontierResult {
 impl FrontierResult {
     /// The unconstrained cost optimum — the frontier's first point.
     pub fn min_cost(&self) -> &FrontierPoint {
-        self.points.first().expect("matrix rows cover the path")
+        &self.points[0]
     }
 
     /// The cheapest configuration whose footprint fits `budget_pages`, or
@@ -511,6 +513,9 @@ impl Labels {
 /// dominance rule), so on sized matrices the frontier's cost optimum is
 /// the cheapest-to-store among cost-optimal configurations.
 ///
+/// When no configuration has a finite cost, the frontier is the path's
+/// singletons under the first column at `+∞`, as [`opt_ind_con`] answers.
+///
 /// A thin wrapper over the label recurrence, which reads each piece
 /// through a closure — here the matrix's cell.
 pub fn frontier_dp(matrix: &CostMatrix) -> FrontierResult {
@@ -521,8 +526,12 @@ pub fn frontier_dp(matrix: &CostMatrix) -> FrontierResult {
     } else {
         dp.run(n, matrix_cells(matrix, INDEXES))
     };
+    let mut points: Vec<FrontierPoint> = dp.last().iter().map(|label| dp.point(label)).collect();
+    if points.is_empty() {
+        points.push(no_finite_cost(matrix));
+    }
     FrontierResult {
-        points: dp.last().iter().map(|label| dp.point(label)).collect(),
+        points,
         evaluated,
         labels,
         candidate_space: candidate_space_size(matrix.path_len()),
@@ -536,7 +545,8 @@ pub fn frontier_dp(matrix: &CostMatrix) -> FrontierResult {
 /// returned label's configuration. At `f64::INFINITY` it is the
 /// frontier's first point, [`FrontierResult::min_cost`] (every label's
 /// size is below `INFINITY`: the prune keeps none that is not), or `None`
-/// when the cells cannot cover the path.
+/// when the cells cannot cover the path — where the public frontier holds
+/// its `+∞` stand-in instead.
 pub(crate) fn frontier_point<const NCH: usize>(
     labels: &mut Labels,
     n: usize,
@@ -581,10 +591,27 @@ fn pareto_insert(labels: &mut Vec<Label>, set: usize, label: Label) {
     }
 }
 
+/// The frontier point standing in when no configuration has a finite
+/// cost: the path's singletons under the first column at `+∞`, its size
+/// summed in path order like a label's.
+fn no_finite_cost(matrix: &CostMatrix) -> FrontierPoint {
+    let config = IndexConfiguration::singletons(CHOICES[0], matrix.path_len());
+    let pairs = config.pairs().iter();
+    FrontierPoint {
+        cost: f64::INFINITY,
+        size: pairs.fold(0.0, |size, &(sub, choice)| {
+            size + matrix.choice_size(sub, choice)
+        }),
+        config,
+    }
+}
+
 /// Exhaustive `(cost, size)` Pareto frontier over all `2^(n-1)`
 /// recombinations × per-piece choices — the brute-force baseline
 /// [`frontier_dp`] is verified against. Returns `(cost, size)` pairs, cost
-/// ascending.
+/// ascending; like [`frontier_dp`], the one pair `(+∞, size)` of the
+/// path's singletons under the first column when no configuration has a
+/// finite cost.
 pub fn exhaustive_frontier(matrix: &CostMatrix) -> Vec<(f64, f64)> {
     let n = matrix.path_len();
     let choices = choices(matrix);
@@ -626,7 +653,12 @@ pub fn exhaustive_frontier(matrix: &CostMatrix) -> Vec<(f64, f64)> {
         }
         all.extend(acc);
     }
-    prune_pairs(all)
+    let frontier = prune_pairs(all);
+    if frontier.is_empty() {
+        let point = no_finite_cost(matrix);
+        return vec![(point.cost, point.size)];
+    }
+    frontier
 }
 
 struct Search<'a, S> {

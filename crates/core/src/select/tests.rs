@@ -465,8 +465,10 @@ fn pareto_insert_equals_sort_and_sweep() {
 /// matrix's cells at ∞ is the first point, and at every other budget
 /// (each knee, between knees, below the leanest point) it is
 /// `within_budget`'s: the same `Option`, cost and size bits, and
-/// configuration. One label table serves every matrix, so a run that
-/// read stale labels of a longer earlier path would show.
+/// configuration. Where nothing covers the path it is `None`, and the
+/// full frontier is its `+∞` stand-in alone. One label table serves
+/// every matrix, so a run that read stale labels of a longer earlier path
+/// would show.
 #[test]
 fn one_point_frontier_equals_the_full_frontier() {
     let mut seed = 0xF00D_u64;
@@ -505,17 +507,22 @@ fn one_point_frontier_equals_the_full_frontier() {
             let m = CostMatrix::from_values_with_sizes(n, &values);
             let f = frontier_dp(&m);
             banned += usize::from(column.is_some());
-            uncoverable += usize::from(f.points.is_empty());
             let ctx = format!("n={n} trial={trial}");
             let mut one = |budget: f64| {
                 let label = frontier_point(&mut labels, n, matrix_cells(&m, INDEXES), budget);
                 label.map(|label| labels.point(&label))
             };
-            assert_eq!(
-                bits(f.points.first()),
-                bits(one(f64::INFINITY).as_ref()),
-                "{ctx}"
-            );
+            let Some(first) = one(f64::INFINITY) else {
+                // Nothing covers the path: the public frontier is the
+                // singletons under the first column at `+∞`, alone.
+                uncoverable += 1;
+                let singletons = IndexConfiguration::singletons(CHOICES[0], n);
+                assert_eq!(f.points.len(), 1, "{ctx}");
+                assert_eq!(f.min_cost().cost, f64::INFINITY, "{ctx}");
+                assert_eq!(f.min_cost().config.pairs(), singletons.pairs(), "{ctx}");
+                continue;
+            };
+            assert_eq!(bits(f.points.first()), bits(Some(&first)), "{ctx}");
             let leanest = f.points.last().map_or(0.0, |p| p.size);
             let knees = f.points.iter().flat_map(|p| [p.size, p.size + 0.5]);
             for b in knees.chain([leanest - 1.0, 0.0, f64::INFINITY]) {

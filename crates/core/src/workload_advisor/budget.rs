@@ -9,6 +9,8 @@ use super::pricing::{
 };
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
+use oic_exec::Executor;
+use std::sync::{Mutex, PoisonError};
 
 /// One eviction trial's outcome: the re-selected owners of the banned
 /// index, ascending by path index (a path never repeats a class, so its
@@ -167,6 +169,12 @@ struct TrailStep {
 }
 
 impl EvictionTrail {
+    /// Whether the recorded walk already answers `budget_pages` with no
+    /// trial to run: a step fits it, or the walk dead-ended.
+    fn answers(&self, budget_pages: f64) -> bool {
+        self.dead_end || self.steps.iter().any(|s| s.size <= budget_pages)
+    }
+
     /// The selections after the first `steps` evictions, from the
     /// unconstrained `base`.
     fn selections_at(&self, base: &[Selection], steps: usize) -> Vec<Selection> {
@@ -205,6 +213,37 @@ impl Incumbents {
             self.leanest = Some(found);
         }
     }
+}
+
+/// One lane of [`side_by_side`]: its work, until a lane takes it.
+type Lane<'a> = Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>;
+
+/// `(a(), b())`, each on its own lane of `exec` when it has two: this
+/// batch holds the pool, so the batches that `a` and `b` issue run
+/// inline, one lane each. On one lane, `a` runs first. A lock is poisoned
+/// only by a panic, which `par_map` resumes on the caller.
+fn side_by_side<A, B>(
+    exec: &Executor,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B)
+where
+    A: Default + Send,
+    B: Default + Send,
+{
+    let (mut from_a, mut from_b) = (A::default(), B::default());
+    let lanes: [Lane<'_>; 2] = [
+        Mutex::new(Some(Box::new(|| from_a = a()))),
+        Mutex::new(Some(Box::new(|| from_b = b()))),
+    ];
+    exec.par_map(&lanes, |_, lane| {
+        let work = lane.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(work) = work {
+            work();
+        }
+    });
+    drop(lanes);
+    (from_a, from_b)
 }
 
 /// What every round of one eviction walk reads, kept across its rounds:
@@ -313,6 +352,71 @@ impl WorkloadAdvisor<'_> {
         selections
     }
 
+    /// The budget search's λ direction: grow λ until a λ-priced sweep
+    /// fits `budget_pages` (or its footprint saturates), then bisect
+    /// toward the smallest λ whose sweep still fits. `unconstrained` is
+    /// the optimum's `(cost, size)`, which seeds the bracket. Returns every
+    /// probe offered, in probe order, and the sweeps run. Its sweeps read
+    /// the solve's `shards` and folded `rows`.
+    fn lambda_search(
+        &self,
+        budget_pages: f64,
+        unconstrained: (f64, f64),
+        shards: &Shards,
+        rows: &FoldedRows,
+    ) -> (Incumbents, usize) {
+        let (unconstrained_cost, unconstrained_size) = unconstrained;
+        let mut lambda_sweeps = 0usize;
+        let mut lo = 0.0f64;
+        let mut hi = (unconstrained_cost / unconstrained_size.max(1e-12)).max(1e-9);
+        let mut found = Incumbents::default();
+        let probe = |l: f64, found: &mut Incumbents| -> f64 {
+            let sel = self.lambda_sweep(l, shards, rows);
+            let (cost, size) = self.ledger(&sel).totals();
+            found.offer(budget_pages, (sel, cost, size, l));
+            size
+        };
+        let mut plateau = 0u32;
+        let mut prev_size = f64::NAN;
+        for _ in 0..48 {
+            lambda_sweeps += 1;
+            let size = probe(hi, &mut found);
+            if size <= budget_pages {
+                break;
+            }
+            // A footprint that stopped shrinking across several
+            // quadruplings of λ has saturated at the workload's minimum:
+            // the budget is infeasible, stop escalating.
+            if size == prev_size {
+                plateau += 1;
+                if plateau >= 3 {
+                    break;
+                }
+            } else {
+                plateau = 0;
+                prev_size = size;
+            }
+            lo = hi;
+            hi *= 4.0;
+        }
+        if found.best.is_some() {
+            // Bisect toward the smallest λ whose sweep still fits — smaller
+            // λ weighs cost more, so it can only find cheaper feasible
+            // plans.
+            for _ in 0..24 {
+                let mid = 0.5 * (lo + hi);
+                lambda_sweeps += 1;
+                let size = probe(mid, &mut found);
+                if size <= budget_pages {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+        }
+        (found, lambda_sweeps)
+    }
+
     /// Frontier-based greedy repair: round-robin over the paths, replacing
     /// each path's selection by the cheapest point of its *marginal*
     /// `(cost, size)` frontier that fits the budget slack the other paths
@@ -398,8 +502,9 @@ impl WorkloadAdvisor<'_> {
         base: &[Selection],
         budget_pages: f64,
     ) -> (usize, u64) {
-        if let Some(k) = trail.steps.iter().position(|s| s.size <= budget_pages) {
-            return (k + 1, 0);
+        if trail.answers(budget_pages) {
+            let fits = trail.steps.iter().position(|s| s.size <= budget_pages);
+            return (fits.map_or(trail.steps.len(), |k| k + 1), 0);
         }
         let mut selections = trail.selections_at(base, trail.steps.len());
         let mut trials_run = 0u64;
@@ -648,7 +753,11 @@ impl WorkloadAdvisor<'_> {
     ///    it is recorded on the advisor: while no mutation or re-pricing
     ///    intervenes, a later call under another budget lands on the
     ///    recorded trail or extends it from its end — same plan, bit for
-    ///    bit, as a cold call.
+    ///    bit, as a cold call. Neither direction reads what the other
+    ///    finds: while the walk has trials to run, the two run side by
+    ///    side, one lane each, and the walk's landing is offered after the
+    ///    λ probes either way, so the result is the same at every lane
+    ///    count.
     /// 3. Close the duality gap with a frontier-based greedy
     ///    *repair* pass from the cheapest feasible plan
     ///    found.
@@ -693,60 +802,11 @@ impl WorkloadAdvisor<'_> {
         // the λ search and the repair read every path's folded row.
         let shards = self.components();
         let rows = FoldedRows::new(&self.paths, &self.space);
-        // Bracket λ: grow until the sweep fits the budget.
-        let mut lambda_sweeps = 0usize;
-        let mut lo = 0.0f64;
-        let mut hi = (unconstrained_cost / unconstrained_size.max(1e-12)).max(1e-9);
-        let mut found = Incumbents::default();
-        let probe = |advisor: &Self, l: f64, found: &mut Incumbents| -> f64 {
-            let sel = advisor.lambda_sweep(l, &shards, &rows);
-            let (cost, size) = advisor.ledger(&sel).totals();
-            found.offer(budget_pages, (sel, cost, size, l));
-            size
-        };
-        let mut plateau = 0u32;
-        let mut prev_size = f64::NAN;
-        for _ in 0..48 {
-            lambda_sweeps += 1;
-            let size = probe(self, hi, &mut found);
-            if size <= budget_pages {
-                break;
-            }
-            // A footprint that stopped shrinking across several
-            // quadruplings of λ has saturated at the workload's minimum:
-            // the budget is infeasible, stop escalating.
-            if size == prev_size {
-                plateau += 1;
-                if plateau >= 3 {
-                    break;
-                }
-            } else {
-                plateau = 0;
-                prev_size = size;
-            }
-            lo = hi;
-            hi *= 4.0;
-        }
-        if found.best.is_some() {
-            // Bisect toward the smallest λ whose sweep still fits — smaller
-            // λ weighs cost more, so it can only find cheaper feasible
-            // plans.
-            for _ in 0..24 {
-                let mid = 0.5 * (lo + hi);
-                lambda_sweeps += 1;
-                let size = probe(self, mid, &mut found);
-                if size <= budget_pages {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-        }
-        // Second search direction: greedy eviction descent from the
-        // unconstrained selections. The λ sweep can overshoot (shared
-        // candidates couple the paths, so its footprint jumps
-        // discontinuously in λ); the descent walks down one cheapest-regret
-        // move at a time and lands just under the budget.
+        // The first search direction is the λ search; the second, a
+        // greedy eviction descent from the unconstrained selections. The
+        // λ sweep can overshoot (shared candidates couple the paths, so its
+        // footprint jumps discontinuously in λ); the descent walks down one
+        // cheapest-regret move at a time and lands just under the budget.
         // The walk never reads the budget except to stop, so it is
         // recorded on the advisor and a later call on the same state lands
         // on, or extends, the same trail.
@@ -756,7 +816,18 @@ impl WorkloadAdvisor<'_> {
             .map(|p| to_selection(&p.selection))
             .collect();
         let mut trail = self.trail.take().unwrap_or_default();
-        let (evictions, eviction_trials) = self.evict_to_budget(&mut trail, &base, budget_pages);
+        let lands = trail.answers(budget_pages);
+        let unconstrained_point = (unconstrained_cost, unconstrained_size);
+        let search = || self.lambda_search(budget_pages, unconstrained_point, &shards, &rows);
+        let mut walk = || self.evict_to_budget(&mut trail, &base, budget_pages);
+        // Neither direction reads what the other finds: while the walk has
+        // trials to run, the two share the pool's lanes. The walk's landing
+        // is offered after the λ probes either way.
+        let ((mut found, lambda_sweeps), (evictions, eviction_trials)) = if lands {
+            (search(), walk())
+        } else {
+            side_by_side(&self.exec, search, walk)
+        };
         let evicted = trail.selections_at(&base, evictions);
         let (cost, size) = match evictions.checked_sub(1) {
             Some(last) => (trail.steps[last].cost, trail.steps[last].size),

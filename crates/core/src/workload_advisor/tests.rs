@@ -294,8 +294,9 @@ fn cost_ratio_of_two_zero_costs_is_one() {
 /// configuration (the DP's tie-break: longer last piece, first
 /// organization). The trial response — the frontier's first point — has
 /// `exhaustive_frontier`'s first `(cost, size)` bits and `frontier_dp`'s
-/// configuration, and is `None` exactly when nothing covers the path; at
-/// a finite budget it is `within_budget`'s point. The kernels' tables
+/// configuration, and is `None` exactly when nothing covers the path —
+/// where both public frontiers hold their `+∞` stand-in alone; at a
+/// finite budget it is `within_budget`'s point. The kernels' tables
 /// are reused across every case.
 ///
 /// Every ban-free case also folds the paths' rows ([`pricing::FoldedRows`])
@@ -408,15 +409,25 @@ fn in_place_kernels_match_the_oracles_on_their_cells() {
         let oracle = exhaustive_frontier(&m);
         let frontier = frontier_dp(&m);
         let first = frontier_response(st, space, pricing, f64::INFINITY, &mut tables, &mut sel);
-        assert_eq!(first.map(bits), oracle.first().copied().map(bits), "{ctx}");
-        uncoverable += usize::from(first.is_none());
-        if first.is_some() {
+        let covered = first.is_some();
+        if covered {
+            assert_eq!(first.map(bits), oracle.first().copied().map(bits), "{ctx}");
             assert_eq!(pieces(&sel), frontier.points[0].config.pairs(), "{ctx}");
+        } else {
+            // Both public frontiers hold their stand-in alone.
+            let min = frontier.min_cost();
+            assert_eq!(oracle, [(min.cost, min.size)], "{ctx}");
+            assert_eq!(
+                (frontier.points.len(), min.cost),
+                (1, f64::INFINITY),
+                "{ctx}"
+            );
         }
+        uncoverable += usize::from(!covered);
         let knee = oracle.get(rng(oracle.len().max(1))).map_or(0.0, |p| p.1);
         let budget = knee + [0.0, 0.5, -0.5][rng(3)];
         let fit = frontier_response(st, space, pricing, budget, &mut tables, &mut sel);
-        let want = frontier.within_budget(budget);
+        let want = frontier.within_budget(budget).filter(|_| covered);
         assert_eq!(
             fit.map(bits),
             want.map(|p| bits((p.cost, p.size))),

@@ -59,4 +59,11 @@ echo "── cargo test --release -p oic-pager --test crash_recovery"
 cargo test --release --quiet -p oic-pager --test crash_recovery
 echo "ok: crash-injection sweep recovered every torn commit"
 
+# The identity suites at release speed: the budget search runs its two
+# directions on separate threads, so parallel ≡ sequential is checked
+# with release timings too, not only in the debug build of the tests.
+echo "── cargo test --release -p oic-sim --test parallel --test budgeted"
+cargo test --release --quiet -p oic-sim --test parallel --test budgeted
+echo "ok: release plans bit-identical at every lane count"
+
 echo "smoke: all examples alive"

@@ -172,12 +172,13 @@ fn example51_cost_matrix_has_ten_rows_and_positive_cells() {
 /// load with one of the query, insert and delete rates hostile. An
 /// infinite or overflowing rate leaves no configuration with a finite
 /// cost, and every selection procedure — `Advisor::recommend`,
-/// `opt_ind_con`, `opt_ind_con_dp` and `exhaustive` — answers with the
-/// path's singletons under the first column at `+∞`, as the workload
-/// advisor's best response does. With the no-index column, only an
-/// overflowing query rate does that: the column pays no maintenance. NaN,
-/// negative, −∞ and zero rates plan too, each procedure to a
-/// configuration of the whole path.
+/// `opt_ind_con`, `opt_ind_con_dp`, `exhaustive` and `frontier_dp`'s
+/// `min_cost` — answers with the path's singletons under the first column
+/// at `+∞`, as the workload advisor's best response does;
+/// `exhaustive_frontier`'s first point is `frontier_dp`'s, bit for bit.
+/// With the no-index column, only an overflowing query rate does that:
+/// the column pays no maintenance. NaN, negative, −∞ and zero rates plan
+/// too, each procedure to a configuration of the whole path.
 #[test]
 fn hostile_rates_still_recommend_on_the_single_path_door() {
     let (schema, path, chars, _) = setup();
@@ -198,7 +199,19 @@ fn hostile_rates_still_recommend_on_the_single_path_door() {
             let t = Triplet::new(rates[0], rates[1], rates[2]);
             let ld = LoadDistribution::uniform(&schema, &path, t);
             let matrix = CostMatrix::build(&model, &ld);
-            let mut results = vec![
+            let frontier = frontier_dp(&matrix);
+            let first = frontier.min_cost();
+            // The brute-force frontier agrees with the DP's first point,
+            // the fallback included.
+            let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+            assert_eq!(
+                exhaustive_frontier(&matrix).first().copied().map(bits),
+                Some(bits((first.cost, first.size))),
+                "{ctx}, frontier"
+            );
+            let mut results: Vec<(&[(SubpathId, Choice)], f64)> =
+                vec![(first.config.pairs(), first.cost)];
+            let mut selections = vec![
                 opt_ind_con(&matrix),
                 opt_ind_con_dp(&matrix),
                 exhaustive(&matrix),
@@ -208,18 +221,18 @@ fn hostile_rates_still_recommend_on_the_single_path_door() {
                     .with_params(CostParams::paper())
                     .allow_no_index(no_index)
                     .recommend();
-                results.push(rec.selection);
+                selections.push(rec.selection);
             }
-            for (k, result) in results.iter().enumerate() {
-                let pairs = result.best.pairs();
+            results.extend(selections.iter().map(|r| (r.best.pairs(), r.cost)));
+            for (k, &(pairs, cost)) in results.iter().enumerate() {
                 assert_eq!(pairs.last().map(|p| p.0.end), Some(n), "{ctx}, #{k}");
                 // The no-index column (the last result) pays no
                 // maintenance, so only a hostile query rate overflows it.
-                let indexed = k < 4 || slot == 0;
+                let indexed = k < 5 || slot == 0;
                 if overflowing.contains(&hostile) && indexed {
-                    assert_eq!(result.cost, f64::INFINITY, "{ctx}, #{k}");
+                    assert_eq!(cost, f64::INFINITY, "{ctx}, #{k}");
                 }
-                if result.cost == f64::INFINITY {
+                if cost == f64::INFINITY {
                     assert_eq!(pairs, &singletons[..], "{ctx}, #{k}");
                 }
             }
