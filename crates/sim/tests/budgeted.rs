@@ -236,6 +236,13 @@ const MEASURED_GAPS: [(u64, f64, f64); 1] = [(1994, 0.9, 1.055_066)];
 /// Slack above a recorded gap: the sixth decimal's rounding plus float
 /// noise, far below any lost optimum.
 const GAP_MARGIN: f64 = 1e-5;
+/// How far, relative, an unconstrained plan's total may sit from the
+/// exhaustive optimum it reaches: the two sides sum the same terms in
+/// different orders. The largest distance measured over the five seeds is
+/// 1.83e-16 (seed 1994, one ulp); a fold of n positive terms rounds by at
+/// most about n·2⁻⁵³ of its sum, and 1e-14 covers n = 45 per side while
+/// staying far below the gap between two distinct configurations.
+const FOLD_NOISE: f64 = 1e-14;
 
 fn small_workload(seed: u64) -> SynthWorkload {
     synth_workload(&WorkloadSpec {
@@ -261,15 +268,15 @@ fn budgeted_plans_match_the_exhaustive_feasible_optimum() {
         let opt = ground
             .feasible_optimum(f64::INFINITY)
             .expect("some combination exists");
-        let scale = opt.0.abs().max(1.0);
+        let tol = FOLD_NOISE * opt.0.abs().max(1.0);
         assert!(
-            unconstrained.total_cost >= opt.0 - 1e-9 * scale,
+            unconstrained.total_cost >= opt.0 - tol,
             "seed {seed}: advisor {} beat the exhaustive optimum {}",
             unconstrained.total_cost,
             opt.0
         );
         assert!(
-            unconstrained.total_cost <= opt.0 + 1e-6 * scale,
+            unconstrained.total_cost <= opt.0 + tol,
             "seed {seed}: advisor {} missed the exhaustive optimum {}",
             unconstrained.total_cost,
             opt.0

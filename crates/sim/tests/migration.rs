@@ -5,7 +5,8 @@
 //! acceptance bar).
 
 use oic_core::{
-    MigrationEnvelope, MigrationPlanner, OnlineTuner, TuningPolicy, WorkloadAdvisor, WorkloadPlan,
+    MigrationAction, MigrationEnvelope, MigrationPlanner, MigrationSchedule, OnlineTuner,
+    TuningPolicy, WorkloadAdvisor, WorkloadPlan,
 };
 use oic_cost::CostParams;
 use oic_schema::ClassId;
@@ -30,6 +31,17 @@ fn epoch_plan(
 ) -> WorkloadPlan {
     let (_, plan) = sim.step_traffic(adv, tuner, 4);
     plan.unwrap_or_else(|| tuner.force_retune(adv))
+}
+
+/// A schedule's counters agree with its steps: `builds` and `drops` count
+/// them, and `build_pages` is the builds' pages summed in step order, bit
+/// for bit.
+fn assert_counts_match_steps(s: &MigrationSchedule, label: &str) {
+    let steps = |action| s.steps.iter().filter(move |step| step.action == action);
+    assert_eq!(steps(MigrationAction::Build).count(), s.builds, "{label}");
+    assert_eq!(steps(MigrationAction::Drop).count(), s.drops, "{label}");
+    let pages: f64 = steps(MigrationAction::Build).map(|step| step.pages).sum();
+    assert_eq!(pages.to_bits(), s.build_pages.to_bits(), "{label}");
 }
 
 #[test]
@@ -250,6 +262,8 @@ fn ordered_migration_beats_naive_by_a_fifth_of_the_interim_excess() {
             "{label}: ordering must not change the destination"
         );
         assert_eq!(greedy.builds, naive.builds, "{label}: same physical work");
+        assert_counts_match_steps(&greedy, label);
+        assert_counts_match_steps(&naive, label);
         assert!(
             greedy.interim_cost <= naive.interim_cost,
             "{label}: ordering must never hurt ({} vs {})",
@@ -286,6 +300,9 @@ fn greedy_schedule_beats_or_ties_naive_across_seeds() {
         let greedy = planner.schedule(ENVELOPE).expect("schedulable");
         let naive = planner.naive_schedule(ENVELOPE).expect("schedulable");
         assert_eq!(greedy.final_cost.to_bits(), naive.final_cost.to_bits());
+        assert!(greedy.builds > 0, "seed {seed}: the surge builds nothing");
+        assert_counts_match_steps(&greedy, "greedy");
+        assert_counts_match_steps(&naive, "naive");
         assert!(
             greedy.interim_cost <= naive.interim_cost,
             "seed {seed}: ordering must not hurt ({} vs {})",

@@ -106,3 +106,34 @@ fn a_warm_epoch_on_the_250_path_tree_runs_a_fraction_of_the_cold_dps() {
     });
     check("tree250", &w);
 }
+
+/// One tree's root class drifts in a forest of eight: a warm `reoptimize()`
+/// re-prices at most the paths whose scope holds that root, one tree's of
+/// 400, and lands on the cold rebuild's plan.
+#[test]
+fn a_root_rate_drift_reprices_only_its_trees_paths() {
+    let w = synth_forest(&ForestSpec {
+        roots: 8,
+        paths: 400,
+        depth: 6,
+        fanout: 1,
+        seed: 1994,
+    });
+    for (k, &root) in w.roots.iter().enumerate() {
+        let tree = w
+            .paths
+            .iter()
+            .filter(|p| p.scope(&w.schema).contains(&root))
+            .count();
+        let mut adv = w.advisor(CostParams::default());
+        adv.optimize();
+        adv.update_rates(root, (0.3, 0.2));
+        let warm = adv.reoptimize();
+        assert!(
+            warm.repriced_paths > 0 && warm.repriced_paths <= tree,
+            "tree {k}: re-priced {} paths, the tree has {tree}",
+            warm.repriced_paths
+        );
+        warm.assert_same_plan(&adv.rebuild().optimize(), "forest400");
+    }
+}

@@ -38,35 +38,9 @@
 //! * [`sim`] — synthetic databases, synthetic multi-path workloads, and the
 //!   analytic-vs-measured validation.
 //!
-//! ## Quickstart
-//!
-//! ```
-//! use oo_index_config::prelude::*;
-//!
-//! // The paper's running example: schema of Figure 1, path Pexa =
-//! // Per.owns.man.divs.name, Figure 7 statistics and workload.
-//! let (schema, _) = oo_index_config::schema::fixtures::paper_schema();
-//! let (path, chars) = oo_index_config::cost::characteristics::example51(&schema);
-//! let ld = oo_index_config::workload::example51_load(&schema, &path);
-//!
-//! let rec = Advisor::new(&schema, &path, &chars, &ld)
-//!     .with_params(CostParams::paper())
-//!     .recommend();
-//! // The paper's optimal configuration:
-//! // {(Person.owns.man, NIX), (Company.divs.name, MX)}.
-//! assert_eq!(rec.selection.best.degree(), 2);
-//! assert_eq!(
-//!     rec.selection.best.pairs(),
-//!     &[
-//!         (SubpathId { start: 1, end: 2 }, Choice::Index(Org::Nix)),
-//!         (SubpathId { start: 3, end: 4 }, Choice::Index(Org::Mx)),
-//!     ]
-//! );
-//! assert!(rec.config_rendering.contains("Person.owns.man"));
-//! assert!(rec.config_rendering.contains("Company.divs.name"));
-//! println!("{rec}");
-//! ```
+//! Quickstart and tours: `README.md`, whose `rust` blocks run as this crate's doctests.
 
+#![cfg_attr(doctest, doc = include_str!("../README.md"))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

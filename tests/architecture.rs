@@ -215,6 +215,19 @@ fn library_panic_sites_do_not_rise() {
     );
 }
 
+/// The lines DESIGN.md may hold, at most. It states mechanisms, invariants
+/// and their pins; measurements and history belong in CHANGES.md.
+const DESIGN_LINES: usize = 1100;
+
+#[test]
+fn design_doc_does_not_grow() {
+    let lines = text(&at("DESIGN.md")).lines().count();
+    assert!(
+        lines <= DESIGN_LINES,
+        "DESIGN.md may shrink but not grow: {lines} lines, {DESIGN_LINES} allowed"
+    );
+}
+
 #[test]
 fn no_second_engine_or_retired_switches() {
     // The whole tree, as far as `grep -r` reaches: hidden directories
