@@ -3,6 +3,7 @@
 use oic_cost::Org;
 use oic_schema::SubpathId;
 use std::fmt;
+use std::sync::Arc;
 
 /// What is allocated on a subpath: one of the paper's three organizations,
 /// or nothing at all (the Section 6 “no index” extension).
@@ -26,20 +27,33 @@ impl fmt::Display for Choice {
 /// An index configuration `IC_m(P)` of degree `m` (Definition 4.1): a
 /// sequence of `(subpath, index)` pairs whose subpaths concatenate to the
 /// full path — every class belongs to exactly one subpath.
+///
+/// The pairs are shared: a clone is a reference-count bump, so a plan
+/// that reports an unchanged configuration again copies no pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfiguration {
-    pairs: Vec<(SubpathId, Choice)>,
+    pairs: Arc<[(SubpathId, Choice)]>,
 }
 
 impl IndexConfiguration {
     /// Builds a configuration, validating the concatenation property
     /// against a path of length `path_len`.
     pub fn new(pairs: Vec<(SubpathId, Choice)>, path_len: usize) -> Result<Self, String> {
+        Self::collect(pairs, path_len)
+    }
+
+    /// [`Self::new`] over any sequence of pairs, collected straight into
+    /// the shared slice.
+    pub(crate) fn collect(
+        pairs: impl IntoIterator<Item = (SubpathId, Choice)>,
+        path_len: usize,
+    ) -> Result<Self, String> {
+        let pairs: Arc<[(SubpathId, Choice)]> = pairs.into_iter().collect();
         if pairs.is_empty() {
             return Err("a configuration needs at least one subpath".into());
         }
         let mut expect = 1usize;
-        for (sub, _) in &pairs {
+        for (sub, _) in pairs.iter() {
             if sub.start != expect {
                 return Err(format!(
                     "subpath {sub} does not start at position {expect}; \
@@ -62,14 +76,12 @@ impl IndexConfiguration {
 
     /// Whole-path configuration of degree 1.
     pub fn whole_path(org: Org, path_len: usize) -> Self {
+        let whole = SubpathId {
+            start: 1,
+            end: path_len,
+        };
         IndexConfiguration {
-            pairs: vec![(
-                SubpathId {
-                    start: 1,
-                    end: path_len,
-                },
-                Choice::Index(org),
-            )],
+            pairs: Arc::new([(whole, Choice::Index(org))]),
         }
     }
 

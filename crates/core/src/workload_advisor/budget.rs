@@ -9,6 +9,7 @@ use super::pricing::{
 };
 use super::state::PathState;
 use super::{Selection, WorkloadAdvisor, WorkloadPlan};
+use crate::space::CandidateSpace;
 use oic_exec::Executor;
 use std::sync::{Mutex, PoisonError};
 
@@ -252,16 +253,16 @@ where
 /// moves them by its re-selected owners alone ([`Round::adopt`]): the
 /// ledger's fold is order-independent, so its totals stay bit-equal to a
 /// ledger built from scratch on the same selections.
-struct Round<'a> {
-    ledger: Ledger<'a>,
+struct Round {
+    ledger: Ledger,
     /// The owning paths of each index, ascending, by [`ledger::slot`].
     owners: Vec<Vec<usize>>,
     /// The indexes with an owner, ascending.
     pairs: Vec<Pair>,
 }
 
-impl<'a> Round<'a> {
-    fn new(advisor: &'a WorkloadAdvisor<'_>, selections: &[Selection]) -> Self {
+impl Round {
+    fn new(advisor: &WorkloadAdvisor<'_>, selections: &[Selection]) -> Self {
         let paths = advisor.paths.iter().zip(selections);
         let owners = ledger::owners(&advisor.space, paths.map(|(st, sel)| st.pieces(sel)));
         let owned = (0..owners.len()).filter(|&s| !owners[s].is_empty());
@@ -276,6 +277,7 @@ impl<'a> Round<'a> {
     /// what it does to the holder counts ([`Overlay::moved`]).
     fn adopt(
         &mut self,
+        space: &CandidateSpace,
         paths: &[PathState],
         selections: &mut [Selection],
         changed: &[(usize, Selection)],
@@ -291,9 +293,10 @@ impl<'a> Round<'a> {
                 let owners = &mut self.owners[slot(pair)];
                 owners.insert(owners.partition_point(|j| j < i), *i);
             }
-            self.ledger.insert(*i, st.pieces(sel));
+            self.ledger.insert(space, *i, st.pieces(sel));
             old.clone_from(sel);
         }
+        self.ledger.settle();
         for &(pair, old, new) in moved {
             let at = self.pairs.partition_point(|&p| slot(p) < slot(pair));
             if old == 0 {
@@ -423,8 +426,11 @@ impl WorkloadAdvisor<'_> {
     /// leave. Marginal means count-once-aware: cells other paths cover cost
     /// no maintenance and no pages. Each adoption strictly lowers the total
     /// cost while preserving feasibility, so the pass closes (part of) the
-    /// duality gap the λ discretization leaves open. Returns the number of
-    /// adoptions. Its DPs read the solve's folded `rows`.
+    /// duality gap the λ discretization leaves open. Feasibility is the
+    /// ledger's own fold: an adoption whose folded footprint would exceed
+    /// the budget — the slack and the frontier's sizes round on their own —
+    /// is refused, so a repaired plan's `size_pages` fits exactly. Returns
+    /// the number of adoptions. Its DPs read the solve's folded `rows`.
     fn repair(&self, selections: &mut [Selection], budget_pages: f64, rows: &FoldedRows) -> usize {
         let mut ledger = self.ledger(selections);
         let mut repairs = 0;
@@ -433,6 +439,7 @@ impl WorkloadAdvisor<'_> {
             let mut changed = false;
             for (i, (st, sel)) in self.paths.iter().zip(selections.iter_mut()).enumerate() {
                 ledger.remove(i, st.pieces(sel));
+                ledger.settle();
                 let slack = budget_pages - ledger.totals().1;
                 ledger.context_into(&st.cands, &mut context);
                 let pricing = Pricing {
@@ -457,12 +464,18 @@ impl WorkloadAdvisor<'_> {
                     // later paths without giving anything up). Strictness
                     // guarantees termination.
                     if cost < old_cost - tol || (cost <= old_cost + tol && size < old_size - stol) {
-                        sel.clone_from(&point);
-                        repairs += 1;
-                        changed = true;
+                        ledger.insert(&self.space, i, st.pieces(&point));
+                        ledger.settle();
+                        if ledger.totals().1 <= budget_pages {
+                            sel.clone_from(&point);
+                            repairs += 1;
+                            changed = true;
+                            continue;
+                        }
+                        ledger.remove(i, st.pieces(&point));
                     }
                 }
-                ledger.insert(i, st.pieces(sel));
+                ledger.insert(&self.space, i, st.pieces(sel));
             }
             if !changed {
                 break;
@@ -567,11 +580,11 @@ impl WorkloadAdvisor<'_> {
                 .take()
                 .flatten()
                 .expect("the adopted trial re-selected its owners");
-            let mut overlay = round.ledger.overlay();
+            let mut overlay = round.ledger.overlay(&self.space);
             self.apply_trial(&mut overlay, &selections, &changed);
             let moved: Vec<(Pair, u32, u32)> = overlay.moved().collect();
             self.drop_disturbed_trials(&mut trail.trials, &round, &moved, &mut least_moved);
-            round.adopt(&self.paths, &mut selections, &changed, &moved);
+            round.adopt(&self.space, &self.paths, &mut selections, &changed, &moved);
             debug_assert!(
                 round.matches(self, &selections),
                 "the kept round diverged from one built from scratch"
@@ -641,7 +654,7 @@ impl WorkloadAdvisor<'_> {
     fn drop_disturbed_trials(
         &self,
         trials: &mut [Option<Reselection>],
-        round: &Round<'_>,
+        round: &Round,
         moved: &[(Pair, u32, u32)],
         least_moved: &mut [u32],
     ) {
@@ -677,7 +690,7 @@ impl WorkloadAdvisor<'_> {
     /// and frontier tables are its own.
     fn eviction_trial(
         &self,
-        round: &Ledger<'_>,
+        round: &Ledger,
         owners: &[usize],
         selections: &[Selection],
         banned: &[u8],
@@ -687,7 +700,7 @@ impl WorkloadAdvisor<'_> {
             evicted: banned,
             trial: pair,
         };
-        let mut overlay = round.overlay();
+        let mut overlay = round.overlay(&self.space);
         let mut changed: Vec<(usize, Selection)> = Vec::with_capacity(owners.len());
         let (mut context, mut tables) = (Vec::new(), FrontierTables::default());
         for &i in owners {
@@ -865,8 +878,11 @@ impl WorkloadAdvisor<'_> {
             lambda_pruned: unconstrained.candidates_pruned,
             ..unconstrained
         };
+        // Every search result was offered by its ledger fold's footprint,
+        // and the repair refuses what its fold would overshoot: the plan's
+        // own fold of the same selections fits exactly.
         debug_assert!(
-            !feasible || plan.size_pages <= budget_pages * (1.0 + 1e-12) + 1e-9,
+            !feasible || plan.size_pages <= budget_pages,
             "feasible plan exceeds budget: {} > {budget_pages}",
             plan.size_pages
         );

@@ -11,7 +11,8 @@
 //! subtotals in path order, the once-paid maintenance (and size) values in
 //! `total_cmp` order — the sorted sequence of a multiset of floats is
 //! unique, bit patterns included, so a ledger updated incrementally and
-//! one built from scratch agree bitwise.
+//! one built from scratch agree bitwise — which is what lets the advisor
+//! keep the adopted plan's ledger across epochs (DESIGN.md §5.15).
 
 use super::pricing::installed;
 use crate::space::{CandidateId, CandidateSpace};
@@ -84,28 +85,56 @@ fn context_by(cands: &[Option<CandidateId>], covered: impl Fn(Pair) -> bool, out
     out.extend(cands.iter().map(|&cand| cand.map_or(0, mask)));
 }
 
-/// How many registered selections cite each physical index, by [`slot`].
+/// How many registered selections cite one physical index, and the
+/// `(maintenance, size)` the ledger paid for it while they do: the price
+/// when it gained its first owner, or the one [`Ledger::repay`] swapped
+/// in since.
+#[derive(Clone, Copy, Default)]
+struct Held {
+    count: u32,
+    paid: (f64, f64),
+}
+
+/// Every physical index's [`Held`], by [`slot`].
+#[derive(Default)]
 struct Ownership {
-    count: Vec<u32>,
+    held: Vec<Held>,
 }
 
 impl Ownership {
     fn count(&self, pair: Pair) -> u32 {
-        self.count[slot(pair)]
+        self.held.get(slot(pair)).map_or(0, |held| held.count)
     }
 
-    /// Adds one owner of `pair`; `true` when it had none.
-    fn add(&mut self, pair: Pair) -> bool {
-        let count = &mut self.count[slot(pair)];
-        *count += 1;
-        *count == 1
+    fn paid(&self, pair: Pair) -> (f64, f64) {
+        self.held[slot(pair)].paid
     }
 
-    /// Drops one owner of `pair`; `true` when it was the last.
-    fn drop_one(&mut self, pair: Pair) -> bool {
-        let count = &mut self.count[slot(pair)];
-        *count = count.checked_sub(1).expect("selection was registered");
-        *count == 0
+    /// Covers every slot of `space`: slots are never taken away, so the
+    /// table only grows.
+    fn fit(&mut self, space: &CandidateSpace) {
+        let slots = slots(space);
+        if self.held.len() < slots {
+            self.held.resize(slots, Held::default());
+        }
+    }
+
+    /// Adds one owner of `pair`; when it had none, pays `price()` for it
+    /// and returns what it paid.
+    fn add(&mut self, pair: Pair, price: impl FnOnce() -> (f64, f64)) -> Option<(f64, f64)> {
+        let held = &mut self.held[slot(pair)];
+        held.count += 1;
+        (held.count == 1).then(|| {
+            held.paid = price();
+            held.paid
+        })
+    }
+
+    /// Drops one owner of `pair`; what it paid when that was the last.
+    fn drop_one(&mut self, pair: Pair) -> Option<(f64, f64)> {
+        let held = &mut self.held[slot(pair)];
+        held.count = held.count.checked_sub(1).expect("selection was registered");
+        (held.count == 0).then_some(held.paid)
     }
 }
 
@@ -127,32 +156,179 @@ where
     owners
 }
 
-/// Ownership plus the objective's operands, priced from the installed
-/// memos of `space`: per-path query subtotals and the distinct selected
-/// indexes' maintenance and footprint, each kept in summation order.
-pub(crate) struct Ledger<'a> {
-    space: &'a CandidateSpace,
+/// The holders of every physical index that registered selections cite:
+/// the owning paths of each, ascending, by [`slot`], and the slots two
+/// paths or more hold, ascending — the shared list a plan reports, which
+/// the advisor keeps beside its ledger.
+#[derive(Default)]
+pub(crate) struct Holders {
+    by_slot: Vec<Vec<usize>>,
+    shared: Vec<usize>,
+}
+
+impl Holders {
+    /// Withdraws path `i`'s selection.
+    pub(crate) fn remove(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+        for (pair, _) in pieces {
+            let holders = &mut self.by_slot[slot(pair)];
+            let at = holders.partition_point(|&j| j < i);
+            debug_assert_eq!(holders.get(at), Some(&i), "selection was registered");
+            holders.remove(at);
+            if holders.len() == 1 {
+                let at = self.shared.partition_point(|&s| s < slot(pair));
+                self.shared.remove(at);
+            }
+        }
+    }
+
+    /// Registers path `i`'s selection.
+    pub(crate) fn insert(
+        &mut self,
+        space: &CandidateSpace,
+        i: usize,
+        pieces: impl Iterator<Item = (Pair, f64)>,
+    ) {
+        if self.by_slot.len() < slots(space) {
+            self.by_slot.resize_with(slots(space), Vec::new);
+        }
+        for (pair, _) in pieces {
+            let holders = &mut self.by_slot[slot(pair)];
+            holders.insert(holders.partition_point(|&j| j < i), i);
+            if holders.len() == 2 {
+                let at = self.shared.partition_point(|&s| s < slot(pair));
+                self.shared.insert(at, slot(pair));
+            }
+        }
+    }
+
+    /// Forgets departed path `i` (withdrawn first): the later paths move
+    /// up one place.
+    pub(crate) fn depart(&mut self, i: usize) {
+        for holders in &mut self.by_slot {
+            let after = holders.partition_point(|&j| j < i);
+            holders[after..].iter_mut().for_each(|j| *j -= 1);
+        }
+    }
+
+    /// Whether these are the holders of the selections `ledger` registers:
+    /// each index lists as many paths as the ledger counts, ascending,
+    /// each of which `cites` it, and the shared ones are those with two
+    /// or more. The debug check of kept holders; it allocates nothing.
+    pub(crate) fn agree(&self, ledger: &Ledger, cites: impl Fn(usize, Pair) -> bool) -> bool {
+        let mut lists = self.by_slot.iter().enumerate();
+        let shared = lists.clone().filter(|(_, l)| l.len() >= 2).map(|(s, _)| s);
+        let listed = lists.all(|(s, l)| {
+            let ascending = l.windows(2).all(|w| w[0] < w[1]);
+            l.len() == ledger.owners(pair_at(s)) as usize
+                && ascending
+                && l.iter().all(|&i| cites(i, pair_at(s)))
+        });
+        let mut unlisted = self.by_slot.len()..ledger.owned.held.len();
+        let unlisted = unlisted.all(|s| ledger.owners(pair_at(s)) == 0);
+        listed && unlisted && shared.eq(self.shared.iter().copied())
+    }
+
+    /// The indexes two paths or more hold, ascending, each with its
+    /// holders.
+    pub(crate) fn shared(&self) -> impl Iterator<Item = (Pair, &[usize])> + '_ {
+        let shared = self.shared.iter();
+        shared.map(|&s| (pair_at(s), &self.by_slot[s][..]))
+    }
+}
+
+/// Moves of the once-paid multisets batched after a [`sorted`] operand
+/// changed: what it lost and what it gained since the last
+/// [`Ledger::settle`].
+#[derive(Default)]
+struct Moves {
+    gone: Vec<f64>,
+    came: Vec<f64>,
+}
+
+/// Up to this many moves settle one by one, in place; more merge in one
+/// pass over the operand.
+const FEW_MOVES: usize = 8;
+
+impl Moves {
+    /// Applies the moves to `sorted`, through `spare` when they merge.
+    /// The result is the [`sorted`] sequence of the moved multiset, which
+    /// is unique, so how the moves are applied reaches no bit of a total.
+    fn settle(&mut self, sorted: &mut Vec<f64>, spare: &mut Vec<f64>) {
+        let Moves { gone, came } = self;
+        if gone.len() + came.len() <= FEW_MOVES {
+            // Gains first: a value can leave in the same batch it came in.
+            came.iter().for_each(|&value| insert_sorted(sorted, value));
+            gone.iter().for_each(|&value| remove_sorted(sorted, value));
+        } else {
+            gone.sort_by(f64::total_cmp);
+            came.sort_by(f64::total_cmp);
+            spare.clear();
+            spare.reserve(sorted.len() + came.len());
+            let (mut kept, mut gained, mut lost) = (0, 0, 0);
+            while kept < sorted.len() || gained < came.len() {
+                let from_kept = gained == came.len()
+                    || (kept < sorted.len() && sorted[kept].total_cmp(&came[gained]).is_le());
+                let value = if from_kept {
+                    kept += 1;
+                    sorted[kept - 1]
+                } else {
+                    gained += 1;
+                    came[gained - 1]
+                };
+                if gone
+                    .get(lost)
+                    .is_some_and(|g| g.to_bits() == value.to_bits())
+                {
+                    lost += 1;
+                } else {
+                    spare.push(value);
+                }
+            }
+            debug_assert_eq!(lost, gone.len(), "a value left that was never paid");
+            std::mem::swap(sorted, spare);
+        }
+        gone.clear();
+        came.clear();
+    }
+}
+
+/// Ownership plus the objective's operands: per-path query subtotals and
+/// the distinct selected indexes' maintenance and footprint, each kept in
+/// summation order. A ledger reads prices from the candidate space only
+/// when an index gains its first owner (or is re-priced) and remembers
+/// what it paid, so it can outlive the prices it was built on: the
+/// advisor keeps the adopted plan's ledger across epochs.
+///
+/// Registrations move the holder counts and the query subtotals at once;
+/// the once-paid operands move at the next [`Self::settle`], which every
+/// read of [`Self::totals`] or [`Self::distinct`] must follow.
+#[derive(Default)]
+pub(crate) struct Ledger {
     owned: Ownership,
     /// Query subtotal per path, in path order.
     query: Vec<f64>,
-    maint: Vec<f64>,
-    sizes: Vec<f64>,
+    /// The once-paid maintenance and size values, each [`sorted`].
+    once: [Vec<f64>; 2],
+    /// What [`Self::settle`] has yet to apply to each of `once`.
+    moves: [Moves; 2],
+    /// The merge buffer of [`Moves::settle`], kept between settles.
+    spare: Vec<f64>,
 }
 
-impl<'a> Ledger<'a> {
+impl Ledger {
     /// Registers every path's selection — its `(index, query share)`
-    /// pieces, paths in path order — from scratch.
-    pub(crate) fn new<I>(space: &'a CandidateSpace, selections: impl Iterator<Item = I>) -> Self
+    /// pieces, paths in path order — from scratch, priced from the
+    /// installed memos of `space`.
+    pub(crate) fn new<I>(space: &CandidateSpace, selections: impl Iterator<Item = I>) -> Self
     where
         I: Iterator<Item = (Pair, f64)>,
     {
         let mut owned = Ownership {
-            count: vec![0; slots(space)],
+            held: vec![Held::default(); slots(space)],
         };
         let (mut maint, mut sizes) = (Vec::new(), Vec::new());
         let mut share = |(pair, share)| {
-            if owned.add(pair) {
-                let (maintenance, size) = installed(space, pair);
+            if let Some((maintenance, size)) = owned.add(pair, || installed(space, pair)) {
                 maint.push(maintenance);
                 sizes.push(size);
             }
@@ -161,42 +337,97 @@ impl<'a> Ledger<'a> {
         let query = selections.map(|pieces| subtotal(pieces.map(&mut share)));
         let query = query.collect();
         Ledger {
-            space,
             query,
-            maint: sorted(maint),
-            sizes: sorted(sizes),
+            once: [sorted(maint), sorted(sizes)],
             owned,
+            ..Ledger::default()
         }
+    }
+
+    fn pay(&mut self, (maintenance, size): (f64, f64)) {
+        self.moves[0].came.push(maintenance);
+        self.moves[1].came.push(size);
+    }
+
+    fn refund(&mut self, (maintenance, size): (f64, f64)) {
+        self.moves[0].gone.push(maintenance);
+        self.moves[1].gone.push(size);
     }
 
     /// Withdraws path `i`'s registered selection.
     pub(crate) fn remove(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
         for (pair, _) in pieces {
-            if self.owned.drop_one(pair) {
-                let (maintenance, size) = installed(self.space, pair);
-                remove_sorted(&mut self.maint, maintenance);
-                remove_sorted(&mut self.sizes, size);
+            if let Some(paid) = self.owned.drop_one(pair) {
+                self.refund(paid);
             }
         }
         self.query[i] = 0.0;
     }
 
-    /// Registers path `i`'s selection (after [`Self::remove`]).
-    pub(crate) fn insert(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+    /// Registers path `i`'s selection (after [`Self::remove`]), pricing an
+    /// index that gains its first owner from `space`.
+    pub(crate) fn insert(
+        &mut self,
+        space: &CandidateSpace,
+        i: usize,
+        pieces: impl Iterator<Item = (Pair, f64)>,
+    ) {
+        self.owned.fit(space);
         self.query[i] = subtotal(pieces.map(|(pair, share)| {
-            if self.owned.add(pair) {
-                let (maintenance, size) = installed(self.space, pair);
-                insert_sorted(&mut self.maint, maintenance);
-                insert_sorted(&mut self.sizes, size);
+            if let Some(price) = self.owned.add(pair, || installed(space, pair)) {
+                self.pay(price);
             }
             share
         }));
     }
 
+    /// Re-folds path `i`'s query subtotal from its registered selection's
+    /// current shares; its indexes stay as they are.
+    pub(crate) fn requery(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
+        self.query[i] = subtotal(pieces.map(|(_, share)| share));
+    }
+
+    /// `pair` was re-priced at `price`: when some selection cites it, the
+    /// once-paid operands swap its old values for the new.
+    pub(crate) fn repay(&mut self, pair: Pair, price: (f64, f64)) {
+        if self.owned.count(pair) > 0 {
+            let paid = std::mem::replace(&mut self.owned.held[slot(pair)].paid, price);
+            self.refund(paid);
+            self.pay(price);
+        }
+    }
+
+    /// Appends an arriving path, registering nothing.
+    pub(crate) fn arrive(&mut self) {
+        self.query.push(0.0);
+    }
+
+    /// Forgets departed path `i` (withdrawn first): the later paths move
+    /// up one place.
+    pub(crate) fn depart(&mut self, i: usize) {
+        debug_assert_eq!(self.query[i].to_bits(), 0.0f64.to_bits(), "withdrawn");
+        self.query.remove(i);
+    }
+
+    /// Applies the batched moves to the once-paid operands.
+    pub(crate) fn settle(&mut self) {
+        for (moves, sorted) in self.moves.iter_mut().zip(&mut self.once) {
+            moves.settle(sorted, &mut self.spare);
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.moves
+            .iter()
+            .all(|m| m.gone.is_empty() && m.came.is_empty())
+    }
+
     /// The `(cost, size)` of the registered selections.
     pub(crate) fn totals(&self) -> (f64, f64) {
-        let cost = objective(self.query.iter().copied(), self.maint.iter().copied());
-        (cost, self.sizes.iter().sum::<f64>())
+        debug_assert!(self.settled(), "totals of an unsettled ledger");
+        let [maint, sizes] = &self.once;
+        let cost = objective(self.query.iter().copied(), maint.iter().copied());
+        (cost, sizes.iter().sum::<f64>())
     }
 
     /// Path `i`'s query subtotal.
@@ -211,7 +442,26 @@ impl<'a> Ledger<'a> {
 
     /// Distinct physical indexes registered.
     pub(crate) fn distinct(&self) -> usize {
-        self.maint.len()
+        debug_assert!(self.settled(), "distinct indexes of an unsettled ledger");
+        self.once[0].len()
+    }
+
+    /// Whether this ledger holds what one built from scratch on the same
+    /// selections holds: totals bit for bit, every holder count and what
+    /// it paid for each held index, every query subtotal. The debug check
+    /// of a kept ledger.
+    pub(crate) fn matches(&self, fresh: &Ledger) -> bool {
+        let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
+        let counts = |l: &Ledger| {
+            let held = l.owned.held.iter().enumerate().filter(|(_, h)| h.count > 0);
+            let bits = |(m, s): (f64, f64)| (m.to_bits(), s.to_bits());
+            held.map(|(s, h)| (s, h.count, bits(h.paid)))
+                .collect::<Vec<_>>()
+        };
+        let query = |l: &Ledger| l.query.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+        bits(self.totals()) == bits(fresh.totals())
+            && counts(self) == counts(fresh)
+            && query(self) == query(fresh)
     }
 
     /// The sharing context of a path whose own selection is withdrawn,
@@ -220,10 +470,12 @@ impl<'a> Ledger<'a> {
         context_by(cands, |pair| self.owned.count(pair) > 0, out);
     }
 
-    /// An empty overlay on this ledger.
-    pub(crate) fn overlay(&self) -> Overlay<'_> {
+    /// An empty overlay on this ledger; an index a swap gives its first
+    /// owner is priced from `space`.
+    pub(crate) fn overlay<'l>(&'l self, space: &'l CandidateSpace) -> Overlay<'l> {
         Overlay {
             base: self,
+            space,
             delta: Vec::new(),
             swapped: Vec::new(),
         }
@@ -233,7 +485,8 @@ impl<'a> Ledger<'a> {
 /// A few paths re-selected on top of a [`Ledger`] that stays untouched:
 /// what one eviction trial changes, at a cost proportional to the change.
 pub(crate) struct Overlay<'l> {
-    base: &'l Ledger<'l>,
+    base: &'l Ledger,
+    space: &'l CandidateSpace,
     /// Ownership-count changes of the few indexes the swaps touch.
     delta: Vec<(Pair, isize)>,
     /// `(path, query subtotal)` of each re-registered path, ascending.
@@ -288,12 +541,16 @@ impl Overlay<'_> {
     }
 
     /// The indexes whose ownership the swaps move across zero, as `(the
-    /// base owned it, its installed (maintenance, size))`.
+    /// base owned it, its (maintenance, size))`: what the base paid for a
+    /// dropped one, the installed price of an added one.
     fn crossings(&self) -> impl Iterator<Item = (bool, (f64, f64))> + '_ {
         let crosses = self
             .moved()
             .filter(|&(_, before, after)| (before > 0) != (after > 0));
-        crosses.map(|(pair, before, _)| (before > 0, installed(self.base.space, pair)))
+        crosses.map(|(pair, before, _)| match before > 0 {
+            true => (true, self.base.owned.paid(pair)),
+            false => (false, installed(self.space, pair)),
+        })
     }
 
     /// What the swaps change in the base's `(cost, size)`, from the
@@ -372,6 +629,7 @@ mod tests {
         let slots: Vec<Option<CandidateId>> = cands.iter().copied().map(Some).collect();
         let scratch =
             |sels: &[Vec<(Pair, f64)>]| Ledger::new(&space, sels.iter().map(|s| s.iter().copied()));
+        let space = &space;
         let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
         // The delta is the change between the two folds, up to their
         // rounding: 1e-9 of the larger total.
@@ -382,13 +640,18 @@ mod tests {
         for _ in 0..40 {
             let start: Vec<_> = (0..6).map(|_| draw(&mut next)).collect();
             let (base, mut ledger, mut sels) = (scratch(&start), scratch(&start), start.clone());
-            let mut overlay = base.overlay();
+            let mut overlay = base.overlay(space);
             for _ in 0..30 {
                 let (i, new) = (next(6) as usize, draw(&mut next));
                 ledger.remove(i, sels[i].iter().copied());
-                ledger.insert(i, new.iter().copied());
+                ledger.insert(space, i, new.iter().copied());
                 sels[i] = new;
+                // Settle one swap at a time, or a few at once.
+                if next(3) == 0 {
+                    ledger.settle();
+                }
             }
+            ledger.settle();
             let fresh = scratch(&sels).totals();
             assert_eq!(bits(ledger.totals()), bits(fresh));
             assert_eq!(ledger.distinct(), scratch(&sels).distinct());
@@ -411,7 +674,7 @@ mod tests {
             for (pair, before, after) in overlay.moved() {
                 assert_eq!((before, after), (base.owners(pair), end.owners(pair)));
             }
-            let differ = (0..super::slots(&space)).map(pair_at);
+            let differ = (0..super::slots(space)).map(pair_at);
             let differ = differ.filter(|&pair| base.owners(pair) != end.owners(pair));
             assert_eq!(overlay.moved().count(), differ.count());
             // Each path's sharing context: every index but its own.
@@ -426,9 +689,11 @@ mod tests {
                 assert_eq!(context, key);
                 overlay.context_into(&slots, &mut context);
                 assert_eq!(context, key);
-                ledger.insert(i, sels[i].iter().copied());
+                ledger.insert(space, i, sels[i].iter().copied());
                 overlay.insert(i, sels[i].iter().copied());
             }
+            ledger.settle();
+            assert!(ledger.matches(&scratch(&sels)));
         }
     }
 }

@@ -103,9 +103,10 @@ pub(crate) use whatif::AdoptedPath;
 pub use whatif::{WhatIfReport, WhatIfSubscriber};
 
 use crate::shard;
-use crate::space::{CandidateId, CandidateSpace};
+use crate::space::{CandidateId, CandidateSpace, StepHasher};
 use budget::EvictionTrail;
 use descent::{Memo, Shards};
+use ledger::{Holders, Ledger};
 use oic_cost::{ClassStats, CostParams, Org};
 use oic_exec::Executor;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
@@ -113,7 +114,11 @@ use oic_workload::{mining, MiningPolicy};
 use pricing::{best_response, Pricing, QueryBasis, Source};
 use state::{Dirty, PathState};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
+
+/// A map keyed by path signature, hashed a word per step key.
+type BySignature<K, V> = HashMap<K, V, BuildHasherDefault<StepHasher>>;
 
 /// One path's selection: the chosen `(subpath, organization)` pieces.
 type Selection = Vec<(SubpathId, Org)>;
@@ -161,6 +166,33 @@ pub struct WorkloadAdvisor<'a> {
     /// Cells struck by the live paths' prune masks: the sum of their
     /// `struck` counts, kept by `refresh_masks` and `remove_path`.
     struck: u64,
+    /// Ranks the admission policy dropped across the live paths: the sum
+    /// of their mined-out counts, kept by arrival, departure and
+    /// re-mining.
+    mined_out: u64,
+    /// The adopted plan's ledger, kept across epochs: every live path's
+    /// current selection, registered at the prices installed for it. A
+    /// departure or re-admission withdraws the path, re-pricing swaps an
+    /// owned cell's once-paid values, and an epoch re-registers only the
+    /// paths whose selection or query shares moved — so it always holds
+    /// what a ledger built from scratch on the current selections would
+    /// hold, bit for bit (DESIGN.md §5.15).
+    ledger: Ledger,
+    /// The holders of each index the adopted plan cites, kept beside the
+    /// ledger by the same doors.
+    holders: Holders,
+    /// Each live path's standalone optimum cost, in path order: the
+    /// operands of `independent_cost`, refreshed for the re-priced paths
+    /// and folded in path order (a running float total would not be that
+    /// fold's bits).
+    standalone_costs: Vec<f64>,
+    /// The paths marked since the last re-pricing, by handle, in marking
+    /// order: exactly the live paths with a dirty flag, plus departed
+    /// ones, which the re-pricing skips.
+    dirty: Vec<PathId>,
+    /// The claim pass's table, a 3-bit organization mask per candidate:
+    /// all zero between passes, which clear only what they set.
+    claimed: Vec<u8>,
     /// Shared candidate arena + its priced cells.
     space: CandidateSpace,
     next_id: u32,
@@ -175,7 +207,7 @@ pub struct WorkloadAdvisor<'a> {
     /// once per distinct path signature, evaluated per path against its
     /// own query rates. `update_stats` evicts the bases whose scope
     /// contains the mutated class.
-    basis: HashMap<PathSignature, QueryBasis>,
+    basis: BySignature<PathSignature, QueryBasis>,
     /// The mined-admission policy: which candidate subpaths clear the
     /// support threshold and get interned at all (DESIGN.md §5.17). The
     /// default admits everything — the unmined space, bitwise.
@@ -208,12 +240,18 @@ impl<'a> WorkloadAdvisor<'a> {
             maint: vec![(0.0, 0.0); nc],
             paths: Vec::new(),
             struck: 0,
+            mined_out: 0,
+            ledger: Ledger::default(),
+            holders: Holders::default(),
+            standalone_costs: Vec::new(),
+            dirty: Vec::new(),
+            claimed: Vec::new(),
             space: CandidateSpace::new(),
             next_id: 0,
             epoch: 0,
             mutations: 0,
             exec: Executor::default(),
-            basis: HashMap::new(),
+            basis: BySignature::default(),
             mining: MiningPolicy::default(),
             trail: None,
             components: None,
@@ -296,7 +334,11 @@ impl<'a> WorkloadAdvisor<'a> {
             .space
             .intern_path_admitted(self.schema, &path, &admitted);
         let st = PathState::new(self.schema, id, path, alphas, cands);
+        self.mined_out += st.mined_out();
         self.paths.push(st);
+        self.ledger.arrive();
+        self.standalone_costs.push(0.0);
+        self.dirty.push(id);
         self.components = None;
         self.mutations += 1;
         id
@@ -309,8 +351,15 @@ impl<'a> WorkloadAdvisor<'a> {
     /// only when a live [`WorkloadPlan`] still shares it.
     pub fn remove_path(&mut self, id: PathId) -> Option<Path> {
         let i = self.find(id)?;
+        let st = &self.paths[i];
+        self.ledger.remove(i, st.pieces(&st.selection));
+        self.ledger.depart(i);
+        self.holders.remove(i, st.pieces(&st.selection));
+        self.holders.depart(i);
+        self.standalone_costs.remove(i);
         let st = self.paths.remove(i);
         self.struck -= st.struck;
+        self.mined_out -= st.mined_out();
         self.space.release_path(&st.live_cands);
         self.components = None;
         if !self.paths.iter().any(|p| p.signature == st.signature) {
@@ -337,8 +386,8 @@ impl<'a> WorkloadAdvisor<'a> {
         self.basis
             .retain(|_, b| b.scope.binary_search(&class).is_err());
         for st in &mut self.paths {
-            if st.scope.binary_search(&class).is_ok() {
-                st.mark(Dirty::Stats);
+            if st.scope.binary_search(&class).is_ok() && st.mark(Dirty::Stats) {
+                self.dirty.push(st.id);
             }
         }
         self.mutations += 1;
@@ -356,8 +405,8 @@ impl<'a> WorkloadAdvisor<'a> {
         self.maint[class.index()] = rates;
         self.space.invalidate_class(class);
         for st in &mut self.paths {
-            if st.scope.binary_search(&class).is_ok() {
-                st.mark(Dirty::Rates);
+            if st.scope.binary_search(&class).is_ok() && st.mark(Dirty::Rates) {
+                self.dirty.push(st.id);
             }
         }
         self.mutations += 1;
@@ -383,7 +432,9 @@ impl<'a> WorkloadAdvisor<'a> {
             return false;
         }
         st.alphas = alphas;
-        st.mark(Dirty::Queries);
+        if st.mark(Dirty::Queries) {
+            self.dirty.push(id);
+        }
         self.mutations += 1;
         // Admission is a pure function of (policy, path, α): new rates can
         // move ranks across the support threshold, so re-mine. Same
@@ -429,12 +480,22 @@ impl<'a> WorkloadAdvisor<'a> {
         {
             return;
         }
+        // The selection goes with the old candidates: withdraw it while
+        // they are still interned.
+        let st = &self.paths[i];
+        self.ledger.remove(i, st.pieces(&st.selection));
+        self.holders.remove(i, st.pieces(&st.selection));
+        self.mined_out -= st.mined_out();
         let old = std::mem::take(&mut self.paths[i].live_cands);
         self.space.release_path(&old);
         let cands = self
             .space
             .intern_path_admitted(self.schema, &self.paths[i].path, &admitted);
-        self.paths[i].admit(cands);
+        let st = &mut self.paths[i];
+        if st.admit(cands) {
+            self.dirty.push(st.id);
+        }
+        self.mined_out += st.mined_out();
         self.components = None;
     }
 
@@ -557,26 +618,26 @@ impl<'a> WorkloadAdvisor<'a> {
 
         // Phase 2 — standalone optima (maintenance unshared). Per-path
         // independent DPs over the now-frozen memo: embarrassingly
-        // parallel, results written back in path order.
-        let mut dp_runs = 0u64;
-        let stale: Vec<usize> = (0..self.paths.len())
-            .filter(|&i| self.paths[i].standalone.is_none())
-            .collect();
-        dp_runs += stale.len() as u64;
-        let results = self.par_map_dp(&stale, |dp, &i| {
+        // parallel, results written back in path order. Every re-priced
+        // path was marked since its last standalone optimum, and only
+        // those: the stale ones are the dirty ones.
+        debug_assert!(
+            (0..self.paths.len())
+                .all(|i| self.paths[i].standalone.is_none() == dirty.binary_search(&i).is_ok()),
+            "the stale standalone optima are the re-priced paths'"
+        );
+        let mut dp_runs = dirty.len() as u64;
+        let results = self.par_map_dp(&dirty, |dp, &i| {
             let (st, mut sel) = (&self.paths[i], Selection::new());
             let space = Source::Space(&self.space);
             let cost = best_response(st, space, Pricing::default(), dp, &mut sel);
             (sel, cost)
         });
-        for (result, &i) in results.into_iter().zip(&stale) {
+        for (result, &i) in results.into_iter().zip(&dirty) {
+            self.standalone_costs[i] = result.1;
             self.paths[i].standalone = Some(result);
         }
-        let independent_cost: f64 = self
-            .paths
-            .iter()
-            .map(|st| st.standalone.as_ref().expect("phase 2 filled it").1)
-            .sum();
+        let independent_cost: f64 = self.standalone_costs.iter().sum();
 
         let shards = self.components();
         let comps = &shards.comps;
@@ -590,10 +651,10 @@ impl<'a> WorkloadAdvisor<'a> {
         // so only multi-path components run. Each path keeps its current
         // selection; only the ones that moved are overwritten.
         for group in comps.groups.iter().filter(|g| g.len() == 1) {
-            let st = &mut self.paths[group[0]];
+            let st = &self.paths[group[0]];
             let seed = &st.standalone.as_ref().expect("phase 2 filled it").0;
             if st.selection != *seed {
-                st.selection.clone_from(seed);
+                self.adopt_selection(group[0], seed.clone());
             }
         }
         let outs = self.descend_components(&shards, 0.0, Memo::Trail);
@@ -604,7 +665,7 @@ impl<'a> WorkloadAdvisor<'a> {
         let mut dp_memo_hits = 0u64;
         for (comp, out) in outs {
             for (k, sel) in out.changed {
-                self.paths[comp[k]].selection = sel;
+                self.adopt_selection(comp[k], sel);
             }
             for (k, added, visited) in out.trails {
                 self.paths[comp[k]].retrace(added, visited);
@@ -613,7 +674,26 @@ impl<'a> WorkloadAdvisor<'a> {
             dp_runs += out.dp_runs;
             dp_memo_hits += out.dp_memo_hits;
         }
-        let mut plan = self.assemble_plan(None, independent_cost);
+        // The re-priced paths' query shares may have moved under an
+        // unmoved selection.
+        for &i in &dirty {
+            let st = &self.paths[i];
+            self.ledger.requery(i, st.pieces(&st.selection));
+        }
+        self.ledger.settle();
+        let current = || self.paths.iter().map(|st| st.pieces(&st.selection));
+        debug_assert!(
+            self.ledger.matches(&Ledger::new(&self.space, current())),
+            "the kept ledger diverged from one built from scratch"
+        );
+        debug_assert!(
+            self.holders.agree(&self.ledger, |i, pair| {
+                let st = &self.paths[i];
+                st.pieces(&st.selection).any(|(held, _)| held == pair)
+            }),
+            "the kept holders diverged from a fresh count"
+        );
+        let mut plan = self.adopted_plan(independent_cost);
         debug_assert!(
             plan.total_cost <= independent_cost + 1e-6 * independent_cost.abs().max(1.0),
             "sharing can only reduce the objective: {} vs {independent_cost}",
@@ -629,14 +709,26 @@ impl<'a> WorkloadAdvisor<'a> {
         plan.largest_component = largest_component;
         plan.candidates_pruned = candidates_pruned;
         plan.speculation_skips = speculation_skips;
-        let mined_out = |st: &PathState| (st.cands.len() - st.live_cands.len()) as u64;
-        plan.candidates_mined_out = self.paths.iter().map(mined_out).sum();
+        plan.candidates_mined_out = self.mined_out;
         // Cells the admission policy deleted from this epoch's re-pricing:
         // 3 organizations per mined-out rank, over the dirty paths the
         // phase actually visited (clean paths priced nothing either way).
-        let skipped = dirty.iter().map(|&i| 3 * mined_out(&self.paths[i]));
+        let skipped = dirty.iter().map(|&i| 3 * self.paths[i].mined_out());
         plan.cells_skipped = skipped.sum();
         plan
+    }
+
+    /// Makes `sel` path `i`'s current selection: the kept ledger withdraws
+    /// the old one and registers `sel` (the epoch settles it), and the
+    /// path's configuration is built for it.
+    fn adopt_selection(&mut self, i: usize, sel: Selection) {
+        let st = &mut self.paths[i];
+        self.ledger.remove(i, st.pieces(&st.selection));
+        self.holders.remove(i, st.pieces(&st.selection));
+        self.holders.insert(&self.space, i, st.pieces(&sel));
+        st.configuration = Some(plan::configuration(st, &sel));
+        st.selection = sel;
+        self.ledger.insert(&self.space, i, st.pieces(&st.selection));
     }
 
     /// The candidate-sharing components of the live paths (indices into

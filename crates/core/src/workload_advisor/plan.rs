@@ -2,8 +2,9 @@
 //! from per-path selections through the ledger, with the bit-identity
 //! asserts and the human-readable report.
 
-use super::ledger::{self, Ledger};
+use super::ledger::{self, Ledger, Pair};
 use super::pricing::installed;
+use super::state::PathState;
 use super::{PathId, Selection, WorkloadAdvisor};
 use crate::space::CandidateId;
 use crate::{Choice, IndexConfiguration};
@@ -119,17 +120,19 @@ pub struct WorkloadPlan {
 impl WorkloadAdvisor<'_> {
     /// The ledger of per-path `selections` (one per live path, in path
     /// order) under the installed prices.
-    pub(super) fn ledger(&self, selections: &[Selection]) -> Ledger<'_> {
+    pub(super) fn ledger(&self, selections: &[Selection]) -> Ledger {
         let pieces = self.paths.iter().zip(selections);
         Ledger::new(&self.space, pieces.map(|(st, sel)| st.pieces(sel)))
     }
 
     /// Assembles a [`WorkloadPlan`] from per-path selections — `None`
-    /// for each path's current one: query shares per path, each distinct
-    /// physical index's maintenance **and footprint** exactly once. Epoch
-    /// telemetry fields are zeroed; the caller fills them. Used by
-    /// [`Self::reoptimize`] and by the budgeted selection, whose
-    /// constrained selections price identically.
+    /// for each path's current one — from scratch: a fresh ledger, query
+    /// shares per path, each distinct physical index's maintenance **and
+    /// footprint** exactly once, a fresh configuration per path, and the
+    /// shared indexes found by a scan of every selection. Epoch telemetry
+    /// fields are zeroed; the caller fills them. The budgeted selection
+    /// assembles its plans here; [`Self::reoptimize`] assembles the same
+    /// plan from the state it keeps ([`Self::adopted_plan`]).
     pub(super) fn assemble_plan(
         &self,
         selections: Option<&[Selection]>,
@@ -138,17 +141,6 @@ impl WorkloadAdvisor<'_> {
         let sel = |i: usize| selections.map_or(&self.paths[i].selection, |s| &s[i]);
         let paths = self.paths.iter().enumerate();
         let ledger = Ledger::new(&self.space, paths.clone().map(|(i, st)| st.pieces(sel(i))));
-        let outcomes = paths.clone().map(|(i, st)| {
-            let pairs = sel(i).iter().map(|&(sub, org)| (sub, Choice::Index(org)));
-            PathOutcome {
-                id: st.id,
-                path: Arc::clone(&st.path),
-                selection: IndexConfiguration::new(pairs.collect(), st.path.len())
-                    .expect("DP selections concatenate to the full path"),
-                query_cost: ledger.query(i),
-                standalone_cost: st.standalone.as_ref().expect("phase 2 filled it").1,
-            }
-        });
         // The shared indexes' owners, ascending by slot and then by path:
         // only the pieces the ledger counts twice or more are listed.
         let mut held: Vec<(usize, usize)> = Vec::new();
@@ -158,21 +150,63 @@ impl WorkloadAdvisor<'_> {
             held.extend(shared.map(|pair| (ledger::slot(pair), i)));
         }
         held.sort_unstable();
-        let mut shared: Vec<SharedIndexOutcome> = Vec::new();
-        let mut rest = &held[..];
+        let (mut shared, mut rest) = (Vec::new(), &held[..]);
         while let Some(&(slot, _)) = rest.first() {
             let (run, after) = rest.split_at(rest.partition_point(|held| held.0 == slot));
-            let (candidate, org) = ledger::pair_at(slot);
-            let maintenance = installed(&self.space, (candidate, org)).0;
-            shared.push(SharedIndexOutcome {
-                candidate,
-                org,
-                owners: run.iter().map(|&(_, i)| i).collect(),
-                maintenance,
-                saving: maintenance * (run.len() - 1) as f64,
-            });
+            let owners = run.iter().map(|&(_, i)| i).collect();
+            shared.push(self.shared_index(ledger::pair_at(slot), owners));
             rest = after;
         }
+        let config = |i: usize| configuration(&self.paths[i], sel(i));
+        self.plan_of(&ledger, config, shared, independent_cost)
+    }
+
+    /// The plan of the paths' current selections from what the advisor
+    /// keeps across epochs: the adopted ledger, each path's configuration
+    /// — shared with the plans that reported it before — and the holders
+    /// of each index. Bit for bit [`Self::assemble_plan`]`(None, ..)`.
+    pub(super) fn adopted_plan(&self, independent_cost: f64) -> WorkloadPlan {
+        // Every adopted selection has its configuration.
+        let config = |i: usize| {
+            let st = &self.paths[i];
+            let kept = st.configuration.clone();
+            kept.unwrap_or_else(|| configuration(st, &st.selection))
+        };
+        let shared = self
+            .holders
+            .shared()
+            .map(|(pair, holders)| self.shared_index(pair, holders.to_vec()));
+        self.plan_of(&self.ledger, config, shared.collect(), independent_cost)
+    }
+
+    /// The shared index `pair` of a plan, held by `owners`.
+    fn shared_index(&self, (candidate, org): Pair, owners: Vec<usize>) -> SharedIndexOutcome {
+        let maintenance = installed(&self.space, (candidate, org)).0;
+        SharedIndexOutcome {
+            candidate,
+            org,
+            saving: maintenance * (owners.len() - 1) as f64,
+            owners,
+            maintenance,
+        }
+    }
+
+    /// The plan of the per-path selections registered in `ledger`, each
+    /// reported as `config`, with the `shared` indexes, ascending by slot.
+    fn plan_of(
+        &self,
+        ledger: &Ledger,
+        config: impl Fn(usize) -> IndexConfiguration,
+        mut shared: Vec<SharedIndexOutcome>,
+        independent_cost: f64,
+    ) -> WorkloadPlan {
+        let outcomes = self.paths.iter().enumerate().map(|(i, st)| PathOutcome {
+            id: st.id,
+            path: Arc::clone(&st.path),
+            selection: config(i),
+            query_cost: ledger.query(i),
+            standalone_cost: st.standalone.as_ref().expect("phase 2 filled it").1,
+        });
         // Candidate ids depend on interning history (recycled slots), so a
         // warm advisor and its cold rebuild may disagree on them; order by
         // history-independent keys to keep plans comparable.
@@ -209,6 +243,13 @@ impl WorkloadAdvisor<'_> {
             lambda_pruned: 0,
         }
     }
+}
+
+/// The configuration a plan reports for `sel`, a selection of `st`.
+pub(super) fn configuration(st: &PathState, sel: &Selection) -> IndexConfiguration {
+    let pairs = sel.iter().map(|&(sub, org)| (sub, Choice::Index(org)));
+    IndexConfiguration::collect(pairs, st.path.len())
+        .expect("DP selections concatenate to the full path")
 }
 
 impl WorkloadPlan {
@@ -356,5 +397,120 @@ impl WorkloadPlan {
             self.cells_skipped
         );
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::Churn;
+    use super::*;
+    use oic_schema::fixtures;
+
+    /// Through seeded arrivals, departures (which move the later paths up a
+    /// place), re-minings, statistics, update-rate and query-rate churn, at
+    /// lanes {1, 2}, every epoch's plan — assembled from the ledger and the
+    /// configurations the advisor keeps across epochs — is the plan a fresh
+    /// ledger assembles from scratch over the same selections, bit for bit:
+    /// totals, every outcome and query share, the shared list. It is also the
+    /// cold rebuild's plan, its independent cost is the path-order fold of
+    /// the standalone costs, and its mined-out count a fresh recount. An
+    /// outcome whose path's selection did not move shares its configuration
+    /// with the previous plan; one whose selection moved gets a new one.
+    #[test]
+    fn the_kept_plan_equals_a_fresh_assembly_through_churn() {
+        let (schema, _) = fixtures::paper_schema();
+        let bits = |x: f64| x.to_bits();
+        for lanes in [1, 2] {
+            let mut churn = Churn::new(&schema);
+            let mut adv = churn.advisor().with_threads(lanes);
+            let (mut epochs, mut reused, mut rebuilt) = (0, 0, 0);
+            let mut last: Option<WorkloadPlan> = None;
+            for step in 0..300 {
+                churn.step(&mut adv);
+                if churn.next(3) != 0 {
+                    continue;
+                }
+                let plan = adv.reoptimize();
+                let ctx = format!("lanes {lanes}, step {step}");
+                let fresh = adv.assemble_plan(None, plan.independent_cost);
+                let totals = |p: &WorkloadPlan| [p.total_cost, p.size_pages].map(bits);
+                assert_eq!(totals(&plan), totals(&fresh), "{ctx}");
+                assert_eq!(plan.physical_indexes, fresh.physical_indexes, "{ctx}");
+                assert_eq!(plan.paths.len(), fresh.paths.len(), "{ctx}");
+                for (a, b) in plan.paths.iter().zip(&fresh.paths) {
+                    assert_eq!(a.id, b.id, "{ctx}");
+                    assert_eq!(a.selection, b.selection, "{ctx}: path {:?}", a.id);
+                    assert_eq!(bits(a.query_cost), bits(b.query_cost), "{ctx}");
+                    assert_eq!(bits(a.standalone_cost), bits(b.standalone_cost), "{ctx}");
+                }
+                let shared = |p: &WorkloadPlan| -> Vec<_> {
+                    let entry = |s: &SharedIndexOutcome| {
+                        let prices = [s.maintenance, s.saving].map(bits);
+                        (s.candidate, s.org, s.owners.clone(), prices)
+                    };
+                    p.shared.iter().map(entry).collect()
+                };
+                assert_eq!(shared(&plan), shared(&fresh), "{ctx}");
+                let standalone = plan.paths.iter().map(|p| p.standalone_cost);
+                assert_eq!(
+                    bits(plan.independent_cost),
+                    bits(standalone.sum::<f64>()),
+                    "{ctx}"
+                );
+                let mined_out = adv
+                    .paths
+                    .iter()
+                    .map(|st| st.cands.len() - st.live_cands.len());
+                assert_eq!(
+                    plan.candidates_mined_out,
+                    mined_out.sum::<usize>() as u64,
+                    "{ctx}"
+                );
+                // The cold rebuild: its handles and candidate ids are its own.
+                let cold = adv.rebuild().optimize();
+                let costs = |p: &WorkloadPlan| [p.total_cost, p.size_pages, p.independent_cost];
+                assert_eq!(costs(&plan).map(bits), costs(&cold).map(bits), "{ctx}");
+                for (a, b) in plan.paths.iter().zip(&cold.paths) {
+                    assert_eq!(a.selection, b.selection, "{ctx}");
+                    assert_eq!(bits(a.query_cost), bits(b.query_cost), "{ctx}");
+                }
+                let owners = |p: &WorkloadPlan| -> Vec<_> {
+                    let entry = |s: &SharedIndexOutcome| (s.org, s.owners.clone(), bits(s.saving));
+                    p.shared.iter().map(entry).collect()
+                };
+                assert_eq!(owners(&plan), owners(&cold), "{ctx}");
+                // An epoch with nothing to do reports every configuration
+                // again, shared, not copied.
+                let again = adv.reoptimize();
+                for (a, b) in again.paths.iter().zip(&plan.paths) {
+                    let (a, b) = (a.selection.pairs(), b.selection.pairs());
+                    assert!(
+                        std::ptr::eq(a, b),
+                        "{ctx}: a clean epoch copied a configuration"
+                    );
+                }
+                // Across the churn, a configuration is shared while its path's
+                // selection stays and rebuilt when it moves.
+                if let Some(last) = &last {
+                    for now in &plan.paths {
+                        let Ok(k) = last.paths.binary_search_by_key(&now.id, |p| p.id) else {
+                            continue;
+                        };
+                        let (a, b) = (now.selection.pairs(), last.paths[k].selection.pairs());
+                        if std::ptr::eq(a, b) {
+                            reused += 1;
+                        } else if a != b {
+                            rebuilt += 1;
+                        }
+                    }
+                }
+                last = Some(plan);
+                epochs += 1;
+            }
+            assert!(
+                epochs > 50 && reused > 100 && rebuilt > 10,
+                "{epochs} epochs, {reused} reused, {rebuilt} rebuilt"
+            );
+        }
     }
 }

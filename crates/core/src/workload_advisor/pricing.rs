@@ -8,14 +8,13 @@
 
 use super::ledger::Pair;
 use super::state::PathState;
-use super::{Selection, WorkloadAdvisor};
+use super::{BySignature, Selection, WorkloadAdvisor};
 use crate::select::{frontier_point, prune_dominated, Labels, ScalarDp};
 use crate::space::{CandidateId, CandidateSpace};
 use crate::{pc, Choice, IndexConfiguration};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
-use std::collections::HashMap;
 
 /// The installed `(maintenance, footprint)` prices of a live cell — what
 /// phase 1 priced for every admitted rank of every path.
@@ -152,30 +151,43 @@ impl WorkloadAdvisor<'_> {
     /// owner, one read-only job per dirty signature prices its members'
     /// claims and query shares on the executor, and the merge installs
     /// each cell once, in path order — same memo contents and pricing
-    /// counter for any thread count. Returns the dirty paths (ascending)
-    /// and the cells priced.
+    /// counter for any thread count — swapping each re-priced cell's
+    /// once-paid values in the kept ledger. Returns the dirty paths
+    /// (ascending) and the cells priced. O(dirty): the dirty paths come
+    /// from the advisor's list, not from a scan.
     pub(super) fn reprice(&mut self) -> (Vec<usize>, u64) {
         let pricings_before = self.space.maintenance_pricings();
-        let dirty: Vec<usize> = (0..self.paths.len())
-            .filter(|&i| self.paths[i].dirty_query || self.paths[i].dirty_maint)
-            .collect();
+        let mut marked = std::mem::take(&mut self.dirty);
+        marked.sort_unstable();
+        // Handles ascend with the path order; a departed path has none.
+        let dirty: Vec<usize> = marked.iter().filter_map(|&id| self.find(id)).collect();
+        debug_assert!(
+            (0..self.paths.len())
+                .all(|i| self.paths[i].is_dirty() == dirty.binary_search(&i).is_ok()),
+            "the dirty list holds exactly the dirty paths"
+        );
 
         // Claim pass, in path order: an unpriced `(candidate, org)` cell
         // goes to the first dirty path that exposes it — the cells a
-        // sequential first-owner walk would price, each exactly once.
-        let mut claimed = vec![[false; 3]; self.space.slot_count()];
+        // sequential first-owner walk would price, each exactly once. A
+        // path whose maintenance is clean has every cell priced.
+        let (paths, space, claimed) = (&self.paths, &self.space, &mut self.claimed);
+        claimed.resize(claimed.len().max(space.slot_count()), 0);
         let claims: Vec<Vec<(usize, CandidateId, Org)>> = dirty
             .iter()
             .map(|&i| {
                 let mut mine = Vec::new();
-                for (r, cand) in self.paths[i].cands.iter().enumerate() {
+                if !paths[i].dirty_maint {
+                    return mine;
+                }
+                for (r, cand) in paths[i].cands.iter().enumerate() {
                     let Some(cand) = *cand else {
                         continue; // mined out: no cells exist for this rank
                     };
                     for org in Org::ALL {
-                        let taken = &mut claimed[cand.index()][org.index()];
-                        if !*taken && self.space.priced(cand, org).is_none() {
-                            *taken = true;
+                        let (taken, bit) = (&mut claimed[cand.index()], 1 << org.index());
+                        if *taken & bit == 0 && space.priced(cand, org).is_none() {
+                            *taken |= bit;
                             mine.push((r, cand, org));
                         }
                     }
@@ -183,11 +195,14 @@ impl WorkloadAdvisor<'_> {
                 mine
             })
             .collect();
+        for &(_, cand, _) in claims.iter().flatten() {
+            claimed[cand.index()] = 0;
+        }
 
         // One job per dirty signature, members in path order, jobs in
         // first-member order.
         let jobs: Vec<Vec<usize>> = {
-            let mut job_of: HashMap<&PathSignature, usize> = HashMap::new();
+            let mut job_of: BySignature<&PathSignature, usize> = BySignature::default();
             let mut jobs: Vec<Vec<usize>> = Vec::new();
             for (k, &i) in dirty.iter().enumerate() {
                 let j = *job_of.entry(&self.paths[i].signature).or_insert_with(|| {
@@ -217,6 +232,7 @@ impl WorkloadAdvisor<'_> {
             let (shares, cells) = out.expect("every dirty path belongs to one job");
             for (&(_, cand, org), cell) in mine.iter().zip(cells) {
                 self.space.install(cand, org, cell);
+                self.ledger.repay((cand, org), cell);
             }
             let st = &mut self.paths[i];
             if let Some(q) = shares {
@@ -297,7 +313,10 @@ impl WorkloadAdvisor<'_> {
                 .all(|i| self.paths[i].pruned.is_some() || dirty.binary_search(&i).is_ok()),
             "a path without a mask was not re-priced"
         );
-        for &i in dirty {
+        // One mask per dirty path on the executor, each a pure function of
+        // the path's installed cells, installed in path order.
+        let ranks = |&i: &usize| self.paths[i].cands.len();
+        let masks = self.exec.par_map_chunked(dirty, ranks, |_, &i| {
             let st = &self.paths[i];
             // A mined-out rank prices its maintenance and size at ∞: it can
             // neither be struck nor serve as a dominator or replacement
@@ -318,7 +337,10 @@ impl WorkloadAdvisor<'_> {
                     *m = 0;
                 }
             }
-            let struck = mask.iter().map(|b| u64::from(b.count_ones())).sum();
+            let struck = mask.iter().map(|b| u64::from(b.count_ones())).sum::<u64>();
+            (mask, struck)
+        });
+        for ((mask, struck), &i) in masks.into_iter().zip(dirty) {
             let st = &mut self.paths[i];
             self.struck = self.struck - st.struck + struck;
             (st.pruned, st.struck) = (Some(mask), struck);

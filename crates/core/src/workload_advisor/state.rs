@@ -5,6 +5,7 @@
 use super::ledger::Pair;
 use super::{PathId, Selection, SweepMemo};
 use crate::space::CandidateId;
+use crate::IndexConfiguration;
 use oic_cost::Org;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use std::sync::Arc;
@@ -59,6 +60,10 @@ pub(super) struct PathState {
     /// moved it; emptied by [`Self::admit`], since it may cite a rank the
     /// new admitted set dropped.
     pub(super) selection: Selection,
+    /// The configuration plans report for `selection`, built when the
+    /// selection was adopted and shared by every plan since; `None` while
+    /// the selection is empty.
+    pub(super) configuration: Option<IndexConfiguration>,
     /// The trail of the path's last λ = 0 descent: every sharing context
     /// (3-bit covered mask per rank) that descent visited, each with the
     /// selection the DP produced for it — at most one entry per sweep.
@@ -102,6 +107,7 @@ impl PathState {
             query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
             standalone: None,
             selection: Selection::new(),
+            configuration: None,
             sweep_memo: SweepMemo::new(),
             pruned: None,
             struck: 0,
@@ -112,12 +118,14 @@ impl PathState {
     }
 
     /// Adopts a re-interned candidate set. The current selection goes
-    /// with the old set: no selection may cite a mined-out rank.
-    pub(super) fn admit(&mut self, cands: Vec<Option<CandidateId>>) {
+    /// with the old set: no selection may cite a mined-out rank. Returns
+    /// [`Self::mark`]'s answer.
+    pub(super) fn admit(&mut self, cands: Vec<Option<CandidateId>>) -> bool {
         self.live_cands = cands.iter().flatten().copied().collect();
         self.cands = cands;
         self.selection.clear();
-        self.mark(Dirty::Admission);
+        self.configuration = None;
+        self.mark(Dirty::Admission)
     }
 
     /// Invalidates exactly the cached artifacts `what` can move: query
@@ -127,8 +135,10 @@ impl PathState {
     /// dominance mask when the admitted candidate set itself changed
     /// (otherwise the next re-pricing of this dirty path refreshes it).
     /// The current selection stays: the next descent overwrites it if it
-    /// moved.
-    pub(super) fn mark(&mut self, what: Dirty) {
+    /// moved. Returns whether the path was clean, so that it joins the
+    /// advisor's list of paths to re-price.
+    pub(super) fn mark(&mut self, what: Dirty) -> bool {
+        let clean = !self.is_dirty();
         self.dirty_query |= what != Dirty::Rates;
         self.dirty_maint |= what != Dirty::Queries;
         self.standalone = None;
@@ -136,6 +146,17 @@ impl PathState {
         if what == Dirty::Admission {
             self.pruned = None;
         }
+        clean
+    }
+
+    /// Ranks the admission policy dropped from this path.
+    pub(super) fn mined_out(&self) -> u64 {
+        (self.cands.len() - self.live_cands.len()) as u64
+    }
+
+    /// Whether the next re-pricing has work on this path.
+    pub(super) fn is_dirty(&self) -> bool {
+        self.dirty_query || self.dirty_maint
     }
 
     /// Replaces the trail with what the last λ = 0 descent visited: the

@@ -899,7 +899,7 @@ fn eviction_trials_respond_as_without_prune_masks() {
                 evicted,
                 trial: *trial,
             };
-            let mut overlay = round.overlay();
+            let mut overlay = round.overlay(&adv.space);
             let mut responses = Vec::new();
             for &i in &owners[ledger::slot(*trial)] {
                 let st = &adv.paths[i];
@@ -1027,7 +1027,7 @@ fn an_epoch_without_membership_moves_reuses_the_components() {
 /// Seeded churn on the paper schema: arrivals from a fixed pool (at most
 /// 12 live paths), departures, query-rate updates that re-mine under a
 /// gating policy, and statistics and rate updates.
-struct Churn<'s> {
+pub(super) struct Churn<'s> {
     schema: &'s Schema,
     pool: Vec<Path>,
     classes: Vec<ClassId>,
@@ -1035,7 +1035,7 @@ struct Churn<'s> {
 }
 
 impl<'s> Churn<'s> {
-    fn new(schema: &'s Schema) -> Self {
+    pub(super) fn new(schema: &'s Schema) -> Self {
         let pool = [
             ("Person", &["owns", "man", "divs", "name"][..]),
             ("Person", &["owns", "man", "name"]),
@@ -1059,7 +1059,7 @@ impl<'s> Churn<'s> {
     }
 
     /// The next xorshift draw, below `below`.
-    fn next(&mut self, below: u64) -> u64 {
+    pub(super) fn next(&mut self, below: u64) -> u64 {
         self.seed ^= self.seed << 13;
         self.seed ^= self.seed >> 7;
         self.seed ^= self.seed << 17;
@@ -1073,7 +1073,7 @@ impl<'s> Churn<'s> {
     }
 
     /// An empty advisor under a policy that mines some ranks out.
-    fn advisor(&self) -> WorkloadAdvisor<'s> {
+    pub(super) fn advisor(&self) -> WorkloadAdvisor<'s> {
         let policy = MiningPolicy {
             min_support: 0.9,
             ..MiningPolicy::default()
@@ -1085,7 +1085,7 @@ impl<'s> Churn<'s> {
     }
 
     /// Applies one seeded mutation to `adv`.
-    fn step(&mut self, adv: &mut WorkloadAdvisor<'_>) {
+    pub(super) fn step(&mut self, adv: &mut WorkloadAdvisor<'_>) {
         let ids: Vec<PathId> = adv.path_ids().collect();
         let alphas: Vec<f64> = (0..self.classes.len())
             .map(|_| self.next(11) as f64 / 10.0)

@@ -477,21 +477,25 @@ fn clean_epoch_allocations(len: usize) -> f64 {
 }
 
 /// Assembling a plan allocates a per-path constant: a no-op epoch's
-/// allocations per path do not grow with the paths' length, and stay a
-/// handful — each outcome's configuration, and each component's descent
-/// tables spread over its members. When every outcome deep-copied its
-/// `Path` and every descent cloned each member's sweep memo, the epoch
-/// made 19.1 allocations per 5-step path and 24.8 per 8-step path. With
-/// each seed and converged selection copied once per epoch it made 5.15
-/// and 4.86; now that the descent reads seeds in place and returns only
-/// the selections that moved, and the components are cached, it makes
-/// 2.33 and 2.10.
+/// allocations per path do not grow with the paths' length, and stay
+/// below two — the plan's outcome list, one owner list per shared index,
+/// and each component's descent tables spread over its members. When
+/// every outcome deep-copied its `Path` and every descent cloned each
+/// member's sweep memo, the epoch made 19.1 allocations per 5-step path
+/// and 24.8 per 8-step path. With each seed and converged selection
+/// copied once per epoch it made 5.15 and 4.86; with the descent reading
+/// seeds in place, returning only the selections that moved, and the
+/// components cached, 2.33 and 2.10 (most of it each outcome's
+/// configuration, built per plan). Now that an unmoved path's outcome
+/// shares the configuration the advisor keeps for it, the epoch makes
+/// 1.33 and 1.10 in a debug build (1.26 and 1.04 in release). The
+/// ceiling is the measured value plus the margin it had before (0.67).
 #[test]
 fn a_clean_epoch_allocates_per_path_not_per_step() {
     let (short, long) = (clean_epoch_allocations(5), clean_epoch_allocations(8));
     let per_path = format!("{short:.2} per 5-step path, {long:.2} per 8-step path");
     assert!(long <= short + 0.5, "{per_path}");
-    assert!(short.max(long) <= 3.0, "{per_path}");
+    assert!(short.max(long) <= 2.0, "{per_path}");
 }
 
 /// The eviction walk's allocation contract (ROADMAP item 8): a round

@@ -61,9 +61,11 @@ echo "ok: crash-injection sweep recovered every torn commit"
 
 # The identity suites at release speed: the budget search runs its two
 # directions on separate threads, so parallel ≡ sequential is checked
-# with release timings too, not only in the debug build of the tests.
-echo "── cargo test --release -p oic-sim --test parallel --test budgeted"
-cargo test --release --quiet -p oic-sim --test parallel --test budgeted
-echo "ok: release plans bit-identical at every lane count"
+# with release timings too, not only in the debug build of the tests. A
+# warm plan is assembled from the ledger and configurations the advisor
+# keeps across epochs, so warm ≡ cold is checked in release as well.
+echo "── cargo test --release -p oic-sim --test parallel --test budgeted --test warm_epoch --test evolving"
+cargo test --release --quiet -p oic-sim --test parallel --test budgeted --test warm_epoch --test evolving
+echo "ok: release plans bit-identical at every lane count, warm ≡ cold"
 
 echo "smoke: all examples alive"

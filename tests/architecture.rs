@@ -169,7 +169,7 @@ fn no_environment_reads_in_the_library() {
 
 /// The panic sites the library may hold, at most: the count of this tree.
 /// Lower it when sites go; it may not rise.
-const PANIC_SITES: usize = 151;
+const PANIC_SITES: usize = 150;
 
 /// Whether `line` holds a panic site: `assert!`, `assert_eq!` or
 /// `assert_ne!` (not their `debug_` forms), `panic!`, `unreachable!`, or an
