@@ -2,7 +2,7 @@
 //! sweeps, the recorded eviction descent and the frontier repair pass.
 
 use super::descent::{Memo, Shards, MAX_SWEEPS};
-use super::ledger::{self, pair_at, slot, Ledger, Overlay, Pair};
+use super::ledger::{self, pair_at, slot, Holders, Ledger, Overlay, Pair};
 use super::pricing::{
     best_response, frontier_response, to_selection, true_marginal, Bans, FoldedRows,
     FrontierTables, Pricing, Source,
@@ -248,63 +248,44 @@ where
 }
 
 /// What every round of one eviction walk reads, kept across its rounds:
-/// the [`Ledger`] of the current selections, which every trial forks, who
-/// owns which index, and the owned indexes ascending. An adopted eviction
-/// moves them by its re-selected owners alone ([`Round::adopt`]): the
-/// ledger's fold is order-independent, so its totals stay bit-equal to a
-/// ledger built from scratch on the same selections.
+/// the [`Ledger`] of the current selections, which every trial forks, and
+/// the [`Holders`] of every owned index, listed ascending. An adopted
+/// eviction moves them by its re-selected owners alone
+/// ([`Round::adopt`]): the ledger's fold is order-independent, so its
+/// totals stay bit-equal to a ledger built from scratch on the same
+/// selections.
 struct Round {
     ledger: Ledger,
-    /// The owning paths of each index, ascending, by [`ledger::slot`].
-    owners: Vec<Vec<usize>>,
-    /// The indexes with an owner, ascending.
-    pairs: Vec<Pair>,
+    holders: Holders,
 }
 
 impl Round {
     fn new(advisor: &WorkloadAdvisor<'_>, selections: &[Selection]) -> Self {
         let paths = advisor.paths.iter().zip(selections);
-        let owners = ledger::owners(&advisor.space, paths.map(|(st, sel)| st.pieces(sel)));
-        let owned = (0..owners.len()).filter(|&s| !owners[s].is_empty());
+        let pieces = paths.map(|(st, sel)| st.pieces(sel));
         Round {
             ledger: advisor.ledger(selections),
-            pairs: owned.map(pair_at).collect(),
-            owners,
+            holders: Holders::new(&advisor.space, 1, pieces),
         }
     }
 
-    /// Re-selects `changed` in the round and in `selections`; `moved` is
-    /// what it does to the holder counts ([`Overlay::moved`]).
+    /// Re-selects `changed` in the round and in `selections`.
     fn adopt(
         &mut self,
         space: &CandidateSpace,
         paths: &[PathState],
         selections: &mut [Selection],
         changed: &[(usize, Selection)],
-        moved: &[(Pair, u32, u32)],
     ) {
         for (i, sel) in changed {
             let (st, old) = (&paths[*i], &mut selections[*i]);
             self.ledger.remove(*i, st.pieces(old));
-            for (pair, _) in st.pieces(old) {
-                self.owners[slot(pair)].retain(|j| j != i);
-            }
-            for (pair, _) in st.pieces(sel) {
-                let owners = &mut self.owners[slot(pair)];
-                owners.insert(owners.partition_point(|j| j < i), *i);
-            }
+            self.holders.remove(*i, st.pieces(old));
+            self.holders.insert(space, *i, st.pieces(sel));
             self.ledger.insert(space, *i, st.pieces(sel));
             old.clone_from(sel);
         }
         self.ledger.settle();
-        for &(pair, old, new) in moved {
-            let at = self.pairs.partition_point(|&p| slot(p) < slot(pair));
-            if old == 0 {
-                self.pairs.insert(at, pair);
-            } else if new == 0 {
-                self.pairs.remove(at);
-            }
-        }
     }
 
     /// Whether the round is the one built from scratch on `selections`,
@@ -312,8 +293,7 @@ impl Round {
     fn matches(&self, advisor: &WorkloadAdvisor<'_>, selections: &[Selection]) -> bool {
         let fresh = Round::new(advisor, selections);
         let bits = |(cost, size): (f64, f64)| (cost.to_bits(), size.to_bits());
-        bits(self.ledger.totals()) == bits(fresh.ledger.totals())
-            && (&self.owners, &self.pairs) == (&fresh.owners, &fresh.pairs)
+        bits(self.ledger.totals()) == bits(fresh.ledger.totals()) && self.holders == fresh.holders
     }
 }
 
@@ -539,14 +519,14 @@ impl WorkloadAdvisor<'_> {
             // ascending pair order, which keeps the chosen eviction — and
             // the whole descent — bit-identical to the sequential engine.
             let fresh: Vec<Pair> = round
-                .pairs
-                .iter()
-                .copied()
+                .holders
+                .listed()
+                .map(|(pair, _)| pair)
                 .filter(|&pair| trail.trials[slot(pair)].is_none())
                 .collect();
             trials_run += fresh.len() as u64;
             let trial_of = |_: usize, &pair: &Pair| {
-                let owners = &round.owners[slot(pair)];
+                let owners = round.holders.of(pair);
                 self.eviction_trial(&round.ledger, owners, &selections, &trail.banned, pair)
             };
             // A kept trial IS the trial of this round, delta included, bit
@@ -563,7 +543,7 @@ impl WorkloadAdvisor<'_> {
             }
             let totals = round.ledger.totals();
             debug_assert!(
-                round.pairs.iter().all(|&pair| {
+                round.holders.listed().all(|(pair, _)| {
                     let kept = trail.trials[slot(pair)].as_ref();
                     kept.and_then(Option::as_ref)
                         .map_or(true, |(changed, delta)| {
@@ -572,7 +552,8 @@ impl WorkloadAdvisor<'_> {
                 }),
                 "a trial's delta diverged from a from-scratch ledger's"
             );
-            let Some(pair) = cheapest_eviction(totals.1, &round.pairs, &trail.trials) else {
+            let pairs = round.holders.listed().map(|(pair, _)| pair);
+            let Some(pair) = cheapest_eviction(totals.1, pairs, &trail.trials) else {
                 trail.dead_end = true; // nothing left to evict
                 break;
             };
@@ -584,7 +565,7 @@ impl WorkloadAdvisor<'_> {
             self.apply_trial(&mut overlay, &selections, &changed);
             let moved: Vec<(Pair, u32, u32)> = overlay.moved().collect();
             self.drop_disturbed_trials(&mut trail.trials, &round, &moved, &mut least_moved);
-            round.adopt(&self.space, &self.paths, &mut selections, &changed, &moved);
+            round.adopt(&self.space, &self.paths, &mut selections, &changed);
             debug_assert!(
                 round.matches(self, &selections),
                 "the kept round diverged from one built from scratch"
@@ -662,9 +643,8 @@ impl WorkloadAdvisor<'_> {
             let least = &mut least_moved[cand.index()];
             *least = (*least).min(old.min(new));
         }
-        for &pair in &round.pairs {
+        for (pair, owners) in round.holders.listed() {
             let kept = &mut trials[slot(pair)];
-            let owners = &round.owners[slot(pair)];
             let reach = owners.len() as u32;
             let disturbed = |&i: &usize| {
                 let cands = &self.paths[i].live_cands;
@@ -911,12 +891,16 @@ impl WorkloadAdvisor<'_> {
 /// delta, kept with it: `Δcost / −Δsize` over the trials with `Δsize`
 /// below `−stol`, where `size0` is the round's footprint (DESIGN.md
 /// §5.12).
-fn cheapest_eviction(size0: f64, pairs: &[Pair], trials: &[Option<Reselection>]) -> Option<Pair> {
+fn cheapest_eviction(
+    size0: f64,
+    pairs: impl Iterator<Item = Pair>,
+    trials: &[Option<Reselection>],
+) -> Option<Pair> {
     // A trial frees pages when its footprint falls by more than this.
     let stol = 1e-9 * size0.abs().max(1.0);
     // (regret per page, Δsize, evicted index)
     let mut best: Option<(f64, f64, Pair)> = None;
-    for &pair in pairs {
+    for pair in pairs {
         let kept = trials[slot(pair)].as_ref();
         let Some((_, (cost, size))) = kept.expect("every round index has its trial") else {
             continue; // the ban left some owner uncoverable

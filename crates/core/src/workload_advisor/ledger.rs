@@ -138,35 +138,54 @@ impl Ownership {
     }
 }
 
-/// The owning paths of every index `selections` cite, ascending, by
-/// [`slot`] of `space` (empty for an index nobody cites).
-pub(crate) fn owners<I>(
-    space: &CandidateSpace,
-    selections: impl Iterator<Item = I>,
-) -> Vec<Vec<usize>>
-where
-    I: Iterator<Item = (Pair, f64)>,
-{
-    let mut owners = vec![Vec::new(); slots(space)];
-    for (i, pieces) in selections.enumerate() {
-        for (pair, _) in pieces {
-            owners[slot(pair)].push(i);
-        }
-    }
-    owners
-}
-
 /// The holders of every physical index that registered selections cite:
-/// the owning paths of each, ascending, by [`slot`], and the slots two
-/// paths or more hold, ascending — the shared list a plan reports, which
-/// the advisor keeps beside its ledger.
-#[derive(Default)]
+/// the owning paths of each, ascending, by [`slot`], and the slots that
+/// `least` paths or more hold, ascending. The advisor keeps the shared
+/// ones (`least` = 2) beside its ledger, for the list a plan reports; an
+/// eviction walk keeps every held one (`least` = 1), the indexes it tries.
+#[derive(PartialEq)]
 pub(crate) struct Holders {
     by_slot: Vec<Vec<usize>>,
-    shared: Vec<usize>,
+    listed: Vec<usize>,
+    least: usize,
 }
 
 impl Holders {
+    /// No selection registered yet; an index `least ≥ 1` paths hold is
+    /// listed.
+    pub(crate) fn listing(least: usize) -> Self {
+        debug_assert!(least >= 1, "an index nobody holds is never listed");
+        Holders {
+            by_slot: Vec::new(),
+            listed: Vec::new(),
+            least,
+        }
+    }
+
+    /// Registers every path's selection — paths in path order — from
+    /// scratch, by slot of `space`.
+    pub(crate) fn new<I>(
+        space: &CandidateSpace,
+        least: usize,
+        selections: impl Iterator<Item = I>,
+    ) -> Self
+    where
+        I: Iterator<Item = (Pair, f64)>,
+    {
+        let mut by_slot = vec![Vec::new(); slots(space)];
+        for (i, pieces) in selections.enumerate() {
+            for (pair, _) in pieces {
+                by_slot[slot(pair)].push(i);
+            }
+        }
+        let listed = (0..by_slot.len()).filter(|&s| by_slot[s].len() >= least);
+        Holders {
+            listed: listed.collect(),
+            by_slot,
+            ..Holders::listing(least)
+        }
+    }
+
     /// Withdraws path `i`'s selection.
     pub(crate) fn remove(&mut self, i: usize, pieces: impl Iterator<Item = (Pair, f64)>) {
         for (pair, _) in pieces {
@@ -174,9 +193,9 @@ impl Holders {
             let at = holders.partition_point(|&j| j < i);
             debug_assert_eq!(holders.get(at), Some(&i), "selection was registered");
             holders.remove(at);
-            if holders.len() == 1 {
-                let at = self.shared.partition_point(|&s| s < slot(pair));
-                self.shared.remove(at);
+            if holders.len() + 1 == self.least {
+                let at = self.listed.partition_point(|&s| s < slot(pair));
+                self.listed.remove(at);
             }
         }
     }
@@ -194,9 +213,9 @@ impl Holders {
         for (pair, _) in pieces {
             let holders = &mut self.by_slot[slot(pair)];
             holders.insert(holders.partition_point(|&j| j < i), i);
-            if holders.len() == 2 {
-                let at = self.shared.partition_point(|&s| s < slot(pair));
-                self.shared.insert(at, slot(pair));
+            if holders.len() == self.least {
+                let at = self.listed.partition_point(|&s| s < slot(pair));
+                self.listed.insert(at, slot(pair));
             }
         }
     }
@@ -212,12 +231,13 @@ impl Holders {
 
     /// Whether these are the holders of the selections `ledger` registers:
     /// each index lists as many paths as the ledger counts, ascending,
-    /// each of which `cites` it, and the shared ones are those with two
-    /// or more. The debug check of kept holders; it allocates nothing.
+    /// each of which `cites` it, and the listed ones are those with
+    /// `least` or more. The debug check of kept holders; it allocates
+    /// nothing.
     pub(crate) fn agree(&self, ledger: &Ledger, cites: impl Fn(usize, Pair) -> bool) -> bool {
         let mut lists = self.by_slot.iter().enumerate();
-        let shared = lists.clone().filter(|(_, l)| l.len() >= 2).map(|(s, _)| s);
-        let listed = lists.all(|(s, l)| {
+        let listed = lists.clone().filter(|(_, l)| l.len() >= self.least);
+        let held = lists.all(|(s, l)| {
             let ascending = l.windows(2).all(|w| w[0] < w[1]);
             l.len() == ledger.owners(pair_at(s)) as usize
                 && ascending
@@ -225,14 +245,19 @@ impl Holders {
         });
         let mut unlisted = self.by_slot.len()..ledger.owned.held.len();
         let unlisted = unlisted.all(|s| ledger.owners(pair_at(s)) == 0);
-        listed && unlisted && shared.eq(self.shared.iter().copied())
+        held && unlisted && listed.map(|(s, _)| s).eq(self.listed.iter().copied())
     }
 
-    /// The indexes two paths or more hold, ascending, each with its
+    /// The owning paths of `pair`, ascending.
+    pub(crate) fn of(&self, pair: Pair) -> &[usize] {
+        &self.by_slot[slot(pair)]
+    }
+
+    /// The indexes `least` paths or more hold, ascending, each with its
     /// holders.
-    pub(crate) fn shared(&self) -> impl Iterator<Item = (Pair, &[usize])> + '_ {
-        let shared = self.shared.iter();
-        shared.map(|&s| (pair_at(s), &self.by_slot[s][..]))
+    pub(crate) fn listed(&self) -> impl Iterator<Item = (Pair, &[usize])> + '_ {
+        let listed = self.listed.iter();
+        listed.map(|&s| (pair_at(s), &self.by_slot[s][..]))
     }
 }
 
@@ -245,48 +270,41 @@ struct Moves {
     came: Vec<f64>,
 }
 
-/// Up to this many moves settle one by one, in place; more merge in one
-/// pass over the operand.
-const FEW_MOVES: usize = 8;
-
 impl Moves {
-    /// Applies the moves to `sorted`, through `spare` when they merge.
-    /// The result is the [`sorted`] sequence of the moved multiset, which
-    /// is unique, so how the moves are applied reaches no bit of a total.
+    /// Applies the moves to `sorted` in one merge through `spare`. The
+    /// result is the [`sorted`] sequence of the moved multiset, which is
+    /// unique, so how the moves are applied reaches no bit of a total.
     fn settle(&mut self, sorted: &mut Vec<f64>, spare: &mut Vec<f64>) {
         let Moves { gone, came } = self;
-        if gone.len() + came.len() <= FEW_MOVES {
-            // Gains first: a value can leave in the same batch it came in.
-            came.iter().for_each(|&value| insert_sorted(sorted, value));
-            gone.iter().for_each(|&value| remove_sorted(sorted, value));
-        } else {
-            gone.sort_by(f64::total_cmp);
-            came.sort_by(f64::total_cmp);
-            spare.clear();
-            spare.reserve(sorted.len() + came.len());
-            let (mut kept, mut gained, mut lost) = (0, 0, 0);
-            while kept < sorted.len() || gained < came.len() {
-                let from_kept = gained == came.len()
-                    || (kept < sorted.len() && sorted[kept].total_cmp(&came[gained]).is_le());
-                let value = if from_kept {
-                    kept += 1;
-                    sorted[kept - 1]
-                } else {
-                    gained += 1;
-                    came[gained - 1]
-                };
-                if gone
-                    .get(lost)
-                    .is_some_and(|g| g.to_bits() == value.to_bits())
-                {
-                    lost += 1;
-                } else {
-                    spare.push(value);
-                }
-            }
-            debug_assert_eq!(lost, gone.len(), "a value left that was never paid");
-            std::mem::swap(sorted, spare);
+        if gone.is_empty() && came.is_empty() {
+            return;
         }
+        gone.sort_by(f64::total_cmp);
+        came.sort_by(f64::total_cmp);
+        spare.clear();
+        spare.reserve(sorted.len() + came.len());
+        let (mut kept, mut gained, mut lost) = (0, 0, 0);
+        while kept < sorted.len() || gained < came.len() {
+            let from_kept = gained == came.len()
+                || (kept < sorted.len() && sorted[kept].total_cmp(&came[gained]).is_le());
+            let value = if from_kept {
+                kept += 1;
+                sorted[kept - 1]
+            } else {
+                gained += 1;
+                came[gained - 1]
+            };
+            if gone
+                .get(lost)
+                .is_some_and(|g| g.to_bits() == value.to_bits())
+            {
+                lost += 1;
+            } else {
+                spare.push(value);
+            }
+        }
+        debug_assert_eq!(lost, gone.len(), "a value left that was never paid");
+        std::mem::swap(sorted, spare);
         gone.clear();
         came.clear();
     }

@@ -103,7 +103,7 @@ pub(crate) use whatif::AdoptedPath;
 pub use whatif::{WhatIfReport, WhatIfSubscriber};
 
 use crate::shard;
-use crate::space::{CandidateId, CandidateSpace, StepHasher};
+use crate::space::{CandidateId, CandidateSpace};
 use budget::EvictionTrail;
 use descent::{Memo, Shards};
 use ledger::{Holders, Ledger};
@@ -114,11 +114,7 @@ use oic_workload::{mining, MiningPolicy};
 use pricing::{best_response, Pricing, QueryBasis, Source};
 use state::{Dirty, PathState};
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::Arc;
-
-/// A map keyed by path signature, hashed a word per step key.
-type BySignature<K, V> = HashMap<K, V, BuildHasherDefault<StepHasher>>;
 
 /// One path's selection: the chosen `(subpath, organization)` pieces.
 type Selection = Vec<(SubpathId, Org)>;
@@ -207,7 +203,7 @@ pub struct WorkloadAdvisor<'a> {
     /// once per distinct path signature, evaluated per path against its
     /// own query rates. `update_stats` evicts the bases whose scope
     /// contains the mutated class.
-    basis: BySignature<PathSignature, QueryBasis>,
+    basis: HashMap<PathSignature, QueryBasis>,
     /// The mined-admission policy: which candidate subpaths clear the
     /// support threshold and get interned at all (DESIGN.md §5.17). The
     /// default admits everything — the unmined space, bitwise.
@@ -242,7 +238,7 @@ impl<'a> WorkloadAdvisor<'a> {
             struck: 0,
             mined_out: 0,
             ledger: Ledger::default(),
-            holders: Holders::default(),
+            holders: Holders::listing(2),
             standalone_costs: Vec::new(),
             dirty: Vec::new(),
             claimed: Vec::new(),
@@ -251,7 +247,7 @@ impl<'a> WorkloadAdvisor<'a> {
             epoch: 0,
             mutations: 0,
             exec: Executor::default(),
-            basis: BySignature::default(),
+            basis: HashMap::new(),
             mining: MiningPolicy::default(),
             trail: None,
             components: None,
@@ -726,7 +722,7 @@ impl<'a> WorkloadAdvisor<'a> {
         self.ledger.remove(i, st.pieces(&st.selection));
         self.holders.remove(i, st.pieces(&st.selection));
         self.holders.insert(&self.space, i, st.pieces(&sel));
-        st.configuration = Some(plan::configuration(st, &sel));
+        st.configuration = plan::configuration(st, &sel);
         st.selection = sel;
         self.ledger.insert(&self.space, i, st.pieces(&st.selection));
     }

@@ -2,7 +2,7 @@
 //! from per-path selections through the ledger, with the bit-identity
 //! asserts and the human-readable report.
 
-use super::ledger::{self, Ledger, Pair};
+use super::ledger::{Holders, Ledger, Pair};
 use super::pricing::installed;
 use super::state::PathState;
 use super::{PathId, Selection, WorkloadAdvisor};
@@ -128,8 +128,8 @@ impl WorkloadAdvisor<'_> {
     /// Assembles a [`WorkloadPlan`] from per-path selections — `None`
     /// for each path's current one — from scratch: a fresh ledger, query
     /// shares per path, each distinct physical index's maintenance **and
-    /// footprint** exactly once, a fresh configuration per path, and the
-    /// shared indexes found by a scan of every selection. Epoch telemetry
+    /// footprint** exactly once, a fresh configuration per path, and fresh
+    /// holders of every index for the shared ones. Epoch telemetry
     /// fields are zeroed; the caller fills them. The budgeted selection
     /// assembles its plans here; [`Self::reoptimize`] assembles the same
     /// plan from the state it keeps ([`Self::adopted_plan`]).
@@ -139,24 +139,18 @@ impl WorkloadAdvisor<'_> {
         independent_cost: f64,
     ) -> WorkloadPlan {
         let sel = |i: usize| selections.map_or(&self.paths[i].selection, |s| &s[i]);
-        let paths = self.paths.iter().enumerate();
-        let ledger = Ledger::new(&self.space, paths.clone().map(|(i, st)| st.pieces(sel(i))));
-        // The shared indexes' owners, ascending by slot and then by path:
-        // only the pieces the ledger counts twice or more are listed.
-        let mut held: Vec<(usize, usize)> = Vec::new();
-        for (i, st) in paths {
-            let pieces = st.pieces(sel(i)).map(|(pair, _)| pair);
-            let shared = pieces.filter(|&pair| ledger.owners(pair) >= 2);
-            held.extend(shared.map(|pair| (ledger::slot(pair), i)));
-        }
-        held.sort_unstable();
-        let (mut shared, mut rest) = (Vec::new(), &held[..]);
-        while let Some(&(slot, _)) = rest.first() {
-            let (run, after) = rest.split_at(rest.partition_point(|held| held.0 == slot));
-            let owners = run.iter().map(|&(_, i)| i).collect();
-            shared.push(self.shared_index(ledger::pair_at(slot), owners));
-            rest = after;
-        }
+        let pieces = || {
+            self.paths
+                .iter()
+                .enumerate()
+                .map(|(i, st)| st.pieces(sel(i)))
+        };
+        let ledger = Ledger::new(&self.space, pieces());
+        let holders = Holders::new(&self.space, 2, pieces());
+        let shared = holders
+            .listed()
+            .map(|(pair, owners)| self.shared_index(pair, owners.to_vec()));
+        let shared = shared.collect();
         let config = |i: usize| configuration(&self.paths[i], sel(i));
         self.plan_of(&ledger, config, shared, independent_cost)
     }
@@ -166,15 +160,21 @@ impl WorkloadAdvisor<'_> {
     /// — shared with the plans that reported it before — and the holders
     /// of each index. Bit for bit [`Self::assemble_plan`]`(None, ..)`.
     pub(super) fn adopted_plan(&self, independent_cost: f64) -> WorkloadPlan {
-        // Every adopted selection has its configuration.
         let config = |i: usize| {
             let st = &self.paths[i];
-            let kept = st.configuration.clone();
-            kept.unwrap_or_else(|| configuration(st, &st.selection))
+            let cites = st
+                .selection
+                .iter()
+                .map(|&(sub, org)| (sub, Choice::Index(org)));
+            debug_assert!(
+                st.configuration.pairs().iter().copied().eq(cites),
+                "every adopted selection has its configuration"
+            );
+            st.configuration.clone()
         };
         let shared = self
             .holders
-            .shared()
+            .listed()
             .map(|(pair, holders)| self.shared_index(pair, holders.to_vec()));
         self.plan_of(&self.ledger, config, shared.collect(), independent_cost)
     }

@@ -8,13 +8,14 @@
 
 use super::ledger::Pair;
 use super::state::PathState;
-use super::{BySignature, Selection, WorkloadAdvisor};
+use super::{Selection, WorkloadAdvisor};
 use crate::select::{frontier_point, prune_dominated, Labels, ScalarDp};
 use crate::space::{CandidateId, CandidateSpace};
 use crate::{pc, Choice, IndexConfiguration};
 use oic_cost::{ClassStats, CostModel, CostParams, Org, PathCharacteristics};
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use oic_workload::{LoadDistribution, Triplet};
+use std::collections::HashMap;
 
 /// The installed `(maintenance, footprint)` prices of a live cell — what
 /// phase 1 priced for every admitted rank of every path.
@@ -202,7 +203,7 @@ impl WorkloadAdvisor<'_> {
         // One job per dirty signature, members in path order, jobs in
         // first-member order.
         let jobs: Vec<Vec<usize>> = {
-            let mut job_of: BySignature<&PathSignature, usize> = BySignature::default();
+            let mut job_of: HashMap<&PathSignature, usize> = HashMap::new();
             let mut jobs: Vec<Vec<usize>> = Vec::new();
             for (k, &i) in dirty.iter().enumerate() {
                 let j = *job_of.entry(&self.paths[i].signature).or_insert_with(|| {

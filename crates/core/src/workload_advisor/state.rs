@@ -5,7 +5,7 @@
 use super::ledger::Pair;
 use super::{PathId, Selection, SweepMemo};
 use crate::space::CandidateId;
-use crate::IndexConfiguration;
+use crate::{Choice, IndexConfiguration};
 use oic_cost::Org;
 use oic_schema::{ClassId, Path, PathSignature, Schema, SubpathId};
 use std::sync::Arc;
@@ -61,9 +61,11 @@ pub(super) struct PathState {
     /// new admitted set dropped.
     pub(super) selection: Selection,
     /// The configuration plans report for `selection`, built when the
-    /// selection was adopted and shared by every plan since; `None` while
-    /// the selection is empty.
-    pub(super) configuration: Option<IndexConfiguration>,
+    /// selection was adopted and shared by every plan since. Until the
+    /// path's first adoption it is the path's no-index configuration,
+    /// which no plan reports: every path adopts a selection before a plan
+    /// is assembled, and a re-admitted path adopts one again.
+    pub(super) configuration: IndexConfiguration,
     /// The trail of the path's last λ = 0 descent: every sharing context
     /// (3-bit covered mask per rank) that descent visited, each with the
     /// selection the DP produced for it — at most one entry per sweep.
@@ -107,7 +109,7 @@ impl PathState {
             query_costs: vec![[0.0; 3]; SubpathId::count(path.len())],
             standalone: None,
             selection: Selection::new(),
-            configuration: None,
+            configuration: IndexConfiguration::singletons(Choice::NoIndex, path.len()),
             sweep_memo: SweepMemo::new(),
             pruned: None,
             struck: 0,
@@ -124,7 +126,6 @@ impl PathState {
         self.live_cands = cands.iter().flatten().copied().collect();
         self.cands = cands;
         self.selection.clear();
-        self.configuration = None;
         self.mark(Dirty::Admission)
     }
 

@@ -888,8 +888,9 @@ fn eviction_trials_respond_as_without_prune_masks() {
     type Responses = Vec<Vec<Option<((u64, u64), Selection)>>>;
     let trials = |adv: &WorkloadAdvisor<'_>, sels: &[Selection], bans: &[(Vec<u8>, Pair)]| {
         let round = adv.ledger(sels);
-        let owners = ledger::owners(
+        let owners = ledger::Holders::new(
             &adv.space,
+            1,
             adv.paths.iter().zip(sels).map(|(st, sel)| st.pieces(sel)),
         );
         let (mut context, mut tables) = (Vec::new(), FrontierTables::default());
@@ -901,7 +902,7 @@ fn eviction_trials_respond_as_without_prune_masks() {
             };
             let mut overlay = round.overlay(&adv.space);
             let mut responses = Vec::new();
-            for &i in &owners[ledger::slot(*trial)] {
+            for &i in owners.of(*trial) {
                 let st = &adv.paths[i];
                 overlay.remove(st.pieces(&sels[i]));
                 overlay.context_into(&st.cands, &mut context);
